@@ -10,22 +10,19 @@
     tropcur counterexamples
 
 Reports are JSON (default) or CSV, byte-identical across runs for a
-fixed seed and tolerance; exit code 0 when all declared expectations
-match, 1 on verdict mismatch, 2 on input errors.
+fixed seed and tolerance.  Every subcommand runs as a scene through
+``scenes.run``: exit code 2 on an input error or a task that ends in an
+error record, else 1 on an expectation mismatch, else 0.
 """
 
 import argparse
 import json
 import sys
 
-from . import formats, gallery, scenes
-from .correspond import lift, push_forward, round_trip_verify
-from .currents import (canonical_decomposition, closedness_test,
-                       extend_by_zero, resum)
+from . import formats, scenes
 from .errors import ParseError, TropcurError, ValidationError
-from .fiber import positivity_verdict, reverify
-from .fields import integrate_top
-from .formats import jsonable, load_json
+from .fans import orthant_fan
+from .formats import load_json
 
 
 def _emit(report, fmt, out):
@@ -38,20 +35,6 @@ def _emit(report, fmt, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _wrap_report(args, records):
-    return {"seed": args.seed, "tol": args.tol, "tasks": records}
-
-
-def _chart_from_args(args):
-    if args.fan:
-        fan = formats.fan_from_json(load_json(args.fan))
-    else:
-        from .fans import orthant_fan
-        fan = orthant_fan(args.rank)
-    chart_id = max(range(len(fan)), key=lambda i: fan.cones[i].dim)
-    return fan, fan.toric_chart(chart_id)
 
 
 _GLOBAL_DEFAULTS = {"tol": 1e-8, "seed": 0, "samples": 25, "format": "json",
@@ -69,6 +52,11 @@ def main(argv=None):
     common.add_argument("--out")
     common.add_argument("--timings", action="store_true",
                         help="include wall-clock timings (breaks byte-identity)")
+    # the chart of a subcommand that reads a current or a field: the fan
+    # file's, or the orthant's of the given rank, at its largest cone
+    charted = argparse.ArgumentParser(add_help=False)
+    charted.add_argument("--fan")
+    charted.add_argument("--rank", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="tropcur", parents=[common],
@@ -85,33 +73,25 @@ def main(argv=None):
                        choices=("strong", "positive", "weak"))
     p_pos.add_argument("--pool-size", type=int, default=2000)
 
-    p_dec = sub.add_parser("decompose", parents=[common],
+    p_dec = sub.add_parser("decompose", parents=[common, charted],
                            help="canonical stratum decomposition")
     p_dec.add_argument("--current", required=True)
-    p_dec.add_argument("--fan", default=None)
-    p_dec.add_argument("--rank", type=int, default=1)
 
-    p_trop = sub.add_parser("tropicalize", parents=[common],
+    p_trop = sub.add_parser("tropicalize", parents=[common, charted],
                             help="pushforward or lift")
     p_trop.add_argument("--mode", choices=("push", "lift"), required=True)
     p_trop.add_argument("--current", help="Lagerberg current file (lift)")
     p_trop.add_argument("--shadow", help="shadow current file (push)")
-    p_trop.add_argument("--fan", default=None)
-    p_trop.add_argument("--rank", type=int, default=1)
 
-    p_int = sub.add_parser("integrate", parents=[common],
+    p_int = sub.add_parser("integrate", parents=[common, charted],
                            help="top-degree integral, both routes")
     p_int.add_argument("--field", required=True)
-    p_int.add_argument("--fan", default=None)
-    p_int.add_argument("--rank", type=int, default=1)
     p_int.add_argument("--side", choices=("tropical", "complex", "both"),
                        default="both")
 
-    p_el = sub.add_parser("el-mir", parents=[common],
+    p_el = sub.add_parser("el-mir", parents=[common, charted],
                           help="extension by zero across strata closures")
     p_el.add_argument("--current", required=True)
-    p_el.add_argument("--fan", default=None)
-    p_el.add_argument("--rank", type=int, default=1)
     p_el.add_argument("--strata", default="1",
                       help="semicolon-separated strata, comma-separated axes (1-based)")
 
@@ -123,11 +103,14 @@ def main(argv=None):
                    help="run the counterexample gallery")
 
     args = parser.parse_args(argv)
+    given = {key: getattr(args, key) for key in ("tol", "seed", "samples")
+             if hasattr(args, key)}
     for key, val in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, val)
     try:
-        code = _dispatch(args)
+        report, code = scenes.run(_scene(args, given), timings=args.timings)
+        _emit(report, args.format, args.out)
     except (ParseError, ValidationError, OSError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2
@@ -137,130 +120,60 @@ def main(argv=None):
     return code
 
 
-def _dispatch(args):
+def _scene(args, given):
+    """The scene a command line stands for: a scene file, or one task per
+    subcommand (one per gallery entry for ``counterexamples``) over the
+    objects its files name.  ``given`` holds the global flags set on the
+    command line, which override a scene file's own values.
+    """
     if args.command == "run":
-        scene, chart = scenes.parse_scene(load_json(args.scene))
-        scene.tol = args.tol if args.tol != 1e-8 else scene.tol
-        scene.seed = args.seed if args.seed else scene.seed
-        report, code = scenes.run(scene, chart, timings=args.timings)
-        _emit(report, args.format, args.out)
-        return code
-
-    if args.command == "check-positivity":
-        form = formats.fiber_form_from_json(load_json(args.form))
-        v = positivity_verdict(form, args.tier, seed=args.seed,
-                               pool_size=args.pool_size)
-        rec = {"id": 0, "op": "positivity", "tier": args.tier,
-               "verdict": v.answer, "reason": v.reason,
-               "witness": jsonable(v.witness),
-               "certificate": jsonable(v.certificate),
-               "reverified": reverify(form, v), "timing_ms": None}
-        _emit(_wrap_report(args, [rec]), args.format, args.out)
-        return 0
-
-    if args.command == "decompose":
-        fan, chart = _chart_from_args(args)
-        T = formats.current_from_json(load_json(args.current), chart)
-        parts = canonical_decomposition(T, samples=args.samples, seed=args.seed)
-        rec = {"id": 0, "op": "decompose",
-               "strata": sorted(jsonable(sorted(i + 1 for i in M)) for M in parts),
-               "resum_exact": resum(parts, T) == T, "timing_ms": None}
-        _emit(_wrap_report(args, [rec]), args.format, args.out)
-        return 0
-
-    if args.command == "tropicalize":
-        fan, chart = _chart_from_args(args)
-        if args.mode == "push":
-            if not args.shadow:
-                raise ValidationError("push mode needs --shadow")
-            S = formats.current_from_json(load_json(args.shadow), chart)
-            T = push_forward(S)
-            rec = {"id": 0, "op": "push",
-                   "result": formats.current_to_json(T), "timing_ms": None}
+        scene = scenes.parse_scene(load_json(args.scene))
+        for key, val in given.items():
+            setattr(scene, key, val)
+        return scene
+    fan = chart = None
+    if hasattr(args, "rank"):       # a subcommand with the chart flags
+        if args.fan:
+            fan = formats.fan_from_json(load_json(args.fan))
         else:
-            if not args.current:
-                raise ValidationError("lift mode needs --current")
-            T = formats.current_from_json(load_json(args.current), chart)
-            S = lift(T, samples=args.samples, seed=args.seed)
-            rec = {"id": 0, "op": "lift",
-                   "round_trip_exact": push_forward(S) == T,
-                   "result": formats.current_to_json(S, shadow=True),
-                   "timing_ms": None}
-        _emit(_wrap_report(args, [rec]), args.format, args.out)
-        return 0
+            fan = orthant_fan(args.rank)
+        chart = scenes.top_chart(fan)
 
-    if args.command == "integrate":
-        fan, chart = _chart_from_args(args)
-        data = load_json(args.field)
-        n = len(chart.basis)
-        from .fields import LagerbergFormField
-        tables = {}
-        for key, terms in data.get("tables", {}).items():
-            M = frozenset(int(i) - 1 for i in key.split(",") if i)
-            tab = {}
-            for t in terms:
-                I = tuple(int(i) - 1 for i in t["I"])
-                J = tuple(int(j) - 1 for j in t["J"])
-                tab[(I, J)] = formats.coefficient_fn_from_json(t["coeff"], n)
-            tables[M] = tab
-        fld = LagerbergFormField(chart, n, int(data["p"]), int(data["q"]), tables)
-        rec = {"id": 0, "op": "integrate", "timing_ms": None}
-        if args.side in ("tropical", "both"):
-            rec["tropical"] = integrate_top(fld, "tropical", tol=args.tol)
-        if args.side in ("complex", "both"):
-            rec["complex"] = integrate_top(fld, "complex", tol=args.tol)
+    def current(path, flag):
+        if not path:
+            raise ValidationError(f"{args.command} needs {flag}")
+        return formats.current_from_json(load_json(path), chart)
+
+    objects = {}
+    if args.command == "check-positivity":
+        objects["form"] = formats.fiber_form_from_json(load_json(args.form))
+        tasks = [{"op": "positivity", "form": "form", "tier": args.tier,
+                  "pool_size": args.pool_size}]
+    elif args.command == "decompose":
+        objects["T"] = current(args.current, "--current")
+        tasks = [{"op": "decompose", "current": "T"}]
+    elif args.command == "tropicalize" and args.mode == "push":
+        objects["S"] = current(args.shadow, "--shadow")
+        tasks = [{"op": "push", "shadow": "S"}]
+    elif args.command == "tropicalize":
+        objects["T"] = current(args.current, "--current")
+        tasks = [{"op": "lift", "current": "T"}]
+    elif args.command == "integrate":
+        objects["field"] = formats.field_from_json(load_json(args.field), chart)
+        tasks = [{"op": "integrate", "field": "field", "side": args.side}]
         if args.side == "both":
-            rec["agree_within_2tol"] = abs(rec["tropical"] - rec["complex"]) <= 2 * args.tol
-        _emit(_wrap_report(args, [rec]), args.format, args.out)
-        return 0 if rec.get("agree_within_2tol", True) else 1
-
-    if args.command == "el-mir":
-        fan, chart = _chart_from_args(args)
-        T = formats.current_from_json(load_json(args.current), chart)
-        strata = [frozenset(int(i) - 1 for i in grp.split(",") if i)
-                  for grp in args.strata.split(";") if grp]
-        ext = extend_by_zero(T, strata, tol=args.tol, seed=args.seed)
-        cv = closedness_test(ext, tol=args.tol, seed=args.seed)
-        rec = {"id": 0, "op": "el_mir", "extended": True,
-               "closed": bool(cv.closed), "residual": cv.residual,
-               "timing_ms": None}
-        _emit(_wrap_report(args, [rec]), args.format, args.out)
-        return 0
-
-    if args.command == "verify-correspondence":
-        suite = gallery.random_closed_positive_suite(count=args.count,
-                                                     seed=args.seed)
-        rep = round_trip_verify(suite, seed=args.seed)
-        rec = {"id": 0, "op": "round_trip", "total": rep.total,
-               "failures": jsonable(rep.failures), "ok": rep.ok,
-               "timing_ms": None}
-        _emit(_wrap_report(args, [rec]), args.format, args.out)
-        return 0 if rep.ok else 1
-
-    if args.command == "counterexamples":
-        data = scenes.counterexample_suite(tol=args.tol, seed=args.seed,
-                                           samples=args.samples)
-        expected = {
-            "density_exp_x2": {"positive": "yes", "c_finite": "no",
-                               "closed": "not_closed"},
-            "density_exp_2x": {"c_finite": "no"},
-            "evaluator_exp_2ex": {"closed": "closed", "positive": "no",
-                                  "lift_rejected": True},
-            "kernel_point": {"nonzero": True, "pushforward_zero": True},
-            "degenerate_form_current": {"positive": "no"},
-            "derivative_atom": {"is_measure_class": False},
-        }
-        records = []
-        mismatch = 0
-        for name, rec in data.items():
-            ok = all(rec.get(k) == v for k, v in expected.get(name, {}).items())
-            records.append({"id": name, "op": "counterexample", **rec,
-                            "expected_ok": ok, "timing_ms": None})
-            mismatch += 0 if ok else 1
-        _emit(_wrap_report(args, records), args.format, args.out)
-        return 1 if mismatch else 0
-
-    raise ValidationError(f"unhandled command {args.command!r}")
+            tasks[0]["expect"] = {"agree_within_2tol": True}
+    elif args.command == "el-mir":
+        objects["T"] = current(args.current, "--current")
+        strata = [[i for i in grp.split(",") if i] for grp in args.strata.split(";") if grp]
+        tasks = [{"op": "el_mir", "current": "T", "strata": strata}]
+    elif args.command == "verify-correspondence":
+        tasks = [{"op": "round_trip", "count": args.count, "expect": {"ok": True}}]
+    else:
+        tasks = [{"op": "counterexample", "id": name, "name": name, "expect": expect}
+                 for name, (_, expect) in scenes.COUNTEREXAMPLES.items()]
+    return scenes.Scene(fan, chart, objects, tasks,
+                        tol=args.tol, seed=args.seed, samples=args.samples)
 
 
 if __name__ == "__main__":

@@ -160,10 +160,6 @@ class Poly:
             out = out + term
         return out
 
-    def gradient_coeffs(self):
-        """For degree <= 2: E(u0 + t v) coefficients helper data."""
-        return self
-
     def is_even_nonnegative(self):
         return all(c >= 0 and all(x % 2 == 0 for x in e) for e, c in self.exps.items())
 
@@ -380,13 +376,6 @@ class Window:
         if lo is None and hi is None:
             return None
         return i, lo, hi
-
-    def axis_interval(self):
-        """(axis, lo, hi) for compactly supported axis-aligned windows."""
-        slab = self.support_slab()
-        if slab is None or slab[1] is None or slab[2] is None:
-            return None
-        return slab
 
     def diff(self, axis):
         c = self.lin[axis]

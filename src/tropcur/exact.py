@@ -24,14 +24,6 @@ def frac(x):
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-def mat_copy(m):
-    return [list(row) for row in m]
-
-
-def mat_mul_vec(m, v):
-    return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
-
-
 def mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))]
@@ -63,90 +55,76 @@ def det(m):
     return sign * out
 
 
+def rref(m, cols=None):
+    """Reduced row echelon form of m by Gauss-Jordan elimination.
+
+    Pivots are sought in the first ``cols`` columns (all by default); the
+    rest ride along, as for an augmented matrix.  Returns (a, pivots): the
+    reduced copy of m over the rationals and its pivot columns, so the
+    pivot rows are a[:len(pivots)].
+    """
+    a = [[Fraction(x) for x in row] for row in m]
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
 def solve(m, rhs):
     """Solve m x = rhs exactly; returns None if inconsistent.
 
     For underdetermined systems returns one particular solution with free
     variables set to zero.
     """
-    rows, cols = len(m), len(m[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
+    cols = len(m[0]) if m else 0
+    a, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(m)], cols)
+    if any(row[cols] != 0 for row in a[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
+    for row, c in zip(a, pivots):
+        x[c] = row[cols]
     return tuple(x)
 
 
 def rank(m):
-    if not m:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
+    return len(rref(m)[1])
 
 
 def nullspace(m):
     """Rational basis of the right kernel of m (list of tuples)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
+    a, pivots = rref(m)
+    cols = len(a[0]) if a else 0
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fcol in free:
         v = [Fraction(0)] * cols
         v[fcol] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -a[i][fcol]
+        for row, c in zip(a, pivots):
+            v[c] = -row[fcol]
         basis.append(tuple(v))
     return basis
+
+
+def inverse(m):
+    """Inverse of an invertible square matrix, over the rationals."""
+    n = len(m)
+    a, _ = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)], n)
+    return [row[n:] for row in a]
 
 
 def primitive(v):
@@ -254,8 +232,11 @@ def extend_to_basis(gens, n):
     """Deterministically extend saturated integer vectors to a Z-basis.
 
     Appends standard basis vectors e_1, e_2, ... greedily, keeping the
-    collection saturated, until n vectors are present.  Raises ValueError
-    when ``gens`` themselves are not part of a basis.
+    collection saturated, until n vectors are present.  When no standard
+    vector fits (as for (2, 5, 0)), the collection c so far is completed by
+    the trailing rows of u^-1, where c u = [H | 0] is its Hermite form with
+    H unimodular.  Raises ValueError when ``gens`` themselves are not part
+    of a basis.
     """
     cur = [tuple(map(int, v)) for v in gens]
     if rank(cur) != len(cur) or not lattice_saturated(cur):
@@ -267,8 +248,9 @@ def extend_to_basis(gens, n):
         trial = cur + [e]
         if rank(trial) == len(trial) and lattice_saturated(trial):
             cur = trial
-    if len(cur) != n:
-        raise ValueError("could not complete lattice basis")
+    if len(cur) < n:
+        _, u = hnf_columns(cur)
+        cur += [tuple(int(x) for x in row) for row in inverse(u)[len(cur):]]
     return cur
 
 

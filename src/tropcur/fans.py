@@ -62,11 +62,6 @@ class ToricChart:
     infinite_axes: frozenset
     dual: tuple = field(repr=False, default=())
 
-    def coords_of(self, v):
-        """Chart coordinates of a lattice/rational point of N_R."""
-        return tuple(sum(Fraction(row[j]) * Fraction(v[j]) for j in range(len(v)))
-                     for row in self.dual)
-
 
 def _make_cone(gens, n):
     seen = []
@@ -105,8 +100,7 @@ def _make_cone(gens, n):
 
 def _cone_hrep(cone, n):
     """H-representation of a smooth cone from its basis completion."""
-    b = [[Fraction(x) for x in row] for row in cone.basis]
-    binv = _inverse(b)
+    binv = exact.inverse(cone.basis)
     rows = []
     k = cone.dim
     for i in range(n):
@@ -117,22 +111,6 @@ def _cone_hrep(cone, n):
             rows.append(Row(a, Fraction(0), False))
             rows.append(Row(tuple(-x for x in a), Fraction(0), False))
     return Polyhedron(n, rows)
-
-
-def _inverse(m):
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def _membership(cone, v):
@@ -172,7 +150,7 @@ class Fan:
         if sigma_id not in self._quotients:
             cone = self.cones[sigma_id]
             n, k = self.rank, cone.dim
-            binv = _inverse([[Fraction(x) for x in row] for row in cone.basis])
+            binv = exact.inverse(cone.basis)
             # coefficient of basis vector i is column i of the row-matrix inverse
             proj = [tuple(binv[j][i] for j in range(n)) for i in range(k, n)]
             self._quotients[sigma_id] = proj
@@ -235,7 +213,7 @@ class Fan:
         if rho_id not in self._charts:
             cone = self.cones[rho_id]
             basis = cone.basis
-            dual = _inverse([[Fraction(x) for x in row] for row in basis])
+            dual = exact.inverse(basis)
             dual_rows = tuple(tuple(dual[j][i] for j in range(self.rank))
                               for i in range(self.rank))
             self._charts[rho_id] = ToricChart(

@@ -23,9 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .exact import QC, frac
+from .exact import QC
 from .errors import (DimensionMismatch, WrongAlgebra, NotSquareBidegree,
-                     BidegreeMismatch)
+                     BidegreeMismatch, ValidationError)
 
 
 # --- multi-index helpers -----------------------------------------------------
@@ -56,11 +56,6 @@ def merge_indices(a, b):
 
 def _complement(idx, n):
     return tuple(sorted(set(range(n)) - set(idx)))
-
-
-def _sign_complement(K, n):
-    sign, merged = merge_indices(K, _complement(K, n))
-    return sign
 
 
 def subsets(n, p):
@@ -330,9 +325,6 @@ class GramForm:
     matrix: list
     kind: str                 # 'symmetric', 'hermitian' or 'none'
 
-    def rank_exact(self):
-        return exact.rank([[m.re if isinstance(m, QC) else m for m in row]
-                           for row in self.matrix]) if self.kind != "hermitian" else None
 
 
 def gram_form(a):
@@ -848,7 +840,7 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
         return PositivityVerdict("weak", "unknown",
                                  reason="no exact dual argument applies")
 
-    raise ValueError(f"unknown tier {tier!r}")
+    raise ValidationError(f"unknown tier {tier!r}")
 
 
 def reverify(a, verdict):

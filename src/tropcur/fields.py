@@ -31,7 +31,7 @@ from . import quadrature
 from .coeffs import CoefficientFn, Poly, UniFn, window_on
 from .errors import NonCompactSupport, WrongAlgebra
 from .exact import frac
-from .fiber import LagerbergFiberForm, merge_indices, subsets
+from .fiber import LagerbergFiberForm, merge_indices
 
 
 def _insert_sign(idx, j):

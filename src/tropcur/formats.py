@@ -1,4 +1,4 @@
-"""JSON (de)serialization for fans, forms, measures, currents and scenes.
+"""JSON (de)serialization for fans, forms, fields, measures, currents and scenes.
 
 The wire formats use 1-based axis and multi-index labels and fraction
 strings ("-1/2"; the U+2212 minus is accepted on input).  Internally
@@ -15,6 +15,7 @@ from .errors import ParseError
 from .exact import QC, frac
 from .fans import validate_fan
 from .fiber import ComplexFiberForm, LagerbergFiberForm
+from .fields import LagerbergFormField
 from .measures import Atom, DerivativeAtom, Piece, PieceMeasure
 from .polyhedra import Polyhedron, Row
 
@@ -155,6 +156,24 @@ def coefficient_fn_from_json(data, nvars):
                                   nvars, fn))
         terms.append((poly, expo, tuple(wins)))
     return CoefficientFn(nvars, terms)
+
+
+def field_from_json(data, chart):
+    """A form field on ``chart``: {"p", "q", "tables": {"1,2": [{"I", "J", "coeff"}]}}.
+
+    A table key lists the (1-based) stratum's infinite axes; "" is the open torus.
+    """
+    n = len(chart.basis)
+    try:
+        tables = {}
+        for key, terms in data.get("tables", {}).items():
+            M = frozenset(int(i) - 1 for i in key.split(",") if i)
+            tables[M] = {(tuple(int(i) - 1 for i in t["I"]), tuple(int(j) - 1 for j in t["J"])):
+                         coefficient_fn_from_json(t["coeff"], n) for t in terms}
+        p, q = int(data["p"]), int(data["q"])
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ParseError("bad form field literal") from err
+    return LagerbergFormField(chart, n, p, q, tables)
 
 
 # --- measures -----------------------------------------------------------------------

@@ -17,13 +17,11 @@ pushforward, and the weight-one tropical line.
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .coeffs import Poly
 from .currents import LagerbergCurrent, WeightedComplex, integration_current
 from .fans import orthant_fan
 from .fiber import LagerbergFiberForm
-from .measures import (Atom, DerivativeAtom, OpenBox, Piece, PieceMeasure,
+from .measures import (Atom, DerivativeAtom, OpenBox, PieceMeasure,
                        lebesgue_piece)
 from .polyhedra import Polyhedron
 
@@ -181,16 +179,7 @@ def derivative_atom_current():
 
 def tropical_line(weights=(1, 1, 1)):
     """The 1-dimensional complex with rays (-1,0), (0,-1), (1,1) from 0."""
-    rays = [(-1, 0), (0, -1), (1, 1)]
-    cells = []
-    for v, w in zip(rays, weights):
-        vx, vy = v
-        # H-rep of the ray R_{>=0} v: on the line {vy x - vx y = 0}, t >= 0
-        rows = [((Fraction(vy), Fraction(-vx)), 0),
-                ((Fraction(-vy), Fraction(vx)), 0),
-                ((Fraction(-vx), Fraction(-vy)), 0)]
-        cells.append((Polyhedron(2, rows), w))
-    return WeightedComplex(tuple(cells), declared_dim=1)
+    return shifted_tropical_line((0, 0), weights)
 
 
 def tropical_line_current(weights=(1, 1, 1)):

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exact, quadrature
 from .coeffs import CoefficientFn, Poly
 from .errors import (Divergent, NonMeasurePiece, NotLocallyFinite,
@@ -204,10 +202,6 @@ class PieceMeasure:
     def zero(n):
         return PieceMeasure(n)
 
-    @staticmethod
-    def dirac(n, stratum, coords, weight=1):
-        return PieceMeasure(n, atoms=[Atom(frozenset(stratum), tuple(coords), frac(weight))])
-
 
 # --- sign certification ---------------------------------------------------------
 
@@ -282,7 +276,7 @@ def certify_sign(piece, samples=1000, seed=0):
             return True
         sf = _squarefree_part(coeffs)
         interior = exact.sturm_roots_in(sf, lo, hi)        # roots in (lo, hi]
-        if hi is not None and _eval_poly(sf, hi) == 0:
+        if hi is not None and exact._poly_eval(sf, hi) == 0:
             interior -= 1
         if interior == 0:
             # constant sign inside: check one interior value exactly
@@ -294,7 +288,7 @@ def certify_sign(piece, samples=1000, seed=0):
                 x = hi - 1
             else:
                 x = Fraction(0)
-            val = _eval_poly(coeffs, x)
+            val = exact._poly_eval(coeffs, x)
             if val != 0 and (val > 0) != (piece.sign > 0):
                 raise SignNotCertified("sign flag contradicts the density",
                                        payload={"axis_value": x, "value": val})
@@ -309,13 +303,6 @@ def certify_sign(piece, samples=1000, seed=0):
             raise SignNotCertified("sampled density value contradicts sign flag",
                                    payload={"point": pt, "value": val})
     return True
-
-
-def _eval_poly(coeffs, x):
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
 
 
 # --- open sets --------------------------------------------------------------------
@@ -342,17 +329,6 @@ class OpenBox:
     def stratum_allowed(self, M):
         return all(self.axes[i][2] for i in M)
 
-    def contains_point(self, stratum, coords):
-        if not self.stratum_allowed(stratum):
-            return False
-        finite_axes = [i for i in range(self.n()) if i not in stratum]
-        for i, c in zip(finite_axes, coords):
-            lo, hi, _ = self.axes[i]
-            if lo is not None and not c > frac(lo):
-                return False
-            if hi is not None and not c < frac(hi):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -568,14 +544,6 @@ def decay_along(expo, domain, v):
     if hi is None:
         return "neutral_or_grows"
     return "decays" if const + hi < 0 else "neutral_or_grows"
-
-
-def _combined_expo(h):
-    """Worst-case single exponent when all terms share it; None otherwise."""
-    expos = {e.key() for _, e, _ in h.terms}
-    if len(expos) == 1:
-        return h.terms[0][1]
-    return None
 
 
 def _require_decay(h, domain):

@@ -102,14 +102,6 @@ class Polyhedron:
                 rows.append((tuple(e), -frac(lo)))
         return Polyhedron(d, rows)
 
-    @staticmethod
-    def from_eqs_ineqs(dim, eqs=(), ineqs=()):
-        rows = list(ineqs)
-        for a, b in eqs:
-            rows.append((tuple(frac(x) for x in a), frac(b)))
-            rows.append((tuple(-frac(x) for x in a), -frac(b)))
-        return Polyhedron(dim, rows)
-
     def with_rows(self, extra):
         return Polyhedron(self.dim, list(self.rows) + list(extra))
 

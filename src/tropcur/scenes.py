@@ -1,51 +1,61 @@
 """Scene runner: batch verification jobs with machine-readable reports.
 
 A scene is a JSON object with a fan, named objects (forms, currents,
-complexes, shadows) and an ordered task list.  Each task runs one
+fields, complexes, shadows) and an ordered task list.  Each task runs one
 verification and produces one report record with its verdict and any
 witness or certificate; tasks may declare an ``expect`` mapping whose
 entries are compared against the record.  Reports are deterministic for
-a fixed seed and tolerance (timings are omitted unless requested).
+a fixed seed and tolerance (timings are omitted unless requested).  Every
+command-line subcommand runs as a scene through :func:`run`.
 """
 
 import csv
 import io
 import json
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formats, gallery
-from .correspond import lift, push_forward, round_trip_verify
+from .correspond import kernel_point_current, lift, push_forward, round_trip_verify
 from .currents import (balancing_check, c_finite_test, canonical_decomposition,
                        closedness_test, extend_by_zero, positivity_check, resum)
 from .errors import ParseError, TropcurError, ValidationError
+from .fans import orthant_fan
 from .fiber import dual_pairing, positivity_verdict, reverify
+from .fields import integrate_top
 from .formats import jsonable, load_json
 
 
+@dataclass
 class Scene:
-    """Parsed scene: fan + named objects + ordered tasks."""
+    """Parsed scene: fan, chart, named objects and ordered tasks.
 
-    def __init__(self, fan, objects, tasks, tol=1e-8, seed=0, samples=25):
-        self.fan = fan
-        self.objects = objects
-        self.tasks = tasks
-        self.tol = tol
-        self.seed = seed
-        self.samples = samples
+    ``fan`` and ``chart`` are None for a scene whose tasks need no chart.
+    """
+    fan: object
+    chart: object
+    objects: dict
+    tasks: list
+    tol: float = 1e-8
+    seed: int = 0
+    samples: int = 25
 
 
-def parse_scene(data, base_chart=None):
-    if "fan" not in data:
+def top_chart(fan):
+    """The chart of the fan's first cone of largest dimension."""
+    return fan.toric_chart(max(range(len(fan)), key=lambda i: fan.cones[i].dim))
+
+
+def parse_scene(data):
+    if not isinstance(data, dict) or "fan" not in data:
         raise ParseError("scene needs a 'fan' entry")
     fan_data = data["fan"]
     if isinstance(fan_data, str):
         fan_data = load_json(fan_data)
     fan = formats.fan_from_json(fan_data)
     chart_id = data.get("chart")
-    if chart_id is None:
-        chart_id = max(range(len(fan)), key=lambda i: fan.cones[i].dim)
-    chart = fan.toric_chart(chart_id)
+    chart = top_chart(fan) if chart_id is None else fan.toric_chart(chart_id)
     objects = {}
     for name, od in data.get("objects", {}).items():
         kind = od.get("type")
@@ -53,6 +63,8 @@ def parse_scene(data, base_chart=None):
             objects[name] = formats.fiber_form_from_json(od)
         elif kind == "current":
             objects[name] = formats.current_from_json(od, chart)
+        elif kind == "field":
+            objects[name] = formats.field_from_json(od, chart)
         elif kind == "complex":
             objects[name] = formats.weighted_complex_from_json(od)
         elif kind == "gallery":
@@ -63,166 +75,228 @@ def parse_scene(data, base_chart=None):
         else:
             raise ValidationError(f"object {name!r} has unknown type {kind!r}")
     tasks = list(data.get("tasks", ()))
-    return Scene(fan, objects, tasks,
+    return Scene(fan, chart, objects, tasks,
                  tol=float(data.get("tol", 1e-8)),
                  seed=int(data.get("seed", 0)),
-                 samples=int(data.get("samples", 25))), chart
+                 samples=int(data.get("samples", 25)))
 
 
-def _resolve(scene, name):
+def _field(task, key, convert=None, default=None):
+    """A task field, converted; a malformed one, or a missing one without a
+    default, is a ValidationError."""
+    if key not in task:
+        if default is None:
+            raise ValidationError(f"task op {task.get('op')!r} needs a {key!r} field")
+        return default
+    try:
+        return task[key] if convert is None else convert(task[key])
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"task field {key!r} is malformed: {err}") from err
+
+
+def _object(scene, task, key):
+    name = _field(task, key, str)
     if name not in scene.objects:
         raise ValidationError(f"task references unknown object {name!r}")
     return scene.objects[name]
 
 
-def run_task(scene, chart, task, tol, seed, samples):
+def _fracs(xs):
+    return tuple(Fraction(str(x)) for x in xs)
+
+
+def _strata(groups):
+    """1-based axis lists -> 0-based strata."""
+    return [frozenset(int(i) - 1 for i in M) for M in groups]
+
+
+def run_task(scene, task):
+    """One task's record data; raises a TropcurError when the task fails."""
     op = task.get("op")
+    tol, seed, samples = scene.tol, scene.seed, scene.samples
     if op == "limit_point":
-        p = tuple(Fraction(str(x)) for x in task["point"])
-        v = tuple(Fraction(str(x)) for x in task["direction"])
+        p = _field(task, "point", _fracs)
+        v = _field(task, "direction", _fracs)
         pt = scene.fan.limit_point(p, v)
         return {"stratum": pt.stratum,
                 "stratum_generators": [list(g) for g in
                                        scene.fan.cones[pt.stratum].generators],
                 "coords": [formats._frac_str(c) for c in pt.coords]}
     if op == "locate_relint":
-        v = tuple(Fraction(str(x)) for x in task["vector"])
+        v = _field(task, "vector", _fracs)
         cid = scene.fan.locate_relint(v)
         return {"cone": cid,
                 "generators": [list(g) for g in scene.fan.cones[cid].generators]}
     if op == "toric_chart":
-        ch = scene.fan.toric_chart(int(task["cone"]))
-        return formats.chart_to_json(ch)
+        cone = _field(task, "cone", int)
+        if not 0 <= cone < len(scene.fan):
+            raise ValidationError(f"no cone {cone} in a fan of {len(scene.fan)} cones")
+        return formats.chart_to_json(scene.fan.toric_chart(cone))
     if op == "positivity":
-        form = _resolve(scene, task["form"])
+        form = _object(scene, task, "form")
         tier = task.get("tier", "positive")
         v = positivity_verdict(form, tier, seed=seed,
-                               pool_size=int(task.get("pool_size", 400)))
+                               pool_size=_field(task, "pool_size", int, 400))
         return {"tier": tier, "verdict": v.answer, "reason": v.reason,
                 "witness": jsonable(v.witness), "certificate": jsonable(v.certificate),
                 "reverified": reverify(form, v)}
     if op == "pairing":
-        a = _resolve(scene, task["left"])
-        b = _resolve(scene, task["right"])
+        a = _object(scene, task, "left")
+        b = _object(scene, task, "right")
         return {"value": jsonable(dual_pairing(a, b))}
     if op == "current_positivity":
-        T = _resolve(scene, task["current"])
+        T = _object(scene, task, "current")
         v = positivity_check(T, samples=samples, seed=seed)
         return {"verdict": v.answer, "reason": v.reason, "witness": jsonable(v.witness)}
     if op == "closedness":
-        T = _resolve(scene, task["current"])
-        v = closedness_test(T, test_basis_size=int(task.get("forms", 25)),
+        T = _object(scene, task, "current")
+        v = closedness_test(T, test_basis_size=_field(task, "forms", int, 25),
                             tol=tol, seed=seed)
         return {"verdict": "closed" if v.closed else "not_closed",
                 "residual": v.residual, "exact": v.exact}
     if op == "c_finite":
-        T = _resolve(scene, task["current"])
+        T = _object(scene, task, "current")
         v = c_finite_test(T)
         return {"verdict": v.answer, "witness": jsonable(v.witness)}
     if op == "decompose":
-        T = _resolve(scene, task["current"])
+        T = _object(scene, task, "current")
         parts = canonical_decomposition(T, samples=samples, seed=seed)
         exact = resum(parts, T) == T
         return {"strata": sorted(jsonable(sorted(i + 1 for i in M)) for M in parts),
                 "resum_exact": exact}
     if op == "push":
-        S = _resolve(scene, task["shadow"])
+        S = _object(scene, task, "shadow")
         T = push_forward(S)
         return {"result": formats.current_to_json(T)}
     if op == "lift":
-        T = _resolve(scene, task["current"])
+        T = _object(scene, task, "current")
         S = lift(T, samples=samples, seed=seed)
         back = push_forward(S)
         return {"round_trip_exact": back == T,
-                "shadow_keys": sorted(formats._key_to_str(I, J)
-                                      for (I, J) in S.shadows)}
+                "shadow_keys": sorted(formats._key_to_str(I, J) for (I, J) in S.shadows),
+                "result": formats.current_to_json(S, shadow=True)}
     if op == "round_trip":
         suite = gallery.random_closed_positive_suite(
-            count=int(task.get("count", 8)), seed=seed)
+            count=_field(task, "count", int, 8), seed=seed)
         rep = round_trip_verify(suite, seed=seed)
         return {"total": rep.total, "failures": jsonable(rep.failures),
                 "ok": rep.ok}
     if op == "balancing":
-        C = _resolve(scene, task["complex"])
+        C = _object(scene, task, "complex")
         v = balancing_check(C)
         return {"verdict": "balanced" if v.balanced else "unbalanced",
                 "witness": jsonable(v.witness)}
     if op == "el_mir":
-        T = _resolve(scene, task["current"])
-        strata = [frozenset(int(i) - 1 for i in M) for M in task.get("strata", [[1]])]
+        T = _object(scene, task, "current")
+        strata = _field(task, "strata", _strata, [frozenset({0})])
         ext = extend_by_zero(T, strata, tol=tol, seed=seed,
                              check_positive=bool(task.get("check_positive", True)))
         cv = closedness_test(ext, tol=tol, seed=seed)
         return {"extended": True, "closed": bool(cv.closed), "residual": cv.residual}
+    if op == "integrate":
+        fld = _object(scene, task, "field")
+        side = task.get("side", "both")
+        if side not in ("tropical", "complex", "both"):
+            raise ValidationError(f"unknown integration side {side!r}")
+        rec = {route: integrate_top(fld, route, tol=tol)
+               for route in ("tropical", "complex") if side in (route, "both")}
+        if side == "both":
+            rec["agree_within_2tol"] = abs(rec["tropical"] - rec["complex"]) <= 2 * tol
+        return rec
+    if op == "counterexample":
+        name = _field(task, "name")
+        if name not in COUNTEREXAMPLES:
+            raise ValidationError(f"unknown counterexample {name!r}")
+        return COUNTEREXAMPLES[name][0](tol, seed, samples)
     if op == "counterexamples":
-        return counterexample_suite(tol=tol, seed=seed, samples=samples)
+        return {name: build(tol, seed, samples) for name, (build, _) in COUNTEREXAMPLES.items()}
     raise ValidationError(f"unknown task op {op!r}")
 
 
-def counterexample_suite(tol=1e-8, seed=0, samples=10):
-    """Run the built-in counterexample gallery; every record re-verifies."""
-    out = {}
-    T1 = gallery.positive_not_liftable()
-    v = positivity_check(T1, samples=samples, seed=seed)
-    cf = c_finite_test(T1)
-    cv = closedness_test(T1, tol=tol, seed=seed, test_basis_size=10)
-    out["density_exp_x2"] = {
-        "positive": v.answer, "c_finite": cf.answer,
-        "c_finite_witness": jsonable(cf.witness),
-        "closed": "closed" if cv.closed else "not_closed",
-        "closedness_residual": cv.residual}
-    T3 = gallery.positive_not_positively_liftable()
-    out["density_exp_2x"] = {
-        "positive": positivity_check(T3, samples=samples, seed=seed).answer,
-        "c_finite": c_finite_test(T3).answer}
-    T1p = gallery.closed_not_positive()
-    cv = closedness_test(T1p, tol=tol, seed=seed)
-    v = positivity_check(T1p, samples=samples, seed=seed)
-    lift_rejected = False
+# --- the counterexample gallery ----------------------------------------------------
+
+def _density_exp_x2(tol, seed, samples):
+    T = gallery.positive_not_liftable()
+    v = positivity_check(T, samples=samples, seed=seed)
+    cf = c_finite_test(T)
+    cv = closedness_test(T, tol=tol, seed=seed, test_basis_size=10)
+    return {"positive": v.answer, "c_finite": cf.answer,
+            "c_finite_witness": jsonable(cf.witness),
+            "closed": "closed" if cv.closed else "not_closed",
+            "closedness_residual": cv.residual}
+
+
+def _density_exp_2x(tol, seed, samples):
+    T = gallery.positive_not_positively_liftable()
+    return {"positive": positivity_check(T, samples=samples, seed=seed).answer,
+            "c_finite": c_finite_test(T).answer}
+
+
+def _evaluator_exp_2ex(tol, seed, samples):
+    T = gallery.closed_not_positive()
+    cv = closedness_test(T, tol=tol, seed=seed)
+    v = positivity_check(T, samples=samples, seed=seed)
     try:
-        lift(T1p, samples=4, seed=seed)
+        lift(T, samples=4, seed=seed)
+        lift_rejected = False
     except TropcurError:
         lift_rejected = True
-    out["evaluator_exp_2ex"] = {
-        "closed": "closed" if cv.closed else "not_closed",
-        "positive": v.answer,
-        "negative_value": jsonable(v.witness[2]) if v.witness else None,
-        "lift_rejected": lift_rejected}
-    from .fans import orthant_fan
+    return {"closed": "closed" if cv.closed else "not_closed",
+            "positive": v.answer,
+            "negative_value": jsonable(v.witness[2]) if v.witness else None,
+            "lift_rejected": lift_rejected}
+
+
+def _kernel_point(tol, seed, samples):
     fan1 = orthant_fan(1)
-    chart1 = fan1.toric_chart(fan1.cone_id([(1,)]))
-    from .correspond import kernel_point_current
-    K = kernel_point_current(chart1)
-    out["kernel_point"] = {
-        "nonzero": not K.is_zero(),
-        "pushforward_zero": push_forward(K).is_zero()}
-    Tdeg = gallery.degenerate_form_current()
-    v = positivity_check(Tdeg, samples=samples, seed=seed)
-    out["degenerate_form_current"] = {
-        "positive": v.answer, "witness_kind": v.witness[0] if v.witness else None}
-    Tder = gallery.derivative_atom_current()
-    out["derivative_atom"] = {
-        "is_measure_class": Tder.is_measure_class(),
-        "positive": positivity_check(Tder, samples=4, seed=seed).answer}
-    return out
+    K = kernel_point_current(fan1.toric_chart(fan1.cone_id([(1,)])))
+    return {"nonzero": not K.is_zero(), "pushforward_zero": push_forward(K).is_zero()}
 
 
-def run(scene, chart, timings=False):
-    """Execute a scene; returns (report dict, exit code)."""
+def _degenerate_form_current(tol, seed, samples):
+    v = positivity_check(gallery.degenerate_form_current(), samples=samples, seed=seed)
+    return {"positive": v.answer, "witness_kind": v.witness[0] if v.witness else None}
+
+
+def _derivative_atom(tol, seed, samples):
+    T = gallery.derivative_atom_current()
+    return {"is_measure_class": T.is_measure_class(),
+            "positive": positivity_check(T, samples=4, seed=seed).answer}
+
+
+# name -> (record builder, the published outcome each record must match)
+COUNTEREXAMPLES = {
+    "density_exp_x2": (_density_exp_x2, {"positive": "yes", "c_finite": "no",
+                                         "closed": "not_closed"}),
+    "density_exp_2x": (_density_exp_2x, {"c_finite": "no"}),
+    "evaluator_exp_2ex": (_evaluator_exp_2ex, {"closed": "closed", "positive": "no",
+                                               "lift_rejected": True}),
+    "kernel_point": (_kernel_point, {"nonzero": True, "pushforward_zero": True}),
+    "degenerate_form_current": (_degenerate_form_current, {"positive": "no"}),
+    "derivative_atom": (_derivative_atom, {"is_measure_class": False}),
+}
+
+
+def run(scene, timings=False):
+    """Execute a scene; returns (report dict, exit code).
+
+    The exit code is 2 if a task ended in an error record, else 1 if a
+    task missed its expectations, else 0.
+    """
     records = []
-    mismatches = 0
+    errors = mismatches = 0
     for idx, task in enumerate(scene.tasks):
         t0 = time.perf_counter()
         record = {"id": task.get("id", idx), "op": task.get("op")}
         try:
-            data = run_task(scene, chart, task, scene.tol, scene.seed, scene.samples)
-            record.update(jsonable(data))
+            record.update(jsonable(run_task(scene, task)))
             record["status"] = "ok"
         except TropcurError as err:
             record["status"] = "error"
             record["error"] = type(err).__name__
             record["message"] = str(err)
             record["payload"] = jsonable(err.payload)
+            errors += 1
         if timings:
             record["timing_ms"] = round((time.perf_counter() - t0) * 1000, 3)
         else:
@@ -237,7 +311,7 @@ def run(scene, chart, timings=False):
                 mismatches += 1
         records.append(record)
     report = {"seed": scene.seed, "tol": scene.tol, "tasks": records}
-    return report, (1 if mismatches else 0)
+    return report, (2 if errors else 1 if mismatches else 0)
 
 
 def report_to_csv(report):

@@ -1,8 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
-from tropcur import formats
+import pytest
+
+from tropcur import formats, scenes
 from tropcur.cli import main
 from tropcur.fans import p2_fan
 from tropcur.gallery import omega_rank_two, tropical_line_current
@@ -94,6 +97,8 @@ def test_counterexamples_subcommand(capsys):
     assert all(rec["expected_ok"] for rec in report["tasks"])
     exm1 = next(r for r in report["tasks"] if r["id"] == "density_exp_x2")
     assert exm1["c_finite_witness"]["ray"] == [1]
+    golden = Path(__file__).parent / "golden" / "counterexamples.json"
+    assert out == golden.read_text()
 
 
 def test_verify_correspondence_subcommand(capsys):
@@ -140,3 +145,87 @@ def test_installed_entry_point():
                            "verify-correspondence", "--count", "2"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("flag, value, attr", [("--seed", "0", 0), ("--tol", "1e-8", 1e-8),
+                                               ("--samples", "3", 3)])
+def test_run_flags_override_scene_at_any_value(tmp_path, monkeypatch, flag, value, attr):
+    # the scene's own values differ from the flags and from their defaults
+    scene = {"fan": {"rank": 1, "cones": [[[1]]]}, "seed": 7, "tol": 1e-6,
+             "samples": 9, "tasks": []}
+    f = tmp_path / "scene.json"
+    f.write_text(json.dumps(scene))
+    seen = []
+
+    def fake_run(scene, timings=False):
+        seen.append(scene)
+        return {"seed": scene.seed, "tol": scene.tol, "tasks": []}, 0
+
+    monkeypatch.setattr(scenes, "run", fake_run)
+    key = flag.lstrip("-")
+    assert main(["run", str(f), flag, value]) == 0
+    assert getattr(seen[-1], key) == attr
+    assert main([flag, value, "run", str(f)]) == 0
+    assert getattr(seen[-1], key) == attr
+    assert main(["run", str(f)]) == 0
+    assert getattr(seen[-1], key) == scene[key]
+
+
+# each op's required fields, with values that would let the task run
+REQUIRED_FIELDS = {
+    "limit_point": {"point": [1], "direction": [1]},
+    "locate_relint": {"vector": [1]},
+    "toric_chart": {"cone": 1},
+    "positivity": {"form": "w"},
+    "pairing": {"left": "w", "right": "w"},
+    "current_positivity": {"current": "T"},
+    "closedness": {"current": "T"},
+    "c_finite": {"current": "T"},
+    "decompose": {"current": "T"},
+    "push": {"shadow": "S"},
+    "lift": {"current": "T"},
+    "balancing": {"complex": "C"},
+    "el_mir": {"current": "T"},
+    "integrate": {"field": "F"},
+    "counterexample": {"name": "kernel_point"},
+}
+
+
+@pytest.mark.parametrize("op, missing", [(op, key) for op, fields in REQUIRED_FIELDS.items()
+                                         for key in fields])
+def test_task_missing_field_is_error_record(tmp_path, capsys, op, missing):
+    task = {"op": op, **{k: v for k, v in REQUIRED_FIELDS[op].items() if k != missing}}
+    scene = {"fan": {"rank": 1, "cones": [[[1]]]},
+             "objects": {"w": {"type": "gallery", "name": "omega_rank_two"}},
+             "tasks": [task, {"op": "locate_relint", "vector": [1]}]}
+    f = tmp_path / "scene.json"
+    f.write_text(json.dumps(scene))
+    code, out = run_cli(["run", str(f)], capsys)
+    assert code == 2
+    bad, good = json.loads(out)["tasks"]
+    assert bad["status"] == "error" and bad["error"] == "ValidationError"
+    assert repr(missing) in bad["message"]
+    assert good["status"] == "ok" and good["cone"] == 1
+
+
+@pytest.mark.parametrize("task", [
+    {"op": "toric_chart", "cone": 99},
+    {"op": "toric_chart", "cone": "first"},
+    {"op": "positivity", "form": "w", "tier": "bogus"},
+    {"op": "positivity", "form": "w", "pool_size": "many"},
+    {"op": "limit_point", "point": ["x"], "direction": [1]},
+    {"op": "el_mir", "current": "T", "strata": [["x"]]},
+    {"op": "positivity", "form": ["w"]},
+], ids=["cone-range", "cone-type", "tier", "pool-size", "point", "strata", "name-type"])
+def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
+    scene = {"fan": {"rank": 1, "cones": [[[1]]]},
+             "objects": {"w": {"type": "gallery", "name": "omega_rank_two"},
+                         "T": {"type": "current", "bidegree": [1, 1], "cocoeffs": {}}},
+             "tasks": [task, {"op": "locate_relint", "vector": [1]}]}
+    f = tmp_path / "scene.json"
+    f.write_text(json.dumps(scene))
+    code, out = run_cli(["run", str(f)], capsys)
+    assert code == 2
+    bad, good = json.loads(out)["tasks"]
+    assert bad["status"] == "error" and bad["error"] == "ValidationError"
+    assert good["status"] == "ok"

@@ -32,6 +32,32 @@ def test_extend_to_basis_deterministic():
         exact.extend_to_basis([(1, 0), (1, 2)], 2)  # index-2 sublattice
 
 
+@pytest.mark.parametrize("gens", [[(2, 5, 0)], [(3, 7, 2)], [(1, 1, 1), (0, 1, 3)],
+                                  [(6, 10, 15)], [(2, 5, 0, 7), (1, 2, 0, 3)]])
+def test_extend_to_basis_beyond_standard_vectors(gens):
+    # no standard basis vector completes (2, 5, 0): the Hermite form does
+    basis = exact.extend_to_basis(gens, len(gens[0]))
+    assert basis[:len(gens)] == gens
+    assert all(isinstance(x, int) for v in basis for x in v)
+    assert abs(exact.det(basis)) == 1
+
+
+def test_rref_solve_rank_nullspace_agree():
+    m = [[0, 2, 4, 2], [1, 1, 1, 0], [1, 3, 5, 2]]
+    a, pivots = exact.rref(m)
+    assert pivots == [0, 1] and a[2] == [0, 0, 0, 0]
+    assert a[:2] == [[1, 0, -1, -1], [0, 1, 2, 1]]
+    assert exact.rank(m) == 2
+    for v in exact.nullspace(m):
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m)
+    assert len(exact.nullspace(m)) == 2
+    x = exact.solve(m, [2, 1, 3])
+    assert x == (0, 1, 0, 0)
+    assert exact.solve(m, [2, 1, 4]) is None
+    inv = exact.inverse([[2, 5, 0], [1, 2, 0], [0, 0, 1]])
+    assert exact.mat_mul(inv, [[2, 5, 0], [1, 2, 0], [0, 0, 1]]) == exact.identity(3)
+
+
 def test_lattice_saturation():
     assert exact.lattice_saturated([(1, 0), (0, 1)])
     assert not exact.lattice_saturated([(2, 0)])

@@ -44,6 +44,17 @@ def test_bad_intersection_rejected():
         validate_fan([[(1, 0), (0, 1)], [(1, 1), (0, 1)]])
 
 
+def test_smooth_cone_outside_standard_completion_accepted():
+    # the generators have determinant -1, but no e_i completes (2, 5, 0)
+    fan = validate_fan([[(2, 5, 0), (1, 2, 0), (0, 0, 1)]], 3)
+    assert len(fan) == 8
+    top = fan.cones[-1]
+    assert top.basis == ((2, 5, 0), (1, 2, 0), (0, 0, 1))
+    ray = fan.cones[fan.cone_id([(2, 5, 0)])]
+    assert abs(exact.det(ray.basis)) == 1
+    assert fan.locate_relint((3, 7, 1)) == len(fan) - 1
+
+
 def test_locate_relint():
     fan = p2_fan()
     assert fan.locate_relint((0, 0)) == 0
