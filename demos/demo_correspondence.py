@@ -28,7 +28,7 @@ C = tropical_line()
 print("balanced:", bool(balancing_check(C)))
 T = tropical_line_current()
 print("positive:", positivity_check(T, samples=8).answer)
-print("closed (exact, via balancing):", closedness_test(T).closed)
+print("closed (exact, via balancing):", closedness_test(T).yes)
 print("C-finite local mass:", c_finite_test(T).answer)
 S = lift(T)
 print("lift round-trips exactly:", push_forward(S) == T)
@@ -47,12 +47,12 @@ banner("counterexamples: each hypothesis of the correspondence is needed")
 T_exm1 = positive_not_liftable()
 print("density e^{x^2}: positive =", positivity_check(T_exm1, samples=8).answer,
       "| C-finite =", c_finite_test(T_exm1).answer,
-      "| closed =", closedness_test(T_exm1, test_basis_size=10, seed=3).closed)
+      "| closed =", closedness_test(T_exm1, test_basis_size=10, seed=3).yes)
 T_exm3 = positive_not_positively_liftable()
 print("density e^{2x}: positive =", positivity_check(T_exm3, samples=8).answer,
       "| C-finite =", c_finite_test(T_exm3).answer)
 T_ev = closed_not_positive()
-print("evaluator int e^{2e^x} f': closed =", closedness_test(T_ev).closed,
+print("evaluator int e^{2e^x} f': closed =", closedness_test(T_ev).yes,
       "| positive =", positivity_check(T_ev, samples=6).answer)
 fan1 = orthant_fan(1)
 K = kernel_point_current(fan1.toric_chart(fan1.cone_id([(1,)])))

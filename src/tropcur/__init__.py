@@ -9,7 +9,7 @@ criterion, and extension by zero.
 """
 
 from .fans import Cone, Fan, ToricChart, CompactifiedPoint, validate_fan
-from .fiber import (LagerbergFiberForm, ComplexFiberForm, GramForm,
+from .fiber import (LagerbergFiberForm, ComplexFiberForm, GramForm, Verdict,
                     PositivityVerdict, wedge, apply_involution, embed_complex,
                     gram_form, dual_pairing, positivity_verdict,
                     decomposable_test, reverify)

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import currents as currents_mod
-from .currents import (CurrentVerdict, LagerbergCurrent,
-                       c_finite_test, canonical_decomposition, closedness_test,
-                       positivity_check, _boundary_weighted)
-from .errors import InvalidShadow, NotCFinite, NotPositive
-from .fiber import subsets
+from .currents import (LagerbergCurrent, c_finite_test, canonical_decomposition,
+                       closedness_test, positivity_check, _boundary_weighted)
+from .errors import InvalidShadow, NotCFinite, NotPositive, ValidationError
+from .fiber import Verdict, subsets
 from .measures import (ImageMap, OpenBox, PieceMeasure, image_measure)
 
 
@@ -54,7 +53,7 @@ class InvariantComplexCurrent:
         for (I, J), mu in (shadows or {}).items():
             I, J = tuple(I), tuple(J)
             if len(I) != self.q or len(J) != self.q:
-                raise ValueError(f"shadow key ({I},{J}) needs |I|=|J|={self.q}")
+                raise ValidationError(f"shadow key ({I},{J}) needs |I|=|J|={self.q}")
             if not mu.is_zero():
                 self.shadows[(I, J)] = mu
 
@@ -127,7 +126,7 @@ def lift(T, require=("closed", "positive"), samples=12, seed=0):
             raise NotPositive("lift needs a positive current", payload=v.witness)
     if "closed" in require:
         cv = closedness_test(T, seed=seed)
-        if not cv.closed:
+        if not cv.yes:
             raise NotCFinite("lift of a non-closed current is not attempted",
                              payload={"residual": cv.residual})
     cf = c_finite_test(T)
@@ -203,8 +202,8 @@ def complex_positivity_check(S, samples=25, seed=0, tol=1e-9,
     # (i) hermitian symmetry of the shadow matrix
     for (I, J) in list(S.shadows):
         if S.shadow(I, J) != S.shadow(J, I):
-            return CurrentVerdict("no", "shadow matrix is not symmetric",
-                                  witness=("asymmetry", (I, J)))
+            return Verdict("positive", "no", "shadow matrix is not symmetric",
+                           witness=("asymmetry", (I, J)))
     rng = random.Random(seed)
     # (ii)+(iii): pointwise PSD of the weighted density matrix on sampled
     # points of every piece, plus the estimate on the lambda grid
@@ -256,8 +255,8 @@ def complex_positivity_check(S, samples=25, seed=0, tol=1e-9,
         lam = np.linalg.eigvalsh(H)
         scale = max(1.0, float(np.abs(H).max()))
         if lam.min() < -tol * scale:
-            return CurrentVerdict("no", "weighted shadow density matrix not PSD",
-                                  witness=("psd", entry[0], lam.min()))
+            return Verdict("positive", "no", "weighted shadow density matrix not PSD",
+                           witness=("psd", entry[0], lam.min()))
         # eq-style estimate on the lambda grid
         for a in range(len(idx)):
             for b in range(len(idx)):
@@ -269,25 +268,16 @@ def complex_positivity_check(S, samples=25, seed=0, tol=1e-9,
                         rhs = 0.5 * (float(la) ** 2 * H[a, a]
                                      + float(lb) ** 2 * H[b, b])
                         if lhs > rhs + tol * scale:
-                            return CurrentVerdict(
-                                "no", "total-variation estimate fails",
+                            return Verdict(
+                                "positive", "no", "total-variation estimate fails",
                                 witness=("estimate", (idx[a], idx[b])))
     # (iv) sampled evaluation through the pushforward on positive fields
     T = push_forward(S)
     v = positivity_check(T, samples=max(4, samples // 3), seed=seed)
     if not v.yes:
-        return CurrentVerdict("no", "pushforward fails positivity: " + v.reason,
-                              witness=v.witness)
-    return CurrentVerdict("yes")
-
-
-@dataclass
-class CompatReport:
-    ok: bool
-    records: list = dc_field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
+        return Verdict("positive", "no", "pushforward fails positivity: " + v.reason,
+                       witness=v.witness)
+    return Verdict("positive", "yes")
 
 
 def compat_checks(S, samples=10, seed=0):
@@ -300,7 +290,6 @@ def compat_checks(S, samples=10, seed=0):
     bijection).
     """
     records = []
-    ok = True
     T = push_forward(S)
     # (a) decomposition commutes
     parts_T = canonical_decomposition(T, assume_positive=True)
@@ -313,26 +302,19 @@ def compat_checks(S, samples=10, seed=0):
         ref = parts_T.get(M)
         good = (ref is not None and cur == ref) or (ref is None and cur.is_zero())
         records.append(("decomposition", tuple(sorted(M)), good))
-        ok = ok and good
         total = cur if total is None else total + cur
     resum_good = (total or LagerbergCurrent(S.chart, S.p, {}, S.U)) == T
     records.append(("decomposition_resum", None, resum_good))
-    ok = ok and resum_good
     # (b) support descriptors agree
-    sup_S = _support_descriptor(S.shadows)
-    sup_T = _support_descriptor(T.cocoeffs)
-    good = sup_S == sup_T
-    records.append(("support", None, good))
-    ok = ok and good
+    records.append(("support", None,
+                    _support_descriptor(S.shadows) == _support_descriptor(T.cocoeffs)))
     # (c) top degree: measure-level bijection
     if S.p == S.n:
-        key = ((), ())
-        sigma = S.shadow((), ())
-        mu = T.cocoeff((), ())
-        good = sigma.rescaled() == mu.rescaled() if q == 0 else False
-        records.append(("top_degree", None, good))
-        ok = ok and good
-    return CompatReport(ok, records)
+        records.append(("top_degree", None,
+                        S.shadow((), ()).rescaled() == T.cocoeff((), ()).rescaled()))
+    if all(good for _, _, good in records):
+        return Verdict("compatible", "yes", certificate=records)
+    return Verdict("compatible", "no", witness=records)
 
 
 def _shadow_decomposition(S):

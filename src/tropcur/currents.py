@@ -26,9 +26,10 @@ from .coeffs import CoefficientFn, Poly
 from .errors import (CompatibilityViolation, Divergent, FamilyEscape,
                      MixedDimension, NonMeasurePiece, NotCFinite,
                      NotLocallyFinite, NotPositive, SignNotCertified,
-                     SupportEscapesU, ToleranceNotMet)
+                     SupportEscapesU, ToleranceNotMet, ValidationError)
 from .exact import frac
-from .fiber import LagerbergFiberForm, merge_indices, subsets
+from .fiber import (LagerbergFiberForm, Verdict, merge_indices, positive_generator,
+                    subsets)
 from .fields import (boundary_window_field, bump_box_field,
                      check_compatibility, differentiate, _stratum_subsets)
 from .measures import (Atom, DerivativeAtom, ImageMap, OpenBox, Piece,
@@ -60,16 +61,16 @@ class LagerbergCurrent:
         for (I, J), mu in (cocoeffs or {}).items():
             I, J = tuple(I), tuple(J)
             if len(I) != self.q or len(J) != self.q:
-                raise ValueError(f"co-coefficient key ({I},{J}) needs |I|=|J|={self.q}")
+                raise ValidationError(f"co-coefficient key ({I},{J}) needs |I|=|J|={self.q}")
             if mu.n != self.n:
-                raise ValueError("measure dimension does not match the chart")
+                raise ValidationError("measure dimension does not match the chart")
             bad = set(I) | set(J)
             for a in list(mu.atoms) + list(mu.derivative_atoms):
                 if a.stratum & bad:
-                    raise ValueError(f"piece of T^{(I, J)} sits on E^{sorted(bad)}")
+                    raise ValidationError(f"piece of T^{(I, J)} sits on E^{sorted(bad)}")
             for piece in mu.pieces:
                 if piece.stratum & bad:
-                    raise ValueError(f"piece of T^{(I, J)} sits on E^{sorted(bad)}")
+                    raise ValidationError(f"piece of T^{(I, J)} sits on E^{sorted(bad)}")
             if not mu.is_zero():
                 self.cocoeffs[(I, J)] = mu
 
@@ -177,9 +178,9 @@ def evaluate(T, alpha, tol=1e-8, check=True):
         if not _support_inside(alpha, T.U):
             raise SupportEscapesU("test form support leaves the current's domain")
         rep = check_compatibility(alpha, samples=8)
-        if not rep.ok:
+        if not rep.yes:
             raise CompatibilityViolation("test form fails boundary compatibility",
-                                         payload=rep.violations)
+                                         payload=rep.witness)
     if T.evaluator is not None:
         return T.evaluator(alpha)
     sgn = (-1) ** (T.q * (T.q - 1) // 2)
@@ -269,17 +270,6 @@ def mass_estimate(T, tol=1e-6):
     return total
 
 
-@dataclass
-class ClosednessVerdict:
-    closed: bool
-    residual: float
-    witness: object = None
-    exact: bool = False
-
-    def __bool__(self):
-        return self.closed
-
-
 def closedness_test(T, test_basis_size=25, tol=1e-8, seed=0):
     """Sampled Stokes verdict: T(d'beta), T(d''beta) over a seeded pool.
 
@@ -289,12 +279,9 @@ def closedness_test(T, test_basis_size=25, tol=1e-8, seed=0):
     witness.  Otherwise Closed means every pairing stays below
     tol * (1 + mass estimate).
     """
-    if T.q == 0:
-        return ClosednessVerdict(True, 0.0, exact=True)
-    if T.meta.get("weighted_complex") is not None:
-        bal = balancing_check(T.meta["weighted_complex"])
-        if bal.balanced:
-            return ClosednessVerdict(True, 0.0, exact=True)
+    if T.q == 0 or (T.meta.get("weighted_complex") is not None
+                    and balancing_check(T.meta["weighted_complex"]).yes):
+        return Verdict("closed", "yes", residual=0.0, exact=True)
     rng = random.Random(seed)
     box = _pool_box(T)
     strata = [M for M in _stratum_subsets(T.chart) if M]
@@ -323,25 +310,11 @@ def closedness_test(T, test_basis_size=25, tol=1e-8, seed=0):
             worst = abs(val)
             witness = (kind, beta, val)
     if worst <= tol * scale:
-        return ClosednessVerdict(True, worst)
-    return ClosednessVerdict(False, worst, witness)
+        return Verdict("closed", "yes", residual=worst)
+    return Verdict("closed", "no", witness=witness, residual=worst)
 
 
 # --- positivity --------------------------------------------------------------------
-
-@dataclass
-class CurrentVerdict:
-    answer: str
-    reason: str = ""
-    witness: object = None
-
-    @property
-    def yes(self):
-        return self.answer == "yes"
-
-    def __bool__(self):
-        return self.yes
-
 
 def _piece_value_at(mu, stratum, pt):
     """Pointwise density of a measure at a stratum point (float)."""
@@ -372,36 +345,36 @@ def positivity_check(T, samples=25, seed=0, tol=1e-9):
             beta = _nonneg_test_field(T.chart, T.q, box, rng)
             val = evaluate(T, beta, check=False)
             if val < -tol:
-                return CurrentVerdict("no", "negative value on a positive test form",
-                                      witness=("field", beta, val))
-        return CurrentVerdict("unknown",
-                              "evaluator current: sampled route found no violation")
+                return Verdict("positive", "no", "negative value on a positive test form",
+                               witness=("field", beta, val))
+        return Verdict("positive", "unknown",
+                       "evaluator current: sampled route found no violation")
     if not T.is_measure_class():
-        return CurrentVerdict("no", "a co-coefficient is not a Radon measure",
-                              witness=("non_measure",))
+        return Verdict("positive", "no", "a co-coefficient is not a Radon measure",
+                       witness=("non_measure",))
     n, q = T.n, T.q
     # (i) symmetry
     for (I, J) in list(T.cocoeffs):
         if T.cocoeff(I, J) != T.cocoeff(J, I):
-            return CurrentVerdict("no", "co-coefficients are not symmetric",
-                                  witness=("asymmetry", (I, J)))
+            return Verdict("positive", "no", "co-coefficients are not symmetric",
+                           witness=("asymmetry", (I, J)))
     # (ii) diagonal positivity
     for I in subsets(n, q):
         mu = T.cocoeff(I, I)
         for a in mu.atoms:
             if a.weight < 0:
-                return CurrentVerdict("no", "negative diagonal atom",
-                                      witness=("diagonal_atom", I, a))
+                return Verdict("positive", "no", "negative diagonal atom",
+                               witness=("diagonal_atom", I, a))
         for piece in mu.pieces:
             if piece.sign < 0:
-                return CurrentVerdict("no", "negative diagonal density",
-                                      witness=("diagonal_piece", I, piece.key()))
+                return Verdict("positive", "no", "negative diagonal density",
+                               witness=("diagonal_piece", I, piece.key()))
             if piece.sign == 0:
                 rng = random.Random(seed)
                 for pt in piece.poly.sample_points(rng, samples):
                     if piece.density_fn().eval_float(pt) < -tol:
-                        return CurrentVerdict("no", "diagonal density negative at a point",
-                                              witness=("diagonal_point", I, pt))
+                        return Verdict("positive", "no", "diagonal density negative at a point",
+                                       witness=("diagonal_point", I, pt))
     # (iii) the 2x2 estimate on matched pieces and atoms
     rng = random.Random(seed + 1)
     for (I, J), mu in T.cocoeffs.items():
@@ -415,8 +388,8 @@ def positivity_check(T, samples=25, seed=0, tol=1e-9):
                       if (b.stratum, b.coords) == (a.stratum, a.coords)) * mu_JJ.scale_float()
             wIJ = float(a.weight) * mu.scale_float()
             if wIJ * wIJ > float(wII) * float(wJJ) + tol:
-                return CurrentVerdict("no", "estimate fails on an atom",
-                                      witness=("estimate_atom", (I, J), a))
+                return Verdict("positive", "no", "estimate fails on an atom",
+                               witness=("estimate_atom", (I, J), a))
         for piece in mu.pieces:
             pts = piece.poly.sample_points(rng, samples)
             for pt in pts:
@@ -424,28 +397,26 @@ def positivity_check(T, samples=25, seed=0, tol=1e-9):
                 wII = _piece_value_at(mu_II, piece.stratum, pt)
                 wJJ = _piece_value_at(mu_JJ, piece.stratum, pt)
                 if wIJ * wIJ > wII * wJJ + tol:
-                    return CurrentVerdict(
-                        "no", "estimate fails pointwise on a density",
+                    return Verdict(
+                        "positive", "no", "estimate fails pointwise on a density",
                         witness=("estimate_piece", (I, J), pt,
                                  (wIJ, wII, wJJ)))
     # (iv) sampled evaluation on positive test fields
     rng = random.Random(seed + 2)
     box = _pool_box(T)
-    strata = [M for M in _stratum_subsets(T.chart) if M]
     ramp = Fraction(int(math.ceil(max(float(b[1]) for b in box))) + 1)
+    bound = -tol * (1 + mass_estimate(T))
     for _ in range(samples):
         vec = {K: Fraction(rng.randint(-3, 3)) for K in subsets(n, q)}
         fiber = LagerbergFiberForm(
             n, q, 0, {(K, ()): c for K, c in vec.items() if c})
         if fiber.is_zero():
             continue
-        from .fiber import positive_generator
-        gen = positive_generator(fiber)
-        val = _pair_constant_fiber(T, gen, box, ramp, rng)
-        if val < -tol * (1 + mass_estimate(T)):
-            return CurrentVerdict("no", "negative value on a positive test field",
-                                  witness=("evaluation", vec, val))
-    return CurrentVerdict("yes")
+        val = _pair_constant_fiber(T, positive_generator(fiber), box, ramp, rng)
+        if val < bound:
+            return Verdict("positive", "no", "negative value on a positive test field",
+                           witness=("evaluation", vec, val))
+    return Verdict("positive", "yes")
 
 
 def _nonneg_test_field(chart, q, box, rng):
@@ -528,19 +499,6 @@ def resum(parts, template):
 
 # --- C-finite mass ---------------------------------------------------------------------
 
-@dataclass
-class CFiniteVerdict:
-    answer: str
-    witness: object = None
-
-    @property
-    def yes(self):
-        return self.answer == "yes"
-
-    def __bool__(self):
-        return self.yes
-
-
 def _boundary_weighted(mu, I, J, n):
     """|mu| with the extra exp(-sum_I u_i - sum_J u_j) density weight."""
     tv = abs_measure(mu)
@@ -574,8 +532,8 @@ def c_finite_test(T, seed=0):
         try:
             image_measure(weighted, ImageMap("open_inclusion", target))
         except NotLocallyFinite as err:
-            return CFiniteVerdict("no", witness={"I": I, "J": J, **(err.payload or {})})
-    return CFiniteVerdict("yes")
+            return Verdict("c_finite", "no", witness={"I": I, "J": J, **(err.payload or {})})
+    return Verdict("c_finite", "yes")
 
 
 # --- extension by zero ------------------------------------------------------------------
@@ -680,15 +638,6 @@ def integration_current(C, chart, U=None):
                             meta={"weighted_complex": C})
 
 
-@dataclass
-class BalancingVerdict:
-    balanced: bool
-    witness: object = None
-
-    def __bool__(self):
-        return self.balanced
-
-
 def _face_key(poly):
     return (tuple(poly.vertices()), tuple(sorted(poly.recession_generators())))
 
@@ -755,7 +704,7 @@ def balancing_check(C):
     """
     p = C.dim()
     if p <= 0:
-        return BalancingVerdict(True)
+        return Verdict("balanced", "yes")
     faces = {}
     for poly, w in C.cells:
         if w == 0:
@@ -773,13 +722,13 @@ def balancing_check(C):
         if not any(total):
             continue
         if not L_face:
-            return BalancingVerdict(False, witness={"face": key, "residual": total})
+            return Verdict("balanced", "no", witness={"face": key, "residual": total})
         mat = [[Fraction(L_face[j][i]) for j in range(len(L_face))]
                for i in range(len(total))]
         sol = exact.solve(mat, list(total))
         if sol is None:
-            return BalancingVerdict(False, witness={"face": key, "residual": total})
-    return BalancingVerdict(True)
+            return Verdict("balanced", "no", witness={"face": key, "residual": total})
+    return Verdict("balanced", "yes")
 
 
 # --- wedge with a form field ----------------------------------------------------------------

@@ -480,28 +480,6 @@ def psd_decompose(m):
     return PSDResult(True, rank=len(decomp), decomposition=decomp)
 
 
-def psd_decompose_hermitian(re, im):
-    """Exact PSD test of a Hermitian matrix given by rational Re/Im parts.
-
-    Uses the real embedding [[Re, -Im], [Im, Re]]; witnesses are mapped back
-    to complex vectors (re_part, im_part).
-    """
-    n = len(re)
-    big = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            big[i][j] = Fraction(re[i][j])
-            big[n + i][n + j] = Fraction(re[i][j])
-            big[i][n + j] = -Fraction(im[i][j])
-            big[n + i][j] = Fraction(im[i][j])
-    res = psd_decompose(big)
-    if res.psd:
-        return PSDResult(True, rank=res.rank // 2 + res.rank % 2,
-                         decomposition=res.decomposition)
-    w = res.witness
-    return PSDResult(False, witness=(tuple(w[:n]), tuple(w[n:])))
-
-
 # --- Sturm sequences --------------------------------------------------------
 
 def _poly_div(num, den):

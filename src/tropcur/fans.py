@@ -12,11 +12,12 @@ Axes and cone ids are 0-based throughout the library; the JSON layer
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from . import exact
 from .errors import (NotStrictlyConvex, NotSmooth, BadIntersection,
-                     OutsideSupport, NotAFace)
+                     OutsideSupport, NotAFace, ValidationError)
 from .polyhedra import Polyhedron, Row
 
 
@@ -156,8 +157,14 @@ class Fan:
             self._quotients[sigma_id] = proj
         return self._quotients[sigma_id]
 
+    def _check_length(self, v):
+        if len(v) != self.rank:
+            raise ValidationError(f"vector {list(v)} has length {len(v)}, "
+                                  f"not the fan's rank {self.rank}")
+
     def project(self, sigma_id, v):
         """pi_sigma: N_R -> N(sigma) in the deterministic quotient basis."""
+        self._check_length(v)
         proj = self.quotient_basis(sigma_id)
         coords = tuple(sum(row[j] * Fraction(v[j]) for j in range(self.rank))
                        for row in proj)
@@ -176,6 +183,7 @@ class Fan:
     # --- operations --------------------------------------------------------
     def locate_relint(self, v):
         """Unique cone with v in its relative interior."""
+        self._check_length(v)
         v = tuple(exact.frac(x) for x in v)
         if not any(v):
             return 0
@@ -293,7 +301,12 @@ def p2_fan():
     ])
 
 
+@lru_cache(maxsize=None)
 def orthant_fan(n):
-    """The fan of the affine chart: the nonnegative orthant and its faces."""
+    """The fan of the affine chart: the nonnegative orthant and its faces.
+
+    Built once per rank: validating the rank-4 fan takes seconds, and a
+    Fan is never changed after construction apart from its chart memos.
+    """
     gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return validate_fan([gens], rank=n)

@@ -17,7 +17,7 @@ Yes/No answers where an exact argument exists and Unknown otherwise.
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -97,11 +97,11 @@ class _FiberForm:
         for (I, J), c in (coeff or {}).items():
             I, J = tuple(I), tuple(J)
             if len(I) != p or len(J) != q:
-                raise ValueError(f"index ({I},{J}) does not match bidegree ({p},{q})")
+                raise ValidationError(f"index ({I},{J}) does not match bidegree ({p},{q})")
             if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
-                raise ValueError(f"multi-indices must be strictly increasing: ({I},{J})")
+                raise ValidationError(f"multi-indices must be strictly increasing: ({I},{J})")
             if any(i < 0 or i >= n for i in I + J):
-                raise ValueError("index out of range")
+                raise ValidationError(f"index out of range in ({I},{J}) for n = {n}")
             if self._nonzero(c):
                 self.coeff[(I, J)] = c
 
@@ -382,20 +382,26 @@ def dual_pairing(a, b):
 
 # --- positivity ---------------------------------------------------------------
 
-@dataclass
-class PositivityVerdict:
-    """Outcome of a positivity test at one of the three tiers.
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one decision: a positivity tier or a hypothesis check.
 
-    ``answer`` is 'yes', 'no' or 'unknown'.  Yes answers carry a
-    certificate that re-verifies exactly; no answers carry a witness with
-    a strictly negative exact pairing (or a structural reason such as a
-    failed symmetry check).
+    ``tier`` names what was decided: 'strong', 'positive' or 'weak'
+    positivity ('positive' also for currents), 'closed', 'c_finite',
+    'balanced' or 'compatible'.  ``answer`` is 'yes', 'no' or 'unknown';
+    ``bool(v)``, ``.yes`` and ``.no`` read it.  Yes answers may carry a
+    certificate that re-verifies exactly; no answers carry a witness (for
+    positivity, a strictly negative exact pairing) or a structural reason
+    such as a failed symmetry check.  ``exact`` and ``residual`` belong to
+    closedness: decided symbolically, and the worst sampled pairing.
     """
     tier: str
     answer: str
-    certificate: object = None
-    witness: object = None
     reason: str = ""
+    witness: object = None
+    certificate: object = None
+    exact: bool = False
+    residual: float = None
 
     @property
     def yes(self):
@@ -404,6 +410,12 @@ class PositivityVerdict:
     @property
     def no(self):
         return self.answer == "no"
+
+    def __bool__(self):
+        return self.yes
+
+
+PositivityVerdict = Verdict
 
 
 def is_symmetric(a):
@@ -510,19 +522,19 @@ def _positive_tier(a, tol):
     """Exact (or float-tolerance) PSD decision of the Gram form."""
     n, p = a.n, a.p
     if a.algebra == "lagerberg" and not is_symmetric(a):
-        return PositivityVerdict("positive", "no", reason="not symmetric")
+        return Verdict("positive", "no", reason="not symmetric")
     if a.algebra == "complex" and not is_real(a):
-        return PositivityVerdict("positive", "no", reason="not real")
+        return Verdict("positive", "no", reason="not real")
     if not a.is_exact():
         g = gram_form(a)
         m = np.array([[complex(_to_float(x)) for x in row] for row in g.matrix])
         lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
         scale = max(1.0, float(np.abs(m).max()))
         if lam.min() >= -tol * scale:
-            return PositivityVerdict("positive", "yes", reason="float PSD",
-                                     certificate=("eigvals", lam.tolist()))
-        return PositivityVerdict("positive", "no", reason="float eigenvalue",
-                                 witness=("eigval", float(lam.min())))
+            return Verdict("positive", "yes", reason="float PSD",
+                           certificate=("eigvals", lam.tolist()))
+        return Verdict("positive", "no", reason="float eigenvalue",
+                       witness=("eigval", float(lam.min())))
     res, g = _gram_psd_exact(a)
     idx = g.indices
     if res.psd:
@@ -530,15 +542,14 @@ def _positive_tier(a, tol):
         for gamma, v in res.decomposition:
             coeffs = {idx[t]: v[t] for t in range(len(idx)) if _FiberForm._nonzero(v[t])}
             cert.append((gamma, coeffs))
-        return PositivityVerdict("positive", "yes", certificate=("decomposition", cert))
+        return Verdict("positive", "yes", certificate=("decomposition", cert))
     x = {idx[t]: res.witness[t] for t in range(len(idx))}
     alpha = _phi_inverse(x, n, p, a.algebra)
     if a.algebra == "lagerberg":
         dual = positive_generator(alpha)
     else:
         dual = positive_generator_complex(alpha)
-    return PositivityVerdict("positive", "no", witness=("dual_form", dual),
-                             reason="Gram form not PSD")
+    return Verdict("positive", "no", witness=("dual_form", dual), reason="Gram form not PSD")
 
 
 def _reconstruct_from_cert(n, p, cert, algebra):
@@ -634,7 +645,7 @@ def _strong_no_via_kernel(a, psd_res, gram):
         sq = wedge(w, w)
         if sq.is_zero():
             return None, None       # decomposable: fall through to LP
-        return PositivityVerdict(
+        return Verdict(
             "strong", "no",
             witness=("kernel_obstruction", {"basis": [f.coeff for f in forms],
                                             "quadratic": None}),
@@ -657,8 +668,8 @@ def _strong_no_via_kernel(a, psd_res, gram):
     if _binary_system_has_real_root(quadratics):
         return None, None
     data = {"basis": [f.coeff for f in forms], "quadratics": quadratics}
-    return PositivityVerdict("strong", "no", witness=("kernel_obstruction", data),
-                             reason="no real decomposable in the Gram row space"), data
+    return Verdict("strong", "no", witness=("kernel_obstruction", data),
+                   reason="no real decomposable in the Gram row space"), data
 
 
 def _binary_system_has_real_root(quadratics):
@@ -776,20 +787,16 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
     if a.p != a.q:
         raise NotSquareBidegree(f"bidegree ({a.p},{a.q}) is not (p,p)")
     n, p = a.n, a.p
-    boundary = p in (0, 1, n - 1, n)
     if tier == "positive":
         return _positive_tier(a, tol)
+    if tier in ("strong", "weak") and p in (0, 1, n - 1, n):
+        v = _positive_tier(a, tol)
+        return replace(v, tier=tier, reason=v.reason or "tier equivalence p in {0,1,n-1,n}")
 
     if tier == "strong":
-        if boundary:
-            v = _positive_tier(a, tol)
-            return PositivityVerdict("strong", v.answer, certificate=v.certificate,
-                                     witness=v.witness,
-                                     reason=v.reason or "tier equivalence p in {0,1,n-1,n}")
         base = _positive_tier(a, tol)
         if base.no:
-            return PositivityVerdict("strong", "no", witness=base.witness,
-                                     reason="not even positive: " + base.reason)
+            return replace(base, tier="strong", reason="not even positive: " + base.reason)
         if a.is_exact():
             psd_res, g = _gram_psd_exact(a)
             verdict, _ = _strong_no_via_kernel(a, psd_res, g)
@@ -798,20 +805,14 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
         pool = strong_generator_pool(n, p, pool_size, seed, a.algebra, hints)
         cert = _strong_lp_certificate(a, pool) if a.is_exact() else None
         if cert is not None:
-            return PositivityVerdict("strong", "yes", certificate=("conic", cert))
-        return PositivityVerdict("strong", "unknown",
-                                 reason="no certificate over the generator pool")
+            return Verdict("strong", "yes", certificate=("conic", cert))
+        return Verdict("strong", "unknown", reason="no certificate over the generator pool")
 
     if tier == "weak":
         if a.algebra == "lagerberg" and not is_symmetric(a):
-            return PositivityVerdict("weak", "no", reason="not symmetric")
+            return Verdict("weak", "no", reason="not symmetric")
         if a.algebra == "complex" and not is_real(a):
-            return PositivityVerdict("weak", "no", reason="not real")
-        if boundary:
-            v = _positive_tier(a, tol)
-            return PositivityVerdict("weak", v.answer, certificate=v.certificate,
-                                     witness=v.witness,
-                                     reason=v.reason or "tier equivalence p in {0,1,n-1,n}")
+            return Verdict("weak", "no", reason="not real")
         q = n - p
         pool = strong_generator_pool(n, q, pool_size, seed, a.algebra, hints)
         for g, tag in pool:
@@ -823,22 +824,20 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
             else:
                 neg = val < 0 if _is_exact(val) else val < -tol
             if neg:
-                return PositivityVerdict("weak", "no", witness=("generator", tag, g),
-                                         reason="negative pairing with a strongly positive form")
+                return Verdict("weak", "no", witness=("generator", tag, g),
+                               reason="negative pairing with a strongly positive form")
         if dual_certificate is not None:
-            return PositivityVerdict("weak", "yes", certificate=("user", dual_certificate))
+            return Verdict("weak", "yes", certificate=("user", dual_certificate))
         if a.is_exact() and a.algebra == "lagerberg":
             poly = _pairing_polynomial(a)
             if poly.is_zero():
-                return PositivityVerdict("weak", "yes",
-                                         certificate=("pairing_polynomial_zero",),
-                                         reason="pairing with every strong generator vanishes identically")
+                return Verdict("weak", "yes", certificate=("pairing_polynomial_zero",),
+                               reason="pairing with every strong generator vanishes identically")
             if poly.is_even_nonnegative():
-                return PositivityVerdict("weak", "yes",
-                                         certificate=("pairing_polynomial_even_positive", poly),
-                                         reason="pairing polynomial is a nonnegative combination of squares of monomials")
-        return PositivityVerdict("weak", "unknown",
-                                 reason="no exact dual argument applies")
+                return Verdict("weak", "yes",
+                               certificate=("pairing_polynomial_even_positive", poly),
+                               reason="pairing polynomial is a nonnegative combination of squares of monomials")
+        return Verdict("weak", "unknown", reason="no exact dual argument applies")
 
     raise ValidationError(f"unknown tier {tier!r}")
 
@@ -880,13 +879,9 @@ def reverify(a, verdict):
             return not is_real(a)
         return False
     kind = w[0]
-    if kind == "dual_form":
-        val = dual_pairing(a, w[1])
-        if isinstance(val, QC):
-            return val.im == 0 and val.re < 0
-        return val < 0
-    if kind == "generator":
-        val = dual_pairing(a, w[2])
+    if kind in ("dual_form", "generator"):
+        # ("dual_form", form) or ("generator", tag, form)
+        val = dual_pairing(a, w[-1])
         if isinstance(val, QC):
             return val.im == 0 and val.re < 0
         return val < 0

@@ -22,7 +22,6 @@ exposed here ('del', 'idbar') are those pi^{-1/2}-scaled operators.
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +30,7 @@ from . import quadrature
 from .coeffs import CoefficientFn, Poly, UniFn, window_on
 from .errors import NonCompactSupport, WrongAlgebra
 from .exact import frac
-from .fiber import LagerbergFiberForm, merge_indices
+from .fiber import LagerbergFiberForm, Verdict, merge_indices
 
 
 def _insert_sign(idx, j):
@@ -574,16 +573,6 @@ def integrate_top(a, side="tropical", tol=1e-8):
 
 # --- compatibility -------------------------------------------------------------------
 
-@dataclass
-class CompatReport:
-    ok: bool
-    violations: list = dc_field(default_factory=list)
-    checked: int = 0
-
-    def __bool__(self):
-        return self.ok
-
-
 def check_compatibility(a, samples=40, seed=0, tol=1e-9):
     """Verify the declared boundary compatibility of a Lagerberg field.
 
@@ -598,7 +587,6 @@ def check_compatibility(a, samples=40, seed=0, tol=1e-9):
         raise WrongAlgebra("check_compatibility takes a Lagerberg field")
     rng = random.Random(seed)
     violations = []
-    checked = 0
     n = a.n
     sup = a.support_box()
     # per-axis thresholds collected from every declared neighborhood
@@ -629,7 +617,6 @@ def check_compatibility(a, samples=40, seed=0, tol=1e-9):
                 continue
             keys = set(a.tables.get(frozenset(Mp), {})) | set(a.tables.get(frozenset(M), {}))
             for (I, J) in sorted(keys):
-                checked += 1
                 inner = a.coefficient(Mp, I, J)
                 if set(I) & M or set(J) & M:
                     target = CoefficientFn.zero(n)
@@ -660,4 +647,6 @@ def check_compatibility(a, samples=40, seed=0, tol=1e-9):
                         break
                 if bad is not None:
                     violations.append(("mismatch", (tuple(sorted(Mp)), tuple(sorted(M)), I, J), bad))
-    return CompatReport(not violations, violations, checked)
+    if violations:
+        return Verdict("compatible", "no", witness=violations)
+    return Verdict("compatible", "yes")

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import exact, quadrature
 from .coeffs import CoefficientFn, Poly
 from .errors import (Divergent, NonMeasurePiece, NotLocallyFinite,
-                     SignNotCertified, ToleranceNotMet)
+                     SignNotCertified, ToleranceNotMet, ValidationError)
 from .exact import frac
 from .polyhedra import Polyhedron, Row, parametrize
 
@@ -110,16 +110,16 @@ class PieceMeasure:
         fracpart, pipow = scale
         fracpart = frac(fracpart)
         if fracpart < 0:
-            raise ValueError("scale prefactor must be positive; fold signs into weights")
+            raise ValidationError("scale prefactor must be positive; fold signs into weights")
         self.scale = (fracpart, int(pipow))
         for a in self.atoms:
             if len(a.coords) != n - len(a.stratum):
-                raise ValueError("atom coords do not match its stratum")
+                raise ValidationError("atom coords do not match its stratum")
         for p in self.pieces:
             if p.poly.dim != n - len(p.stratum):
-                raise ValueError("piece polyhedron dim does not match its stratum")
+                raise ValidationError("piece polyhedron dim does not match its stratum")
             if p.weight_expo.degree() > 2:
-                raise ValueError("exponent degree > 2 is outside the family")
+                raise ValidationError("exponent degree > 2 is outside the family")
             if certify:
                 certify_sign(p, seed=rng_seed)
 

@@ -152,7 +152,7 @@ def run_task(scene, task):
         T = _object(scene, task, "current")
         v = closedness_test(T, test_basis_size=_field(task, "forms", int, 25),
                             tol=tol, seed=seed)
-        return {"verdict": "closed" if v.closed else "not_closed",
+        return {"verdict": "closed" if v.yes else "not_closed",
                 "residual": v.residual, "exact": v.exact}
     if op == "c_finite":
         T = _object(scene, task, "current")
@@ -184,7 +184,7 @@ def run_task(scene, task):
     if op == "balancing":
         C = _object(scene, task, "complex")
         v = balancing_check(C)
-        return {"verdict": "balanced" if v.balanced else "unbalanced",
+        return {"verdict": "balanced" if v.yes else "unbalanced",
                 "witness": jsonable(v.witness)}
     if op == "el_mir":
         T = _object(scene, task, "current")
@@ -192,7 +192,7 @@ def run_task(scene, task):
         ext = extend_by_zero(T, strata, tol=tol, seed=seed,
                              check_positive=bool(task.get("check_positive", True)))
         cv = closedness_test(ext, tol=tol, seed=seed)
-        return {"extended": True, "closed": bool(cv.closed), "residual": cv.residual}
+        return {"extended": True, "closed": cv.yes, "residual": cv.residual}
     if op == "integrate":
         fld = _object(scene, task, "field")
         side = task.get("side", "both")
@@ -222,7 +222,7 @@ def _density_exp_x2(tol, seed, samples):
     cv = closedness_test(T, tol=tol, seed=seed, test_basis_size=10)
     return {"positive": v.answer, "c_finite": cf.answer,
             "c_finite_witness": jsonable(cf.witness),
-            "closed": "closed" if cv.closed else "not_closed",
+            "closed": "closed" if cv.yes else "not_closed",
             "closedness_residual": cv.residual}
 
 
@@ -241,7 +241,7 @@ def _evaluator_exp_2ex(tol, seed, samples):
         lift_rejected = False
     except TropcurError:
         lift_rejected = True
-    return {"closed": "closed" if cv.closed else "not_closed",
+    return {"closed": "closed" if cv.yes else "not_closed",
             "positive": v.answer,
             "negative_value": jsonable(v.witness[2]) if v.witness else None,
             "lift_rejected": lift_rejected}

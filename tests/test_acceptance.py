@@ -199,7 +199,7 @@ def test_acceptance_07_decomposition():
         for M, part in parts.items():
             assert positivity_check(part, samples=8, seed=707).yes
             cv = closedness_test(part, test_basis_size=10, tol=1e-8, seed=707)
-            assert cv.closed, (M, cv.residual)
+            assert cv.yes, (M, cv.residual)
     _report(7, "exact resum; summands positive and closed at 1e-8")
 
 
@@ -214,7 +214,7 @@ def test_acceptance_08_counterexample_suite():
     cf = c_finite_test(T1)
     assert not cf.yes and cf.witness["ray"] == (1,)
     cv = closedness_test(T1, test_basis_size=10, seed=3)
-    assert not cv.closed
+    assert not cv.yes
     for k in (2, 3):
         fld = LagerbergFormField(T1.chart, 1, 1, 1,
                                  {frozenset(): {((0,), (0,)): table(1, 0, k, k + 1)}})
@@ -226,7 +226,7 @@ def test_acceptance_08_counterexample_suite():
     assert not c_finite_test(T3).yes
     # evaluator current: closed, positivity No with explicit witness, lift rejects
     T1p = closed_not_positive()
-    assert closedness_test(T1p).closed
+    assert closedness_test(T1p).yes
     v = positivity_check(T1p, samples=6)
     assert v.answer == "no" and v.witness[2] < 0
     with pytest.raises(TropcurError):
@@ -249,22 +249,22 @@ def test_acceptance_08_counterexample_suite():
 
 def test_acceptance_09_tropical_cycles():
     C = tropical_line()
-    assert balancing_check(C).balanced
+    assert balancing_check(C).yes
     T = tropical_line_current()
     # closedness over 100 seeded test forms at 1e-8 (sampled route)
     T_sampled = LagerbergCurrent(T.chart, T.p, T.cocoeffs, T.U)
     cv = closedness_test(T_sampled, test_basis_size=50, tol=1e-8, seed=909)
-    assert cv.closed, cv.residual
+    assert cv.yes, cv.residual
     assert positivity_check(T, samples=10, seed=909).yes
     S = lift(T, seed=909)
     assert push_forward(S) == T
     # perturbed weight: unbalanced with a face witness, visible residual
     C2 = tropical_line(weights=(1, 1, 2))
     bal = balancing_check(C2)
-    assert not bal.balanced and bal.witness["residual"] is not None
+    assert not bal.yes and bal.witness["residual"] is not None
     T2 = integration_current(C2, T.chart)
     cv2 = closedness_test(T2, test_basis_size=50, tol=1e-8, seed=909)
-    assert not cv2.closed and cv2.residual > 1e-3
+    assert not cv2.yes and cv2.residual > 1e-3
     _report(9, "balanced line closed/positive/liftable; perturbation detected")
 
 
@@ -284,7 +284,7 @@ def test_acceptance_11_closed_positive_implies_c_finite():
     for T in suite:
         assert positivity_check(T, samples=6, seed=1111).yes
         cv = closedness_test(T, test_basis_size=8, tol=1e-7, seed=1111)
-        assert cv.closed
+        assert cv.yes
         assert c_finite_test(T).yes
         confirmed += 1
     assert confirmed == 50

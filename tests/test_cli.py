@@ -216,7 +216,11 @@ def test_task_missing_field_is_error_record(tmp_path, capsys, op, missing):
     {"op": "limit_point", "point": ["x"], "direction": [1]},
     {"op": "el_mir", "current": "T", "strata": [["x"]]},
     {"op": "positivity", "form": ["w"]},
-], ids=["cone-range", "cone-type", "tier", "pool-size", "point", "strata", "name-type"])
+    {"op": "limit_point", "point": [1, 2], "direction": [1]},
+    {"op": "locate_relint", "vector": [1, -1]},
+    {"op": "limit_point", "point": [1], "direction": []},
+], ids=["cone-range", "cone-type", "tier", "pool-size", "point", "strata", "name-type",
+        "point-length", "vector-length", "direction-length"])
 def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
     scene = {"fan": {"rank": 1, "cones": [[[1]]]},
              "objects": {"w": {"type": "gallery", "name": "omega_rank_two"},
@@ -229,3 +233,38 @@ def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
     bad, good = json.loads(out)["tasks"]
     assert bad["status"] == "error" and bad["error"] == "ValidationError"
     assert good["status"] == "ok"
+
+
+def _form_index_out_of_range(tmp_path):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": 2, "p": 1, "q": 1,
+                                "terms": [{"I": [5], "J": [1], "c": "1"}]}))
+    return ["check-positivity", "--form", str(form)]
+
+
+def _atom_with_extra_coordinate(tmp_path):
+    data = json.loads((Path(__file__).parent / "golden" / "inputs" / "current.json").read_text())
+    atom = next(a for a in data["cocoeffs"]["|"]["atoms"] if not a["pt"]["stratum"])
+    atom["pt"]["coords"].append("0")
+    current = tmp_path / "current.json"
+    current.write_text(json.dumps(data))
+    return ["decompose", "--rank", "2", "--current", str(current)]
+
+
+def _shadow_key_of_wrong_degree(tmp_path):
+    data = json.loads((Path(__file__).parent / "golden" / "inputs" / "shadow.json").read_text())
+    data["cocoeffs"] = {"1|": data["cocoeffs"]["|"]}
+    shadow = tmp_path / "shadow.json"
+    shadow.write_text(json.dumps(data))
+    return ["tropicalize", "--mode", "push", "--rank", "2", "--shadow", str(shadow)]
+
+
+@pytest.mark.parametrize("command", [_form_index_out_of_range, _atom_with_extra_coordinate,
+                                     _shadow_key_of_wrong_degree],
+                         ids=["form-index", "atom-length", "shadow-key"])
+def test_malformed_object_is_input_error(tmp_path, command):
+    proc = subprocess.run([sys.executable, "-m", "tropcur.cli", *command(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -131,7 +131,7 @@ def test_compat_checks_atomic():
                          scale=(Fraction(4), 1))
     S = InvariantComplexCurrent(chart, 0, {((0,), (0,)): sigma})
     rep = compat_checks(S)
-    assert rep.ok, rep.records
+    assert rep.yes, rep.witness
 
 
 def test_compat_checks_two_strata():
@@ -144,9 +144,9 @@ def test_compat_checks_two_strata():
                       pieces=[lebesgue_piece((), box)])
     S = InvariantComplexCurrent(chart, 2, {((), ()): mu})
     rep = compat_checks(S)
-    assert rep.ok, rep.records
+    assert rep.yes, rep.witness
     # top-degree record present and true (measure-level bijection)
-    assert ("top_degree", None, True) in rep.records
+    assert ("top_degree", None, True) in rep.certificate
 
 
 def test_invalid_shadow_rejected():

@@ -73,7 +73,7 @@ def test_positive_not_liftable_current():
     assert not cf.yes
     assert cf.witness["ray"] == (1,)
     cv = closedness_test(T, test_basis_size=10, tol=1e-8, seed=3)
-    assert not cv.closed
+    assert not cv.yes
     assert cv.residual > 1e-3
 
 
@@ -105,7 +105,7 @@ def test_evaluate_indicator_exactly_one():
 def test_closed_not_positive_current():
     T = closed_not_positive()
     cv = closedness_test(T)
-    assert cv.closed and cv.exact        # top bidegree: vacuous
+    assert cv.yes and cv.exact        # top bidegree: vacuous
     v = positivity_check(T, samples=6)
     assert v.answer == "no"
     kind, beta, val = v.witness
@@ -199,11 +199,11 @@ def test_decomposition_requires_positive():
 
 def test_tropical_line_balanced_closed_positive():
     C = tropical_line()
-    assert balancing_check(C).balanced
+    assert balancing_check(C).yes
     T = tropical_line_current()
     assert positivity_check(T, samples=8).yes
     cv = closedness_test(T)
-    assert cv.closed and cv.exact
+    assert cv.yes and cv.exact
     assert c_finite_test(T).yes
 
 
@@ -212,31 +212,31 @@ def test_tropical_line_sampled_closedness():
     T0 = tropical_line_current()
     T = LagerbergCurrent(T0.chart, T0.p, T0.cocoeffs, T0.U)
     cv = closedness_test(T, test_basis_size=12, tol=1e-8, seed=1)
-    assert cv.closed, cv.residual
+    assert cv.yes, cv.residual
 
 
 def test_unbalanced_line_detected():
     C = tropical_line(weights=(1, 1, 2))
     bal = balancing_check(C)
-    assert not bal.balanced
+    assert not bal.yes
     assert bal.witness["residual"] is not None
     T = integration_current(C, _chart(2))
     cv = closedness_test(T, test_basis_size=16, tol=1e-8, seed=2)
-    assert not cv.closed
+    assert not cv.yes
     assert cv.residual > 1e-3
 
 
 def test_single_segment_weight_zero_balanced():
     seg = Polyhedron(2, [((0, 1), 0), ((0, -1), 0), ((1, 0), 1), ((-1, 0), 0)])
     C = WeightedComplex(((seg, 0),), declared_dim=1)
-    assert balancing_check(C).balanced
+    assert balancing_check(C).yes
     assert integration_current(C, _chart(2)).is_zero()
 
 
 def test_single_ray_unbalanced():
     ray = Polyhedron(2, [((0, 1), 0), ((0, -1), 0), ((-1, 0), 0)])
     C = WeightedComplex(((ray, 1),), declared_dim=1)
-    assert not balancing_check(C).balanced
+    assert not balancing_check(C).yes
 
 
 def test_mixed_dimension_rejected():
@@ -305,7 +305,7 @@ def test_top_degree_vacuously_closed():
                                      Fraction(1))])
     T = LagerbergCurrent(chart, 2, {((), ()): mu})
     cv = closedness_test(T)
-    assert cv.closed and cv.exact
+    assert cv.yes and cv.exact
 
 
 def test_j_symmetry_of_positive_currents():

@@ -100,30 +100,6 @@ def test_psd_decompose_no_witness():
     assert val < 0
 
 
-def test_psd_hermitian():
-    # [[1, i], [-i, 1]] is PSD with eigenvalues 0, 2
-    res = exact.psd_decompose_hermitian([[1, 0], [0, 1]], [[0, 1], [-1, 0]])
-    assert res.psd
-    # [[1, 2i], [-2i, 1]] has eigenvalues -1, 3
-    res = exact.psd_decompose_hermitian([[1, 0], [0, 1]], [[0, 2], [-2, 0]])
-    assert not res.psd
-    re_w, im_w = res.witness
-    # z^H M z < 0 for z = re + i*im, M = Re + i*Im
-    re_m = [[1, 0], [0, 1]]
-    im_m = [[0, 2], [-2, 0]]
-    acc = Fraction(0)
-    for i in range(2):
-        for j in range(2):
-            mij_re, mij_im = Fraction(re_m[i][j]), Fraction(im_m[i][j])
-            zi_re, zi_im = re_w[i], im_w[i]
-            zj_re, zj_im = re_w[j], im_w[j]
-            # conj(z_i) * M_ij * z_j, real part
-            a = zi_re * mij_re + zi_im * mij_im
-            b = zi_re * mij_im - zi_im * mij_re
-            acc += a * zj_re - b * zj_im
-    assert acc < 0
-
-
 def test_sturm():
     # (x-1)(x-2)(x-3)
     p = [-6, 11, -6, 1]

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tropcur import exact
+from tropcur import Verdict, exact
 from tropcur.exact import QC
 from tropcur.errors import BidegreeMismatch, WrongAlgebra
 from tropcur.fiber import (ComplexFiberForm, LagerbergFiberForm, apply_involution,
@@ -457,3 +458,39 @@ def test_symmetric_checks():
     assert not is_symmetric(asym)
     v = positivity_verdict(asym, "positive")
     assert v.no and reverify(asym, v)
+
+
+# --- property: every verdict re-verifies ---------------------------------------
+
+@st.composite
+def _exact_pp_forms(draw):
+    """Symmetrized a + (-1)^p J(a), or a conic sum of strong generators.
+
+    (n, p) = (4, 2), the one case up to n = 4 where the tiers differ, is
+    drawn as often as all the others together.
+    """
+    symmetrized = draw(st.booleans())
+    pairs = [(n, p) for n in range(1, 5) for p in range(0 if symmetrized else 1, n + 1)]
+    n, p = draw(st.sampled_from(pairs + [(4, 2)] * len(pairs)))
+    if symmetrized:
+        idx = st.sampled_from(subsets(n, p))
+        a = LagerbergFiberForm(n, p, p, draw(st.dictionaries(
+            st.tuples(idx, idx), st.integers(-2, 2), max_size=6)))
+        return a + apply_involution("J", a).scale((-1) ** p)
+    vectors = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(st.integers(1, 3), st.lists(vectors, min_size=p, max_size=p)),
+                          min_size=1, max_size=3))
+    acc = LagerbergFiberForm.zero(n, p, p)
+    for c, vecs in terms:
+        acc = acc + strong_generator(vecs, n).scale(c)
+    return acc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_exact_pp_forms())
+def test_every_verdict_reverifies(form):
+    for tier in ("strong", "positive", "weak"):
+        v = positivity_verdict(form, tier, pool_size=50)
+        assert isinstance(v, Verdict) and v.tier == tier
+        assert v.answer in ("yes", "no", "unknown")
+        assert reverify(form, v), (tier, v)

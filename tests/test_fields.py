@@ -202,7 +202,7 @@ def test_compatibility_constant_toward_boundary():
                            {frozenset(): dense, frozenset({0}): stratum},
                            {frozenset({0}): {0: 1}})
     rep = check_compatibility(f)
-    assert rep.ok, rep.violations
+    assert rep.yes, rep.witness
 
 
 def test_compatibility_violation_exponential():
@@ -214,8 +214,8 @@ def test_compatibility_violation_exponential():
                            {frozenset(): dense, frozenset({0}): stratum},
                            {frozenset({0}): {0: 1}})
     rep = check_compatibility(f)
-    assert not rep.ok
-    kind, where, witness = rep.violations[0]
+    assert not rep.yes
+    kind, where, witness = rep.witness[0]
     assert kind == "mismatch" and witness is not None
 
 
@@ -226,7 +226,7 @@ def test_compatibility_violation_boundary_vanishing():
     f = LagerbergFormField(chart, 1, 1, 1, {frozenset(): dense},
                            {frozenset({0}): {0: 2}})
     rep = check_compatibility(f)
-    assert not rep.ok
+    assert not rep.yes
 
 
 def test_boundary_window_field_compatible():
@@ -234,7 +234,7 @@ def test_boundary_window_field_compatible():
     f = boundary_window_field(chart, {0}, [( ((), ()), Poly.const(1, 2) )],
                               {1: (0, 1)}, ramp_at=2)
     rep = check_compatibility(f)
-    assert rep.ok, rep.violations
+    assert rep.yes, rep.witness
     assert f.has_compact_support()
 
 
