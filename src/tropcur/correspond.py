@@ -25,7 +25,8 @@ from fractions import Fraction
 
 from . import currents as currents_mod
 from .currents import (LagerbergCurrent, c_finite_test, canonical_decomposition,
-                       closedness_test, positivity_check, _boundary_weighted)
+                       closedness_test, positivity_check, split_by_stratum,
+                       _boundary_weighted)
 from .errors import InvalidShadow, NotCFinite, NotPositive, ValidationError
 from .fiber import Verdict, subsets
 from .measures import (ImageMap, OpenBox, PieceMeasure, image_measure)
@@ -296,7 +297,7 @@ def compat_checks(S, samples=10, seed=0):
     total = None
     q = S.q
     factor = Fraction(1, 4 ** q)
-    for M, mus in _shadow_decomposition(S).items():
+    for M, mus in split_by_stratum(S.chart, S.shadows).items():
         pushed = {k: mu.with_scale(factor, -q) for k, mu in mus.items()}
         cur = LagerbergCurrent(S.chart, S.p, pushed, S.U)
         ref = parts_T.get(M)
@@ -315,21 +316,6 @@ def compat_checks(S, samples=10, seed=0):
     if all(good for _, _, good in records):
         return Verdict("compatible", "yes", certificate=records)
     return Verdict("compatible", "no", witness=records)
-
-
-def _shadow_decomposition(S):
-    from .measures import restrict_measure
-    from .fields import _stratum_subsets
-    out = {}
-    for M in _stratum_subsets(S.chart):
-        mus = {}
-        for k, mu in S.shadows.items():
-            part = restrict_measure(mu, frozenset(M))
-            if not part.is_zero():
-                mus[k] = part
-        if mus:
-            out[frozenset(M)] = mus
-    return out
 
 
 def _support_descriptor(measures):

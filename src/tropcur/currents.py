@@ -478,15 +478,21 @@ def canonical_decomposition(T, assume_positive=False, samples=12, seed=0):
         if not verdict.yes:
             raise NotPositive("canonical decomposition needs a positive current",
                               payload=verdict.witness)
+    return {M: LagerbergCurrent(T.chart, T.p, coco, T.U, meta=T.meta)
+            for M, coco in split_by_stratum(T.chart, T.cocoeffs).items()}
+
+
+def split_by_stratum(chart, measures):
+    """{M: {k: the part of measures[k] on stratum M}} over the strata with mass."""
     out = {}
-    for M in _stratum_subsets(T.chart):
-        coco = {}
-        for k, mu in T.cocoeffs.items():
-            part = restrict_measure(mu, frozenset(M))
+    for M in _stratum_subsets(chart):
+        parts = {}
+        for k, mu in measures.items():
+            part = restrict_measure(mu, M)
             if not part.is_zero():
-                coco[k] = part
-        if coco:
-            out[M] = LagerbergCurrent(T.chart, T.p, coco, T.U, meta=T.meta)
+                parts[k] = part
+        if parts:
+            out[M] = parts
     return out
 
 

@@ -24,15 +24,6 @@ def frac(x):
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-def mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def det(m):
     """Determinant by fraction-free-ish Gaussian elimination."""
     n = len(m)
@@ -348,73 +339,14 @@ class QC:
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
 
 
-def psd_decompose_qc(m):
-    """Exact PSD decision for a Hermitian matrix with QC entries.
-
-    Returns PSDResult with QC decomposition vectors (M = sum d v conj(v)^T)
-    or a QC witness vector with conj(x)^T M x < 0.
-    """
-    n = len(m)
-    a = [[QC.of(m[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if a[i][i].im != 0:
-            return PSDResult(False, witness=tuple(
-                QC(1) if t == i else QC(0) for t in range(n)))
-        for j in range(i):
-            if a[i][j] != a[j][i].conj():
-                raise ValueError("matrix not Hermitian")
-    decomp = []
-    pivots = []
-    active = list(range(n))
-
-    def orthogonalize(x):
-        x = list(x)
-        for pivot_d, (_, v) in reversed(list(zip(pivots, decomp))):
-            # want v^H x = 0
-            corr = QC(0)
-            for vi, xi in zip(v, x):
-                corr = corr + vi.conj() * xi
-            x[pivot_d] = x[pivot_d] - corr
-        return tuple(x)
-
-    while active:
-        d = next((idx for idx in active if a[idx][idx]), None)
-        if d is None:
-            for i in active:
-                for j in active:
-                    if i != j and a[i][j]:
-                        # a_ii = a_jj = 0, a_ij = s: x_i = -s, x_j = 1 gives
-                        # conj(x)^T M x = -2|s|^2 < 0
-                        x = [QC(0)] * n
-                        x[i] = -a[i][j]
-                        x[j] = QC(1)
-                        return PSDResult(False, witness=orthogonalize(x))
-            return PSDResult(True, rank=len(decomp), decomposition=decomp)
-        if a[d][d].re < 0:
-            x = [QC(0)] * n
-            x[d] = QC(1)
-            return PSDResult(False, witness=orthogonalize(x))
-        alpha = a[d][d].re
-        inv = QC(Fraction(1) / Fraction(alpha))
-        v = tuple(a[i][d] * inv for i in range(n))
-        decomp.append((alpha, v))
-        pivots.append(d)
-        for i in range(n):
-            if v[i]:
-                for j in range(n):
-                    a[i][j] = a[i][j] - alpha * v[i] * v[j].conj()
-        active.remove(d)
-    return PSDResult(True, rank=len(decomp), decomposition=decomp)
-
-
-# --- symmetric PSD over Q --------------------------------------------------
+# --- PSD over Q and Q(i) ----------------------------------------------------
 
 class PSDResult:
     """Outcome of the exact LDL^T test.
 
     ``psd`` bool, ``rank`` int; on success ``decomposition`` is a list of
-    (gamma, vector) with M = sum gamma * v^T v, gamma > 0; on failure
-    ``witness`` is an exact vector x with x^T M x < 0.
+    (gamma, vector) with M = sum gamma * v conj(v)^T, gamma > 0; on failure
+    ``witness`` is an exact vector x with conj(x)^T M x < 0.
     """
 
     def __init__(self, psd, rank=0, decomposition=None, witness=None):
@@ -427,55 +359,73 @@ class PSDResult:
         return self.psd
 
 
-def psd_decompose(m):
-    """Exact PSD decision for a symmetric rational matrix.
+def _identity(x):
+    return x
 
-    Repeated rank-one peeling (LDL^T): the residual after k steps is
-    R = M - sum_k d_k v_k^T v_k with v_k supported off earlier pivots.  A
-    negative residual diagonal, or a vanishing residual diagonal with a
-    nonzero residual row, produces an exact witness x with x^T M x < 0;
-    otherwise the collected (d_k, v_k) certify PSD-ness.
+
+def psd_decompose(m):
+    """Exact PSD decision for a symmetric rational or Hermitian QC matrix.
+
+    The scalars are QC if any entry is, else Fractions (where conj is the
+    identity).  Repeated rank-one peeling (LDL^T): the residual after k
+    steps is R = M - sum_k d_k v_k conj(v_k)^T with v_k supported off
+    earlier pivots.  A negative residual diagonal, or a vanishing residual
+    diagonal with a nonzero residual row, produces an exact witness x with
+    conj(x)^T M x < 0; otherwise the collected (d_k, v_k) certify PSD-ness.
     """
     n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
+    hermitian = any(isinstance(x, QC) for row in m for x in row)
+    of, conj, real = ((QC.of, QC.conj, lambda x: x.re) if hermitian
+                      else (Fraction, _identity, _identity))
+    a = [[of(m[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix not symmetric")
+        for j in range(i + 1):
+            if a[i][j] != conj(a[j][i]):
+                raise ValueError("matrix not Hermitian" if hermitian else "matrix not symmetric")
+    zero, one = of(0), of(1)
     decomp = []
     pivots = []
     active = list(range(n))
 
     def orthogonalize(x):
-        # adjust entries at pivot positions so that v_k . x = 0 for all k
+        # adjust entries at pivot positions so that conj(v_k) . x = 0 for all k
         x = list(x)
         for pivot_d, (_, v) in reversed(list(zip(pivots, decomp))):
-            x[pivot_d] -= sum(vi * xi for vi, xi in zip(v, x))
+            corr = zero
+            for vi, xi in zip(v, x):
+                corr = corr + conj(vi) * xi
+            x[pivot_d] = x[pivot_d] - corr
         return tuple(x)
 
     while active:
-        d = next((idx for idx in active if a[idx][idx] != 0), None)
+        d = next((idx for idx in active if a[idx][idx]), None)
         if d is None:
             for i in active:
                 for j in active:
-                    if i != j and a[i][j] != 0:
-                        s = 1 if a[i][j] > 0 else -1
-                        w = [Fraction(0)] * n
-                        w[i], w[j] = Fraction(1), Fraction(-s)
-                        return PSDResult(False, witness=orthogonalize(w))
+                    if i != j and a[i][j]:
+                        x = [zero] * n
+                        if hermitian:
+                            # x_i = -s, x_j = 1: conj(x)^T M x = -2|s|^2 < 0
+                            x[i], x[j] = -a[i][j], one
+                        else:
+                            # x_i = 1, x_j = -sign(s): x^T M x = -2|s| < 0
+                            x[i], x[j] = one, (-one if a[i][j] > 0 else one)
+                        return PSDResult(False, witness=orthogonalize(x))
             return PSDResult(True, rank=len(decomp), decomposition=decomp)
-        if a[d][d] < 0:
-            w = [Fraction(0)] * n
-            w[d] = Fraction(1)
-            return PSDResult(False, witness=orthogonalize(w))
-        alpha = a[d][d]
-        v = tuple(a[i][d] / alpha for i in range(n))
+        alpha = real(a[d][d])
+        if alpha < 0:
+            x = [zero] * n
+            x[d] = one
+            return PSDResult(False, witness=orthogonalize(x))
+        inv = of(1 / Fraction(alpha))
+        v = tuple(a[i][d] * inv for i in range(n))
         decomp.append((alpha, v))
         pivots.append(d)
+        cv = [conj(x) for x in v]
         for i in range(n):
-            if v[i] != 0:
-                for j in range(n):
-                    a[i][j] -= alpha * v[i] * v[j]
+            if v[i]:
+                f = alpha * v[i]
+                a[i] = [x - f * y for x, y in zip(a[i], cv)]
         active.remove(d)
     return PSDResult(True, rank=len(decomp), decomposition=decomp)
 

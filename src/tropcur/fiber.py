@@ -121,7 +121,7 @@ class _FiberForm:
         return not self.coeff
 
     def __eq__(self, other):
-        if not isinstance(other, _FiberForm) or self.algebra != other.algebra:
+        if type(other) is not type(self):
             return NotImplemented
         if (self.n, self.p, self.q) != (other.n, other.p, other.q):
             return False
@@ -130,6 +130,14 @@ class _FiberForm:
 
     def __hash__(self):
         raise TypeError("fiber forms are not hashable")
+
+    @classmethod
+    def basis_form(cls, n, I, J, c=1):
+        return cls(n, len(I), len(J), {(tuple(I), tuple(J)): c})
+
+    @classmethod
+    def zero(cls, n, p, q):
+        return cls(n, p, q, {})
 
     def _new(self, p, q, coeff):
         return type(self)(self.n, p, q, coeff)
@@ -155,9 +163,17 @@ class _FiberForm:
 
 
 class LagerbergFiberForm(_FiberForm):
-    """Real (p,q)-form on the basis d'u_I ^ d''u_J."""
+    """Real (p,q)-form on the basis d'u_I ^ d''u_J.
+
+    The class attributes and static methods shared with ComplexFiberForm
+    let one positivity path serve both algebras: ``bar`` names the
+    involution pairing (p,0) with (0,p), and ``_i_pow`` is 1 here because
+    embed_complex sends d''u to i dubar.
+    """
 
     algebra = "lagerberg"
+    bar = "J"
+    gram_kind = "symmetric"
 
     @staticmethod
     def _zero():
@@ -168,18 +184,24 @@ class LagerbergFiberForm(_FiberForm):
         return c * s
 
     @staticmethod
-    def basis_form(n, I, J, c=1):
-        return LagerbergFiberForm(n, len(I), len(J), {(tuple(I), tuple(J)): c})
+    def _i_pow(k):
+        return 1
 
     @staticmethod
-    def zero(n, p, q):
-        return LagerbergFiberForm(n, p, q, {})
+    def _parts(c):
+        return (c,)
+
+    def _asymmetry(self):
+        """'' if J a = (-1)^p a, else the reason this (p,p)-form is not positive."""
+        return "" if is_symmetric(self) else "not symmetric"
 
 
 class ComplexFiberForm(_FiberForm):
     """Complex (p,q)-form on the basis du_I ^ dubar_K."""
 
     algebra = "complex"
+    bar = "conjugation"
+    gram_kind = "hermitian"
 
     @staticmethod
     def _zero():
@@ -191,6 +213,16 @@ class ComplexFiberForm(_FiberForm):
             return QC.of(c) * QC.of(s) if _is_exact(c) and _is_exact(s) else _to_float(c) * _to_float(s)
         return c * s
 
+    _i_pow = staticmethod(QC.i_pow)
+
+    @staticmethod
+    def _parts(c):
+        return (c.re, c.im)
+
+    def _asymmetry(self):
+        """'' if conj a = a, else the reason this (p,p)-form is not positive."""
+        return "" if is_real(self) else "not real"
+
     def __init__(self, n, p, q, coeff=None):
         norm = {}
         for k, c in (coeff or {}).items():
@@ -199,13 +231,8 @@ class ComplexFiberForm(_FiberForm):
             norm[k] = c
         super().__init__(n, p, q, norm)
 
-    @staticmethod
-    def basis_form(n, I, K, c=QC(1)):
-        return ComplexFiberForm(n, len(I), len(K), {(tuple(I), tuple(K)): c})
 
-    @staticmethod
-    def zero(n, p, q):
-        return ComplexFiberForm(n, p, q, {})
+_FORM_CLASSES = {"lagerberg": LagerbergFiberForm, "complex": ComplexFiberForm}
 
 
 def lagerberg_orientation(n):
@@ -330,10 +357,10 @@ class GramForm:
 def gram_form(a):
     """Bilinear/sesquilinear form |a| of a (p,p)-form as an explicit matrix.
 
-    M[K][L] = (-1)^{p(p-1)/2} coeff[K,L] in the Lagerberg case and
-    (-1)^{p(p-1)/2} i^{-p} coeff[K,L] in the complex case; ``kind`` records
-    the verified symmetry (symmetric iff the form is symmetric, hermitian
-    iff the complex form is real).
+    M[K][L] = (-1)^{p(p-1)/2} i^{-p} coeff[K,L], with i = 1 in the
+    Lagerberg case; ``kind`` is the class's ``gram_kind`` ('symmetric' or
+    'hermitian') iff M = conj(M)^T, which holds iff a is symmetric (resp.
+    real), and 'none' otherwise.
     """
     if a.p != a.q:
         raise NotSquareBidegree(f"bidegree ({a.p},{a.q}) is not (p,p)")
@@ -341,23 +368,13 @@ def gram_form(a):
     idx = subsets(n, p)
     pos = {K: t for t, K in enumerate(idx)}
     m = len(idx)
-    sgn = (-1) ** (p * (p - 1) // 2)
-    if a.algebra == "lagerberg":
-        mat = [[a._zero() for _ in range(m)] for _ in range(m)]
-        for (K, L), c in a.coeff.items():
-            mat[pos[K]][pos[L]] = c * sgn
-        symm = all(mat[i][j] == mat[j][i] for i in range(m) for j in range(i))
-        return GramForm(tuple(idx), mat, "symmetric" if symm else "none")
-    factor = QC.i_pow((-p) % 4) * Fraction(sgn)
-    mat = [[QC(0) for _ in range(m)] for _ in range(m)]
-    inexact = not a.is_exact()
-    if inexact:
-        mat = [[0j for _ in range(m)] for _ in range(m)]
+    factor = a._i_pow(-p) * Fraction((-1) ** (p * (p - 1) // 2))
+    cast = (lambda x: x) if a.is_exact() else _to_float
+    mat = [[cast(a._zero())] * m for _ in range(m)]
     for (K, L), c in a.coeff.items():
-        val = factor * c if not inexact else complex(factor) * _to_float(c)
-        mat[pos[K]][pos[L]] = val
+        mat[pos[K]][pos[L]] = cast(a._mul_scalar(c, factor))
     herm = all(mat[i][j] == _conj(mat[j][i]) for i in range(m) for j in range(i + 1))
-    return GramForm(tuple(idx), mat, "hermitian" if herm else "none")
+    return GramForm(tuple(idx), mat, a.gram_kind if herm else "none")
 
 
 def dual_pairing(a, b):
@@ -429,38 +446,29 @@ def is_real(a):
 
 
 def positive_generator(alpha):
-    """(-1)^{p(p-1)/2} alpha ^ J(alpha) from a Lagerberg (p,0)-form."""
-    s = (-1) ** (alpha.p * (alpha.p - 1) // 2)
-    return wedge(alpha, apply_involution("J", alpha)).scale(s)
+    """i^p (-1)^{p(p-1)/2} alpha ^ bar(alpha) from a (p,0)-form of either algebra.
 
-
-def positive_generator_complex(alpha):
-    """i^{p^2} alpha ^ conj(alpha) from a complex (p,0)-form."""
-    w = wedge(alpha, apply_involution("conjugation", alpha))
-    if w.is_exact():
-        return w.scale(QC.i_pow((alpha.p * alpha.p) % 4))
-    return w.scale(1j ** ((alpha.p * alpha.p) % 4))
+    That is (-1)^{p(p-1)/2} alpha ^ J(alpha) for a Lagerberg form and
+    i^{p^2} alpha ^ conj(alpha) for a complex one.
+    """
+    p = alpha.p
+    s = alpha._i_pow(p) * (-1) ** (p * (p - 1) // 2)
+    w = wedge(alpha, apply_involution(alpha.bar, alpha))
+    return w if s == 1 else w.scale(s)
 
 
 def strong_generator(vectors, n, algebra="lagerberg"):
     """a_1 ^ J a_1 ^ ... ^ a_p ^ J a_p from degree-one coefficient vectors.
 
-    In the complex case the factors are alpha_j ^ i conj(alpha_j).
+    In the complex case the factors are alpha_j ^ i conj(alpha_j).  No
+    vectors give the unit (0,0)-form.
     """
+    cls = _FORM_CLASSES[algebra]
     acc = None
     for v in vectors:
-        if algebra == "lagerberg":
-            one = LagerbergFiberForm(n, 1, 0, {((j,), ()): c for j, c in enumerate(v) if c})
-            factor = wedge(one, apply_involution("J", one))
-        else:
-            one = ComplexFiberForm(n, 1, 0, {((j,), ()): QC.of(c) for j, c in enumerate(v) if QC.of(c)})
-            factor = wedge(one, apply_involution("conjugation", one))
-            factor = factor.scale(QC(0, 1))
+        factor = positive_generator(cls(n, 1, 0, {((j,), ()): c for j, c in enumerate(v) if c}))
         acc = factor if acc is None else wedge(acc, factor)
-    if acc is None:
-        return (lagerberg_orientation(n).scale(0) if algebra == "lagerberg"
-                else complex_orientation(n).scale(0))
-    return acc
+    return cls(n, 0, 0, {((), ()): 1}) if acc is None else acc
 
 
 def coordinate_strong_generators(n, p, algebra="lagerberg"):
@@ -488,43 +496,25 @@ def strong_generator_pool(n, p, size=10_000, seed=0, algebra="lagerberg", hints=
     return pool
 
 
-def _phi_inverse(x_coeffs, n, p, algebra):
+def _phi_inverse(x_coeffs, a):
     """(q,0)-form alpha with phi(alpha) = x for x over the p-subset basis.
 
     phi : Lambda^q V' -> Lambda^p V is the contraction against the full
-    top form; alpha = sum_K x_K sign(K, K^c) (d'u_{K^c}).
+    top form; alpha = sum_K x_K sign(K, K^c) (d'u_{K^c}), in a's algebra.
     """
+    n = a.n
     out = {}
     for K, c in x_coeffs.items():
-        if not _FiberForm._nonzero(c):
-            continue
         sgn, _ = merge_indices(K, _complement(K, n))
-        key = (_complement(K, n), ())
-        if algebra == "lagerberg":
-            out[key] = c * sgn
-        else:
-            out[key] = QC.of(c) * Fraction(sgn) if _is_exact(c) else c * sgn
-    q = n - p
-    if algebra == "lagerberg":
-        return LagerbergFiberForm(n, q, 0, out)
-    return ComplexFiberForm(n, q, 0, out)
-
-
-def _gram_psd_exact(a):
-    """(PSDResult, gram) for an exact (p,p)-form."""
-    g = gram_form(a)
-    if a.algebra == "lagerberg":
-        return exact.psd_decompose([[Fraction(x) for x in row] for row in g.matrix]), g
-    return exact.psd_decompose_qc(g.matrix), g
+        out[(_complement(K, n), ())] = a._mul_scalar(c, Fraction(sgn))
+    return type(a)(n, n - a.p, 0, out)
 
 
 def _positive_tier(a, tol):
     """Exact (or float-tolerance) PSD decision of the Gram form."""
-    n, p = a.n, a.p
-    if a.algebra == "lagerberg" and not is_symmetric(a):
-        return Verdict("positive", "no", reason="not symmetric")
-    if a.algebra == "complex" and not is_real(a):
-        return Verdict("positive", "no", reason="not real")
+    reason = a._asymmetry()
+    if reason:
+        return Verdict("positive", "no", reason=reason)
     if not a.is_exact():
         g = gram_form(a)
         m = np.array([[complex(_to_float(x)) for x in row] for row in g.matrix])
@@ -535,7 +525,8 @@ def _positive_tier(a, tol):
                            certificate=("eigvals", lam.tolist()))
         return Verdict("positive", "no", reason="float eigenvalue",
                        witness=("eigval", float(lam.min())))
-    res, g = _gram_psd_exact(a)
+    g = gram_form(a)
+    res = exact.psd_decompose(g.matrix)
     idx = g.indices
     if res.psd:
         cert = []
@@ -544,25 +535,8 @@ def _positive_tier(a, tol):
             cert.append((gamma, coeffs))
         return Verdict("positive", "yes", certificate=("decomposition", cert))
     x = {idx[t]: res.witness[t] for t in range(len(idx))}
-    alpha = _phi_inverse(x, n, p, a.algebra)
-    if a.algebra == "lagerberg":
-        dual = positive_generator(alpha)
-    else:
-        dual = positive_generator_complex(alpha)
+    dual = positive_generator(_phi_inverse(x, a))
     return Verdict("positive", "no", witness=("dual_form", dual), reason="Gram form not PSD")
-
-
-def _reconstruct_from_cert(n, p, cert, algebra):
-    acc = None
-    for gamma, coeffs in cert:
-        if algebra == "lagerberg":
-            alpha = LagerbergFiberForm(n, p, 0, {(K, ()): c for K, c in coeffs.items()})
-            g = positive_generator(alpha).scale(gamma)
-        else:
-            alpha = ComplexFiberForm(n, p, 0, {(K, ()): QC.of(c) for K, c in coeffs.items()})
-            g = positive_generator_complex(alpha).scale(Fraction(gamma))
-        acc = g if acc is None else acc + g
-    return acc
 
 
 def _pairing_polynomial(a):
@@ -723,15 +697,10 @@ def _strong_lp_certificate(a, pool):
     if not keys:
         return None
 
+    parts = a._parts
+
     def vec(form):
-        out = []
-        for k in keys:
-            c = form.get(*k)
-            if isinstance(c, QC):
-                out.extend([float(c.re), float(c.im)])
-            else:
-                out.append(float(c))
-        return out
+        return [float(x) for k in keys for x in parts(form.get(*k))]
 
     A_eq = np.array([vec(g) for g, _ in pool]).T
     b_eq = np.array(vec(a))
@@ -740,20 +709,13 @@ def _strong_lp_certificate(a, pool):
     if not res.success:
         return None
     support = [j for j, x in enumerate(res.x) if x > 1e-9]
-    if not support:
-        support = []
     # exact refit on the support
     rows = []
     rhs = []
     for k in keys:
-        target = a.get(*k)
-        if isinstance(target, QC):
-            rows.append([QC.of(pool[j][0].get(*k)).re for j in support])
-            rhs.append(target.re)
-            rows.append([QC.of(pool[j][0].get(*k)).im for j in support])
-            rhs.append(target.im)
-        else:
-            rows.append([Fraction(pool[j][0].get(*k)) for j in support])
+        cols = [parts(pool[j][0].get(*k)) for j in support]
+        for t, target in enumerate(parts(a.get(*k))):
+            rows.append([Fraction(c[t]) for c in cols])
             rhs.append(Fraction(target))
     if not support:
         return [] if all(x == 0 for x in rhs) else None
@@ -762,15 +724,15 @@ def _strong_lp_certificate(a, pool):
         return None
     cert = [(sol[t], pool[support[t]][1], pool[support[t]][0])
             for t in range(len(support)) if sol[t] != 0]
-    # verify exactly
+    return cert if _sums_to(a, (g.scale(lam) for lam, _, g in cert)) else None
+
+
+def _sums_to(a, forms):
+    """True iff the forms add up to a exactly (no forms: iff a is zero)."""
     acc = None
-    for lam, _, g in cert:
-        gg = g.scale(lam)
-        acc = gg if acc is None else acc + gg
-    target = a
-    if acc is None:
-        return cert if target.is_zero() else None
-    return cert if acc == target else None
+    for g in forms:
+        acc = g if acc is None else acc + g
+    return a.is_zero() if acc is None else acc == a
 
 
 def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
@@ -798,8 +760,8 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
         if base.no:
             return replace(base, tier="strong", reason="not even positive: " + base.reason)
         if a.is_exact():
-            psd_res, g = _gram_psd_exact(a)
-            verdict, _ = _strong_no_via_kernel(a, psd_res, g)
+            g = gram_form(a)
+            verdict, _ = _strong_no_via_kernel(a, exact.psd_decompose(g.matrix), g)
             if verdict is not None:
                 return verdict
         pool = strong_generator_pool(n, p, pool_size, seed, a.algebra, hints)
@@ -809,10 +771,9 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
         return Verdict("strong", "unknown", reason="no certificate over the generator pool")
 
     if tier == "weak":
-        if a.algebra == "lagerberg" and not is_symmetric(a):
-            return Verdict("weak", "no", reason="not symmetric")
-        if a.algebra == "complex" and not is_real(a):
-            return Verdict("weak", "no", reason="not real")
+        reason = a._asymmetry()
+        if reason:
+            return Verdict("weak", "no", reason=reason)
         q = n - p
         pool = strong_generator_pool(n, q, pool_size, seed, a.algebra, hints)
         for g, tag in pool:
@@ -852,16 +813,11 @@ def reverify(a, verdict):
             return False
         kind = cert[0]
         if kind == "decomposition":
-            rec = _reconstruct_from_cert(a.n, a.p, cert[1], a.algebra)
-            if rec is None:
-                return a.is_zero()
-            return rec == a
+            cls = type(a)
+            return _sums_to(a, (positive_generator(cls(a.n, a.p, 0, {(K, ()): c for K, c in coeffs.items()}))
+                                .scale(gamma) for gamma, coeffs in cert[1]))
         if kind == "conic":
-            acc = None
-            for lam, _, g in cert[1]:
-                gg = g.scale(lam)
-                acc = gg if acc is None else acc + gg
-            return (acc == a) if acc is not None else a.is_zero()
+            return _sums_to(a, (g.scale(lam) for lam, _, g in cert[1]))
         if kind == "pairing_polynomial_zero":
             return _pairing_polynomial(a).is_zero()
         if kind == "pairing_polynomial_even_positive":
@@ -873,11 +829,8 @@ def reverify(a, verdict):
     w = verdict.witness
     if w is None:
         # structural reason (symmetry/reality failure)
-        if "symmetric" in verdict.reason:
-            return not is_symmetric(a)
-        if "real" in verdict.reason:
-            return not is_real(a)
-        return False
+        reason = a._asymmetry()
+        return bool(reason) and verdict.reason.endswith(reason)
     kind = w[0]
     if kind in ("dual_form", "generator"):
         # ("dual_form", form) or ("generator", tag, form)

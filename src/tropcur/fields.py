@@ -28,9 +28,9 @@ import numpy as np
 
 from . import quadrature
 from .coeffs import CoefficientFn, Poly, UniFn, window_on
-from .errors import NonCompactSupport, WrongAlgebra
+from .errors import NonCompactSupport, ValidationError, WrongAlgebra
 from .exact import frac
-from .fiber import LagerbergFiberForm, Verdict, merge_indices
+from .fiber import Verdict, merge_indices
 
 
 def _insert_sign(idx, j):
@@ -65,13 +65,13 @@ class LagerbergFormField:
             for (I, J), fn in tab.items():
                 I, J = tuple(I), tuple(J)
                 if len(I) != p or len(J) != q:
-                    raise ValueError(f"key ({I},{J}) does not match bidegree")
+                    raise ValidationError(f"key ({I},{J}) does not match bidegree")
                 if set(I) & M or set(J) & M:
-                    raise ValueError(f"stratum-{set(M)} table uses dead axes in ({I},{J})")
+                    raise ValidationError(f"stratum-{set(M)} table uses dead axes in ({I},{J})")
                 if not fn.is_zero():
                     bad = fn.drop_axis_dependence() & M
                     if bad:
-                        raise ValueError(f"stratum table depends on dead axes {bad}")
+                        raise ValidationError(f"stratum table depends on dead axes {bad}")
                     clean[(I, J)] = fn
             if clean or not M:
                 self.tables[M] = clean
@@ -118,15 +118,6 @@ class LagerbergFormField:
 
     def scale(self, s):
         return self.map_tables(lambda M, k, c: c.scale(s))
-
-    def fiber_at_dense(self, u):
-        """Numeric LagerbergFiberForm at a dense-stratum point."""
-        coeff = {}
-        for (I, J), fn in self.dense().items():
-            v = fn.eval_float(u)
-            if v:
-                coeff[(I, J)] = v
-        return LagerbergFiberForm(self.n, self.p, self.q, coeff)
 
     # --- support -----------------------------------------------------------
     def support_box(self):

@@ -259,9 +259,17 @@ def _shadow_key_of_wrong_degree(tmp_path):
     return ["tropicalize", "--mode", "push", "--rank", "2", "--shadow", str(shadow)]
 
 
+def _field_of_wrong_bidegree(tmp_path):
+    data = json.loads((Path(__file__).parent / "golden" / "inputs" / "field_rank1.json").read_text())
+    data["p"] = 0
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(data))
+    return ["integrate", "--rank", "1", "--field", str(field)]
+
+
 @pytest.mark.parametrize("command", [_form_index_out_of_range, _atom_with_extra_coordinate,
-                                     _shadow_key_of_wrong_degree],
-                         ids=["form-index", "atom-length", "shadow-key"])
+                                     _shadow_key_of_wrong_degree, _field_of_wrong_bidegree],
+                         ids=["form-index", "atom-length", "shadow-key", "field-bidegree"])
 def test_malformed_object_is_input_error(tmp_path, command):
     proc = subprocess.run([sys.executable, "-m", "tropcur.cli", *command(tmp_path)],
                           capture_output=True, text=True)

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcur import exact
+from tropcur.exact import QC
 
 
 def test_det_and_solve():
@@ -55,7 +58,8 @@ def test_rref_solve_rank_nullspace_agree():
     assert x == (0, 1, 0, 0)
     assert exact.solve(m, [2, 1, 4]) is None
     inv = exact.inverse([[2, 5, 0], [1, 2, 0], [0, 0, 1]])
-    assert exact.mat_mul(inv, [[2, 5, 0], [1, 2, 0], [0, 0, 1]]) == exact.identity(3)
+    prod = np.array(inv, dtype=object) @ np.array([[2, 5, 0], [1, 2, 0], [0, 0, 1]], dtype=object)
+    assert prod.tolist() == np.identity(3, dtype=int).tolist()
 
 
 def test_lattice_saturation():
@@ -98,6 +102,56 @@ def test_psd_decompose_no_witness():
     w = res2.witness
     val = sum(w[i] * m2[i][j] * w[j] for i in range(2) for j in range(2))
     assert val < 0
+
+
+def _conj(x):
+    return x.conj() if isinstance(x, QC) else x
+
+
+@st.composite
+def _hermitian_matrices(draw):
+    """A symmetric rational or Hermitian QC matrix, up to 5 x 5.
+
+    Half are sums of rank-one v conj(v)^T, so PSD; the rest have random
+    entries and are mostly not PSD.
+    """
+    n = draw(st.integers(1, 5))
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    hermitian = draw(st.booleans())
+    scalar = st.builds(QC, rational, rational) if hermitian else rational
+    zero = QC(0) if hermitian else Fraction(0)
+    m = [[zero] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for v in draw(st.lists(st.lists(scalar, min_size=n, max_size=n), max_size=3)):
+            for i in range(n):
+                for j in range(n):
+                    m[i][j] = m[i][j] + v[i] * _conj(v[j])
+    else:
+        for i in range(n):
+            m[i][i] = draw(rational) + zero
+            for j in range(i):
+                m[i][j] = draw(scalar)
+                m[j][i] = _conj(m[i][j])
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_hermitian_matrices())
+def test_psd_decompose_certificate_or_witness(m):
+    n = len(m)
+    res = exact.psd_decompose(m)
+    if res.psd:
+        rec = [[0] * n for _ in range(n)]
+        for gamma, v in res.decomposition:
+            assert gamma > 0
+            for i in range(n):
+                for j in range(n):
+                    rec[i][j] = rec[i][j] + gamma * v[i] * _conj(v[j])
+        assert rec == m
+    else:
+        w = res.witness
+        val = QC.of(sum(_conj(w[i]) * m[i][j] * w[j] for i in range(n) for j in range(n)))
+        assert val.im == 0 and val.re < 0
 
 
 def test_sturm():

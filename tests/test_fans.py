@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tropcur import exact
@@ -152,8 +153,8 @@ def test_chart_changes_unimodular():
             m1 = [list(b) for b in c1.basis]
             m2 = [list(b) for b in c2.basis]
             # change of basis matrix between charts
-            mchg = exact.mat_mul(m1, [list(r) for r in zip(*_inv(m2))])
-            assert abs(exact.det(mchg)) == 1
+            mchg = np.array(m1, dtype=object) @ np.array(_inv(m2), dtype=object).T
+            assert abs(exact.det(mchg.tolist())) == 1
 
 
 def _inv(m):

@@ -7,7 +7,7 @@ import pytest
 from tropcur.coeffs import CoefficientFn, Poly, bump, plateau
 from tropcur.errors import NonCompactSupport
 from tropcur.fans import orthant_fan
-from tropcur.fiber import embed_complex, positivity_verdict
+from tropcur.fiber import LagerbergFiberForm, embed_complex, positivity_verdict
 from tropcur.fields import (InvariantComplexFormField, LagerbergFormField,
                             average_over_S, boundary_window_field,
                             bump_box_field, check_compatibility, differentiate,
@@ -247,7 +247,7 @@ def test_positivity_transport_at_fibers():
         sym = f + _j_field(f)            # symmetrize
         for _ in range(5):
             u = [rng.uniform(-2, 2) for _ in range(2)]
-            fib = sym.fiber_at_dense(u)
+            fib = LagerbergFiberForm(2, 1, 1, {k: fn.eval_float(u) for k, fn in sym.dense().items()})
             v_lag = positivity_verdict(fib, "positive")
             v_cpx = positivity_verdict(embed_complex(fib), "positive")
             assert v_lag.answer == v_cpx.answer
