@@ -12,7 +12,6 @@ Axes and cone ids are 0-based throughout the library; the JSON layer
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from . import exact
@@ -100,7 +99,10 @@ def _make_cone(gens, n):
 
 
 def _cone_hrep(cone, n):
-    """H-representation of a smooth cone from its basis completion."""
+    """H-representation of a smooth cone from its basis completion.
+
+    Row i < ``cone.dim`` reads -(coefficient of generator i) <= 0.
+    """
     binv = exact.inverse(cone.basis)
     rows = []
     k = cone.dim
@@ -233,8 +235,15 @@ class Fan:
 def validate_fan(cone_generators, rank=None):
     """Build a face-closed smooth Fan from raw generator lists.
 
-    Rejects non-smooth cones and pairs of cones that do not intersect in a
-    common face; the zero cone is always added and face closure computed.
+    Rejects non-smooth cones and pairs of input cones that do not intersect
+    in a common face, with a point of both outside it as the witness
+    ``ray``; the zero cone is always added and face closure computed.
+
+    Only pairs of input cones are checked, which is enough: if smooth cones
+    sigma and tau meet in the cone on their common generators, a face of
+    sigma and a face of tau meet in the cone on the generators common to
+    both faces, and two faces of one smooth cone meet in a face by
+    construction.
     """
     gens_list = [list(c) for c in cone_generators]
     if rank is None:
@@ -244,9 +253,26 @@ def validate_fan(cone_generators, rank=None):
                 break
         if rank is None:
             raise NotSmooth("cannot infer rank from an empty fan; pass rank=")
+    inputs = [_make_cone(raw, rank) for raw in gens_list]
+
+    # sigma meets tau in the cone on their common generators iff no point
+    # of both has sigma-coordinates summing to 1 on the generators tau lacks
+    hreps = [_cone_hrep(c, rank) for c in inputs]
+    for (sigma, hs), (tau, ht) in combinations(zip(inputs, hreps), 2):
+        lacking = [r.a for g, r in zip(sigma.generators, hs.rows)
+                   if g not in tau.generators]
+        if not lacking:
+            continue
+        outside = Row(tuple(map(sum, zip(*lacking))), Fraction(-1))
+        probe = hs.intersect(ht).with_rows([outside])
+        if not probe.is_empty():
+            raise BadIntersection(
+                "cones intersect outside a common face",
+                payload={"pair": (sigma.generators, tau.generators),
+                         "ray": exact.primitive(probe.feasible_point())})
+
     cones = {(): Cone((), tuple(exact.extend_to_basis([], rank)))}
-    for raw in gens_list:
-        cone = _make_cone(raw, rank)
+    for cone in inputs:
         # face closure of a smooth cone: all generator subsets
         for r in range(1, cone.dim + 1):
             for sub in combinations(cone.generators, r):
@@ -257,29 +283,6 @@ def validate_fan(cone_generators, rank=None):
     ordered = sorted(cones, key=lambda k: (len(k), k))
     cone_list = [cones[k] for k in ordered]
     index = {k: i for i, k in enumerate(ordered)}
-
-    # pairwise intersection must be the cone on the common generators
-    hreps = [_cone_hrep(c, rank) for c in cone_list]
-    for i in range(len(cone_list)):
-        for j in range(i + 1, len(cone_list)):
-            gi = set(cone_list[i].generators)
-            gj = set(cone_list[j].generators)
-            common = tuple(sorted(gi & gj))
-            inter = hreps[i].intersect(hreps[j])
-            for ray in inter.recession_generators():
-                lam = _membership(cones[common], ray) if common else None
-                ok = False
-                if common:
-                    k = len(common)
-                    if lam is not None and all(lam[t] >= 0 for t in range(k)) \
-                            and all(lam[t] == 0 for t in range(k, rank)):
-                        ok = True
-                if not ok:
-                    raise BadIntersection(
-                        "cones intersect outside a common face",
-                        payload={"pair": (cone_list[i].generators,
-                                          cone_list[j].generators),
-                                 "ray": ray})
 
     faces = {}
     for k, i in index.items():
@@ -301,12 +304,11 @@ def p2_fan():
     ])
 
 
-@lru_cache(maxsize=None)
 def orthant_fan(n):
     """The fan of the affine chart: the nonnegative orthant and its faces.
 
-    Built once per rank: validating the rank-4 fan takes seconds, and a
-    Fan is never changed after construction apart from its chart memos.
+    One input cone, so validation checks no pair; the 2^n faces are
+    built on every call.
     """
     gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return validate_fan([gens], rank=n)

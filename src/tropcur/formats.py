@@ -28,7 +28,7 @@ def _frac_str(x):
 def _parse_frac(s):
     try:
         return frac(s)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, ZeroDivisionError) as err:
         raise ParseError(f"bad rational literal {s!r}") from err
 
 

@@ -28,7 +28,7 @@ from .coeffs import CoefficientFn, Poly
 from .errors import (Divergent, NonMeasurePiece, NotLocallyFinite,
                      SignNotCertified, ToleranceNotMet, ValidationError)
 from .exact import frac
-from .polyhedra import Polyhedron, Row, parametrize
+from .polyhedra import Polyhedron, coordinate_range, midpoint, parametrize
 
 
 @dataclass(frozen=True)
@@ -280,14 +280,7 @@ def certify_sign(piece, samples=1000, seed=0):
             interior -= 1
         if interior == 0:
             # constant sign inside: check one interior value exactly
-            if lo is not None and hi is not None:
-                x = (lo + hi) / 2
-            elif lo is not None:
-                x = lo + 1
-            elif hi is not None:
-                x = hi - 1
-            else:
-                x = Fraction(0)
+            x = midpoint(lo, hi)
             val = exact._poly_eval(coeffs, x)
             if val != 0 and (val > 0) != (piece.sign > 0):
                 raise SignNotCertified("sign flag contradicts the density",
@@ -432,14 +425,7 @@ def _integrate_piece(fn, piece, n, tol, max_doublings):
     dom = piece.poly
     # clip by the integrand's support box
     sup = g.support_box()
-    rows = []
-    for i in range(d):
-        if sup[i] is not None:
-            e = [Fraction(0)] * d
-            e[i] = Fraction(1)
-            rows.append(Row(tuple(e), frac(sup[i][1]), False))
-            rows.append(Row(tuple(-x for x in e), -frac(sup[i][0]), False))
-    clipped = dom.with_rows(rows) if rows else dom
+    clipped = dom.intersect(Polyhedron.box([s or (None, None) for s in sup])) if any(sup) else dom
     if clipped.is_empty():
         return 0.0
     par = parametrize(clipped)
@@ -461,21 +447,15 @@ def _integrate_piece(fn, piece, n, tol, max_doublings):
 
 
 def _axis_box(domain):
-    """Per-axis exact bounds of a (bounded) domain; None if not box-like."""
-    d = domain.dim
-    bounds = []
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        lo, hi, empty = domain.linear_bounds(tuple(e))
-        if empty or lo is None or hi is None:
-            return None
-        bounds.append((lo, hi))
-    # a domain is a box exactly when every row is axis-aligned
-    for r in domain.rows:
-        if sum(1 for c in r.a if c != 0) > 1:
-            return None
-    return bounds
+    """Per-axis exact bounds of a bounded nonempty box; None otherwise.
+
+    A domain is a box exactly when every row is axis-aligned, and then its
+    bounds are read from the rows.
+    """
+    if any(sum(c != 0 for c in r.a) > 1 for r in domain.rows) or domain.is_empty():
+        return None
+    box = [coordinate_range(domain.rows, i) for i in range(domain.dim)]
+    return None if any(None in b for b in box) else box
 
 
 def _integrate_bounded(h, domain, tol):
@@ -572,15 +552,8 @@ def _integrate_truncated(h, domain, tol, max_doublings):
     R = max(base, 4.0)
     prev = None
     for _ in range(max_doublings):
-        box_rows = []
-        d = domain.dim
-        for i in range(d):
-            e = [Fraction(0)] * d
-            e[i] = Fraction(1)
-            bound = Fraction(int(math.ceil(R)))
-            box_rows.append(Row(tuple(e), bound, False))
-            box_rows.append(Row(tuple(-x for x in e), bound, False))
-        clipped = domain.with_rows(box_rows)
+        bound = Fraction(int(math.ceil(R)))
+        clipped = domain.intersect(Polyhedron.box([(-bound, bound)] * domain.dim))
         val = _integrate_bounded(h, clipped, tol / 4)
         if prev is not None and abs(val - prev) <= tol / 2:
             return val
@@ -629,16 +602,8 @@ def boundary_escape_cones(piece, chart):
     d = piece.poly.dim
     for mask in range(1, 1 << len(inf_positions)):
         pos = [inf_positions[t] for t in range(len(inf_positions)) if mask >> t & 1]
-        rows = []
-        for t in range(d):
-            e = [Fraction(0)] * d
-            e[t] = Fraction(1)
-            if t in pos:
-                rows.append(Row(tuple(-x for x in e), Fraction(0), False))
-            else:
-                rows.append(Row(tuple(e), Fraction(0), False))
-                rows.append(Row(tuple(-x for x in e), Fraction(0), False))
-        sub = rec.with_rows(rows)
+        sub = rec.intersect(Polyhedron.box([(0, None) if t in pos else (0, 0)
+                                            for t in range(d)]))
         gens = [g for g in sub.recession_generators() if any(g)]
         # require strict escape: some coordinate in pos actually grows
         gens = [g for g in gens if any(g[t] > 0 for t in pos)]

@@ -2,10 +2,14 @@
 
 A :class:`Polyhedron` is a finite list of constraints ``a . u <= b`` (or
 ``< b`` when the row is strict) with rational data, living in R^d.  The
-routines here are deliberately small-scale and exact: Fourier-Motzkin
-feasibility and linear bounds, vertex and extreme-ray enumeration by
-subset search, affine hulls, and lattice-adapted parametrizations used to
-normalize densities on lower-dimensional pieces.
+routines here are deliberately small-scale and exact.  A polyhedron is an
+immutable value with one Fourier-Motzkin projection, computed on first use:
+it eliminates u_{d-1} down to u_0, tags each derived row with the input
+rows it combines, and answers emptiness, a feasible point and the implied
+equalities (so affine hulls and parametrizations).  Linear bounds run the
+same elimination step with one extra variable; vertices and extreme rays
+come from subset search; lattice-adapted parametrizations normalize
+densities on lower-dimensional pieces.
 
 Intended for the desk-scale polyhedra of this package (dimension <= ~6,
 few dozen constraints), not as a general polyhedral library.
@@ -13,9 +17,11 @@ few dozen constraints), not as a general polyhedral library.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import exact
+from .errors import ValidationError
 from .exact import frac
 
 
@@ -41,49 +47,89 @@ class Row:
         return (prim, self.b * scale, self.strict)
 
 
-def _fm_eliminate(rows, var):
-    pos, neg, rest = [], [], []
+def midpoint(lo, hi):
+    """A rational point of the interval [lo, hi]; either end may be None."""
+    if lo is not None and hi is not None:
+        return (lo + hi) / 2
+    if lo is not None:
+        return lo + 1
+    if hi is not None:
+        return hi - 1
+    return Fraction(0)
+
+
+def coordinate_range(rows, var, fixed=()):
+    """(lo, hi) of u_var on rows in u_0..u_var with u_0.. set to ``fixed``.
+
+    Either end is None when unbounded.
+    """
+    lo = hi = None
     for r in rows:
         c = r.a[var]
+        if c == 0:
+            continue
+        val = (r.b - sum(x * y for x, y in zip(r.a, fixed))) / c
         if c > 0:
-            pos.append(r)
-        elif c < 0:
-            neg.append(r)
+            hi = val if hi is None else min(hi, val)
         else:
-            rest.append(r)
-    out = list(rest)
-    for rp in pos:
-        for rn in neg:
+            lo = val if lo is None else max(lo, val)
+    return lo, hi
+
+
+def _fm_step(rows, var):
+    """Eliminate u_var from ``(row, sources)`` pairs by Fourier-Motzkin.
+
+    ``sources`` is a bit mask of the input rows a row was combined from.
+    Rows equal up to a positive scale merge: the union of their sources is
+    kept, and the strict row when only one of them is strict.
+    """
+    pos, neg, out = [], [], []
+    for row, src in rows:
+        c = row.a[var]
+        (pos if c > 0 else neg if c < 0 else out).append((row, src))
+    for rp, sp in pos:
+        for rn, sn in neg:
             cp, cn = rp.a[var], -rn.a[var]
             a = tuple(cn * x + cp * y for x, y in zip(rp.a, rn.a))
-            b = cn * rp.b + cp * rn.b
-            out.append(Row(a, b, rp.strict or rn.strict))
-    return out
+            out.append((Row(a, cn * rp.b + cp * rn.b, rp.strict or rn.strict), sp | sn))
+    merged = {}
+    for row, src in out:
+        key = row.scaled_key()[:2]
+        prev = merged.get(key)
+        if prev is not None:
+            row = row if row.strict and not prev[0].strict else prev[0]
+            src |= prev[1]
+        merged[key] = (row, src)
+    return list(merged.values())
 
 
-def _fm_dedupe(rows):
-    seen = {}
-    for r in rows:
-        key = r.scaled_key()[:2]
-        prev = seen.get(key)
-        if prev is None or (r.strict and not prev.strict):
-            seen[key] = r
-    return list(seen.values())
+def _as_row(r, dim):
+    if isinstance(r, Row):
+        a, b, strict = r.a, r.b, r.strict
+    else:
+        a, b = r[0], r[1]
+        strict = bool(r[2]) if len(r) > 2 else False
+    if len(a) != dim:
+        raise ValidationError(f"row a = ({', '.join(map(str, a))}) has {len(a)} "
+                              f"coefficients, not the dimension {dim}")
+    return Row(tuple(frac(x) for x in a), frac(b), strict)
 
 
+@dataclass(frozen=True, eq=False)
 class Polyhedron:
-    """H-representation polyhedron ``{u : a_i . u <= b_i}`` over Q."""
+    """H-representation polyhedron ``{u : a_i . u <= b_i}`` over Q.
 
-    def __init__(self, dim, rows=()):
-        self.dim = dim
-        self.rows = []
-        for r in rows:
-            if isinstance(r, Row):
-                self.rows.append(Row(tuple(frac(x) for x in r.a), frac(r.b), r.strict))
-            else:
-                a, b = r[0], r[1]
-                strict = bool(r[2]) if len(r) > 2 else False
-                self.rows.append(Row(tuple(frac(x) for x in a), frac(b), strict))
+    An immutable value: the rows are a tuple checked once on construction,
+    and derived data (the canonical key, the Fourier-Motzkin projection) is
+    computed once, on first use.
+    """
+    dim: int
+    rows: tuple = ()
+
+    def __post_init__(self):
+        if self.dim < 0:
+            raise ValidationError(f"negative dimension {self.dim}")
+        object.__setattr__(self, "rows", tuple(_as_row(r, self.dim) for r in self.rows))
 
     # --- constructors ---------------------------------------------------
     @staticmethod
@@ -92,60 +138,59 @@ class Polyhedron:
         d = len(bounds)
         rows = []
         for i, (lo, hi) in enumerate(bounds):
+            e = tuple(int(i == j) for j in range(d))
             if hi is not None:
-                e = [0] * d
-                e[i] = 1
-                rows.append((tuple(e), hi))
+                rows.append((e, hi))
             if lo is not None:
-                e = [0] * d
-                e[i] = -1
-                rows.append((tuple(e), -frac(lo)))
+                rows.append((tuple(-x for x in e), -frac(lo)))
         return Polyhedron(d, rows)
 
     def with_rows(self, extra):
-        return Polyhedron(self.dim, list(self.rows) + list(extra))
+        return Polyhedron(self.dim, self.rows + tuple(extra))
 
     def intersect(self, other):
-        assert self.dim == other.dim
-        return Polyhedron(self.dim, list(self.rows) + list(other.rows))
+        if self.dim != other.dim:
+            raise ValidationError(f"cannot intersect polyhedra of dimensions "
+                                  f"{self.dim} and {other.dim}")
+        return Polyhedron(self.dim, self.rows + other.rows)
 
     # --- canonical form ---------------------------------------------------
-    def canonical_key(self):
+    @cached_property
+    def _key(self):
         keys = sorted(set(r.scaled_key() for r in self.rows if any(r.a)))
         infeasible_consts = [r for r in self.rows if not any(r.a) and
                              (r.b < 0 or (r.strict and r.b == 0))]
         return (self.dim, tuple(keys), bool(infeasible_consts))
 
+    def canonical_key(self):
+        return self._key
+
     def __eq__(self, other):
-        return isinstance(other, Polyhedron) and self.canonical_key() == other.canonical_key()
+        return isinstance(other, Polyhedron) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash(self._key)
 
     def __repr__(self):
         return f"Polyhedron(dim={self.dim}, rows={len(self.rows)})"
 
     # --- membership -------------------------------------------------------
     def contains(self, u, closure=False):
-        for r in self.rows:
-            s = r.eval_slack(u)
-            if closure:
-                if s < 0:
-                    return False
-            else:
-                if (s < 0) or (r.strict and s == 0):
-                    return False
-        return True
+        return all(r.eval_slack(u) >= 0 if closure else r.holds(u) for r in self.rows)
 
-    # --- feasibility and bounds -------------------------------------------
+    # --- the Fourier-Motzkin projection -----------------------------------
+    @cached_property
+    def _stages(self):
+        """``stages[k]``: the rows in u_0..u_{k-1} that describe the
+        projection of the polyhedron onto those coordinates, each with the
+        mask of the rows it was combined from; ``stages[0]`` is constant."""
+        stages = [[(r, 1 << i) for i, r in enumerate(self.rows)]]
+        for var in reversed(range(self.dim)):
+            stages.append(_fm_step(stages[-1], var))
+        return stages[::-1]
+
     def is_empty(self):
-        rows = list(self.rows)
-        for var in range(self.dim):
-            rows = _fm_dedupe(_fm_eliminate(rows, var))
-        for r in rows:
-            if r.b < 0 or (r.strict and r.b <= 0):
-                return True
-        return False
+        return any(r.b < 0 or (r.strict and r.b <= 0) for r, _ in self._stages[0])
 
     def linear_bounds(self, a):
         """Exact (inf, sup) of ``a . u`` over the closure.
@@ -156,60 +201,45 @@ class Polyhedron:
         if self.is_empty():
             return None, None, True
         d = self.dim
-        rows = [Row(tuple(list(r.a) + [Fraction(0)]), r.b, False) for r in self.rows]
-        rows.append(Row(tuple([-frac(x) for x in a] + [Fraction(1)]), Fraction(0), False))
-        rows.append(Row(tuple([frac(x) for x in a] + [Fraction(-1)]), Fraction(0), False))
+        lifted = [Row(r.a + (Fraction(0),), r.b) for r in self.rows]
+        lifted.append(Row(tuple([-frac(x) for x in a] + [Fraction(1)]), Fraction(0)))
+        lifted.append(Row(tuple([frac(x) for x in a] + [Fraction(-1)]), Fraction(0)))
+        rows = [(r, 0) for r in lifted]
         for var in range(d):
-            rows = _fm_dedupe(_fm_eliminate(rows, var))
-        lo, hi = None, None
-        for r in rows:
-            c = r.a[d]
-            if c > 0:
-                val = r.b / c
-                hi = val if hi is None else min(hi, val)
-            elif c < 0:
-                val = r.b / c
-                lo = val if lo is None else max(lo, val)
+            rows = _fm_step(rows, var)
+        lo, hi = coordinate_range([r for r, _ in rows], d)
         return lo, hi, False
 
     def feasible_point(self):
-        """Some rational point of the closure, or None if empty."""
+        """Some rational point of the closure, or None if empty.
+
+        Coordinate k is the midpoint of its exact range over the closure
+        once u_0..u_{k-1} are fixed, read from the projection stages.
+        """
         if self.is_empty():
             return None
-        point = []
-        rows = [Row(r.a, r.b, False) for r in self.rows]
-        d = self.dim
-        for i in range(d):
-            cur = Polyhedron(d - i, rows)
-            e0 = tuple([Fraction(1)] + [Fraction(0)] * (d - i - 1))
-            lo, hi, empty = cur.linear_bounds(e0)
-            if empty:
-                return None
-            if lo is not None and hi is not None:
-                x = (lo + hi) / 2
-            elif lo is not None:
-                x = lo + 1
-            elif hi is not None:
-                x = hi - 1
-            else:
-                x = Fraction(0)
-            point.append(x)
-            rows = [Row(r.a[1:], r.b - r.a[0] * x, False) for r in rows]
-        return tuple(point)
+        point = ()
+        for k in range(self.dim):
+            rows = [r for r, _ in self._stages[k + 1]]
+            point += (midpoint(*coordinate_range(rows, k, point)),)
+        return point
 
     # --- structural queries -------------------------------------------------
     def implied_equalities(self):
-        """Rows that hold with equality on the whole polyhedron."""
-        eqs = []
-        for r in self.rows:
-            if not any(r.a):
-                continue
-            lo, hi, empty = self.linear_bounds(r.a)
-            if empty:
-                return []
-            if lo is not None and lo == r.b:
-                eqs.append(r)
-        return eqs
+        """Rows that hold with equality on the whole polyhedron.
+
+        By Farkas' lemma a row of a nonempty polyhedron is tight everywhere
+        iff it has positive weight in some nonnegative combination of the
+        rows that reads 0 <= 0; the projection's combinations generate all
+        of them, so those rows are the sources of its ``0 <= 0`` rows.
+        """
+        if self.is_empty():
+            return []
+        tight = 0
+        for r, src in self._stages[0]:
+            if r.b == 0:
+                tight |= src
+        return [r for i, r in enumerate(self.rows) if tight >> i & 1 and any(r.a)]
 
     def affine_hull(self):
         """(base point, direction lattice basis) or None if empty.

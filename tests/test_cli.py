@@ -267,9 +267,21 @@ def _field_of_wrong_bidegree(tmp_path):
     return ["integrate", "--rank", "1", "--field", str(field)]
 
 
+def _density_row(a):
+    def command(tmp_path):
+        data = json.loads((Path(__file__).parent / "golden" / "inputs" / "current.json").read_text())
+        data["cocoeffs"]["|"]["densities"][0]["poly"]["ineqs"][0]["a"] = a
+        current = tmp_path / "current.json"
+        current.write_text(json.dumps(data))
+        return ["decompose", "--rank", "2", "--current", str(current)]
+    return command
+
+
 @pytest.mark.parametrize("command", [_form_index_out_of_range, _atom_with_extra_coordinate,
-                                     _shadow_key_of_wrong_degree, _field_of_wrong_bidegree],
-                         ids=["form-index", "atom-length", "shadow-key", "field-bidegree"])
+                                     _shadow_key_of_wrong_degree, _field_of_wrong_bidegree,
+                                     _density_row(["1"]), _density_row(["1", "0", "7"])],
+                         ids=["form-index", "atom-length", "shadow-key", "field-bidegree",
+                              "row-short", "row-long"])
 def test_malformed_object_is_input_error(tmp_path, command):
     proc = subprocess.run([sys.executable, "-m", "tropcur.cli", *command(tmp_path)],
                           capture_output=True, text=True)

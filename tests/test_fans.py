@@ -45,6 +45,24 @@ def test_bad_intersection_rejected():
         validate_fan([[(1, 0), (0, 1)], [(1, 1), (0, 1)]])
 
 
+def test_bad_intersection_rank_three_witness():
+    # the ray through e1+e2 lies inside the 2-cone {e1, e2}, but the cones
+    # share no generator, so their common face is the zero cone
+    sigma, tau = [(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (0, 0, 1)]
+    with pytest.raises(BadIntersection) as info:
+        validate_fan([sigma, tau])
+    ray = info.value.payload["ray"]
+    assert any(ray)
+    assert _solve_in_cone(sigma, ray) and _solve_in_cone(tau, ray)
+
+
+def test_orthant_fan_rank_six_face_lattice():
+    fan = orthant_fan(6)
+    assert len(fan) == 64
+    for i, cone in enumerate(fan.cones):
+        assert len(fan.faces[i]) == 2 ** cone.dim
+
+
 def test_smooth_cone_outside_standard_completion_accepted():
     # the generators have determinant -1, but no e_i completes (2, 5, 0)
     fan = validate_fan([[(2, 5, 0), (1, 2, 0), (0, 0, 1)]], 3)
