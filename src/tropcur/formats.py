@@ -104,6 +104,8 @@ def fiber_form_from_json(data):
             coeff[(I, J)] = coeff.get((I, J), 0) + val if (I, J) in coeff else val
     except (KeyError, TypeError, ValueError, IndexError) as err:
         raise ParseError("bad form literal") from err
+    if not 0 <= p <= n or not 0 <= q <= n:
+        raise ParseError(f"form bidegree ({p},{q}) is outside 0..{n}")
     cls = ComplexFiberForm if algebra == "complex" else LagerbergFiberForm
     return cls(n, p, q, coeff)
 
@@ -230,7 +232,7 @@ def measure_from_json(data, n=None):
         if "scale" in data:
             scale = (_parse_frac(data["scale"]["frac"]),
                      int(data["scale"].get("pi_power", 0)))
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ParseError("bad measure literal") from err
     return PieceMeasure(n, atoms, pieces, ders, scale)
 
@@ -268,7 +270,10 @@ def current_from_json(data, chart):
         raise ParseError("current needs a 'bidegree'") from err
     n = len(chart.basis)
     coco = {}
-    for key, mdata in data.get("cocoeffs", {}).items():
+    cocoeffs = data.get("cocoeffs", {})
+    if not isinstance(cocoeffs, dict):
+        raise ParseError("a current's 'cocoeffs' must be a JSON object")
+    for key, mdata in cocoeffs.items():
         I, J = _key_from_str(key)
         coco[(I, J)] = measure_from_json(mdata, n)
     if data.get("shadow"):

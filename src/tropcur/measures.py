@@ -136,7 +136,7 @@ class PieceMeasure:
 
     def canonical_key(self):
         c, k = self.scale
-        if k == 0 and c != 1:
+        if c != 1:
             return self.rescaled().canonical_key()
         return (self.n, c, k,
                 tuple(sorted(a.key() for a in self.atoms if a.weight != 0)),
@@ -145,16 +145,17 @@ class PieceMeasure:
                 tuple(sorted(d.key() for d in self.derivative_atoms)))
 
     def rescaled(self):
-        """Fold a pi-free prefactor into the weights (canonical form)."""
+        """Fold the rational prefactor into the weights and keep pi^k
+        (canonical form)."""
         c, k = self.scale
-        if k != 0 or c == 1:
+        if c == 1:
             return self
         atoms = [Atom(a.stratum, a.coords, a.weight * c) for a in self.atoms]
         pieces = [Piece(p.stratum, p.poly, p.weight_poly.scale(c), p.weight_expo,
                         p.sign) for p in self.pieces]
         der = [DerivativeAtom(d.stratum, d.coords, d.direction, d.weight * c)
                for d in self.derivative_atoms]
-        return PieceMeasure(self.n, atoms, pieces, der, (Fraction(1), 0),
+        return PieceMeasure(self.n, atoms, pieces, der, (Fraction(1), k),
                             certify=False)
 
     def __eq__(self, other):

@@ -10,6 +10,7 @@ command-line subcommand runs as a scene through :func:`run`.
 """
 
 import csv
+import inspect
 import io
 import json
 import time
@@ -18,11 +19,13 @@ from fractions import Fraction
 
 from . import formats, gallery
 from .correspond import kernel_point_current, lift, push_forward, round_trip_verify
-from .currents import (balancing_check, c_finite_test, canonical_decomposition,
-                       closedness_test, extend_by_zero, positivity_check, resum)
+from .currents import (LagerbergCurrent, WeightedComplex, balancing_check,
+                       c_finite_test, canonical_decomposition, closedness_test,
+                       extend_by_zero, positivity_check, resum)
 from .errors import ParseError, TropcurError, ValidationError
 from .fans import orthant_fan
-from .fiber import dual_pairing, positivity_verdict, reverify
+from .fiber import (ComplexFiberForm, LagerbergFiberForm, dual_pairing,
+                    positivity_verdict, reverify)
 from .fields import integrate_top
 from .formats import jsonable, load_json
 
@@ -55,10 +58,19 @@ def parse_scene(data):
         fan_data = load_json(fan_data)
     fan = formats.fan_from_json(fan_data)
     chart_id = data.get("chart")
-    chart = top_chart(fan) if chart_id is None else fan.toric_chart(chart_id)
+    if chart_id is None:
+        chart = top_chart(fan)
+    elif isinstance(chart_id, int) and 0 <= chart_id < len(fan):
+        chart = fan.toric_chart(chart_id)
+    else:
+        raise ValidationError(f"no cone {chart_id!r} in a fan of {len(fan)} cones")
+    objects_data = data.get("objects", {})
+    tasks = data.get("tasks", [])
+    if not isinstance(objects_data, dict) or not isinstance(tasks, list):
+        raise ParseError("scene 'objects' must be a JSON object and 'tasks' a list")
     objects = {}
-    for name, od in data.get("objects", {}).items():
-        kind = od.get("type")
+    for name, od in objects_data.items():
+        kind = od.get("type") if isinstance(od, dict) else None
         if kind == "form":
             objects[name] = formats.fiber_form_from_json(od)
         elif kind == "current":
@@ -68,17 +80,29 @@ def parse_scene(data):
         elif kind == "complex":
             objects[name] = formats.weighted_complex_from_json(od)
         elif kind == "gallery":
-            builder = getattr(gallery, od["name"], None)
-            if builder is None:
-                raise ValidationError(f"unknown gallery object {od['name']!r}")
-            objects[name] = builder()
+            objects[name] = _gallery_object(od.get("name"))
         else:
             raise ValidationError(f"object {name!r} has unknown type {kind!r}")
-    tasks = list(data.get("tasks", ()))
-    return Scene(fan, chart, objects, tasks,
-                 tol=float(data.get("tol", 1e-8)),
-                 seed=int(data.get("seed", 0)),
-                 samples=int(data.get("samples", 25)))
+    try:
+        return Scene(fan, chart, objects, tasks,
+                     tol=float(data.get("tol", 1e-8)),
+                     seed=int(data.get("seed", 0)),
+                     samples=int(data.get("samples", 25)))
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"scene 'tol', 'seed' or 'samples' is malformed: {err}") from err
+
+
+def _gallery_object(name):
+    """The form, current or complex a zero-argument gallery builder makes."""
+    builder = getattr(gallery, name, None) if isinstance(name, str) else None
+    if (inspect.isfunction(builder) and not name.startswith("_")
+            and all(p.default is not p.empty
+                    for p in inspect.signature(builder).parameters.values())):
+        obj = builder()
+        if isinstance(obj, (LagerbergFiberForm, ComplexFiberForm, LagerbergCurrent,
+                            WeightedComplex)):
+            return obj
+    raise ValidationError(f"unknown gallery object {name!r}")
 
 
 def _field(task, key, convert=None, default=None):
@@ -112,6 +136,8 @@ def _strata(groups):
 
 def run_task(scene, task):
     """One task's record data; raises a TropcurError when the task fails."""
+    if not isinstance(task, dict):
+        raise ValidationError(f"a task must be a JSON object, not {task!r}")
     op = task.get("op")
     tol, seed, samples = scene.tol, scene.seed, scene.samples
     if op == "limit_point":
@@ -287,7 +313,8 @@ def run(scene, timings=False):
     errors = mismatches = 0
     for idx, task in enumerate(scene.tasks):
         t0 = time.perf_counter()
-        record = {"id": task.get("id", idx), "op": task.get("op")}
+        task_data = task if isinstance(task, dict) else {}
+        record = {"id": task_data.get("id", idx), "op": task_data.get("op")}
         try:
             record.update(jsonable(run_task(scene, task)))
             record["status"] = "ok"
@@ -301,7 +328,7 @@ def run(scene, timings=False):
             record["timing_ms"] = round((time.perf_counter() - t0) * 1000, 3)
         else:
             record["timing_ms"] = None
-        expect = task.get("expect")
+        expect = task_data.get("expect")
         if expect:
             bad = {k: (record.get(k), v) for k, v in expect.items()
                    if jsonable(record.get(k)) != jsonable(v)}

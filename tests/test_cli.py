@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,17 @@ from tropcur import formats, scenes
 from tropcur.cli import main
 from tropcur.fans import p2_fan
 from tropcur.gallery import omega_rank_two, tropical_line_current
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_process(args):
+    """The command line in a fresh interpreter that imports tropcur from src/."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "tropcur.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def run_cli(args, capsys):
@@ -141,9 +153,7 @@ def test_csv_output(tmp_path, capsys):
 
 
 def test_installed_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "tropcur.cli",
-                           "verify-correspondence", "--count", "2"],
-                          capture_output=True, text=True)
+    proc = run_cli_process(["verify-correspondence", "--count", "2"])
     assert proc.returncode == 0, proc.stderr
 
 
@@ -219,8 +229,9 @@ def test_task_missing_field_is_error_record(tmp_path, capsys, op, missing):
     {"op": "limit_point", "point": [1, 2], "direction": [1]},
     {"op": "locate_relint", "vector": [1, -1]},
     {"op": "limit_point", "point": [1], "direction": []},
+    "locate_relint",
 ], ids=["cone-range", "cone-type", "tier", "pool-size", "point", "strata", "name-type",
-        "point-length", "vector-length", "direction-length"])
+        "point-length", "vector-length", "direction-length", "task-type"])
 def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
     scene = {"fan": {"rank": 1, "cones": [[[1]]]},
              "objects": {"w": {"type": "gallery", "name": "omega_rank_two"},
@@ -277,14 +288,47 @@ def _density_row(a):
     return command
 
 
+def _scene(**entries):
+    def command(tmp_path):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"fan": {"rank": 1, "cones": [[[1]]]}, "tasks": [],
+                                     **entries}))
+        return ["run", str(scene)]
+    return command
+
+
+def _form(**entries):
+    def command(tmp_path):
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"n": 2, "p": 1, "q": 1, "terms": [], **entries}))
+        return ["check-positivity", "--form", str(form)]
+    return command
+
+
+def _current(cocoeffs):
+    return _scene(objects={"T": {"type": "current", "bidegree": [0, 0], "cocoeffs": cocoeffs}})
+
+
 @pytest.mark.parametrize("command", [_form_index_out_of_range, _atom_with_extra_coordinate,
                                      _shadow_key_of_wrong_degree, _field_of_wrong_bidegree,
-                                     _density_row(["1"]), _density_row(["1", "0", "7"])],
+                                     _density_row(["1"]), _density_row(["1", "0", "7"]),
+                                     _scene(objects=[]), _scene(objects={"w": 5}),
+                                     _scene(tasks={"t": {"op": "locate_relint"}}),
+                                     _scene(objects={"w": {"type": "gallery"}}),
+                                     _scene(objects={"w": {"type": "gallery",
+                                                           "name": "random_closed_positive_suite"}}),
+                                     _scene(objects={"w": {"type": "gallery",
+                                                           "name": "shifted_tropical_line"}}),
+                                     _scene(tol="abc"), _scene(chart=99), _scene(chart=-1),
+                                     _current([]), _current({"1|1": []}),
+                                     _form(n=-1, p=0, q=0), _form(p=3, q=3)],
                          ids=["form-index", "atom-length", "shadow-key", "field-bidegree",
-                              "row-short", "row-long"])
+                              "row-short", "row-long", "objects-list", "object-type",
+                              "tasks-object", "gallery-no-name", "gallery-suite",
+                              "gallery-needs-argument", "tol", "chart-range", "chart-negative",
+                              "cocoeffs-list", "measure-list", "form-rank", "form-bidegree"])
 def test_malformed_object_is_input_error(tmp_path, command):
-    proc = subprocess.run([sys.executable, "-m", "tropcur.cli", *command(tmp_path)],
-                          capture_output=True, text=True)
+    proc = run_cli_process(command(tmp_path))
     assert proc.returncode == 2, proc.stderr
     assert "input error" in proc.stderr
     assert "Traceback" not in proc.stderr

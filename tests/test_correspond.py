@@ -1,14 +1,20 @@
+import functools
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcur.correspond import (InvariantComplexCurrent, compat_checks,
                                 complex_positivity_check, kernel_point_current,
                                 lift, push_forward, round_trip_verify,
                                 validate_shadow)
 from tropcur.currents import LagerbergCurrent, positivity_check
-from tropcur.errors import InvalidShadow, NotCFinite, NotPositive
+from tropcur.errors import InvalidShadow, NotCFinite, NotPositive, TropcurError
 from tropcur.fans import orthant_fan
+from tropcur.fiber import Verdict, subsets
 from tropcur.fields import trop_pullback_field, bump_box_field
 from tropcur.gallery import (positive_not_liftable, closed_not_positive,
                              random_closed_positive_suite,
@@ -169,3 +175,148 @@ def test_lift_validity_matches_c_finite():
     assert validate_shadow(S)
     bad = positive_not_liftable()
     assert not c_finite_test(bad).yes
+
+
+def test_complex_positivity_validates_before_symmetry():
+    # the matrix is PSD once symmetrized, so the pushforward's validity check
+    # speaks before its symmetry check: the density e^{u_0^2} has infinite
+    # mass toward the stratum u_0 = infinity
+    from tropcur.coeffs import Poly
+    fan = orthant_fan(2)
+    chart = fan.toric_chart(fan.cone_id([(1, 0), (0, 1)]))
+    grow = PieceMeasure(2, pieces=[lebesgue_piece((), Polyhedron.box([(0, None), (0, 1)]),
+                                                  expo=Poly({(2, 0): Fraction(1)}, 2))])
+    dirac = PieceMeasure(2, atoms=[Atom(frozenset(), (Fraction(0), Fraction(0)), Fraction(1))])
+    S = InvariantComplexCurrent(chart, 1, {((0,), (0,)): grow + dirac,
+                                           ((1,), (1,)): dirac, ((0,), (1,)): dirac})
+    with pytest.raises(InvalidShadow):
+        complex_positivity_check(S, samples=6)
+
+
+def test_push_forward_propagates_programming_errors(monkeypatch):
+    # only a TropcurError from the validity check reads as an invalid shadow
+    import tropcur.correspond as correspond_mod
+
+    def broken(S):
+        raise RuntimeError("bug in the validity check")
+
+    monkeypatch.setattr(correspond_mod, "validate_shadow", broken)
+    with pytest.raises(RuntimeError):
+        push_forward(lift(tropical_line_current()))
+
+
+# --- complex positivity against the routine it replaced ------------------------------
+
+def _reference_complex_positivity(S, samples=25, seed=0, tol=1e-9,
+                                  lambda_grid=(0, Fraction(1, 2), 1, 2)):
+    """The earlier complex_positivity_check: symmetry, a boundary-weighted
+    PSD test, a lambda-grid estimate, then the pushforward's verdict."""
+    def density_at(mu, stratum, pt):
+        return sum(piece.density_fn().eval_float(pt) * mu.scale_float()
+                   for piece in mu.pieces
+                   if piece.stratum == stratum and piece.poly.contains(pt, closure=True))
+
+    n, q = S.n, S.q
+    idx = subsets(n, q)
+    for (I, J) in list(S.shadows):
+        if S.shadow(I, J) != S.shadow(J, I):
+            return Verdict("positive", "no", "shadow matrix is not symmetric")
+    rng = random.Random(seed)
+    sample_pts = []
+    for (I, J), mu in S.shadows.items():
+        for piece in mu.pieces:
+            for pt in piece.poly.sample_points(rng, max(3, samples // 4)):
+                sample_pts.append((piece.stratum, pt))
+        for atom in mu.atoms:
+            sample_pts.append((atom.stratum, None, atom))
+    for entry in sample_pts:
+        H = np.zeros((len(idx), len(idx)))
+        stratum = entry[0]
+        for a, I in enumerate(idx):
+            for b, J in enumerate(idx):
+                mu = S.shadows.get((I, J))
+                if set(I) & stratum or set(J) & stratum or mu is None:
+                    continue
+                if len(entry) == 3:
+                    atom = entry[2]
+                    H[a, b] = sum(float(x.weight) for x in mu.atoms
+                                  if (x.stratum, x.coords) == (atom.stratum, atom.coords)
+                                  ) * mu.scale_float()
+                else:
+                    H[a, b] = density_at(mu, stratum, entry[1])
+        if len(entry) == 2:
+            alive = [i for i in range(n) if i not in stratum]
+            w = [math.prod(math.exp(-float(entry[1][alive.index(i)])) for i in I if i in alive)
+                 for I in idx]
+            H = H * np.outer(w, w)
+        H = (H + H.T) / 2
+        lam = np.linalg.eigvalsh(H)
+        scale = max(1.0, float(np.abs(H).max()))
+        if lam.min() < -tol * scale:
+            return Verdict("positive", "no", "weighted shadow density matrix not PSD")
+        for a in range(len(idx)):
+            for b in range(len(idx)):
+                for la in lambda_grid:
+                    for lb in lambda_grid:
+                        lhs = float(la) * float(lb) * abs(H[a, b])
+                        rhs = 0.5 * (float(la) ** 2 * H[a, a] + float(lb) ** 2 * H[b, b])
+                        if a != b and lhs > rhs + tol * scale:
+                            return Verdict("positive", "no", "total-variation estimate fails")
+    v = positivity_check(push_forward(S), samples=max(4, samples // 3), seed=seed)
+    return Verdict("positive", "yes" if v.yes else "no")
+
+
+def _charts2():
+    fan = orthant_fan(2)
+    return fan.toric_chart(0), fan.toric_chart(fan.cone_id([(1, 0), (0, 1)]))
+
+
+@st.composite
+def _shadow_measure(draw, chart, key, scale):
+    """Atoms and box pieces with signed weights on the strata the key allows."""
+    banned = set(key[0]) | set(key[1])
+    strata = [frozenset(M) for M in ((), (0,), (1,), (0, 1))
+              if set(M) <= chart.infinite_axes and not set(M) & banned]
+    weight = st.integers(-3, 3).filter(bool).map(Fraction)
+    atoms, pieces = [], []
+    for _ in range(draw(st.integers(0, 2))):
+        M = draw(st.sampled_from(strata))
+        coords = tuple(Fraction(draw(st.integers(-1, 1))) for _ in range(2 - len(M)))
+        atoms.append(Atom(M, coords, draw(weight)))
+    for _ in range(draw(st.integers(0, 1))):
+        M = draw(st.sampled_from([M for M in strata if len(M) < 2]))
+        lo = [draw(st.integers(-2, 1)) for _ in range(2 - len(M))]
+        box = Polyhedron.box([(a, a + draw(st.integers(1, 2))) for a in lo])
+        pieces.append(lebesgue_piece(M, box, weight=draw(weight)))
+    return PieceMeasure(2, atoms, pieces, scale=scale)
+
+
+@st.composite
+def _random_shadows(draw):
+    chart = draw(st.sampled_from(_charts2()))
+    scale = draw(st.sampled_from([(Fraction(1), 0), (Fraction(4), 1), (Fraction(3, 2), 1)]))
+    keys = [((0,), (0,)), ((0,), (1,)), ((1,), (1,))]
+    shadows = {k: draw(_shadow_measure(chart, k, scale)) for k in keys}
+    if draw(st.booleans()):
+        shadows[((1,), (0,))] = shadows[((0,), (1,))]
+    else:
+        shadows[((1,), (0,))] = draw(_shadow_measure(chart, ((1,), (0,)), scale))
+    return InvariantComplexCurrent(chart, 1, shadows)
+
+
+@functools.lru_cache(maxsize=None)
+def _suite_lifts():
+    return tuple(lift(T) for T in random_closed_positive_suite(count=6, seed=101))
+
+
+def _outcome(check, S):
+    try:
+        return check(S, samples=6).answer
+    except TropcurError as err:
+        return type(err).__name__
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.one_of(_random_shadows(), st.integers(0, 5).map(lambda i: _suite_lifts()[i])))
+def test_complex_positivity_matches_reference(S):
+    assert _outcome(complex_positivity_check, S) == _outcome(_reference_complex_positivity, S)

@@ -313,3 +313,22 @@ def test_j_symmetry_of_positive_currents():
     T = tropical_line_current()
     for (I, J) in T.cocoeffs:
         assert T.cocoeff(I, J) == T.cocoeff(J, I)
+
+
+def test_window_pairings_integrated_once_per_cocoefficient(monkeypatch):
+    # step (iv) pairs every sample with the same window test forms, so each
+    # co-coefficient is integrated against its window at most once
+    import tropcur.currents as currents_mod
+    T = tropical_line_current()
+    calls = []
+    real = currents_mod.integrate_against
+
+    def counting(f, mu, *args, **kwargs):
+        calls.append(mu)
+        return real(f, mu, *args, **kwargs)
+
+    monkeypatch.setattr(currents_mod, "integrate_against", counting)
+    assert positivity_check(T, samples=25).yes
+    window_calls = [[c for c in calls if c is mu] for mu in T.cocoeffs.values()]
+    assert any(window_calls)
+    assert all(len(c) <= 1 for c in window_calls)

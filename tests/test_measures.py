@@ -202,6 +202,20 @@ def test_scale_pi_power_arithmetic():
     assert folded == PieceMeasure(1, atoms=[Atom(frozenset(), (Fraction(0),), Fraction(1))])
 
 
+def test_prefactor_folds_at_every_pi_power():
+    def dirac(x, w, scale):
+        return PieceMeasure(1, atoms=[Atom(frozenset(), (Fraction(x),), Fraction(w))],
+                            scale=scale)
+    # 2 pi delta_0 and pi (2 delta_0) are one measure
+    assert dirac(0, 1, (Fraction(2), 1)) == dirac(0, 2, (Fraction(1), 1))
+    # a sum keeps each summand's own prefactor: 2 pi delta_0 + 3 pi delta_1
+    total = dirac(0, 1, (Fraction(2), 1)) + dirac(1, 1, (Fraction(3), 1))
+    assert total == PieceMeasure(1, atoms=[Atom(frozenset(), (Fraction(0),), Fraction(2)),
+                                           Atom(frozenset(), (Fraction(1),), Fraction(3))],
+                                 scale=(Fraction(1), 1))
+    assert integrate_against(CoefficientFn.const(1, 1), total) == pytest.approx(5 * math.pi)
+
+
 def test_measure_on_boundary_stratum_density():
     # 2-d chart, measure = Lebesgue on a segment inside the stratum u0=inf
     fan = orthant_fan(2)
