@@ -19,6 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -55,7 +56,12 @@ def merge_indices(a, b):
 
 
 def _complement(idx, n):
-    return tuple(sorted(set(range(n)) - set(idx)))
+    return tuple(i for i in range(n) if i not in idx)
+
+
+def _shuffle_sign(idx):
+    """eps(I) = (-1)^{sum_k (i_k - k)}: the sign of the shuffle (I, I^c)."""
+    return -1 if (sum(idx) - len(idx) * (len(idx) - 1) // 2) % 2 else 1
 
 
 def subsets(n, p):
@@ -140,7 +146,12 @@ class _FiberForm:
         return cls(n, p, q, {})
 
     def _new(self, p, q, coeff):
-        return type(self)(self.n, p, q, coeff)
+        """A result of wedge, +, scale or positive_generator on valid forms:
+        valid by construction, so only zeros drop.  Input is validated."""
+        out = object.__new__(type(self))
+        out.n, out.p, out.q = self.n, p, q
+        out.coeff = {k: c for k, c in coeff.items() if self._nonzero(c)}
+        return out
 
     def __add__(self, other):
         assert type(other) is type(self) and (self.p, self.q) == (other.p, other.q)
@@ -377,24 +388,38 @@ def gram_form(a):
     return GramForm(tuple(idx), mat, a.gram_kind if herm else "none")
 
 
+def _complementary_terms(a, b_coeff):
+    """(sign, a_IJ, b_{I^c J^c}) over the keys of the (p,p)-form a; <a, b> sums the
+    signed products.  sign = (-1)^{pq} eps(I) eps(J) (-1)^{n(n-1)/2}: b's q-block
+    passes a's p-block, eps(I) is the sign of the shuffle (I, I^c), and
+    (-1)^{n(n-1)/2} is tau_n's top coefficient."""
+    n = a.n
+    fixed = (-1) ** (a.p * (n - a.p) + n * (n - 1) // 2)
+    for (I, J), c in a.coeff.items():
+        d = b_coeff.get((_complement(I, n), _complement(J, n)))
+        if d is not None:
+            yield fixed * _shuffle_sign(I) * _shuffle_sign(J), c, d
+
+
 def dual_pairing(a, b):
-    """<a, b> defined by a ^ b = <a, b> tau_n (resp. omega_n)."""
+    """<a, b> defined by a ^ b = <a, b> tau_n (resp. omega_n).
+
+    One pass over complementary indices (see _complementary_terms); the
+    top coefficient of omega_n is i^n times that of tau_n.
+    """
     if a.p != a.q or b.p != b.q:
         raise NotSquareBidegree("pairing needs (p,p) x (q,q) forms")
     if a.p + b.p != a.n:
         raise BidegreeMismatch(f"bidegrees ({a.p},{a.p}) and ({b.p},{b.p}) "
                                f"do not pair in dimension {a.n}")
-    w = wedge(a, b)
-    full = tuple(range(a.n))
-    top = w.get(full, full)
-    n = a.n
-    sgn = (-1) ** (n * (n - 1) // 2)
-    if a.algebra == "lagerberg":
-        return top * sgn
-    # omega_n coefficient is i^n * sgn
-    if isinstance(top, QC):
-        return QC.i_pow((-n) % 4) * Fraction(sgn) * top
-    return top / ((1j ** (n % 4)) * sgn)
+    if type(a) is not type(b):
+        raise WrongAlgebra("cannot pair forms from different algebras")
+    if a.n != b.n:
+        raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
+    top = a._zero()
+    for sign, c, d in _complementary_terms(a, b.coeff):
+        top = top + a._mul_scalar(a._mul_scalar(c, d), sign)
+    return top if a.algebra == "lagerberg" else QC.i_pow(-a.n) * top
 
 
 # --- positivity ---------------------------------------------------------------
@@ -449,26 +474,28 @@ def positive_generator(alpha):
     """i^p (-1)^{p(p-1)/2} alpha ^ bar(alpha) from a (p,0)-form of either algebra.
 
     That is (-1)^{p(p-1)/2} alpha ^ J(alpha) for a Lagerberg form and
-    i^{p^2} alpha ^ conj(alpha) for a complex one.
+    i^{p^2} alpha ^ conj(alpha) for a complex one.  alpha ^ bar(alpha) has
+    coefficient a_I conj(a_J) at (I, J) (conj is the identity on Lagerberg
+    scalars), so the product is one outer product of coefficients.
     """
-    p = alpha.p
+    p, mul, coeff = alpha.p, alpha._mul_scalar, alpha.coeff
     s = alpha._i_pow(p) * (-1) ** (p * (p - 1) // 2)
-    w = wedge(alpha, apply_involution(alpha.bar, alpha))
-    return w if s == 1 else w.scale(s)
+    return alpha._new(p, p, {(I, J): mul(mul(a, _conj(b)), s)
+                             for (I, _), a in coeff.items() for (J, _), b in coeff.items()})
 
 
 def strong_generator(vectors, n, algebra="lagerberg"):
     """a_1 ^ J a_1 ^ ... ^ a_p ^ J a_p from degree-one coefficient vectors.
 
-    In the complex case the factors are alpha_j ^ i conj(alpha_j).  No
-    vectors give the unit (0,0)-form.
+    In the complex case the factors are a_j ^ i conj(a_j).  They have even
+    degree and commute; gathering the a_j in front moves J a_j past a_k
+    once for each of the p(p-1)/2 pairs j < k, hence the block sign
+    (-1)^{p(p-1)/2} of positive_generator(alpha), alpha = a_1 ^ ... ^ a_p
+    the (p,0)-form of p-minors.  No vectors give the unit (0,0)-form.
     """
     cls = _FORM_CLASSES[algebra]
-    acc = None
-    for v in vectors:
-        factor = positive_generator(cls(n, 1, 0, {((j,), ()): c for j, c in enumerate(v) if c}))
-        acc = factor if acc is None else wedge(acc, factor)
-    return cls(n, 0, 0, {((), ()): 1}) if acc is None else acc
+    factors = [cls(n, 1, 0, {((j,), ()): c for j, c in enumerate(v) if c}) for v in vectors]
+    return positive_generator(reduce(wedge, factors) if factors else cls(n, 0, 0, {((), ()): 1}))
 
 
 def coordinate_strong_generators(n, p, algebra="lagerberg"):
@@ -505,8 +532,7 @@ def _phi_inverse(x_coeffs, a):
     n = a.n
     out = {}
     for K, c in x_coeffs.items():
-        sgn, _ = merge_indices(K, _complement(K, n))
-        out[(_complement(K, n), ())] = a._mul_scalar(c, Fraction(sgn))
+        out[(_complement(K, n), ())] = a._mul_scalar(c, Fraction(_shuffle_sign(K)))
     return type(a)(n, n - a.p, 0, out)
 
 
@@ -578,54 +604,36 @@ def _pairing_polynomial(a):
                     contrib = term.scale(sgn)
                     new[key] = contrib if prev is None else prev + contrib
         acc = new
-    # pair: <a, G> = sum over complementary indices with the wedge sign
-    full = tuple(range(n))
     out = Poly.zero(nv)
-    top_sign = (-1) ** (n * (n - 1) // 2)
-    for (I1, J1), c in a.coeff.items():
-        key = (_complement(I1, n), _complement(J1, n))
-        poly = acc.get(key)
-        if poly is None:
-            continue
-        s_blocks = -1 if (len(key[0]) * len(J1)) % 2 else 1
-        sI, _ = merge_indices(I1, key[0])
-        sJ, _ = merge_indices(J1, key[1])
-        sgn = s_blocks * sI * sJ * top_sign
-        out = out + poly.scale(Fraction(c) * sgn)
+    for sign, c, poly in _complementary_terms(a, acc):
+        out = out + poly.scale(Fraction(c) * sign)
     return out
 
 
-def _strong_no_via_kernel(a, psd_res, gram):
+def _strong_no_via_kernel(a, decomposition):
     """For p = 2: decide if the Gram row space contains real decomposables.
 
     Any decomposition of a positive form uses (p,0)-parts inside the row
     space W of its Gram form; if W (dim <= 2) contains no nonzero real
-    decomposable, the form cannot be strongly positive.  Returns
-    (verdict_or_None, obstruction_data).
+    decomposable, the form cannot be strongly positive.  ``decomposition``
+    is the positive tier's certificate, [(gamma, {K: v_K})], whose vectors
+    span W.  Returns a No verdict or None.
     """
     n, p = a.n, a.p
-    if p != 2 or a.algebra != "lagerberg":
-        return None, None
-    basis = [v for _, v in psd_res.decomposition]
-    if len(basis) > 2:
-        return None, None
-    idx = gram.indices
-    forms = []
-    for v in basis:
-        coeffs = {(idx[t], ()): v[t] for t in range(len(idx)) if v[t] != 0}
-        forms.append(LagerbergFiberForm(n, p, 0, coeffs))
+    if p != 2 or a.algebra != "lagerberg" or not 0 < len(decomposition) <= 2:
+        return None
+    forms = [LagerbergFiberForm(n, p, 0, {(K, ()): c for K, c in coeffs.items()})
+             for _, coeffs in decomposition]
     if len(forms) == 1:
         w = forms[0]
         sq = wedge(w, w)
         if sq.is_zero():
-            return None, None       # decomposable: fall through to LP
+            return None     # decomposable: fall through to LP
         return Verdict(
             "strong", "no",
             witness=("kernel_obstruction", {"basis": [f.coeff for f in forms],
                                             "quadratic": None}),
-            reason="Gram row space is a line with no decomposable element"), None
-    if len(forms) == 0:
-        return None, None
+            reason="Gram row space is a line with no decomposable element")
     w1, w2 = forms
     # alpha = y w1 + z w2 decomposable iff alpha ^ alpha = 0
     q11 = wedge(w1, w1)
@@ -638,12 +646,12 @@ def _strong_no_via_kernel(a, psd_res, gram):
         if A or B or C:
             quadratics.append((Fraction(A), Fraction(B), Fraction(C)))
     if not quadratics:
-        return None, None           # every element decomposable
+        return None     # every element decomposable
     if _binary_system_has_real_root(quadratics):
-        return None, None
+        return None
     data = {"basis": [f.coeff for f in forms], "quadratics": quadratics}
     return Verdict("strong", "no", witness=("kernel_obstruction", data),
-                   reason="no real decomposable in the Gram row space"), data
+                   reason="no real decomposable in the Gram row space")
 
 
 def _binary_system_has_real_root(quadratics):
@@ -760,8 +768,7 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
         if base.no:
             return replace(base, tier="strong", reason="not even positive: " + base.reason)
         if a.is_exact():
-            g = gram_form(a)
-            verdict, _ = _strong_no_via_kernel(a, exact.psd_decompose(g.matrix), g)
+            verdict = _strong_no_via_kernel(a, base.certificate[1])
             if verdict is not None:
                 return verdict
         pool = strong_generator_pool(n, p, pool_size, seed, a.algebra, hints)
@@ -780,8 +787,6 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
             val = dual_pairing(a, g)
             if isinstance(val, QC):
                 neg = val.re < 0 if val.im == 0 else False
-            elif isinstance(val, complex):
-                neg = val.real < -tol
             else:
                 neg = val < 0 if _is_exact(val) else val < -tol
             if neg:

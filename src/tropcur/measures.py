@@ -103,8 +103,11 @@ class PieceMeasure:
     def __init__(self, n, atoms=(), pieces=(), derivative_atoms=(),
                  scale=(Fraction(1), 0), certify=True, rng_seed=0):
         self.n = n
-        self.atoms = tuple(Atom(frozenset(a.stratum), tuple(frac(c) for c in a.coords),
-                                frac(a.weight)) for a in atoms)
+        merged = {}     # atoms at one point add up; zero weights drop
+        for a in atoms:
+            key = (frozenset(a.stratum), tuple(frac(c) for c in a.coords))
+            merged[key] = merged.get(key, 0) + frac(a.weight)
+        self.atoms = tuple(Atom(s, c, w) for (s, c), w in merged.items() if w != 0)
         self.pieces = tuple(pieces)
         self.derivative_atoms = tuple(derivative_atoms)
         fracpart, pipow = scale
@@ -139,7 +142,7 @@ class PieceMeasure:
         if c != 1:
             return self.rescaled().canonical_key()
         return (self.n, c, k,
-                tuple(sorted(a.key() for a in self.atoms if a.weight != 0)),
+                tuple(sorted(a.key() for a in self.atoms)),
                 tuple(sorted(p.key() for p in self.pieces
                              if not p.weight_poly.is_zero())),
                 tuple(sorted(d.key() for d in self.derivative_atoms)))

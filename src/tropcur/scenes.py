@@ -138,6 +138,8 @@ def run_task(scene, task):
     """One task's record data; raises a TropcurError when the task fails."""
     if not isinstance(task, dict):
         raise ValidationError(f"a task must be a JSON object, not {task!r}")
+    if not isinstance(task.get("expect", {}), dict):
+        raise ValidationError(f"task field 'expect' must be a JSON object, not {task['expect']!r}")
     op = task.get("op")
     tol, seed, samples = scene.tol, scene.seed, scene.samples
     if op == "limit_point":
@@ -329,7 +331,7 @@ def run(scene, timings=False):
         else:
             record["timing_ms"] = None
         expect = task_data.get("expect")
-        if expect:
+        if isinstance(expect, dict) and expect:
             bad = {k: (record.get(k), v) for k, v in expect.items()
                    if jsonable(record.get(k)) != jsonable(v)}
             record["expected_ok"] = not bad

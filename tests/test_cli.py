@@ -230,8 +230,9 @@ def test_task_missing_field_is_error_record(tmp_path, capsys, op, missing):
     {"op": "locate_relint", "vector": [1, -1]},
     {"op": "limit_point", "point": [1], "direction": []},
     "locate_relint",
+    {"op": "locate_relint", "vector": [1], "expect": [1]},
 ], ids=["cone-range", "cone-type", "tier", "pool-size", "point", "strata", "name-type",
-        "point-length", "vector-length", "direction-length", "task-type"])
+        "point-length", "vector-length", "direction-length", "task-type", "expect-type"])
 def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
     scene = {"fan": {"rank": 1, "cones": [[[1]]]},
              "objects": {"w": {"type": "gallery", "name": "omega_rank_two"},

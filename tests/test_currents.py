@@ -332,3 +332,18 @@ def test_window_pairings_integrated_once_per_cocoefficient(monkeypatch):
     window_calls = [[c for c in calls if c is mu] for mu in T.cocoeffs.values()]
     assert any(window_calls)
     assert all(len(c) <= 1 for c in window_calls)
+
+
+def test_atoms_at_one_point_add_up():
+    # the off-diagonal atoms 2 delta_0 of A and -2 delta_0 of B cancel, so
+    # A + B is the positive current delta_0 (e_00 + e_11)
+    def delta(w):
+        return PieceMeasure(2, atoms=[Atom(frozenset(), (Fraction(0), Fraction(0)), Fraction(w))])
+
+    e0, e1 = (0,), (1,)
+    diagonal = {(e0, e0): delta(1), (e1, e1): delta(1)}
+    A = LagerbergCurrent(_chart(2), 1, {**diagonal, (e0, e1): delta(2), (e1, e0): delta(2)})
+    B = LagerbergCurrent(_chart(2), 1, {(e0, e1): delta(-2), (e1, e0): delta(-2)})
+    C = LagerbergCurrent(_chart(2), 1, diagonal)
+    assert A + B == C
+    assert positivity_check(A + B, samples=6).yes
