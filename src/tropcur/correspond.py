@@ -35,21 +35,17 @@ from .measures import OpenBox, PieceMeasure
 class InvariantComplexCurrent:
     """Shadow representation of an S-, F-invariant complex (p,p)-current.
 
-    ``shadows[(I, J)]`` are PieceMeasures with prefactor scale; the
-    Hermitian flag records sigma^{IJ} = sigma^{JI}; ``kernel`` holds
-    direct-evaluator exemplars annihilated by trop_*.
+    ``shadows[(I, J)]`` are PieceMeasures with prefactor scale;
+    ``kernel`` holds direct-evaluator exemplars annihilated by trop_*.
     """
 
-    def __init__(self, chart, p, shadows=None, hermitian=True, kernel=(),
-                 U=None, meta=None):
+    def __init__(self, chart, p, shadows=None, kernel=(), U=None):
         self.chart = chart
         self.n = len(chart.basis)
         self.p = p
         self.q = self.n - p
         self.U = U if U is not None else OpenBox.whole_chart(chart)
-        self.hermitian = hermitian
         self.kernel = tuple(kernel)
-        self.meta = meta or {}
         self.shadows = {}
         for (I, J), mu in (shadows or {}).items():
             I, J = tuple(I), tuple(J)
@@ -111,7 +107,7 @@ def push_forward(S):
     coco = {}
     for (I, J), mu in S.shadows.items():
         coco[(I, J)] = mu.with_scale(factor, -q)
-    return LagerbergCurrent(S.chart, S.p, coco, S.U, meta=S.meta)
+    return LagerbergCurrent(S.chart, S.p, coco, S.U)
 
 
 def lift(T, require=("closed", "positive"), samples=12, seed=0):
@@ -138,16 +134,11 @@ def lift(T, require=("closed", "positive"), samples=12, seed=0):
     q = T.q
     parts = canonical_decomposition(T, assume_positive=True)
     shadows = {}
-    for M, part in parts.items():
-        for (I, J), mu in part.cocoeffs.items():
+    for part in parts.values():
+        for key, mu in part.cocoeffs.items():
             lifted = mu.with_scale(Fraction(4 ** q), q)
-            key = (I, J)
-            if key in shadows:
-                shadows[key] = shadows[key] + lifted
-            else:
-                shadows[key] = lifted
-    return InvariantComplexCurrent(T.chart, T.p, shadows, hermitian=True,
-                                   U=T.U, meta=T.meta)
+            shadows[key] = shadows[key] + lifted if key in shadows else lifted
+    return InvariantComplexCurrent(T.chart, T.p, shadows, U=T.U)
 
 
 @dataclass
@@ -276,7 +267,7 @@ def _support_descriptor(measures):
     return desc
 
 
-def kernel_point_current(chart, description="point evaluation killed by trop_*"):
+def kernel_point_current(chart):
     """The projective-line exemplar: S(f dz ^ i dzbar) = f(0).
 
     Nonzero and invariant, but every pullback test form vanishes near the
@@ -314,5 +305,4 @@ def kernel_point_current(chart, description="point evaluation killed by trop_*")
             total += float(deg0) * math.exp(float(const))
         return total
 
-    return InvariantComplexCurrent(chart, 0, {}, kernel=[evaluator],
-                                   meta={"name": description})
+    return InvariantComplexCurrent(chart, 0, {}, kernel=[evaluator])

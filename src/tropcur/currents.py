@@ -10,9 +10,9 @@ decomposition, the C-finite-mass criterion and extension by zero act on
 the piece data exactly.
 
 Integration currents of weighted polyhedral complexes emit Lebesgue
-densities with lattice-normalized determinant weights; balancing at
-codimension-one faces is an exact rational check cross-validating the
-sampled closedness verdict.
+densities with lattice-normalized determinant weights.  Closedness of a
+current whose co-coefficients are such densities is the exact rational
+balancing check at codimension-one faces; the sampled verdict is its oracle.
 """
 
 import itertools
@@ -33,7 +33,7 @@ from .fiber import (LagerbergFiberForm, Verdict, merge_indices, positive_generat
 from .fields import (boundary_window_field, bump_box_field,
                      check_compatibility, differentiate, _stratum_subsets)
 from .measures import (Atom, DerivativeAtom, ImageMap, OpenBox, Piece,
-                       PieceMeasure, abs_measure, image_measure,
+                       PieceMeasure, _stratum_embedding, abs_measure, image_measure,
                        integrate_against, restrict_measure)
 from .polyhedra import Polyhedron, Row, parametrize
 
@@ -47,16 +47,13 @@ class LagerbergCurrent:
     measure class; such currents expose no co-coefficient operations.
     """
 
-    def __init__(self, chart, p, cocoeffs=None, U=None, evaluator=None,
-                 meta=None, excluded=frozenset()):
+    def __init__(self, chart, p, cocoeffs=None, U=None, evaluator=None):
         self.chart = chart
         self.n = len(chart.basis)
         self.p = p
         self.q = self.n - p
         self.U = U if U is not None else OpenBox.whole_chart(chart)
         self.evaluator = evaluator
-        self.meta = meta or {}
-        self.excluded = frozenset(frozenset(M) for M in excluded)
         self.cocoeffs = {}
         for (I, J), mu in (cocoeffs or {}).items():
             I, J = tuple(I), tuple(J)
@@ -65,11 +62,11 @@ class LagerbergCurrent:
             if mu.n != self.n:
                 raise ValidationError("measure dimension does not match the chart")
             bad = set(I) | set(J)
-            for a in list(mu.atoms) + list(mu.derivative_atoms):
+            for a in mu.atoms + mu.derivative_atoms + mu.pieces:
+                if not a.stratum <= chart.infinite_axes:
+                    raise ValidationError(f"piece of T^{(I, J)} sits on {sorted(a.stratum)}, "
+                                          "not a boundary stratum of the chart")
                 if a.stratum & bad:
-                    raise ValidationError(f"piece of T^{(I, J)} sits on E^{sorted(bad)}")
-            for piece in mu.pieces:
-                if piece.stratum & bad:
                     raise ValidationError(f"piece of T^{(I, J)} sits on E^{sorted(bad)}")
             if not mu.is_zero():
                 self.cocoeffs[(I, J)] = mu
@@ -105,13 +102,11 @@ class LagerbergCurrent:
         out = {}
         for k in set(self.cocoeffs) | set(other.cocoeffs):
             out[k] = self.cocoeff(*k) + other.cocoeff(*k)
-        return LagerbergCurrent(self.chart, self.p, out, self.U,
-                                meta=self.meta, excluded=self.excluded)
+        return LagerbergCurrent(self.chart, self.p, out, self.U)
 
     def scale(self, c):
         out = {k: mu.scale_weights(c) for k, mu in self.cocoeffs.items()}
-        return LagerbergCurrent(self.chart, self.p, out, self.U,
-                                meta=self.meta, excluded=self.excluded)
+        return LagerbergCurrent(self.chart, self.p, out, self.U)
 
     def mass_box(self):
         """Bounding data of the finite coordinates of all pieces."""
@@ -271,17 +266,25 @@ def mass_estimate(T, tol=1e-6):
 
 
 def closedness_test(T, test_basis_size=25, tol=1e-8, seed=0):
+    """Closedness verdict of T, read from its value alone.
+
+    Vacuously closed in top bidegree.  When T is the integration current
+    of a weighted complex (``_integrated_complex``) that balances, T is
+    closed exactly.  Every other current, an unbalanced complex included,
+    gets the sampled verdict of ``sampled_closedness``.
+    """
+    C = _integrated_complex(T) if T.q else None
+    if not T.q or (C is not None and balancing_check(C).yes):
+        return Verdict("closed", "yes", residual=0.0, exact=True)
+    return sampled_closedness(T, test_basis_size, tol, seed)
+
+
+def sampled_closedness(T, test_basis_size=25, tol=1e-8, seed=0):
     """Sampled Stokes verdict: T(d'beta), T(d''beta) over a seeded pool.
 
-    Vacuously closed in top bidegree.  For integration currents of
-    weighted complexes the balancing condition decides closedness
-    symbolically; an unbalanced complex still reports the worst sampled
-    witness.  Otherwise Closed means every pairing stays below
-    tol * (1 + mass estimate).
+    Closed means every pairing stays below tol * (1 + mass estimate); No
+    reports the worst pairing as its witness.
     """
-    if T.q == 0 or (T.meta.get("weighted_complex") is not None
-                    and balancing_check(T.meta["weighted_complex"]).yes):
-        return Verdict("closed", "yes", residual=0.0, exact=True)
     rng = random.Random(seed)
     box = _pool_box(T)
     strata = [M for M in _stratum_subsets(T.chart) if M]
@@ -487,7 +490,7 @@ def canonical_decomposition(T, assume_positive=False, samples=12, seed=0):
         if not verdict.yes:
             raise NotPositive("canonical decomposition needs a positive current",
                               payload=verdict.witness)
-    return {M: LagerbergCurrent(T.chart, T.p, coco, T.U, meta=T.meta)
+    return {M: LagerbergCurrent(T.chart, T.p, coco, T.U)
             for M, coco in split_by_stratum(T.chart, T.cocoeffs).items()}
 
 
@@ -560,17 +563,6 @@ def c_finite_test(T, seed=0):
 
 # --- extension by zero ------------------------------------------------------------------
 
-class _ChartMinusE:
-    """Image target: the chart minus the strata meeting a banned axis set."""
-
-    def __init__(self, chart, banned_axes):
-        self.chart = chart
-        self.banned = frozenset(banned_axes)
-
-    def stratum_allowed(self, M):
-        return not (frozenset(M) & self.banned)
-
-
 def extend_by_zero(T, E_strata, tol=1e-8, seed=0, check_positive=True):
     """Skoda-El-Mir style extension across a union of stratum closures.
 
@@ -580,7 +572,6 @@ def extend_by_zero(T, E_strata, tol=1e-8, seed=0, check_positive=True):
     its own exceptional locus E^{I u J}; the result restricts back to T
     and stays positive, with closedness re-checkable via closedness_test.
     """
-    E = [frozenset(M) for M in E_strata]
     if check_positive:
         v = positivity_check(T, samples=10, seed=seed)
         if not v.yes:
@@ -593,10 +584,11 @@ def extend_by_zero(T, E_strata, tol=1e-8, seed=0, check_positive=True):
     out = {}
     for (I, J), mu in T.cocoeffs.items():
         # plain (unweighted) local finiteness on the chart minus E^{I u J}
-        target = _ChartMinusE(T.chart, set(I) | set(J))
+        target = OpenBox(T.chart, tuple((None, None, i in T.chart.infinite_axes
+                                         and i not in I + J) for i in range(T.n)))
         image_measure(abs_measure(mu), ImageMap("open_inclusion", target))
         out[(I, J)] = mu
-    return LagerbergCurrent(T.chart, T.p, out, T.U, meta=T.meta)
+    return LagerbergCurrent(T.chart, T.p, out, T.U)
 
 
 # --- integration currents of weighted complexes ------------------------------------------
@@ -619,45 +611,82 @@ class WeightedComplex:
         return dims.pop()
 
 
+def _minors(poly, n, p):
+    """{I: det(A_I)} over the p-subsets I with a nonzero minor, where
+    u = A t + b is the integral parametrization of the p-dimensional
+    ``poly``; {} when poly is empty."""
+    par = parametrize(poly)
+    if par is None:
+        return {}
+    A = par[0]
+    dets = ((I, exact.det([[A[i][j] for j in range(p)] for i in I]))
+            for I in subsets(n, p))
+    return {I: d for I, d in dets if d}
+
+
 def integration_current(C, chart, U=None):
     """delta_C: the integration current of a weighted complex.
 
     In an integral affine parametrization u = A t + b of a cell, the
     pullback of d'u_I ^ d''u_J contributes det(A_I) det(A_J), so the
     co-coefficients are Lebesgue densities on the cells with those
-    constant weights (lattice-normalized by the direction lattice).
+    constant weights (lattice-normalized by the direction lattice).  The
+    current keeps no reference to C: ``_integrated_complex`` reads a
+    complex back from the co-coefficients.
     """
-    p = C.dim()
+    p = max(C.dim(), 0)       # an empty complex gives the zero current
     n = len(chart.basis)
-    if p < 0:
-        return LagerbergCurrent(chart, n, {}, U,
-                                meta={"weighted_complex": C})
     if p > n:
         raise MixedDimension(f"cells of dimension {p} exceed the chart rank")
     coco = {}
     for poly, w in C.cells:
-        if w == 0:
-            continue
-        par = parametrize(poly)
-        if par is None:
-            continue
-        A, u0, dom = par
-        for I in subsets(n, p):
-            detI = exact.det([[A[i][j] for j in range(p)] for i in I])
-            if detI == 0:
-                continue
-            for J in subsets(n, p):
-                detJ = exact.det([[A[i][j] for j in range(p)] for i in J])
-                if detJ == 0:
-                    continue
-                weight = Fraction(w) * detI * detJ
-                piece = Piece(frozenset(), poly, Poly.const(weight, n),
-                              Poly.zero(n), 1 if weight > 0 else -1)
-                key = (I, J)
-                mu = coco.get(key, PieceMeasure.zero(n))
-                coco[key] = mu + PieceMeasure(n, pieces=[piece], certify=False)
-    return LagerbergCurrent(chart, n - p, coco, U,
-                            meta={"weighted_complex": C})
+        minors = _minors(poly, n, p) if w else {}
+        for (I, detI), (J, detJ) in itertools.product(minors.items(), repeat=2):
+            weight = Fraction(w) * detI * detJ
+            piece = Piece(frozenset(), poly, Poly.const(weight, n),
+                          Poly.zero(n), 1 if weight > 0 else -1)
+            mu = coco.get((I, J), PieceMeasure.zero(n))
+            coco[(I, J)] = mu + PieceMeasure(n, pieces=[piece], certify=False)
+    return LagerbergCurrent(chart, n - p, coco, U)
+
+
+def _integrated_complex(T):
+    """The weighted complex C with T = integration_current(C), or None.
+
+    The cells are the distinct polyhedra of T's pieces; each must carry a
+    constant density on the open stratum and have dimension q.  A cell's
+    weight is its summed piece weight in the first diagonal key (I, I)
+    with det(A_I) != 0, divided by det(A_I)^2.  The weights are brought
+    to integers by their common denominator den, so rational multiples of
+    integration currents are recognised too; C is accepted only when
+    integration_current(C).scale(1/den) == T holds exactly.  Atoms,
+    derivative atoms, a pi power or a non-constant density give None.
+    """
+    if not T.has_measure_model():
+        return None
+    cells, diagonal = {}, {}
+    for (I, J), mu in T.cocoeffs.items():
+        if mu.atoms or mu.derivative_atoms or mu.scale[1]:
+            return None
+        for piece in mu.pieces:
+            if piece.stratum or piece.weight_poly.degree() or piece.weight_expo.degree():
+                return None
+            key = piece.poly.canonical_key()
+            cells.setdefault(key, piece.poly)
+            if I == J:
+                w = mu.scale[0] * sum(piece.weight_poly.exps.values())
+                diagonal[(I, key)] = diagonal.get((I, key), 0) + w
+    weights = []
+    for key, poly in cells.items():
+        if poly.poly_dim() != T.q:
+            return None
+        I, det = next(iter(_minors(poly, T.n, T.q).items()))
+        weights.append((poly, Fraction(diagonal.get((I, key), 0)) / det ** 2))
+    den = math.lcm(*(w.denominator for _, w in weights))
+    C = WeightedComplex(tuple((poly, w * den) for poly, w in weights), declared_dim=T.q)
+    if integration_current(C, T.chart).scale(Fraction(1, den)) != T:
+        return None
+    return C
 
 
 def _face_key(poly):
@@ -734,28 +763,21 @@ def balancing_check(C):
         for key, face in _facets(poly).items():
             faces.setdefault(key, (face, []))[1].append((poly, w))
     for key, (face, incident) in faces.items():
-        total = None
-        for cell, w in incident:
-            normal = _primitive_normal(cell, face)
-            contrib = tuple(Fraction(w) * Fraction(x) for x in normal)
-            total = contrib if total is None else tuple(a + b for a, b in
-                                                        zip(total, contrib))
+        normals = [(w, _primitive_normal(cell, face)) for cell, w in incident]
+        total = tuple(sum(Fraction(w) * Fraction(v[i]) for w, v in normals)
+                      for i in range(len(normals[0][1])))
         L_face = _direction_lattice(face)
-        if not any(total):
-            continue
-        if not L_face:
-            return Verdict("balanced", "no", witness={"face": key, "residual": total})
-        mat = [[Fraction(L_face[j][i]) for j in range(len(L_face))]
-               for i in range(len(total))]
-        sol = exact.solve(mat, list(total))
-        if sol is None:
+        # the residual must lie in the face's direction span
+        if any(total) and (not L_face or exact.solve(
+                [[Fraction(v[i]) for v in L_face] for i in range(len(total))],
+                list(total)) is None):
             return Verdict("balanced", "no", witness={"face": key, "residual": total})
     return Verdict("balanced", "yes")
 
 
 # --- wedge with a form field ----------------------------------------------------------------
 
-def _measure_times_fn(mu, g, n, stratum_subsets):
+def _measure_times_fn(mu, g, n):
     """Multiply a measure by a poly x exp coefficient function (per stratum).
 
     ``g`` maps strata to CoefficientFn; window factors are outside the
@@ -771,13 +793,11 @@ def _measure_times_fn(mu, g, n, stratum_subsets):
         if fn.has_windows() or fn.max_exp_degree() > 0:
             raise FamilyEscape("atom weights need polynomial field coefficients",
                                payload={"atom": a.key()})
-        val = Fraction(0)
         u = [Fraction(0)] * n
         alive = [i for i in range(n) if i not in a.stratum]
         for i, c in zip(alive, a.coords):
             u[i] = c
-        for poly, _, _ in fn.terms:
-            val += poly.eval(u)
+        val = sum(poly.eval(u) for poly, _, _ in fn.terms)
         if val != 0:
             atoms.append(Atom(a.stratum, a.coords, a.weight * val))
     for piece in mu.pieces:
@@ -787,11 +807,7 @@ def _measure_times_fn(mu, g, n, stratum_subsets):
         if fn.has_windows():
             raise FamilyEscape("window coefficients leave the density family",
                                payload={"piece": piece.key()})
-        alive = [i for i in range(n) if i not in piece.stratum]
-        A = [[Fraction(0)] * len(alive) for _ in range(n)]
-        for j, i in enumerate(alive):
-            A[i][j] = Fraction(1)
-        local = fn.substitute_affine(A, [Fraction(0)] * n, len(alive))
+        local = fn.substitute_affine(*_stratum_embedding(n, piece.stratum), piece.poly.dim)
         for poly, expo, _ in local.terms:
             new_expo = piece.weight_expo + expo
             if new_expo.degree() > 2:
@@ -865,15 +881,12 @@ def wedge_with_form(beta, T):
                     continue
                 s_blocks = (-1) ** (len(K) * len(B))
                 sgn = sign_front * s_q2 * s_q * sA * sB * s_blocks
-                g = {frozenset(M): beta.coefficient(M, A, B)
-                     for M in beta.tables}
-                g = {M: fn for M, fn in g.items() if not fn.is_zero()}
+                g = {frozenset(M): beta.coefficient(M, A, B) for M in beta.tables}
+                g = {M: fn.scale(sgn) for M, fn in g.items() if not fn.is_zero()}
                 if not g:
                     continue
-                extra = {M: g.get(M, CoefficientFn.zero(n)).scale(sgn)
-                         for M in g}
-                piece_mu = _measure_times_fn(mu, extra, n, None)
+                piece_mu = _measure_times_fn(mu, g, n)
                 acc = piece_mu if acc is None else acc + piece_mu
             if acc is not None and not acc.is_zero():
                 out[(K, L)] = acc
-    return LagerbergCurrent(T.chart, p2, out, T.U, meta=T.meta)
+    return LagerbergCurrent(T.chart, p2, out, T.U)

@@ -88,6 +88,16 @@ def _to_float(x):
     return x
 
 
+def _negative(val, tol):
+    """A pairing value below zero: exactly for exact scalars, below -tol
+    for floats; a complex value must be real (within tol for floats)."""
+    if isinstance(val, QC):
+        return val.im == 0 and val.re < 0
+    if isinstance(val, complex):
+        return abs(val.imag) <= tol and val.real < -tol
+    return val < 0 if _is_exact(val) else val < -tol
+
+
 # --- form classes ------------------------------------------------------------
 
 class _FiberForm:
@@ -157,7 +167,7 @@ class _FiberForm:
         assert type(other) is type(self) and (self.p, self.q) == (other.p, other.q)
         out = dict(self.coeff)
         for k, c in other.coeff.items():
-            out[k] = out.get(k, self._zero()) + c
+            out[k] = out.get(k, 0) + c
         return self._new(self.p, self.q, out)
 
     def __sub__(self, other):
@@ -269,7 +279,6 @@ def wedge(a, b):
     if a.n != b.n:
         raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
     out = {}
-    zero = a._zero()
     for (I1, J1), c1 in a.coeff.items():
         for (I2, J2), c2 in b.coeff.items():
             s_blocks = -1 if (len(I2) * len(J1)) % 2 else 1
@@ -281,8 +290,7 @@ def wedge(a, b):
                 continue
             sgn = s_blocks * sI * sJ
             term = a._mul_scalar(a._mul_scalar(c1, c2), sgn)
-            key = (I, J)
-            out[key] = out.get(key, zero) + term
+            out[(I, J)] = out.get((I, J), 0) + term
     return a._new(a.p + b.p, a.q + b.q, out)
 
 
@@ -416,10 +424,10 @@ def dual_pairing(a, b):
         raise WrongAlgebra("cannot pair forms from different algebras")
     if a.n != b.n:
         raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
-    top = a._zero()
+    top = 0
     for sign, c, d in _complementary_terms(a, b.coeff):
         top = top + a._mul_scalar(a._mul_scalar(c, d), sign)
-    return top if a.algebra == "lagerberg" else QC.i_pow(-a.n) * top
+    return a._mul_scalar(top, a._i_pow(-a.n))
 
 
 # --- positivity ---------------------------------------------------------------
@@ -784,12 +792,7 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
         q = n - p
         pool = strong_generator_pool(n, q, pool_size, seed, a.algebra, hints)
         for g, tag in pool:
-            val = dual_pairing(a, g)
-            if isinstance(val, QC):
-                neg = val.re < 0 if val.im == 0 else False
-            else:
-                neg = val < 0 if _is_exact(val) else val < -tol
-            if neg:
+            if _negative(dual_pairing(a, g), tol):
                 return Verdict("weak", "no", witness=("generator", tag, g),
                                reason="negative pairing with a strongly positive form")
         if dual_certificate is not None:
@@ -839,10 +842,7 @@ def reverify(a, verdict):
     kind = w[0]
     if kind in ("dual_form", "generator"):
         # ("dual_form", form) or ("generator", tag, form)
-        val = dual_pairing(a, w[-1])
-        if isinstance(val, QC):
-            return val.im == 0 and val.re < 0
-        return val < 0
+        return _negative(dual_pairing(a, w[-1]), 0)
     if kind == "kernel_obstruction":
         data = w[1]
         if data.get("quadratics"):

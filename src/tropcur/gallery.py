@@ -89,8 +89,7 @@ def positive_not_liftable():
     ray = Polyhedron(1, [((-1,), 0, True)])
     mu = PieceMeasure(1, pieces=[lebesgue_piece(
         (), ray, expo=Poly({(2,): Fraction(1)}, 1))])
-    return LagerbergCurrent(chart, 0, {((0,), (0,)): mu}, _halfline_U(chart),
-                            meta={"name": "density exp(x^2) on (0, infty]"})
+    return LagerbergCurrent(chart, 0, {((0,), (0,)): mu}, _halfline_U(chart))
 
 
 def closed_not_positive():
@@ -115,8 +114,7 @@ def closed_not_positive():
             lambda pts: _np.exp(2.0 * _np.exp(pts[:, 0])) * dfn.eval_np(pts),
             [(max(lo, 1e-9), hi)], 1e-9 * max(1.0, math.exp(2 * math.exp(hi))))
 
-    return LagerbergCurrent(chart, 1, {}, _halfline_U(chart), evaluator=evaluator,
-                            meta={"name": "evaluator int e^{2e^x} f'"})
+    return LagerbergCurrent(chart, 1, {}, _halfline_U(chart), evaluator=evaluator)
 
 
 def positive_not_positively_liftable():
@@ -129,8 +127,7 @@ def positive_not_positively_liftable():
     chart = _halfline_chart()
     ray = Polyhedron(1, [((-1,), 0, True)])
     mu = PieceMeasure(1, pieces=[lebesgue_piece((), ray, expo=Poly.linear([2]))])
-    return LagerbergCurrent(chart, 0, {((0,), (0,)): mu}, _halfline_U(chart),
-                            meta={"name": "density exp(2x) on (0, infty]"})
+    return LagerbergCurrent(chart, 0, {((0,), (0,)): mu}, _halfline_U(chart))
 
 
 def degenerate_form_current():
@@ -159,7 +156,7 @@ def degenerate_form_current():
         if weight:
             coco[(Ic, Jc)] = PieceMeasure(4, pieces=[lebesgue_piece(
                 (), whole, weight=weight, sign=1 if weight > 0 else -1)])
-    return LagerbergCurrent(chart, 2, coco, meta={"name": "[omega_degenerate]"})
+    return LagerbergCurrent(chart, 2, coco)
 
 
 def derivative_atom_current():
@@ -173,8 +170,7 @@ def derivative_atom_current():
     full = (0, 1, 2, 3)
     mu = PieceMeasure(4, derivative_atoms=[DerivativeAtom(
         frozenset(), (Fraction(0),) * 4, (Fraction(1), 0, 0, 0), Fraction(1))])
-    return LagerbergCurrent(chart, 0, {(full, full): mu},
-                            meta={"name": "derivative atom at 0"})
+    return LagerbergCurrent(chart, 0, {(full, full): mu})
 
 
 def tropical_line(weights=(1, 1, 1)):

@@ -13,9 +13,9 @@ import pytest
 from tropcur import exact
 from tropcur.coeffs import CoefficientFn, Poly
 from tropcur.correspond import kernel_point_current, lift, push_forward, round_trip_verify
-from tropcur.currents import (LagerbergCurrent, balancing_check, c_finite_test,
-                              canonical_decomposition, closedness_test,
-                              integration_current, positivity_check, resum)
+from tropcur.currents import (balancing_check, c_finite_test, canonical_decomposition,
+                              closedness_test, integration_current, positivity_check,
+                              resum, sampled_closedness)
 from tropcur.errors import NotCFinite, NotPositive, TropcurError
 from tropcur.fans import orthant_fan, p2_fan
 from tropcur.fiber import (ComplexFiberForm, LagerbergFiberForm, apply_involution,
@@ -252,8 +252,7 @@ def test_acceptance_09_tropical_cycles():
     assert balancing_check(C).yes
     T = tropical_line_current()
     # closedness over 100 seeded test forms at 1e-8 (sampled route)
-    T_sampled = LagerbergCurrent(T.chart, T.p, T.cocoeffs, T.U)
-    cv = closedness_test(T_sampled, test_basis_size=50, tol=1e-8, seed=909)
+    cv = sampled_closedness(T, test_basis_size=50, tol=1e-8, seed=909)
     assert cv.yes, cv.residual
     assert positivity_check(T, samples=10, seed=909).yes
     S = lift(T, seed=909)

@@ -306,8 +306,15 @@ def _form(**entries):
     return command
 
 
-def _current(cocoeffs):
-    return _scene(objects={"T": {"type": "current", "bidegree": [0, 0], "cocoeffs": cocoeffs}})
+def _current(cocoeffs, bidegree=(0, 0), **entries):
+    return _scene(objects={"T": {"type": "current", "bidegree": list(bidegree),
+                                 "cocoeffs": cocoeffs}}, **entries)
+
+
+# chart 0 of the rank-1 fan has no boundary stratum, so stratum [1] is not on it
+_atom_off_chart = _current({"|": {"atoms": [{"pt": {"stratum": [1], "coords": []}, "w": "1"}]}},
+                           bidegree=(1, 1), chart=0,
+                           tasks=[{"op": "decompose", "current": "T"}])
 
 
 @pytest.mark.parametrize("command", [_form_index_out_of_range, _atom_with_extra_coordinate,
@@ -321,13 +328,14 @@ def _current(cocoeffs):
                                      _scene(objects={"w": {"type": "gallery",
                                                            "name": "shifted_tropical_line"}}),
                                      _scene(tol="abc"), _scene(chart=99), _scene(chart=-1),
-                                     _current([]), _current({"1|1": []}),
+                                     _current([]), _current({"1|1": []}), _atom_off_chart,
                                      _form(n=-1, p=0, q=0), _form(p=3, q=3)],
                          ids=["form-index", "atom-length", "shadow-key", "field-bidegree",
                               "row-short", "row-long", "objects-list", "object-type",
                               "tasks-object", "gallery-no-name", "gallery-suite",
                               "gallery-needs-argument", "tol", "chart-range", "chart-negative",
-                              "cocoeffs-list", "measure-list", "form-rank", "form-bidegree"])
+                              "cocoeffs-list", "measure-list", "atom-off-chart", "form-rank",
+                              "form-bidegree"])
 def test_malformed_object_is_input_error(tmp_path, command):
     proc = run_cli_process(command(tmp_path))
     assert proc.returncode == 2, proc.stderr

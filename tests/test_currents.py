@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from tropcur.coeffs import CoefficientFn, Poly, bump
-from tropcur.currents import (LagerbergCurrent, WeightedComplex, balancing_check,
-                              c_finite_test, canonical_decomposition,
+from hypothesis import given, settings, strategies as st
+
+from tropcur.currents import (LagerbergCurrent, WeightedComplex, _integrated_complex,
+                              balancing_check, c_finite_test, canonical_decomposition,
                               closedness_test, evaluate, extend_by_zero,
                               from_cocoefficients, integration_current,
-                              positivity_check, resum, wedge_with_form)
+                              positivity_check, resum, sampled_closedness,
+                              wedge_with_form)
 from tropcur.errors import (MixedDimension, NotCFinite, NotPositive,
                             SupportEscapesU)
 from tropcur.fans import orthant_fan
@@ -16,8 +19,9 @@ from tropcur.fields import LagerbergFormField, bump_box_field
 from tropcur.gallery import (degenerate_form_current, derivative_atom_current,
                              omega_degenerate, positive_not_liftable,
                              closed_not_positive,
-                             positive_not_positively_liftable, tropical_line,
-                             tropical_line_current)
+                             positive_not_positively_liftable, shifted_tropical_line,
+                             tropical_line, tropical_line_current)
+from tropcur.formats import current_from_json, current_to_json
 from tropcur.measures import (Atom, OpenBox, Piece, PieceMeasure,
                               lebesgue_piece)
 from tropcur.polyhedra import Polyhedron
@@ -208,11 +212,62 @@ def test_tropical_line_balanced_closed_positive():
 
 
 def test_tropical_line_sampled_closedness():
-    # force the sampled route (strip the meta) and expect tiny residuals
-    T0 = tropical_line_current()
-    T = LagerbergCurrent(T0.chart, T0.p, T0.cocoeffs, T0.U)
-    cv = closedness_test(T, test_basis_size=12, tol=1e-8, seed=1)
-    assert cv.yes, cv.residual
+    # the sampled route on its own sees only tiny residuals
+    cv = sampled_closedness(tropical_line_current(), test_basis_size=12, tol=1e-8, seed=1)
+    assert cv.yes and not cv.exact, cv.residual
+
+
+def test_sum_closedness_reads_the_value():
+    # T1 + T2 is the unbalanced line with weights (2, 2, 3), in either order
+    T1 = tropical_line_current()
+    T2 = integration_current(tropical_line((1, 1, 2)), T1.chart)
+    for T in (T1 + T2, T2 + T1):
+        cv = closedness_test(T, test_basis_size=16, tol=1e-8, seed=2)
+        assert cv.no and not cv.exact and cv.residual > 1e-3
+
+
+def test_product_closedness_reads_the_value():
+    # (u0 + 5) T is not closed, however it was built
+    T = tropical_line_current()
+    beta = LagerbergFormField(T.chart, 2, 0, 0, {frozenset(): {
+        ((), ()): CoefficientFn.poly_exp(Poly.linear([1, 0], 5), Poly.zero(2))}})
+    W = wedge_with_form(beta, T)
+    rebuilt = LagerbergCurrent(W.chart, W.p, W.cocoeffs, W.U)
+    assert W == rebuilt
+    for cur in (W, rebuilt):
+        cv = closedness_test(cur, test_basis_size=16, tol=1e-8, seed=2)
+        assert cv.no and not cv.exact and cv.residual > 1e-3
+
+
+@st.composite
+def _line_currents(draw):
+    """Sums of distinct shifted lines, one weight possibly off balance,
+    times a rational scalar."""
+    shifts = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=1, max_size=2, unique=True))
+    T = None
+    for t, shift in enumerate(shifts):
+        weights = [draw(st.integers(1, 3))] * 3
+        if t == 0 and draw(st.booleans()):
+            weights[draw(st.integers(0, 2))] += 1
+        line = integration_current(shifted_tropical_line(shift, weights), _chart(2))
+        T = line if T is None else T + line
+    return T.scale(draw(st.sampled_from([1, 2, Fraction(1, 2), Fraction(-3, 2)])))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_line_currents())
+def test_closedness_depends_on_value_only(T):
+    cv = closedness_test(T, test_basis_size=6, seed=5)
+    back = current_from_json(current_to_json(T), T.chart)
+    cv_back = closedness_test(back, test_basis_size=6, seed=5)
+    assert (cv_back.answer, cv_back.exact) == (cv.answer, cv.exact)
+    C = _integrated_complex(T)
+    assert C is not None
+    if cv.exact:
+        cv = sampled_closedness(T, test_basis_size=6, seed=5)
+    # the sampled route is the oracle of the exact one
+    assert cv.yes == balancing_check(C).yes, cv.residual
 
 
 def test_unbalanced_line_detected():

@@ -605,3 +605,28 @@ def test_empty_strong_generator_is_unit(algebra):
     assert (unit.p, unit.q) == (0, 0) and unit.get((), ()) == 1
     pool = strong_generator_pool(3, 0, size=4, algebra=algebra)
     assert len(pool) == 4 and all(g == unit for g, _ in pool)
+
+
+def _as_python_complex(form):
+    return ComplexFiberForm(form.n, form.p, form.q,
+                            {k: complex(c) for k, c in form.coeff.items()})
+
+
+def test_python_complex_coefficients():
+    # sums over Python complex coefficients must not start at an exact QC(0)
+    a = ComplexFiberForm(2, 1, 1, {((0,), (0,)): 1.5 + 0j})
+    b = ComplexFiberForm(2, 1, 1, {((1,), (1,)): 2 + 0j})
+    ea = ComplexFiberForm(2, 1, 1, {((0,), (0,)): Fraction(3, 2)})
+    eb = ComplexFiberForm(2, 1, 1, {((1,), (1,)): 2})
+    assert wedge(a, b).get((0, 1), (0, 1)) == complex(wedge(ea, eb).get((0, 1), (0, 1)))
+    assert dual_pairing(a, b) == complex(dual_pairing(ea, eb))
+    assert (a + b).get((1,), (1,)) == 2
+    # every tier and its re-check: the weakly positive degenerate form, and the
+    # negated rank-two form, whose weak No carries a complex negative pairing
+    for exact_form in (embed_complex(omega_degenerate()),
+                       embed_complex(omega_rank_two()).scale(-1)):
+        f = _as_python_complex(exact_form)
+        for tier in ("positive", "strong", "weak"):
+            v = positivity_verdict(f, tier, pool_size=50)
+            assert v.answer == positivity_verdict(exact_form, tier, pool_size=50).answer
+            assert reverify(f, v), (tier, v)

@@ -1,8 +1,10 @@
 """Golden reports: each command line below must reproduce its stored report
-byte for byte, and its exit code.
+byte for byte, and its exit code; each script in ``demos`` must print its
+stored ``tests/golden/demo_*.txt`` byte for byte.
 
 Inputs live in ``tests/golden/inputs``; the reports in ``tests/golden``.
-To rewrite the reports after an intended change of output, run
+To rewrite the reports and demo outputs after an intended change of
+output, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -10,6 +12,8 @@ and review the diff.  The counterexample gallery's report is checked by
 ``test_cli.test_counterexamples_subcommand``, which already runs it.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +22,8 @@ import pytest
 from tropcur.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
 
 # (report file, exit code, command line; an input is named by its file name)
 CASES = [
@@ -65,8 +71,24 @@ def test_golden_report(tmp_path, name, code, args):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def _demo_output(demo):
+    """What the demo script prints, run in a fresh interpreter on src/."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, str(demo)], capture_output=True, env=env,
+                          check=True).stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_golden_demo(demo):
+    assert _demo_output(demo) == (GOLDEN / f"{demo.stem}.txt").read_bytes()
+
+
 if __name__ == "__main__":
     target = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
     for name, code, args in CASES:
         got = _run(args, target / name)
         print(f"{name}: exit {got}" + ("" if got == code else f" (expected {code})"))
+    for demo in DEMOS:
+        (target / f"{demo.stem}.txt").write_bytes(_demo_output(demo))
+        print(f"{demo.stem}.txt: written")

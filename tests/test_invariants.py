@@ -26,7 +26,7 @@ def test_decomposition_insensitive_to_piece_order():
         shuffled[k] = PieceMeasure(mu.n, tuple(reversed(mu.atoms)),
                                    tuple(reversed(mu.pieces)),
                                    mu.derivative_atoms, mu.scale, certify=False)
-    T2 = LagerbergCurrent(T.chart, T.p, shuffled, T.U, meta=T.meta)
+    T2 = LagerbergCurrent(T.chart, T.p, shuffled, T.U)
     p1 = canonical_decomposition(T, assume_positive=True)
     p2 = canonical_decomposition(T2, assume_positive=True)
     assert set(p1) == set(p2)
