@@ -567,10 +567,12 @@ def extend_by_zero(T, E_strata, tol=1e-8, seed=0, check_positive=True):
     """Skoda-El-Mir style extension across a union of stratum closures.
 
     ``E_strata``: the strata (subsets of infinite axes) whose closures
-    form E.  Requires C-finite local mass on U (checked); each
-    co-coefficient must admit an image Radon measure on the chart minus
-    its own exceptional locus E^{I u J}; the result restricts back to T
-    and stays positive, with closedness re-checkable via closedness_test.
+    form E.  Requires C-finite local mass on U (checked).  That check also
+    gives each co-coefficient its image Radon measure on the chart minus
+    its own exceptional locus E^{I u J}: the pieces avoid E^{I u J}, and
+    along their escape rays the boundary weight of c_finite_test has rate
+    zero.  The result restricts back to T and stays positive, with
+    closedness re-checkable via closedness_test.
     """
     if check_positive:
         v = positivity_check(T, samples=10, seed=seed)
@@ -581,14 +583,7 @@ def extend_by_zero(T, E_strata, tol=1e-8, seed=0, check_positive=True):
     if not cf.yes:
         raise NotCFinite("current does not have C-finite local mass on U",
                          payload=cf.witness)
-    out = {}
-    for (I, J), mu in T.cocoeffs.items():
-        # plain (unweighted) local finiteness on the chart minus E^{I u J}
-        target = OpenBox(T.chart, tuple((None, None, i in T.chart.infinite_axes
-                                         and i not in I + J) for i in range(T.n)))
-        image_measure(abs_measure(mu), ImageMap("open_inclusion", target))
-        out[(I, J)] = mu
-    return LagerbergCurrent(T.chart, T.p, out, T.U)
+    return LagerbergCurrent(T.chart, T.p, dict(T.cocoeffs), T.U)
 
 
 # --- integration currents of weighted complexes ------------------------------------------

@@ -16,10 +16,12 @@ Yes/No answers where an exact argument exists and Unknown otherwise.
 """
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
+from functools import cache
 
 import numpy as np
 
@@ -396,17 +398,15 @@ def gram_form(a):
     return GramForm(tuple(idx), mat, a.gram_kind if herm else "none")
 
 
-def _complementary_terms(a, b_coeff):
-    """(sign, a_IJ, b_{I^c J^c}) over the keys of the (p,p)-form a; <a, b> sums the
-    signed products.  sign = (-1)^{pq} eps(I) eps(J) (-1)^{n(n-1)/2}: b's q-block
-    passes a's p-block, eps(I) is the sign of the shuffle (I, I^c), and
-    (-1)^{n(n-1)/2} is tau_n's top coefficient."""
+def _complementary_terms(a):
+    """(sign, a_IJ, I^c, J^c) over the keys of the (p,p)-form a; <a, b> sums
+    sign a_IJ b_{I^c J^c}.  sign = (-1)^{pq} eps(I) eps(J) (-1)^{n(n-1)/2}: b's
+    q-block passes a's p-block, eps(I) is the sign of the shuffle (I, I^c),
+    and (-1)^{n(n-1)/2} is tau_n's top coefficient."""
     n = a.n
     fixed = (-1) ** (a.p * (n - a.p) + n * (n - 1) // 2)
     for (I, J), c in a.coeff.items():
-        d = b_coeff.get((_complement(I, n), _complement(J, n)))
-        if d is not None:
-            yield fixed * _shuffle_sign(I) * _shuffle_sign(J), c, d
+        yield fixed * _shuffle_sign(I) * _shuffle_sign(J), c, _complement(I, n), _complement(J, n)
 
 
 def dual_pairing(a, b):
@@ -425,8 +425,10 @@ def dual_pairing(a, b):
     if a.n != b.n:
         raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
     top = 0
-    for sign, c, d in _complementary_terms(a, b.coeff):
-        top = top + a._mul_scalar(a._mul_scalar(c, d), sign)
+    for sign, c, K, L in _complementary_terms(a):
+        d = b.coeff.get((K, L))
+        if d is not None:
+            top = top + a._mul_scalar(a._mul_scalar(c, d), sign)
     return a._mul_scalar(top, a._i_pow(-a.n))
 
 
@@ -492,6 +494,33 @@ def positive_generator(alpha):
                              for (I, _), a in coeff.items() for (J, _), b in coeff.items()})
 
 
+@cache
+def _expansion(n, p):
+    """For each K in subsets(n, p): (sign, position of K - {k} in
+    subsets(n, p - 1), k) over k in K; the sign moves d'u_k from the end of
+    d'u_{K - {k}} ^ d'u_k into place."""
+    prev = {K: t for t, K in enumerate(subsets(n, p - 1))}
+    return tuple(tuple(((-1) ** (p - 1 - pos), prev[K[:pos] + K[pos + 1:]], k)
+                       for pos, k in enumerate(K)) for K in subsets(n, p))
+
+
+def plucker_vector(vectors, n):
+    """The p-minors of the p x n matrix with rows ``vectors``, over subsets(n, p).
+
+    These are the coefficients of the (p,0)-form a_1 ^ ... ^ a_p, built row
+    by row: each step expands along the newest row.  No vectors give (1,).
+    """
+    beta = (1,)
+    for p, v in enumerate(vectors, 1):
+        beta = tuple(sum(s * beta[t] * v[k] for s, t, k in row) for row in _expansion(n, p))
+    return beta
+
+
+def _plucker_generator(beta, n, p, cls):
+    """The strong (p,p)-generator of a Plucker vector over subsets(n, p)."""
+    return positive_generator(cls(n, p, 0, {(K, ()): b for K, b in zip(subsets(n, p), beta) if b}))
+
+
 def strong_generator(vectors, n, algebra="lagerberg"):
     """a_1 ^ J a_1 ^ ... ^ a_p ^ J a_p from degree-one coefficient vectors.
 
@@ -501,9 +530,7 @@ def strong_generator(vectors, n, algebra="lagerberg"):
     (-1)^{p(p-1)/2} of positive_generator(alpha), alpha = a_1 ^ ... ^ a_p
     the (p,0)-form of p-minors.  No vectors give the unit (0,0)-form.
     """
-    cls = _FORM_CLASSES[algebra]
-    factors = [cls(n, 1, 0, {((j,), ()): c for j, c in enumerate(v) if c}) for v in vectors]
-    return positive_generator(reduce(wedge, factors) if factors else cls(n, 0, 0, {((), ()): 1}))
+    return _plucker_generator(plucker_vector(vectors, n), n, len(vectors), _FORM_CLASSES[algebra])
 
 
 def coordinate_strong_generators(n, p, algebra="lagerberg"):
@@ -514,21 +541,28 @@ def coordinate_strong_generators(n, p, algebra="lagerberg"):
     return gens
 
 
-def strong_generator_pool(n, p, size=10_000, seed=0, algebra="lagerberg", hints=()):
-    """Seeded random decomposable generators plus all coordinate ones."""
+def strong_generator_pool(n, p, size=10_000, seed=0):
+    """A seeded pool of strong (p,p)-generators, as Plucker vectors, drawn lazily.
+
+    Yields (beta, tag), beta an integer tuple over subsets(n, p) whose
+    generator is positive_generator of the (p,0)-form beta (see
+    strong_generator); the pool is the same for both algebras.  First comes
+    one coordinate generator d'u_I ^ J d'u_I per I, tag ("coordinate", I);
+    then, until ``size`` entries, the minors of p vectors with entries drawn
+    uniformly from -3..3 by random.Random(seed), tag ("random", vectors),
+    skipping draws whose minors all vanish.
+    """
+    S = subsets(n, p)
+    for I in S:
+        yield tuple(int(K == I) for K in S), ("coordinate", I)
     rng = random.Random(seed)
-    pool = coordinate_strong_generators(n, p, algebra)
-    for g in hints:
-        pool.append((g, ("hint",)))
-    while len(pool) < size:
-        vecs = []
-        for _ in range(p):
-            v = tuple(rng.randint(-3, 3) for _ in range(n))
-            vecs.append(v)
-        g = strong_generator(vecs, n, algebra)
-        if not g.is_zero():
-            pool.append((g, ("random", tuple(vecs))))
-    return pool
+    count = len(S)
+    while count < size:
+        vecs = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(p))
+        beta = plucker_vector(vecs, n)
+        if any(beta):
+            count += 1
+            yield beta, ("random", vecs)
 
 
 def _phi_inverse(x_coeffs, a):
@@ -573,48 +607,88 @@ def _positive_tier(a, tol):
     return Verdict("positive", "no", witness=("dual_form", dual), reason="Gram form not PSD")
 
 
+def _pairing_terms(a):
+    """(c'_t, k_t, l_t) with <a, g_beta> = sum_t c'_t beta_k conj(beta_l).
+
+    g_beta is the strong (q,q)-generator, q = n - p, of a Plucker vector
+    beta over subsets(n, q), whose coefficient at (K, L) is
+    s beta_K conj(beta_L) with s = i^q (-1)^{q(q-1)/2}.  The terms are those
+    of _complementary_terms, with s and the i^{-n} of dual_pairing folded
+    into the coefficient, and k, l the positions of I^c, J^c.
+    """
+    n, q = a.n, a.n - a.p
+    pos = {K: t for t, K in enumerate(subsets(n, q))}
+    unit = a._i_pow(-a.p) * (-1) ** (q * (q - 1) // 2)
+    return [(a._mul_scalar(c, unit * sign), pos[K], pos[L])
+            for sign, c, K, L in _complementary_terms(a)]
+
+
+def _negative_pairing(a, tol):
+    """beta -> whether <a, g_beta> < 0, for integer Plucker vectors beta.
+
+    Exact forms scale their terms' real and imaginary parts by a common
+    denominator, so each test is integer arithmetic: negative iff the real
+    sum is below zero and the imaginary sum vanishes, as in _negative.
+    Float forms add the nonzero terms in dual_pairing's order and go
+    through _negative with tol.
+    """
+    terms = _pairing_terms(a)
+    pairs = [(k, l) for _, k, l in terms]
+    if not a.is_exact():
+        cs = [_to_float(c) for c, _, _ in terms]
+
+        def negative(beta):
+            val = 0
+            for c, (k, l) in zip(cs, pairs):
+                x = beta[k] * beta[l]
+                if x:
+                    val = val + c * x
+            return _negative(val, tol)
+        return negative
+    cols = list(zip(*(a._parts(c) for c, _, _ in terms))) or [()]
+    den = math.lcm(*(Fraction(x).denominator for col in cols for x in col))
+    re, *im = [[int(x * den) for x in col] for col in cols]
+
+    def negative(beta):
+        xs = [beta[k] * beta[l] for k, l in pairs]
+        return (sum(map(operator.mul, re, xs)) < 0
+                and not any(sum(map(operator.mul, col, xs)) for col in im))
+    return negative
+
+
 def _pairing_polynomial(a):
     """<a, strong generator> as an exact polynomial in the generator data.
 
-    Variables are the p*n coordinates of the vectors a_1 .. a_p building
-    the strong (q,q)-generator; identically zero or even-positive
-    polynomials give exact weak-positivity certificates.
+    Variables are the q*n coordinates x_{j,i} (index j*n + i) of the vectors
+    a_1 .. a_q building the strong (q,q)-generator; the polynomial is
+    sum_t c'_t beta_k(x) beta_l(x) over _pairing_terms, with beta(x) the
+    symbolic minors.  Identically zero or even-positive polynomials give
+    exact weak-positivity certificates.
     """
     from .coeffs import Poly
-    n, p = a.n, a.p
-    q = n - p
-    # symbolic strong generator of bidegree (q,q): product over j of
-    # sum_{i,k} x_{j,i} x_{j,k} d'u_i ^ d''u_k
+    n, q = a.n, a.n - a.p
     nv = q * n
-
-    def var(j, i):
-        e = [0] * nv
-        e[j * n + i] = 1
-        return Poly({tuple(e): Fraction(1)})
-
-    acc = {((), ()): Poly.const(1, nv)}
+    beta = ({(0,) * nv: 1},)        # each minor as {exponent tuple: coefficient}
     for j in range(q):
-        new = {}
-        for (I1, J1), poly in acc.items():
-            for i in range(n):
-                for k in range(n):
-                    s_blocks = -1 if len(J1) % 2 else 1
-                    sI, I = merge_indices(I1, (i,))
-                    if sI == 0:
-                        continue
-                    sJ, J = merge_indices(J1, (k,))
-                    if sJ == 0:
-                        continue
-                    term = poly * var(j, i) * var(j, k)
-                    sgn = s_blocks * sI * sJ
-                    key = (I, J)
-                    prev = new.get(key)
-                    contrib = term.scale(sgn)
-                    new[key] = contrib if prev is None else prev + contrib
-        acc = new
-    out = Poly.zero(nv)
-    for sign, c, poly in _complementary_terms(a, acc):
-        out = out + poly.scale(Fraction(c) * sign)
+        beta = tuple(_symbolic_row_step(beta, row, j * n) for row in _expansion(n, j + 1))
+    out = {}
+    for c, k, l in _pairing_terms(a):
+        for e1, c1 in beta[k].items():
+            for e2, c2 in beta[l].items():
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = out.get(e, 0) + c * c1 * c2
+    return Poly(out, nv)
+
+
+def _symbolic_row_step(beta, row, offset):
+    """One step of plucker_vector on monomials: sum of s beta_t x_{j,k} over
+    ``row``, x_{j,k} the variable at offset + k."""
+    out = {}
+    for s, t, k in row:
+        for e, c in beta[t].items():
+            e = list(e)
+            e[offset + k] += 1
+            out[tuple(e)] = s * c
     return out
 
 
@@ -707,29 +781,43 @@ def _binary_system_has_real_root(quadratics):
 
 
 def _strong_lp_certificate(a, pool):
-    """Exact conic-combination certificate over the pool via LP + rational fit."""
+    """Exact conic-combination certificate over a pool of Plucker vectors
+    (beta, tag), via LP + rational fit.
+
+    LP column j is generator j at the sorted keys (I, J) where a or some
+    generator has a coefficient, one row per part of a scalar: the parts
+    of s beta_I beta_J, s as in positive_generator.  That is one float
+    outer product per key (exact: the minors are small integers).  Forms
+    are built only for the LP's support.
+    """
     from scipy.optimize import linprog
-    keys = sorted(set().union(*[set(g.coeff) for g, _ in pool]) | set(a.coeff))
-    if not keys:
+    n, p, parts = a.n, a.p, a._parts
+    S = subsets(n, p)
+    B = np.array([beta for beta, _ in pool], dtype=float).reshape(len(pool), len(S))
+    nonzero = B != 0
+    mask = nonzero.T @ nonzero
+    pos = {K: t for t, K in enumerate(S)}
+    for I, J in a.coeff:
+        mask[pos[I], pos[J]] = True
+    ti, tj = np.nonzero(mask)       # row-major: the keys in sorted order
+    if not len(ti):
         return None
-
-    parts = a._parts
-
-    def vec(form):
-        return [float(x) for k in keys for x in parts(form.get(*k))]
-
-    A_eq = np.array([vec(g) for g, _ in pool]).T
-    b_eq = np.array(vec(a))
+    keys = [(S[t], S[u]) for t, u in zip(ti, tj)]
+    outer = B[:, ti] * B[:, tj]
+    s = a._i_pow(p) * (-1) ** (p * (p - 1) // 2)
+    A_eq = np.stack([outer * float(x) for x in parts(s)], axis=2).reshape(len(pool), -1).T + 0.0
+    b_eq = np.array([float(x) for k in keys for x in parts(a.get(*k))])
     res = linprog(c=np.zeros(len(pool)), A_eq=A_eq, b_eq=b_eq,
                   bounds=[(0, None)] * len(pool), method="highs")
     if not res.success:
         return None
     support = [j for j, x in enumerate(res.x) if x > 1e-9]
+    gens = [_plucker_generator(pool[j][0], n, p, type(a)) for j in support]
     # exact refit on the support
     rows = []
     rhs = []
     for k in keys:
-        cols = [parts(pool[j][0].get(*k)) for j in support]
+        cols = [parts(g.get(*k)) for g in gens]
         for t, target in enumerate(parts(a.get(*k))):
             rows.append([Fraction(c[t]) for c in cols])
             rhs.append(Fraction(target))
@@ -738,7 +826,7 @@ def _strong_lp_certificate(a, pool):
     sol = exact.solve(rows, rhs)
     if sol is None or any(x < 0 for x in sol):
         return None
-    cert = [(sol[t], pool[support[t]][1], pool[support[t]][0])
+    cert = [(sol[t], pool[support[t]][1], gens[t])
             for t in range(len(support)) if sol[t] != 0]
     return cert if _sums_to(a, (g.scale(lam) for lam, _, g in cert)) else None
 
@@ -751,16 +839,19 @@ def _sums_to(a, forms):
     return a.is_zero() if acc is None else acc == a
 
 
-def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
-                       dual_certificate=None, tol=1e-9):
+def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
     """Three-tier positivity decision with certificates.
 
     tier='positive' is always decided (exactly for rational data).
     tier='strong' delegates to 'positive' for p in {0,1,n-1,n}; otherwise
-    it searches an explicit conic decomposition over a generator pool and
-    can return No via the decomposable-obstruction argument, else Unknown.
-    tier='weak' requires symmetry, pairs against the strong pool for a No
-    witness, and says Yes only on an exact dual argument.
+    it can return No via the decomposable-obstruction argument, and for
+    exact forms it searches an explicit conic decomposition over the
+    strong_generator_pool(n, p, pool_size, seed), else Unknown.
+    tier='weak' requires symmetry, then pairs a with the generators of
+    strong_generator_pool(n, n - p, pool_size, seed) in pool order and
+    stops at the first negative pairing, whose generator is the witness;
+    the pool is drawn lazily and the witness is the only form built.
+    Without one it says Yes only on an exact dual argument.
     """
     if a.p != a.q:
         raise NotSquareBidegree(f"bidegree ({a.p},{a.q}) is not (p,p)")
@@ -779,8 +870,8 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
             verdict = _strong_no_via_kernel(a, base.certificate[1])
             if verdict is not None:
                 return verdict
-        pool = strong_generator_pool(n, p, pool_size, seed, a.algebra, hints)
-        cert = _strong_lp_certificate(a, pool) if a.is_exact() else None
+        cert = (_strong_lp_certificate(a, list(strong_generator_pool(n, p, pool_size, seed)))
+                if a.is_exact() else None)
         if cert is not None:
             return Verdict("strong", "yes", certificate=("conic", cert))
         return Verdict("strong", "unknown", reason="no certificate over the generator pool")
@@ -790,13 +881,12 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, hints=(),
         if reason:
             return Verdict("weak", "no", reason=reason)
         q = n - p
-        pool = strong_generator_pool(n, q, pool_size, seed, a.algebra, hints)
-        for g, tag in pool:
-            if _negative(dual_pairing(a, g), tol):
-                return Verdict("weak", "no", witness=("generator", tag, g),
+        negative = _negative_pairing(a, tol)
+        for beta, tag in strong_generator_pool(n, q, pool_size, seed):
+            if negative(beta):
+                witness = ("generator", tag, _plucker_generator(beta, n, q, type(a)))
+                return Verdict("weak", "no", witness=witness,
                                reason="negative pairing with a strongly positive form")
-        if dual_certificate is not None:
-            return Verdict("weak", "yes", certificate=("user", dual_certificate))
         if a.is_exact() and a.algebra == "lagerberg":
             poly = _pairing_polynomial(a)
             if poly.is_zero():
@@ -830,7 +920,7 @@ def reverify(a, verdict):
             return _pairing_polynomial(a).is_zero()
         if kind == "pairing_polynomial_even_positive":
             return _pairing_polynomial(a).is_even_nonnegative()
-        if kind in ("eigvals", "user"):
+        if kind == "eigvals":
             return True
         return False
     # No answers

@@ -143,9 +143,25 @@ class PieceMeasure:
             return self.rescaled().canonical_key()
         return (self.n, c, k,
                 tuple(sorted(a.key() for a in self.atoms)),
-                tuple(sorted(p.key() for p in self.pieces
-                             if not p.weight_poly.is_zero())),
+                tuple(sorted(self._piece_keys())),
                 tuple(sorted(d.key() for d in self.derivative_atoms)))
+
+    def _piece_keys(self):
+        """Piece keys, with constant-density pieces on one polyhedron merged
+        into one key of the summed weight: equal measures, equal keys."""
+        constant = {}
+        for p in self.pieces:
+            if p.weight_poly.is_zero():
+                continue
+            if p.weight_poly.degree() or not p.weight_expo.is_zero():
+                yield p.key()
+                continue
+            (e, w), = p.weight_poly.exps.items()
+            where = p.key()[:2] + (e,)
+            constant[where] = constant.get(where, 0) + w
+        for (stratum, poly, e), w in constant.items():
+            if w:
+                yield (stratum, poly, ((e, w),), (), 1 if w > 0 else -1)
 
     def rescaled(self):
         """Fold the rational prefactor into the weights and keep pi^k

@@ -226,6 +226,17 @@ def test_sum_closedness_reads_the_value():
         assert cv.no and not cv.exact and cv.residual > 1e-3
 
 
+def test_sum_of_equal_pieces_is_the_multiple():
+    # T + T keeps two pieces on each cell; its value, and so its exact
+    # closedness verdict, is that of 2 T
+    T = tropical_line_current()
+    assert T + T == T.scale(2) != T
+    assert (T + T) + T.scale(-1) == T
+    for S in (T + T, T.scale(2)):
+        cv = closedness_test(S)
+        assert cv.yes and cv.exact
+
+
 def test_product_closedness_reads_the_value():
     # (u0 + 5) T is not closed, however it was built
     T = tropical_line_current()
