@@ -12,16 +12,18 @@
 Reports are JSON (default) or CSV, byte-identical across runs for a
 fixed seed and tolerance.  Every subcommand runs as a scene through
 ``scenes.run``: exit code 2 on an input error or a task that ends in an
-error record, else 1 on an expectation mismatch, else 0.
+error record, else 1 on an expectation mismatch, else 0.  A call imports
+only the modules its subcommand runs: numpy and scipy load on float paths
+alone (quadrature, field evaluation, float forms and the strong tier's LP).
 """
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import formats, scenes
 from .errors import ParseError, TropcurError, ValidationError
-from .fans import orthant_fan
 from .formats import load_json
 
 
@@ -127,15 +129,13 @@ def _scene(args, given):
     command line, which override a scene file's own values.
     """
     if args.command == "run":
-        scene = scenes.parse_scene(load_json(args.scene))
-        for key, val in given.items():
-            setattr(scene, key, val)
-        return scene
+        return replace(scenes.parse_scene(load_json(args.scene)), **given)
     fan = chart = None
     if hasattr(args, "rank"):       # a subcommand with the chart flags
         if args.fan:
             fan = formats.fan_from_json(load_json(args.fan))
         else:
+            from .fans import orthant_fan
             fan = orthant_fan(args.rank)
         chart = scenes.top_chart(fan)
 

@@ -16,13 +16,13 @@ extended by zero, i.e. finite sums R(s) x^a y^b / (x+y)^m with R rational
 with poles only at 0 and 1.  This algebra contains the canonical bump
 x*y = exp(-1/(s(1-s))) and the plateau x/(x+y) (0 below 0, 1 above 1) and
 is closed under d/ds, so the whole family is closed under d', d'' and the
-scaled complex differentials, with exact rational bookkeeping.
+scaled complex differentials, with exact rational bookkeeping.  Only
+the float evaluators (``eval_np``) import numpy, so exact callers such as
+the weak tier's pairing polynomial never load it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import frac
 
@@ -136,6 +136,7 @@ class Poly:
 
     def eval_np(self, pts):
         """Vectorized evaluation; pts is an (m, nvars) array."""
+        import numpy as np
         out = np.zeros(len(pts))
         for e, c in self.exps.items():
             term = np.full(len(pts), float(c))
@@ -298,6 +299,7 @@ class UniFn:
 
     def eval_np(self, s):
         """Vectorized float evaluation on an array of points."""
+        import numpy as np
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         inner = (s > 0) & (s < 1)
@@ -334,7 +336,7 @@ class UniFn:
         return out
 
     def eval_float(self, s):
-        return float(self.eval_np(np.array([float(s)]))[0])
+        return float(self.eval_np([float(s)])[0])
 
     def __repr__(self):
         return f"UniFn({len(self.terms)} terms)"
@@ -390,6 +392,7 @@ class Window:
         return Window(self.fn, lin, const)
 
     def eval_np(self, pts):
+        import numpy as np
         s = np.full(len(pts), float(self.const))
         for i, c in enumerate(self.lin):
             if c != 0:
@@ -540,6 +543,7 @@ class CoefficientFn:
 
     # --- evaluation -----------------------------------------------------------
     def eval_np(self, pts):
+        import numpy as np
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
@@ -555,7 +559,7 @@ class CoefficientFn:
         return out
 
     def eval_float(self, u):
-        return float(self.eval_np(np.array([list(map(float, u))]))[0])
+        return float(self.eval_np([list(map(float, u))])[0])
 
     # --- support -----------------------------------------------------------
     def _term_slab(self, wins, axis):

@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
 from . import exact
 from .exact import QC
 from .errors import (DimensionMismatch, WrongAlgebra, NotSquareBidegree,
@@ -584,6 +582,7 @@ def _positive_tier(a, tol):
     if reason:
         return Verdict("positive", "no", reason=reason)
     if not a.is_exact():
+        import numpy as np
         g = gram_form(a)
         m = np.array([[complex(_to_float(x)) for x in row] for row in g.matrix])
         lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
@@ -790,6 +789,7 @@ def _strong_lp_certificate(a, pool):
     outer product per key (exact: the minors are small integers).  Forms
     are built only for the LP's support.
     """
+    import numpy as np
     from scipy.optimize import linprog
     n, p, parts = a.n, a.p, a._parts
     S = subsets(n, p)

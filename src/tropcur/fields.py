@@ -24,9 +24,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
-from . import quadrature
 from .coeffs import CoefficientFn, Poly, UniFn, window_on
 from .errors import NonCompactSupport, ValidationError, WrongAlgebra
 from .exact import frac
@@ -510,6 +507,7 @@ def integrate_top(a, side="tropical", tol=1e-8):
     exact), an independent change-of-variables route.  The two agree
     within twice the quadrature tolerance.
     """
+    from . import quadrature
     if a.algebra == "lagerberg":
         if (a.p, a.q) != (a.n, a.n):
             raise WrongAlgebra("integrate_top needs an (n,n) field")
@@ -552,6 +550,8 @@ def integrate_top(a, side="tropical", tol=1e-8):
     # integral = sgn * 4^n * int c(-log r) prod dr_j / r_j over r-space
     rbox = [(math.exp(-float(hi)) * (1 - 1e-12), math.exp(-float(lo)) * (1 + 1e-12))
             for lo, hi in box]
+
+    import numpy as np
 
     def integrand(pts):
         u = -np.log(pts)

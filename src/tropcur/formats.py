@@ -2,22 +2,15 @@
 
 The wire formats use 1-based axis and multi-index labels and fraction
 strings ("-1/2"; the U+2212 minus is accepted on input).  Internally
-everything is 0-based and exact.
+everything is 0-based and exact.  Each reader imports the model modules
+of its own object kind, so parsing a form never loads the current layers.
 """
 
 import json
 from fractions import Fraction
 
-from .coeffs import CoefficientFn, Poly, UniFn, window_on
-from .currents import LagerbergCurrent, WeightedComplex
-from .correspond import InvariantComplexCurrent
 from .errors import ParseError
 from .exact import QC, frac
-from .fans import validate_fan
-from .fiber import ComplexFiberForm, LagerbergFiberForm
-from .fields import LagerbergFormField
-from .measures import Atom, DerivativeAtom, Piece, PieceMeasure
-from .polyhedra import Polyhedron, Row
 
 
 def _frac_str(x):
@@ -57,6 +50,7 @@ def fan_to_json(fan):
 
 
 def fan_from_json(data):
+    from .fans import validate_fan
     try:
         rank = int(data["rank"])
         cones = [[tuple(int(x) for x in g) for g in cone] for cone in data["cones"]]
@@ -87,6 +81,7 @@ def fiber_form_to_json(form):
 
 
 def fiber_form_from_json(data):
+    from .fiber import ComplexFiberForm, LagerbergFiberForm
     try:
         n, p, q = int(data["n"]), int(data["p"]), int(data["q"])
         algebra = data.get("algebra", "lagerberg")
@@ -117,6 +112,7 @@ def poly_to_json(poly):
 
 
 def poly_from_json(data, nvars):
+    from .coeffs import Poly
     exps = {}
     for t in data or ():
         e = tuple(int(x) for x in t["exp"])
@@ -133,6 +129,7 @@ def polyhedron_to_json(poly):
 
 
 def polyhedron_from_json(data):
+    from .polyhedra import Polyhedron, Row
     try:
         dim = int(data["dim"])
         rows = []
@@ -145,6 +142,7 @@ def polyhedron_from_json(data):
 
 
 def coefficient_fn_from_json(data, nvars):
+    from .coeffs import CoefficientFn, UniFn, window_on
     terms = []
     for t in data or ():
         poly = poly_from_json(t.get("poly", [{"exp": [0] * nvars, "c": "1"}]), nvars)
@@ -165,6 +163,7 @@ def field_from_json(data, chart):
 
     A table key lists the (1-based) stratum's infinite axes; "" is the open torus.
     """
+    from .fields import LagerbergFormField
     n = len(chart.basis)
     try:
         tables = {}
@@ -206,6 +205,7 @@ def measure_to_json(mu):
 
 
 def measure_from_json(data, n=None):
+    from .measures import Atom, DerivativeAtom, Piece, PieceMeasure
     try:
         n = int(data.get("n", n))
         atoms = []
@@ -277,7 +277,9 @@ def current_from_json(data, chart):
         I, J = _key_from_str(key)
         coco[(I, J)] = measure_from_json(mdata, n)
     if data.get("shadow"):
+        from .correspond import InvariantComplexCurrent
         return InvariantComplexCurrent(chart, p, coco)
+    from .currents import LagerbergCurrent
     return LagerbergCurrent(chart, p, coco)
 
 
@@ -288,6 +290,7 @@ def weighted_complex_to_json(C):
 
 
 def weighted_complex_from_json(data):
+    from .currents import WeightedComplex
     try:
         cells = tuple((polyhedron_from_json(c["poly"]), int(c["weight"]))
                       for c in data.get("cells", ()))

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exact, quadrature
+from . import exact
 from .coeffs import CoefficientFn, Poly
 from .errors import (Divergent, NonMeasurePiece, NotLocallyFinite,
                      SignNotCertified, ToleranceNotMet, ValidationError)
@@ -479,6 +479,7 @@ def _axis_box(domain):
 
 
 def _integrate_bounded(h, domain, tol):
+    from . import quadrature
     box = _axis_box(domain)
     if box is not None:
         if all(lo < hi for lo, hi in box):

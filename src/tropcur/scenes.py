@@ -6,28 +6,34 @@ verification and produces one report record with its verdict and any
 witness or certificate; tasks may declare an ``expect`` mapping whose
 entries are compared against the record.  Reports are deterministic for
 a fixed seed and tolerance (timings are omitted unless requested).  Every
-command-line subcommand runs as a scene through :func:`run`.
+command-line subcommand runs as a scene through :func:`run`.  Each op
+imports the model modules it runs, so a scene pays only for its own ops.
 """
 
-import csv
-import inspect
-import io
 import json
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import formats, gallery
-from .correspond import kernel_point_current, lift, push_forward, round_trip_verify
-from .currents import (LagerbergCurrent, WeightedComplex, balancing_check,
-                       c_finite_test, canonical_decomposition, closedness_test,
-                       extend_by_zero, positivity_check, resum)
+from . import formats
 from .errors import ParseError, TropcurError, ValidationError
-from .fans import orthant_fan
-from .fiber import (ComplexFiberForm, LagerbergFiberForm, dual_pairing,
-                    positivity_verdict, reverify)
-from .fields import integrate_top
 from .formats import jsonable, load_json
+
+
+def _count(x):
+    """A non-negative whole number: a count, a pool size or a sample count."""
+    n = int(x)
+    if n < 0:
+        raise ValueError(f"{x!r} is negative")
+    return n
+
+
+def _tolerance(x):
+    t = float(x)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"tolerance {x!r} is not a finite non-negative number")
+    return t
 
 
 @dataclass
@@ -35,6 +41,8 @@ class Scene:
     """Parsed scene: fan, chart, named objects and ordered tasks.
 
     ``fan`` and ``chart`` are None for a scene whose tasks need no chart.
+    ``tol``, ``seed`` and ``samples`` are read on construction, from a
+    scene file and from command-line flags alike.
     """
     fan: object
     chart: object
@@ -43,6 +51,14 @@ class Scene:
     tol: float = 1e-8
     seed: int = 0
     samples: int = 25
+
+    def __post_init__(self):
+        try:
+            self.tol = _tolerance(self.tol)
+            self.seed = int(self.seed)
+            self.samples = _count(self.samples)
+        except (TypeError, ValueError) as err:
+            raise ValidationError(f"scene 'tol', 'seed' or 'samples' is malformed: {err}") from err
 
 
 def top_chart(fan):
@@ -83,17 +99,17 @@ def parse_scene(data):
             objects[name] = _gallery_object(od.get("name"))
         else:
             raise ValidationError(f"object {name!r} has unknown type {kind!r}")
-    try:
-        return Scene(fan, chart, objects, tasks,
-                     tol=float(data.get("tol", 1e-8)),
-                     seed=int(data.get("seed", 0)),
-                     samples=int(data.get("samples", 25)))
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"scene 'tol', 'seed' or 'samples' is malformed: {err}") from err
+    return Scene(fan, chart, objects, tasks, tol=data.get("tol", 1e-8),
+                 seed=data.get("seed", 0), samples=data.get("samples", 25))
 
 
 def _gallery_object(name):
     """The form, current or complex a zero-argument gallery builder makes."""
+    import inspect
+
+    from . import gallery
+    from .currents import LagerbergCurrent, WeightedComplex
+    from .fiber import ComplexFiberForm, LagerbergFiberForm
     builder = getattr(gallery, name, None) if isinstance(name, str) else None
     if (inspect.isfunction(builder) and not name.startswith("_")
             and all(p.default is not p.empty
@@ -161,42 +177,50 @@ def run_task(scene, task):
             raise ValidationError(f"no cone {cone} in a fan of {len(scene.fan)} cones")
         return formats.chart_to_json(scene.fan.toric_chart(cone))
     if op == "positivity":
+        from .fiber import positivity_verdict, reverify
         form = _object(scene, task, "form")
         tier = task.get("tier", "positive")
         v = positivity_verdict(form, tier, seed=seed,
-                               pool_size=_field(task, "pool_size", int, 400))
+                               pool_size=_field(task, "pool_size", _count, 400))
         return {"tier": tier, "verdict": v.answer, "reason": v.reason,
                 "witness": jsonable(v.witness), "certificate": jsonable(v.certificate),
                 "reverified": reverify(form, v)}
     if op == "pairing":
+        from .fiber import dual_pairing
         a = _object(scene, task, "left")
         b = _object(scene, task, "right")
         return {"value": jsonable(dual_pairing(a, b))}
     if op == "current_positivity":
+        from .currents import positivity_check
         T = _object(scene, task, "current")
         v = positivity_check(T, samples=samples, seed=seed)
         return {"verdict": v.answer, "reason": v.reason, "witness": jsonable(v.witness)}
     if op == "closedness":
+        from .currents import closedness_test
         T = _object(scene, task, "current")
         v = closedness_test(T, test_basis_size=_field(task, "forms", int, 25),
                             tol=tol, seed=seed)
         return {"verdict": "closed" if v.yes else "not_closed",
                 "residual": v.residual, "exact": v.exact}
     if op == "c_finite":
+        from .currents import c_finite_test
         T = _object(scene, task, "current")
         v = c_finite_test(T)
         return {"verdict": v.answer, "witness": jsonable(v.witness)}
     if op == "decompose":
+        from .currents import canonical_decomposition, resum
         T = _object(scene, task, "current")
         parts = canonical_decomposition(T, samples=samples, seed=seed)
         exact = resum(parts, T) == T
         return {"strata": sorted(jsonable(sorted(i + 1 for i in M)) for M in parts),
                 "resum_exact": exact}
     if op == "push":
+        from .correspond import push_forward
         S = _object(scene, task, "shadow")
         T = push_forward(S)
         return {"result": formats.current_to_json(T)}
     if op == "lift":
+        from .correspond import lift, push_forward
         T = _object(scene, task, "current")
         S = lift(T, samples=samples, seed=seed)
         back = push_forward(S)
@@ -204,17 +228,20 @@ def run_task(scene, task):
                 "shadow_keys": sorted(formats._key_to_str(I, J) for (I, J) in S.shadows),
                 "result": formats.current_to_json(S, shadow=True)}
     if op == "round_trip":
-        suite = gallery.random_closed_positive_suite(
-            count=_field(task, "count", int, 8), seed=seed)
+        from .correspond import round_trip_verify
+        from .gallery import random_closed_positive_suite
+        suite = random_closed_positive_suite(count=_field(task, "count", _count, 8), seed=seed)
         rep = round_trip_verify(suite, seed=seed)
         return {"total": rep.total, "failures": jsonable(rep.failures),
                 "ok": rep.ok}
     if op == "balancing":
+        from .currents import balancing_check
         C = _object(scene, task, "complex")
         v = balancing_check(C)
         return {"verdict": "balanced" if v.yes else "unbalanced",
                 "witness": jsonable(v.witness)}
     if op == "el_mir":
+        from .currents import closedness_test, extend_by_zero
         T = _object(scene, task, "current")
         strata = _field(task, "strata", _strata, [frozenset({0})])
         ext = extend_by_zero(T, strata, tol=tol, seed=seed,
@@ -222,6 +249,7 @@ def run_task(scene, task):
         cv = closedness_test(ext, tol=tol, seed=seed)
         return {"extended": True, "closed": cv.yes, "residual": cv.residual}
     if op == "integrate":
+        from .fields import integrate_top
         fld = _object(scene, task, "field")
         side = task.get("side", "both")
         if side not in ("tropical", "complex", "both"):
@@ -244,7 +272,9 @@ def run_task(scene, task):
 # --- the counterexample gallery ----------------------------------------------------
 
 def _density_exp_x2(tol, seed, samples):
-    T = gallery.positive_not_liftable()
+    from .currents import c_finite_test, closedness_test, positivity_check
+    from .gallery import positive_not_liftable
+    T = positive_not_liftable()
     v = positivity_check(T, samples=samples, seed=seed)
     cf = c_finite_test(T)
     cv = closedness_test(T, tol=tol, seed=seed, test_basis_size=10)
@@ -255,13 +285,18 @@ def _density_exp_x2(tol, seed, samples):
 
 
 def _density_exp_2x(tol, seed, samples):
-    T = gallery.positive_not_positively_liftable()
+    from .currents import c_finite_test, positivity_check
+    from .gallery import positive_not_positively_liftable
+    T = positive_not_positively_liftable()
     return {"positive": positivity_check(T, samples=samples, seed=seed).answer,
             "c_finite": c_finite_test(T).answer}
 
 
 def _evaluator_exp_2ex(tol, seed, samples):
-    T = gallery.closed_not_positive()
+    from .correspond import lift
+    from .currents import closedness_test, positivity_check
+    from .gallery import closed_not_positive
+    T = closed_not_positive()
     cv = closedness_test(T, tol=tol, seed=seed)
     v = positivity_check(T, samples=samples, seed=seed)
     try:
@@ -276,18 +311,24 @@ def _evaluator_exp_2ex(tol, seed, samples):
 
 
 def _kernel_point(tol, seed, samples):
+    from .correspond import kernel_point_current, push_forward
+    from .fans import orthant_fan
     fan1 = orthant_fan(1)
     K = kernel_point_current(fan1.toric_chart(fan1.cone_id([(1,)])))
     return {"nonzero": not K.is_zero(), "pushforward_zero": push_forward(K).is_zero()}
 
 
 def _degenerate_form_current(tol, seed, samples):
-    v = positivity_check(gallery.degenerate_form_current(), samples=samples, seed=seed)
+    from .currents import positivity_check
+    from .gallery import degenerate_form_current
+    v = positivity_check(degenerate_form_current(), samples=samples, seed=seed)
     return {"positive": v.answer, "witness_kind": v.witness[0] if v.witness else None}
 
 
 def _derivative_atom(tol, seed, samples):
-    T = gallery.derivative_atom_current()
+    from .currents import positivity_check
+    from .gallery import derivative_atom_current
+    T = derivative_atom_current()
     return {"is_measure_class": T.is_measure_class(),
             "positive": positivity_check(T, samples=4, seed=seed).answer}
 
@@ -344,6 +385,8 @@ def run(scene, timings=False):
 
 
 def report_to_csv(report):
+    import csv
+    import io
     buf = io.StringIO()
     fields = sorted({k for rec in report["tasks"] for k in rec})
     writer = csv.DictWriter(buf, fieldnames=fields)

@@ -231,8 +231,11 @@ def test_task_missing_field_is_error_record(tmp_path, capsys, op, missing):
     {"op": "limit_point", "point": [1], "direction": []},
     "locate_relint",
     {"op": "locate_relint", "vector": [1], "expect": [1]},
+    {"op": "positivity", "form": "w", "pool_size": -5},
+    {"op": "round_trip", "count": -1},
 ], ids=["cone-range", "cone-type", "tier", "pool-size", "point", "strata", "name-type",
-        "point-length", "vector-length", "direction-length", "task-type", "expect-type"])
+        "point-length", "vector-length", "direction-length", "task-type", "expect-type",
+        "pool-size-negative", "count-negative"])
 def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
     scene = {"fan": {"rank": 1, "cones": [[[1]]]},
              "objects": {"w": {"type": "gallery", "name": "omega_rank_two"},
@@ -245,6 +248,21 @@ def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
     bad, good = json.loads(out)["tasks"]
     assert bad["status"] == "error" and bad["error"] == "ValidationError"
     assert good["status"] == "ok"
+
+
+@pytest.mark.parametrize("command", [["verify-correspondence", "--count", "-1"],
+                                     ["check-positivity", "--pool-size", "-5"]],
+                         ids=["count", "pool-size"])
+def test_negative_count_flag_is_error_record(tmp_path, capsys, command):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(formats.fiber_form_to_json(omega_rank_two())))
+    if command[0] == "check-positivity":
+        command = command + ["--form", str(form)]
+    code, out = run_cli(command, capsys)
+    assert code == 2
+    (rec,) = json.loads(out)["tasks"]
+    assert rec["status"] == "error" and rec["error"] == "ValidationError"
+    assert "negative" in rec["message"]
 
 
 def _form_index_out_of_range(tmp_path):
@@ -298,11 +316,11 @@ def _scene(**entries):
     return command
 
 
-def _form(**entries):
+def _form(*flags, **entries):
     def command(tmp_path):
         form = tmp_path / "form.json"
         form.write_text(json.dumps({"n": 2, "p": 1, "q": 1, "terms": [], **entries}))
-        return ["check-positivity", "--form", str(form)]
+        return ["check-positivity", "--form", str(form), *flags]
     return command
 
 
@@ -329,13 +347,19 @@ _atom_off_chart = _current({"|": {"atoms": [{"pt": {"stratum": [1], "coords": []
                                                            "name": "shifted_tropical_line"}}),
                                      _scene(tol="abc"), _scene(chart=99), _scene(chart=-1),
                                      _current([]), _current({"1|1": []}), _atom_off_chart,
-                                     _form(n=-1, p=0, q=0), _form(p=3, q=3)],
+                                     _form(n=-1, p=0, q=0), _form(p=3, q=3),
+                                     _scene(tol=float("nan")), _scene(tol=-1e-8),
+                                     _scene(tol="inf"), _scene(samples=-1),
+                                     _form("--tol", "nan"), _form("--tol", "-1"),
+                                     _form("--samples", "-2")],
                          ids=["form-index", "atom-length", "shadow-key", "field-bidegree",
                               "row-short", "row-long", "objects-list", "object-type",
                               "tasks-object", "gallery-no-name", "gallery-suite",
                               "gallery-needs-argument", "tol", "chart-range", "chart-negative",
                               "cocoeffs-list", "measure-list", "atom-off-chart", "form-rank",
-                              "form-bidegree"])
+                              "form-bidegree", "tol-nan", "tol-negative", "tol-inf",
+                              "samples-negative", "flag-tol-nan", "flag-tol-negative",
+                              "flag-samples-negative"])
 def test_malformed_object_is_input_error(tmp_path, command):
     proc = run_cli_process(command(tmp_path))
     assert proc.returncode == 2, proc.stderr

@@ -1,0 +1,118 @@
+"""What a command-line call and the package root import.
+
+Each subcommand imports only the modules it runs, and the package root
+resolves its names lazily.  The checks read ``sys.modules`` in a fresh
+interpreter; nothing here is timed.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tropcur
+from tropcur import formats, gallery
+
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ROOT / "tests" / "golden" / "inputs"
+
+# the names the package root re-exported when it imported every module
+ROOT_EXPORTS = {
+    "fans": ["Cone", "Fan", "ToricChart", "CompactifiedPoint", "validate_fan"],
+    "fiber": ["LagerbergFiberForm", "ComplexFiberForm", "GramForm", "Verdict",
+              "PositivityVerdict", "wedge", "apply_involution", "embed_complex",
+              "gram_form", "dual_pairing", "positivity_verdict", "decomposable_test",
+              "reverify"],
+    "coeffs": ["Poly", "UniFn", "CoefficientFn", "bump", "plateau"],
+    "polyhedra": ["Polyhedron"],
+    "fields": ["LagerbergFormField", "InvariantComplexFormField", "differentiate",
+               "trop_pullback_field", "average_over_S", "integrate_top",
+               "check_compatibility", "wedge_fields", "apply_J_field", "bump_box_field",
+               "boundary_window_field"],
+    "measures": ["PieceMeasure", "Piece", "Atom", "DerivativeAtom", "ImageMap", "OpenBox",
+                 "integrate_against", "total_variation_decompose", "abs_measure",
+                 "image_measure", "restrict_measure", "lebesgue_piece"],
+    "currents": ["LagerbergCurrent", "WeightedComplex", "evaluate", "closedness_test",
+                 "positivity_check", "canonical_decomposition", "resum", "c_finite_test",
+                 "extend_by_zero", "integration_current", "balancing_check",
+                 "wedge_with_form", "from_cocoefficients"],
+    "correspond": ["InvariantComplexCurrent", "push_forward", "lift", "round_trip_verify",
+                   "complex_positivity_check", "compat_checks", "kernel_point_current",
+                   "validate_shadow"],
+}
+
+# runs one command line in-process as ``python -m tropcur.cli`` would, then
+# prints the names of the loaded modules
+_WRAPPER = """
+import json, runpy, sys
+sys.argv = ["tropcur"] + sys.argv[1:]
+try:
+    runpy.run_module("tropcur.cli", run_name="__main__")
+except SystemExit as exit:
+    code = exit.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _python(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _loaded(argv):
+    """Exit code and loaded modules of one command line in a fresh interpreter."""
+    result = json.loads(_python("-c", _WRAPPER, *argv))
+    return result["code"], set(result["modules"])
+
+
+@pytest.mark.parametrize("tier", ["positive", "strong", "weak"])
+def test_check_positivity_on_exact_form_loads_no_numpy(tmp_path, tier):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(formats.fiber_form_to_json(gallery.omega_rank_two())))
+    code, modules = _loaded(["check-positivity", "--form", str(form), "--tier", tier,
+                             "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert "tropcur.fiber" in modules
+    assert not modules & {"numpy", "scipy"}
+
+
+def test_integrate_loads_no_current_layers(tmp_path):
+    code, modules = _loaded(["integrate", "--side", "both", "--rank", "1",
+                             "--field", str(INPUTS / "field_rank1.json"),
+                             "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert "tropcur.fields" in modules
+    assert not modules & {"tropcur.currents", "tropcur.measures", "tropcur.correspond",
+                          "tropcur.gallery"}
+
+
+def test_root_names_resolve_to_their_modules():
+    exported = [name for names in ROOT_EXPORTS.values() for name in names]
+    assert sorted(tropcur.__all__) == sorted(exported)
+    for module, names in ROOT_EXPORTS.items():
+        mod = importlib.import_module(f"tropcur.{module}")
+        for name in names:
+            assert getattr(tropcur, name) is getattr(mod, name), name
+    star = {}
+    exec("from tropcur import *", star)
+    assert set(star) - {"__builtins__"} == set(exported)
+
+
+def test_root_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tropcur.no_such_name
+    assert not hasattr(tropcur, "no_such_name")
+
+
+def test_root_import_loads_no_module_and_submodule_import_works():
+    out = _python("-c", "import sys, tropcur; before = sorted(m for m in sys.modules "
+                        "if m.startswith('tropcur.')); from tropcur import exact; "
+                        "import tropcur.exact; print(before, exact is tropcur.exact)")
+    assert out.split() == ["[]", "True"]
