@@ -27,8 +27,8 @@ from .currents import (LagerbergCurrent, c_finite_test, c_finite_witness,
                        canonical_decomposition, closedness_test, point_value,
                        positivity_check, split_by_stratum)
 from .errors import (InvalidShadow, NotCFinite, NotLocallyFinite, NotPositive,
-                     TropcurError, ValidationError)
-from .fiber import Verdict, subsets
+                     TropcurError, ValidationError, Verdict)
+from .indices import subsets
 from .measures import OpenBox, PieceMeasure
 
 

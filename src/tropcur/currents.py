@@ -26,10 +26,10 @@ from .coeffs import CoefficientFn, Poly
 from .errors import (CompatibilityViolation, Divergent, FamilyEscape,
                      MixedDimension, NonMeasurePiece, NotCFinite,
                      NotLocallyFinite, NotPositive, SignNotCertified,
-                     SupportEscapesU, ToleranceNotMet, ValidationError)
+                     SupportEscapesU, ToleranceNotMet, ValidationError, Verdict)
 from .exact import frac
-from .fiber import (LagerbergFiberForm, Verdict, merge_indices, positive_generator,
-                    subsets)
+from .fiber import LagerbergFiberForm, positive_generator
+from .indices import merge_indices, subsets
 from .fields import (boundary_window_field, bump_box_field,
                      check_compatibility, differentiate, _stratum_subsets)
 from .measures import (Atom, DerivativeAtom, ImageMap, OpenBox, Piece,
@@ -338,15 +338,22 @@ def positivity_check(T, samples=25, seed=0, tol=1e-9):
     """Positivity verdict of a co-coefficient current.
 
     (i) symmetry T^{IJ} = T^{JI}; (ii) diagonal co-coefficients are
-    positive measures; (iii) the pointwise estimate
-    2 l_I l_J |T^{IJ}| <= l_I^2 T^{II} + l_J^2 T^{JJ} at every atom and
-    at sampled points of every piece; (iv) evaluation >= 0 against
-    ``samples`` random positive fiber forms times one fixed window test
-    form per (I, J), each window integral computed once per call.  No
-    carries a witness.  Yes is a sampled verdict, not a proof: (iii) and
-    (iv) found no violation at the points and forms drawn.
-    Evaluator-backed currents only admit the sampled route: a negative
-    value gives No, and otherwise the verdict stays unknown.
+    positive measures.  Then, when every piece has a constant density,
+    the pieces on one cell share one exponent and all co-coefficients one
+    pi power, positivity is decided exactly: the matrix (T^{IJ}) is a
+    positive factor times a constant rational matrix M on each cell and
+    at each atom point (``_cell_matrices``), and T is positive iff every
+    M is PSD (Lagerberg, Math. Z. 270, 2012).  Such verdicts have
+    ``exact=True``.  Yes carries the certificate ("cells", entries), one
+    (where, LDL^T of M) per cell and per atom point, which ``reverify``
+    re-checks against T.  No carries estimate_piece (at the cell's
+    feasible point) or estimate_atom when a 2x2 principal minor of M
+    fails, with M's exact entries, else ("evaluation", x, x^T M x) with
+    the LDL^T witness x.  Every other current takes the sampled steps of
+    ``_sampled_positivity``, whose Yes found no violation at the points
+    and forms drawn, and is not a proof.  Evaluator-backed currents only
+    admit the sampled route: a negative value gives No, and otherwise the
+    verdict stays unknown.
     """
     if not T.has_measure_model():
         rng = random.Random(seed)
@@ -385,6 +392,22 @@ def positivity_check(T, samples=25, seed=0, tol=1e-9):
                     if piece.density_fn().eval_float(pt) < -tol:
                         return Verdict("positive", "no", "diagonal density negative at a point",
                                        witness=("diagonal_point", I, pt))
+    cells = _cell_matrices(T)
+    if cells is None:
+        return _sampled_positivity(T, samples, seed, tol)
+    return _exact_positivity(T, cells)
+
+
+def _sampled_positivity(T, samples, seed, tol):
+    """Steps (iii) and (iv) of positivity_check, for currents off the exact route.
+
+    (iii) the pointwise estimate 2 l_I l_J |T^{IJ}| <= l_I^2 T^{II} +
+    l_J^2 T^{JJ} at every atom and at sampled points of every piece; (iv)
+    evaluation >= 0 against ``samples`` random positive fiber forms times
+    one fixed window test form per (I, J), each window integral computed
+    once per call.
+    """
+    n, q = T.n, T.q
     # (iii) the 2x2 estimate on matched pieces and atoms
     rng = random.Random(seed + 1)
     for (I, J), mu in T.cocoeffs.items():
@@ -474,6 +497,221 @@ def _pair_constant_fiber(T, gen, box, windows):
                                                 allow_derivative_atoms=True)
         total += sq * float(c) * windows[(I, J)]
     return total
+
+
+# --- exact positivity, cell by cell --------------------------------------------
+
+def _closure(poly):
+    if not any(r.strict for r in poly.rows):
+        return poly
+    return Polyhedron(poly.dim, [Row(r.a, r.b) for r in poly.rows])
+
+
+def _hull_key(poly):
+    """The affine hull of a nonempty polyhedron as reduced equations."""
+    u0, basis = poly.affine_hull()
+    normals = (exact.nullspace([list(v) for v in basis]) if basis else
+               [tuple(int(i == j) for j in range(poly.dim)) for i in range(poly.dim)])
+    rows, pivots = exact.rref([list(v) + [sum(a * x for a, x in zip(v, u0))]
+                               for v in normals], poly.dim)
+    return tuple(tuple(r) for r in rows[:len(pivots)])
+
+
+def _minus(P, Q):
+    """Closed cells covering P minus Q up to a null set, for closed P, Q
+    of one affine hull and dimension: P cut by each facet row of Q in
+    turn, keeping the parts of full dimension."""
+    d = P.poly_dim()
+    basis = P.affine_hull()[1]
+    out, kept = [], []
+    for r in Q.rows:
+        if not any(sum(a * x for a, x in zip(r.a, v)) for v in basis):
+            continue        # constant on the hull
+        part = P.with_rows(kept + [Row(tuple(-a for a in r.a), -r.b)])
+        if part.poly_dim() == d:
+            out.append(part)
+        kept.append(r)
+    return out
+
+
+def _split_overlaps(group):
+    """Cells [poly, expo, weights] of one stratum, dimension and affine
+    hull, split along each other's facet rows until any two meet in lower
+    dimension; an overlap's weights add up.  None when overlapping cells
+    carry different exponents."""
+    done, todo = [], list(group)
+    while todo:
+        P, E, w = todo.pop()
+        for t, (Q, F, v) in enumerate(done):
+            common = P.intersect(Q)
+            if common.poly_dim() < P.poly_dim():
+                continue
+            if E != F:
+                return None
+            del done[t]
+            total = dict(v)
+            for k, x in w.items():
+                total[k] = total.get(k, 0) + x
+            done += [(common, E, total)] + [(R, F, v) for R in _minus(Q, P)]
+            todo += [(R, E, w) for R in _minus(P, Q)]
+            break
+        else:
+            done.append((P, E, w))
+    return done
+
+
+def _cell_matrices(T):
+    """[(where, site, M)] for the exact positivity route, or None.
+
+    Applies when every piece has a constant weight_poly, the pieces on one
+    cell share one weight_expo and all co-coefficients one pi power; then
+    the matrix (T^{IJ}) is pi^k exp(E) M on a cell with exponent E, and M
+    at an atom point, with M the rational matrix over subsets(n, q) of
+    the summed weights times the rational scales.  Cells are the closed
+    polyhedra of the pieces, keyed by (stratum, canonical_key); cells of
+    one stratum and affine hull that overlap are split by
+    ``_split_overlaps``, while cells of other dimensions or affine hulls
+    are mutually singular and stay apart.  ``where`` is ("cell", stratum,
+    key) or ("atom", stratum, coords), strata as sorted tuples; ``site``
+    is the cell's polyhedron, or the atom point's (stratum, coords).  A
+    point cell at an atom point gives None as well.
+    """
+    if len({mu.scale[1] for mu in T.cocoeffs.values()}) > 1:
+        return None
+    cells, points = {}, {}
+    for (I, J), mu in T.cocoeffs.items():
+        c = mu.scale[0]
+        for a in mu.atoms:
+            w = points.setdefault((a.stratum, a.coords), {})
+            w[(I, J)] = w.get((I, J), 0) + c * a.weight
+        for piece in mu.pieces:
+            if piece.weight_poly.degree():
+                return None
+            if piece.poly.is_empty():
+                continue
+            poly = _closure(piece.poly)
+            _, E, w = cells.setdefault((piece.stratum, poly.canonical_key()),
+                                       (poly, piece.weight_expo, {}))
+            if E != piece.weight_expo:
+                return None
+            w[(I, J)] = w.get((I, J), 0) + c * sum(piece.weight_poly.exps.values())
+    groups = {}
+    for (stratum, _), cell in cells.items():
+        groups.setdefault((stratum, cell[0].poly_dim()), []).append(cell)
+    refined = []
+    for (stratum, d), group in groups.items():
+        if len(group) > 1:
+            hulls = {}
+            for cell in group:
+                hulls.setdefault(_hull_key(cell[0]), []).append(cell)
+            group = []
+            for same_hull in hulls.values():
+                split = _split_overlaps(same_hull)
+                if split is None:
+                    return None
+                group += split
+        for P, _, w in group:
+            if d == 0 and (stratum, P.feasible_point()) in points:
+                return None
+            refined.append((("cell", tuple(sorted(stratum)), P.canonical_key()), P, w))
+    refined += [(("atom", tuple(sorted(stratum)), coords), (stratum, coords), w)
+                for (stratum, coords), w in points.items()]
+    idx = subsets(T.n, T.q)
+    pos = {K: t for t, K in enumerate(idx)}
+    out = []
+    for where, site, w in sorted(refined, key=lambda e: e[0]):
+        M = [[Fraction(0)] * len(idx) for _ in idx]
+        for (I, J), x in w.items():
+            M[pos[I]][pos[J]] += x
+        out.append((where, site, M))
+    return out
+
+
+def _exact_positivity(T, cells):
+    """The exact verdict of positivity_check from ``_cell_matrices``."""
+    idx = subsets(T.n, T.q)
+    pos = {K: t for t, K in enumerate(idx)}
+    entries = []
+    for where, site, M in cells:
+        res = exact.psd_decompose(M)
+        if res.psd:
+            entries.append((where, tuple(res.decomposition)))
+            continue
+        for (I, J), mu in T.cocoeffs.items():
+            i, j = pos[I], pos[J]
+            if I == J or M[i][j] ** 2 <= M[i][i] * M[j][j]:
+                continue
+            if where[0] == "atom":
+                atom = next(a for a in mu.atoms if (a.stratum, a.coords) == site)
+                return Verdict("positive", "no", "estimate fails on an atom",
+                               witness=("estimate_atom", (I, J), atom), exact=True)
+            return Verdict("positive", "no", "estimate fails pointwise on a density",
+                           witness=("estimate_piece", (I, J), site.feasible_point(),
+                                    (M[i][j], M[i][i], M[j][j])), exact=True)
+        x = res.witness
+        return Verdict("positive", "no", "negative value on a positive test field",
+                       witness=("evaluation", dict(zip(idx, x)), _quadratic(M, x)),
+                       exact=True)
+    return Verdict("positive", "yes", certificate=("cells", tuple(entries)), exact=True)
+
+
+def _quadratic(M, x):
+    return sum(x[i] * M[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
+
+
+def reverify_positivity(T, verdict):
+    """Exact re-check of an exact positivity verdict against T; bool.
+
+    Rebuilds T's cell matrices.  A ("cells", entries) certificate must
+    name exactly those cells and atom points, each with a decomposition
+    sum gamma v v^T equal to its matrix, every gamma > 0.  An
+    estimate_piece or estimate_atom witness must name a cell (by its
+    feasible point) or atom point whose matrix fails that 2x2 minor, and
+    an evaluation witness (x, value) a cell or atom point where x^T M x
+    is that negative value.
+    """
+    exact_route = verdict.exact and T.has_measure_model() and T.is_measure_class()
+    cells = _cell_matrices(T) if exact_route else None
+    if cells is None:
+        return False
+    idx = subsets(T.n, T.q)
+    if verdict.yes:
+        kind, entries = verdict.certificate
+        mats = {where: M for where, _, M in cells}
+        if kind != "cells" or len(entries) != len(mats) or \
+                {where for where, _ in entries} != set(mats):
+            return False
+        for where, decomposition in entries:
+            total = [[Fraction(0)] * len(idx) for _ in idx]
+            for gamma, v in decomposition:
+                if not gamma > 0:
+                    return False
+                for i, vi in enumerate(v):
+                    for j, vj in enumerate(v):
+                        total[i][j] += gamma * vi * vj
+            if total != mats[where]:
+                return False
+        return True
+    kind = verdict.witness[0]
+    if kind == "evaluation":
+        _, vec, val = verdict.witness
+        x = [vec.get(K, 0) for K in idx]
+        return val < 0 and any(_quadratic(M, x) == val for _, _, M in cells)
+    I, J = verdict.witness[1]
+    i, j = idx.index(I), idx.index(J)
+    if kind == "estimate_piece":
+        _, _, pt, values = verdict.witness
+        minors = [(M[i][j], M[i][i], M[j][j]) for where, site, M in cells
+                  if where[0] == "cell" and site.feasible_point() == pt]
+        minors = [m for m in minors if m == values]
+    elif kind == "estimate_atom":
+        atom = verdict.witness[2]
+        minors = [(M[i][j], M[i][i], M[j][j]) for where, site, M in cells
+                  if where[0] == "atom" and site == (atom.stratum, atom.coords)
+                  and atom in T.cocoeff(I, J).atoms]
+    else:
+        return False
+    return any(wIJ ** 2 > wII * wJJ for wIJ, wII, wJJ in minors)
 
 
 # --- decomposition -------------------------------------------------------------------

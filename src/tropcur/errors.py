@@ -1,9 +1,12 @@
-"""Exception hierarchy shared by all tropcur modules.
+"""Exception hierarchy and the verdict type shared by all tropcur modules.
 
 Every structured failure carries enough data (the ``payload`` attribute)
 to re-verify the complaint: a witness pair of cones, an offending ray, a
-sample point, etc.
+sample point, etc.  A :class:`Verdict` is the outcome of a decision that
+does not raise.
 """
+
+from dataclasses import dataclass
 
 
 class TropcurError(Exception):
@@ -114,3 +117,41 @@ class ParseError(TropcurError):
 
 class ValidationError(TropcurError):
     pass
+
+
+# --- verdicts ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one decision: a positivity tier or a hypothesis check.
+
+    ``tier`` names what was decided: 'strong', 'positive' or 'weak'
+    positivity ('positive' also for currents), 'closed', 'c_finite',
+    'balanced' or 'compatible'.  ``answer`` is 'yes', 'no' or 'unknown';
+    ``bool(v)``, ``.yes`` and ``.no`` read it.  Yes answers may carry a
+    certificate that re-verifies exactly; no answers carry a witness (for
+    positivity, a strictly negative exact pairing) or a structural reason
+    such as a failed symmetry check.  ``exact`` says the verdict was
+    decided exactly rather than sampled: closedness decided symbolically,
+    or a current's positivity decided cell by cell (see
+    ``currents.positivity_check``).  ``residual`` is closedness's worst
+    sampled pairing.
+    """
+    tier: str
+    answer: str
+    reason: str = ""
+    witness: object = None
+    certificate: object = None
+    exact: bool = False
+    residual: float = None
+
+    @property
+    def yes(self):
+        return self.answer == "yes"
+
+    @property
+    def no(self):
+        return self.answer == "no"
+
+    def __bool__(self):
+        return self.yes

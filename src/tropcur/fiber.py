@@ -15,7 +15,6 @@ is decided exactly over the rationals; the outer tiers return certified
 Yes/No answers where an exact argument exists and Unknown otherwise.
 """
 
-import itertools
 import math
 import operator
 import random
@@ -26,46 +25,14 @@ from functools import cache
 from . import exact
 from .exact import QC
 from .errors import (DimensionMismatch, WrongAlgebra, NotSquareBidegree,
-                     BidegreeMismatch, ValidationError)
+                     BidegreeMismatch, ValidationError, Verdict)
+from .indices import _shuffle_sign, merge_indices, subsets
 
 
 # --- multi-index helpers -----------------------------------------------------
 
-def merge_indices(a, b):
-    """(sign, merged) for concatenating two increasing index tuples.
-
-    Returns (0, None) when the tuples share an index.
-    """
-    if set(a) & set(b):
-        return 0, None
-    sign = 1
-    merged = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            j += 1
-            if (len(a) - i) % 2:
-                sign = -sign
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return sign, tuple(merged)
-
-
 def _complement(idx, n):
     return tuple(i for i in range(n) if i not in idx)
-
-
-def _shuffle_sign(idx):
-    """eps(I) = (-1)^{sum_k (i_k - k)}: the sign of the shuffle (I, I^c)."""
-    return -1 if (sum(idx) - len(idx) * (len(idx) - 1) // 2) % 2 else 1
-
-
-def subsets(n, p):
-    return [tuple(c) for c in itertools.combinations(range(n), p)]
 
 
 # --- scalar dispatch ---------------------------------------------------------
@@ -431,39 +398,6 @@ def dual_pairing(a, b):
 
 
 # --- positivity ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one decision: a positivity tier or a hypothesis check.
-
-    ``tier`` names what was decided: 'strong', 'positive' or 'weak'
-    positivity ('positive' also for currents), 'closed', 'c_finite',
-    'balanced' or 'compatible'.  ``answer`` is 'yes', 'no' or 'unknown';
-    ``bool(v)``, ``.yes`` and ``.no`` read it.  Yes answers may carry a
-    certificate that re-verifies exactly; no answers carry a witness (for
-    positivity, a strictly negative exact pairing) or a structural reason
-    such as a failed symmetry check.  ``exact`` and ``residual`` belong to
-    closedness: decided symbolically, and the worst sampled pairing.
-    """
-    tier: str
-    answer: str
-    reason: str = ""
-    witness: object = None
-    certificate: object = None
-    exact: bool = False
-    residual: float = None
-
-    @property
-    def yes(self):
-        return self.answer == "yes"
-
-    @property
-    def no(self):
-        return self.answer == "no"
-
-    def __bool__(self):
-        return self.yes
-
 
 PositivityVerdict = Verdict
 
@@ -902,7 +836,13 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
 
 
 def reverify(a, verdict):
-    """Exact re-check of a verdict's certificate or witness; bool."""
+    """Exact re-check of a verdict's certificate or witness; bool.
+
+    ``a`` is the fiber form the verdict is about, or the current of an
+    exact ``currents.positivity_check`` verdict (a "cells" certificate, or
+    an estimate or evaluation witness), which ``reverify_positivity``
+    re-checks.
+    """
     if verdict.answer == "unknown":
         return True
     if verdict.answer == "yes":
@@ -922,6 +862,9 @@ def reverify(a, verdict):
             return _pairing_polynomial(a).is_even_nonnegative()
         if kind == "eigvals":
             return True
+        if kind == "cells":
+            from .currents import reverify_positivity   # a current's exact verdict
+            return reverify_positivity(a, verdict)
         return False
     # No answers
     w = verdict.witness
@@ -940,6 +883,9 @@ def reverify(a, verdict):
         return True
     if kind == "eigval":
         return w[1] < 0
+    if kind in ("estimate_piece", "estimate_atom", "evaluation"):
+        from .currents import reverify_positivity   # a current's exact verdict
+        return reverify_positivity(a, verdict)
     return False
 
 

@@ -25,9 +25,9 @@ import random
 from fractions import Fraction
 
 from .coeffs import CoefficientFn, Poly, UniFn, window_on
-from .errors import NonCompactSupport, ValidationError, WrongAlgebra
+from .errors import NonCompactSupport, ValidationError, Verdict, WrongAlgebra
 from .exact import frac
-from .fiber import Verdict, merge_indices
+from .indices import merge_indices
 
 
 def _insert_sign(idx, j):

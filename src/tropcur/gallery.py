@@ -147,7 +147,7 @@ def degenerate_form_current():
         #           = (-1) * <omega, complementary> Lebesgue pairing
         Ic = tuple(sorted(set(range(n)) - set(I)))
         Jc = tuple(sorted(set(range(n)) - set(J)))
-        from .fiber import merge_indices
+        from .indices import merge_indices
         sI, _ = merge_indices(I, Ic)
         sJ, _ = merge_indices(J, Jc)
         blocks = (-1) ** (len(I) * len(Jc))

@@ -120,8 +120,9 @@ class Polyhedron:
     """H-representation polyhedron ``{u : a_i . u <= b_i}`` over Q.
 
     An immutable value: the rows are a tuple checked once on construction,
-    and derived data (the canonical key, the Fourier-Motzkin projection) is
-    computed once, on first use.
+    and derived data (the canonical key, the Fourier-Motzkin projection,
+    the affine hull, vertices and recession generators) is computed once,
+    on first use, and handed out as tuples.
     """
     dim: int
     rows: tuple = ()
@@ -247,6 +248,10 @@ class Polyhedron:
         Directions form a saturated integer lattice basis, so affine charts
         built from them carry the lattice-normalized Lebesgue measure.
         """
+        return self._hull
+
+    @cached_property
+    def _hull(self):
         u0 = self.feasible_point()
         if u0 is None:
             return None
@@ -255,7 +260,7 @@ class Polyhedron:
             basis = [tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim)]
         else:
             basis = exact.integer_kernel_basis([list(r.a) for r in eqs])
-        return u0, basis
+        return u0, tuple(tuple(v) for v in basis)
 
     def poly_dim(self):
         hull = self.affine_hull()
@@ -275,6 +280,10 @@ class Polyhedron:
 
     def recession_generators(self):
         """Generators of the recession cone; lineality appears as +/- pairs."""
+        return self._recession_generators
+
+    @cached_property
+    def _recession_generators(self):
         cone = self.recession()
         lin = cone.lineality_basis()
         gens, seen = [], set()
@@ -295,12 +304,12 @@ class Polyhedron:
         rows = [r for r in pointed.rows if any(r.a)]
         d = self.dim
         if d == 0:
-            return gens
+            return tuple(gens)
         if d == 1:
             for cand in ((1,), (-1,)):
                 if all(r.eval_slack(cand) >= 0 for r in pointed.rows):
                     push(cand)
-            return gens
+            return tuple(gens)
         for sel in combinations(range(len(rows)), d - 1):
             mat = [list(rows[i].a) for i in sel]
             null = exact.nullspace(mat)
@@ -310,17 +319,21 @@ class Polyhedron:
             for cand in (v, tuple(-x for x in v)):
                 if all(r.eval_slack(cand) >= 0 for r in pointed.rows):
                     push(cand)
-        return gens
+        return tuple(gens)
 
     def is_bounded(self):
         return not self.recession_generators()
 
     def vertices(self):
         """Vertices of the closure (exact), sorted."""
+        return self._vertices
+
+    @cached_property
+    def _vertices(self):
         d = self.dim
         rows = [r for r in self.rows if any(r.a)]
         if d == 0:
-            return [()]
+            return ((),)
         out, seen = [], set()
         for sel in combinations(range(len(rows)), d):
             mat = [list(rows[i].a) for i in sel]
@@ -332,7 +345,7 @@ class Polyhedron:
             if all(r.eval_slack(sol) >= 0 for r in self.rows):
                 seen.add(sol)
                 out.append(sol)
-        return sorted(out)
+        return tuple(sorted(out))
 
     def sample_points(self, rng, count, spread=3):
         """Random rational points of the closure."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -383,9 +384,13 @@ def test_j_symmetry_of_positive_currents():
 
 def test_window_pairings_integrated_once_per_cocoefficient(monkeypatch):
     # step (iv) pairs every sample with the same window test forms, so each
-    # co-coefficient is integrated against its window at most once
+    # co-coefficient is integrated against its window at most once; the
+    # density u_0 is not constant, so the current takes the sampled route
     import tropcur.currents as currents_mod
-    T = tropical_line_current()
+    box = Polyhedron.box([(1, 2), (0, 1)])
+    T = LagerbergCurrent(_chart(2), 1, {
+        (I, I): PieceMeasure(2, pieces=[lebesgue_piece((), box, weight=Poly.var(0, 2))])
+        for I in ((0,), (1,))})
     calls = []
     real = currents_mod.integrate_against
 
@@ -394,7 +399,8 @@ def test_window_pairings_integrated_once_per_cocoefficient(monkeypatch):
         return real(f, mu, *args, **kwargs)
 
     monkeypatch.setattr(currents_mod, "integrate_against", counting)
-    assert positivity_check(T, samples=25).yes
+    v = positivity_check(T, samples=25)
+    assert v.yes and not v.exact
     window_calls = [[c for c in calls if c is mu] for mu in T.cocoeffs.values()]
     assert any(window_calls)
     assert all(len(c) <= 1 for c in window_calls)
@@ -413,3 +419,169 @@ def test_atoms_at_one_point_add_up():
     C = LagerbergCurrent(_chart(2), 1, diagonal)
     assert A + B == C
     assert positivity_check(A + B, samples=6).yes
+
+
+# --- exact positivity against the sampled route ----------------------------------
+
+def _symmetric(draw, size, psd):
+    """A symmetric integer matrix: a sum of v v^T (PSD), or any with a
+    nonnegative diagonal (step (ii) rejects the others), or for size 3 a
+    non-PSD one with no failing 2x2 principal minor: a (s_ij) with
+    s_ij = +-1 and s_01 s_02 s_12 = -1."""
+    m = [[0] * size for _ in range(size)]
+    if psd:
+        for _ in range(draw(st.integers(1, 2))):
+            v = [draw(st.integers(-2, 2)) for _ in range(size)]
+            for i in range(size):
+                for j in range(size):
+                    m[i][j] += v[i] * v[j]
+    elif size == 3 and draw(st.booleans()):
+        a = draw(st.integers(1, 2))
+        s = [draw(st.sampled_from([-1, 1])) for _ in range(2)]
+        s.append(-s[0] * s[1])
+        for (i, j), sij in zip(((0, 1), (0, 2), (1, 2)), s):
+            m[i][j] = m[j][i] = sij * a
+        for i in range(size):
+            m[i][i] = a
+    else:
+        for i in range(size):
+            m[i][i] = draw(st.integers(0, 3))
+            for j in range(i):
+                m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    return m
+
+
+def _matrix_current(n, q, parts):
+    """The (n-q, n-q)-current on R^n whose co-coefficient matrix over the
+    q-subsets is m: on the polyhedron, or as atom weights at the point,
+    of each (where, m) in ``parts``."""
+    idx = list(itertools.combinations(range(n), q))
+    atoms, pieces = {}, {}
+    for where, m in parts:
+        for (i, I), (j, J) in itertools.product(enumerate(idx), repeat=2):
+            if not m[i][j]:
+                continue
+            if isinstance(where, Polyhedron):
+                pieces.setdefault((I, J), []).append(lebesgue_piece((), where, weight=m[i][j]))
+            else:
+                atoms.setdefault((I, J), []).append(Atom(frozenset(), where, Fraction(m[i][j])))
+    return LagerbergCurrent(_chart(n), n - q, {
+        key: PieceMeasure(n, atoms.get(key, ()), pieces.get(key, ()))
+        for key in {**atoms, **pieces}})
+
+
+@st.composite
+def _constant_density_currents(draw):
+    """Constant-density currents on one to three boxes in R^n, 2 <= n <= 3,
+    1 <= q < n, with atoms.
+
+    Only the first box may carry a non-PSD matrix, and it reaches to 3 on
+    axis 0 where the others end by 2, so no union of the others covers
+    it.  The sampled route reads one piece's density against the summed
+    diagonal densities at a point, so it is a sound reference only when
+    the pieces of a covered cell are PSD one by one.
+    """
+    n = draw(st.integers(2, 3))
+    q = draw(st.integers(1, n - 1))
+    size = math.comb(n, q)
+    parts = []
+    for t in range(draw(st.integers(1, 3))):
+        bounds = []
+        for axis in range(n):
+            lo = draw(st.integers(-2, 1))
+            hi = 3 if t == 0 and axis == 0 else draw(st.integers(lo + 1, 2))
+            bounds.append((lo, hi))
+        psd = t > 0 or draw(st.sampled_from([True, True, False]))
+        parts.append((Polyhedron.box(bounds), _symmetric(draw, size, psd)))
+    for _ in range(draw(st.integers(0, 2))):
+        pt = tuple(Fraction(draw(st.integers(-2, 2))) for _ in range(n))
+        parts.append((pt, _symmetric(draw, size, draw(st.booleans()))))
+    return _matrix_current(n, q, parts)
+
+
+def _perturbed(v):
+    """v with one entry of its certificate or witness changed."""
+    from dataclasses import replace
+    if v.yes:
+        kind, entries = v.certificate
+        t = next(t for t, (_, dec) in enumerate(entries) if dec)
+        where, ((gamma, vec), *rest) = entries[t]
+        entries = entries[:t] + ((where, ((gamma + 1, vec), *rest)),) + entries[t + 1:]
+        return replace(v, certificate=(kind, entries))
+    kind, *data = v.witness
+    if kind == "evaluation":
+        return replace(v, witness=(kind, data[0], data[1] - 1))
+    if kind == "estimate_piece":
+        (wIJ, wII, wJJ) = data[2]
+        return replace(v, witness=(kind, data[0], data[1], (wIJ + 1, wII, wJJ)))
+    atom = data[1]
+    return replace(v, witness=(kind, data[0], Atom(atom.stratum, atom.coords,
+                                                   atom.weight + 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_constant_density_currents())
+def test_exact_positivity_agrees_with_sampled_route(T):
+    from tropcur.currents import _sampled_positivity
+    from tropcur.fiber import reverify
+    v = positivity_check(T, samples=6)
+    if not v.exact:
+        # step (ii) decides a negative diagonal before the exact route
+        assert v.no and v.witness[0].startswith("diagonal")
+        return
+    sampled = _sampled_positivity(T, 6, 0, 1e-9)
+    if v.yes:
+        assert sampled.yes, sampled.witness
+    if sampled.no:
+        assert v.no, sampled.witness
+    assert reverify(T, v)
+    if v.yes and not any(dec for _, dec in v.certificate[1]):
+        return          # nothing to perturb in an all-zero certificate
+    assert not reverify(T, _perturbed(v))
+
+
+def test_overlapping_cells_add_up():
+    # W_A is not PSD, but on each half of A the box B or C brings it to 2 I
+    from tropcur.fiber import reverify
+    W_A, W_BC = [[1, 3], [3, 1]], [[1, -3], [-3, 1]]
+    A = (Polyhedron.box([(0, 2), (0, 1)]), W_A)
+    B = (Polyhedron.box([(0, 1), (0, 1)]), W_BC)
+    C = (Polyhedron.box([(1, 2), (0, 1)]), W_BC)
+    T = _matrix_current(2, 1, [A, B, C])
+    v = positivity_check(T)
+    assert v.yes and v.exact and reverify(T, v)
+    kind, entries = v.certificate
+    assert kind == "cells" and len(entries) == 2
+    # without C the half [1, 2] x [0, 1] of A keeps the matrix W_A
+    T = _matrix_current(2, 1, [A, B])
+    v = positivity_check(T)
+    assert v.no and v.exact and reverify(T, v)
+    kind, IJ, pt, values = v.witness
+    assert kind == "estimate_piece" and values == (3, 1, 1)
+    assert 1 < pt[0] < 2 and 0 < pt[1] < 1
+
+
+def test_singular_cells_are_decided_apart():
+    # a segment's non-PSD matrix is not absorbed by the box around it
+    from tropcur.fiber import reverify
+    T = _matrix_current(2, 1, [(Polyhedron.box([(0, 2), (0, 2)]), [[5, 0], [0, 5]]),
+                               (Polyhedron.box([(1, 1), (0, 2)]), [[1, 3], [3, 1]])])
+    v = positivity_check(T)
+    assert v.no and v.exact and reverify(T, v)
+    assert v.witness[0] == "estimate_piece" and v.witness[2][0] == 1
+
+
+def test_exact_route_needs_one_exponent_per_cell():
+    # e^u on [0, 2] and 1 on [1, 3] overlap with different exponents, so
+    # their sum is no constant matrix times one positive factor there
+    def current(other):
+        mu = PieceMeasure(1, pieces=[
+            lebesgue_piece((), Polyhedron.box([(0, 2)]), expo=Poly.linear([1])),
+            lebesgue_piece((), Polyhedron.box([other]))])
+        return LagerbergCurrent(_chart(1), 0, {((0,), (0,)): mu})
+
+    for other in ((1, 3), (0, 2)):
+        v = positivity_check(current(other), samples=4)
+        assert v.yes and not v.exact
+    v = positivity_check(current((2, 3)), samples=4)
+    assert v.yes and v.exact and len(v.certificate[1]) == 2

@@ -41,7 +41,7 @@ def test_linear_bounds():
 
 def test_vertices_and_rays():
     tri = Polyhedron(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
-    assert tri.vertices() == [(0, 0), (0, 1), (1, 0)]
+    assert tri.vertices() == ((0, 0), (0, 1), (1, 0))
     assert tri.is_bounded()
 
     quad = Polyhedron(2, [((-1, 0), 0), ((0, -1), 0)])
@@ -89,8 +89,8 @@ def test_sample_points_inside():
 
 def test_ray_polyhedron():
     ray = Polyhedron(2, [((0, 1), 0), ((0, -1), 0), ((-1, 0), 0)])
-    assert ray.recession_generators() == [(1, 0)]
-    assert ray.vertices() == [(0, 0)]
+    assert ray.recession_generators() == ((1, 0),)
+    assert ray.vertices() == ((0, 0),)
 
 
 def test_bad_rows_and_dimensions_are_validation_errors():
@@ -183,8 +183,8 @@ def _ref_affine_hull(poly):
         return None
     eqs = _ref_implied_equalities(poly)
     if not eqs:
-        return u0, [tuple(int(i == j) for j in range(poly.dim)) for i in range(poly.dim)]
-    return u0, exact.integer_kernel_basis([list(r.a) for r in eqs])
+        return u0, tuple(tuple(int(i == j) for j in range(poly.dim)) for i in range(poly.dim))
+    return u0, tuple(exact.integer_kernel_basis([list(r.a) for r in eqs]))
 
 
 def _ref_parametrize(poly):
@@ -260,3 +260,10 @@ def test_polyhedron_json_literal_parses_or_is_input_error(data):
     text = formats.polyhedron_to_json(poly)
     again = formats.polyhedron_from_json(json.loads(json.dumps(text)))
     assert again == poly and formats.polyhedron_to_json(again) == text
+
+
+def test_derived_data_computed_once_as_tuples():
+    tri = Polyhedron(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
+    for query in (tri.vertices, tri.recession_generators, tri.affine_hull):
+        assert isinstance(query(), tuple) and query() is query()
+    assert isinstance(tri.affine_hull()[1], tuple)

@@ -93,6 +93,25 @@ def test_integrate_loads_no_current_layers(tmp_path):
                           "tropcur.gallery"}
 
 
+def test_integrate_loads_no_fiber_algebra(tmp_path):
+    # fields takes its index signs from indices and Verdict from errors
+    code, modules = _loaded(["integrate", "--side", "both", "--rank", "1",
+                             "--field", str(INPUTS / "field_rank1.json"),
+                             "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert "tropcur.fields" in modules
+    assert "tropcur.fiber" not in modules
+
+
+def test_exact_current_verdicts_load_no_numpy(tmp_path):
+    # positivity and closedness of a constant-density current are exact
+    code, modules = _loaded(["decompose", "--current", str(INPUTS / "current.json"),
+                             "--rank", "2", "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert "tropcur.currents" in modules
+    assert not modules & {"numpy", "scipy"}
+
+
 def test_root_names_resolve_to_their_modules():
     exported = [name for names in ROOT_EXPORTS.values() for name in names]
     assert sorted(tropcur.__all__) == sorted(exported)
