@@ -35,7 +35,7 @@ from .fields import (boundary_window_field, bump_box_field,
 from .measures import (Atom, DerivativeAtom, ImageMap, OpenBox, Piece,
                        PieceMeasure, _stratum_embedding, abs_measure, image_measure,
                        integrate_against, restrict_measure)
-from .polyhedra import Polyhedron, Row, parametrize
+from .polyhedra import Polyhedron, Row, face_directions
 
 
 class LagerbergCurrent:
@@ -55,10 +55,12 @@ class LagerbergCurrent:
         self.U = U if U is not None else OpenBox.whole_chart(chart)
         self.evaluator = evaluator
         self.cocoeffs = {}
+        keys = set(subsets(self.n, self.q)) if cocoeffs and self.q >= 0 else ()
         for (I, J), mu in (cocoeffs or {}).items():
             I, J = tuple(I), tuple(J)
-            if len(I) != self.q or len(J) != self.q:
-                raise ValidationError(f"co-coefficient key ({I},{J}) needs |I|=|J|={self.q}")
+            if I not in keys or J not in keys:
+                raise ValidationError(f"co-coefficient key ({I},{J}) needs two increasing "
+                                      f"{self.q}-subsets of 0..{self.n - 1}")
             if mu.n != self.n:
                 raise ValidationError("measure dimension does not match the chart")
             bad = set(I) | set(J)
@@ -402,7 +404,10 @@ def _sampled_positivity(T, samples, seed, tol):
     """Steps (iii) and (iv) of positivity_check, for currents off the exact route.
 
     (iii) the pointwise estimate 2 l_I l_J |T^{IJ}| <= l_I^2 T^{II} +
-    l_J^2 T^{JJ} at every atom and at sampled points of every piece; (iv)
+    l_J^2 T^{JJ} at every atom and at sampled points of every piece, each
+    entry summed over the pieces at the point; points on the relative
+    boundary of a piece, a null set, are skipped, since there closed
+    pieces that meet would be summed as if they overlapped; (iv)
     evaluation >= 0 against ``samples`` random positive fiber forms times
     one fixed window test form per (I, J), each window integral computed
     once per call.
@@ -422,9 +427,12 @@ def _sampled_positivity(T, samples, seed, tol):
                 return Verdict("positive", "no", "estimate fails on an atom",
                                witness=("estimate_atom", (I, J), a))
         for piece in mu.pieces:
-            pts = piece.poly.sample_points(rng, samples)
-            for pt in pts:
-                wIJ = piece.density_fn().eval_float(pt) * mu.scale_float()
+            near = [other.poly for m in (mu, mu_II, mu_JJ) for other in m.pieces
+                    if other.stratum == piece.stratum]
+            for pt in piece.poly.sample_points(rng, samples):
+                if any(_on_relative_boundary(poly, pt) for poly in near):
+                    continue
+                wIJ = point_value(mu, piece.stratum, pt)
                 wII = point_value(mu_II, piece.stratum, pt)
                 wJJ = point_value(mu_JJ, piece.stratum, pt)
                 if wIJ * wIJ > wII * wJJ + tol:
@@ -448,6 +456,14 @@ def _sampled_positivity(T, samples, seed, tol):
             return Verdict("positive", "no", "negative value on a positive test field",
                            witness=("evaluation", vec, val))
     return Verdict("positive", "yes")
+
+
+def _on_relative_boundary(poly, pt):
+    """Whether pt lies in the closure of poly but not in its relative interior."""
+    if not poly.contains(pt, closure=True):
+        return False
+    eqs = poly.implied_equalities()
+    return any(r.eval_slack(pt) == 0 for r in poly.rows if any(r.a) and r not in eqs)
 
 
 def _nonneg_test_field(chart, q, box, rng):
@@ -845,14 +861,14 @@ class WeightedComplex:
 
 
 def _minors(poly, n, p):
-    """{I: det(A_I)} over the p-subsets I with a nonzero minor, where
-    u = A t + b is the integral parametrization of the p-dimensional
-    ``poly``; {} when poly is empty."""
-    par = parametrize(poly)
-    if par is None:
+    """{I: det(A_I)} over the p-subsets I with a nonzero minor, where the
+    columns of A are the lattice basis of the p-dimensional ``poly``'s
+    affine hull; {} when poly is empty."""
+    hull = poly.affine_hull()
+    if hull is None:
         return {}
-    A = par[0]
-    dets = ((I, exact.det([[A[i][j] for j in range(p)] for i in I]))
+    basis = hull[1]
+    dets = ((I, exact.det([[basis[j][i] for j in range(p)] for i in I]))
             for I in subsets(n, p))
     return {I: d for I, d in dets if d}
 
@@ -922,88 +938,28 @@ def _integrated_complex(T):
     return C
 
 
-def _face_key(poly):
-    return (tuple(poly.vertices()), tuple(sorted(poly.recession_generators())))
-
-
-def _facets(poly):
-    d = poly.poly_dim()
-    out = {}
-    for t, row in enumerate(poly.rows):
-        if not any(row.a):
-            continue
-        face = poly.with_rows([Row(tuple(-x for x in row.a), -row.b, False)])
-        if face.is_empty():
-            continue
-        if face.poly_dim() == d - 1:
-            out[_face_key(face)] = face
-    return out
-
-
-def _direction_lattice(poly):
-    hull = poly.affine_hull()
-    return hull[1] if hull else []
-
-
-def _primitive_normal(cell, face):
-    """Primitive generator of (cell lattice)/(face lattice), pointing into
-    the cell from the face."""
-    L_cell = _direction_lattice(cell)
-    L_face = _direction_lattice(face)
-    pdim = len(L_cell)
-    # coordinates of the face lattice inside the cell lattice
-    mat = [[Fraction(L_cell[j][i]) for j in range(pdim)] for i in range(len(L_cell[0]))]
-    cols = []
-    for v in L_face:
-        sol = exact.solve(mat, [Fraction(x) for x in v])
-        cols.append([int(x) for x in sol])
-    # complete the (pdim-1)-column integer matrix to a basis of Z^pdim
-    base = exact.extend_to_basis([tuple(c) for c in cols], pdim)
-    w_coords = base[-1]
-    w = tuple(sum(Fraction(w_coords[j]) * Fraction(L_cell[j][i])
-                  for j in range(pdim)) for i in range(len(L_cell[0])))
-    w = exact.primitive(w)
-    x0 = face.feasible_point()
-    for cand in (w, tuple(-x for x in w)):
-        ok = True
-        for row in cell.rows:
-            slack = row.eval_slack(x0)
-            push = sum(a * c for a, c in zip(row.a, cand))
-            if slack == 0 and push > 0:
-                ok = False
-                break
-            if slack < 0:
-                ok = False
-                break
-        if ok:
-            return cand
-    raise ValueError("no inward-pointing normal found; face data inconsistent")
-
-
 def balancing_check(C):
     """Exact rational balancing at every codimension-one face.
 
-    At each face the weighted primitive normals must sum into the face's
-    direction span; the first failing face is the witness.
+    Each cell's facets come with their primitive inward normals
+    (``Polyhedron.facets``, computed once per cell).  Per facet key the
+    weighted normals must sum into the face's direction span, which the
+    key's points and rays span; the first failing face is the witness,
+    with its key and the residual sum.
     """
     p = C.dim()
     if p <= 0:
         return Verdict("balanced", "yes")
-    faces = {}
+    sums = {}
     for poly, w in C.cells:
         if w == 0:
             continue
-        for key, face in _facets(poly).items():
-            faces.setdefault(key, (face, []))[1].append((poly, w))
-    for key, (face, incident) in faces.items():
-        normals = [(w, _primitive_normal(cell, face)) for cell, w in incident]
-        total = tuple(sum(Fraction(w) * Fraction(v[i]) for w, v in normals)
-                      for i in range(len(normals[0][1])))
-        L_face = _direction_lattice(face)
-        # the residual must lie in the face's direction span
-        if any(total) and (not L_face or exact.solve(
-                [[Fraction(v[i]) for v in L_face] for i in range(len(total))],
-                list(total)) is None):
+        for key, normal in poly.facets:
+            total = sums.get(key, (Fraction(0),) * len(normal))
+            sums[key] = tuple(t + w * x for t, x in zip(total, normal))
+    for key, total in sums.items():
+        span = face_directions(key)
+        if any(total) and exact.rank(span + [total]) > exact.rank(span):
             return Verdict("balanced", "no", witness={"face": key, "residual": total})
     return Verdict("balanced", "yes")
 

@@ -25,6 +25,13 @@ def _parse_frac(s):
         raise ParseError(f"bad rational literal {s!r}") from err
 
 
+def _parse_int(s):
+    x = _parse_frac(s)
+    if x.denominator != 1:
+        raise ParseError(f"{s!r} is not an integer")
+    return int(x)
+
+
 def jsonable(obj):
     """Recursively convert exact/report data into JSON-encodable values."""
     if isinstance(obj, Fraction):
@@ -264,11 +271,13 @@ def current_to_json(T, shadow=False):
 
 
 def current_from_json(data, chart):
-    try:
-        p = int(data["bidegree"][0])
-    except (KeyError, TypeError, IndexError) as err:
-        raise ParseError("current needs a 'bidegree'") from err
     n = len(chart.basis)
+    try:
+        p, p2 = (_parse_int(x) for x in data["bidegree"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ParseError("current needs a 'bidegree' [p, p]") from err
+    if p != p2 or not 0 <= p <= n:
+        raise ParseError(f"bidegree ({p},{p2}) is not (p,p) with 0 <= p <= {n}")
     coco = {}
     cocoeffs = data.get("cocoeffs", {})
     if not isinstance(cocoeffs, dict):
@@ -292,12 +301,17 @@ def weighted_complex_to_json(C):
 def weighted_complex_from_json(data):
     from .currents import WeightedComplex
     try:
-        cells = tuple((polyhedron_from_json(c["poly"]), int(c["weight"]))
+        cells = tuple((polyhedron_from_json(c["poly"]), _parse_int(c["weight"]))
                       for c in data.get("cells", ()))
         dim = data.get("dim")
-    except (KeyError, TypeError, ValueError) as err:
+        dim = None if dim is None else _parse_int(dim)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ParseError("bad weighted complex literal") from err
-    return WeightedComplex(cells, declared_dim=None if dim is None else int(dim))
+    if len({poly.dim for poly, _ in cells}) > 1:
+        raise ParseError("the cells of a weighted complex lie in spaces of several dimensions")
+    C = WeightedComplex(cells, declared_dim=dim)
+    C.dim()         # MixedDimension when the cells have several dimensions
+    return C
 
 
 def load_json(path):

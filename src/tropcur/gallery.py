@@ -20,7 +20,7 @@ from fractions import Fraction
 from .coeffs import Poly
 from .currents import LagerbergCurrent, WeightedComplex, integration_current
 from .fans import orthant_fan
-from .fiber import LagerbergFiberForm
+from .fiber import LagerbergFiberForm, _complementary_terms
 from .measures import (Atom, DerivativeAtom, OpenBox, PieceMeasure,
                        lebesgue_piece)
 from .polyhedra import Polyhedron
@@ -137,22 +137,13 @@ def degenerate_form_current():
     co-coefficients zero, so the positivity estimate fails outright.
     """
     chart = orthant_fan(4).toric_chart(0)
-    omega = omega_degenerate()
-    n = 4
     whole = Polyhedron(4, [])
     coco = {}
     sq = (-1) ** (2 * (2 - 1) // 2)     # co-coefficient sign convention
-    for (I, J), c in omega.coeff.items():
-        # T^{IJ}(f) = T((-1)^{q(q-1)/2} f d'u_I d''u_J)
-        #           = (-1) * <omega, complementary> Lebesgue pairing
-        Ic = tuple(sorted(set(range(n)) - set(I)))
-        Jc = tuple(sorted(set(range(n)) - set(J)))
-        from .indices import merge_indices
-        sI, _ = merge_indices(I, Ic)
-        sJ, _ = merge_indices(J, Jc)
-        blocks = (-1) ** (len(I) * len(Jc))
-        top = (-1) ** (n * (n - 1) // 2)
-        weight = Fraction(c) * sq * sI * sJ * blocks * top
+    # T^{IJ}(f) = T((-1)^{q(q-1)/2} f d'u_I d''u_J), the Lebesgue pairing
+    # of omega with the complementary indices
+    for sign, c, Ic, Jc in _complementary_terms(omega_degenerate()):
+        weight = Fraction(c) * sq * sign
         if weight:
             coco[(Ic, Jc)] = PieceMeasure(4, pieces=[lebesgue_piece(
                 (), whole, weight=weight, sign=1 if weight > 0 else -1)])

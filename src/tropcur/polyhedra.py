@@ -5,11 +5,12 @@ A :class:`Polyhedron` is a finite list of constraints ``a . u <= b`` (or
 routines here are deliberately small-scale and exact.  A polyhedron is an
 immutable value with one Fourier-Motzkin projection, computed on first use:
 it eliminates u_{d-1} down to u_0, tags each derived row with the input
-rows it combines, and answers emptiness, a feasible point and the implied
-equalities (so affine hulls and parametrizations).  Linear bounds run the
-same elimination step with one extra variable; vertices and extreme rays
-come from subset search; lattice-adapted parametrizations normalize
-densities on lower-dimensional pieces.
+rows it combines, and answers emptiness, boundedness, a feasible point and
+the implied equalities (so affine hulls and parametrizations).  Linear
+bounds run the same elimination step with one extra variable; vertices and
+extreme rays come from subset search, and the facets are read off them;
+lattice-adapted parametrizations normalize densities on lower-dimensional
+pieces.
 
 Intended for the desk-scale polyhedra of this package (dimension <= ~6,
 few dozen constraints), not as a general polyhedral library.
@@ -76,6 +77,10 @@ def coordinate_range(rows, var, fixed=()):
     return lo, hi
 
 
+def _dot(a, v):
+    return sum(x * y for x, y in zip(a, v))
+
+
 def _fm_step(rows, var):
     """Eliminate u_var from ``(row, sources)`` pairs by Fourier-Motzkin.
 
@@ -121,8 +126,8 @@ class Polyhedron:
 
     An immutable value: the rows are a tuple checked once on construction,
     and derived data (the canonical key, the Fourier-Motzkin projection,
-    the affine hull, vertices and recession generators) is computed once,
-    on first use, and handed out as tuples.
+    the affine hull, vertices, recession generators and facets) is computed
+    once per instance, on first use, and handed out as tuples.
     """
     dim: int
     rows: tuple = ()
@@ -272,11 +277,12 @@ class Polyhedron:
         rows = [Row(r.a, Fraction(0), False) for r in self.rows if any(r.a)]
         return Polyhedron(self.dim, rows)
 
-    def lineality_basis(self):
+    @cached_property
+    def _lineality(self):
         mat = [list(r.a) for r in self.rows if any(r.a)]
         if not mat:
-            return [tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim)]
-        return [exact.primitive(v) for v in exact.nullspace(mat)]
+            return tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
+        return tuple(exact.primitive(v) for v in exact.nullspace(mat))
 
     def recession_generators(self):
         """Generators of the recession cone; lineality appears as +/- pairs."""
@@ -284,8 +290,7 @@ class Polyhedron:
 
     @cached_property
     def _recession_generators(self):
-        cone = self.recession()
-        lin = cone.lineality_basis()
+        lin = self._lineality
         gens, seen = [], set()
 
         def push(v):
@@ -296,56 +301,97 @@ class Polyhedron:
         for v in lin:
             push(v)
             push(tuple(-x for x in v))
-        extra = []
-        for v in lin:
-            extra.append(Row(tuple(frac(x) for x in v), Fraction(0), False))
-            extra.append(Row(tuple(-frac(x) for x in v), Fraction(0), False))
-        pointed = cone.with_rows(extra)
-        rows = [r for r in pointed.rows if any(r.a)]
+        # the pointed part: the cone's rows and lin's orthogonality, both ways
+        rows = [r.a for r in self.rows if any(r.a)]
+        rows += [s for v in lin for s in (v, tuple(-x for x in v))]
+
+        def inside(v):
+            return all(_dot(r, v) <= 0 for r in rows)
+
         d = self.dim
-        if d == 0:
-            return tuple(gens)
         if d == 1:
             for cand in ((1,), (-1,)):
-                if all(r.eval_slack(cand) >= 0 for r in pointed.rows):
+                if inside(cand):
                     push(cand)
-            return tuple(gens)
-        for sel in combinations(range(len(rows)), d - 1):
-            mat = [list(rows[i].a) for i in sel]
-            null = exact.nullspace(mat)
+        for sel in combinations(range(len(rows)), max(d - 1, 0)):
+            null = exact.nullspace([list(rows[i]) for i in sel])
             if len(null) != 1:
                 continue
             v = exact.primitive(null[0])
             for cand in (v, tuple(-x for x in v)):
-                if all(r.eval_slack(cand) >= 0 for r in pointed.rows):
+                if inside(cand):
                     push(cand)
         return tuple(gens)
 
     def is_bounded(self):
-        return not self.recession_generators()
+        """Whether the recession cone of the closure is {0}.
+
+        Read from the projection: stage k+1 bounds u_k above and below
+        given u_0..u_{k-1} iff it has rows with a positive and with a
+        negative coefficient of u_k.  The stages of the recession cone have
+        the same rows up to their right-hand sides, so this holds for an
+        empty polyhedron too.
+        """
+        return all(any(r.a[k] > 0 for r, _ in self._stages[k + 1]) and
+                   any(r.a[k] < 0 for r, _ in self._stages[k + 1]) for k in range(self.dim))
 
     def vertices(self):
-        """Vertices of the closure (exact), sorted."""
-        return self._vertices
+        """Vertices of the closure (exact), sorted; none with a lineality space."""
+        return () if self._lineality else self._points
 
     @cached_property
-    def _vertices(self):
+    def _points(self):
+        """One point of each minimal face of the closure, sorted: its
+        vertices, or with a lineality space those of its section by the
+        orthogonal complement of that space."""
         d = self.dim
-        rows = [r for r in self.rows if any(r.a)]
         if d == 0:
             return ((),)
+        rows = [r for r in self.rows if any(r.a)]
+        lin = [list(v) for v in self._lineality]
         out, seen = [], set()
-        for sel in combinations(range(len(rows)), d):
-            mat = [list(rows[i].a) for i in sel]
+        for sel in combinations(range(len(rows)), d - len(lin)):
+            mat = [list(rows[i].a) for i in sel] + lin
             if exact.rank(mat) != d:
                 continue
-            sol = exact.solve(mat, [rows[i].b for i in sel])
+            sol = exact.solve(mat, [rows[i].b for i in sel] + [0] * len(lin))
             if sol is None or sol in seen:
                 continue
             if all(r.eval_slack(sol) >= 0 for r in self.rows):
                 seen.add(sol)
                 out.append(sol)
         return tuple(sorted(out))
+
+    @cached_property
+    def facets(self):
+        """(key, primitive inward normal) over the facets of the closure.
+
+        A facet is a face of codimension one, cut out by a row that is not
+        an implied equality; it is read off the cell's own points and
+        recession generators, tight on that row.  Its key is (its points,
+        its sorted recession generators), so equal facets of different
+        cells get one key.  Its normal is the primitive vector of the
+        cell's direction lattice that completes the facet's lattice basis
+        to one of the cell's (``exact.extend_to_basis``), pointing into the
+        cell.
+        """
+        hull = self.affine_hull()
+        if hull is None or not hull[1]:
+            return ()
+        cell = hull[1]
+        eqs = [list(r.a) for r in self.implied_equalities()]
+        out = {}
+        for row in self.rows:
+            if not any(row.a) or list(row.a) in eqs:
+                continue
+            pts = tuple(v for v in self._points if row.eval_slack(v) == 0)
+            rays = sorted(g for g in self.recession_generators() if not _dot(row.a, g))
+            key = (pts, tuple(rays))
+            if not pts or key in out or exact.rank(face_directions(key)) != len(cell) - 1:
+                continue
+            face = exact.integer_kernel_basis(eqs + [list(row.a)])
+            out[key] = _inward_normal(cell, face, row.a)
+        return tuple(out.items())
 
     def sample_points(self, rng, count, spread=3):
         """Random rational points of the closure."""
@@ -368,6 +414,25 @@ class Polyhedron:
                 pt = [x + c * gi for x, gi in zip(pt, g)]
             pts.append(tuple(pt))
         return pts
+
+
+def face_directions(key):
+    """Vectors that span the direction space of the face with this facet key."""
+    pts, rays = key
+    return [tuple(x - y for x, y in zip(v, pts[0])) for v in pts[1:]] + list(rays)
+
+
+def _inward_normal(cell, face, a):
+    """Primitive generator of (cell lattice)/(face lattice) with a . w < 0,
+    for lattice bases ``cell`` and ``face`` and the facet's row ``a``."""
+    pdim, n = len(cell), len(cell[0])
+    # coordinates of the face lattice inside the cell lattice
+    mat = [[Fraction(cell[j][i]) for j in range(pdim)] for i in range(n)]
+    cols = [tuple(int(x) for x in exact.solve(mat, [Fraction(x) for x in v])) for v in face]
+    w_coords = exact.extend_to_basis(cols, pdim)[-1]
+    w = exact.primitive(tuple(sum(Fraction(w_coords[j]) * Fraction(cell[j][i])
+                                  for j in range(pdim)) for i in range(n)))
+    return w if _dot(a, w) < 0 else tuple(-x for x in w)
 
 
 def parametrize(poly):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -473,25 +474,18 @@ def _matrix_current(n, q, parts):
 @st.composite
 def _constant_density_currents(draw):
     """Constant-density currents on one to three boxes in R^n, 2 <= n <= 3,
-    1 <= q < n, with atoms.
-
-    Only the first box may carry a non-PSD matrix, and it reaches to 3 on
-    axis 0 where the others end by 2, so no union of the others covers
-    it.  The sampled route reads one piece's density against the summed
-    diagonal densities at a point, so it is a sound reference only when
-    the pieces of a covered cell are PSD one by one.
-    """
+    1 <= q < n, with atoms; any box may carry a non-PSD matrix, and
+    overlapping boxes may make up for each other."""
     n = draw(st.integers(2, 3))
     q = draw(st.integers(1, n - 1))
     size = math.comb(n, q)
     parts = []
-    for t in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 3))):
         bounds = []
-        for axis in range(n):
+        for _ in range(n):
             lo = draw(st.integers(-2, 1))
-            hi = 3 if t == 0 and axis == 0 else draw(st.integers(lo + 1, 2))
-            bounds.append((lo, hi))
-        psd = t > 0 or draw(st.sampled_from([True, True, False]))
+            bounds.append((lo, draw(st.integers(lo + 1, 2))))
+        psd = draw(st.sampled_from([True, True, False]))
         parts.append((Polyhedron.box(bounds), _symmetric(draw, size, psd)))
     for _ in range(draw(st.integers(0, 2))):
         pt = tuple(Fraction(draw(st.integers(-2, 2))) for _ in range(n))
@@ -561,6 +555,26 @@ def test_overlapping_cells_add_up():
     assert 1 < pt[0] < 2 and 0 < pt[1] < 1
 
 
+def test_sampled_estimate_sums_overlapping_pieces():
+    # the pieces of test_overlapping_cells_add_up: on A the matrix is 2 I,
+    # though the piece on A alone carries W_A, which is not PSD
+    from tropcur.currents import _sampled_positivity
+    W_A, W_BC = [[1, 3], [3, 1]], [[1, -3], [-3, 1]]
+    A = (Polyhedron.box([(0, 2), (0, 1)]), W_A)
+    B = (Polyhedron.box([(0, 1), (0, 1)]), W_BC)
+    C = (Polyhedron.box([(1, 2), (0, 1)]), W_BC)
+    assert _sampled_positivity(_matrix_current(2, 1, [A, B, C]), 25, 0, 1e-9).yes
+    v = _sampled_positivity(_matrix_current(2, 1, [A, B]), 25, 0, 1e-9)
+    kind, IJ, pt, values = v.witness
+    assert v.no and kind == "estimate_piece" and values == (3.0, 1.0, 1.0)
+    assert 1 < pt[0] < 2 and 0 < pt[1] < 1
+    # on the segment where B and C meet, closed B and C would both count
+    # and [[3, -4], [-4, 4]] fail; that segment is skipped
+    C = (C[0], [[1, -4], [-4, 2]])
+    T = _matrix_current(2, 1, [A, B, C])
+    assert positivity_check(T).yes and _sampled_positivity(T, 25, 0, 1e-9).yes
+
+
 def test_singular_cells_are_decided_apart():
     # a segment's non-PSD matrix is not absorbed by the box around it
     from tropcur.fiber import reverify
@@ -585,3 +599,130 @@ def test_exact_route_needs_one_exponent_per_cell():
         assert v.yes and not v.exact
     v = positivity_check(current((2, 3)), samples=4)
     assert v.yes and v.exact and len(v.certificate[1]) == 2
+
+
+# --- JSON literals of weighted complexes and currents --------------------------------
+
+_SCALARS = st.one_of(st.integers(-3, 3), st.none(), st.booleans(),
+                     st.sampled_from(["1/2", "−2/3", " 4 ", "1/0", "x", "", 0.5, 2.0, []]))
+
+
+def _spoilt(draw, good, bad):
+    """``good`` seven times in eight, else a draw from the strategy ``bad``."""
+    return draw(bad) if draw(st.integers(0, 7)) == 0 else good
+
+
+@st.composite
+def _polyhedron_literal(draw, dim):
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = [draw(st.sampled_from([-1, 0, 1, 2, "1/2"])) for _ in range(dim)]
+        rows.append({"a": a, "b": draw(st.sampled_from([0, 1, 2, "-1", "3/2"]))})
+    return _spoilt(draw, {"dim": dim, "ineqs": rows},
+                   st.sampled_from([{"dim": dim, "ineqs": [{"a": [1]}]}, {"dim": "x"},
+                                    {"dim": dim + 1, "ineqs": rows}, [dim], "poly"]))
+
+
+@st.composite
+def _complex_literals(draw):
+    dim = draw(st.sampled_from([2, 2, 2, 3]))
+    cells = []
+    for _ in range(draw(st.integers(0, 3))):
+        cell = {"poly": draw(_polyhedron_literal(dim)), "weight": draw(st.integers(-2, 3))}
+        cells.append(_spoilt(draw, cell, st.sampled_from(
+            [{"poly": cell["poly"]}, {"poly": cell["poly"], "weight": "1/2"}, 7])))
+    data = {"cells": cells}
+    if draw(st.booleans()):
+        data["dim"] = _spoilt(draw, draw(st.integers(-1, 3)), _SCALARS)
+    return _spoilt(draw, data, st.sampled_from([{"cells": 5}, [cells], None]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_complex_literals())
+def test_weighted_complex_literal_parses_or_is_input_error(data):
+    from tropcur.errors import TropcurError
+    from tropcur.formats import weighted_complex_from_json, weighted_complex_to_json
+    try:
+        C = weighted_complex_from_json(data)
+    except TropcurError:
+        return
+    assert len({poly.dim for poly, _ in C.cells}) <= 1 and C.dim() >= -1
+    text = weighted_complex_to_json(C)
+    again = weighted_complex_from_json(json.loads(json.dumps(text)))
+    assert again.cells == C.cells and weighted_complex_to_json(again) == text
+
+
+@st.composite
+def _measure_literal(draw, n):
+    """A measure on R^n with atoms, possibly on the strata of axis 1 or 2,
+    and polynomial densities, one part at a time possibly malformed."""
+    atoms = []
+    for _ in range(draw(st.integers(0, 2))):
+        stratum = draw(st.sampled_from([[], [], [], [1], [2]]))
+        coords = [draw(st.sampled_from([0, 1, "1/2", "-2"])) for _ in range(n - len(stratum))]
+        atom = {"pt": {"stratum": stratum, "coords": coords}, "w": draw(st.integers(-2, 2))}
+        atoms.append(_spoilt(draw, atom, st.sampled_from(
+            [{"pt": {"stratum": [5], "coords": coords}, "w": 1},
+             {"pt": {"stratum": stratum, "coords": coords + [0]}, "w": 1},
+             {"pt": {"stratum": stratum, "coords": coords}, "w": "x"}, {"w": 1}])))
+    densities = []
+    for _ in range(draw(st.integers(0, 2))):
+        pol = [{"exp": [draw(st.sampled_from([0, 2])) for _ in range(n)],
+                "c": draw(st.integers(1, 2))}]
+        piece = {"poly": draw(_polyhedron_literal(n)), "weight": {"pol": pol},
+                 "sign": draw(st.sampled_from(["+", "+", "+", "0"]))}
+        if draw(st.booleans()):
+            piece["weight"]["quad"] = [{"exp": [2] + [0] * (n - 1), "c": "-1"}]
+        densities.append(_spoilt(draw, piece, st.sampled_from(
+            [{**piece, "sign": "?"}, {**piece, "sign": "-"}, {**piece, "weight": {"pol": [{"exp": [1], "c": 1}]}},
+             {**piece, "weight": {"quad": [{"exp": [3] * n, "c": 1}]}}, {"sign": "+"}])))
+    out = {"atoms": atoms, "densities": densities}
+    if draw(st.booleans()):
+        out["scale"] = _spoilt(draw, {"frac": draw(st.sampled_from(["1/2", "2"])),
+                                      "pi_power": draw(st.integers(0, 1))},
+                               st.sampled_from([{"frac": "-1"}, {"frac": "x"},
+                                                {"frac": 1, "pi_power": "x"}, 3]))
+    return _spoilt(draw, out, st.sampled_from([{**out, "n": n + 1}, {"atoms": 3}, [out], None]))
+
+
+@st.composite
+def _current_literals(draw):
+    n = 2
+    p = draw(st.sampled_from([0, 1, 1, 2]))
+    keys = draw(st.lists(st.sampled_from(
+        {0: ["1,2|1,2"], 1: ["1|1", "1|2", "2|1", "2|2"], 2: ["|"]}[p]), max_size=3, unique=True))
+    p = _spoilt(draw, p, st.sampled_from([3, -1, "x", None, 0.5]))
+    keys = [draw(st.sampled_from([key, key, key, "3|1", "1,1|2,2", "2,1|1,2", "1|1|1", "a|b"]))
+            for key in keys]
+    data = {"bidegree": [p, p], "cocoeffs": {key: draw(_measure_literal(n)) for key in keys}}
+    return _spoilt(draw, data, st.sampled_from([{**data, "bidegree": [p, 0]},
+                                                {**data, "bidegree": p}, {**data, "cocoeffs": []},
+                                                [data], "T"]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_current_literals())
+def test_current_literal_parses_or_is_input_error(data):
+    from tropcur.errors import TropcurError
+    chart = _chart(2, infinite=True)
+    try:
+        T = current_from_json(data, chart)
+    except TropcurError:
+        return
+    assert 0 <= T.p <= T.n
+    keys = list(itertools.combinations(range(T.n), T.q))
+    assert all(I in keys and J in keys for I, J in T.cocoeffs)
+    text = current_to_json(T)
+    again = current_from_json(json.loads(json.dumps(text)), chart)
+    assert again == T and current_to_json(again) == text
+
+
+def test_current_keys_are_increasing_subsets_of_the_axes():
+    from tropcur.errors import ValidationError
+    box = {"dim": 2, "ineqs": [{"a": [1, 0], "b": 1}, {"a": [-1, 0], "b": 0}]}
+    lebesgue = {"densities": [{"poly": box, "weight": {}}]}
+    for p, key in ((1, "3|1"), (0, "2,1|1,2"), (0, "1,1|1,2")):
+        with pytest.raises(ValidationError):
+            current_from_json({"bidegree": [p, p], "cocoeffs": {key: lebesgue}}, _chart(2))
+    T = current_from_json({"bidegree": [1, 1], "cocoeffs": {"2|2": lebesgue}}, _chart(2))
+    assert list(T.cocoeffs) == [((1,), (1,))]
