@@ -844,7 +844,14 @@ def extend_by_zero(T, E_strata, tol=1e-8, seed=0, check_positive=True):
 
 @dataclass
 class WeightedComplex:
-    """Pure-dimensional weighted integral polyhedral complex in N_R."""
+    """Pure-dimensional weighted integral polyhedral complex in N_R.
+
+    Nothing checks that the cells meet face to face: they may overlap, or
+    meet in part of a face.  ``balancing_check`` assumes that they do,
+    since it merges facet sums by exact facet key; until faces are refined
+    before they are compared, it can answer No for a balanced current whose
+    cells do not meet face to face.
+    """
     cells: tuple      # tuple of (Polyhedron, integer weight)
     declared_dim: int = None
 
@@ -945,7 +952,8 @@ def balancing_check(C):
     (``Polyhedron.facets``, computed once per cell).  Per facet key the
     weighted normals must sum into the face's direction span, which the
     key's points and rays span; the first failing face is the witness,
-    with its key and the residual sum.
+    with its key and the residual sum.  The cells must meet face to face
+    (see WeightedComplex).
     """
     p = C.dim()
     if p <= 0:

@@ -2,15 +2,16 @@
 
 Small dense routines used everywhere in the package: fraction-valued
 Gaussian elimination, Hermite normal form and basis completion over Z,
-an LDL^T positive-semidefiniteness decision with certificates, and Sturm
-root counting for sign certification of univariate polynomials.
+a fraction-free LDL^T positive-semidefiniteness decision with
+certificates, and Sturm root counting for sign certification of
+univariate polynomials.
 
 Matrices are lists of lists of ``int``/``Fraction``; vectors are tuples.
 Everything here is pure and deterministic.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac(x):
@@ -359,33 +360,51 @@ class PSDResult:
         return self.psd
 
 
-def _identity(x):
-    return x
+def psd_decompose(m, den=1):
+    """Exact PSD decision for the symmetric rational or Hermitian QC matrix m / den.
 
+    The scalars are QC if any entry of m is, else rationals (where conj is
+    the identity); ``den`` is a positive integer.  Repeated rank-one peeling
+    (LDL^T): the residual after k steps is R = M - sum_k d_k v_k conj(v_k)^T
+    with v_k supported off earlier pivots.  A negative residual diagonal, or
+    a vanishing residual diagonal with a nonzero residual row, produces an
+    exact witness x with conj(x)^T M x < 0; otherwise the collected
+    (d_k, v_k), d_k a positive Fraction, certify PSD-ness.
 
-def psd_decompose(m):
-    """Exact PSD decision for a symmetric rational or Hermitian QC matrix.
-
-    The scalars are QC if any entry is, else Fractions (where conj is the
-    identity).  Repeated rank-one peeling (LDL^T): the residual after k
-    steps is R = M - sum_k d_k v_k conj(v_k)^T with v_k supported off
-    earlier pivots.  A negative residual diagonal, or a vanishing residual
-    diagonal with a nonzero residual row, produces an exact witness x with
-    conj(x)^T M x < 0; otherwise the collected (d_k, v_k) certify PSD-ness.
+    The peeling is fraction-free.  Denominators are cleared once, and the
+    residual is kept as N / q: N an integer matrix (two, the real and the
+    imaginary part, in the Hermitian case) and q a positive integer.  The
+    pivot d, with piv = N[d][d] > 0 and c = N[:, d], sends N to
+    (piv N - c conj(c)^T) / g and q to q piv / g, g the gcd of q and the new
+    entries; row and column d become zero.  Only zero tests and signs of N
+    steer the peeling, so it is the LDL^T of M itself, with d_k = piv / q
+    and v_k = c / piv.
     """
     n = len(m)
     hermitian = any(isinstance(x, QC) for row in m for x in row)
-    of, conj, real = ((QC.of, QC.conj, lambda x: x.re) if hermitian
-                      else (Fraction, _identity, _identity))
-    a = [[of(m[i][j]) for j in range(n)] for i in range(n)]
+    if hermitian:
+        m = [[QC.of(x) for x in row] for row in m]
+        parts = [[[x.re for x in row] for row in m], [[x.im for x in row] for row in m]]
+    else:
+        parts = [[[x if type(x) is int else Fraction(x) for x in row] for row in m]]
+    scale = lcm(*(x.denominator for part in parts for row in part for x in row))
+    parts = [[[x.numerator * (scale // x.denominator) for x in row] for row in part]
+             for part in parts]
+    re, im = parts if hermitian else (parts[0], None)
     for i in range(n):
         for j in range(i + 1):
-            if a[i][j] != conj(a[j][i]):
+            if re[i][j] != re[j][i] or (hermitian and im[i][j] != -im[j][i]):
                 raise ValueError("matrix not Hermitian" if hermitian else "matrix not symmetric")
-    zero, one = of(0), of(1)
+    q = scale * den
+    zero, one = (QC(0), QC(1)) if hermitian else (Fraction(0), Fraction(1))
     decomp = []
     pivots = []
-    active = list(range(n))
+
+    def entry(i, j, d):
+        # the scalar N[i][j] / d
+        if hermitian:
+            return QC(Fraction(re[i][j], d), Fraction(im[i][j], d))
+        return Fraction(re[i][j], d)
 
     def orthogonalize(x):
         # adjust entries at pivot positions so that conj(v_k) . x = 0 for all k
@@ -393,40 +412,48 @@ def psd_decompose(m):
         for pivot_d, (_, v) in reversed(list(zip(pivots, decomp))):
             corr = zero
             for vi, xi in zip(v, x):
-                corr = corr + conj(vi) * xi
+                corr = corr + (vi.conj() if hermitian else vi) * xi
             x[pivot_d] = x[pivot_d] - corr
         return tuple(x)
 
-    while active:
-        d = next((idx for idx in active if a[idx][idx]), None)
+    while True:
+        d = next((i for i in range(n) if re[i][i]), None)
         if d is None:
-            for i in active:
-                for j in active:
-                    if i != j and a[i][j]:
-                        x = [zero] * n
-                        if hermitian:
-                            # x_i = -s, x_j = 1: conj(x)^T M x = -2|s|^2 < 0
-                            x[i], x[j] = -a[i][j], one
-                        else:
-                            # x_i = 1, x_j = -sign(s): x^T M x = -2|s| < 0
-                            x[i], x[j] = one, (-one if a[i][j] > 0 else one)
-                        return PSDResult(False, witness=orthogonalize(x))
-            return PSDResult(True, rank=len(decomp), decomposition=decomp)
-        alpha = real(a[d][d])
-        if alpha < 0:
+            break
+        piv = re[d][d]
+        if piv < 0:
             x = [zero] * n
             x[d] = one
             return PSDResult(False, witness=orthogonalize(x))
-        inv = of(1 / Fraction(alpha))
-        v = tuple(a[i][d] * inv for i in range(n))
-        decomp.append((alpha, v))
+        decomp.append((Fraction(piv, q), tuple(entry(i, d, piv) for i in range(n))))
         pivots.append(d)
-        cv = [conj(x) for x in v]
-        for i in range(n):
-            if v[i]:
-                f = alpha * v[i]
-                a[i] = [x - f * y for x, y in zip(a[i], cv)]
-        active.remove(d)
+        q *= piv
+        cre = [row[d] for row in re]
+        if hermitian:
+            cim = [row[d] for row in im]
+            re, im = ([[piv * x - (a * b + c * e) for x, b, e in zip(row, cre, cim)]
+                       for row, a, c in zip(re, cre, cim)],
+                      [[piv * y - (c * b - a * e) for y, b, e in zip(row, cre, cim)]
+                       for row, a, c in zip(im, cre, cim)])
+        else:
+            re = [[piv * x - a * b for x, b in zip(row, cre)] for row, a in zip(re, cre)]
+        g = gcd(q, *(gcd(*row) for part in (re, im or ()) for row in part))
+        if g > 1:
+            q //= g
+            re = [[x // g for x in row] for row in re]
+            if hermitian:
+                im = [[x // g for x in row] for row in im]
+    for i in range(n):
+        for j in range(n):
+            if i != j and (re[i][j] or (hermitian and im[i][j])):
+                x = [zero] * n
+                if hermitian:
+                    # x_i = -s, x_j = 1: conj(x)^T M x = -2|s|^2 < 0
+                    x[i], x[j] = -entry(i, j, q), one
+                else:
+                    # x_i = 1, x_j = -sign(s): x^T M x = -2|s| < 0
+                    x[i], x[j] = one, (-one if re[i][j] > 0 else one)
+                return PSDResult(False, witness=orthogonalize(x))
     return PSDResult(True, rank=len(decomp), decomposition=decomp)
 
 

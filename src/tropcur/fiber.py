@@ -20,7 +20,7 @@ import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from . import exact
 from .exact import QC
@@ -31,6 +31,7 @@ from .indices import _shuffle_sign, merge_indices, subsets
 
 # --- multi-index helpers -----------------------------------------------------
 
+@cache
 def _complement(idx, n):
     return tuple(i for i in range(n) if i not in idx)
 
@@ -359,8 +360,37 @@ def gram_form(a):
     mat = [[cast(a._zero())] * m for _ in range(m)]
     for (K, L), c in a.coeff.items():
         mat[pos[K]][pos[L]] = cast(a._mul_scalar(c, factor))
-    herm = all(mat[i][j] == _conj(mat[j][i]) for i in range(m) for j in range(i + 1))
-    return GramForm(tuple(idx), mat, a.gram_kind if herm else "none")
+    return GramForm(tuple(idx), mat, "none" if a._asymmetry() else a.gram_kind)
+
+
+def _integer_gram(a):
+    """(indices, N, den) with gram_form(a).matrix == N / den for an exact
+    (p,p)-form: N holds integers (Lagerberg) or QC with integer parts
+    (complex), read straight off a's coefficients over their common
+    denominator den."""
+    p = a.p
+    idx = subsets(a.n, p)
+    pos = {K: t for t, K in enumerate(idx)}
+    den, (re, *im) = _integer_parts(a, a.coeff.values())
+    sign = (-1) ** (p * (p - 1) // 2)
+    if im:
+        unit = QC.i_pow(-p) * sign
+        entries = [QC(x, y) * unit for x, y in zip(re, im[0])]
+    else:
+        entries = [sign * x for x in re]
+    mat = [[a._zero()] * len(idx) for _ in idx]
+    for (K, L), x in zip(a.coeff, entries):
+        mat[pos[K]][pos[L]] = x
+    return idx, mat, den
+
+
+def _integer_parts(a, values):
+    """(den, parts) for exact scalars of a's algebra: one integer list per
+    part of a scalar (real, then imaginary for complex forms), with
+    values[t] == (parts[0][t] + i parts[1][t]) / den."""
+    cols = list(zip(*map(a._parts, values))) or [()] * len(a._parts(a._zero()))
+    den = math.lcm(*(x.denominator for col in cols for x in col))
+    return den, [[x.numerator * (den // x.denominator) for x in col] for col in cols]
 
 
 def _complementary_terms(a):
@@ -403,13 +433,21 @@ PositivityVerdict = Verdict
 
 
 def is_symmetric(a):
-    """J a = (-1)^p a for a Lagerberg (p,p)-form."""
-    return apply_involution("J", a) == a.scale((-1) ** a.p)
+    """J a = (-1)^p a for a Lagerberg (p,p)-form: c[J, I] == c[I, J] at every key."""
+    if a.algebra != "lagerberg":
+        raise WrongAlgebra("J acts on Lagerberg forms")
+    coeff = a.coeff
+    return a.p == a.q and all(coeff.get((J, I)) == c for (I, J), c in coeff.items())
 
 
 def is_real(a):
-    """conj a = a for a complex form."""
-    return apply_involution("conjugation", a) == a
+    """conj a = a for a complex (p,p)-form: c[J, I] == (-1)^p conj(c[I, J])
+    at every key."""
+    if a.algebra != "complex":
+        raise WrongAlgebra("conjugation acts on complex forms")
+    coeff, odd = a.coeff, a.p % 2
+    return a.p == a.q and all(coeff.get((J, I)) == (-_conj(c) if odd else _conj(c))
+                              for (I, J), c in coeff.items())
 
 
 def positive_generator(alpha):
@@ -474,7 +512,7 @@ def coordinate_strong_generators(n, p, algebra="lagerberg"):
 
 
 def strong_generator_pool(n, p, size=10_000, seed=0):
-    """A seeded pool of strong (p,p)-generators, as Plucker vectors, drawn lazily.
+    """A seeded pool of strong (p,p)-generators, as Plucker vectors.
 
     Yields (beta, tag), beta an integer tuple over subsets(n, p) whose
     generator is positive_generator of the (p,0)-form beta (see
@@ -482,8 +520,36 @@ def strong_generator_pool(n, p, size=10_000, seed=0):
     one coordinate generator d'u_I ^ J d'u_I per I, tag ("coordinate", I);
     then, until ``size`` entries, the minors of p vectors with entries drawn
     uniformly from -3..3 by random.Random(seed), tag ("random", vectors),
-    skipping draws whose minors all vanish.
+    skipping draws whose minors all vanish.  Entries are immutable tuples.
+
+    The pool is memoized per process, extended lazily: a bounded memo keyed
+    by (n, p, size, seed) keeps the entries drawn so far, and a consumer
+    draws a new one only when it reads past them.  So a consumer that stops
+    early leaves the rest undrawn, and interleaved consumers each see the
+    whole pool in order.
     """
+    drawn, source = _pool_memo(n, p, size, seed)
+    t = 0
+    # next(source) appends the next entry to drawn, or gives None at the end
+    while t < len(drawn) or next(source, None) is not None:
+        yield drawn[t]
+        t += 1
+
+
+@lru_cache(maxsize=8)
+def _pool_memo(n, p, size, seed):
+    """([entries drawn so far], the draw that appends the rest one by one)."""
+    drawn = []
+
+    def draw():
+        for entry in _draw_pool(n, p, size, seed):
+            drawn.append(entry)
+            yield entry
+    return drawn, draw()
+
+
+def _draw_pool(n, p, size, seed):
+    """The entries of strong_generator_pool(n, p, size, seed), drawn afresh."""
     S = subsets(n, p)
     for I in S:
         yield tuple(int(K == I) for K in S), ("coordinate", I)
@@ -511,11 +577,16 @@ def _phi_inverse(x_coeffs, a):
 
 
 def _positive_tier(a, tol):
-    """Exact (or float-tolerance) PSD decision of the Gram form."""
-    reason = a._asymmetry()
-    if reason:
-        return Verdict("positive", "no", reason=reason)
+    """Exact (or float-tolerance) PSD decision of the Gram form.
+
+    A form fails at once when it is not symmetric (resp. real), that is when
+    its Gram matrix is not symmetric (resp. Hermitian); psd_decompose tests
+    the exact Gram matrix on integers.
+    """
     if not a.is_exact():
+        reason = a._asymmetry()
+        if reason:
+            return Verdict("positive", "no", reason=reason)
         import numpy as np
         g = gram_form(a)
         m = np.array([[complex(_to_float(x)) for x in row] for row in g.matrix])
@@ -526,9 +597,11 @@ def _positive_tier(a, tol):
                            certificate=("eigvals", lam.tolist()))
         return Verdict("positive", "no", reason="float eigenvalue",
                        witness=("eigval", float(lam.min())))
-    g = gram_form(a)
-    res = exact.psd_decompose(g.matrix)
-    idx = g.indices
+    idx, mat, den = _integer_gram(a)
+    try:
+        res = exact.psd_decompose(mat, den)
+    except ValueError:
+        return Verdict("positive", "no", reason=a._asymmetry())
     if res.psd:
         cert = []
         for gamma, v in res.decomposition:
@@ -578,9 +651,7 @@ def _negative_pairing(a, tol):
                     val = val + c * x
             return _negative(val, tol)
         return negative
-    cols = list(zip(*(a._parts(c) for c, _, _ in terms))) or [()]
-    den = math.lcm(*(Fraction(x).denominator for col in cols for x in col))
-    re, *im = [[int(x * den) for x in col] for col in cols]
+    _, (re, *im) = _integer_parts(a, [c for c, _, _ in terms])
 
     def negative(beta):
         xs = [beta[k] * beta[l] for k, l in pairs]
@@ -765,6 +836,64 @@ def _strong_lp_certificate(a, pool):
     return cert if _sums_to(a, (g.scale(lam) for lam, _, g in cert)) else None
 
 
+def _sums_of_squares_to(a, terms):
+    """True iff a == sum_k gamma_k positive_generator(alpha_k), each gamma_k > 0,
+    over terms [(gamma_k, {K: coefficient of alpha_k at K})].
+
+    The check runs on integers, builds no form and does not repeat the
+    LDL^T.  positive_generator(alpha) has coefficient s alpha_I conj(alpha_J)
+    at (I, J), s a unit, so it compares sum_k gamma_k alpha_k conj(alpha_k)^T
+    with conj(s) a, both as dense matrices over subsets(n, p), one per part
+    of a scalar, scaled by one common denominator.
+    """
+    if not a.is_exact() or not all(gamma > 0 for gamma, _ in terms):
+        return False
+    p = a.p
+    pos = {K: t for t, K in enumerate(subsets(a.n, p))}
+    m = len(pos)
+
+    def dense(keys, parts):
+        out = [[0] * m for _ in parts]
+        for vec, part in zip(out, parts):
+            for K, x in zip(keys, part):
+                vec[pos[K]] = x
+        return out
+
+    vecs = []
+    for gamma, coeffs in terms:
+        e, parts = _integer_parts(a, coeffs.values())
+        vecs.append((gamma.numerator, gamma.denominator * e * e, dense(coeffs, parts)))
+    den_a, parts = _integer_parts(a, a.coeff.values())
+    den = math.lcm(den_a, *(h for _, h, _ in vecs))
+    sr, *si = a._parts(a._i_pow(p) * (-1) ** (p * (p - 1) // 2))
+    f = den // den_a
+    want = [[[0] * m for _ in range(m)] for _ in parts]
+    for (I, J), x, *y in zip(a.coeff, *parts):
+        row, col = pos[I], pos[J]
+        if si:          # (x + i y) conj(s)
+            want[0][row][col] = f * (x * sr + y[0] * si[0])
+            want[1][row][col] = f * (y[0] * sr - x * si[0])
+        else:
+            want[0][row][col] = f * x * sr
+    got = [[[0] * m for _ in range(m)] for _ in parts]
+    for g, h, w in vecs:
+        f = g * (den // h)
+        if si:          # f (x + i y) conj(x' + i y') over the pairs of entries
+            wr, wi = w
+            for t, (xr, xi) in enumerate(zip(wr, wi)):
+                if xr or xi:
+                    ur, ui = f * xr, f * xi
+                    got[0][t] = [z + ur * yr + ui * yi for z, yr, yi in zip(got[0][t], wr, wi)]
+                    got[1][t] = [z + ui * yr - ur * yi for z, yr, yi in zip(got[1][t], wr, wi)]
+        else:
+            (w0,) = w
+            for t, x in enumerate(w0):
+                if x:
+                    u = f * x
+                    got[0][t] = [z + u * y for z, y in zip(got[0][t], w0)]
+    return got == want
+
+
 def _sums_to(a, forms):
     """True iff the forms add up to a exactly (no forms: iff a is zero)."""
     acc = None
@@ -776,7 +905,10 @@ def _sums_to(a, forms):
 def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
     """Three-tier positivity decision with certificates.
 
-    tier='positive' is always decided (exactly for rational data).
+    tier='positive' is always decided: for exact data by the fraction-free
+    integer LDL^T of exact.psd_decompose on the Gram matrix, whose integer
+    entries are read straight off a's coefficients over one common
+    denominator; its certificate is the LDL^T's (gamma, vector) terms.
     tier='strong' delegates to 'positive' for p in {0,1,n-1,n}; otherwise
     it can return No via the decomposable-obstruction argument, and for
     exact forms it searches an explicit conic decomposition over the
@@ -784,7 +916,8 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
     tier='weak' requires symmetry, then pairs a with the generators of
     strong_generator_pool(n, n - p, pool_size, seed) in pool order and
     stops at the first negative pairing, whose generator is the witness;
-    the pool is drawn lazily and the witness is the only form built.
+    the pool is memoized per process and extended lazily, so a No draws
+    it only up to its witness, and the witness is the only form built.
     Without one it says Yes only on an exact dual argument.
     """
     if a.p != a.q:
@@ -851,9 +984,7 @@ def reverify(a, verdict):
             return False
         kind = cert[0]
         if kind == "decomposition":
-            cls = type(a)
-            return _sums_to(a, (positive_generator(cls(a.n, a.p, 0, {(K, ()): c for K, c in coeffs.items()}))
-                                .scale(gamma) for gamma, coeffs in cert[1]))
+            return _sums_of_squares_to(a, cert[1])
         if kind == "conic":
             return _sums_to(a, (g.scale(lam) for lam, _, g in cert[1]))
         if kind == "pairing_polynomial_zero":

@@ -238,7 +238,7 @@ def measure_from_json(data, n=None):
         scale = (Fraction(1), 0)
         if "scale" in data:
             scale = (_parse_frac(data["scale"]["frac"]),
-                     int(data["scale"].get("pi_power", 0)))
+                     _parse_int(data["scale"].get("pi_power", 0)))
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ParseError("bad measure literal") from err
     return PieceMeasure(n, atoms, pieces, ders, scale)
@@ -310,7 +310,9 @@ def weighted_complex_from_json(data):
     if len({poly.dim for poly, _ in cells}) > 1:
         raise ParseError("the cells of a weighted complex lie in spaces of several dimensions")
     C = WeightedComplex(cells, declared_dim=dim)
-    C.dim()         # MixedDimension when the cells have several dimensions
+    found = C.dim()         # MixedDimension when the cells have several dimensions
+    if dim is not None and found != dim:
+        raise ParseError(f"declared dim {dim}, but the cells have dimension {found}")
     return C
 
 

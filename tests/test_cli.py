@@ -98,6 +98,31 @@ def test_scene_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def _current_scaled_by_pi(pi_power):
+    return {"type": "current", "bidegree": [0, 0],
+            "cocoeffs": {"1|1": {"scale": {"frac": 1, "pi_power": pi_power}}}}
+
+
+def _line_in_the_plane(dim):
+    line = {"dim": 2, "ineqs": [{"a": [0, 1], "b": 0}, {"a": [0, -1], "b": 0}]}
+    return {"type": "complex", "dim": dim, "cells": [{"poly": line, "weight": 1}]}
+
+
+@pytest.mark.parametrize("literal, bad, good", [(_current_scaled_by_pi, 0.5, 1),
+                                                (_line_in_the_plane, 2, 1)],
+                         ids=["fractional-pi-power", "declared-dim"])
+def test_contradictory_literal_is_input_error(tmp_path, capsys, literal, bad, good):
+    """A fractional pi_power, or a declared dim that the cells contradict,
+    ends in exit 2 as an input error; the consistent literal runs."""
+    for value, code in ((bad, 2), (good, 0)):
+        scene = {"fan": {"rank": 1, "cones": [[[1]]]}, "objects": {"x": literal(value)},
+                 "tasks": [{"op": "locate_relint", "vector": [1]}]}
+        f = tmp_path / "scene.json"
+        f.write_text(json.dumps(scene))
+        assert main(["run", str(f)]) == code
+        assert ("input error: " in capsys.readouterr().err) == (code == 2)
+
+
 def test_counterexamples_subcommand(capsys):
     code, out = run_cli(["counterexamples", "--samples", "6"], capsys)
     assert code == 0

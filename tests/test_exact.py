@@ -154,6 +154,95 @@ def test_psd_decompose_certificate_or_witness(m):
         assert val.im == 0 and val.re < 0
 
 
+# --- reference: the LDL^T of psd_decompose on Fraction / QC scalars ----------------
+
+def _ref_psd_decompose(m):
+    """(psd, rank, decomposition, witness) by rank-one peeling over Fraction
+    (or QC) scalars: the routine psd_decompose replaced with a fraction-free
+    one, which must peel the same pivots and emit the same data."""
+    n = len(m)
+    hermitian = any(isinstance(x, QC) for row in m for x in row)
+    of = QC.of if hermitian else Fraction
+    a = [[of(x) for x in row] for row in m]
+    zero, one = of(0), of(1)
+    decomp, pivots, active = [], [], list(range(n))
+
+    def orthogonalize(x):
+        x = list(x)
+        for d, (_, v) in reversed(list(zip(pivots, decomp))):
+            x[d] = x[d] - sum((_conj(vi) * xi for vi, xi in zip(v, x)), zero)
+        return tuple(x)
+
+    while active:
+        d = next((i for i in active if a[i][i]), None)
+        if d is None:
+            for i in active:
+                for j in active:
+                    if i != j and a[i][j]:
+                        x = [zero] * n
+                        if hermitian:
+                            x[i], x[j] = -a[i][j], one
+                        else:
+                            x[i], x[j] = one, (-one if a[i][j] > 0 else one)
+                        return False, 0, None, orthogonalize(x)
+            break
+        alpha = a[d][d].re if hermitian else a[d][d]
+        if alpha < 0:
+            x = [zero] * n
+            x[d] = one
+            return False, 0, None, orthogonalize(x)
+        v = tuple(a[i][d] * of(1 / Fraction(alpha)) for i in range(n))
+        decomp.append((alpha, v))
+        pivots.append(d)
+        cv = [_conj(x) for x in v]
+        for i in range(n):
+            if v[i]:
+                f = alpha * v[i]
+                a[i] = [x - f * y for x, y in zip(a[i], cv)]
+        active.remove(d)
+    return True, len(decomp), decomp, None
+
+
+@st.composite
+def _ldl_cases(draw):
+    """(m, k): a symmetric rational or Hermitian QC matrix up to 6 x 6 and a
+    positive integer k.  The matrix is PSD (a sum of up to n + 1 rank-one
+    terms v conj(v)^T, so often rank-deficient, with zero rows where every v
+    vanishes), indefinite (random entries), or has a zero diagonal."""
+    n = draw(st.integers(1, 6))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    hermitian = draw(st.booleans())
+    scalar = st.builds(QC, rational, rational) if hermitian else rational
+    zero = QC(0) if hermitian else Fraction(0)
+    entry = st.one_of(st.just(zero), scalar)
+    m = [[zero] * n for _ in range(n)]
+    kind = draw(st.sampled_from(["psd", "indefinite", "zero diagonal"]))
+    if kind == "psd":
+        for v in draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 1)):
+            for i in range(n):
+                for j in range(n):
+                    m[i][j] = m[i][j] + v[i] * _conj(v[j])
+    else:
+        for i in range(n):
+            if kind == "indefinite":
+                m[i][i] = draw(rational) + zero
+            for j in range(i):
+                m[i][j] = draw(entry)
+                m[j][i] = _conj(m[i][j])
+    return m, draw(st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ldl_cases())
+def test_psd_decompose_matches_fraction_reference(case):
+    m, k = case
+    want = _ref_psd_decompose(m)
+    scaled = [[x * k for x in row] for row in m]
+    for res in (exact.psd_decompose(m), exact.psd_decompose(scaled, k)):
+        assert (res.psd, res.rank, res.decomposition, res.witness) == want
+        assert all(type(gamma) is Fraction for gamma, _ in res.decomposition or ())
+
+
 def test_sturm():
     # (x-1)(x-2)(x-3)
     p = [-6, 11, -6, 1]

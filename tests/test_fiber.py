@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -725,6 +726,81 @@ def test_empty_strong_generator_is_unit(algebra):
     assert (unit.p, unit.q) == (0, 0) and unit.get((), ()) == 1
     pool = list(strong_generator_pool(3, 0, size=4))
     assert pool == [((1,), ("coordinate", ()))] + [((1,), ("random", ()))] * 3
+
+
+def _ref_decomposition_holds(a, terms):
+    """The decomposition certificate's check by building forms: every
+    gamma_k > 0, and the scaled generators of the terms add up to a."""
+    cls = type(a)
+    return all(gamma > 0 for gamma, _ in terms) and fiber._sums_to(a, (
+        positive_generator(cls(a.n, a.p, 0, {(K, ()): c for K, c in coeffs.items()})).scale(gamma)
+        for gamma, coeffs in terms))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), _ALGEBRAS)
+def test_decomposition_recheck_matches_form_building_reference(data, algebra):
+    """reverify's integer re-check of a ("decomposition", terms) certificate
+    agrees with building the forms: on a sum that holds, and on the same
+    sum with one gamma replaced by a drawn one (possibly <= 0), with a
+    cancelling pair added, or against a form off the sum."""
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(st.integers(0, n))
+    cls = _CLASSES[algebra]
+    gammas = st.fractions(min_value=0, max_value=3, max_denominator=4).filter(bool)
+    terms = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        alpha = data.draw(_sparse_form(n, p, 0, algebra))
+        terms.append((data.draw(gammas), {K: c for (K, _), c in alpha.coeff.items()}))
+    a = cls.zero(n, p, p)
+    for gamma, coeffs in terms:
+        a = a + positive_generator(cls(n, p, 0, {(K, ()): c for K, c in coeffs.items()})).scale(gamma)
+    cases = [(a, terms), (a + data.draw(_sparse_form(n, p, p, algebra)), terms)]
+    if terms:
+        gamma, coeffs = terms[0]
+        other = data.draw(st.fractions(min_value=-1, max_value=3, max_denominator=4))
+        cases += [(a, [(other, coeffs)] + terms[1:]),
+                  (a, terms + [(gamma, coeffs), (-gamma, coeffs)])]
+    for form, certificate in cases:
+        verdict = Verdict("positive", "yes", certificate=("decomposition", certificate))
+        assert reverify(form, verdict) == _ref_decomposition_holds(form, certificate)
+    assert reverify(a, Verdict("positive", "yes", certificate=("decomposition", terms)))
+
+
+# --- the per-process pool memo --------------------------------------------------
+
+def test_interleaved_pool_consumers_each_see_the_whole_pool():
+    fiber._pool_memo.cache_clear()
+    ref = _ref_strong_generator_pool(4, 2, 2000, 0, "lagerberg")
+    first, second = strong_generator_pool(4, 2, 2000, 0), strong_generator_pool(4, 2, 2000, 0)
+    seen = ([], [])
+    rng = random.Random(5)
+    while len(seen[0]) + len(seen[1]) < 2 * len(ref):
+        t = rng.randint(0, 1)
+        seen[t].extend(itertools.islice((first, second)[t], rng.randint(1, 40)))
+    for got in seen:
+        assert [tag for _, tag in got] == [tag for _, tag in ref]
+        assert all(fiber._plucker_generator(beta, 4, 2, LagerbergFiberForm) == g
+                   for (beta, _), (g, _) in zip(got, ref))
+    assert next(first, None) is None and next(second, None) is None
+
+
+def test_weak_no_draws_the_pool_only_up_to_its_witness():
+    fiber._pool_memo.cache_clear()
+    # no diagonal coefficient, so the coordinate generators all pair to zero
+    form = LagerbergFiberForm(4, 2, 2, {((0, 1), (2, 3)): 1, ((2, 3), (0, 1)): 1})
+    v = positivity_verdict(form, "weak", seed=11)
+    assert v.no and v.witness[1][0] == "random"
+    drawn, _ = fiber._pool_memo(4, 2, 2000, 11)
+    assert drawn[-1][1] == v.witness[1] and len(drawn) < 2000
+    count = len(drawn)
+    assert positivity_verdict(form, "weak", seed=11) == v and len(drawn) == count
+
+
+def test_pool_entries_are_immutable_tuples():
+    for entry in itertools.islice(strong_generator_pool(4, 2, 2000, 0), 100):
+        assert type(entry) is tuple and all(type(part) is tuple for part in entry)
+        hash(entry)         # only nested tuples of ints and strings hash
 
 
 def _as_floats(form):
