@@ -8,7 +8,9 @@ S^{IJ} is stored through its shadow measures
 PieceMeasures on the tropical side carrying an exact pi-power prefactor.
 The pushforward relation T^{IJ} = pi^{-q} 2^{-2q} sigma^{IJ} and the lift
 sigma^{IJ} = pi^q 2^{2q} T^{IJ} are exact rescalings of the prefactor, so
-push_forward(lift(T)) returns bit-identical piece data.
+push_forward(lift(T)) returns bit-identical piece data.  Since
+pi^{-q} 2^{-2q} > 0, a shadow is positive iff its pushforward is, and its
+positivity verdict is the pushforward's.
 
 Shadow validity (the boundary-weighted measures admit image Radon
 measures) encodes local finiteness of |S^{IJ}| and is exactly the
@@ -19,16 +21,14 @@ closedness.
 """
 
 import math
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .currents import (LagerbergCurrent, c_finite_test, c_finite_witness,
-                       canonical_decomposition, closedness_test, point_value,
-                       positivity_check, split_by_stratum)
+                       canonical_decomposition, closedness_test, positivity_check,
+                       split_by_stratum)
 from .errors import (InvalidShadow, NotCFinite, NotLocallyFinite, NotPositive,
                      TropcurError, ValidationError, Verdict)
-from .indices import subsets
 from .measures import OpenBox, PieceMeasure
 
 
@@ -110,27 +110,25 @@ def push_forward(S):
     return LagerbergCurrent(S.chart, S.p, coco, S.U)
 
 
-def lift(T, require=("closed", "positive"), samples=12, seed=0):
+def lift(T, samples=12, seed=0):
     """The inverse correspondence on closed positive currents.
 
-    Checks positivity (and closedness when requested), then C-finite
-    local mass; the lift's shadows are pi^q 2^{2q} times the
+    Checks positivity, then C-finite local mass (exact), then
+    closedness; the lift's shadows are pi^q 2^{2q} times the
     co-coefficients, assembled stratum by stratum from the canonical
     decomposition, so the pushforward returns T with exact piece data.
     """
-    if "positive" in require:
-        v = positivity_check(T, samples=samples, seed=seed)
-        if not v.yes:
-            raise NotPositive("lift needs a positive current", payload=v.witness)
-    if "closed" in require:
-        cv = closedness_test(T, seed=seed)
-        if not cv.yes:
-            raise NotCFinite("lift of a non-closed current is not attempted",
-                             payload={"residual": cv.residual})
+    v = positivity_check(T, samples=samples, seed=seed)
+    if not v.yes:
+        raise NotPositive("lift needs a positive current", payload=v.witness)
     cf = c_finite_test(T)
     if not cf.yes:
         raise NotCFinite("current does not have C-finite local mass",
                          payload=cf.witness)
+    cv = closedness_test(T, seed=seed)
+    if not cv.yes:
+        raise NotCFinite("lift of a non-closed current is not attempted",
+                         payload={"residual": cv.residual})
     q = T.q
     parts = canonical_decomposition(T, assume_positive=True)
     shadows = {}
@@ -177,46 +175,20 @@ def round_trip_verify(suite, seed=0):
     return RoundTripReport(len(suite), failures)
 
 
-def complex_positivity_check(S, samples=25, seed=0, tol=1e-9):
-    """Positivity of the complex current from its shadow data.
+def complex_positivity_check(S, samples=25, seed=0):
+    """Positivity of the complex current, decided on its pushforward.
 
-    Two steps: the Hermitian matrix of the shadows' densities (atom
-    weights at an atom) must be PSD at sampled points of every piece and
-    at every atom, tested before the pushforward validates the shadow;
-    then ``positivity_check`` runs on the pushforward.  Nothing else is
-    needed: the pushforward scales every shadow by the one positive
-    constant pi^{-q} 2^{-2q}, so its symmetry, diagonal and sampled
-    evaluation checks read the same as on the shadows; PSD implies each
-    estimate 2 l_a l_b |H_ab| <= l_a^2 H_aa + l_b^2 H_bb; and the boundary
-    weights exp(-sum u_I) of the complex side are a positive diagonal
-    congruence, which keeps PSD.  A shadow that passes the PSD test but
-    fails validity raises InvalidShadow, symmetric or not.
+    trop_* scales every shadow by the one positive constant pi^{-q} 2^{-2q},
+    so S is positive iff push_forward(S) is (Lagerberg, Math. Z. 270,
+    2012): the verdict is ``positivity_check``'s on the pushforward,
+    unchanged, and ``fiber.reverify(push_forward(S), v)`` re-checks it
+    when it is exact.  Kernel exemplars carry no positivity data, and a
+    shadow that fails validity raises InvalidShadow, as the pushforward
+    does.
     """
     if S.kernel:
         raise InvalidShadow("kernel exemplars carry no positivity data")
-    import numpy as np
-    idx = subsets(S.n, S.q)
-    rng = random.Random(seed)
-    points = []
-    for mu in S.shadows.values():
-        for piece in mu.pieces:
-            for pt in piece.poly.sample_points(rng, max(3, samples // 4)):
-                points.append((piece.stratum, pt, False))
-        points += [(atom.stratum, atom.coords, True) for atom in mu.atoms]
-    for stratum, pt, atom in points:
-        H = np.array([[0.0 if (set(I) | set(J)) & stratum
-                       else point_value(S.shadow(I, J), stratum, pt, atom)
-                       for J in idx] for I in idx])
-        H = (H + H.T) / 2
-        lam = np.linalg.eigvalsh(H)
-        if lam.min() < -tol * max(1.0, float(np.abs(H).max())):
-            return Verdict("positive", "no", "shadow density matrix not PSD",
-                           witness=("psd", stratum, lam.min()))
-    v = positivity_check(push_forward(S), samples=max(4, samples // 3), seed=seed)
-    if not v.yes:
-        return Verdict("positive", "no", "pushforward fails positivity: " + v.reason,
-                       witness=v.witness)
-    return Verdict("positive", "yes")
+    return positivity_check(push_forward(S), samples=max(4, samples // 3), seed=seed)
 
 
 def compat_checks(S, samples=10, seed=0):
@@ -233,11 +205,8 @@ def compat_checks(S, samples=10, seed=0):
     # (a) decomposition commutes
     parts_T = canonical_decomposition(T, assume_positive=True)
     total = None
-    q = S.q
-    factor = Fraction(1, 4 ** q)
     for M, mus in split_by_stratum(S.chart, S.shadows).items():
-        pushed = {k: mu.with_scale(factor, -q) for k, mu in mus.items()}
-        cur = LagerbergCurrent(S.chart, S.p, pushed, S.U)
+        cur = push_forward(InvariantComplexCurrent(S.chart, S.p, mus, U=S.U))
         ref = parts_T.get(M)
         good = (ref is not None and cur == ref) or (ref is None and cur.is_zero())
         records.append(("decomposition", tuple(sorted(M)), good))

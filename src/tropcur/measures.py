@@ -101,7 +101,7 @@ class PieceMeasure:
     """Signed Radon measure: atoms + sign-pure density pieces (+ exemplars)."""
 
     def __init__(self, n, atoms=(), pieces=(), derivative_atoms=(),
-                 scale=(Fraction(1), 0), certify=True, rng_seed=0):
+                 scale=(Fraction(1), 0), certify=True):
         self.n = n
         merged = {}     # atoms at one point add up; zero weights drop
         for a in atoms:
@@ -124,7 +124,7 @@ class PieceMeasure:
             if p.weight_expo.degree() > 2:
                 raise ValidationError("exponent degree > 2 is outside the family")
             if certify:
-                certify_sign(p, seed=rng_seed)
+                certify_sign(p)
 
     # --- structure ---------------------------------------------------------
     def is_measure(self):
@@ -361,8 +361,7 @@ class ImageMap:
 
 # --- core operations -----------------------------------------------------------------
 
-def integrate_against(f, mu, tol=1e-8, allow_derivative_atoms=False,
-                      max_doublings=30):
+def integrate_against(f, mu, tol=1e-8, allow_derivative_atoms=False):
     """sum of atom weights * f + sum over pieces of the density integral.
 
     ``f`` is a CoefficientFn on the chart coordinates or a dict stratum ->
@@ -409,7 +408,7 @@ def integrate_against(f, mu, tol=1e-8, allow_derivative_atoms=False,
         fn = table_for(piece.stratum)
         if fn is None or fn.is_zero():
             continue
-        total += _integrate_piece(fn, piece, n, tol, max_doublings)
+        total += _integrate_piece(fn, piece, n, tol)
     return mu.scale_float() * total
 
 
@@ -433,7 +432,7 @@ def _stratum_embedding(n, stratum):
     return A, b
 
 
-def _integrate_piece(fn, piece, n, tol, max_doublings):
+def _integrate_piece(fn, piece, n, tol):
     dead = fn.drop_axis_dependence() & piece.stratum
     if dead:
         raise ValueError(f"integrand depends on infinite axes {dead}")
@@ -454,8 +453,7 @@ def _integrate_piece(fn, piece, n, tol, max_doublings):
     Amap, u0, domain = par
     k = domain.dim
     if k == 0:
-        # single point: densities carry no mass on a zero-dimensional piece
-        return 0.0
+        return g.eval_float(u0)
     h = g.substitute_affine(Amap, u0, k)
     if h.is_zero():
         return 0.0
@@ -463,7 +461,7 @@ def _integrate_piece(fn, piece, n, tol, max_doublings):
         return _integrate_bounded(h, domain, tol)
     # unbounded: certify decay toward every recession direction, truncate
     _require_decay(h, domain)
-    return _integrate_truncated(h, domain, tol, max_doublings)
+    return _integrate_truncated(h, domain, tol)
 
 
 def _axis_box(domain):
@@ -567,12 +565,12 @@ def _require_decay(h, domain):
                             payload={"rays": (gens[i], gens[j])})
 
 
-def _integrate_truncated(h, domain, tol, max_doublings):
+def _integrate_truncated(h, domain, tol):
     verts = domain.vertices() or [domain.feasible_point()]
     base = max((abs(float(c)) for v in verts for c in v), default=1.0) + 1.0
     R = max(base, 4.0)
     prev = None
-    for _ in range(max_doublings):
+    for _ in range(30):
         bound = Fraction(int(math.ceil(R)))
         clipped = domain.intersect(Polyhedron.box([(-bound, bound)] * domain.dim))
         val = _integrate_bounded(h, clipped, tol / 4)

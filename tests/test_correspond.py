@@ -14,7 +14,7 @@ from tropcur.correspond import (InvariantComplexCurrent, compat_checks,
 from tropcur.currents import LagerbergCurrent, positivity_check
 from tropcur.errors import InvalidShadow, NotCFinite, NotPositive, TropcurError
 from tropcur.fans import orthant_fan
-from tropcur.fiber import Verdict, subsets
+from tropcur.fiber import Verdict, reverify, subsets
 from tropcur.fields import trop_pullback_field, bump_box_field
 from tropcur.gallery import (positive_not_liftable, closed_not_positive,
                              random_closed_positive_suite,
@@ -78,8 +78,8 @@ def test_lift_round_trip_line():
 
 def test_lift_rejects_exm1():
     T = positive_not_liftable()
-    with pytest.raises(NotCFinite):
-        lift(T, require=("positive",))
+    with pytest.raises(NotCFinite, match="C-finite"):
+        lift(T)
 
 
 def test_lift_rejects_non_positive():
@@ -123,6 +123,29 @@ def test_complex_positivity_failure():
     S = InvariantComplexCurrent(chart, 1, {((0,), (1,)): mu, ((1,), (0,)): mu})
     v = complex_positivity_check(S, samples=6)
     assert v.answer == "no"
+    assert v.exact and v.witness[0] == "estimate_piece"
+    assert reverify(push_forward(S), v)
+
+
+def test_complex_positivity_of_suite_lifts_is_exact_and_reverifies():
+    for T in random_closed_positive_suite(count=20, seed=101):
+        S = lift(T)
+        v = complex_positivity_check(S)
+        assert v.yes and v.exact, v.reason
+        assert reverify(push_forward(S), v)
+
+
+def test_complex_positivity_invalid_before_not_psd():
+    # the shadow matrix [[0, mu], [mu, 0]] is not PSD, and its density e^{u_0^2}
+    # has infinite mass toward the stratum u_0 = infinity: validity speaks first
+    from tropcur.coeffs import Poly
+    fan = orthant_fan(2)
+    chart = fan.toric_chart(fan.cone_id([(1, 0), (0, 1)]))
+    grow = PieceMeasure(2, pieces=[lebesgue_piece((), Polyhedron.box([(0, None), (0, 1)]),
+                                                  expo=Poly({(2, 0): Fraction(1)}, 2))])
+    S = InvariantComplexCurrent(chart, 1, {((0,), (1,)): grow, ((1,), (0,)): grow})
+    with pytest.raises(InvalidShadow):
+        complex_positivity_check(S, samples=6)
 
 
 def test_complex_positivity_zero():
@@ -178,9 +201,8 @@ def test_lift_validity_matches_c_finite():
 
 
 def test_complex_positivity_validates_before_symmetry():
-    # the matrix is PSD once symmetrized, so the pushforward's validity check
-    # speaks before its symmetry check: the density e^{u_0^2} has infinite
-    # mass toward the stratum u_0 = infinity
+    # the pushforward's validity check speaks before the symmetry check: the
+    # density e^{u_0^2} has infinite mass toward the stratum u_0 = infinity
     from tropcur.coeffs import Poly
     fan = orthant_fan(2)
     chart = fan.toric_chart(fan.cone_id([(1, 0), (0, 1)]))

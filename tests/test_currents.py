@@ -422,6 +422,18 @@ def test_atoms_at_one_point_add_up():
     assert positivity_check(A + B, samples=6).yes
 
 
+def test_point_complex_carries_the_mass_of_its_atom():
+    # a weight-3 point is the 3 delta atom: its piece has zero dimension and
+    # the lattice-normalised counting measure
+    chart = orthant_fan(2).toric_chart(0)
+    point = integration_current(WeightedComplex([(Polyhedron.box([(1, 1), (1, 1)]), 3)]), chart)
+    atom = LagerbergCurrent(chart, 2, {((), ()): PieceMeasure(
+        2, atoms=[Atom(frozenset(), (Fraction(1), Fraction(1)), Fraction(3))])})
+    fld = bump_box_field(chart, 0, 0, [(((), ()), Poly.const(1, 2))], [(0, 2), (0, 2)])
+    assert evaluate(atom, fld) > 1e-3
+    assert evaluate(point, fld) == pytest.approx(evaluate(atom, fld), rel=1e-12)
+
+
 # --- exact positivity against the sampled route ----------------------------------
 
 def _symmetric(draw, size, psd):

@@ -2,9 +2,11 @@
 
 Each subcommand imports only the modules it runs, and the package root
 resolves its names lazily.  The checks read ``sys.modules`` in a fresh
-interpreter; nothing here is timed.
+interpreter; nothing here is timed.  No source module imports a name it
+never reads.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -18,6 +20,7 @@ import tropcur
 from tropcur import formats, gallery
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tropcur"
 INPUTS = ROOT / "tests" / "golden" / "inputs"
 
 # the names the package root re-exported when it imported every module
@@ -112,6 +115,14 @@ def test_exact_current_verdicts_load_no_numpy(tmp_path):
     assert not modules & {"numpy", "scipy"}
 
 
+def test_complex_positivity_loads_no_numpy():
+    out = _python("-c", "import sys; from tropcur.correspond import complex_positivity_check, "
+                        "lift; from tropcur.gallery import tropical_line_current; "
+                        "v = complex_positivity_check(lift(tropical_line_current())); "
+                        "print(v.answer, v.exact, 'numpy' in sys.modules)")
+    assert out.split() == ["yes", "True", "False"]
+
+
 def test_root_names_resolve_to_their_modules():
     exported = [name for names in ROOT_EXPORTS.values() for name in names]
     assert sorted(tropcur.__all__) == sorted(exported)
@@ -135,3 +146,38 @@ def test_root_import_loads_no_module_and_submodule_import_works():
                         "if m.startswith('tropcur.')); from tropcur import exact; "
                         "import tropcur.exact; print(before, exact is tropcur.exact)")
     assert out.split() == ["[]", "True"]
+
+
+def _unread_imports(source):
+    """(line, name) of each imported name its scope never reads."""
+    tree = ast.parse(source)
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)]
+    scope_of = {}
+    for scope in scopes:                  # outer scopes first: the innermost wins
+        for node in ast.walk(scope):
+            scope_of[node] = scope
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        scope = scope_of[node]
+        read = {n.id for n in ast.walk(scope)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, name) for name in
+                   (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                   if name not in read]
+    return unread
+
+
+def test_unread_import_check_flags_dead_names():
+    source = ("import random\nfrom .indices import subsets\nimport os.path\n"
+              "def f():\n    import numpy as np\n    return os.path.sep\n"
+              "def g(np):\n    return np\n")
+    assert _unread_imports(source) == [(1, "random"), (2, "subsets"), (5, "np")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_source_modules_read_every_name_they_import(module):
+    # every process compiles what it imports, so a dead import costs each command
+    assert _unread_imports((SRC / module).read_text()) == []
