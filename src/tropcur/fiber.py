@@ -597,20 +597,26 @@ def _positive_tier(a, tol):
                            certificate=("eigvals", lam.tolist()))
         return Verdict("positive", "no", reason="float eigenvalue",
                        witness=("eigval", float(lam.min())))
-    idx, mat, den = _integer_gram(a)
     try:
-        res = exact.psd_decompose(mat, den)
+        psd, data = _exact_psd(a)
     except ValueError:
         return Verdict("positive", "no", reason=a._asymmetry())
-    if res.psd:
-        cert = []
-        for gamma, v in res.decomposition:
-            coeffs = {idx[t]: v[t] for t in range(len(idx)) if _FiberForm._nonzero(v[t])}
-            cert.append((gamma, coeffs))
-        return Verdict("positive", "yes", certificate=("decomposition", cert))
-    x = {idx[t]: res.witness[t] for t in range(len(idx))}
-    dual = positive_generator(_phi_inverse(x, a))
+    if psd:
+        return Verdict("positive", "yes", certificate=("decomposition", data))
+    dual = positive_generator(_phi_inverse(data, a))
     return Verdict("positive", "no", witness=("dual_form", dual), reason="Gram form not PSD")
+
+
+def _exact_psd(a):
+    """The integer LDL^T of an exact form's Gram matrix: (True, its terms
+    [(gamma, {K: v_K})]) or (False, its witness {K: x_K}).  Raises
+    ValueError when the matrix is not symmetric (resp. Hermitian)."""
+    idx, mat, den = _integer_gram(a)
+    res = exact.psd_decompose(mat, den)
+    if res.psd:
+        return True, [(gamma, {K: x for K, x in zip(idx, v) if _FiberForm._nonzero(x)})
+                      for gamma, v in res.decomposition]
+    return False, dict(zip(idx, res.witness))
 
 
 def _pairing_terms(a):
@@ -696,92 +702,103 @@ def _symbolic_row_step(beta, row, offset):
     return out
 
 
-def _strong_no_via_kernel(a, decomposition):
-    """For p = 2: decide if the Gram row space contains real decomposables.
+def _gram_span_verdict(a, terms):
+    """Strong Yes, strong No or None for a positive exact form from the Gram
+    row space W, spanned by the vectors of its LDL^T ``terms``
+    [(gamma, {K: v_K})].
 
-    Any decomposition of a positive form uses (p,0)-parts inside the row
-    space W of its Gram form; if W (dim <= 2) contains no nonzero real
-    decomposable, the form cannot be strongly positive.  ``decomposition``
-    is the positive tier's certificate, [(gamma, {K: v_K})], whose vectors
-    span W.  Returns a No verdict or None.
+    Any strong decomposition of a uses decomposable (p,0)-parts inside W.
+    When every v is decomposable, the LDL^T is itself one.  Otherwise, for
+    a Lagerberg form at p = 2 with dim W <= 2, alpha = y w1 + z w2 in W is
+    decomposable iff alpha ^ alpha = 0, a system of binary quadratics in
+    (y, z).  Without a real root, W holds no decomposable: a No.  Two
+    rational roots alpha_1, alpha_2 are a basis of W, so a strong
+    decomposition can only be a = l_1 G(alpha_1) + l_2 G(alpha_2), solved
+    exactly: a Yes when both weights are >= 0.  Anything else gives None.
     """
-    n, p = a.n, a.p
-    if p != 2 or a.algebra != "lagerberg" or not 0 < len(decomposition) <= 2:
+    if a.algebra != "lagerberg":
         return None
+    n, p = a.n, a.p
     forms = [LagerbergFiberForm(n, p, 0, {(K, ()): c for K, c in coeffs.items()})
-             for _, coeffs in decomposition]
+             for _, coeffs in terms]
+    if all(decomposable_test(w) == "yes" for w in forms):
+        return _gram_span_yes([(gamma, w) for (gamma, _), w in zip(terms, forms)])
+    if p != 2 or len(forms) > 2:
+        return None
+    basis = [f.coeff for f in forms]
     if len(forms) == 1:
-        w = forms[0]
-        sq = wedge(w, w)
-        if sq.is_zero():
-            return None     # decomposable: fall through to LP
         return Verdict(
             "strong", "no",
-            witness=("kernel_obstruction", {"basis": [f.coeff for f in forms],
-                                            "quadratic": None}),
+            witness=("kernel_obstruction", {"basis": basis, "quadratic": None}),
             reason="Gram row space is a line with no decomposable element")
     w1, w2 = forms
-    # alpha = y w1 + z w2 decomposable iff alpha ^ alpha = 0
-    q11 = wedge(w1, w1)
-    q12 = wedge(w1, w2) + wedge(w2, w1)
-    q22 = wedge(w2, w2)
-    keys = set(q11.coeff) | set(q12.coeff) | set(q22.coeff)
-    quadratics = []
-    for k in keys:
-        A, B, C = q11.get(*k), q12.get(*k), q22.get(*k)
-        if A or B or C:
-            quadratics.append((Fraction(A), Fraction(B), Fraction(C)))
-    if not quadratics:
-        return None     # every element decomposable
-    if _binary_system_has_real_root(quadratics):
+    q11, q12, q22 = wedge(w1, w1), wedge(w1, w2) + wedge(w2, w1), wedge(w2, w2)
+    quadratics = [(Fraction(q11.get(*k)), Fraction(q12.get(*k)), Fraction(q22.get(*k)))
+                  for k in set(q11.coeff) | set(q12.coeff) | set(q22.coeff)]
+    roots = _common_real_roots(quadratics)
+    if not roots:
+        return Verdict("strong", "no", witness=("kernel_obstruction",
+                                                {"basis": basis, "quadratics": quadratics}),
+                       reason="no real decomposable in the Gram row space")
+    if len(roots) != 2 or any(D for *_, D in roots):
         return None
-    data = {"basis": [f.coeff for f in forms], "quadratics": quadratics}
-    return Verdict("strong", "no", witness=("kernel_obstruction", data),
-                   reason="no real decomposable in the Gram row space")
+    alphas = [w1.scale(y) + w2.scale(z) for y, _, z, _, _ in roots]
+    gens = [positive_generator(alpha) for alpha in alphas]
+    keys = set(a.coeff).union(*(g.coeff for g in gens))
+    sol = exact.solve([[g.get(*k) for g in gens] for k in keys], [a.get(*k) for k in keys])
+    if sol is None or min(sol) < 0:
+        return None
+    return _gram_span_yes(list(zip(sol, alphas)))
 
 
-def _binary_system_has_real_root(quadratics):
-    """Common nonzero real root of binary quadratics A y^2 + B yz + C z^2."""
+def _gram_span_yes(terms):
+    """The strong Yes a = sum_k l_k positive_generator(alpha_k) over terms
+    [(l_k, alpha_k)], alpha_k decomposable; terms with l_k = 0 drop."""
+    cert = [(lam, ("gram_span", {K: c for (K, _), c in alpha.coeff.items()}),
+             positive_generator(alpha)) for lam, alpha in terms if lam]
+    return Verdict("strong", "yes", certificate=("conic", cert),
+                   reason="strong decomposition inside the Gram row space")
+
+
+def _common_real_roots(quadratics):
+    """The distinct common real projective roots (y, z) of binary quadratics
+    A y^2 + B yz + C z^2, none identically zero, found among the first one's:
+    each root as (ya, yb, za, zb, D) with y = ya + yb sqrt(D) and
+    z = za + zb sqrt(D), and D = 0 for a rational root."""
     A0, B0, C0 = quadratics[0]
-    roots = []       # projective roots as (y, z) pairs over Q(sqrt(D))
     if A0 == 0:
-        roots.append((Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)))
-        if B0 == 0 and C0 == 0:
-            return True  # identically zero first quadratic: give up conservatively
-        if B0 != 0:
-            roots.append((-C0, Fraction(0), B0, Fraction(0), Fraction(0)))
-        elif C0 == 0:
-            pass
+        roots = [(1, 0, 0, 0, 0)] + ([(-C0, 0, B0, 0, 0)] if B0 else [])
     else:
         D = B0 * B0 - 4 * A0 * C0
         if D < 0:
-            return False
-        # y/z = (-B +- sqrt(D)) / (2A); represent y = -B +- sqrt(D), z = 2A
-        roots.append((-B0, Fraction(1), 2 * A0, Fraction(0), D))
-        roots.append((-B0, Fraction(-1), 2 * A0, Fraction(0), D))
+            return []
+        s = Fraction(math.isqrt(D.numerator), math.isqrt(D.denominator))
+        roots = ([(-B0 + s, 0, 2 * A0, 0, 0), (-B0 - s, 0, 2 * A0, 0, 0)] if s * s == D
+                 else [(-B0, 1, 2 * A0, 0, D), (-B0, -1, 2 * A0, 0, D)])
 
-    def eval_quadratic(qd, root):
-        Aq, Bq, Cq = qd
+    def vanishes(quadratic, root):
+        A, B, C = quadratic
         ya, yb, za, zb, D = root
-        # y = ya + yb sqrt(D), z = za + zb sqrt(D); compute A y^2 + B y z + C z^2
-        def mul(p1, p2):
-            (a1, b1), (a2, b2) = p1, p2
-            return (a1 * a2 + b1 * b2 * D, a1 * b2 + a2 * b1)
+        # A y^2 + B yz + C z^2 as r + t sqrt(D)
+        r = A * (ya * ya + yb * yb * D) + B * (ya * za + yb * zb * D) + C * (za * za + zb * zb * D)
+        t = 2 * A * ya * yb + B * (ya * zb + yb * za) + 2 * C * za * zb
+        return r == 0 and t == 0
+    return [root for root in dict.fromkeys(roots) if all(vanishes(qd, root) for qd in quadratics)]
 
-        y2 = mul((ya, yb), (ya, yb))
-        z2 = mul((za, zb), (za, zb))
-        yz = mul((ya, yb), (za, zb))
-        tot = (Aq * y2[0] + Bq * yz[0] + Cq * z2[0],
-               Aq * y2[1] + Bq * yz[1] + Cq * z2[1])
-        return tot == (0, 0)
 
-    for root in roots:
-        ya, yb, za, zb, D = root
-        if (ya, yb) == (0, 0) and (za, zb) == (0, 0):
-            continue
-        if all(eval_quadratic(qd, root) for qd in quadratics):
-            return True
-    return False
+def _pool_in_span(a, pool):
+    """The pool entries (beta, tag) whose beta lies in the Gram row space W
+    of the positive exact form a: the only generators a conic certificate
+    of a can use, since each term's Gram matrix beta beta^T is PSD and
+    their sum is a's.  For a Lagerberg form, beta is in W iff it is
+    orthogonal to each integer kernel vector of a's integer Gram matrix.
+    Complex forms keep the whole pool: exact.nullspace takes no QC entries.
+    """
+    if a.algebra != "lagerberg":
+        return list(pool)
+    kernel = [exact.primitive(v) for v in exact.nullspace(_integer_gram(a)[1])]
+    return [(beta, tag) for beta, tag in pool
+            if not any(sum(map(operator.mul, beta, k)) for k in kernel)]
 
 
 def _strong_lp_certificate(a, pool):
@@ -910,15 +927,19 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
     entries are read straight off a's coefficients over one common
     denominator; its certificate is the LDL^T's (gamma, vector) terms.
     tier='strong' delegates to 'positive' for p in {0,1,n-1,n}; otherwise
-    it can return No via the decomposable-obstruction argument, and for
-    exact forms it searches an explicit conic decomposition over the
-    strong_generator_pool(n, p, pool_size, seed), else Unknown.
-    tier='weak' requires symmetry, then pairs a with the generators of
-    strong_generator_pool(n, n - p, pool_size, seed) in pool order and
-    stops at the first negative pairing, whose generator is the witness;
-    the pool is memoized per process and extended lazily, so a No draws
-    it only up to its witness, and the witness is the only form built.
-    Without one it says Yes only on an exact dual argument.
+    a positive No is a strong No, and an exact form is tried first on the
+    Gram row space W (_gram_span_verdict: a Yes when its decomposables
+    give a decomposition, a No when it holds none), then by one LP for a
+    conic decomposition over the entries of
+    strong_generator_pool(n, p, pool_size, seed) that lie in W, skipped
+    when fewer remain than the Gram rank; else Unknown.
+    tier='weak' requires symmetry; an exact positive form is weakly
+    positive, with the positive tier's certificate.  Otherwise it pairs a
+    with the generators of strong_generator_pool(n, n - p, pool_size, seed)
+    in pool order and stops at the first negative pairing, whose generator
+    is the witness; the pool is memoized per process and extended lazily,
+    so a No draws it only up to its witness, and the witness is the only
+    form built.  Without one it says Yes only on an exact dual argument.
     """
     if a.p != a.q:
         raise NotSquareBidegree(f"bidegree ({a.p},{a.q}) is not (p,p)")
@@ -934,19 +955,25 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
         if base.no:
             return replace(base, tier="strong", reason="not even positive: " + base.reason)
         if a.is_exact():
-            verdict = _strong_no_via_kernel(a, base.certificate[1])
+            terms = base.certificate[1]
+            verdict = _gram_span_verdict(a, terms)
             if verdict is not None:
                 return verdict
-        cert = (_strong_lp_certificate(a, list(strong_generator_pool(n, p, pool_size, seed)))
-                if a.is_exact() else None)
-        if cert is not None:
-            return Verdict("strong", "yes", certificate=("conic", cert))
+            pool = _pool_in_span(a, strong_generator_pool(n, p, pool_size, seed))
+            cert = _strong_lp_certificate(a, pool) if len(pool) >= len(terms) else None
+            if cert is not None:
+                return Verdict("strong", "yes", certificate=("conic", cert))
         return Verdict("strong", "unknown", reason="no certificate over the generator pool")
 
     if tier == "weak":
         reason = a._asymmetry()
         if reason:
             return Verdict("weak", "no", reason=reason)
+        if a.is_exact():
+            psd, data = _exact_psd(a)
+            if psd:
+                return Verdict("weak", "yes", certificate=("decomposition", data),
+                               reason="positive, so weakly positive")
         q = n - p
         negative = _negative_pairing(a, tol)
         for beta, tag in strong_generator_pool(n, q, pool_size, seed):
@@ -986,7 +1013,9 @@ def reverify(a, verdict):
         if kind == "decomposition":
             return _sums_of_squares_to(a, cert[1])
         if kind == "conic":
-            return _sums_to(a, (g.scale(lam) for lam, _, g in cert[1]))
+            return (all(lam > 0 and _tag_generator(tag, a.n, a.p, type(a)) == g
+                        for lam, tag, g in cert[1])
+                    and _sums_to(a, (g.scale(lam) for lam, _, g in cert[1])))
         if kind == "pairing_polynomial_zero":
             return _pairing_polynomial(a).is_zero()
         if kind == "pairing_polynomial_even_positive":
@@ -1004,20 +1033,42 @@ def reverify(a, verdict):
         reason = a._asymmetry()
         return bool(reason) and verdict.reason.endswith(reason)
     kind = w[0]
-    if kind in ("dual_form", "generator"):
-        # ("dual_form", form) or ("generator", tag, form)
-        return _negative(dual_pairing(a, w[-1]), 0)
+    if kind == "dual_form":
+        return _negative(dual_pairing(a, w[1]), 0)
+    if kind == "generator":
+        # ("generator", tag, form): the form must be the one its tag names
+        _, tag, g = w
+        return (_tag_generator(tag, a.n, a.n - a.p, type(a)) == g
+                and _negative(dual_pairing(a, g), 0))
     if kind == "kernel_obstruction":
-        data = w[1]
-        if data.get("quadratics"):
-            return not _binary_system_has_real_root(data["quadratics"])
-        return True
+        # re-derived from a's own LDL^T; the basis and quadratics carried are not read
+        if not a.is_exact():
+            return False
+        base = _positive_tier(a, 0)
+        span = _gram_span_verdict(a, base.certificate[1]) if base.yes else None
+        return span is not None and span.no
     if kind == "eigval":
         return w[1] < 0
     if kind in ("estimate_piece", "estimate_atom", "evaluation"):
         from .currents import reverify_positivity   # a current's exact verdict
         return reverify_positivity(a, verdict)
     return False
+
+
+def _tag_generator(tag, n, p, cls):
+    """The strong (p,p)-generator of class cls that a tag names, or None: a
+    pool tag ("coordinate", I) or ("random", vectors) through plucker_vector,
+    or a Gram-span tag ("gram_span", {K: alpha_K}) whose (p,0)-form alpha
+    must be decomposable."""
+    kind, data = tag
+    if kind == "gram_span":
+        alpha = cls(n, p, 0, {(K, ()): c for K, c in data.items()})
+        return positive_generator(alpha) if decomposable_test(alpha) == "yes" else None
+    if kind == "coordinate":
+        data = [[int(j == i) for j in range(n)] for i in data]
+    elif kind != "random":
+        return None
+    return _plucker_generator(plucker_vector(data, n), n, p, cls) if len(data) == p else None
 
 
 def decomposable_test(a):

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tropcur import Verdict, exact, fiber, formats
 from tropcur.exact import QC
 from tropcur.errors import BidegreeMismatch, NotSquareBidegree, WrongAlgebra
 from tropcur.fiber import (ComplexFiberForm, LagerbergFiberForm, apply_involution,
-                           complex_orientation, decomposable_test, dual_pairing,
+                           complex_orientation, coordinate_strong_generators, decomposable_test, dual_pairing,
                            embed_complex, embed_preimage, gram_form,
                            is_symmetric, lagerberg_orientation,
                            positive_generator, positivity_verdict,
@@ -158,24 +158,45 @@ def _ref_strong_lp_certificate(a, pool):
     return cert if fiber._sums_to(a, (g.scale(lam) for lam, _, g in cert)) else None
 
 
+def _ref_in_gram_span(a, pool):
+    """The pool generators whose Gram rows lie in the row space of a's: those
+    that leave the rank of a's Gram rows unchanged when added to them."""
+    rows = gram_form(a).matrix
+    rank = exact.rank(rows)
+    return [(g, tag) for g, tag in pool if exact.rank(rows + gram_form(g).matrix) == rank]
+
+
 def _ref_pool_tier(a, tier, pool_size, seed, tol=1e-9):
-    """The strong or weak verdict for 2 <= p <= n - 2, every generator a form."""
+    """The strong or weak verdict for 2 <= p <= n - 2, every generator a form.
+
+    The strong tier tries the Gram span, then the LP over the Lagerberg
+    form's generators inside it (the whole pool for a complex form), unless
+    fewer remain than the Gram rank; the weak tier tries the positive tier
+    first."""
     n, p = a.n, a.p
     if tier == "strong":
         base = fiber._positive_tier(a, tol)
         if base.no:
             return replace(base, tier="strong", reason="not even positive: " + base.reason)
         if a.is_exact():
-            verdict = fiber._strong_no_via_kernel(a, base.certificate[1])
+            terms = base.certificate[1]
+            verdict = fiber._gram_span_verdict(a, terms)
             if verdict is not None:
                 return verdict
-            cert = _ref_strong_lp_certificate(a, _ref_strong_generator_pool(n, p, pool_size, seed, a.algebra))
+            pool = _ref_strong_generator_pool(n, p, pool_size, seed, a.algebra)
+            if a.algebra == "lagerberg":
+                pool = _ref_in_gram_span(a, pool)
+            cert = _ref_strong_lp_certificate(a, pool) if len(pool) >= len(terms) else None
             if cert is not None:
                 return Verdict("strong", "yes", certificate=("conic", cert))
         return Verdict("strong", "unknown", reason="no certificate over the generator pool")
     reason = a._asymmetry()
     if reason:
         return Verdict("weak", "no", reason=reason)
+    if a.is_exact():
+        base = fiber._positive_tier(a, tol)
+        if base.yes:
+            return replace(base, tier="weak", reason="positive, so weakly positive")
     witness = _ref_weak_scan(a, _ref_strong_generator_pool(n, n - p, pool_size, seed, a.algebra), tol)
     if witness is not None:
         return Verdict("weak", "no", witness=witness, reason="negative pairing with a strongly positive form")
@@ -840,6 +861,150 @@ def test_pool_tiers_match_form_building_reference(form, seed):
         assert got == want
         assert formats.jsonable(got) == formats.jsonable(want)
         assert reverify(form, v)
+
+
+# --- the Gram-span routes and the filtered LP -------------------------------------
+
+_WEIGHTS = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=6)
+
+
+@st.composite
+def _rational_strong_sums(draw):
+    """At (n, p) = (4, 2) or (5, 2): a positive rational combination of
+    coordinate generators, or a sum of two rational strong generators."""
+    n = draw(st.sampled_from([4, 5]))
+    if draw(st.booleans()):
+        gens = [g for g, _ in coordinate_strong_generators(n, 2)]
+        picked = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=len(gens),
+                               unique_by=lambda g: tuple(g.coeff)))
+    else:
+        vectors = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           min_size=2, max_size=2)
+        generator = vectors.map(lambda vecs: strong_generator(vecs, n)).filter(
+            lambda g: not g.is_zero())
+        picked = [draw(generator), draw(generator)]
+    form = LagerbergFiberForm.zero(n, 2, 2)
+    for g in picked:
+        form = form + g.scale(draw(_WEIGHTS))
+    return form
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_rational_strong_sums())
+def test_gram_span_gives_strong_yes_without_the_lp(form):
+    import scipy.optimize
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy.optimize, "linprog", _must_not_run)
+        v = positivity_verdict(form, "strong")
+    assert v.yes and v.certificate[0] == "conic"
+    assert all(tag[0] == "gram_span" for _, tag, _ in v.certificate[1])
+    assert reverify(form, v)
+
+
+@st.composite
+def _positive_sums(draw):
+    """At (n, p) = (4, 2) or (5, 2), in either algebra: a positive rational
+    combination of positive generators of drawn (2,0)-forms, which need not
+    be decomposable."""
+    n, algebra = draw(st.sampled_from([4, 5])), draw(_ALGEBRAS)
+    form = _CLASSES[algebra].zero(n, 2, 2)
+    for _ in range(draw(st.integers(1, 4))):
+        alpha = draw(_sparse_form(n, 2, 0, algebra))
+        form = form + positive_generator(alpha).scale(draw(_WEIGHTS))
+    return form
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_positive_sums())
+def test_positive_forms_get_the_positive_certificate_as_weak_yes(form):
+    base = positivity_verdict(form, "positive")
+    assert base.yes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fiber, "strong_generator_pool", _must_not_run)
+        v = positivity_verdict(form, "weak")
+    assert v.yes and v.certificate == base.certificate and reverify(form, v)
+
+
+@st.composite
+def _pool_sums(draw):
+    """(form, seed): a positive rational combination of one to four entries
+    of strong_generator_pool(n, p, 30, seed), in either algebra, so that the
+    LP over the whole pool is feasible."""
+    n = draw(st.sampled_from([4, 4, 5]))
+    p, seed, cls = draw(st.integers(2, n - 2)), draw(st.integers(0, 3)), _CLASSES[draw(_ALGEBRAS)]
+    form = cls.zero(n, p, p)
+    for beta, _ in draw(st.lists(st.sampled_from(list(strong_generator_pool(n, p, 30, seed))),
+                                 min_size=1, max_size=4)):
+        form = form + fiber._plucker_generator(beta, n, p, cls).scale(draw(_WEIGHTS))
+    return form, seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(_pool_tier_forms(), st.integers(0, 3)), _pool_sums()))
+def test_filtered_lp_matches_full_pool_reference(case):
+    """The strong tier's LP, over the pool entries inside the Gram row space
+    of a positive form and skipped when fewer remain than the Gram rank, is
+    feasible iff the LP over the whole form-built pool is; on a form that is
+    not positive, which the tier never sends to the LP, that LP fails too."""
+    form, seed = case
+    assume(form.is_exact() and not form.is_zero())
+    base = positivity_verdict(form, "positive")
+    n, p = form.n, form.p
+    got = None
+    if base.yes:
+        inside = fiber._pool_in_span(form, strong_generator_pool(n, p, 30, seed))
+        if len(inside) >= len(base.certificate[1]):
+            got = fiber._strong_lp_certificate(form, inside)
+    want = _ref_strong_lp_certificate(form, _ref_strong_generator_pool(n, p, 30, seed, form.algebra))
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert positivity_verdict(form, "strong", seed=seed, pool_size=30).yes
+
+
+def test_reverify_rejects_conic_terms_that_are_not_their_tags_generators():
+    tag = ("coordinate", (0, 1))
+    g = strong_generator([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
+    a = omega_rank_two()            # positive, not strongly positive
+
+    def conic(form, terms):
+        return reverify(form, Verdict("strong", "yes", certificate=("conic", terms)))
+    assert conic(g, [(1, tag, g)])
+    assert not conic(a, [(1, tag, a)])                  # a is not the tag's generator
+    assert not conic(g, [(-1, tag, g.scale(-1))])       # lambda <= 0
+    # the positive tier's LDL^T terms as Gram-span terms: their vectors are not decomposable
+    terms = [(gamma, ("gram_span", alpha), positive_generator(
+                LagerbergFiberForm(4, 2, 0, {(K, ()): c for K, c in alpha.items()})))
+             for gamma, alpha in positivity_verdict(a, "positive").certificate[1]]
+    assert fiber._sums_to(a, (h.scale(gamma) for gamma, _, h in terms))
+    assert not conic(a, terms)
+
+
+def test_reverify_rederives_a_kernel_obstruction_from_the_form():
+    a = (strong_generator([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
+         + strong_generator([(0, 0, 1, 0), (0, 0, 0, 1)], 4))
+    for data in ({"basis": [], "quadratic": None},
+                 {"basis": [], "quadratics": [(Fraction(1), Fraction(0), Fraction(1))]}):
+        assert not reverify(a, Verdict("strong", "no", witness=("kernel_obstruction", data)))
+    w = omega_rank_two()
+    v = positivity_verdict(w, "strong")
+    assert v.no and reverify(w, v)
+    # the re-check reads only the form: an emptied witness of a true No still holds
+    assert reverify(w, replace(v, witness=("kernel_obstruction", {"basis": [], "quadratic": None})))
+
+
+def test_reverify_rejects_a_weak_witness_that_is_not_its_tags_generator():
+    a = omega_rank_two()
+    g, tag = next((g, tag) for g, tag in coordinate_strong_generators(4, 2)
+                  if dual_pairing(a, g) > 0)
+    assert dual_pairing(a, g.scale(-1)) < 0
+    forged = Verdict("weak", "no", witness=("generator", tag, g.scale(-1)))
+    assert not reverify(a, forged)
+    b = a.scale(-1)
+    assert reverify(b, Verdict("weak", "no", witness=("generator", tag, g)))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import tropcur
-from tropcur import formats, gallery
+from tropcur import fiber, formats, gallery
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tropcur"
@@ -84,6 +84,24 @@ def test_check_positivity_on_exact_form_loads_no_numpy(tmp_path, tier):
     assert code == 0
     assert "tropcur.fiber" in modules
     assert not modules & {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("vectors", [
+    # a coordinate sum and a rank-two generator sum, at n = 4, p = 2
+    [[(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0), (0, 0, 0, 1)], [(1, 0, 0, 0), (0, 0, 1, 0)]],
+    [[(1, 2, 0, -1), (0, 1, 3, 1)], [(2, -1, 1, 0), (1, 1, -2, 3)]],
+])
+def test_strong_yes_on_generator_sums_loads_no_scipy(tmp_path, vectors):
+    # the Gram span decides these; the pool LP, and with it scipy, never runs
+    form = tmp_path / "form.json"
+    gens = [fiber.strong_generator(vecs, 4) for vecs in vectors]
+    form.write_text(json.dumps(formats.fiber_form_to_json(sum(gens[1:], gens[0]))))
+    report = tmp_path / "report.json"
+    code, modules = _loaded(["check-positivity", "--form", str(form), "--tier", "strong",
+                             "--out", str(report)])
+    assert code == 0
+    assert json.loads(report.read_text())["tasks"][0]["verdict"] == "yes"
+    assert "scipy" not in modules
 
 
 def test_integrate_loads_no_current_layers(tmp_path):
