@@ -32,9 +32,9 @@ from .fiber import LagerbergFiberForm, positive_generator
 from .indices import merge_indices, subsets
 from .fields import (boundary_window_field, bump_box_field,
                      check_compatibility, differentiate, _stratum_subsets)
-from .measures import (Atom, DerivativeAtom, ImageMap, OpenBox, Piece,
-                       PieceMeasure, _stratum_embedding, abs_measure, image_measure,
-                       integrate_against, restrict_measure)
+from .measures import (Atom, DerivativeAtom, OpenBox, Piece,
+                       PieceMeasure, _stratum_embedding, abs_measure, escape_failure,
+                       integrate_against, restrict_measure, sign_pure_pieces)
 from .polyhedra import Polyhedron, Row, face_directions
 
 
@@ -771,35 +771,27 @@ def resum(parts, template):
 
 # --- C-finite mass ---------------------------------------------------------------------
 
-def _boundary_weighted(mu, I, J, n):
-    """|mu| with the extra exp(-sum_I u_i - sum_J u_j) density weight."""
-    tv = abs_measure(mu)
-    coeffs = [Fraction(0)] * n
-    for i in I:
-        coeffs[i] -= 1
-    for j in J:
-        coeffs[j] -= 1
-    pieces = []
-    for piece in tv.pieces:
-        alive = [i for i in range(n) if i not in piece.stratum]
-        local = [coeffs[i] for i in alive]
-        expo = piece.weight_expo + Poly.linear(local)
-        pieces.append(Piece(piece.stratum, piece.poly, piece.weight_poly, expo,
-                            piece.sign))
-    return PieceMeasure(tv.n, tv.atoms, pieces, (), tv.scale, certify=False)
-
-
 def c_finite_witness(chart, measures):
     """None when every boundary-weighted total variation
     |mu^{IJ}| exp(-sum u_I) exp(-sum u_J) admits an image Radon measure on
-    the whole chart, else the first failing (I, J) with its ray."""
+    the whole chart, else the first failing (I, J) with its ray.
+
+    Read off the pieces in total-variation order, building no measure: the
+    weighted |piece| is keyed only for the witness, and escape generators
+    are computed once per polyhedron."""
     target = OpenBox.whole_chart(chart)
+    n = len(chart.basis)
     for (I, J), mu in measures.items():
-        weighted = _boundary_weighted(mu, I, J, len(chart.basis))
-        try:
-            image_measure(weighted, ImageMap("open_inclusion", target))
-        except NotLocallyFinite as err:
-            return {"I": I, "J": J, **(err.payload or {})}
+        weight = [-(i in I) - (i in J) for i in range(n)]
+        for piece in sign_pure_pieces(mu):
+            tilt = [weight[i] for i in range(n) if i not in piece.stratum]
+            failure = escape_failure(piece, target, tilt)
+            if failure is not None:
+                size = piece.weight_poly if piece.sign > 0 else piece.weight_poly.scale(-1)
+                weighted = Piece(piece.stratum, piece.poly, size,
+                                 piece.weight_expo + Poly.linear(tilt), max(piece.sign, 1))
+                return {"I": I, "J": J, "stratum": failure[0], "ray": failure[1],
+                        "piece": weighted.key()}
     return None
 
 

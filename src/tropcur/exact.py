@@ -15,8 +15,10 @@ from math import gcd, lcm
 
 
 def frac(x):
-    """Coerce ints, Fractions and 'p/q' strings (ASCII or U+2212 minus)."""
-    if isinstance(x, (int, Fraction)):
+    """Coerce ints, Fractions (returned as they are) and 'p/q' strings (ASCII or U+2212 minus)."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.replace("−", "-").replace(" ", ""))

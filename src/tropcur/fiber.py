@@ -1020,8 +1020,9 @@ def reverify(a, verdict):
             return _pairing_polynomial(a).is_zero()
         if kind == "pairing_polynomial_even_positive":
             return _pairing_polynomial(a).is_even_nonnegative()
-        if kind == "eigvals":
-            return True
+        if kind == "eigvals":   # the float path's: recomputed, and never on exact data
+            return (isinstance(a, _FiberForm) and not a.is_exact()
+                    and positivity_verdict(a, "positive").yes)
         if kind == "cells":
             from .currents import reverify_positivity   # a current's exact verdict
             return reverify_positivity(a, verdict)
@@ -1048,7 +1049,8 @@ def reverify(a, verdict):
         span = _gram_span_verdict(a, base.certificate[1]) if base.yes else None
         return span is not None and span.no
     if kind == "eigval":
-        return w[1] < 0
+        return (isinstance(a, _FiberForm) and not a.is_exact()
+                and positivity_verdict(a, "positive").no)
     if kind in ("estimate_piece", "estimate_atom", "evaluation"):
         from .currents import reverify_positivity   # a current's exact verdict
         return reverify_positivity(a, verdict)

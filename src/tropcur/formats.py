@@ -59,10 +59,12 @@ def fan_to_json(fan):
 def fan_from_json(data):
     from .fans import validate_fan
     try:
-        rank = int(data["rank"])
-        cones = [[tuple(int(x) for x in g) for g in cone] for cone in data["cones"]]
+        rank = _parse_int(data["rank"])
+        cones = [[tuple(_parse_int(x) for x in g) for g in cone] for cone in data["cones"]]
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError("fan file needs {'rank': n, 'cones': [[...]]}") from err
+    if rank < 0:
+        raise ParseError(f"fan rank {rank} is negative")
     return validate_fan(cones, rank=rank)
 
 
@@ -90,12 +92,12 @@ def fiber_form_to_json(form):
 def fiber_form_from_json(data):
     from .fiber import ComplexFiberForm, LagerbergFiberForm
     try:
-        n, p, q = int(data["n"]), int(data["p"]), int(data["q"])
+        n, p, q = (_parse_int(data[key]) for key in "npq")
         algebra = data.get("algebra", "lagerberg")
         coeff = {}
         for t in data.get("terms", ()):
-            I = tuple(int(i) - 1 for i in t["I"])
-            J = tuple(int(j) - 1 for j in t["J"])
+            I = tuple(_parse_int(i) - 1 for i in t["I"])
+            J = tuple(_parse_int(j) - 1 for j in t["J"])
             c = t["c"]
             if isinstance(c, dict):
                 val = QC(_parse_frac(c.get("re", 0)), _parse_frac(c.get("im", 0)))

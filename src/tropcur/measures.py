@@ -22,6 +22,7 @@ rate over the piece).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import exact
 from .coeffs import CoefficientFn, Poly
@@ -98,7 +99,12 @@ def lebesgue_piece(stratum, poly, weight=1, expo=None, sign=None):
 
 
 class PieceMeasure:
-    """Signed Radon measure: atoms + sign-pure density pieces (+ exemplars)."""
+    """Signed Radon measure: atoms + sign-pure density pieces (+ exemplars).
+
+    The constructor checks dimensions and exponent degrees and certifies
+    signs; ``certify=False`` trusts all three, for results of operations on
+    valid measures, and only merges atoms.  The canonical key is computed once.
+    """
 
     def __init__(self, n, atoms=(), pieces=(), derivative_atoms=(),
                  scale=(Fraction(1), 0), certify=True):
@@ -110,11 +116,11 @@ class PieceMeasure:
         self.atoms = tuple(Atom(s, c, w) for (s, c), w in merged.items() if w != 0)
         self.pieces = tuple(pieces)
         self.derivative_atoms = tuple(derivative_atoms)
-        fracpart, pipow = scale
-        fracpart = frac(fracpart)
-        if fracpart < 0:
+        self.scale = (frac(scale[0]), int(scale[1]))
+        if self.scale[0] < 0:
             raise ValidationError("scale prefactor must be positive; fold signs into weights")
-        self.scale = (fracpart, int(pipow))
+        if not certify:
+            return
         for a in self.atoms:
             if len(a.coords) != n - len(a.stratum):
                 raise ValidationError("atom coords do not match its stratum")
@@ -123,8 +129,7 @@ class PieceMeasure:
                 raise ValidationError("piece polyhedron dim does not match its stratum")
             if p.weight_expo.degree() > 2:
                 raise ValidationError("exponent degree > 2 is outside the family")
-            if certify:
-                certify_sign(p)
+            certify_sign(p)
 
     # --- structure ---------------------------------------------------------
     def is_measure(self):
@@ -138,13 +143,15 @@ class PieceMeasure:
         return float(c) * math.pi ** k
 
     def canonical_key(self):
-        c, k = self.scale
-        if c != 1:
-            return self.rescaled().canonical_key()
-        return (self.n, c, k,
-                tuple(sorted(a.key() for a in self.atoms)),
-                tuple(sorted(self._piece_keys())),
-                tuple(sorted(d.key() for d in self.derivative_atoms)))
+        return self._key
+
+    @cached_property
+    def _key(self):
+        m = self.rescaled()
+        return (m.n, *m.scale,
+                tuple(sorted(a.key() for a in m.atoms)),
+                tuple(sorted(m._piece_keys())),
+                tuple(sorted(d.key() for d in m.derivative_atoms)))
 
     def _piece_keys(self):
         """Piece keys, with constant-density pieces on one polyhedron merged
@@ -582,19 +589,25 @@ def _integrate_truncated(h, domain, tol):
                           payload={"radius": R})
 
 
-def total_variation_decompose(mu):
-    """Hahn-Jordan split (mu_plus, mu_minus); exact because pieces are sign-pure."""
+def sign_pure_pieces(mu):
+    """mu's pieces in total-variation order, positive ones first; raises where |mu| is undefined."""
     if not mu.is_measure():
         raise NonMeasurePiece("derivative atoms have no total variation")
     for p in mu.pieces:
         if p.sign == 0:
             raise SignNotCertified("piece without a certified sign",
                                    payload={"piece": p.key()})
+    return [p for p in mu.pieces if p.sign > 0] + [p for p in mu.pieces if p.sign < 0]
+
+
+def total_variation_decompose(mu):
+    """Hahn-Jordan split (mu_plus, mu_minus); exact because pieces are sign-pure."""
+    pieces = sign_pure_pieces(mu)
     plus_atoms = [a for a in mu.atoms if a.weight > 0]
     minus_atoms = [Atom(a.stratum, a.coords, -a.weight) for a in mu.atoms if a.weight < 0]
-    plus_pieces = [p for p in mu.pieces if p.sign > 0]
+    plus_pieces = [p for p in pieces if p.sign > 0]
     minus_pieces = [Piece(p.stratum, p.poly, p.weight_poly.scale(-1), p.weight_expo, 1)
-                    for p in mu.pieces if p.sign < 0]
+                    for p in pieces if p.sign < 0]
     plus = PieceMeasure(mu.n, plus_atoms, plus_pieces, (), mu.scale, certify=False)
     minus = PieceMeasure(mu.n, minus_atoms, minus_pieces, (), mu.scale, certify=False)
     return plus, minus
@@ -610,26 +623,27 @@ def boundary_escape_cones(piece, chart):
 
     Returns a list of (M, generators) for subsets M of the chart's
     remaining infinite axes: directions of the recession cone along which
-    points converge to the stratum (piece.stratum | M).
+    points converge to the stratum (piece.stratum | M).  Only the map to chart
+    axes is redone per call: ``Polyhedron.escape_generators`` are computed once.
     """
     n = len(chart.basis)
     finite_axes = [i for i in range(n) if i not in piece.stratum]
-    inf_positions = [t for t, i in enumerate(finite_axes)
-                     if i in chart.infinite_axes]
-    out = []
-    rec = piece.poly.recession()
-    d = piece.poly.dim
-    for mask in range(1, 1 << len(inf_positions)):
-        pos = [inf_positions[t] for t in range(len(inf_positions)) if mask >> t & 1]
-        sub = rec.intersect(Polyhedron.box([(0, None) if t in pos else (0, 0)
-                                            for t in range(d)]))
-        gens = [g for g in sub.recession_generators() if any(g)]
-        # require strict escape: some coordinate in pos actually grows
-        gens = [g for g in gens if any(g[t] > 0 for t in pos)]
-        if gens:
-            M = frozenset(finite_axes[t] for t in pos)
-            out.append((M, gens))
-    return out
+    inf_positions = tuple(t for t, i in enumerate(finite_axes) if i in chart.infinite_axes)
+    return [(frozenset(finite_axes[t] for t in pos), list(gens))
+            for pos, gens in piece.poly.escape_generators(inf_positions)]
+
+
+def escape_failure(piece, target, tilt=()):
+    """The first (stratum, ray) along which the piece's density times
+    exp(tilt . u) does not decay toward a stratum of the open box
+    ``target``; None if it decays."""
+    cones = () if piece.poly.is_bounded() else boundary_escape_cones(piece, target.chart)
+    expo = piece.weight_expo + Poly.linear(tilt) if cones and any(tilt) else piece.weight_expo
+    for M, gens in cones:
+        for v in gens if target.stratum_allowed(piece.stratum | M) else ():
+            if decay_along(expo, piece.poly, v) != "decays":
+                return tuple(sorted(piece.stratum | M)), v
+    return None
 
 
 def image_measure(mu, m):
@@ -641,21 +655,12 @@ def image_measure(mu, m):
     coordinate projections transport the data.
     """
     if m.kind == "open_inclusion":
-        target = m.target
-        chart = target.chart
         for piece in mu.pieces:
-            if piece.poly.is_bounded():
-                continue
-            for M, gens in boundary_escape_cones(piece, chart):
-                if not target.stratum_allowed(piece.stratum | M):
-                    continue
-                for v in gens:
-                    if decay_along(piece.weight_expo, piece.poly, v) != "decays":
-                        raise NotLocallyFinite(
-                            "weighted piece has infinite mass toward a boundary stratum",
-                            payload={"stratum": tuple(sorted(piece.stratum | M)),
-                                     "ray": v,
-                                     "piece": piece.key()})
+            failure = escape_failure(piece, m.target)
+            if failure is not None:
+                raise NotLocallyFinite(
+                    "weighted piece has infinite mass toward a boundary stratum",
+                    payload={"stratum": failure[0], "ray": failure[1], "piece": piece.key()})
         return mu
     if m.kind == "stratum_inclusion":
         return mu

@@ -126,8 +126,9 @@ class Polyhedron:
 
     An immutable value: the rows are a tuple checked once on construction,
     and derived data (the canonical key, the Fourier-Motzkin projection,
-    the affine hull, vertices, recession generators and facets) is computed
-    once per instance, on first use, and handed out as tuples.
+    the affine hull, vertices, recession generators, facets and escape
+    generators) is computed once per instance, on first use, and handed
+    out as tuples.
     """
     dim: int
     rows: tuple = ()
@@ -322,6 +323,22 @@ class Polyhedron:
                 if inside(cand):
                     push(cand)
         return tuple(gens)
+
+    def escape_generators(self, positions):
+        """(pos, gens) per nonempty subset ``pos`` of ``positions`` whose section
+        {u_t >= 0 on pos, u_t = 0 elsewhere} of the recession cone has generators
+        ``gens`` (nonzero, so each grows on pos); once per tuple of positions."""
+        memo = self.__dict__.setdefault("_escapes", {})
+        if positions not in memo:
+            rec, out = self.recession(), []
+            for mask in range(1, 1 << len(positions)):
+                pos = [t for i, t in enumerate(positions) if mask >> i & 1]
+                sub = rec.intersect(Polyhedron.box([(0, None) if t in pos else (0, 0)
+                                                    for t in range(self.dim)]))
+                if sub.recession_generators():
+                    out.append((tuple(pos), sub.recession_generators()))
+            memo[positions] = tuple(out)
+        return memo[positions]
 
     def is_bounded(self):
         """Whether the recession cone of the closure is {0}.

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcur import formats, scenes
 from tropcur.cli import main
@@ -390,3 +394,122 @@ def test_malformed_object_is_input_error(tmp_path, command):
     assert proc.returncode == 2, proc.stderr
     assert "input error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# --- JSON literals of fiber forms and fans ------------------------------------------
+
+def _cli_in_process(args, files):
+    """(exit code, stderr) of ``main(args)`` with the JSON ``files`` written
+    to a scratch directory; each ``{name}`` in args names one of them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            Path(tmp, name).write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([a.format(**{name: str(Path(tmp, name)) for name in files})
+                         for a in args])
+    return code, err.getvalue()
+
+
+def _spoilt(draw, good, bad):
+    """``good`` seven times in eight, else a draw from the strategy ``bad``."""
+    return draw(bad) if draw(st.integers(0, 7)) == 0 else good
+
+
+_JUNK = st.sampled_from([None, "x", "", "1/0", 0.5, 1.5, [], {}, [1], True])
+
+
+@st.composite
+def _form_literals(draw):
+    n = draw(st.integers(1, 4))
+    p, q = draw(st.integers(0, n)), draw(st.integers(0, n))
+    algebra = draw(st.sampled_from(["lagerberg", "lagerberg", "complex"]))
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        I = sorted(draw(st.sets(st.integers(1, n), min_size=p, max_size=p)))
+        J = sorted(draw(st.sets(st.integers(1, n), min_size=q, max_size=q)))
+        c = draw(st.sampled_from(["1", "-2/3", "−1/2", 3, 0, "2.5", 2.0]))
+        if algebra == "complex" and draw(st.booleans()):
+            c = draw(st.sampled_from([{"re": c, "im": "1/2"}, [c, -1], {"im": 2}]))
+        term = {"I": I, "J": J, "c": c}
+        terms.append(_spoilt(draw, term, st.one_of(_JUNK, st.sampled_from(
+            [{**term, "I": I + [n + 1]}, {**term, "I": I[::-1] + [1, 1]}, {**term, "J": [0]},
+             {**term, "I": "12"}, {"I": I, "J": J}, {**term, "c": [1]}, {**term, "c": 0.5},
+             {**term, "c": {"re": "x"}}, {**term, "I": [1.5] * p}]))))
+    data = {"n": n, "p": p, "q": q, "algebra": algebra, "terms": terms}
+    return _spoilt(draw, data, st.one_of(_JUNK, st.sampled_from(
+        [{**data, "n": -1}, {**data, "p": n + 1}, {**data, "q": "x"}, {**data, "n": 2.5},
+         {**data, "terms": 5}, {**data, "terms": "ab"}, {"n": n, "p": p}, [data]])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_form_literals())
+def test_form_literal_round_trips_or_is_input_error(data):
+    from tropcur.errors import TropcurError
+    code, err = _cli_in_process(["check-positivity", "--form", "{form}"], {"form": data})
+    assert "Traceback" not in err
+    try:
+        form = formats.fiber_form_from_json(data)
+    except TropcurError:
+        assert code == 2 and err.startswith("input error: ")
+        return
+    text = formats.fiber_form_to_json(form)
+    again = formats.fiber_form_from_json(json.loads(json.dumps(text)))
+    assert type(again) is type(form) and again.coeff == form.coeff
+    assert formats.fiber_form_to_json(again) == text
+    # a form parses, so the command line decides it or records an error for it
+    assert code == 0 if form.p == form.q else code == 2
+
+
+@st.composite
+def _fan_literals(draw):
+    rank = draw(st.integers(1, 3))
+    cones = []
+    for _ in range(draw(st.integers(0, 3))):
+        gens = [draw(st.lists(st.integers(-1, 1), min_size=rank, max_size=rank))
+                for _ in range(draw(st.integers(1, rank)))]
+        cones.append(_spoilt(draw, gens, st.one_of(_JUNK, st.sampled_from(
+            [gens + [[1] * (rank + 1)], [[1.5] + g[1:] for g in gens], [["1"] * rank],
+             [[0] * rank], "ab", [], [g + g for g in gens]]))))
+    data = {"rank": rank, "cones": cones}
+    return _spoilt(draw, data, st.one_of(_JUNK, st.sampled_from(
+        [{**data, "rank": -1}, {**data, "rank": 0}, {**data, "rank": "x"}, {**data, "rank": 2.5},
+         {"cones": cones}, {"rank": rank}, {**data, "cones": 5}, [data]])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fan_literals())
+def test_fan_literal_round_trips_or_is_input_error(data):
+    from tropcur.errors import TropcurError
+    try:
+        fan = formats.fan_from_json(data)
+    except TropcurError:
+        fan = None
+    # a top-degree zero current on the fan's chart: decompose only needs the fan
+    zero = {"bidegree": [fan.rank, fan.rank] if fan else [1, 1], "cocoeffs": {}}
+    code, err = _cli_in_process(["decompose", "--fan", "{fan}", "--current", "{T}"],
+                                {"fan": data, "T": zero})
+    assert "Traceback" not in err
+    if fan is None:
+        assert code == 2 and (err.startswith("input error: ") or err.startswith("error: "))
+        return
+    assert code == 0, err
+    text = formats.fan_to_json(fan)
+    again = formats.fan_from_json(json.loads(json.dumps(text)))
+    assert formats.fan_to_json(again) == text and len(again) == len(fan)
+
+
+@pytest.mark.parametrize("args, files, says", [
+    (["check-positivity", "--form", "{form}"],
+     {"form": {"n": 2, "p": 1, "q": 1, "terms": [{"I": [1.5], "J": [1], "c": "1"}]}}, "1.5"),
+    (["check-positivity", "--form", "{form}"], {"form": {"n": 2.5, "p": 1, "q": 1}}, "2.5"),
+    (["decompose", "--fan", "{fan}", "--current", "{T}"],
+     {"fan": {"rank": 2, "cones": [[[1.5, 0]]]}, "T": {"bidegree": [2, 2], "cocoeffs": {}}},
+     "1.5"),
+    (["decompose", "--fan", "{fan}", "--current", "{T}"],
+     {"fan": {"rank": -1, "cones": []}, "T": {"bidegree": [0, 0], "cocoeffs": {}}},
+     "fan rank -1 is negative")],
+    ids=["form-index", "form-rank", "fan-generator", "fan-rank"])
+def test_non_integral_or_negative_integers_are_input_errors(args, files, says):
+    code, err = _cli_in_process(args, files)
+    assert code == 2 and err.startswith("input error: ") and says in err, err

@@ -9,7 +9,8 @@ from tropcur.coeffs import CoefficientFn, Poly, bump
 from hypothesis import given, settings, strategies as st
 
 from tropcur.currents import (LagerbergCurrent, WeightedComplex, _integrated_complex,
-                              balancing_check, c_finite_test, canonical_decomposition,
+                              balancing_check, c_finite_test, c_finite_witness,
+                              canonical_decomposition,
                               closedness_test, evaluate, extend_by_zero,
                               from_cocoefficients, integration_current,
                               positivity_check, resum, sampled_closedness,
@@ -25,7 +26,7 @@ from tropcur.gallery import (degenerate_form_current, derivative_atom_current,
                              tropical_line, tropical_line_current)
 from tropcur.formats import current_from_json, current_to_json
 from tropcur.measures import (Atom, OpenBox, Piece, PieceMeasure,
-                              lebesgue_piece)
+                              boundary_escape_cones, decay_along, lebesgue_piece)
 from tropcur.polyhedra import Polyhedron
 
 
@@ -738,3 +739,137 @@ def test_current_keys_are_increasing_subsets_of_the_axes():
             current_from_json({"bidegree": [p, p], "cocoeffs": {key: lebesgue}}, _chart(2))
     T = current_from_json({"bidegree": [1, 1], "cocoeffs": {"2|2": lebesgue}}, _chart(2))
     assert list(T.cocoeffs) == [((1,), (1,))]
+
+
+# --- C-finite witnesses read off the pieces ----------------------------------------------
+
+def _fresh_escape_cones(piece, chart):
+    """boundary_escape_cones as computed before the per-polyhedron memo:
+    from a new recession cone, intersected with one box per mask."""
+    n = len(chart.basis)
+    finite_axes = [i for i in range(n) if i not in piece.stratum]
+    inf_positions = [t for t, i in enumerate(finite_axes) if i in chart.infinite_axes]
+    rec, d, out = Polyhedron(piece.poly.dim, piece.poly.rows).recession(), piece.poly.dim, []
+    for mask in range(1, 1 << len(inf_positions)):
+        pos = [inf_positions[t] for t in range(len(inf_positions)) if mask >> t & 1]
+        sub = rec.intersect(Polyhedron.box([(0, None) if t in pos else (0, 0)
+                                            for t in range(d)]))
+        gens = [g for g in sub.recession_generators() if any(g)]
+        gens = [g for g in gens if any(g[t] > 0 for t in pos)]
+        if gens:
+            out.append((frozenset(finite_axes[t] for t in pos), gens))
+    return out
+
+
+def _old_c_finite_witness(chart, measures):
+    """The route c_finite_witness replaced: the boundary-weighted total
+    variation built as a measure (``_boundary_weighted``), then the
+    open-inclusion loop of ``image_measure`` on it, with fresh cones."""
+    from tropcur.errors import NonMeasurePiece, SignNotCertified
+    n = len(chart.basis)
+    for (I, J), mu in measures.items():
+        if mu.derivative_atoms:
+            raise NonMeasurePiece("derivative atoms have no total variation")
+        for p in mu.pieces:
+            if p.sign == 0:
+                raise SignNotCertified("piece without a certified sign",
+                                       payload={"piece": p.key()})
+        minus = [Piece(p.stratum, p.poly, p.weight_poly.scale(-1), p.weight_expo, 1)
+                 for p in mu.pieces if p.sign < 0]
+        coeffs = [Fraction(0)] * n
+        for i in I:
+            coeffs[i] -= 1
+        for j in J:
+            coeffs[j] -= 1
+        weighted = PieceMeasure(n, mu.atoms, [
+            Piece(p.stratum, p.poly, p.weight_poly, p.weight_expo + Poly.linear(
+                [coeffs[i] for i in range(n) if i not in p.stratum]), p.sign)
+            for p in [p for p in mu.pieces if p.sign > 0] + minus], (), mu.scale, certify=False)
+        for piece in weighted.pieces:
+            if piece.poly.is_bounded():
+                continue
+            for M, gens in _fresh_escape_cones(piece, chart):
+                for v in gens:
+                    if decay_along(piece.weight_expo, piece.poly, v) != "decays":
+                        return {"I": I, "J": J, "stratum": tuple(sorted(piece.stratum | M)),
+                                "ray": v, "piece": piece.key()}
+    return None
+
+
+def _unbounded_polyhedron(draw, d):
+    if d == 0:
+        return Polyhedron(0, [])
+    ends = st.sampled_from([None, None, -1, 0, 2])
+    box = [(draw(ends), draw(ends)) for _ in range(d)]
+    box = [(lo, hi) if lo is None or hi is None or lo <= hi else (hi, lo) for lo, hi in box]
+    if d == 1:
+        return Polyhedron.box(box)
+    return draw(st.sampled_from([
+        Polyhedron.box(box),
+        Polyhedron(2, [((-1, 0), 0), ((1, -1), 0)]),                     # wedge 0 <= x <= y
+        Polyhedron(2, [((0, 1), 0), ((0, -1), 0), ((-1, 0), -1)]),        # ray y = 0, x >= 1
+        Polyhedron(2, [((1, -2), 1), ((-1, 0), 0)]),                       # x - 2y <= 1, x >= 0
+        Polyhedron(2, [((1, 1), 0)])]))                                    # half-plane
+
+
+@st.composite
+def _signed_measures(draw):
+    """A chart with k infinite axes and measures whose pieces are mostly
+    unbounded, of both signs, with linear or quadratic exponents that
+    decay along some escape rays and not along others; one part in
+    sixteen is a sign-0 piece or a derivative atom."""
+    from tropcur.measures import DerivativeAtom
+    n = draw(st.integers(1, 2))
+    k = draw(st.integers(0, n))
+    fan = orthant_fan(n)
+    chart = fan.toric_chart(fan.cone_id([tuple(int(i == j) for j in range(n))
+                                         for i in range(k)]))
+    q = draw(st.integers(0, n))
+    keys = list(itertools.product(itertools.combinations(range(n), q), repeat=2))
+    measures = {}
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True)):
+        pieces = []
+        for _ in range(draw(st.integers(1, 3))):
+            stratum = frozenset(draw(st.sampled_from([(), (), ()] + [(i,) for i in range(k)])))
+            d = n - len(stratum)
+            quad = {}
+            if d and draw(st.booleans()):
+                quad = {tuple(2 * (j == i) for j in range(d)): draw(st.sampled_from([-1, 0, 1]))
+                        for i in range(d)}
+                if d == 2:
+                    quad[(1, 1)] = draw(st.sampled_from([-1, 0, 1]))
+            expo = Poly.linear([draw(st.integers(-2, 2)) for _ in range(d)],
+                               draw(st.integers(-1, 1))) + Poly(quad, d)
+            w = draw(st.sampled_from([1, 2, Fraction(1, 2), -1, -3]))
+            sign = 0 if draw(st.integers(0, 15)) == 15 else (1 if w > 0 else -1)
+            pieces.append(Piece(stratum, _unbounded_polyhedron(draw, d), Poly.const(w, d),
+                                expo, sign))
+        ders = ()
+        if draw(st.integers(0, 15)) == 15:
+            ders = (DerivativeAtom(frozenset(), (Fraction(0),) * n, (1,) * n, Fraction(1)),)
+        atoms = [Atom(frozenset(), (Fraction(1),) * n, Fraction(draw(st.sampled_from([-1, 2]))))]
+        measures[key] = PieceMeasure(n, atoms, pieces, ders,
+                                     (Fraction(draw(st.integers(1, 5))), draw(st.integers(0, 1))),
+                                     certify=False)
+    return chart, measures
+
+
+def _outcome(decide, chart, measures):
+    from tropcur.errors import TropcurError
+    try:
+        return repr(decide(chart, measures))
+    except TropcurError as err:
+        return type(err).__name__, str(err), repr(err.payload)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_signed_measures())
+def test_c_finite_witness_matches_the_measure_building_route(case):
+    chart, measures = case
+    assert (_outcome(c_finite_witness, chart, measures)
+            == _outcome(_old_c_finite_witness, chart, measures))
+    for mu in measures.values():
+        for piece in mu.pieces:
+            fresh = _fresh_escape_cones(piece, chart)
+            assert boundary_escape_cones(piece, chart) == fresh
+            assert boundary_escape_cones(piece, chart) == fresh     # from the memo

@@ -1007,6 +1007,26 @@ def test_reverify_rejects_a_weak_witness_that_is_not_its_tags_generator():
     assert reverify(b, Verdict("weak", "no", witness=("generator", tag, g)))
 
 
+def test_reverify_recomputes_the_float_paths_eigenvalue_verdicts():
+    a = omega_rank_two()             # exact and positive
+    eig_no = Verdict("positive", "no", witness=("eigval", -1.0))
+    eig_yes = Verdict("positive", "yes", certificate=("eigvals",))
+    # the float path never answers for exact data
+    assert not reverify(a, eig_no) and not reverify(a, eig_yes)
+    f = LagerbergFiberForm(4, 2, 2, {k: float(c) for k, c in a.coeff.items()})
+    v = positivity_verdict(f, "positive")
+    assert v.yes and v.certificate[0] == "eigvals" and reverify(f, v)
+    assert reverify(f, eig_yes) and not reverify(f, eig_no)
+    neg = f.scale(-1.0)
+    for tier in ("positive", "strong"):
+        w = positivity_verdict(neg, tier)
+        assert w.no and w.witness[0] == "eigval" and reverify(neg, w)
+    assert reverify(neg, eig_no) and not reverify(neg, eig_yes)
+    # a PSD spectrum with a tiny negative eigenvalue passes within tol, as the tier does
+    tiny = f + LagerbergFiberForm(4, 2, 2, {((0, 1), (0, 1)): -1e-12})
+    assert positivity_verdict(tiny, "positive").yes and reverify(tiny, eig_yes)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.data(), st.sampled_from([(4, 2), (5, 2), (5, 3)]))
 def test_pairing_polynomial_matches_chained_merges(data, case):
