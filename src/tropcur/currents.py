@@ -523,16 +523,6 @@ def _closure(poly):
     return Polyhedron(poly.dim, [Row(r.a, r.b) for r in poly.rows])
 
 
-def _hull_key(poly):
-    """The affine hull of a nonempty polyhedron as reduced equations."""
-    u0, basis = poly.affine_hull()
-    normals = (exact.nullspace([list(v) for v in basis]) if basis else
-               [tuple(int(i == j) for j in range(poly.dim)) for i in range(poly.dim)])
-    rows, pivots = exact.rref([list(v) + [sum(a * x for a, x in zip(v, u0))]
-                               for v in normals], poly.dim)
-    return tuple(tuple(r) for r in rows[:len(pivots)])
-
-
 def _minus(P, Q):
     """Closed cells covering P minus Q up to a null set, for closed P, Q
     of one affine hull and dimension: P cut by each facet row of Q in
@@ -584,7 +574,7 @@ def _cell_matrices(T):
     the matrix (T^{IJ}) is pi^k exp(E) M on a cell with exponent E, and M
     at an atom point, with M the rational matrix over subsets(n, q) of
     the summed weights times the rational scales.  Cells are the closed
-    polyhedra of the pieces, keyed by (stratum, canonical_key); cells of
+    polyhedra of the pieces, keyed by (stratum, polyhedron); cells of
     one stratum and affine hull that overlap are split by
     ``_split_overlaps``, while cells of other dimensions or affine hulls
     are mutually singular and stay apart.  ``where`` is ("cell", stratum,
@@ -606,8 +596,7 @@ def _cell_matrices(T):
             if piece.poly.is_empty():
                 continue
             poly = _closure(piece.poly)
-            _, E, w = cells.setdefault((piece.stratum, poly.canonical_key()),
-                                       (poly, piece.weight_expo, {}))
+            _, E, w = cells.setdefault((piece.stratum, poly), (poly, piece.weight_expo, {}))
             if E != piece.weight_expo:
                 return None
             w[(I, J)] = w.get((I, J), 0) + c * sum(piece.weight_poly.exps.values())
@@ -619,7 +608,7 @@ def _cell_matrices(T):
         if len(group) > 1:
             hulls = {}
             for cell in group:
-                hulls.setdefault(_hull_key(cell[0]), []).append(cell)
+                hulls.setdefault(cell[0].hull_key, []).append(cell)
             group = []
             for same_hull in hulls.values():
                 split = _split_overlaps(same_hull)
@@ -859,82 +848,77 @@ class WeightedComplex:
         return dims.pop()
 
 
-def _minors(poly, n, p):
-    """{I: det(A_I)} over the p-subsets I with a nonzero minor, where the
-    columns of A are the lattice basis of the p-dimensional ``poly``'s
-    affine hull; {} when poly is empty."""
-    hull = poly.affine_hull()
-    if hull is None:
-        return {}
-    basis = hull[1]
-    dets = ((I, exact.det([[basis[j][i] for j in range(p)] for i in I]))
-            for I in subsets(n, p))
-    return {I: d for I, d in dets if d}
-
-
 def integration_current(C, chart, U=None):
     """delta_C: the integration current of a weighted complex.
 
     In an integral affine parametrization u = A t + b of a cell, the
     pullback of d'u_I ^ d''u_J contributes det(A_I) det(A_J), so the
     co-coefficients are Lebesgue densities on the cells with those
-    constant weights (lattice-normalized by the direction lattice).  The
-    current keeps no reference to C: ``_integrated_complex`` reads a
+    constant weights (lattice-normalized by the direction lattice); the
+    minors are each cell's ``Polyhedron.minors``, computed once per cell.
+    The current keeps no reference to C: ``_integrated_complex`` reads a
     complex back from the co-coefficients.
     """
     p = max(C.dim(), 0)       # an empty complex gives the zero current
     n = len(chart.basis)
     if p > n:
         raise MixedDimension(f"cells of dimension {p} exceed the chart rank")
-    coco = {}
+    pieces = {}
     for poly, w in C.cells:
-        minors = _minors(poly, n, p) if w else {}
-        for (I, detI), (J, detJ) in itertools.product(minors.items(), repeat=2):
+        for (I, detI), (J, detJ) in itertools.product(poly.minors if w else (), repeat=2):
             weight = Fraction(w) * detI * detJ
-            piece = Piece(frozenset(), poly, Poly.const(weight, n),
-                          Poly.zero(n), 1 if weight > 0 else -1)
-            mu = coco.get((I, J), PieceMeasure.zero(n))
-            coco[(I, J)] = mu + PieceMeasure(n, pieces=[piece], certify=False)
+            pieces.setdefault((I, J), []).append(Piece(
+                frozenset(), poly, Poly.const(weight, n), Poly.zero(n), 1 if weight > 0 else -1))
+    coco = {k: PieceMeasure(n, pieces=v, certify=False) for k, v in pieces.items()}
     return LagerbergCurrent(chart, n - p, coco, U)
 
 
 def _integrated_complex(T):
     """The weighted complex C with T = integration_current(C), or None.
 
-    The cells are the distinct polyhedra of T's pieces; each must carry a
-    constant density on the open stratum and have dimension q.  A cell's
-    weight is its summed piece weight in the first diagonal key (I, I)
-    with det(A_I) != 0, divided by det(A_I)^2.  The weights are brought
-    to integers by their common denominator den, so rational multiples of
-    integration currents are recognised too; C is accepted only when
-    integration_current(C).scale(1/den) == T holds exactly.  Atoms,
-    derivative atoms, a pi power or a non-constant density give None.
+    The cells are the distinct polyhedra of T's pieces, in order of first
+    appearance; each must carry a constant density on the open stratum and
+    have dimension q.  One pass sums the weights c * w of the pieces per
+    (I, J) and cell, dropping zero sums as the keys of equal measures do.
+    A cell's weight is its sum in the first diagonal key (I, I) with
+    det(A_I) != 0, divided by det(A_I)^2.  C is accepted only when the sums
+    are exactly weight * det(A_I) * det(A_J) over the pairs of nonzero
+    minors of the cells of nonzero weight, under the same (I, J) keys: an
+    (I, J) whose pieces cancel is rejected.  The weights are brought to
+    integers by their common denominator den, so rational multiples of
+    integration currents are recognised too, and then
+    T == integration_current(C).scale(1/den).  Atoms, derivative atoms, a
+    pi power, a non-constant density or a nonzero exponent give None.
     """
     if not T.has_measure_model():
         return None
-    cells, diagonal = {}, {}
+    cells, sums = {}, {}
     for (I, J), mu in T.cocoeffs.items():
         if mu.atoms or mu.derivative_atoms or mu.scale[1]:
             return None
+        acc = {}
         for piece in mu.pieces:
             if piece.stratum or piece.weight_poly.degree() or piece.weight_expo.degree():
                 return None
-            key = piece.poly.canonical_key()
-            cells.setdefault(key, piece.poly)
-            if I == J:
-                w = mu.scale[0] * sum(piece.weight_poly.exps.values())
-                diagonal[(I, key)] = diagonal.get((I, key), 0) + w
-    weights = []
-    for key, poly in cells.items():
+            cells.setdefault(piece.poly)
+            w = sum(piece.weight_poly.exps.values())
+            if w and not piece.weight_expo.is_zero():
+                return None
+            acc[piece.poly] = acc.get(piece.poly, 0) + mu.scale[0] * w
+        sums[(I, J)] = {poly: w for poly, w in acc.items() if w}
+    weights, expected = [], {}
+    for poly in cells:
         if poly.poly_dim() != T.q:
             return None
-        I, det = next(iter(_minors(poly, T.n, T.q).items()))
-        weights.append((poly, Fraction(diagonal.get((I, key), 0)) / det ** 2))
-    den = math.lcm(*(w.denominator for _, w in weights))
-    C = WeightedComplex(tuple((poly, w * den) for poly, w in weights), declared_dim=T.q)
-    if integration_current(C, T.chart).scale(Fraction(1, den)) != T:
+        I, det = poly.minors[0]
+        w = Fraction(sums.get((I, I), {}).get(poly, 0)) / det ** 2
+        weights.append((poly, w))
+        for (I, detI), (J, detJ) in itertools.product(poly.minors if w else (), repeat=2):
+            expected.setdefault((I, J), {})[poly] = w * detI * detJ
+    if sums != expected:
         return None
-    return C
+    den = math.lcm(*(w.denominator for _, w in weights))
+    return WeightedComplex(tuple((poly, w * den) for poly, w in weights), declared_dim=T.q)
 
 
 def balancing_check(C):

@@ -249,24 +249,24 @@ def extend_to_basis(gens, n):
 
 
 def integer_kernel_basis(mat):
-    """Basis of the integer kernel {x in Z^k : mat x = 0}, saturated."""
+    """Basis of the integer kernel {x in Z^k : mat x = 0}, saturated.
+
+    The primitive Hermite columns of the rational kernel basis, when they
+    are saturated (always, for one vector); otherwise the trailing columns
+    of u in (mat scaled to integers) u = [H | 0], a basis of the whole
+    integer kernel since u is unimodular.
+    """
     rat = nullspace(mat)
     if not rat:
         return []
     prim = [primitive(v) for v in rat]
-    # saturate: HNF of the column span of prim inside Z^k restricted to the
-    # kernel subspace; for our small cases primitivizing a triangularized
-    # basis suffices.
     k = len(prim[0])
     h, _ = hnf_columns([[prim[j][i] for j in range(len(prim))] for i in range(k)])
-    cols = []
-    for j in range(len(prim)):
-        c = tuple(h[i][j] for i in range(k))
-        if any(c):
-            cols.append(c)
-    # the HNF columns generate the same lattice as prim; saturate by solving
-    # from the rational side: divide each by gcd (already primitive per col).
-    return [primitive(c) for c in cols]
+    cols = [primitive(c) for c in zip(*h) if any(c)]
+    if len(cols) == 1 or lattice_saturated(cols):
+        return cols
+    _, u = hnf_columns([primitive(row) for row in mat])
+    return [tuple(row[j] for row in u) for j in range(k - len(cols), k)]
 
 
 # --- Gaussian rationals ------------------------------------------------------

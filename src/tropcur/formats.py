@@ -32,6 +32,13 @@ def _parse_int(s):
     return int(x)
 
 
+def _array(x):
+    """``x`` when it is a JSON array; a string, which iterates too, is not."""
+    if not isinstance(x, (list, tuple)):
+        raise ParseError(f"expected an array, not {x!r}")
+    return x
+
+
 def jsonable(obj):
     """Recursively convert exact/report data into JSON-encodable values."""
     if isinstance(obj, Fraction):
@@ -60,7 +67,8 @@ def fan_from_json(data):
     from .fans import validate_fan
     try:
         rank = _parse_int(data["rank"])
-        cones = [[tuple(_parse_int(x) for x in g) for g in cone] for cone in data["cones"]]
+        cones = [[tuple(_parse_int(x) for x in _array(g)) for g in _array(cone)]
+                 for cone in _array(data["cones"])]
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError("fan file needs {'rank': n, 'cones': [[...]]}") from err
     if rank < 0:
@@ -95,9 +103,9 @@ def fiber_form_from_json(data):
         n, p, q = (_parse_int(data[key]) for key in "npq")
         algebra = data.get("algebra", "lagerberg")
         coeff = {}
-        for t in data.get("terms", ()):
-            I = tuple(_parse_int(i) - 1 for i in t["I"])
-            J = tuple(_parse_int(j) - 1 for j in t["J"])
+        for t in _array(data.get("terms", ())):
+            I = tuple(_parse_int(i) - 1 for i in _array(t["I"]))
+            J = tuple(_parse_int(j) - 1 for j in _array(t["J"]))
             c = t["c"]
             if isinstance(c, dict):
                 val = QC(_parse_frac(c.get("re", 0)), _parse_frac(c.get("im", 0)))
@@ -110,6 +118,8 @@ def fiber_form_from_json(data):
         raise ParseError("bad form literal") from err
     if not 0 <= p <= n or not 0 <= q <= n:
         raise ParseError(f"form bidegree ({p},{q}) is outside 0..{n}")
+    if algebra not in ("lagerberg", "complex"):
+        raise ParseError(f"unknown form algebra {algebra!r}")
     cls = ComplexFiberForm if algebra == "complex" else LagerbergFiberForm
     return cls(n, p, q, coeff)
 

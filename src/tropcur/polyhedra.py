@@ -8,9 +8,9 @@ it eliminates u_{d-1} down to u_0, tags each derived row with the input
 rows it combines, and answers emptiness, boundedness, a feasible point and
 the implied equalities (so affine hulls and parametrizations).  Linear
 bounds run the same elimination step with one extra variable; vertices and
-extreme rays come from subset search, and the facets are read off them;
-lattice-adapted parametrizations normalize densities on lower-dimensional
-pieces.
+extreme rays come from subset search, for the facets in the lattice chart
+of the affine hull; lattice-adapted parametrizations normalize densities
+on lower-dimensional pieces.
 
 Intended for the desk-scale polyhedra of this package (dimension <= ~6,
 few dozen constraints), not as a general polyhedral library.
@@ -176,6 +176,10 @@ class Polyhedron:
         return isinstance(other, Polyhedron) and self._key == other._key
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
         return hash(self._key)
 
     def __repr__(self):
@@ -291,38 +295,10 @@ class Polyhedron:
 
     @cached_property
     def _recession_generators(self):
-        lin = self._lineality
-        gens, seen = [], set()
-
-        def push(v):
-            if any(v) and v not in seen:
-                seen.add(v)
-                gens.append(v)
-
-        for v in lin:
-            push(v)
-            push(tuple(-x for x in v))
+        lin = [s for v in self._lineality for s in (v, tuple(-x for x in v))]
         # the pointed part: the cone's rows and lin's orthogonality, both ways
-        rows = [r.a for r in self.rows if any(r.a)]
-        rows += [s for v in lin for s in (v, tuple(-x for x in v))]
-
-        def inside(v):
-            return all(_dot(r, v) <= 0 for r in rows)
-
-        d = self.dim
-        if d == 1:
-            for cand in ((1,), (-1,)):
-                if inside(cand):
-                    push(cand)
-        for sel in combinations(range(len(rows)), max(d - 1, 0)):
-            null = exact.nullspace([list(rows[i]) for i in sel])
-            if len(null) != 1:
-                continue
-            v = exact.primitive(null[0])
-            for cand in (v, tuple(-x for x in v)):
-                if inside(cand):
-                    push(cand)
-        return tuple(gens)
+        rows = [r.a for r in self.rows if any(r.a)] + lin
+        return tuple(lin) + _pointed_rays(rows, self.dim)
 
     def escape_generators(self, positions):
         """(pos, gens) per nonempty subset ``pos`` of ``positions`` whose section
@@ -354,60 +330,79 @@ class Polyhedron:
 
     def vertices(self):
         """Vertices of the closure (exact), sorted; none with a lineality space."""
-        return () if self._lineality else self._points
+        return () if self._lineality else self._vertices
 
     @cached_property
-    def _points(self):
-        """One point of each minimal face of the closure, sorted: its
-        vertices, or with a lineality space those of its section by the
-        orthogonal complement of that space."""
-        d = self.dim
-        if d == 0:
+    def _vertices(self):
+        if self.dim == 0:
             return ((),)
-        rows = [r for r in self.rows if any(r.a)]
-        lin = [list(v) for v in self._lineality]
-        out, seen = [], set()
-        for sel in combinations(range(len(rows)), d - len(lin)):
-            mat = [list(rows[i].a) for i in sel] + lin
-            if exact.rank(mat) != d:
-                continue
-            sol = exact.solve(mat, [rows[i].b for i in sel] + [0] * len(lin))
-            if sol is None or sol in seen:
-                continue
-            if all(r.eval_slack(sol) >= 0 for r in self.rows):
-                seen.add(sol)
-                out.append(sol)
-        return tuple(sorted(out))
+        return _extreme_points([(r.a, r.b) for r in self.rows], (), self.dim)
+
+    @cached_property
+    def minors(self):
+        """((I, det(A_I)), ...) over the poly_dim-subsets I of the coordinates
+        with a nonzero minor, in lexicographic order, where the columns of A
+        are the lattice basis of the affine hull; () when empty."""
+        hull = self.affine_hull()
+        if hull is None:
+            return ()
+        basis = hull[1]
+        dets = ((I, exact.det([[v[i] for v in basis] for i in I]))
+                for I in combinations(range(self.dim), len(basis)))
+        return tuple((I, d) for I, d in dets if d)
+
+    @cached_property
+    def hull_key(self):
+        """The affine hull of a nonempty polyhedron as reduced equations."""
+        u0, basis = self.affine_hull()
+        normals = (exact.nullspace([list(v) for v in basis]) if basis else
+                   [tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim)])
+        rows, pivots = exact.rref([list(v) + [_dot(v, u0)] for v in normals], self.dim)
+        return tuple(tuple(r) for r in rows[:len(pivots)])
 
     @cached_property
     def facets(self):
         """(key, primitive inward normal) over the facets of the closure.
 
         A facet is a face of codimension one, cut out by a row that is not
-        an implied equality; it is read off the cell's own points and
-        recession generators, tight on that row.  Its key is (its points,
-        its sorted recession generators), so equal facets of different
-        cells get one key.  Its normal is the primitive vector of the
-        cell's direction lattice that completes the facet's lattice basis
-        to one of the cell's (``exact.extend_to_basis``), pointing into the
-        cell.
+        constant on the affine hull.  The points of the minimal faces (with
+        a lineality space, of the section by the ambient orthogonal
+        complement of ``_lineality``) and the pointed recession generators
+        are enumerated in the lattice chart u = A t + u0 of the hull, on
+        p = poly_dim variables without the equality rows, and mapped back; a
+        row cuts out a facet when those tight on it span p - 1 dimensions.
+        Its key is (its points, its sorted recession generators), so equal
+        facets of different cells get one key.  Its normal is the primitive
+        vector of the cell's direction lattice that completes the facet's
+        lattice basis to one of the cell's (``_inward_normal``), pointing
+        into the cell.
         """
         hull = self.affine_hull()
         if hull is None or not hull[1]:
             return ()
-        cell = hull[1]
-        eqs = [list(r.a) for r in self.implied_equalities()]
+        u0, cell = hull
+        p, A = len(cell), [[v[i] for v in cell] for i in range(self.dim)]
+        rows = [(t, r) for t, r in zip(_chart_rows(self, u0, cell), self.rows) if any(t.a)]
+        lin = self._lineality
+        # the section lin . u = 0 in chart coordinates; lin itself, both ways
+        sec = [(tuple(_dot(v, g) for g in cell), -_dot(v, u0)) for v in lin]
+        gens = [(g, exact.solve(A, g)) for v in lin for g in (v, tuple(-x for x in v))]
+        homog = [t.a for t, _ in rows] + [s for c, _ in sec for s in (c, tuple(-x for x in c))]
+        gens += [(exact.primitive(tuple(_dot(r, s) for r in A)), s)
+                 for s in _pointed_rays(homog, p)]
+        pts = sorted((tuple(x + _dot(r, t) for x, r in zip(u0, A)), t)
+                     for t in _extreme_points([(t.a, t.b) for t, _ in rows], sec, p))
         out = {}
-        for row in self.rows:
-            if not any(row.a) or list(row.a) in eqs:
+        for t, row in rows:
+            tight = [(u, x) for u, x in pts if _dot(t.a, x) == t.b]
+            rays = sorted((g, s) for g, s in gens if not _dot(t.a, s))
+            key = (tuple(u for u, _ in tight), tuple(g for g, _ in rays))
+            if not tight or key in out:
                 continue
-            pts = tuple(v for v in self._points if row.eval_slack(v) == 0)
-            rays = sorted(g for g in self.recession_generators() if not _dot(row.a, g))
-            key = (pts, tuple(rays))
-            if not pts or key in out or exact.rank(face_directions(key)) != len(cell) - 1:
+            dirs = [tuple(a - b for a, b in zip(x, tight[0][1])) for _, x in tight[1:]]
+            if exact.rank(dirs + [s for _, s in rays]) != p - 1:
                 continue
-            face = exact.integer_kernel_basis(eqs + [list(row.a)])
-            out[key] = _inward_normal(cell, face, row.a)
+            out[key] = _inward_normal(self, cell, t.a, row.a)
         return tuple(out.items())
 
     def sample_points(self, rng, count, spread=3):
@@ -439,10 +434,20 @@ def face_directions(key):
     return [tuple(x - y for x, y in zip(v, pts[0])) for v in pts[1:]] + list(rays)
 
 
-def _inward_normal(cell, face, a):
-    """Primitive generator of (cell lattice)/(face lattice) with a . w < 0,
-    for lattice bases ``cell`` and ``face`` and the facet's row ``a``."""
+def _inward_normal(poly, cell, a_t, a):
+    """Primitive generator of (cell lattice)/(facet lattice) with a . w < 0,
+    for the lattice basis ``cell`` of ``poly``'s hull and the facet's row
+    ``a``, which reads ``a_t`` in the chart.  The facet lattice is the
+    kernel of the primitive chart row l, which e_i completes for the first
+    l_i = +-1, as in ``exact.extend_to_basis``; else that routine's
+    Hermite form completes the basis of the ambient kernel."""
     pdim, n = len(cell), len(cell[0])
+    ell = exact.primitive(a_t)
+    i = next((i for i, x in enumerate(ell) if abs(x) == 1), None)
+    if i is not None:
+        w = exact.primitive(cell[i])
+        return w if a_t[i] < 0 else tuple(-x for x in w)
+    face = exact.integer_kernel_basis([list(r.a) for r in poly.implied_equalities()] + [list(a)])
     # coordinates of the face lattice inside the cell lattice
     mat = [[Fraction(cell[j][i]) for j in range(pdim)] for i in range(n)]
     cols = [tuple(int(x) for x in exact.solve(mat, [Fraction(x) for x in v])) for v in face]
@@ -450,6 +455,41 @@ def _inward_normal(cell, face, a):
     w = exact.primitive(tuple(sum(Fraction(w_coords[j]) * Fraction(cell[j][i])
                                   for j in range(pdim)) for i in range(n)))
     return w if _dot(a, w) < 0 else tuple(-x for x in w)
+
+
+def _extreme_points(rows, eqs, d):
+    """Sorted vertices of the pointed polyhedron {x in R^d : a . x <= b over
+    ``rows``, c . x = e over ``eqs``}: the solutions, inside every row, of
+    d - len(eqs) rows with nonzero a taken as equalities beside ``eqs``."""
+    out = set()
+    for sel in combinations([(a, b) for a, b in rows if any(a)], d - len(eqs)):
+        mat = [list(a) for a, _ in sel] + [list(c) for c, _ in eqs]
+        if exact.rank(mat) != d:
+            continue
+        sol = exact.solve(mat, [b for _, b in sel] + [e for _, e in eqs])
+        if sol is not None and all(b - _dot(a, sol) >= 0 for a, b in rows):
+            out.add(sol)
+    return tuple(sorted(out))
+
+
+def _pointed_rays(rows, d):
+    """Primitive extreme rays of the pointed cone {v in R^d : a . v <= 0 over
+    ``rows``}, in order of discovery: the kernels of d - 1 of the rows that
+    are lines, with the sign that lies in the cone."""
+    cands = [(1,), (-1,)] if d == 1 else []
+    for sel in combinations(rows, max(d - 1, 0)):
+        null = exact.nullspace([list(a) for a in sel])
+        if len(null) == 1:
+            v = exact.primitive(null[0])
+            cands += [v, tuple(-x for x in v)]
+    return tuple(v for v in dict.fromkeys(cands) if all(_dot(a, v) <= 0 for a in rows))
+
+
+def _chart_rows(poly, u0, basis):
+    """Each row a . u <= b of ``poly`` in the chart u = A t + u0, A with
+    the columns ``basis``: the row (a A) . t <= b - a . u0."""
+    return [Row(tuple(_dot(r.a, v) for v in basis), r.b - _dot(r.a, u0), r.strict)
+            for r in poly.rows]
 
 
 def parametrize(poly):
@@ -465,13 +505,6 @@ def parametrize(poly):
     if hull is None:
         return None
     u0, basis = hull
-    k = len(basis)
-    A = [[Fraction(basis[j][i]) for j in range(k)] for i in range(poly.dim)]
-    rows = []
-    for r in poly.rows:
-        a_t = tuple(sum(r.a[i] * A[i][j] for i in range(poly.dim)) for j in range(k))
-        b_t = r.b - sum(r.a[i] * u0[i] for i in range(poly.dim))
-        if not any(a_t):
-            continue
-        rows.append(Row(a_t, b_t, r.strict))
-    return A, u0, Polyhedron(k, rows)
+    A = [[Fraction(v[i]) for v in basis] for i in range(poly.dim)]
+    rows = [r for r in _chart_rows(poly, u0, basis) if any(r.a)]
+    return A, u0, Polyhedron(len(basis), rows)

@@ -513,3 +513,16 @@ def test_fan_literal_round_trips_or_is_input_error(data):
 def test_non_integral_or_negative_integers_are_input_errors(args, files, says):
     code, err = _cli_in_process(args, files)
     assert code == 2 and err.startswith("input error: ") and says in err, err
+
+
+@pytest.mark.parametrize("args, files, says", [
+    (["check-positivity", "--form", "{form}"],
+     {"form": {"n": 2, "p": 1, "q": 1, "terms": [{"I": "12", "J": [1], "c": "1"}]}}, "'12'"),
+    (["check-positivity", "--form", "{form}"],
+     {"form": {"n": 2, "p": 1, "q": 1, "algebra": "kahler"}}, "unknown form algebra 'kahler'"),
+    (["decompose", "--fan", "{fan}", "--current", "{T}"],
+     {"fan": {"rank": 1, "cones": "11"}, "T": {"bidegree": [1, 1], "cocoeffs": {}}}, "'11'")],
+    ids=["form-index-string", "form-algebra", "fan-cones-string"])
+def test_strings_for_arrays_and_unknown_algebras_are_input_errors(args, files, says):
+    code, err = _cli_in_process(args, files)
+    assert code == 2 and err.startswith("input error: ") and says in err, err

@@ -45,6 +45,27 @@ def test_extend_to_basis_beyond_standard_vectors(gens):
     assert abs(exact.det(basis)) == 1
 
 
+_INT_MATRICES = st.integers(1, 3).flatmap(lambda r: st.integers(r + 1, 5).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+                       min_size=r, max_size=r)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_INT_MATRICES)
+def test_integer_kernel_basis_is_saturated(mat):
+    basis = exact.integer_kernel_basis(mat)
+    assert len(basis) == len(mat[0]) - exact.rank(mat)
+    assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in mat for v in basis)
+    assert not basis or (exact.rank(basis) == len(basis) and exact.lattice_saturated(basis))
+
+
+def test_integer_kernel_basis_of_an_index_three_hyperplane():
+    # the primitive Hermite columns (1,0,0,-1), (0,3,0,2), (0,0,3,4) span index 3
+    basis = exact.integer_kernel_basis([[3, -2, -4, 3]])
+    assert exact.lattice_saturated(basis) and len(basis) == 3
+    assert exact.integer_kernel_basis([[1, 1, 0], [0, 0, 1]]) == [(1, -1, 0)]
+
+
 def test_rref_solve_rank_nullspace_agree():
     m = [[0, 2, 4, 2], [1, 1, 1, 0], [1, 3, 5, 2]]
     a, pivots = exact.rref(m)

@@ -1,15 +1,22 @@
 """Facets, boundedness and lattice minors read from a cell's cached geometry,
-checked against the routines they replaced: one new polyhedron, with its
-own projection, per facet row, and the parametrization's minors."""
+and integration currents read back into complexes, checked against the
+routines they replaced: one new polyhedron, with its own projection, per
+facet row, the parametrization's minors, and a rebuilt integration current
+compared by canonical key."""
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tropcur import exact
-from tropcur.currents import WeightedComplex, _minors, balancing_check
+from tropcur.coeffs import Poly
+from tropcur.currents import (LagerbergCurrent, WeightedComplex, _integrated_complex,
+                              balancing_check, integration_current)
+from tropcur.fans import ToricChart
 from tropcur.gallery import shifted_tropical_line, tropical_line
 from tropcur.indices import subsets
+from tropcur.measures import Piece, PieceMeasure
 from tropcur.polyhedra import Polyhedron, Row, parametrize
 
 
@@ -100,6 +107,38 @@ def _ref_minors(poly, n, p):
     return {I: d for I, d in dets if d}
 
 
+# --- reference: rebuild the integration current and compare -------------------------
+
+def _ref_integrated_complex(T):
+    """The complex read off T's diagonal co-coefficients, accepted only when
+    its integration current, rescaled, has T's canonical key."""
+    if not T.has_measure_model():
+        return None
+    cells, diagonal = {}, {}
+    for (I, J), mu in T.cocoeffs.items():
+        if mu.atoms or mu.derivative_atoms or mu.scale[1]:
+            return None
+        for piece in mu.pieces:
+            if piece.stratum or piece.weight_poly.degree() or piece.weight_expo.degree():
+                return None
+            key = piece.poly.canonical_key()
+            cells.setdefault(key, piece.poly)
+            if I == J:
+                w = mu.scale[0] * sum(piece.weight_poly.exps.values())
+                diagonal[(I, key)] = diagonal.get((I, key), 0) + w
+    weights = []
+    for key, poly in cells.items():
+        if poly.poly_dim() != T.q:
+            return None
+        I, det = next(iter(_ref_minors(poly, T.n, T.q).items()))
+        weights.append((poly, Fraction(diagonal.get((I, key), 0)) / det ** 2))
+    den = math.lcm(*(w.denominator for _, w in weights))
+    C = WeightedComplex(tuple((poly, w * den) for poly, w in weights), declared_dim=T.q)
+    if integration_current(C, T.chart).scale(Fraction(1, den)) != T:
+        return None
+    return C
+
+
 # --- strategies --------------------------------------------------------------------
 
 @st.composite
@@ -124,8 +163,9 @@ def _closure(poly):
 
 
 def _cell(x0, gens, caps):
-    """x0 + sum t_i g_i over t_i in [0, cap_i] (cap None: no upper end),
-    for linearly independent integer g_i, in H-representation."""
+    """x0 + sum t_i g_i over t_i in [0, cap_i] (cap None: no upper end,
+    cap "free": t_i in R), for linearly independent integer g_i, in
+    H-representation."""
     d = len(x0)
     rows = []
     for nrm in exact.integer_kernel_basis([list(g) for g in gens]):
@@ -133,6 +173,8 @@ def _cell(x0, gens, caps):
         rows += [(nrm, c), (tuple(-x for x in nrm), -c)]
     gram = exact.inverse([[sum(x * y for x, y in zip(g, h)) for h in gens] for g in gens])
     for i, cap in enumerate(caps):
+        if cap == "free":
+            continue
         # w . g_j = delta_ij, so t_i = w . (u - x0)
         w = tuple(sum(gram[i][j] * gens[j][k] for j in range(len(gens))) for k in range(d))
         c = sum(x * y for x, y in zip(w, x0))
@@ -194,6 +236,84 @@ def _complexes(draw):
     return WeightedComplex(tuple(cells))
 
 
+_CHART4 = ToricChart(0, tuple(tuple(int(i == j) for j in range(4)) for i in range(4)),
+                     frozenset())
+
+
+@st.composite
+def _integration_currents(draw):
+    """Integration currents of 1 to 3 cells of one dimension p <= 3 in R^4,
+    some rescaled by a rational, and mutants: one piece reweighted, one
+    dropped, or an (I, J) of the chart added whose two pieces cancel."""
+    p = draw(st.integers(1, 3))
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        gens = [tuple(draw(st.integers(-2, 2)) for _ in range(4)) for _ in range(p)]
+        assume(exact.rank(gens) == p)
+        x0 = tuple(Fraction(draw(st.integers(-2, 2))) for _ in range(4))
+        caps = [draw(st.sampled_from([None, 1, 2])) for _ in gens]
+        cells.append((_cell(x0, gens, caps), draw(st.integers(-1, 3))))
+    T = integration_current(WeightedComplex(tuple(cells), declared_dim=p), _CHART4)
+    if draw(st.booleans()):
+        T = T.scale(Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6))))
+    coco = dict(T.cocoeffs)
+    mutation = draw(st.sampled_from(["none", "reweight", "drop", "cancel"]))
+    if mutation in ("reweight", "drop") and coco:
+        key = draw(st.sampled_from(sorted(coco)))
+        mu = coco[key]
+        t = draw(st.integers(0, len(mu.pieces) - 1))
+        pieces = list(mu.pieces)
+        if mutation == "drop":
+            del pieces[t]
+        else:
+            c = draw(st.sampled_from([2, -1, Fraction(1, 2)]))
+            old = pieces[t]
+            pieces[t] = Piece(old.stratum, old.poly, old.weight_poly.scale(c),
+                              old.weight_expo, old.sign if c > 0 else -old.sign)
+        coco[key] = PieceMeasure(4, pieces=pieces, scale=mu.scale, certify=False)
+    free = [(I, J) for I in subsets(4, p) for J in subsets(4, p) if (I, J) not in coco]
+    if mutation == "cancel" and free:
+        poly = cells[0][0]
+        w = Fraction(draw(st.integers(1, 3)))
+        coco[draw(st.sampled_from(free))] = PieceMeasure(4, pieces=[
+            Piece(frozenset(), poly, Poly.const(s * w, 4), Poly.zero(4), s) for s in (1, -1)],
+            certify=False)
+    return LagerbergCurrent(_CHART4, T.p, coco)
+
+
+@st.composite
+def _chart_cells(draw):
+    """Cells x0 + sum t_i g_i of dimension 2 or 3 in R^3 or R^4, cut by a
+    row that reads l . t <= c in the lattice chart of the cell's hull.
+    Without lineality l is primitive with no +-1 entry, so the row's facet
+    normal is not a chart basis vector; with a lineality direction (one g_i
+    left free) l is a combination of the integer kernel of that direction."""
+    d = draw(st.integers(3, 4))
+    p = draw(st.integers(2, d - 1 if d == 4 else 2))
+    gens = [tuple(draw(st.integers(-2, 2)) for _ in range(d)) for _ in range(p)]
+    assume(exact.rank(gens) == p)
+    x0 = tuple(Fraction(draw(st.integers(-1, 1))) for _ in range(d))
+    free = draw(st.integers(-1, p - 1))
+    # capped 3-cells in R^4 cost the reference seconds of projection each
+    caps = [draw(st.sampled_from([None, 2] if p == 2 else [None])) for _ in gens]
+    if free >= 0:
+        caps[free] = "free"
+    cell = _cell(x0, gens, caps)
+    u0, basis = cell.affine_hull()
+    A = [[v[i] for v in basis] for i in range(d)]
+    if free >= 0:
+        kernel = exact.integer_kernel_basis([list(exact.solve(A, gens[free]))])
+        ell = tuple(sum(draw(st.integers(-3, 3)) * v[j] for v in kernel) for j in range(p))
+        assume(any(ell))
+    else:
+        ell = draw(st.sampled_from([(2, 3), (3, -2), (-5, 2), (3, 5)] if p == 2 else
+                                   [(2, 3, 5), (6, 10, -15), (2, 0, 3), (-3, 4, 2)]))
+    # a with a . A_j = l_j for the hull's lattice basis A
+    a = exact.solve([list(v) for v in basis], list(ell))
+    c = Fraction(draw(st.integers(1, 4)))
+    return cell.with_rows([(a, sum(x * y for x, y in zip(a, u0)) + c)])
+
+
 # --- properties ----------------------------------------------------------------------
 
 def _has_lineality(poly):
@@ -201,9 +321,7 @@ def _has_lineality(poly):
                for g in poly.recession_generators())
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_polyhedra())
-def test_facets_match_one_polyhedron_per_row(poly):
+def _assert_facets_match_reference(poly):
     if poly.is_empty():
         assert poly.facets == ()
         return
@@ -224,6 +342,28 @@ def test_facets_match_one_polyhedron_per_row(poly):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_polyhedra())
+def test_facets_match_one_polyhedron_per_row(poly):
+    _assert_facets_match_reference(poly)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_chart_cells())
+def test_chart_facets_match_one_polyhedron_per_row(poly):
+    _assert_facets_match_reference(poly)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_integration_currents())
+def test_integrated_complex_matches_the_rebuilt_current(T):
+    C, ref = _integrated_complex(T), _ref_integrated_complex(T)
+    assert (C is None) == (ref is None)
+    if C is not None:
+        assert [(poly.rows, w) for poly, w in C.cells] == [(poly.rows, w) for poly, w in ref.cells]
+        assert C.declared_dim == ref.declared_dim
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_polyhedra())
 def test_boundedness_read_from_the_projection(poly):
     assert poly.is_bounded() == (not poly.recession_generators())
 
@@ -232,7 +372,7 @@ def test_boundedness_read_from_the_projection(poly):
 @given(_polyhedra())
 def test_minors_read_from_the_hull_basis(poly):
     p = max(poly.poly_dim(), 0)
-    assert _minors(poly, poly.dim, p) == _ref_minors(poly, poly.dim, p)
+    assert dict(poly.minors) == _ref_minors(poly, poly.dim, p)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
