@@ -34,8 +34,7 @@ banner("a negative direction produces an exact dual witness")
 bad = form + positive_generator(
     LagerbergFiberForm(3, 1, 0, {((1,), ()): 1})).scale(-2)
 v = positivity_verdict(bad, "positive")
-print("verdict:", v.answer, "| witness pairing:",
-      dual_pairing(bad, v.witness[1]))
+print("verdict:", v.answer, "| witness pairing:", v.witness[2])
 
 banner("rank-two positive form: not strongly positive (dimension 4)")
 w = omega_rank_two()

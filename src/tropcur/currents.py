@@ -350,12 +350,13 @@ def positivity_check(T, samples=25, seed=0, tol=1e-9):
     (where, LDL^T of M) per cell and per atom point, which ``reverify``
     re-checks against T.  No carries estimate_piece (at the cell's
     feasible point) or estimate_atom when a 2x2 principal minor of M
-    fails, with M's exact entries, else ("evaluation", x, x^T M x) with
-    the LDL^T witness x.  Every other current takes the sampled steps of
-    ``_sampled_positivity``, whose Yes found no violation at the points
-    and forms drawn, and is not a proof.  Evaluator-backed currents only
-    admit the sampled route: a negative value gives No, and otherwise the
-    verdict stays unknown.
+    fails, with M's exact entries, else ("evaluation", {K: x_K}, x^T M x)
+    with the LDL^T witness x, the fiber positive tier's witness shape;
+    exact.gram_holds re-checks the certificate and that witness.  Every
+    other current takes the sampled steps of ``_sampled_positivity``, whose
+    Yes found no violation at the points and forms drawn, and is not a
+    proof.  Evaluator-backed currents only admit the sampled route: a
+    negative value gives No, and otherwise the verdict stays unknown.
     """
     if not T.has_measure_model():
         rng = random.Random(seed)
@@ -653,69 +654,59 @@ def _exact_positivity(T, cells):
             return Verdict("positive", "no", "estimate fails pointwise on a density",
                            witness=("estimate_piece", (I, J), site.feasible_point(),
                                     (M[i][j], M[i][i], M[j][j])), exact=True)
-        x = res.witness
         return Verdict("positive", "no", "negative value on a positive test field",
-                       witness=("evaluation", dict(zip(idx, x)), _quadratic(M, x)),
+                       witness=("evaluation", dict(zip(idx, res.witness)), res.value),
                        exact=True)
     return Verdict("positive", "yes", certificate=("cells", tuple(entries)), exact=True)
-
-
-def _quadratic(M, x):
-    return sum(x[i] * M[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
 
 
 def reverify_positivity(T, verdict):
     """Exact re-check of an exact positivity verdict against T; bool.
 
-    Rebuilds T's cell matrices.  A ("cells", entries) certificate must
-    name exactly those cells and atom points, each with a decomposition
-    sum gamma v v^T equal to its matrix, every gamma > 0.  An
-    estimate_piece or estimate_atom witness must name a cell (by its
+    False unless T is a LagerbergCurrent and the verdict an exact one of
+    the positive tier.  Rebuilds T's cell matrices.  A ("cells", entries)
+    certificate must name exactly those cells and atom points, each with
+    a decomposition sum gamma v v^T equal to its matrix, every gamma > 0.
+    An estimate_piece or estimate_atom witness must name a cell (by its
     feasible point) or atom point whose matrix fails that 2x2 minor, and
     an evaluation witness (x, value) a cell or atom point where x^T M x
-    is that negative value.
+    is that negative value.  exact.gram_holds checks both Gram facts.
     """
-    exact_route = verdict.exact and T.has_measure_model() and T.is_measure_class()
+    data = verdict.certificate if verdict.yes else verdict.witness
+    exact_route = (isinstance(T, LagerbergCurrent) and verdict.exact and data
+                   and verdict.tier == "positive" and T.has_measure_model()
+                   and T.is_measure_class())
     cells = _cell_matrices(T) if exact_route else None
     if cells is None:
         return False
     idx = subsets(T.n, T.q)
     if verdict.yes:
-        kind, entries = verdict.certificate
+        kind, entries = data
         mats = {where: M for where, _, M in cells}
-        if kind != "cells" or len(entries) != len(mats) or \
-                {where for where, _ in entries} != set(mats):
-            return False
-        for where, decomposition in entries:
-            total = [[Fraction(0)] * len(idx) for _ in idx]
-            for gamma, v in decomposition:
-                if not gamma > 0:
-                    return False
-                for i, vi in enumerate(v):
-                    for j, vj in enumerate(v):
-                        total[i][j] += gamma * vi * vj
-            if total != mats[where]:
-                return False
-        return True
-    kind = verdict.witness[0]
+        return (kind == "cells" and len(entries) == len(mats)
+                and {where for where, _ in entries} == set(mats)
+                and all(exact.gram_holds(mats[where], 1, decomposition)
+                        for where, decomposition in entries))
+    kind = data[0]
     if kind == "evaluation":
-        _, vec, val = verdict.witness
+        _, vec, val = data
         x = [vec.get(K, 0) for K in idx]
-        return val < 0 and any(_quadratic(M, x) == val for _, _, M in cells)
-    I, J = verdict.witness[1]
+        return vec.keys() <= set(idx) and any(
+            exact.gram_holds(M, 1, witness=(x, val)) for _, _, M in cells)
+    if kind not in ("estimate_piece", "estimate_atom"):
+        return False
+    I, J = data[1]
     i, j = idx.index(I), idx.index(J)
     if kind == "estimate_piece":
-        _, _, pt, values = verdict.witness
+        _, _, pt, values = data
         minors = [(M[i][j], M[i][i], M[j][j]) for where, site, M in cells
                   if where[0] == "cell" and site.feasible_point() == pt]
         minors = [m for m in minors if m == values]
-    elif kind == "estimate_atom":
-        atom = verdict.witness[2]
+    else:
+        atom = data[2]
         minors = [(M[i][j], M[i][i], M[j][j]) for where, site, M in cells
                   if where[0] == "atom" and site == (atom.stratum, atom.coords)
                   and atom in T.cocoeff(I, J).atoms]
-    else:
-        return False
     return any(wIJ ** 2 > wII * wJJ for wIJ, wII, wJJ in minors)
 
 

@@ -10,6 +10,7 @@ Matrices are lists of lists of ``int``/``Fraction``; vectors are tuples.
 Everything here is pure and deterministic.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -349,14 +350,16 @@ class PSDResult:
 
     ``psd`` bool, ``rank`` int; on success ``decomposition`` is a list of
     (gamma, vector) with M = sum gamma * v conj(v)^T, gamma > 0; on failure
-    ``witness`` is an exact vector x with conj(x)^T M x < 0.
+    ``witness`` is an exact vector x with ``value`` = conj(x)^T M x < 0, a
+    Fraction.  gram_holds checks either fact.
     """
 
-    def __init__(self, psd, rank=0, decomposition=None, witness=None):
+    def __init__(self, psd, rank=0, decomposition=None, witness=None, value=None):
         self.psd = psd
         self.rank = rank
         self.decomposition = decomposition
         self.witness = witness
+        self.value = value
 
     def __bool__(self):
         return self.psd
@@ -380,19 +383,14 @@ def psd_decompose(m, den=1):
     (piv N - c conj(c)^T) / g and q to q piv / g, g the gcd of q and the new
     entries; row and column d become zero.  Only zero tests and signs of N
     steer the peeling, so it is the LDL^T of M itself, with d_k = piv / q
-    and v_k = c / piv.
+    and v_k = c / piv.  The witness x is orthogonal to every v_k, so
+    conj(x)^T M x is the residual's value at x, read off N / q.
     """
     n = len(m)
     hermitian = any(isinstance(x, QC) for row in m for x in row)
-    if hermitian:
-        m = [[QC.of(x) for x in row] for row in m]
-        parts = [[[x.re for x in row] for row in m], [[x.im for x in row] for row in m]]
-    else:
-        parts = [[[x if type(x) is int else Fraction(x) for x in row] for row in m]]
-    scale = lcm(*(x.denominator for part in parts for row in part for x in row))
-    parts = [[[x.numerator * (scale // x.denominator) for x in row] for row in part]
-             for part in parts]
-    re, im = parts if hermitian else (parts[0], None)
+    scale, parts = integer_parts([x for row in m for x in row], hermitian)
+    re, *im = ([part[i:i + n] for i in range(0, n * n, n)] for part in parts)
+    im = im[0] if hermitian else None
     for i in range(n):
         for j in range(i + 1):
             if re[i][j] != re[j][i] or (hermitian and im[i][j] != -im[j][i]):
@@ -426,7 +424,7 @@ def psd_decompose(m, den=1):
         if piv < 0:
             x = [zero] * n
             x[d] = one
-            return PSDResult(False, witness=orthogonalize(x))
+            return PSDResult(False, witness=orthogonalize(x), value=Fraction(piv, q))
         decomp.append((Fraction(piv, q), tuple(entry(i, d, piv) for i in range(n))))
         pivots.append(d)
         q *= piv
@@ -449,14 +447,77 @@ def psd_decompose(m, den=1):
         for j in range(n):
             if i != j and (re[i][j] or (hermitian and im[i][j])):
                 x = [zero] * n
+                s = entry(i, j, q)
                 if hermitian:
                     # x_i = -s, x_j = 1: conj(x)^T M x = -2|s|^2 < 0
-                    x[i], x[j] = -entry(i, j, q), one
+                    x[i], x[j] = -s, one
+                    value = -2 * (s.re * s.re + s.im * s.im)
                 else:
                     # x_i = 1, x_j = -sign(s): x^T M x = -2|s| < 0
-                    x[i], x[j] = one, (-one if re[i][j] > 0 else one)
-                return PSDResult(False, witness=orthogonalize(x))
+                    x[i], x[j] = one, (-one if s > 0 else one)
+                    value = -2 * abs(s)
+                return PSDResult(False, witness=orthogonalize(x), value=Fraction(value))
     return PSDResult(True, rank=len(decomp), decomposition=decomp)
+
+
+def integer_parts(values, hermitian=False):
+    """(den, parts) for exact scalars: one integer list per part of a scalar
+    (the real part, then the imaginary one when ``hermitian``), with
+    values[t] == (parts[0][t] + i parts[1][t]) / den."""
+    if hermitian:
+        values = [QC.of(x) for x in values]
+        cols = ([x.re for x in values], [x.im for x in values])
+    else:
+        cols = (list(values),)
+    den = lcm(*(x.denominator for col in cols for x in col))
+    return den, [[x.numerator * (den // x.denominator) for x in col] for col in cols]
+
+
+def gram_holds(m, den=1, terms=None, witness=None):
+    """Exact check of one Gram fact about the symmetric rational or
+    Hermitian QC matrix M = m / den, ``den`` a positive integer; bool.
+
+    ``terms`` [(gamma, v)] claim that M is PSD: M == sum gamma v conj(v)^T
+    with every gamma > 0.  ``witness`` (x, value) claims that it is not:
+    conj(x)^T M x == value < 0, that is sum_ij M_ij conj(x_i conj(x_j)).
+    Vectors run over M's rows.  The check runs on integers: the scalars are
+    QC if any entry of m or of a vector is, decided once per call, and each
+    vector's denominator is cleared once.
+    """
+    size = len(m)
+    vectors = [v for _, v in terms] if witness is None else [witness[0]]
+    if any(len(v) != size for v in vectors):
+        return False
+    hermitian = any(type(x) is QC for mat in (m, vectors) for row in mat for x in row)
+    e, parts = integer_parts([x for row in m for x in row], hermitian)
+    q = e * den             # M = N / q, N = parts[0] + i parts[1] flat by rows
+
+    def outer(c, w):
+        # the parts of c w conj(w)^T, flat by rows, for w = w[0] + i w[1]
+        if hermitian:
+            pairs = list(zip(*w))
+            return ([c * (xr * yr + xi * yi) for xr, xi in pairs for yr, yi in pairs],
+                    [c * (xi * yr - xr * yi) for xr, xi in pairs for yr, yi in pairs])
+        return ([u * y for u in (c * x for x in w[0]) for y in w[0]],)
+
+    if witness is not None:
+        x, value = witness
+        f, w = integer_parts(x, hermitian)
+        o = outer(1, w)
+        re = sum(sum(map(operator.mul, n, h)) for n, h in zip(parts, o))
+        im = (sum(map(operator.mul, parts[1], o[0])) - sum(map(operator.mul, parts[0], o[1]))
+              if hermitian else 0)
+        got = Fraction(re, q * f * f)
+        return im == 0 and got == value and got < 0
+    if not all(gamma > 0 for gamma, _ in terms):
+        return False
+    cleared = [(gamma, *integer_parts(v, hermitian)) for gamma, v in terms]
+    L = lcm(q, *(gamma.denominator * f * f for gamma, f, _ in cleared))
+    got = [[0] * (size * size) for _ in parts]
+    for gamma, f, w in cleared:
+        o = outer(gamma.numerator * (L // (gamma.denominator * f * f)), w)
+        got = [list(map(operator.add, g, h)) for g, h in zip(got, o)]
+    return got == [[y * (L // q) for y in part] for part in parts]
 
 
 # --- Sturm sequences --------------------------------------------------------

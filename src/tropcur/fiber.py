@@ -371,7 +371,7 @@ def _integer_gram(a):
     p = a.p
     idx = subsets(a.n, p)
     pos = {K: t for t, K in enumerate(idx)}
-    den, (re, *im) = _integer_parts(a, a.coeff.values())
+    den, (re, *im) = exact.integer_parts(a.coeff.values(), a.algebra == "complex")
     sign = (-1) ** (p * (p - 1) // 2)
     if im:
         unit = QC.i_pow(-p) * sign
@@ -382,15 +382,6 @@ def _integer_gram(a):
     for (K, L), x in zip(a.coeff, entries):
         mat[pos[K]][pos[L]] = x
     return idx, mat, den
-
-
-def _integer_parts(a, values):
-    """(den, parts) for exact scalars of a's algebra: one integer list per
-    part of a scalar (real, then imaginary for complex forms), with
-    values[t] == (parts[0][t] + i parts[1][t]) / den."""
-    cols = list(zip(*map(a._parts, values))) or [()] * len(a._parts(a._zero()))
-    den = math.lcm(*(x.denominator for col in cols for x in col))
-    return den, [[x.numerator * (den // x.denominator) for x in col] for col in cols]
 
 
 def _complementary_terms(a):
@@ -563,25 +554,15 @@ def _draw_pool(n, p, size, seed):
             yield beta, ("random", vecs)
 
 
-def _phi_inverse(x_coeffs, a):
-    """(q,0)-form alpha with phi(alpha) = x for x over the p-subset basis.
-
-    phi : Lambda^q V' -> Lambda^p V is the contraction against the full
-    top form; alpha = sum_K x_K sign(K, K^c) (d'u_{K^c}), in a's algebra.
-    """
-    n = a.n
-    out = {}
-    for K, c in x_coeffs.items():
-        out[(_complement(K, n), ())] = a._mul_scalar(c, Fraction(_shuffle_sign(K)))
-    return type(a)(n, n - a.p, 0, out)
-
-
 def _positive_tier(a, tol):
     """Exact (or float-tolerance) PSD decision of the Gram form.
 
     A form fails at once when it is not symmetric (resp. real), that is when
     its Gram matrix is not symmetric (resp. Hermitian); psd_decompose tests
-    the exact Gram matrix on integers.
+    the exact Gram matrix on integers.  Yes carries the LDL^T terms
+    ("decomposition", [(gamma, {K: v_K})]) with gram(a) = sum gamma v
+    conj(v)^T; No carries ("evaluation", {K: x_K}, value), the LDL^T witness
+    x with value = conj(x)^T gram(a) x < 0.
     """
     if not a.is_exact():
         reason = a._asymmetry()
@@ -597,26 +578,16 @@ def _positive_tier(a, tol):
                            certificate=("eigvals", lam.tolist()))
         return Verdict("positive", "no", reason="float eigenvalue",
                        witness=("eigval", float(lam.min())))
+    idx, mat, den = _integer_gram(a)
     try:
-        psd, data = _exact_psd(a)
+        res = exact.psd_decompose(mat, den)
     except ValueError:
         return Verdict("positive", "no", reason=a._asymmetry())
-    if psd:
-        return Verdict("positive", "yes", certificate=("decomposition", data))
-    dual = positive_generator(_phi_inverse(data, a))
-    return Verdict("positive", "no", witness=("dual_form", dual), reason="Gram form not PSD")
-
-
-def _exact_psd(a):
-    """The integer LDL^T of an exact form's Gram matrix: (True, its terms
-    [(gamma, {K: v_K})]) or (False, its witness {K: x_K}).  Raises
-    ValueError when the matrix is not symmetric (resp. Hermitian)."""
-    idx, mat, den = _integer_gram(a)
-    res = exact.psd_decompose(mat, den)
     if res.psd:
-        return True, [(gamma, {K: x for K, x in zip(idx, v) if _FiberForm._nonzero(x)})
-                      for gamma, v in res.decomposition]
-    return False, dict(zip(idx, res.witness))
+        terms = [(gamma, {K: x for K, x in zip(idx, v) if x}) for gamma, v in res.decomposition]
+        return Verdict("positive", "yes", certificate=("decomposition", terms))
+    return Verdict("positive", "no", witness=("evaluation", dict(zip(idx, res.witness)), res.value),
+                   reason="Gram form not PSD")
 
 
 def _pairing_terms(a):
@@ -657,7 +628,7 @@ def _negative_pairing(a, tol):
                     val = val + c * x
             return _negative(val, tol)
         return negative
-    _, (re, *im) = _integer_parts(a, [c for c, _, _ in terms])
+    _, (re, *im) = exact.integer_parts([c for c, _, _ in terms], a.algebra == "complex")
 
     def negative(beta):
         xs = [beta[k] * beta[l] for k, l in pairs]
@@ -713,8 +684,10 @@ def _gram_span_verdict(a, terms):
     decomposable iff alpha ^ alpha = 0, a system of binary quadratics in
     (y, z).  Without a real root, W holds no decomposable: a No.  Two
     rational roots alpha_1, alpha_2 are a basis of W, so a strong
-    decomposition can only be a = l_1 G(alpha_1) + l_2 G(alpha_2), solved
-    exactly: a Yes when both weights are >= 0.  Anything else gives None.
+    decomposition can only be a = l_1 G(alpha_1) + l_2 G(alpha_2), that is
+    gram(a) = l_1 alpha_1 alpha_1^T + l_2 alpha_2 alpha_2^T, solved exactly
+    on the Gram entries: a Yes when both weights are >= 0.  Anything else
+    gives None.
     """
     if a.algebra != "lagerberg":
         return None
@@ -743,9 +716,12 @@ def _gram_span_verdict(a, terms):
     if len(roots) != 2 or any(D for *_, D in roots):
         return None
     alphas = [w1.scale(y) + w2.scale(z) for y, _, z, _, _ in roots]
-    gens = [positive_generator(alpha) for alpha in alphas]
-    keys = set(a.coeff).union(*(g.coeff for g in gens))
-    sol = exact.solve([[g.get(*k) for g in gens] for k in keys], [a.get(*k) for k in keys])
+    idx, N, den = _integer_gram(a)
+    vecs = [[alpha.get(K, ()) for K in idx] for alpha in alphas]
+    keys = [(t, u) for t in range(len(idx)) for u in range(len(idx))
+            if N[t][u] or any(v[t] and v[u] for v in vecs)]
+    sol = exact.solve([[v[t] * v[u] for v in vecs] for t, u in keys],
+                      [Fraction(N[t][u], den) for t, u in keys])
     if sol is None or min(sol) < 0:
         return None
     return _gram_span_yes(list(zip(sol, alphas)))
@@ -754,8 +730,8 @@ def _gram_span_verdict(a, terms):
 def _gram_span_yes(terms):
     """The strong Yes a = sum_k l_k positive_generator(alpha_k) over terms
     [(l_k, alpha_k)], alpha_k decomposable; terms with l_k = 0 drop."""
-    cert = [(lam, ("gram_span", {K: c for (K, _), c in alpha.coeff.items()}),
-             positive_generator(alpha)) for lam, alpha in terms if lam]
+    cert = [(lam, ("gram_span", {K: c for (K, _), c in alpha.coeff.items()}))
+            for lam, alpha in terms if lam]
     return Verdict("strong", "yes", certificate=("conic", cert),
                    reason="strong decomposition inside the Gram row space")
 
@@ -802,14 +778,15 @@ def _pool_in_span(a, pool):
 
 
 def _strong_lp_certificate(a, pool):
-    """Exact conic-combination certificate over a pool of Plucker vectors
-    (beta, tag), via LP + rational fit.
+    """Exact conic-combination certificate [(lambda, tag)] over a pool of
+    Plucker vectors (beta, tag), via LP + rational fit.
 
     LP column j is generator j at the sorted keys (I, J) where a or some
     generator has a coefficient, one row per part of a scalar: the parts
     of s beta_I beta_J, s as in positive_generator.  That is one float
-    outer product per key (exact: the minors are small integers).  Forms
-    are built only for the LP's support.
+    outer product per key (exact: the minors are small integers).  The
+    exact refit on the LP's support solves gram(a) = sum lambda_j beta_j
+    beta_j^T on the same keys, so no form is built.
     """
     import numpy as np
     from scipy.optimize import linprog
@@ -834,89 +811,19 @@ def _strong_lp_certificate(a, pool):
     if not res.success:
         return None
     support = [j for j, x in enumerate(res.x) if x > 1e-9]
-    gens = [_plucker_generator(pool[j][0], n, p, type(a)) for j in support]
-    # exact refit on the support
-    rows = []
-    rhs = []
-    for k in keys:
-        cols = [parts(g.get(*k)) for g in gens]
-        for t, target in enumerate(parts(a.get(*k))):
-            rows.append([Fraction(c[t]) for c in cols])
-            rhs.append(Fraction(target))
+    _, N, den = _integer_gram(a)
+    cells = list(zip(ti.tolist(), tj.tolist()))
+    gram = [parts(N[t][u]) for t, u in cells]
+    if any(any(g[1:]) for g in gram):
+        return None         # each beta beta^T is real, so their sum is
+    rhs = [Fraction(g[0], den) for g in gram]
     if not support:
-        return [] if all(x == 0 for x in rhs) else None
-    sol = exact.solve(rows, rhs)
+        return [] if not any(rhs) else None
+    betas = [pool[j][0] for j in support]
+    sol = exact.solve([[b[t] * b[u] for b in betas] for t, u in cells], rhs)
     if sol is None or any(x < 0 for x in sol):
         return None
-    cert = [(sol[t], pool[support[t]][1], gens[t])
-            for t in range(len(support)) if sol[t] != 0]
-    return cert if _sums_to(a, (g.scale(lam) for lam, _, g in cert)) else None
-
-
-def _sums_of_squares_to(a, terms):
-    """True iff a == sum_k gamma_k positive_generator(alpha_k), each gamma_k > 0,
-    over terms [(gamma_k, {K: coefficient of alpha_k at K})].
-
-    The check runs on integers, builds no form and does not repeat the
-    LDL^T.  positive_generator(alpha) has coefficient s alpha_I conj(alpha_J)
-    at (I, J), s a unit, so it compares sum_k gamma_k alpha_k conj(alpha_k)^T
-    with conj(s) a, both as dense matrices over subsets(n, p), one per part
-    of a scalar, scaled by one common denominator.
-    """
-    if not a.is_exact() or not all(gamma > 0 for gamma, _ in terms):
-        return False
-    p = a.p
-    pos = {K: t for t, K in enumerate(subsets(a.n, p))}
-    m = len(pos)
-
-    def dense(keys, parts):
-        out = [[0] * m for _ in parts]
-        for vec, part in zip(out, parts):
-            for K, x in zip(keys, part):
-                vec[pos[K]] = x
-        return out
-
-    vecs = []
-    for gamma, coeffs in terms:
-        e, parts = _integer_parts(a, coeffs.values())
-        vecs.append((gamma.numerator, gamma.denominator * e * e, dense(coeffs, parts)))
-    den_a, parts = _integer_parts(a, a.coeff.values())
-    den = math.lcm(den_a, *(h for _, h, _ in vecs))
-    sr, *si = a._parts(a._i_pow(p) * (-1) ** (p * (p - 1) // 2))
-    f = den // den_a
-    want = [[[0] * m for _ in range(m)] for _ in parts]
-    for (I, J), x, *y in zip(a.coeff, *parts):
-        row, col = pos[I], pos[J]
-        if si:          # (x + i y) conj(s)
-            want[0][row][col] = f * (x * sr + y[0] * si[0])
-            want[1][row][col] = f * (y[0] * sr - x * si[0])
-        else:
-            want[0][row][col] = f * x * sr
-    got = [[[0] * m for _ in range(m)] for _ in parts]
-    for g, h, w in vecs:
-        f = g * (den // h)
-        if si:          # f (x + i y) conj(x' + i y') over the pairs of entries
-            wr, wi = w
-            for t, (xr, xi) in enumerate(zip(wr, wi)):
-                if xr or xi:
-                    ur, ui = f * xr, f * xi
-                    got[0][t] = [z + ur * yr + ui * yi for z, yr, yi in zip(got[0][t], wr, wi)]
-                    got[1][t] = [z + ui * yr - ur * yi for z, yr, yi in zip(got[1][t], wr, wi)]
-        else:
-            (w0,) = w
-            for t, x in enumerate(w0):
-                if x:
-                    u = f * x
-                    got[0][t] = [z + u * y for z, y in zip(got[0][t], w0)]
-    return got == want
-
-
-def _sums_to(a, forms):
-    """True iff the forms add up to a exactly (no forms: iff a is zero)."""
-    acc = None
-    for g in forms:
-        acc = g if acc is None else acc + g
-    return a.is_zero() if acc is None else acc == a
+    return [(sol[t], pool[support[t]][1]) for t in range(len(support)) if sol[t] != 0]
 
 
 def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
@@ -925,14 +832,19 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
     tier='positive' is always decided: for exact data by the fraction-free
     integer LDL^T of exact.psd_decompose on the Gram matrix, whose integer
     entries are read straight off a's coefficients over one common
-    denominator; its certificate is the LDL^T's (gamma, vector) terms.
+    denominator; its certificate is the LDL^T's (gamma, {K: v_K}) terms,
+    and its witness ("evaluation", {K: x_K}, value) the LDL^T witness x
+    with value = conj(x)^T gram(a) x < 0.
     tier='strong' delegates to 'positive' for p in {0,1,n-1,n}; otherwise
     a positive No is a strong No, and an exact form is tried first on the
     Gram row space W (_gram_span_verdict: a Yes when its decomposables
     give a decomposition, a No when it holds none), then by one LP for a
     conic decomposition over the entries of
     strong_generator_pool(n, p, pool_size, seed) that lie in W, skipped
-    when fewer remain than the Gram rank; else Unknown.
+    when fewer remain than the Gram rank; else Unknown.  A strong Yes
+    carries ("conic", [(lambda, tag)]), each tag naming a decomposable
+    (p,0)-form (_tag_vector); its weights are fit on Gram entries, so it
+    builds no form.
     tier='weak' requires symmetry; an exact positive form is weakly
     positive, with the positive tier's certificate.  Otherwise it pairs a
     with the generators of strong_generator_pool(n, n - p, pool_size, seed)
@@ -970,10 +882,9 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
         if reason:
             return Verdict("weak", "no", reason=reason)
         if a.is_exact():
-            psd, data = _exact_psd(a)
-            if psd:
-                return Verdict("weak", "yes", certificate=("decomposition", data),
-                               reason="positive, so weakly positive")
+            base = _positive_tier(a, tol)
+            if base.yes:
+                return replace(base, tier="weak", reason="positive, so weakly positive")
         q = n - p
         negative = _negative_pairing(a, tol)
         for beta, tag in strong_generator_pool(n, q, pool_size, seed):
@@ -995,51 +906,74 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
     raise ValidationError(f"unknown tier {tier!r}")
 
 
+# The tiers each kind of certificate (Yes) or witness (No) proves, along
+# strongly positive < positive < weakly positive: a Yes proves its cone and
+# the larger ones, a No its cone and the smaller ones.  A No without a
+# witness is structural (not symmetric, resp. not real).  For p in
+# {0, 1, n - 1, n} the three cones coincide.
+_TIERS = ("strong", "positive", "weak")
+_PROVES = {("yes", "conic"): _TIERS, ("yes", "decomposition"): _TIERS[1:],
+           ("yes", "eigvals"): _TIERS[1:], ("yes", "pairing_polynomial_zero"): _TIERS[2:],
+           ("yes", "pairing_polynomial_even_positive"): _TIERS[2:],
+           ("no", "kernel_obstruction"): _TIERS[:1], ("no", "evaluation"): _TIERS[:2],
+           ("no", "eigval"): _TIERS[:2], ("no", "generator"): _TIERS, ("no", None): _TIERS}
+
+
 def reverify(a, verdict):
     """Exact re-check of a verdict's certificate or witness; bool.
 
     ``a`` is the fiber form the verdict is about, or the current of an
-    exact ``currents.positivity_check`` verdict (a "cells" certificate, or
-    an estimate or evaluation witness), which ``reverify_positivity``
-    re-checks.
+    exact ``currents.positivity_check`` verdict, which
+    ``reverify_positivity`` re-checks; a verdict about the other kind of
+    object is False.  The kind of certificate or witness must prove the
+    verdict's answer at its tier (_PROVES).  A decomposition, a conic
+    certificate and an evaluation witness are each one Gram fact about the
+    exact form's Gram matrix, checked by exact.gram_holds: a = sum gamma_k
+    positive_generator(alpha_k) iff gram(a) = sum gamma_k alpha_k
+    conj(alpha_k)^T, with alpha_k a decomposition's {K: v_K} or the vector
+    a conic term's tag names (_tag_vector), and ("evaluation", {K: x_K},
+    value) needs conj(x)^T gram(a) x = value < 0.  A weak No's generator
+    must be the one its tag names and pair negatively with a; a kernel
+    obstruction, the pairing polynomials and the float path's eigenvalues
+    are re-derived from a.
     """
     if verdict.answer == "unknown":
         return True
-    if verdict.answer == "yes":
-        cert = verdict.certificate
-        if cert is None:
-            return False
-        kind = cert[0]
-        if kind == "decomposition":
-            return _sums_of_squares_to(a, cert[1])
-        if kind == "conic":
-            return (all(lam > 0 and _tag_generator(tag, a.n, a.p, type(a)) == g
-                        for lam, tag, g in cert[1])
-                    and _sums_to(a, (g.scale(lam) for lam, _, g in cert[1])))
-        if kind == "pairing_polynomial_zero":
-            return _pairing_polynomial(a).is_zero()
-        if kind == "pairing_polynomial_even_positive":
-            return _pairing_polynomial(a).is_even_nonnegative()
-        if kind == "eigvals":   # the float path's: recomputed, and never on exact data
-            return (isinstance(a, _FiberForm) and not a.is_exact()
-                    and positivity_verdict(a, "positive").yes)
-        if kind == "cells":
-            from .currents import reverify_positivity   # a current's exact verdict
-            return reverify_positivity(a, verdict)
+    if not isinstance(a, _FiberForm):
+        from .currents import reverify_positivity   # a current's exact verdict
+        return reverify_positivity(a, verdict)
+    data = verdict.certificate if verdict.yes else verdict.witness
+    kind = data[0] if data else None
+    tiers = _PROVES.get((verdict.answer, kind), ())
+    if verdict.tier not in (_TIERS if tiers and a.p in (0, 1, a.n - 1, a.n) else tiers):
         return False
-    # No answers
-    w = verdict.witness
-    if w is None:
-        # structural reason (symmetry/reality failure)
-        reason = a._asymmetry()
-        return bool(reason) and verdict.reason.endswith(reason)
-    kind = w[0]
-    if kind == "dual_form":
-        return _negative(dual_pairing(a, w[1]), 0)
+    if kind in ("decomposition", "conic", "evaluation"):
+        if not a.is_exact():
+            return False
+        idx, mat, den = _integer_gram(a)
+        known = set(idx)
+        if kind == "evaluation":
+            _, x, value = data
+            return x.keys() <= known and exact.gram_holds(
+                mat, den, witness=([x.get(K, 0) for K in idx], value))
+        if kind == "decomposition":
+            terms = [(gamma, [v.get(K, 0) for K in idx] if v.keys() <= known else None)
+                     for gamma, v in data[1]]
+        else:
+            terms = [(lam, _tag_vector(tag, a.n, a.p, type(a))) for lam, tag in data[1]]
+        return all(v is not None for _, v in terms) and exact.gram_holds(mat, den, terms)
+    if kind == "pairing_polynomial_zero":
+        return _pairing_polynomial(a).is_zero()
+    if kind == "pairing_polynomial_even_positive":
+        return _pairing_polynomial(a).is_even_nonnegative()
+    if kind in ("eigvals", "eigval"):   # the float path's: recomputed, never on exact data
+        return not a.is_exact() and positivity_verdict(a, "positive").answer == verdict.answer
     if kind == "generator":
         # ("generator", tag, form): the form must be the one its tag names
-        _, tag, g = w
-        return (_tag_generator(tag, a.n, a.n - a.p, type(a)) == g
+        _, tag, g = data
+        q = a.n - a.p
+        beta = _tag_vector(tag, a.n, q, type(a))
+        return (beta is not None and _plucker_generator(beta, a.n, q, type(a)) == g
                 and _negative(dual_pairing(a, g), 0))
     if kind == "kernel_obstruction":
         # re-derived from a's own LDL^T; the basis and quadratics carried are not read
@@ -1048,29 +982,29 @@ def reverify(a, verdict):
         base = _positive_tier(a, 0)
         span = _gram_span_verdict(a, base.certificate[1]) if base.yes else None
         return span is not None and span.no
-    if kind == "eigval":
-        return (isinstance(a, _FiberForm) and not a.is_exact()
-                and positivity_verdict(a, "positive").no)
-    if kind in ("estimate_piece", "estimate_atom", "evaluation"):
-        from .currents import reverify_positivity   # a current's exact verdict
-        return reverify_positivity(a, verdict)
-    return False
+    # a structural No: a is not symmetric (resp. real)
+    reason = a._asymmetry()
+    return bool(reason) and verdict.reason.endswith(reason)
 
 
-def _tag_generator(tag, n, p, cls):
-    """The strong (p,p)-generator of class cls that a tag names, or None: a
-    pool tag ("coordinate", I) or ("random", vectors) through plucker_vector,
-    or a Gram-span tag ("gram_span", {K: alpha_K}) whose (p,0)-form alpha
-    must be decomposable."""
+def _tag_vector(tag, n, p, cls):
+    """The vector over subsets(n, p) of the (p,0)-form whose strong
+    generator a tag names, or None: the Plucker vector of a pool tag
+    ("coordinate", I) or ("random", vectors), or the alpha of a Gram-span
+    tag ("gram_span", {K: alpha_K}), which must be decomposable."""
     kind, data = tag
+    S = subsets(n, p)
     if kind == "gram_span":
+        if not data.keys() <= set(S):
+            return None
         alpha = cls(n, p, 0, {(K, ()): c for K, c in data.items()})
-        return positive_generator(alpha) if decomposable_test(alpha) == "yes" else None
+        return [data.get(K, 0) for K in S] if decomposable_test(alpha) == "yes" else None
     if kind == "coordinate":
         data = [[int(j == i) for j in range(n)] for i in data]
     elif kind != "random":
         return None
-    return _plucker_generator(plucker_vector(data, n), n, p, cls) if len(data) == p else None
+    fits = len(data) == p and all(len(v) == n for v in data)
+    return plucker_vector(data, n) if fits else None
 
 
 def decomposable_test(a):

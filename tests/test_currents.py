@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tropcur.coeffs import CoefficientFn, Poly, bump
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tropcur.currents import (LagerbergCurrent, WeightedComplex, _integrated_complex,
                               balancing_check, c_finite_test, c_finite_witness,
@@ -545,6 +545,78 @@ def test_exact_positivity_agrees_with_sampled_route(T):
     if v.yes and not any(dec for _, dec in v.certificate[1]):
         return          # nothing to perturb in an all-zero certificate
     assert not reverify(T, _perturbed(v))
+
+
+def _ref_exact_verdict_holds(T, v):
+    """Whether an exact positive-tier verdict on T proves its answer, with
+    Fraction matrices: a cells certificate names each cell and atom point
+    of T once, with sum gamma v v^T equal to its matrix and every gamma > 0;
+    an evaluation witness (x, value), x over T's q-subsets, has
+    x^T M x == value < 0 on one."""
+    from tropcur.currents import _cell_matrices
+    data = v.certificate if v.yes else v.witness
+    cells = _cell_matrices(T)
+    idx = list(itertools.combinations(range(T.n), T.q))
+    if v.tier != "positive":
+        return False
+    if data[0] == "evaluation":
+        _, x, value = data
+        xs = [x.get(K, 0) for K in idx]
+        return x.keys() <= set(idx) and value < 0 and any(
+            sum(xs[i] * M[i][j] * xs[j] for i in range(len(idx)) for j in range(len(idx))) == value
+            for _, _, M in cells)
+    mats = {where: M for where, _, M in cells}
+    if data[0] != "cells" or len(data[1]) != len(mats) or {w for w, _ in data[1]} != set(mats):
+        return False
+    for where, decomposition in data[1]:
+        total = [[0] * len(idx) for _ in idx]
+        for gamma, vec in decomposition:
+            if not gamma > 0 or len(vec) != len(idx):
+                return False
+            for i in range(len(idx)):
+                for j in range(len(idx)):
+                    total[i][j] += gamma * vec[i] * vec[j]
+        if total != mats[where]:
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_reverify_rejects_mutated_current_verdicts(data):
+    """An exact verdict on a constant-density current, mutated: another
+    tier; in a cells certificate, a gamma negated or zeroed, a term or a
+    cell dropped; an entry of x or the value perturbed; another current's
+    cells or evaluation swapped in.  reverify accepts a mutant exactly when
+    the Fraction reference says it still proves its answer."""
+    from dataclasses import replace
+    from tropcur.fiber import reverify
+    T, other = (data.draw(_constant_density_currents()) for _ in range(2))
+    v, w = positivity_check(T, samples=6), positivity_check(other, samples=6)
+    assume(v.exact)
+    assert reverify(T, v)
+    mutants = [replace(v, tier=t) for t in ("strong", "weak")]
+    kinds = ("cells", "evaluation")
+    if w.exact and w.answer == v.answer and (w.certificate or w.witness)[0] in kinds:
+        mutants.append(replace(v, certificate=w.certificate, witness=w.witness))
+    if v.yes and v.certificate[1]:
+        kind, entries = v.certificate
+        t = data.draw(st.integers(0, len(entries) - 1))
+        where, decomposition = entries[t]
+        mutants.append(replace(v, certificate=(kind, entries[:t] + entries[t + 1:])))
+        if decomposition:
+            k = data.draw(st.integers(0, len(decomposition) - 1))
+            gamma, vec = decomposition[k]
+            for changed in (((-gamma, vec),), ((0 * gamma, vec),), ()):
+                cell = (where, decomposition[:k] + changed + decomposition[k + 1:])
+                mutants.append(replace(v, certificate=(kind, entries[:t] + (cell,) + entries[t + 1:])))
+    elif v.no and v.witness[0] == "evaluation":
+        kind, x, value = v.witness
+        K = data.draw(st.sampled_from(sorted(x)))
+        mutants += [replace(v, witness=(kind, {**x, K: x[K] + 1}, value)),
+                    replace(v, witness=(kind, x, value - 1))]
+    for mutant in mutants:
+        assert reverify(T, mutant) == _ref_exact_verdict_holds(T, mutant), mutant
 
 
 def test_overlapping_cells_add_up():

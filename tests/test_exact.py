@@ -169,10 +169,42 @@ def test_psd_decompose_certificate_or_witness(m):
                 for j in range(n):
                     rec[i][j] = rec[i][j] + gamma * v[i] * _conj(v[j])
         assert rec == m
+        assert exact.gram_holds(m, 1, res.decomposition)
     else:
         w = res.witness
         val = QC.of(sum(_conj(w[i]) * m[i][j] * w[j] for i in range(n) for j in range(n)))
         assert val.im == 0 and val.re < 0
+        assert res.value == val and exact.gram_holds(m, 1, witness=(w, res.value))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_hermitian_matrices(), st.data())
+def test_gram_holds_matches_fraction_reference(m, data):
+    """gram_holds on m / k agrees with Fraction (QC) arithmetic: on the
+    LDL^T's own certificate or witness, and on drawn terms (gamma <= 0
+    included) or a drawn x and value."""
+    n = len(m)
+    k = data.draw(st.integers(1, 4))
+    scaled = [[x * k for x in row] for row in m]
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    scalar = st.builds(QC, rational, rational) if isinstance(m[0][0], QC) else rational
+    vector = st.lists(scalar, min_size=n, max_size=n)
+    res = exact.psd_decompose(m)
+    terms = res.decomposition or []
+    if data.draw(st.booleans()) or not terms:
+        terms = data.draw(st.lists(st.tuples(rational, vector), max_size=3))
+    rec = [[0] * n for _ in range(n)]
+    for gamma, v in terms:
+        for i in range(n):
+            for j in range(n):
+                rec[i][j] = rec[i][j] + gamma * v[i] * _conj(v[j])
+    holds = all(gamma > 0 for gamma, _ in terms) and rec == m
+    assert exact.gram_holds(scaled, k, terms) == holds
+    x = res.witness if res.witness and data.draw(st.booleans()) else data.draw(vector)
+    val = QC.of(sum(_conj(x[i]) * m[i][j] * x[j] for i in range(n) for j in range(n)))
+    value = val.re + data.draw(st.sampled_from([0, 0, -1, 1]))
+    holds = val.im == 0 and value == val.re < 0
+    assert exact.gram_holds(scaled, k, witness=(x, value)) == holds
 
 
 # --- reference: the LDL^T of psd_decompose on Fraction / QC scalars ----------------

@@ -102,6 +102,29 @@ def _ref_dual_pairing(a, b):
     return top / ((1j ** (n % 4)) * sgn)
 
 
+def _ref_sums_to(a, forms):
+    """True iff the forms add up to a exactly (no forms: iff a is zero)."""
+    acc = None
+    for g in forms:
+        acc = g if acc is None else acc + g
+    return a.is_zero() if acc is None else acc == a
+
+
+def _ref_phi_inverse(x_coeffs, a):
+    """(q,0)-form alpha with phi(alpha) = x for x over the p-subset basis.
+
+    phi : Lambda^q V' -> Lambda^p V is the contraction against the full
+    top form; alpha = sum_K x_K sign(K, K^c) (d'u_{K^c}), in a's algebra.
+    positive_generator(alpha) is the dual form whose pairing with a is
+    conj(x)^T gram(a) x.
+    """
+    n = a.n
+    out = {}
+    for K, c in x_coeffs.items():
+        out[(fiber._complement(K, n), ())] = a._mul_scalar(c, Fraction(fiber._shuffle_sign(K)))
+    return type(a)(n, n - a.p, 0, out)
+
+
 # --- references: the form-building generator pool and the tiers that read it ---
 # strong_generator_pool yields Plucker vectors, the weak tier pairs through a
 # term list and the LP reads an outer product; these build every generator as a
@@ -155,7 +178,8 @@ def _ref_strong_lp_certificate(a, pool):
         return None
     cert = [(sol[t], pool[support[t]][1], pool[support[t]][0])
             for t in range(len(support)) if sol[t] != 0]
-    return cert if fiber._sums_to(a, (g.scale(lam) for lam, _, g in cert)) else None
+    return ([(lam, tag) for lam, tag, _ in cert]
+            if _ref_sums_to(a, (g.scale(lam) for lam, _, g in cert)) else None)
 
 
 def _ref_in_gram_span(a, pool):
@@ -541,10 +565,10 @@ def test_positivity_negative_witness_reverifies():
     w = omega_degenerate()
     v = positivity_verdict(w, "positive")
     assert v.no and reverify(w, v)
-    # witness is a dual form with strictly negative exact pairing
-    kind, dual = v.witness
-    assert kind == "dual_form"
-    assert dual_pairing(w, dual) < 0
+    # the witness value is the strictly negative pairing with the dual form of x
+    kind, x, value = v.witness
+    assert kind == "evaluation"
+    assert value == dual_pairing(w, positive_generator(_ref_phi_inverse(x, w))) < 0
 
 
 def test_degenerate_form_weak_tier():
@@ -753,7 +777,7 @@ def _ref_decomposition_holds(a, terms):
     """The decomposition certificate's check by building forms: every
     gamma_k > 0, and the scaled generators of the terms add up to a."""
     cls = type(a)
-    return all(gamma > 0 for gamma, _ in terms) and fiber._sums_to(a, (
+    return all(gamma > 0 for gamma, _ in terms) and _ref_sums_to(a, (
         positive_generator(cls(a.n, a.p, 0, {(K, ()): c for K, c in coeffs.items()})).scale(gamma)
         for gamma, coeffs in terms))
 
@@ -901,7 +925,7 @@ def test_gram_span_gives_strong_yes_without_the_lp(form):
         patch.setattr(scipy.optimize, "linprog", _must_not_run)
         v = positivity_verdict(form, "strong")
     assert v.yes and v.certificate[0] == "conic"
-    assert all(tag[0] == "gram_span" for _, tag, _ in v.certificate[1])
+    assert all(tag[0] == "gram_span" for _, tag in v.certificate[1])
     assert reverify(form, v)
 
 
@@ -972,14 +996,14 @@ def test_reverify_rejects_conic_terms_that_are_not_their_tags_generators():
 
     def conic(form, terms):
         return reverify(form, Verdict("strong", "yes", certificate=("conic", terms)))
-    assert conic(g, [(1, tag, g)])
-    assert not conic(a, [(1, tag, a)])                  # a is not the tag's generator
-    assert not conic(g, [(-1, tag, g.scale(-1))])       # lambda <= 0
+    assert conic(g, [(1, tag)])
+    assert not conic(a, [(1, tag)])                     # a is not the tag's generator
+    assert not conic(g.scale(-1), [(-1, tag)])          # lambda <= 0
     # the positive tier's LDL^T terms as Gram-span terms: their vectors are not decomposable
-    terms = [(gamma, ("gram_span", alpha), positive_generator(
-                LagerbergFiberForm(4, 2, 0, {(K, ()): c for K, c in alpha.items()})))
+    terms = [(gamma, ("gram_span", alpha))
              for gamma, alpha in positivity_verdict(a, "positive").certificate[1]]
-    assert fiber._sums_to(a, (h.scale(gamma) for gamma, _, h in terms))
+    assert _ref_sums_to(a, (positive_generator(LagerbergFiberForm(
+        4, 2, 0, {(K, ()): c for K, c in alpha.items()})).scale(gamma) for gamma, (_, alpha) in terms))
     assert not conic(a, terms)
 
 
@@ -1025,6 +1049,169 @@ def test_reverify_recomputes_the_float_paths_eigenvalue_verdicts():
     # a PSD spectrum with a tiny negative eigenvalue passes within tol, as the tier does
     tiny = f + LagerbergFiberForm(4, 2, 2, {((0, 1), (0, 1)): -1e-12})
     assert positivity_verdict(tiny, "positive").yes and reverify(tiny, eig_yes)
+
+
+def test_reverify_honours_the_verdicts_tier():
+    # omega_rank_two is positive but not strongly positive
+    w = omega_rank_two()
+    assert not reverify(w, replace(positivity_verdict(w, "positive"), tier="strong"))
+    assert reverify(w, replace(positivity_verdict(w, "positive"), tier="weak"))
+    # omega_degenerate is weakly positive but not positive
+    d = omega_degenerate()
+    assert not reverify(d, replace(positivity_verdict(d, "positive"), tier="weak"))
+    assert reverify(d, replace(positivity_verdict(d, "positive"), tier="strong"))
+
+
+def test_reverify_is_false_for_the_other_kind_of_object():
+    from tropcur.currents import positivity_check
+    from tropcur.gallery import tropical_line_current
+    T = tropical_line_current()
+    cells = positivity_check(T)
+    assert cells.yes and cells.certificate[0] == "cells" and reverify(T, cells)
+    form = omega_rank_two()
+    asymmetric = LagerbergFiberForm(4, 2, 2, {((0, 1), (2, 3)): 1})
+    structural = positivity_verdict(asymmetric, "positive")
+    assert structural.no and structural.witness is None and reverify(asymmetric, structural)
+    assert not reverify(T, positivity_verdict(form, "positive"))
+    assert not reverify(form, cells)
+    assert not reverify(T, structural)
+
+
+def test_strong_yes_and_positive_no_build_no_generator(monkeypatch):
+    coordinate = [g for g, _ in coordinate_strong_generators(4, 2)]
+    coordinate_sum = coordinate[0].scale(Fraction(3, 2)) + coordinate[5] + coordinate[2].scale(2)
+    # its LDL^T vectors are not decomposable, so the rank-two solve decides it
+    span_sum = (strong_generator([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
+                + strong_generator([(1, 0, 1, 0), (0, 1, 0, 1)], 4))
+    monkeypatch.setattr(fiber, "positive_generator", _must_not_run)
+    for form, tag in ((coordinate_sum, "gram_span"), (span_sum, "gram_span"),
+                      (embed_complex(coordinate_sum), "coordinate")):      # the LP's refit
+        v = positivity_verdict(form, "strong")
+        assert v.yes and {t[0] for _, t in v.certificate[1]} == {tag} and reverify(form, v)
+    for tier in ("positive", "strong"):
+        v = positivity_verdict(omega_degenerate(), tier)
+        assert v.no and v.witness[0] == "evaluation" and reverify(omega_degenerate(), v)
+
+
+# which tiers each kind of certificate (Yes) or witness (No) proves when
+# 2 <= p <= n - 2; for other p the three tiers coincide
+_TIERS_PROVED = {
+    ("yes", "conic"): {"strong", "positive", "weak"},
+    ("yes", "decomposition"): {"positive", "weak"},
+    ("yes", "pairing_polynomial_zero"): {"weak"},
+    ("yes", "pairing_polynomial_even_positive"): {"weak"},
+    ("no", "evaluation"): {"strong", "positive"},
+    ("no", "generator"): {"strong", "positive", "weak"},
+    ("no", "kernel_obstruction"): {"strong"},
+}
+
+
+def _ref_tag_generator(tag, n, p, cls):
+    """The strong generator a conic or generator tag names, built by wedges."""
+    kind, data = tag
+    if kind == "gram_span":
+        alpha = cls(n, p, 0, {(K, ()): c for K, c in data.items()})
+        return _ref_positive_generator(alpha) if decomposable_test(alpha) == "yes" else None
+    vectors = [[int(j == i) for j in range(n)] for i in data] if kind == "coordinate" else data
+    return _ref_strong_generator(vectors, n, cls.algebra)
+
+
+def _ref_proof_holds(a, v):
+    """Whether v's certificate or witness proves its answer about a at its
+    tier, with every form built; kernel obstructions, which carry no data
+    the check reads, hold when a's own strong verdict is one."""
+    data = v.certificate if v.yes else v.witness
+    kind, n, p, cls = data[0], a.n, a.p, type(a)
+    if v.tier not in _TIERS_PROVED[(v.answer, kind)] and p not in (0, 1, n - 1, n):
+        return False
+    if kind == "decomposition":
+        return _ref_decomposition_holds(a, data[1])
+    if kind == "conic":
+        gens = [_ref_tag_generator(tag, n, p, cls) for _, tag in data[1]]
+        return (all(lam > 0 for lam, _ in data[1]) and None not in gens
+                and _ref_sums_to(a, (g.scale(lam) for g, (lam, _) in zip(gens, data[1]))))
+    if kind == "evaluation":
+        _, x, value = data
+        return value < 0 and value == dual_pairing(a, positive_generator(_ref_phi_inverse(x, a)))
+    if kind == "generator":
+        _, tag, g = data
+        return (_ref_tag_generator(tag, n, n - p, cls) == g
+                and fiber._negative(dual_pairing(a, g), 0))
+    if kind == "kernel_obstruction":
+        strong = positivity_verdict(a, "strong", pool_size=50)
+        return strong.no and strong.witness[0] == kind
+    poly = _ref_pairing_polynomial(a)
+    return poly.is_zero() if kind == "pairing_polynomial_zero" else poly.is_even_nonnegative()
+
+
+def _mutants(data, v, other):
+    """Mutants of the verdict v: every other tier; a lambda or gamma negated
+    or zeroed, a term dropped, or a cancelling pair of the term added, which
+    keeps the sum; one entry of x or the value perturbed;
+    the certificate or witness of ``other`` (same answer) swapped in."""
+    out = [replace(v, tier=t) for t in ("strong", "positive", "weak") if t != v.tier]
+    if other.answer == v.answer:
+        out.append(replace(v, certificate=other.certificate, witness=other.witness))
+    if v.yes and v.certificate[0] in ("decomposition", "conic") and v.certificate[1]:
+        kind, terms = v.certificate
+        t = data.draw(st.integers(0, len(terms) - 1))
+        lam, rest = terms[t]
+        for changed in ([(-lam, rest)], [(0 * lam, rest)], [], [(lam, rest)] * 2 + [(-lam, rest)]):
+            out.append(replace(v, certificate=(kind, terms[:t] + changed + terms[t + 1:])))
+    if v.no and v.witness[0] == "evaluation":
+        kind, x, value = v.witness
+        K = data.draw(st.sampled_from(sorted(x)))
+        out += [replace(v, witness=(kind, {**x, K: x[K] + 1}, value)),
+                replace(v, witness=(kind, x, value - 1))]
+    return out
+
+
+@st.composite
+def _bench_family_forms(draw, n, p, algebra):
+    """A form of the benchmark's fiber families at (n, p): a random symmetric
+    integer form or a sum of strong generators, and at (4, 2) also a
+    positive rational combination of coordinate generators, or
+    omega_degenerate or omega_rank_two times a positive rational."""
+    families = ["symmetric", "generators"] + (["coordinate", "gallery"] if (n, p) == (4, 2) else [])
+    family = draw(st.sampled_from(families))
+    if family == "symmetric":
+        idx = st.sampled_from(subsets(n, p))
+        a = LagerbergFiberForm(n, p, p, draw(st.dictionaries(
+            st.tuples(idx, idx), st.integers(-3, 3), min_size=1, max_size=8)))
+        form = a + apply_involution("J", a).scale((-1) ** p)
+    elif family == "generators":
+        vectors = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=p, max_size=p)
+        form = LagerbergFiberForm.zero(n, p, p)
+        for vecs in draw(st.lists(vectors, min_size=2, max_size=3)):
+            form = form + strong_generator(vecs, n)
+    elif family == "coordinate":
+        gens = [g for g, _ in coordinate_strong_generators(n, p)]
+        form = LagerbergFiberForm.zero(n, p, p)
+        for g in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3)):
+            form = form + g.scale(draw(_WEIGHTS))
+    else:
+        form = draw(st.sampled_from([omega_degenerate(), omega_rank_two()])).scale(draw(_WEIGHTS))
+    return embed_complex(form) if algebra == "complex" else form
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_reverify_rejects_mutated_verdicts(data):
+    """Every verdict of the three tiers on two forms of the benchmark's
+    families re-verifies, and each mutant is accepted exactly when the
+    form-building reference says it still proves its claim."""
+    n, p = data.draw(st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 3)] + [(4, 2)] * 6))
+    algebra = data.draw(st.sampled_from(["lagerberg", "lagerberg", "complex"]))
+    forms = [data.draw(_bench_family_forms(n, p, algebra)) for _ in range(2)]
+    for tier in ("strong", "positive", "weak"):
+        verdicts = [positivity_verdict(form, tier, pool_size=50) for form in forms]
+        a, v = forms[0], verdicts[0]
+        assert reverify(a, v)
+        if v.answer == "unknown" or (v.no and v.witness is None):
+            continue
+        assert _ref_proof_holds(a, v)
+        for mutant in _mutants(data, v, verdicts[1]):
+            assert reverify(a, mutant) == _ref_proof_holds(a, mutant), mutant
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
