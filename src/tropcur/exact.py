@@ -151,9 +151,6 @@ def hnf_columns(mat):
     h = [list(map(int, row)) for row in mat]
     u = [[int(i == j) for j in range(k)] for i in range(k)]
 
-    def col(j):
-        return [h[i][j] for i in range(n)]
-
     def addmul_col(dst, src, f):
         for i in range(n):
             h[i][dst] += f * h[i][src]
@@ -376,7 +373,8 @@ def psd_decompose(m, den=1):
     exact witness x with conj(x)^T M x < 0; otherwise the collected
     (d_k, v_k), d_k a positive Fraction, certify PSD-ness.
 
-    The peeling is fraction-free.  Denominators are cleared once, and the
+    The peeling is fraction-free.  Denominators are cleared once, none for
+    an integer m (QC with integer parts), which is taken as it is, and the
     residual is kept as N / q: N an integer matrix (two, the real and the
     imaginary part, in the Hermitian case) and q a positive integer.  The
     pivot d, with piv = N[d][d] > 0 and c = N[:, d], sends N to
@@ -387,14 +385,13 @@ def psd_decompose(m, den=1):
     conj(x)^T M x is the residual's value at x, read off N / q.
     """
     n = len(m)
-    hermitian = any(isinstance(x, QC) for row in m for x in row)
-    scale, parts = integer_parts([x for row in m for x in row], hermitian)
+    flat = [x for row in m for x in row]
+    hermitian = QC in set(map(type, flat))
+    scale, parts = integer_parts(flat, hermitian)
     re, *im = ([part[i:i + n] for i in range(0, n * n, n)] for part in parts)
     im = im[0] if hermitian else None
-    for i in range(n):
-        for j in range(i + 1):
-            if re[i][j] != re[j][i] or (hermitian and im[i][j] != -im[j][i]):
-                raise ValueError("matrix not Hermitian" if hermitian else "matrix not symmetric")
+    if re != list(map(list, zip(*re))) or (hermitian and im != [[-y for y in c] for c in zip(*im)]):
+        raise ValueError("matrix not Hermitian" if hermitian else "matrix not symmetric")
     q = scale * den
     zero, one = (QC(0), QC(1)) if hermitian else (Fraction(0), Fraction(1))
     decomp = []
@@ -463,12 +460,15 @@ def psd_decompose(m, den=1):
 def integer_parts(values, hermitian=False):
     """(den, parts) for exact scalars: one integer list per part of a scalar
     (the real part, then the imaginary one when ``hermitian``), with
-    values[t] == (parts[0][t] + i parts[1][t]) / den."""
+    values[t] == (parts[0][t] + i parts[1][t]) / den.  Integers (QC with
+    integer parts) come back as they are, with den 1: nothing to clear."""
     if hermitian:
         values = [QC.of(x) for x in values]
         cols = ([x.re for x in values], [x.im for x in values])
     else:
         cols = (list(values),)
+    if all(type(x) is int for col in cols for x in col):
+        return 1, cols
     den = lcm(*(x.denominator for col in cols for x in col))
     return den, [[x.numerator * (den // x.denominator) for x in col] for col in cols]
 
@@ -481,8 +481,9 @@ def gram_holds(m, den=1, terms=None, witness=None):
     with every gamma > 0.  ``witness`` (x, value) claims that it is not:
     conj(x)^T M x == value < 0, that is sum_ij M_ij conj(x_i conj(x_j)).
     Vectors run over M's rows.  The check runs on integers: the scalars are
-    QC if any entry of m or of a vector is, decided once per call, and each
-    vector's denominator is cleared once.
+    QC if any entry of m or of a vector is, decided once per call; an
+    integer m (QC with integer parts) is taken as it is, and each vector's
+    and any other m's denominator is cleared once.
     """
     size = len(m)
     vectors = [v for _, v in terms] if witness is None else [witness[0]]

@@ -20,7 +20,8 @@ import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
+from types import MappingProxyType
 
 from . import exact
 from .exact import QC
@@ -69,17 +70,22 @@ def _negative(val, tol):
 # --- form classes ------------------------------------------------------------
 
 class _FiberForm:
-    """Shared sparse-coefficient container; do not instantiate directly."""
+    """Shared sparse-coefficient container; do not instantiate directly.
+
+    A form is immutable: ``coeff`` is a read-only mapping, set once in
+    __init__ or _new, so what is derived from it (exactness, _asymmetry and
+    the cleared integer Gram matrix _gram) is computed once per form.
+    """
 
     algebra = None
+    _foreign = ()           # scalar types the algebra's coefficients cannot have
 
     def __init__(self, n, p, q, coeff=None):
-        self.n = n
-        self.p = p
-        self.q = q
-        self.coeff = {}
+        out = {}
         for (I, J), c in (coeff or {}).items():
             I, J = tuple(I), tuple(J)
+            if isinstance(c, self._foreign):
+                raise ValidationError(f"a {self.algebra} coefficient is real, not {c!r}")
             if len(I) != p or len(J) != q:
                 raise ValidationError(f"index ({I},{J}) does not match bidegree ({p},{q})")
             if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
@@ -87,7 +93,11 @@ class _FiberForm:
             if any(i < 0 or i >= n for i in I + J):
                 raise ValidationError(f"index out of range in ({I},{J}) for n = {n}")
             if self._nonzero(c):
-                self.coeff[(I, J)] = c
+                out[(I, J)] = c
+        vars(self).update(n=n, p=p, q=q, coeff=MappingProxyType(out))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"fiber forms are immutable: cannot set {name!r}")
 
     @staticmethod
     def _nonzero(c):
@@ -95,8 +105,29 @@ class _FiberForm:
             return bool(c)
         return c != 0
 
-    def is_exact(self):
+    @cached_property
+    def _exact(self):
         return all(_is_exact(c) for c in self.coeff.values())
+
+    def is_exact(self):
+        return self._exact
+
+    @cached_property
+    def _gram(self):
+        """(indices, N, den) with gram_form(self).matrix == N / den for an
+        exact (p,p)-form: N holds integers (Lagerberg) or QC with integer
+        parts (complex), read straight off the coefficients over their
+        common denominator den; tuples, cleared once per form."""
+        p = self.p
+        idx = subsets(self.n, p)
+        pos = {K: t for t, K in enumerate(idx)}
+        den, (re, *im) = exact.integer_parts(self.coeff.values(), self.algebra == "complex")
+        unit = self._i_pow(-p) * (-1) ** (p * (p - 1) // 2)
+        entries = [QC(x, y) * unit for x, y in zip(re, *im)] if im else [unit * x for x in re]
+        mat = [[self._zero()] * len(idx) for _ in idx]
+        for (K, L), x in zip(self.coeff, entries):
+            mat[pos[K]][pos[L]] = x
+        return tuple(idx), tuple(map(tuple, mat)), den
 
     def get(self, I, J):
         return self.coeff.get((tuple(I), tuple(J)), self._zero())
@@ -127,8 +158,8 @@ class _FiberForm:
         """A result of wedge, +, scale or positive_generator on valid forms:
         valid by construction, so only zeros drop.  Input is validated."""
         out = object.__new__(type(self))
-        out.n, out.p, out.q = self.n, p, q
-        out.coeff = {k: c for k, c in coeff.items() if self._nonzero(c)}
+        vars(out).update(n=self.n, p=p, q=q, coeff=MappingProxyType(
+            {k: c for k, c in coeff.items() if self._nonzero(c)}))
         return out
 
     def __add__(self, other):
@@ -163,6 +194,7 @@ class LagerbergFiberForm(_FiberForm):
     algebra = "lagerberg"
     bar = "J"
     gram_kind = "symmetric"
+    _foreign = (QC, complex)
 
     @staticmethod
     def _zero():
@@ -180,6 +212,7 @@ class LagerbergFiberForm(_FiberForm):
     def _parts(c):
         return (c,)
 
+    @cached_property
     def _asymmetry(self):
         """'' if J a = (-1)^p a, else the reason this (p,p)-form is not positive."""
         return "" if is_symmetric(self) else "not symmetric"
@@ -208,6 +241,7 @@ class ComplexFiberForm(_FiberForm):
     def _parts(c):
         return (c.re, c.im)
 
+    @cached_property
     def _asymmetry(self):
         """'' if conj a = a, else the reason this (p,p)-form is not positive."""
         return "" if is_real(self) else "not real"
@@ -262,38 +296,27 @@ def wedge(a, b):
     return a._new(a.p + b.p, a.q + b.q, out)
 
 
+_INVOLUTION_ALGEBRAS = {"J": "Lagerberg", "conjugation": "complex", "F": "complex"}
+
+
 def apply_involution(kind, a):
     """One of the three involutions: J (Lagerberg), conjugation or F (complex).
 
     J is the algebra homomorphism swapping d' and d''; conjugation is the
     antilinear involution with du -> dubar; F is the antilinear involution
-    fixing du and negating dubar.
+    fixing du and negating dubar.  J and conjugation swap the two index
+    blocks, with sign (-1)^{pq}; F keeps them, with sign (-1)^q.
     """
-    if kind == "J":
-        if a.algebra != "lagerberg":
-            raise WrongAlgebra("J acts on Lagerberg forms")
-        out = {}
-        for (I, J), c in a.coeff.items():
-            sgn = -1 if (len(I) * len(J)) % 2 else 1
-            out[(J, I)] = c * sgn
-        return LagerbergFiberForm(a.n, a.q, a.p, out)
-    if kind == "conjugation":
-        if a.algebra != "complex":
-            raise WrongAlgebra("conjugation acts on complex forms")
-        out = {}
-        for (I, K), c in a.coeff.items():
-            sgn = -1 if (len(I) * len(K)) % 2 else 1
-            out[(K, I)] = a._mul_scalar(_conj(c), sgn)
-        return ComplexFiberForm(a.n, a.q, a.p, out)
-    if kind == "F":
-        if a.algebra != "complex":
-            raise WrongAlgebra("F acts on complex forms")
-        out = {}
-        for (I, K), c in a.coeff.items():
-            sgn = -1 if len(K) % 2 else 1
-            out[(I, K)] = a._mul_scalar(_conj(c), sgn)
-        return ComplexFiberForm(a.n, a.p, a.q, out)
-    raise ValueError(f"unknown involution {kind!r}")
+    if kind not in _INVOLUTION_ALGEBRAS:
+        raise ValueError(f"unknown involution {kind!r}")
+    if a.algebra != _INVOLUTION_ALGEBRAS[kind].lower():
+        raise WrongAlgebra(f"{kind} acts on {_INVOLUTION_ALGEBRAS[kind]} forms")
+    swap = kind != "F"
+    out = {}
+    for (I, J), c in a.coeff.items():
+        sgn = -1 if (len(I) * len(J) if swap else len(J)) % 2 else 1
+        out[(J, I) if swap else (I, J)] = a._mul_scalar(_conj(c), sgn)
+    return type(a)(a.n, *((a.q, a.p) if swap else (a.p, a.q)), out)
 
 
 def embed_complex(a):
@@ -321,14 +344,13 @@ def embed_preimage(w):
         return None
     out = {}
     for (I, K), c in w.coeff.items():
-        q = len(K)
-        val = QC.i_pow(-q % 4) * QC.of(c) if _is_exact(c) else c * (1j ** ((-q) % 4))
-        if _is_exact(c):
-            if val.im != 0:
-                return None
-            out[(I, K)] = val.re
-        else:
-            out[(I, K)] = val.real
+        if not _is_exact(c):
+            out[(I, K)] = (c * (1j ** (-len(K) % 4))).real
+            continue
+        val = QC.i_pow(-len(K)) * QC.of(c)
+        if val.im != 0:
+            return None
+        out[(I, K)] = val.re
     return LagerbergFiberForm(w.n, w.p, w.q, out)
 
 
@@ -338,7 +360,6 @@ class GramForm:
     indices: tuple
     matrix: list
     kind: str                 # 'symmetric', 'hermitian' or 'none'
-
 
 
 def gram_form(a):
@@ -360,28 +381,7 @@ def gram_form(a):
     mat = [[cast(a._zero())] * m for _ in range(m)]
     for (K, L), c in a.coeff.items():
         mat[pos[K]][pos[L]] = cast(a._mul_scalar(c, factor))
-    return GramForm(tuple(idx), mat, "none" if a._asymmetry() else a.gram_kind)
-
-
-def _integer_gram(a):
-    """(indices, N, den) with gram_form(a).matrix == N / den for an exact
-    (p,p)-form: N holds integers (Lagerberg) or QC with integer parts
-    (complex), read straight off a's coefficients over their common
-    denominator den."""
-    p = a.p
-    idx = subsets(a.n, p)
-    pos = {K: t for t, K in enumerate(idx)}
-    den, (re, *im) = exact.integer_parts(a.coeff.values(), a.algebra == "complex")
-    sign = (-1) ** (p * (p - 1) // 2)
-    if im:
-        unit = QC.i_pow(-p) * sign
-        entries = [QC(x, y) * unit for x, y in zip(re, im[0])]
-    else:
-        entries = [sign * x for x in re]
-    mat = [[a._zero()] * len(idx) for _ in idx]
-    for (K, L), x in zip(a.coeff, entries):
-        mat[pos[K]][pos[L]] = x
-    return idx, mat, den
+    return GramForm(tuple(idx), mat, "none" if a._asymmetry else a.gram_kind)
 
 
 def _complementary_terms(a):
@@ -559,15 +559,15 @@ def _positive_tier(a, tol):
 
     A form fails at once when it is not symmetric (resp. real), that is when
     its Gram matrix is not symmetric (resp. Hermitian); psd_decompose tests
-    the exact Gram matrix on integers.  Yes carries the LDL^T terms
+    the form's integer Gram matrix a._gram as it is: cleared once per form,
+    it is the one reverify reads too.  Yes carries the LDL^T terms
     ("decomposition", [(gamma, {K: v_K})]) with gram(a) = sum gamma v
     conj(v)^T; No carries ("evaluation", {K: x_K}, value), the LDL^T witness
     x with value = conj(x)^T gram(a) x < 0.
     """
     if not a.is_exact():
-        reason = a._asymmetry()
-        if reason:
-            return Verdict("positive", "no", reason=reason)
+        if a._asymmetry:
+            return Verdict("positive", "no", reason=a._asymmetry)
         import numpy as np
         g = gram_form(a)
         m = np.array([[complex(_to_float(x)) for x in row] for row in g.matrix])
@@ -578,11 +578,11 @@ def _positive_tier(a, tol):
                            certificate=("eigvals", lam.tolist()))
         return Verdict("positive", "no", reason="float eigenvalue",
                        witness=("eigval", float(lam.min())))
-    idx, mat, den = _integer_gram(a)
+    idx, mat, den = a._gram
     try:
         res = exact.psd_decompose(mat, den)
     except ValueError:
-        return Verdict("positive", "no", reason=a._asymmetry())
+        return Verdict("positive", "no", reason=a._asymmetry)
     if res.psd:
         terms = [(gamma, {K: x for K, x in zip(idx, v) if x}) for gamma, v in res.decomposition]
         return Verdict("positive", "yes", certificate=("decomposition", terms))
@@ -698,7 +698,7 @@ def _gram_span_verdict(a, terms):
         return _gram_span_yes([(gamma, w) for (gamma, _), w in zip(terms, forms)])
     if p != 2 or len(forms) > 2:
         return None
-    basis = [f.coeff for f in forms]
+    basis = [dict(f.coeff) for f in forms]
     if len(forms) == 1:
         return Verdict(
             "strong", "no",
@@ -716,7 +716,7 @@ def _gram_span_verdict(a, terms):
     if len(roots) != 2 or any(D for *_, D in roots):
         return None
     alphas = [w1.scale(y) + w2.scale(z) for y, _, z, _, _ in roots]
-    idx, N, den = _integer_gram(a)
+    idx, N, den = a._gram
     vecs = [[alpha.get(K, ()) for K in idx] for alpha in alphas]
     keys = [(t, u) for t in range(len(idx)) for u in range(len(idx))
             if N[t][u] or any(v[t] and v[u] for v in vecs)]
@@ -772,7 +772,7 @@ def _pool_in_span(a, pool):
     """
     if a.algebra != "lagerberg":
         return list(pool)
-    kernel = [exact.primitive(v) for v in exact.nullspace(_integer_gram(a)[1])]
+    kernel = [exact.primitive(v) for v in exact.nullspace(a._gram[1])]
     return [(beta, tag) for beta, tag in pool
             if not any(sum(map(operator.mul, beta, k)) for k in kernel)]
 
@@ -811,7 +811,7 @@ def _strong_lp_certificate(a, pool):
     if not res.success:
         return None
     support = [j for j, x in enumerate(res.x) if x > 1e-9]
-    _, N, den = _integer_gram(a)
+    _, N, den = a._gram
     cells = list(zip(ti.tolist(), tj.tolist()))
     gram = [parts(N[t][u]) for t, u in cells]
     if any(any(g[1:]) for g in gram):
@@ -878,9 +878,8 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
         return Verdict("strong", "unknown", reason="no certificate over the generator pool")
 
     if tier == "weak":
-        reason = a._asymmetry()
-        if reason:
-            return Verdict("weak", "no", reason=reason)
+        if a._asymmetry:
+            return Verdict("weak", "no", reason=a._asymmetry)
         if a.is_exact():
             base = _positive_tier(a, tol)
             if base.yes:
@@ -928,7 +927,9 @@ def reverify(a, verdict):
     object is False.  The kind of certificate or witness must prove the
     verdict's answer at its tier (_PROVES).  A decomposition, a conic
     certificate and an evaluation witness are each one Gram fact about the
-    exact form's Gram matrix, checked by exact.gram_holds: a = sum gamma_k
+    exact form's Gram matrix a._gram, checked by exact.gram_holds.  That
+    matrix is a function of a's coefficients alone, cleared once per form
+    (forms are immutable), so every claim is still rebuilt from a: a = sum gamma_k
     positive_generator(alpha_k) iff gram(a) = sum gamma_k alpha_k
     conj(alpha_k)^T, with alpha_k a decomposition's {K: v_K} or the vector
     a conic term's tag names (_tag_vector), and ("evaluation", {K: x_K},
@@ -947,10 +948,10 @@ def reverify(a, verdict):
     tiers = _PROVES.get((verdict.answer, kind), ())
     if verdict.tier not in (_TIERS if tiers and a.p in (0, 1, a.n - 1, a.n) else tiers):
         return False
+    if kind in ("decomposition", "conic", "evaluation", "kernel_obstruction") and not a.is_exact():
+        return False
     if kind in ("decomposition", "conic", "evaluation"):
-        if not a.is_exact():
-            return False
-        idx, mat, den = _integer_gram(a)
+        idx, mat, den = a._gram
         known = set(idx)
         if kind == "evaluation":
             _, x, value = data
@@ -977,14 +978,11 @@ def reverify(a, verdict):
                 and _negative(dual_pairing(a, g), 0))
     if kind == "kernel_obstruction":
         # re-derived from a's own LDL^T; the basis and quadratics carried are not read
-        if not a.is_exact():
-            return False
         base = _positive_tier(a, 0)
         span = _gram_span_verdict(a, base.certificate[1]) if base.yes else None
         return span is not None and span.no
     # a structural No: a is not symmetric (resp. real)
-    reason = a._asymmetry()
-    return bool(reason) and verdict.reason.endswith(reason)
+    return bool(a._asymmetry) and verdict.reason.endswith(a._asymmetry)
 
 
 def _tag_vector(tag, n, p, cls):

@@ -429,7 +429,7 @@ def _form_literals(draw):
         I = sorted(draw(st.sets(st.integers(1, n), min_size=p, max_size=p)))
         J = sorted(draw(st.sets(st.integers(1, n), min_size=q, max_size=q)))
         c = draw(st.sampled_from(["1", "-2/3", "−1/2", 3, 0, "2.5", 2.0]))
-        if algebra == "complex" and draw(st.booleans()):
+        if draw(st.booleans()):     # a Lagerberg literal with one is an input error
             c = draw(st.sampled_from([{"re": c, "im": "1/2"}, [c, -1], {"im": 2}]))
         term = {"I": I, "J": J, "c": c}
         terms.append(_spoilt(draw, term, st.one_of(_JUNK, st.sampled_from(
@@ -526,3 +526,13 @@ def test_non_integral_or_negative_integers_are_input_errors(args, files, says):
 def test_strings_for_arrays_and_unknown_algebras_are_input_errors(args, files, says):
     code, err = _cli_in_process(args, files)
     assert code == 2 and err.startswith("input error: ") and says in err, err
+
+
+@pytest.mark.parametrize("tier", ["positive", "strong", "weak"])
+@pytest.mark.parametrize("c", [{"re": "1", "im": "1"}, ["1", "1"], {"re": "1", "im": "0"}])
+def test_lagerberg_literal_with_complex_coefficient_is_input_error(tier, c):
+    # a Lagerberg coefficient is real, so a complex one is bad input, not a crash
+    form = {"n": 2, "p": 1, "q": 1, "algebra": "lagerberg", "terms": [{"I": [1], "J": [1], "c": c}]}
+    code, err = _cli_in_process(["check-positivity", "--tier", tier, "--form", "{form}"],
+                                {"form": form})
+    assert code == 2 and err.startswith("input error: ") and "Traceback" not in err, err

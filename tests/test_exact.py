@@ -296,6 +296,74 @@ def test_psd_decompose_matches_fraction_reference(case):
         assert all(type(gamma) is Fraction for gamma, _ in res.decomposition or ())
 
 
+
+@st.composite
+def _integer_cases(draw):
+    """(N, den, broken): a symmetric integer or Hermitian matrix of QC with
+    integer parts up to 6 x 6, PSD (a sum of rank-one terms), indefinite or
+    with a zero diagonal, and den in 2..12; when ``broken``, one entry was
+    changed so that N is not symmetric (resp. Hermitian)."""
+    n = draw(st.integers(1, 6))
+    hermitian = draw(st.booleans())
+    integer = st.integers(-4, 4)
+    scalar = st.builds(QC, integer, integer) if hermitian else integer
+    zero = QC(0) if hermitian else 0
+    entry = st.one_of(st.just(zero), scalar)
+    N = [[zero] * n for _ in range(n)]
+    kind = draw(st.sampled_from(["psd", "indefinite", "zero diagonal"]))
+    if kind == "psd":
+        for v in draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 1)):
+            for i in range(n):
+                for j in range(n):
+                    N[i][j] = N[i][j] + v[i] * _conj(v[j])
+    else:
+        for i in range(n):
+            if kind == "indefinite":
+                N[i][i] = draw(integer) + zero
+            for j in range(i):
+                N[i][j] = draw(entry)
+                N[j][i] = _conj(N[i][j])
+    broken = (hermitian or n > 1) and draw(st.booleans())
+    if broken:
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if hermitian or i != j]))
+        N[i][j] = N[i][j] + (QC(0, 1) if hermitian else 1)
+    return N, draw(st.integers(2, 12)), broken
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_integer_cases(), st.data())
+def test_integer_matrix_is_taken_as_it_is(case, data):
+    """psd_decompose(N, den) and gram_holds(N, den, ...) on an integer matrix,
+    which no pass clears again, agree with the Fraction (QC) matrix N / den:
+    the same decomposition, witness and value, the same answer on the
+    LDL^T's own claim and on drawn ones, and ValueError when N is not
+    symmetric (resp. Hermitian)."""
+    N, den, broken = case
+    hermitian = isinstance(N[0][0], QC)
+    M = [[QC(Fraction(x.re, den), Fraction(x.im, den)) if hermitian else Fraction(x, den)
+          for x in row] for row in N]
+    flat = [x for row in N for x in row]
+    assert exact.integer_parts(flat, hermitian)[0] == 1
+    if broken:
+        for mat, d in ((N, den), (M, 1)):
+            with pytest.raises(ValueError):
+                exact.psd_decompose(mat, d)
+        return
+    got, want = exact.psd_decompose(N, den), exact.psd_decompose(M)
+    assert ((got.psd, got.rank, got.decomposition, got.witness, got.value)
+            == (want.psd, want.rank, want.decomposition, want.witness, want.value))
+    n = len(N)
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vector = st.lists(st.builds(QC, rational, rational) if hermitian else rational,
+                      min_size=n, max_size=n)
+    claims = [{"terms": want.decomposition} if want.psd
+              else {"witness": (want.witness, want.value)},
+              {"terms": data.draw(st.lists(st.tuples(rational, vector), max_size=3))},
+              {"witness": (data.draw(vector), data.draw(rational))}]
+    for claim in claims:
+        assert exact.gram_holds(N, den, **claim) == exact.gram_holds(M, 1, **claim)
+    assert exact.gram_holds(N, den, **claims[0])
+
 def test_sturm():
     # (x-1)(x-2)(x-3)
     p = [-6, 11, -6, 1]

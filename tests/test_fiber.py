@@ -214,7 +214,7 @@ def _ref_pool_tier(a, tier, pool_size, seed, tol=1e-9):
             if cert is not None:
                 return Verdict("strong", "yes", certificate=("conic", cert))
         return Verdict("strong", "unknown", reason="no certificate over the generator pool")
-    reason = a._asymmetry()
+    reason = a._asymmetry
     if reason:
         return Verdict("weak", "no", reason=reason)
     if a.is_exact():
@@ -1259,3 +1259,74 @@ def test_python_complex_coefficients():
             v = positivity_verdict(f, tier, pool_size=50)
             assert v.answer == positivity_verdict(exact_form, tier, pool_size=50).answer
             assert reverify(f, v), (tier, v)
+
+
+# --- immutable forms: derived data is computed once and cannot go stale -------------
+
+def test_forms_are_immutable():
+    a = omega_rank_two()
+    with pytest.raises(TypeError):
+        a.coeff[((0, 1), (0, 1))] = 5
+    with pytest.raises(AttributeError):
+        a.coeff = {}
+    assert a == omega_rank_two()
+
+
+def test_derived_forms_compute_their_own_gram():
+    a = omega_rank_two()
+    assert positivity_verdict(a, "positive").yes      # caches a's Gram matrix
+    b = LagerbergFiberForm(4, 2, 2, {((0, 1), (0, 1)): Fraction(1, 3)})
+    for derived in (a.scale(-2), a + b, a - b, a - a, a._new(2, 2, {((0, 2), (0, 2)): 7})):
+        assert "_gram" not in vars(derived)
+        assert derived._gram == LagerbergFiberForm(4, 2, 2, dict(derived.coeff))._gram
+    assert positivity_verdict(a.scale(-2), "positive").no
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_cached_gram_decides_as_a_fresh_form(data):
+    """A form whose Gram matrix a verdict has cached gives every verdict, and
+    re-checks it and each mutant of test_reverify_rejects_mutated_verdicts,
+    as a form freshly built from the same coefficients does."""
+    n, p = data.draw(st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 3), (5, 2), (5, 3)] + [(4, 2)] * 6))
+    algebra = data.draw(st.sampled_from(["lagerberg", "lagerberg", "complex"]))
+    used, other = (data.draw(_bench_family_forms(n, p, algebra)) for _ in range(2))
+    positivity_verdict(used, "positive")
+    assert "_gram" in vars(used)
+
+    def fresh():
+        return type(used)(used.n, used.p, used.q, dict(used.coeff))
+    for tier in ("strong", "positive", "weak"):
+        v = positivity_verdict(used, tier, pool_size=50)
+        assert repr(v) == repr(positivity_verdict(fresh(), tier, pool_size=50))
+        mutants = [v]
+        if v.answer != "unknown" and not (v.no and v.witness is None):
+            mutants += _mutants(data, v, positivity_verdict(other, tier, pool_size=50))
+        for mutant in mutants:
+            assert reverify(used, mutant) == reverify(fresh(), mutant), mutant
+
+
+def test_verdict_and_reverify_clear_the_gram_once(monkeypatch):
+    """positivity_verdict then reverify, at each tier, clears the form's
+    coefficients into its integer Gram matrix exactly once."""
+    calls = []
+    build = fiber._FiberForm._gram.func
+
+    def counted(a):
+        calls.append(a)
+        return build(a)
+    monkeypatch.setattr(fiber._FiberForm._gram, "func", counted)
+
+    def coordinate_sum():
+        coordinate = [g for g, _ in coordinate_strong_generators(4, 2)]
+        return coordinate[0].scale(Fraction(3, 2)) + coordinate[5] + coordinate[2].scale(2)
+
+    def span_sum():
+        return (strong_generator([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
+                + strong_generator([(1, 0, 1, 0), (0, 1, 0, 1)], 4))
+    for make in (coordinate_sum, span_sum, omega_degenerate):
+        for tier in ("positive", "strong", "weak"):
+            a = make()
+            calls.clear()
+            assert reverify(a, positivity_verdict(a, tier))
+            assert len(calls) == 1 and calls[0] is a, (make.__name__, tier, len(calls))
