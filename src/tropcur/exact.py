@@ -12,6 +12,7 @@ Everything here is pure and deterministic.
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -377,83 +378,88 @@ def psd_decompose(m, den=1):
     an integer m (QC with integer parts), which is taken as it is, and the
     residual is kept as N / q: N an integer matrix (two, the real and the
     imaginary part, in the Hermitian case) and q a positive integer.  The
-    pivot d, with piv = N[d][d] > 0 and c = N[:, d], sends N to
+    pivot d, the first with piv = N[d][d] != 0, and c = N[:, d] send N to
     (piv N - c conj(c)^T) / g and q to q piv / g, g the gcd of q and the new
-    entries; row and column d become zero.  Only zero tests and signs of N
-    steer the peeling, so it is the LDL^T of M itself, with d_k = piv / q
-    and v_k = c / piv.  The witness x is orthogonal to every v_k, so
-    conj(x)^T M x is the residual's value at x, read off N / q.
+    entries; row and column d become zero, so N keeps only the live block,
+    the rows and columns not yet pivoted.  Only zero tests and signs of N
+    steer the peeling, so it is the LDL^T of M itself, with d_k = piv / q and
+    v_k = c / piv, one shared zero off c's support.  The witness x is
+    orthogonal to every v_k, so conj(x)^T M x is the residual's value at x.
     """
     n = len(m)
-    flat = [x for row in m for x in row]
-    hermitian = QC in set(map(type, flat))
-    scale, parts = integer_parts(flat, hermitian)
-    re, *im = ([part[i:i + n] for i in range(0, n * n, n)] for part in parts)
-    im = im[0] if hermitian else None
-    if re != list(map(list, zip(*re))) or (hermitian and im != [[-y for y in c] for c in zip(*im)]):
+    types = set(map(type, chain.from_iterable(m)))
+    hermitian = QC in types
+    scale, re, im = 1, m, []
+    if not types <= {int}:
+        scale, parts = integer_parts(list(chain.from_iterable(m)), hermitian)
+        re, *im = ([part[i:i + n] for i in range(0, n * n, n)] for part in parts)
+        im = im[0] if hermitian else []
+    if list(map(tuple, re)) != list(zip(*re)) or hermitian and im != [[-y for y in c] for c in zip(*im)]:
         raise ValueError("matrix not Hermitian" if hermitian else "matrix not symmetric")
     q = scale * den
     zero, one = (QC(0), QC(1)) if hermitian else (Fraction(0), Fraction(1))
-    decomp = []
-    pivots = []
-
-    def entry(i, j, d):
-        # the scalar N[i][j] / d
-        if hermitian:
-            return QC(Fraction(re[i][j], d), Fraction(im[i][j], d))
-        return Fraction(re[i][j], d)
+    decomp, pivots = [], []
+    live = list(range(n))       # the index in m of each row of the live block
 
     def orthogonalize(x):
         # adjust entries at pivot positions so that conj(v_k) . x = 0 for all k
         x = list(x)
         for pivot_d, (_, v) in reversed(list(zip(pivots, decomp))):
-            corr = zero
-            for vi, xi in zip(v, x):
-                corr = corr + (vi.conj() if hermitian else vi) * xi
-            x[pivot_d] = x[pivot_d] - corr
+            x[pivot_d] = x[pivot_d] - sum(((vi.conj() if hermitian else vi) * xi
+                                           for vi, xi in zip(v, x) if xi), zero)
         return tuple(x)
 
     while True:
-        d = next((i for i in range(n) if re[i][i]), None)
-        if d is None:
+        k = next((t for t, row in enumerate(re) if row[t]), None)
+        if k is None:
             break
-        piv = re[d][d]
+        piv = re[k][k]
         if piv < 0:
             x = [zero] * n
-            x[d] = one
+            x[live[k]] = one
             return PSDResult(False, witness=orthogonalize(x), value=Fraction(piv, q))
-        decomp.append((Fraction(piv, q), tuple(entry(i, d, piv) for i in range(n))))
-        pivots.append(d)
+        cre = [row[k] for row in re]
+        cim = [row[k] for row in im] if hermitian else cre
+        v = [QC(Fraction(0), Fraction(0)) if hermitian else zero] * n
+        for i, a, c in zip(live, cre, cim):
+            if a or c:
+                v[i] = QC(Fraction(a, piv), Fraction(c, piv)) if hermitian else Fraction(a, piv)
+        decomp.append((Fraction(piv, q), tuple(v)))
+        pivots.append(live.pop(k))
         q *= piv
-        cre = [row[d] for row in re]
+        # the new block less row k; its column k, zero, is deleted below
+        rows, a_s = re[:k] + re[k + 1:], cre[:k] + cre[k + 1:]
         if hermitian:
-            cim = [row[d] for row in im]
+            c_s = cim[:k] + cim[k + 1:]
             re, im = ([[piv * x - (a * b + c * e) for x, b, e in zip(row, cre, cim)]
-                       for row, a, c in zip(re, cre, cim)],
+                       for row, a, c in zip(rows, a_s, c_s)],
                       [[piv * y - (c * b - a * e) for y, b, e in zip(row, cre, cim)]
-                       for row, a, c in zip(im, cre, cim)])
+                       for row, a, c in zip(im[:k] + im[k + 1:], a_s, c_s)])
         else:
-            re = [[piv * x - a * b for x, b in zip(row, cre)] for row, a in zip(re, cre)]
-        g = gcd(q, *(gcd(*row) for part in (re, im or ()) for row in part))
+            re = [[piv * x - a * b for x, b in zip(row, cre)] for row, a in zip(rows, a_s)]
+        for row in chain(re, im):
+            del row[k]
+        g = gcd(q, *chain.from_iterable(re), *chain.from_iterable(im))
         if g > 1:
             q //= g
             re = [[x // g for x in row] for row in re]
+            im = [[x // g for x in row] for row in im]
+    # the live diagonal is zero, so the first nonzero entry of the block is off it
+    for a, row in enumerate(re):
+        if any(row) or hermitian and any(im[a]):
+            b = next(b for b, x in enumerate(row) if x or hermitian and im[a][b])
+            i, j = live[a], live[b]
+            s = QC(Fraction(row[b], q), Fraction(im[a][b], q)) if hermitian else Fraction(row[b], q)
+            x = [zero] * n
             if hermitian:
-                im = [[x // g for x in row] for row in im]
-    for i in range(n):
-        for j in range(n):
-            if i != j and (re[i][j] or (hermitian and im[i][j])):
-                x = [zero] * n
-                s = entry(i, j, q)
-                if hermitian:
-                    # x_i = -s, x_j = 1: conj(x)^T M x = -2|s|^2 < 0
-                    x[i], x[j] = -s, one
-                    value = -2 * (s.re * s.re + s.im * s.im)
-                else:
-                    # x_i = 1, x_j = -sign(s): x^T M x = -2|s| < 0
-                    x[i], x[j] = one, (-one if s > 0 else one)
-                    value = -2 * abs(s)
-                return PSDResult(False, witness=orthogonalize(x), value=Fraction(value))
+                # x_i = -s, x_j = 1: conj(x)^T M x = -2|s|^2 < 0
+                x[i], x[j] = -s, one
+                value = -2 * (s.re * s.re + s.im * s.im)
+            else:
+                # x_i = 1, x_j = -sign(s): x^T M x = -2|s| < 0
+                x[i], x[j] = one, (-one if s > 0 else one)
+                value = -2 * abs(s)
+            return PSDResult(False, witness=orthogonalize(x), value=Fraction(value))
     return PSDResult(True, rank=len(decomp), decomposition=decomp)
 
 
@@ -483,42 +489,51 @@ def gram_holds(m, den=1, terms=None, witness=None):
     Vectors run over M's rows.  The check runs on integers: the scalars are
     QC if any entry of m or of a vector is, decided once per call; an
     integer m (QC with integer parts) is taken as it is, and each vector's
-    and any other m's denominator is cleared once.
+    and any other m's denominator is cleared once.  Products are added over
+    a vector's nonzero entries only, into one flat list per part of N.
     """
     size = len(m)
     vectors = [v for _, v in terms] if witness is None else [witness[0]]
     if any(len(v) != size for v in vectors):
         return False
-    hermitian = any(type(x) is QC for mat in (m, vectors) for row in mat for x in row)
-    e, parts = integer_parts([x for row in m for x in row], hermitian)
+    flat = list(chain.from_iterable(m))
+    types = set(map(type, flat))
+    hermitian = QC in types.union(map(type, chain(*vectors)))
+    e, parts = integer_parts(flat, hermitian) if hermitian or not types <= {int} else (1, [flat])
     q = e * den             # M = N / q, N = parts[0] + i parts[1] flat by rows
 
-    def outer(c, w):
-        # the parts of c w conj(w)^T, flat by rows, for w = w[0] + i w[1]
+    def add_outer(c, w):
+        # got += the parts of c w conj(w)^T, flat by rows, for w = w[0] + i w[1]
         if hermitian:
-            pairs = list(zip(*w))
-            return ([c * (xr * yr + xi * yi) for xr, xi in pairs for yr, yi in pairs],
-                    [c * (xi * yr - xr * yi) for xr, xi in pairs for yr, yi in pairs])
-        return ([u * y for u in (c * x for x in w[0]) for y in w[0]],)
+            support = [(i * size, i, x, y) for i, (x, y) in enumerate(zip(*w)) if x or y]
+            for r, _, xr, xi in support:
+                for _, j, yr, yi in support:
+                    got[0][r + j] += c * (xr * yr + xi * yi)
+                    got[1][r + j] += c * (xi * yr - xr * yi)
+        else:
+            support = [(i, x) for i, x in enumerate(w[0]) if x]
+            for i, x in support:
+                r, cx = i * size, c * x
+                for j, y in support:
+                    got[0][r + j] += cx * y
 
+    got = [[0] * (size * size) for _ in parts]
     if witness is not None:
         x, value = witness
         f, w = integer_parts(x, hermitian)
-        o = outer(1, w)
-        re = sum(sum(map(operator.mul, n, h)) for n, h in zip(parts, o))
-        im = (sum(map(operator.mul, parts[1], o[0])) - sum(map(operator.mul, parts[0], o[1]))
+        add_outer(1, w)
+        re = sum(sum(map(operator.mul, n, h)) for n, h in zip(parts, got))
+        im = (sum(map(operator.mul, parts[1], got[0])) - sum(map(operator.mul, parts[0], got[1]))
               if hermitian else 0)
-        got = Fraction(re, q * f * f)
-        return im == 0 and got == value and got < 0
+        return im == 0 and 0 > Fraction(re, q * f * f) == value
     if not all(gamma > 0 for gamma, _ in terms):
         return False
     cleared = [(gamma, *integer_parts(v, hermitian)) for gamma, v in terms]
     L = lcm(q, *(gamma.denominator * f * f for gamma, f, _ in cleared))
-    got = [[0] * (size * size) for _ in parts]
     for gamma, f, w in cleared:
-        o = outer(gamma.numerator * (L // (gamma.denominator * f * f)), w)
-        got = [list(map(operator.add, g, h)) for g, h in zip(got, o)]
-    return got == [[y * (L // q) for y in part] for part in parts]
+        add_outer(gamma.numerator * (L // (gamma.denominator * f * f)), w)
+    k = L // q
+    return got == [[y * k for y in part] for part in parts]
 
 
 # --- Sturm sequences --------------------------------------------------------

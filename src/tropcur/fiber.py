@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from itertools import islice
 from types import MappingProxyType
 
 from . import exact
@@ -73,8 +74,8 @@ class _FiberForm:
     """Shared sparse-coefficient container; do not instantiate directly.
 
     A form is immutable: ``coeff`` is a read-only mapping, set once in
-    __init__ or _new, so what is derived from it (exactness, _asymmetry and
-    the cleared integer Gram matrix _gram) is computed once per form.
+    __init__ or _new, so what is derived from it (exactness, _asymmetry, the
+    cleared integer Gram matrix _gram, _pairing_polynomial) is computed once.
     """
 
     algebra = None
@@ -128,6 +129,27 @@ class _FiberForm:
         for (K, L), x in zip(self.coeff, entries):
             mat[pos[K]][pos[L]] = x
         return tuple(idx), tuple(map(tuple, mat)), den
+
+    @cached_property
+    def _pairing_polynomial(self):
+        """<self, strong generator> as an exact polynomial, built once per form:
+        sum_t c'_t beta_k(x) beta_l(x) over _pairing_terms, in the q*n
+        coordinates x_{j,i} (index j*n + i) of the vectors building the strong
+        (q,q)-generator, beta(x) their symbolic minors.  Identically zero or
+        even-positive polynomials give exact weak-positivity certificates."""
+        from .coeffs import Poly
+        n, q = self.n, self.n - self.p
+        nv = q * n
+        beta = ({(0,) * nv: 1},)        # each minor as {exponent tuple: coefficient}
+        for j in range(q):
+            beta = tuple(_symbolic_row_step(beta, row, j * n) for row in _expansion(n, j + 1))
+        out = {}
+        for c, k, l in _pairing_terms(self):
+            for e1, c1 in beta[k].items():
+                for e2, c2 in beta[l].items():
+                    e = tuple(map(operator.add, e1, e2))
+                    out[e] = out.get(e, 0) + c * c1 * c2
+        return Poly(out, nv)
 
     def get(self, I, J):
         return self.coeff.get((tuple(I), tuple(J)), self._zero())
@@ -637,30 +659,6 @@ def _negative_pairing(a, tol):
     return negative
 
 
-def _pairing_polynomial(a):
-    """<a, strong generator> as an exact polynomial in the generator data.
-
-    Variables are the q*n coordinates x_{j,i} (index j*n + i) of the vectors
-    a_1 .. a_q building the strong (q,q)-generator; the polynomial is
-    sum_t c'_t beta_k(x) beta_l(x) over _pairing_terms, with beta(x) the
-    symbolic minors.  Identically zero or even-positive polynomials give
-    exact weak-positivity certificates.
-    """
-    from .coeffs import Poly
-    n, q = a.n, a.n - a.p
-    nv = q * n
-    beta = ({(0,) * nv: 1},)        # each minor as {exponent tuple: coefficient}
-    for j in range(q):
-        beta = tuple(_symbolic_row_step(beta, row, j * n) for row in _expansion(n, j + 1))
-    out = {}
-    for c, k, l in _pairing_terms(a):
-        for e1, c1 in beta[k].items():
-            for e2, c2 in beta[l].items():
-                e = tuple(map(operator.add, e1, e2))
-                out[e] = out.get(e, 0) + c * c1 * c2
-    return Poly(out, nv)
-
-
 def _symbolic_row_step(beta, row, offset):
     """One step of plucker_vector on monomials: sum of s beta_t x_{j,k} over
     ``row``, x_{j,k} the variable at offset + k."""
@@ -847,11 +845,12 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
     builds no form.
     tier='weak' requires symmetry; an exact positive form is weakly
     positive, with the positive tier's certificate.  Otherwise it pairs a
-    with the generators of strong_generator_pool(n, n - p, pool_size, seed)
-    in pool order and stops at the first negative pairing, whose generator
-    is the witness; the pool is memoized per process and extended lazily,
-    so a No draws it only up to its witness, and the witness is the only
-    form built.  Without one it says Yes only on an exact dual argument.
+    with strong_generator_pool(n, n - p, pool_size, seed) in pool order and
+    stops at the first negative pairing, whose generator is the witness; an
+    exact Lagerberg form's a._pairing_polynomial, whose Yes means no entry
+    pairs negatively, is tried after the coordinate entries.  The pool is
+    memoized per process and extended lazily, so a No draws it only up to
+    its witness, and the witness is the only form built.  Else Unknown.
     """
     if a.p != a.q:
         raise NotSquareBidegree(f"bidegree ({a.p},{a.q}) is not (p,p)")
@@ -886,20 +885,22 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
                 return replace(base, tier="weak", reason="positive, so weakly positive")
         q = n - p
         negative = _negative_pairing(a, tol)
-        for beta, tag in strong_generator_pool(n, q, pool_size, seed):
-            if negative(beta):
-                witness = ("generator", tag, _plucker_generator(beta, n, q, type(a)))
-                return Verdict("weak", "no", witness=witness,
-                               reason="negative pairing with a strongly positive form")
-        if a.is_exact() and a.algebra == "lagerberg":
-            poly = _pairing_polynomial(a)
-            if poly.is_zero():
-                return Verdict("weak", "yes", certificate=("pairing_polynomial_zero",),
-                               reason="pairing with every strong generator vanishes identically")
-            if poly.is_even_nonnegative():
-                return Verdict("weak", "yes",
-                               certificate=("pairing_polynomial_even_positive", poly),
-                               reason="pairing polynomial is a nonnegative combination of squares of monomials")
+        pool = strong_generator_pool(n, q, pool_size, seed)
+        for entries in (islice(pool, math.comb(n, q)), pool):   # coordinate entries, then random
+            for beta, tag in entries:
+                if negative(beta):
+                    witness = ("generator", tag, _plucker_generator(beta, n, q, type(a)))
+                    return Verdict("weak", "no", witness=witness,
+                                   reason="negative pairing with a strongly positive form")
+            if entries is not pool and a.is_exact() and a.algebra == "lagerberg":
+                poly = a._pairing_polynomial
+                if poly.is_zero():
+                    return Verdict("weak", "yes", certificate=("pairing_polynomial_zero",),
+                                   reason="pairing with every strong generator vanishes identically")
+                if poly.is_even_nonnegative():
+                    return Verdict("weak", "yes",
+                                   certificate=("pairing_polynomial_even_positive", poly),
+                                   reason="pairing polynomial is a nonnegative combination of squares of monomials")
         return Verdict("weak", "unknown", reason="no exact dual argument applies")
 
     raise ValidationError(f"unknown tier {tier!r}")
@@ -964,9 +965,9 @@ def reverify(a, verdict):
             terms = [(lam, _tag_vector(tag, a.n, a.p, type(a))) for lam, tag in data[1]]
         return all(v is not None for _, v in terms) and exact.gram_holds(mat, den, terms)
     if kind == "pairing_polynomial_zero":
-        return _pairing_polynomial(a).is_zero()
+        return a._pairing_polynomial.is_zero()
     if kind == "pairing_polynomial_even_positive":
-        return _pairing_polynomial(a).is_even_nonnegative()
+        return a._pairing_polynomial.is_even_nonnegative()
     if kind in ("eigvals", "eigval"):   # the float path's: recomputed, never on exact data
         return not a.is_exact() and positivity_verdict(a, "positive").answer == verdict.answer
     if kind == "generator":

@@ -14,7 +14,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import formats
 from .errors import ParseError, TropcurError, ValidationError
@@ -23,7 +22,7 @@ from .formats import jsonable, load_json
 
 def _count(x):
     """A non-negative whole number: a count, a pool size or a sample count."""
-    n = int(x)
+    n = formats._parse_int(x)
     if n < 0:
         raise ValueError(f"{x!r} is negative")
     return n
@@ -55,9 +54,9 @@ class Scene:
     def __post_init__(self):
         try:
             self.tol = _tolerance(self.tol)
-            self.seed = int(self.seed)
+            self.seed = formats._parse_int(self.seed)
             self.samples = _count(self.samples)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, ParseError) as err:
             raise ValidationError(f"scene 'tol', 'seed' or 'samples' is malformed: {err}") from err
 
 
@@ -130,7 +129,7 @@ def _field(task, key, convert=None, default=None):
         return default
     try:
         return task[key] if convert is None else convert(task[key])
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, ParseError) as err:
         raise ValidationError(f"task field {key!r} is malformed: {err}") from err
 
 
@@ -142,12 +141,12 @@ def _object(scene, task, key):
 
 
 def _fracs(xs):
-    return tuple(Fraction(str(x)) for x in xs)
+    return tuple(map(formats._parse_frac, formats._array(xs)))
 
 
 def _strata(groups):
     """1-based axis lists -> 0-based strata."""
-    return [frozenset(int(i) - 1 for i in M) for M in groups]
+    return [frozenset(formats._parse_int(i) - 1 for i in M) for M in groups]
 
 
 def run_task(scene, task):
@@ -172,7 +171,7 @@ def run_task(scene, task):
         return {"cone": cid,
                 "generators": [list(g) for g in scene.fan.cones[cid].generators]}
     if op == "toric_chart":
-        cone = _field(task, "cone", int)
+        cone = _field(task, "cone", formats._parse_int)
         if not 0 <= cone < len(scene.fan):
             raise ValidationError(f"no cone {cone} in a fan of {len(scene.fan)} cones")
         return formats.chart_to_json(scene.fan.toric_chart(cone))

@@ -262,9 +262,14 @@ def test_task_missing_field_is_error_record(tmp_path, capsys, op, missing):
     {"op": "locate_relint", "vector": [1], "expect": [1]},
     {"op": "positivity", "form": "w", "pool_size": -5},
     {"op": "round_trip", "count": -1},
+    {"op": "limit_point", "point": ["17/0"], "direction": [1]},
+    {"op": "positivity", "form": "w", "pool_size": 1.5},
+    {"op": "toric_chart", "cone": 0.5},
+    {"op": "el_mir", "current": "T", "strata": [[1.5]]},
 ], ids=["cone-range", "cone-type", "tier", "pool-size", "point", "strata", "name-type",
         "point-length", "vector-length", "direction-length", "task-type", "expect-type",
-        "pool-size-negative", "count-negative"])
+        "pool-size-negative", "count-negative", "point-zero-denominator", "pool-size-fraction",
+        "cone-fraction", "strata-fraction"])
 def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
     scene = {"fan": {"rank": 1, "cones": [[[1]]]},
              "objects": {"w": {"type": "gallery", "name": "omega_rank_two"},
@@ -536,3 +541,87 @@ def test_lagerberg_literal_with_complex_coefficient_is_input_error(tier, c):
     code, err = _cli_in_process(["check-positivity", "--tier", tier, "--form", "{form}"],
                                 {"form": form})
     assert code == 2 and err.startswith("input error: ") and "Traceback" not in err, err
+
+
+# --- mutated scene files ------------------------------------------------------------
+
+_SCENE_FIBER = json.loads((Path(__file__).resolve().parent / "golden" / "inputs"
+                           / "scene_fiber.json").read_text())
+
+
+def _paths(data, path=()):
+    """Every path of keys and indices into a JSON value, its own () first."""
+    yield path
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+_TASK_FIELDS = ["op", "point", "direction", "vector", "pool_size", "tier", "form", "left",
+                "right", "cone", "count", "strata", "expect", "id"]
+_SCENE_FIELDS = ["seed", "samples", "tol", "chart", "fan", "objects", "tasks"]
+
+
+@st.composite
+def _scene_mutants(draw):
+    """scene_fiber.json with one to three values replaced by junk, by a
+    number of the wrong kind or by a bad rational, or dropped: a value in a
+    task, a task field, a scene-level entry, or a value anywhere."""
+    scene = json.loads(json.dumps(_SCENE_FIBER))
+    for _ in range(draw(st.integers(1, 3))):
+        tasks = scene.get("tasks") if isinstance(scene.get("tasks"), list) else []
+        tasks = [t for t in tasks if isinstance(t, dict)]
+        where = draw(st.sampled_from(["task", "task", "task field", "scene", "anywhere"]))
+        if where == "task" and tasks:     # a value in a task, an entry of an array too
+            task = draw(st.sampled_from(tasks))
+            *head, key = draw(st.sampled_from(list(_paths(task))[1:] or [("op",)]))
+            parent = task
+            for k in head:
+                parent = parent[k]
+        elif where == "task field" and tasks:
+            parent, key = draw(st.sampled_from(tasks)), draw(st.sampled_from(_TASK_FIELDS))
+        elif where == "scene":
+            parent, key = scene, draw(st.sampled_from(_SCENE_FIELDS))
+        else:
+            *head, key = draw(st.sampled_from(list(_paths(scene))[1:]))
+            parent = scene
+            for k in head:
+                parent = parent[k]
+        if isinstance(parent, dict) and draw(st.integers(0, 5)) == 0:
+            parent.pop(key, None)
+        else:
+            parent[key] = draw(st.one_of(_JUNK, st.sampled_from(
+                ["17/0", "-3", 2.5, -1, 3, ["17/0", "-3"], ["1", "2", "3"], [1.5, 2], "12"])))
+    return scene
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_scene_mutants())
+def test_mutated_scene_runs_or_is_typed_error(scene):
+    """A mutant of the golden fiber scene runs (exit 0, or 1 on a missed
+    expectation), or exits 2 with an input error or with error records that
+    name a TropcurError; it never raises, and the other tasks still report."""
+    from tropcur import errors
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "scene.json").write_text(json.dumps(scene))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(Path(tmp, "scene.json"))])
+    assert "Traceback" not in err.getvalue()
+    if err.getvalue():
+        assert code == 2 and err.getvalue().startswith(("input error: ", "error: ")), err.getvalue()
+        return
+    records = json.loads(out.getvalue())["tasks"]
+    assert len(records) == len(scene.get("tasks", []))
+    failed = [r for r in records if r["status"] == "error"]
+    for r in failed:
+        assert issubclass(getattr(errors, r["error"]), errors.TropcurError), r
+    assert code == (2 if failed else 1 if any(r.get("expected_ok") is False for r in records) else 0)
+
+
+def test_scene_seed_must_be_an_integer(tmp_path, capsys):
+    scene = {**_SCENE_FIBER, "seed": 2.5}
+    f = tmp_path / "scene.json"
+    f.write_text(json.dumps(scene))
+    code = main(["run", str(f)])
+    assert code == 2 and "2.5" in capsys.readouterr().err

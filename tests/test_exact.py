@@ -156,6 +156,35 @@ def _hermitian_matrices(draw):
     return m
 
 
+@st.composite
+def _low_rank_matrices(draw):
+    """An integer or Gaussian-integer (QC) matrix up to 10 x 10 of rank one
+    or two, sum s v conj(v)^T over one or two vectors with many zero
+    entries, each sign s +1, or -1 for the last one in a third of them:
+    the peeling pivots once or twice and leaves a large zero live block, or
+    ends at a negative pivot.  In half of them a nonzero entry joins two
+    indices where every vector vanishes, so that the peeling ends at a zero
+    live diagonal with that entry off it, often after earlier pivots."""
+    n = draw(st.integers(1, 10))
+    hermitian = draw(st.booleans())
+    integer = st.one_of(st.just(0), st.integers(-3, 3))
+    scalar = st.builds(QC, integer, integer) if hermitian else integer
+    zero = QC(0) if hermitian else 0
+    m = [[zero] * n for _ in range(n)]
+    vectors = draw(st.lists(st.lists(scalar, min_size=n, max_size=n), min_size=1, max_size=2))
+    signs = [1] * (len(vectors) - 1) + [draw(st.sampled_from([1, 1, -1]))]
+    for s, v in zip(signs, vectors):
+        for i in range(n):
+            for j in range(n):
+                m[i][j] = m[i][j] + s * v[i] * _conj(v[j])
+    idle = [i for i in range(n) if not any(v[i] for v in vectors)]
+    if len(idle) > 1 and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.sampled_from(idle), min_size=2, max_size=2, unique=True)))
+        m[i][j] = draw(scalar.filter(bool))
+        m[j][i] = _conj(m[i][j])
+    return m
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_hermitian_matrices())
 def test_psd_decompose_certificate_or_witness(m):
@@ -178,14 +207,15 @@ def test_psd_decompose_certificate_or_witness(m):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_hermitian_matrices(), st.data())
+@given(st.one_of(_hermitian_matrices(), _low_rank_matrices()), st.data())
 def test_gram_holds_matches_fraction_reference(m, data):
     """gram_holds on m / k agrees with Fraction (QC) arithmetic: on the
     LDL^T's own certificate or witness, and on drawn terms (gamma <= 0
-    included) or a drawn x and value."""
+    included) or a drawn x and value.  Some m are made asymmetric below the
+    diagonal after the LDL^T, so that its terms match their upper triangle
+    only: gram_holds must say False."""
     n = len(m)
     k = data.draw(st.integers(1, 4))
-    scaled = [[x * k for x in row] for row in m]
     rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     scalar = st.builds(QC, rational, rational) if isinstance(m[0][0], QC) else rational
     vector = st.lists(scalar, min_size=n, max_size=n)
@@ -193,6 +223,12 @@ def test_gram_holds_matches_fraction_reference(m, data):
     terms = res.decomposition or []
     if data.draw(st.booleans()) or not terms:
         terms = data.draw(st.lists(st.tuples(rational, vector), max_size=3))
+    elif n > 1 and data.draw(st.booleans()):
+        i = data.draw(st.integers(1, n - 1))
+        m = [list(row) for row in m]
+        m[i][data.draw(st.integers(0, i - 1))] += data.draw(st.sampled_from([1, -1, QC(0, 1)]))
+        assert not exact.gram_holds(m, 1, terms)
+    scaled = [[x * k for x in row] for row in m]
     rec = [[0] * n for _ in range(n)]
     for gamma, v in terms:
         for i in range(n):
@@ -286,7 +322,7 @@ def _ldl_cases(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_ldl_cases())
+@given(st.one_of(_ldl_cases(), st.tuples(_low_rank_matrices(), st.integers(1, 12))))
 def test_psd_decompose_matches_fraction_reference(case):
     m, k = case
     want = _ref_psd_decompose(m)

@@ -875,15 +875,21 @@ def _pool_tier_forms(draw):
     return form
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(_pool_tier_forms(), st.integers(0, 3))
-def test_pool_tiers_match_form_building_reference(form, seed):
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(_pool_tier_forms(), _ALGEBRAS.flatmap(lambda algebra: _bench_family_forms(4, 2, algebra))),
+       st.integers(0, 3), st.sampled_from([30, 30, 6]))
+def test_pool_tiers_match_form_building_reference(form, seed, pool_size):
+    """The strong and weak tiers agree with _ref_pool_tier, which builds
+    every generator as a form and whose weak tier walks the whole pool
+    before it tries the pairing polynomial, on pool forms and on the
+    benchmark's fiber families, also with a pool of coordinate entries only."""
     for tier in ("strong", "weak"):
-        v = positivity_verdict(form, tier, seed=seed, pool_size=30)
-        ref = _ref_pool_tier(form, tier, 30, seed)
+        v = positivity_verdict(form, tier, seed=seed, pool_size=pool_size)
+        ref = _ref_pool_tier(form, tier, pool_size, seed)
         got, want = ((x.answer, x.reason, x.witness, x.certificate) for x in (v, ref))
         assert got == want
         assert formats.jsonable(got) == formats.jsonable(want)
+        assert repr(v) == repr(ref)
         assert reverify(form, v)
 
 
@@ -1219,7 +1225,34 @@ def test_reverify_rejects_mutated_verdicts(data):
 def test_pairing_polynomial_matches_chained_merges(data, case):
     n, p = case
     a = data.draw(_sparse_form(n, p, p, "lagerberg"))
-    assert repr(fiber._pairing_polynomial(a)) == repr(_ref_pairing_polynomial(a))
+    assert repr(a._pairing_polynomial) == repr(_ref_pairing_polynomial(a))
+
+
+def test_weak_verdict_and_reverify_build_the_pairing_polynomial_once(monkeypatch):
+    """A weak verdict and its reverify build a form's pairing polynomial at
+    most once between them: once for a polynomial Yes, once for a No that a
+    random pool entry proves, and never for a No from a coordinate entry."""
+    calls = []
+    build = fiber._FiberForm._pairing_polynomial.func
+
+    def counted(a):
+        calls.append(a)
+        return build(a)
+    monkeypatch.setattr(fiber._FiberForm._pairing_polynomial, "func", counted)
+    S = subsets(4, 2)
+
+    def form(*terms):
+        return LagerbergFiberForm(4, 2, 2, {(S[i], S[j]): c for i, j, c in terms})
+    cases = [(omega_degenerate().scale(Fraction(3, 7)), ("yes", "pairing_polynomial_zero"), 1),
+             (form((4, 1, 2), (0, 4, -1), (1, 4, 2), (4, 0, -1)), ("no", "random"), 1),
+             (form((2, 0, -2), (3, 3, 4), (0, 2, -2)), ("no", "coordinate"), 0)]
+    for a, (answer, kind), built in cases:
+        calls.clear()
+        v = positivity_verdict(a, "weak")
+        assert v.answer == answer
+        assert (v.certificate[0] if v.yes else v.witness[1][0]) == kind
+        assert reverify(a, v)
+        assert len(calls) == built and all(b is a for b in calls), (kind, len(calls))
 
 
 def test_weak_no_builds_only_its_witness(monkeypatch):
