@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals and integers.
 
 Small dense routines used everywhere in the package: fraction-valued
-Gaussian elimination, Hermite normal form and basis completion over Z,
-a fraction-free LDL^T positive-semidefiniteness decision with
+Gaussian elimination, a fraction-free phase-1 simplex for nonnegative
+solutions, Hermite normal form and basis completion over Z, a
+fraction-free LDL^T positive-semidefiniteness decision with
 certificates, and Sturm root counting for sign certification of
 univariate polynomials.
 
@@ -95,6 +96,39 @@ def solve(m, rhs):
     for row, c in zip(a, pivots):
         x[c] = row[cols]
     return tuple(x)
+
+
+def nonnegative_solution(m, rhs):
+    """One x >= 0 with m x = rhs exactly, or None when there is none.
+
+    Phase 1 of the revised simplex method: an artificial basic variable per
+    row (negated where rhs < 0), whose sum pivots drive to zero, else there
+    is no solution.  Bland's rule (lowest entering column; lowest leaving
+    basic variable among the least ratios, artificials last) makes it
+    terminate (R. G. Bland, Math. Oper. Res. 2, 1977).  It runs on integers:
+    m and rhs share one cleared denominator, and T / q = [B^-1 | B^-1 rhs]
+    for the basis B, q = |det B|, so each fraction-free update divides exactly.
+    """
+    size, cols = len(m), len(m[0]) if m else 0
+    _, (flat,) = integer_parts([*chain.from_iterable(m), *rhs])
+    b = flat[size * cols:]
+    sign = [-1 if x < 0 else 1 for x in b]
+    columns = list(zip(*([s * x for x in flat[i * cols:(i + 1) * cols]] for i, s in enumerate(sign))))
+    T = [[int(i == k) for k in range(size)] + [s * x] for i, (s, x) in enumerate(zip(sign, b))]
+    q, basis = 1, [cols + i for i in range(size)]
+    while any(row[-1] for row, k in zip(T, basis) if k >= cols):
+        # y = q c_B B^-1: column j has reduced cost -y.m_j / q for the artificials' sum
+        y = [sum(col) for col in zip(*(row[:-1] for row, k in zip(T, basis) if k >= cols))]
+        enter = next((j for j, col in enumerate(columns) if sum(map(operator.mul, y, col)) > 0), None)
+        if enter is None:
+            return None
+        d = [sum(map(operator.mul, row, columns[enter])) for row in T]
+        r = min((i for i in range(size) if d[i] > 0), key=lambda i: (Fraction(T[i][-1], d[i]), basis[i]))
+        T = [row if i == r else [(d[r] * x - d[i] * z) // q for x, z in zip(row, T[r])]
+             for i, row in enumerate(T)]
+        q, basis[r] = d[r], enter
+    value = {k: Fraction(row[-1], q) for row, k in zip(T, basis)}
+    return tuple(value.get(j, Fraction(0)) for j in range(cols))
 
 
 def rank(m):

@@ -19,6 +19,8 @@ def _frac_str(x):
 
 
 def _parse_frac(s):
+    if isinstance(s, bool):
+        raise ParseError(f"{s!r} is not a number")
     try:
         return frac(s)
     except (TypeError, ValueError, ZeroDivisionError) as err:

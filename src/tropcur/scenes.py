@@ -30,7 +30,7 @@ def _count(x):
 
 def _tolerance(x):
     t = float(x)
-    if not (math.isfinite(t) and t >= 0):
+    if isinstance(x, bool) or not (math.isfinite(t) and t >= 0):
         raise ValueError(f"tolerance {x!r} is not a finite non-negative number")
     return t
 
@@ -197,8 +197,10 @@ def run_task(scene, task):
     if op == "closedness":
         from .currents import closedness_test
         T = _object(scene, task, "current")
-        v = closedness_test(T, test_basis_size=_field(task, "forms", int, 25),
-                            tol=tol, seed=seed)
+        forms = _field(task, "forms", _count, 25)
+        if forms < 1:
+            raise ValidationError(f"task field 'forms' is {forms}, not at least 1")
+        v = closedness_test(T, test_basis_size=forms, tol=tol, seed=seed)
         return {"verdict": "closed" if v.yes else "not_closed",
                 "residual": v.residual, "exact": v.exact}
     if op == "c_finite":
@@ -243,8 +245,10 @@ def run_task(scene, task):
         from .currents import closedness_test, extend_by_zero
         T = _object(scene, task, "current")
         strata = _field(task, "strata", _strata, [frozenset({0})])
-        ext = extend_by_zero(T, strata, tol=tol, seed=seed,
-                             check_positive=bool(task.get("check_positive", True)))
+        check = _field(task, "check_positive", default=True)
+        if not isinstance(check, bool):
+            raise ValidationError(f"task field 'check_positive' is {check!r}, not true or false")
+        ext = extend_by_zero(T, strata, tol=tol, seed=seed, check_positive=check)
         cv = closedness_test(ext, tol=tol, seed=seed)
         return {"extended": True, "closed": cv.yes, "residual": cv.residual}
     if op == "integrate":

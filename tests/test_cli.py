@@ -266,10 +266,18 @@ def test_task_missing_field_is_error_record(tmp_path, capsys, op, missing):
     {"op": "positivity", "form": "w", "pool_size": 1.5},
     {"op": "toric_chart", "cone": 0.5},
     {"op": "el_mir", "current": "T", "strata": [[1.5]]},
+    {"op": "closedness", "current": "T", "forms": -4},
+    {"op": "closedness", "current": "T", "forms": 0},
+    {"op": "closedness", "current": "T", "forms": 1.5},
+    {"op": "el_mir", "current": "T", "check_positive": "false"},
+    {"op": "el_mir", "current": "T", "check_positive": 0},
+    {"op": "positivity", "form": "w", "pool_size": True},
+    {"op": "limit_point", "point": [True], "direction": [1]},
 ], ids=["cone-range", "cone-type", "tier", "pool-size", "point", "strata", "name-type",
         "point-length", "vector-length", "direction-length", "task-type", "expect-type",
         "pool-size-negative", "count-negative", "point-zero-denominator", "pool-size-fraction",
-        "cone-fraction", "strata-fraction"])
+        "cone-fraction", "strata-fraction", "forms-negative", "forms-zero", "forms-fraction",
+        "check-positive-string", "check-positive-number", "pool-size-bool", "point-bool"])
 def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
     scene = {"fan": {"rank": 1, "cones": [[[1]]]},
              "objects": {"w": {"type": "gallery", "name": "omega_rank_two"},
@@ -385,7 +393,7 @@ _atom_off_chart = _current({"|": {"atoms": [{"pt": {"stratum": [1], "coords": []
                                      _scene(tol=float("nan")), _scene(tol=-1e-8),
                                      _scene(tol="inf"), _scene(samples=-1),
                                      _form("--tol", "nan"), _form("--tol", "-1"),
-                                     _form("--samples", "-2")],
+                                     _form("--samples", "-2"), _scene(tol=True)],
                          ids=["form-index", "atom-length", "shadow-key", "field-bidegree",
                               "row-short", "row-long", "objects-list", "object-type",
                               "tasks-object", "gallery-no-name", "gallery-suite",
@@ -393,7 +401,7 @@ _atom_off_chart = _current({"|": {"atoms": [{"pt": {"stratum": [1], "coords": []
                               "cocoeffs-list", "measure-list", "atom-off-chart", "form-rank",
                               "form-bidegree", "tol-nan", "tol-negative", "tol-inf",
                               "samples-negative", "flag-tol-nan", "flag-tol-negative",
-                              "flag-samples-negative"])
+                              "flag-samples-negative", "tol-bool"])
 def test_malformed_object_is_input_error(tmp_path, command):
     proc = run_cli_process(command(tmp_path))
     assert proc.returncode == 2, proc.stderr
@@ -513,8 +521,10 @@ def test_fan_literal_round_trips_or_is_input_error(data):
      "1.5"),
     (["decompose", "--fan", "{fan}", "--current", "{T}"],
      {"fan": {"rank": -1, "cones": []}, "T": {"bidegree": [0, 0], "cocoeffs": {}}},
-     "fan rank -1 is negative")],
-    ids=["form-index", "form-rank", "fan-generator", "fan-rank"])
+     "fan rank -1 is negative"),
+    (["check-positivity", "--form", "{form}"],
+     {"form": {"n": 2, "p": 1, "q": 1, "terms": [{"I": [1], "J": [1], "c": True}]}}, "True")],
+    ids=["form-index", "form-rank", "fan-generator", "fan-rank", "form-coefficient-bool"])
 def test_non_integral_or_negative_integers_are_input_errors(args, files, says):
     code, err = _cli_in_process(args, files)
     assert code == 2 and err.startswith("input error: ") and says in err, err

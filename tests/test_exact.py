@@ -83,6 +83,54 @@ def test_rref_solve_rank_nullspace_agree():
     assert prod.tolist() == np.identity(3, dtype=int).tolist()
 
 
+def _lp_feasible(m, rhs):
+    """Whether m x = rhs has a solution x >= 0, by scipy's float LP."""
+    from scipy.optimize import linprog
+    cols = len(m[0])
+    res = linprog(np.zeros(cols), A_eq=np.array(m, dtype=float), b_eq=np.array(rhs, dtype=float),
+                  bounds=[(0, None)] * cols, method="highs")
+    assert res.status in (0, 2)         # solved or infeasible
+    return res.status == 0
+
+
+def _is_nonnegative_solution(x, m, rhs):
+    return (len(x) == len(m[0]) and all(v >= 0 for v in x)
+            and all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(m, rhs)))
+
+
+@st.composite
+def _integer_systems(draw):
+    """m x = rhs with small integer entries; repeated columns and zero
+    right-hand sides make degenerate pivots."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        for row in m:
+            row.append(row[j])
+    return m, draw(st.lists(st.sampled_from([0, 0, -2, -1, 1, 2, 5]), min_size=rows, max_size=rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_integer_systems())
+def test_nonnegative_solution_matches_lp_feasibility(system):
+    m, rhs = system
+    x = exact.nonnegative_solution(m, rhs)
+    assert (x is not None) == _lp_feasible(m, rhs)
+    assert x is None or _is_nonnegative_solution(x, m, rhs)
+
+
+def test_nonnegative_solution_terminates_on_degenerate_systems():
+    # zero right-hand sides, a zero row and repeated columns
+    m = [[1, -1, 1, -1, 1, -1], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1], [2, 0, 2, 0, 2, 0]]
+    x = exact.nonnegative_solution(m, [0, 0, 2, 2])
+    assert _is_nonnegative_solution(x, m, [0, 0, 2, 2])
+    assert exact.nonnegative_solution(m, [0, 0, 0, 0]) == (0,) * 6
+    assert exact.nonnegative_solution(m, [0, 0, -2, 0]) is None
+    assert exact.nonnegative_solution(m, [0, 1, 2, 2]) is None
+    assert exact.nonnegative_solution([[Fraction(1, 2), 1]], [Fraction(1, 3)]) == (Fraction(2, 3), 0)
+
+
 def test_lattice_saturation():
     assert exact.lattice_saturated([(1, 0), (0, 1)])
     assert not exact.lattice_saturated([(2, 0)])

@@ -926,9 +926,8 @@ def _must_not_run(*args, **kwargs):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_rational_strong_sums())
 def test_gram_span_gives_strong_yes_without_the_lp(form):
-    import scipy.optimize
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scipy.optimize, "linprog", _must_not_run)
+        patch.setattr(fiber, "_pool_certificate", _must_not_run)
         v = positivity_verdict(form, "strong")
     assert v.yes and v.certificate[0] == "conic"
     assert all(tag[0] == "gram_span" for _, tag in v.certificate[1])
@@ -976,19 +975,19 @@ def _pool_sums(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.one_of(st.tuples(_pool_tier_forms(), st.integers(0, 3)), _pool_sums()))
 def test_filtered_lp_matches_full_pool_reference(case):
-    """The strong tier's LP, over the pool entries inside the Gram row space
-    of a positive form and skipped when fewer remain than the Gram rank, is
-    feasible iff the LP over the whole form-built pool is; on a form that is
-    not positive, which the tier never sends to the LP, that LP fails too."""
+    """The strong tier's exact nonnegative solve, over the pool entries
+    inside the Gram row space of a positive form in either algebra and
+    skipped when fewer remain than the Gram rank, is feasible iff the
+    scipy LP over the whole form-built pool is; on a form that is
+    not positive, which the tier never sends to the pool, that LP fails too."""
     form, seed = case
     assume(form.is_exact() and not form.is_zero())
     base = positivity_verdict(form, "positive")
     n, p = form.n, form.p
     got = None
     if base.yes:
-        inside = fiber._pool_in_span(form, strong_generator_pool(n, p, 30, seed))
-        if len(inside) >= len(base.certificate[1]):
-            got = fiber._strong_lp_certificate(form, inside)
+        got = fiber._pool_certificate(form, base.certificate[1],
+                                      strong_generator_pool(n, p, 30, seed))
     want = _ref_strong_lp_certificate(form, _ref_strong_generator_pool(n, p, 30, seed, form.algebra))
     assert (got is None) == (want is None)
     if want is not None:

@@ -30,6 +30,8 @@ CASES = [
     ("positivity_positive.json", 0, ["check-positivity", "--form", "form.json"]),
     ("positivity_strong.json", 0, ["check-positivity", "--form", "form.json",
                                    "--tier", "strong", "--pool-size", "50"]),
+    ("positivity_strong_pool.json", 0, ["check-positivity", "--form", "form_pool_sum.json",
+                                        "--tier", "strong"]),
     ("positivity_weak.json", 0, ["check-positivity", "--form", "form.json",
                                  "--tier", "weak", "--pool-size", "50", "--seed", "4"]),
     ("decompose.json", 0, ["decompose", "--current", "current.json", "--rank", "2",

@@ -225,3 +225,43 @@ def test_measure_on_boundary_stratum_density():
     f = {frozenset({0}): CoefficientFn.from_poly(Poly.var(1, 2))}
     val = integrate_against(f, mu)
     assert val == pytest.approx(0.5, abs=1e-9)
+
+
+def _polygon(verts):
+    """The convex polygon of counterclockwise integer vertices, as rows a.x <= b."""
+    rows = []
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        a = (y1 - y0, x0 - x1)          # the outward normal of the edge
+        rows.append((a, a[0] * x0 + a[1] * y0))
+    return Polyhedron(2, rows)
+
+
+def _area_and_moments(verts):
+    """Exact area and first moments (int x, int y) of a polygon, by the shoelace formula."""
+    area = mx = my = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        cross = x0 * y1 - x1 * y0
+        area += Fraction(cross, 2)
+        mx += Fraction((x0 + x1) * cross, 6)
+        my += Fraction((y0 + y1) * cross, 6)
+    return area, mx, my
+
+
+@pytest.mark.parametrize("verts", [[(0, 0), (3, 0), (1, 2)],
+                                   [(0, 0), (2, 0), (3, 1), (1, 3), (-1, 1)]],
+                         ids=["triangle", "pentagon"])
+@pytest.mark.parametrize("coeffs", [(3, 0, 0), (5, 1, -1)], ids=["constant", "linear"])
+def test_density_on_polygon_matches_area_and_moments(monkeypatch, verts, coeffs):
+    # a bounded piece that is not a box is triangulated and integrated simplex by simplex
+    from tropcur import quadrature
+    calls = []
+    simplex = quadrature.adaptive_simplex
+    monkeypatch.setattr(quadrature, "adaptive_simplex",
+                        lambda *args: calls.append(args) or simplex(*args))
+    c0, c1, c2 = coeffs                 # density c0 + c1 x + c2 y, positive on both polygons
+    weight = Poly.linear([c1, c2], const=c0)
+    mu = PieceMeasure(2, pieces=[lebesgue_piece((), _polygon(verts), weight=weight, sign=1)])
+    area, mx, my = _area_and_moments(verts)
+    tol = 1e-8
+    val = integrate_against(CoefficientFn.const(1, 2), mu, tol=tol)
+    assert calls and abs(val - float(c0 * area + c1 * mx + c2 * my)) <= 2 * tol
