@@ -684,8 +684,8 @@ def _gram_span_verdict(a, terms):
     rational roots alpha_1, alpha_2 are a basis of W, so a strong
     decomposition can only be a = l_1 G(alpha_1) + l_2 G(alpha_2), that is
     gram(a) = l_1 alpha_1 alpha_1^T + l_2 alpha_2 alpha_2^T, solved exactly
-    on the Gram entries (_conic_weights): a Yes when both weights can be
-    >= 0.  Anything else gives None.
+    for l >= 0 on the Gram entries between the LDL^T pivots: a Yes when
+    there is such a solution.  Anything else gives None.
     """
     if a.algebra != "lagerberg":
         return None
@@ -714,7 +714,14 @@ def _gram_span_verdict(a, terms):
     if len(roots) != 2 or any(D for *_, D in roots):
         return None
     alphas = [w1.scale(y) + w2.scale(z) for y, _, z, _, _ in roots]
-    sol = _conic_weights(a, terms, [[alpha.get(K, ()) for K in a._gram[0]] for alpha in alphas])
+    # both sides are V C V^T, V the LDL^T vectors, each starting at its pivot
+    # and zero at the earlier ones: the entries between pivots force C = 0
+    idx, N, den = a._gram
+    vecs = [[alpha.get(K, ()) for K in idx] for alpha in alphas]
+    pivots = [idx.index(next(iter(v))) for _, v in terms]
+    keys = [(t, u) for i, t in enumerate(pivots) for u in pivots[i:]]
+    sol = exact.nonnegative_solution([[v[t] * v[u] for v in vecs] for t, u in keys],
+                                     [Fraction(N[t][u], den) for t, u in keys])
     return None if sol is None else _gram_span_yes(list(zip(sol, alphas)))
 
 
@@ -753,35 +760,66 @@ def _common_real_roots(quadratics):
     return [root for root in dict.fromkeys(roots) if all(vanishes(qd, root) for qd in quadratics)]
 
 
-def _conic_weights(a, terms, vectors):
-    """lambda >= 0 with gram(a) = sum_j lambda_j v_j v_j^T, or None, for real
-    v_j in the Gram row space of a positive exact form a with a real Gram
-    matrix and LDL^T ``terms`` [(gamma, {K: v_K})].  Both sides are V C V^T,
-    V the LDL^T vectors, each starting at its pivot and zero at the earlier
-    ones; so the upper-triangle Gram entries between pivots force C = 0."""
-    idx, N, den = a._gram
-    pivots = [idx.index(next(iter(v))) for _, v in terms]
-    keys = [(t, u) for i, t in enumerate(pivots) for u in pivots[i:]]
-    return exact.nonnegative_solution([[v[t] * v[u] for v in vectors] for t, u in keys],
-                                      [Fraction(a._parts(N[t][u])[0], den) for t, u in keys])
-
-
-def _pool_certificate(a, terms, pool):
-    """A conic certificate [(lambda, tag)], lambda != 0 in pool order, of
-    the positive exact form a with LDL^T ``terms`` over pool entries
-    (beta, tag), or None.  Only beta in the Gram row space W can take part,
-    and W is orthogonal to the integer kernel of a real Gram matrix, which a
-    sum of real beta beta^T is; fewer than the Gram rank cannot span W."""
+def _pool_in_span(a, pool):
+    """The pool entries (beta, tag) whose beta lies in the Gram row space W
+    of the positive exact form a: the only generators a conic certificate
+    of a can use, since each term's Gram matrix beta beta^T is real and PSD
+    and their sum is a's.  So there are none when a's Gram matrix is not
+    real, and otherwise beta is in W iff it is orthogonal to each integer
+    kernel vector of that matrix."""
     parts = [[a._parts(x) for x in row] for row in a._gram[1]]
     if any(any(x[1:]) for row in parts for x in row):
-        return None
+        return []
     kernel = [exact.primitive(v) for v in exact.nullspace([[x[0] for x in row] for row in parts])]
-    inside = [(beta, tag) for beta, tag in pool
-              if not any(sum(map(operator.mul, beta, k)) for k in kernel)]
-    if len(inside) < len(terms):
+    return [(beta, tag) for beta, tag in pool
+            if not any(sum(map(operator.mul, beta, k)) for k in kernel)]
+
+
+def _strong_lp_certificate(a, pool):
+    """Exact conic-combination certificate [(lambda, tag)] over a pool of
+    Plucker vectors (beta, tag) of a form a with a real Gram matrix, via
+    LP + rational fit.
+
+    LP column j is generator j at the sorted keys (I, J) where a or some
+    generator has a coefficient, one row per part of a scalar: the parts
+    of s beta_I beta_J, s as in positive_generator.  That is one float
+    outer product per key (exact: the minors are small integers).  The
+    exact refit on the LP's support solves gram(a) = sum lambda_j beta_j
+    beta_j^T on the same keys, so no form is built.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+    n, p, parts = a.n, a.p, a._parts
+    S = subsets(n, p)
+    B = np.array([beta for beta, _ in pool], dtype=float).reshape(len(pool), len(S))
+    nonzero = B != 0
+    mask = nonzero.T @ nonzero
+    pos = {K: t for t, K in enumerate(S)}
+    for I, J in a.coeff:
+        mask[pos[I], pos[J]] = True
+    ti, tj = np.nonzero(mask)       # row-major: the keys in sorted order
+    if not len(ti):
+        return []                   # a has no coefficient: the empty sum
+    keys = [(S[t], S[u]) for t, u in zip(ti, tj)]
+    outer = B[:, ti] * B[:, tj]
+    s = a._i_pow(p) * (-1) ** (p * (p - 1) // 2)
+    A_eq = np.stack([outer * float(x) for x in parts(s)], axis=2).reshape(len(pool), -1).T + 0.0
+    b_eq = np.array([float(x) for k in keys for x in parts(a.get(*k))])
+    res = linprog(c=np.zeros(len(pool)), A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * len(pool), method="highs")
+    if not res.success:
         return None
-    sol = _conic_weights(a, terms, [beta for beta, _ in inside])
-    return None if sol is None else [(x, tag) for x, (_, tag) in zip(sol, inside) if x]
+    support = [j for j, x in enumerate(res.x) if x > 1e-9]
+    _, N, den = a._gram
+    cells = list(zip(ti.tolist(), tj.tolist()))
+    rhs = [Fraction(parts(N[t][u])[0], den) for t, u in cells]
+    if not support:
+        return [] if not any(rhs) else None
+    betas = [pool[j][0] for j in support]
+    sol = exact.solve([[b[t] * b[u] for b in betas] for t, u in cells], rhs)
+    if sol is None or any(x < 0 for x in sol):
+        return None
+    return [(sol[t], pool[support[t]][1]) for t in range(len(support)) if sol[t] != 0]
 
 
 def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
@@ -796,13 +834,13 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
     tier='strong' delegates to 'positive' for p in {0,1,n-1,n}; otherwise
     a positive No is a strong No, and an exact form is tried first on the
     Gram row space W (_gram_span_verdict: a Yes when its decomposables
-    give a decomposition, a No when it holds none), then by one exact
-    nonnegative solve (_pool_certificate) for a conic decomposition over
-    the entries of strong_generator_pool(n, p, pool_size, seed) in W, skipped
-    when fewer remain than the Gram rank; else Unknown.  A strong Yes
-    carries ("conic", [(lambda, tag)]), each tag naming a decomposable
-    (p,0)-form (_tag_vector); its weights are solved on Gram entries, so
-    it builds no form.
+    give a decomposition, a No when it holds none), then by one LP for a
+    conic decomposition over the entries of
+    strong_generator_pool(n, p, pool_size, seed) that lie in W, none when
+    a's Gram matrix is not real, skipped when fewer remain than the Gram
+    rank; else Unknown.  A strong Yes carries ("conic", [(lambda, tag)]),
+    each tag naming a decomposable (p,0)-form (_tag_vector); its weights
+    are fit on Gram entries, so it builds no form.
     tier='weak' requires symmetry; an exact positive form is weakly
     positive, with the positive tier's certificate.  Otherwise it pairs a
     with strong_generator_pool(n, n - p, pool_size, seed) in pool order and
@@ -830,7 +868,8 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
             verdict = _gram_span_verdict(a, terms)
             if verdict is not None:
                 return verdict
-            cert = _pool_certificate(a, terms, strong_generator_pool(n, p, pool_size, seed))
+            pool = _pool_in_span(a, strong_generator_pool(n, p, pool_size, seed))
+            cert = _strong_lp_certificate(a, pool) if len(pool) >= len(terms) else None
             if cert is not None:
                 return Verdict("strong", "yes", certificate=("conic", cert))
         return Verdict("strong", "unknown", reason="no certificate over the generator pool")

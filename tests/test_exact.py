@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropcur import exact
 from tropcur.exact import QC
@@ -111,8 +111,29 @@ def _integer_systems(draw):
     return m, draw(st.lists(st.sampled_from([0, 0, -2, -1, 1, 2, 5]), min_size=rows, max_size=rows))
 
 
+def _pool_system(n, generators):
+    """gram(a) = sum_j x_j beta_j beta_j^T on the upper-triangle Gram entries,
+    one column per entry beta_j of strong_generator_pool(n, 2, 2000, 0), for
+    the form a = sum of the (weight, (2,0)-form) generators."""
+    from tropcur.fiber import LagerbergFiberForm, positive_generator, strong_generator_pool
+    a = LagerbergFiberForm.zero(n, 2, 2)
+    for weight, coeffs in generators:
+        a = a + positive_generator(LagerbergFiberForm(n, 2, 0, coeffs)).scale(weight)
+    idx, N, den = a._gram
+    keys = [(t, u) for t in range(len(idx)) for u in range(t, len(idx))]
+    betas = [beta for beta, _ in strong_generator_pool(n, 2, 2000, 0)]
+    return ([[b[t] * b[u] for b in betas] for t, u in keys],
+            [Fraction(N[t][u], den) for t, u in keys])
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_integer_systems())
+# the shape of a strong-tier pool system at n = 4: 21 rows, 2000 columns
+@example(_pool_system(4, [(Fraction(k + 1, 2), {(I, ()): 1}) for k, I in enumerate(
+    [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])] + [(3, {((0, 1), ()): 2, ((1, 3), ()): -1})]))
+# span(e01 + e23, e02 - e13) holds no decomposable, so no pool entry: no solution
+@example(_pool_system(4, [(1, {((0, 1), ()): 1, ((2, 3), ()): 1}),
+                          (2, {((0, 2), ()): 1, ((1, 3), ()): -1})]))
 def test_nonnegative_solution_matches_lp_feasibility(system):
     m, rhs = system
     x = exact.nonnegative_solution(m, rhs)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -927,7 +928,7 @@ def _must_not_run(*args, **kwargs):
 @given(_rational_strong_sums())
 def test_gram_span_gives_strong_yes_without_the_lp(form):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fiber, "_pool_certificate", _must_not_run)
+        patch.setattr(fiber, "strong_generator_pool", _must_not_run)
         v = positivity_verdict(form, "strong")
     assert v.yes and v.certificate[0] == "conic"
     assert all(tag[0] == "gram_span" for _, tag in v.certificate[1])
@@ -975,23 +976,46 @@ def _pool_sums(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.one_of(st.tuples(_pool_tier_forms(), st.integers(0, 3)), _pool_sums()))
 def test_filtered_lp_matches_full_pool_reference(case):
-    """The strong tier's exact nonnegative solve, over the pool entries
-    inside the Gram row space of a positive form in either algebra and
-    skipped when fewer remain than the Gram rank, is feasible iff the
-    scipy LP over the whole form-built pool is; on a form that is
-    not positive, which the tier never sends to the pool, that LP fails too."""
+    """The strong tier's LP, over the pool entries inside the Gram row space
+    of a positive form in either algebra (none when its Gram matrix is not
+    real) and skipped when fewer remain than the Gram rank, is feasible iff
+    the LP over the whole form-built pool is; on a form that is not
+    positive, which the tier never sends to the LP, that LP fails too."""
     form, seed = case
     assume(form.is_exact() and not form.is_zero())
     base = positivity_verdict(form, "positive")
     n, p = form.n, form.p
     got = None
     if base.yes:
-        got = fiber._pool_certificate(form, base.certificate[1],
-                                      strong_generator_pool(n, p, 30, seed))
+        inside = fiber._pool_in_span(form, strong_generator_pool(n, p, 30, seed))
+        if len(inside) >= len(base.certificate[1]):
+            got = fiber._strong_lp_certificate(form, inside)
     want = _ref_strong_lp_certificate(form, _ref_strong_generator_pool(n, p, 30, seed, form.algebra))
     assert (got is None) == (want is None)
     if want is not None:
         assert positivity_verdict(form, "strong", seed=seed, pool_size=30).yes
+
+
+def test_full_rank_forms_get_pool_verdicts_in_seconds():
+    """At n = 5, p = 2 and pool 2000, a Gram matrix of full rank 10 keeps
+    all 2000 pool entries for the pool step: a sum of 12 random strong
+    generators is Unknown, a sum of 12 weighted pool entries a Yes.  Each
+    verdict takes under 2 s on 2 CPUs."""
+    rng = random.Random(5)
+    unknown = sum((strong_generator([[rng.randint(-2, 2) for _ in range(5)] for _ in range(2)], 5)
+                   for _ in range(12)), LagerbergFiberForm.zero(5, 2, 2))
+    rng = random.Random(5)
+    yes = sum((fiber._plucker_generator(beta, 5, 2, LagerbergFiberForm).scale(
+        Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        for beta, _ in rng.sample(list(strong_generator_pool(5, 2, 2000, 0)), 12)),
+        LagerbergFiberForm.zero(5, 2, 2))
+    for form, answer in [(unknown, "unknown"), (yes, "yes")]:
+        assert len(positivity_verdict(form, "positive").certificate[1]) == 10
+        start = time.perf_counter()
+        v = positivity_verdict(form, "strong", pool_size=2000)
+        elapsed = time.perf_counter() - start
+        assert v.answer == answer and reverify(form, v)
+        assert elapsed < 6, f"{answer} verdict took {elapsed:.1f} s"
 
 
 def test_reverify_rejects_conic_terms_that_are_not_their_tags_generators():

@@ -92,7 +92,7 @@ def test_check_positivity_on_exact_form_loads_no_numpy(tmp_path, tier):
     [[(1, 2, 0, -1), (0, 1, 3, 1)], [(2, -1, 1, 0), (1, 1, -2, 3)]],
 ])
 def test_strong_yes_on_generator_sums_loads_no_scipy(tmp_path, vectors):
-    # the Gram span decides these without reading the generator pool
+    # the Gram span decides these; the pool LP, and with it scipy, never runs
     form = tmp_path / "form.json"
     gens = [fiber.strong_generator(vecs, 4) for vecs in vectors]
     form.write_text(json.dumps(formats.fiber_form_to_json(sum(gens[1:], gens[0]))))
@@ -102,18 +102,6 @@ def test_strong_yes_on_generator_sums_loads_no_scipy(tmp_path, vectors):
     assert code == 0
     assert json.loads(report.read_text())["tasks"][0]["verdict"] == "yes"
     assert "scipy" not in modules
-
-
-def test_strong_yes_from_the_pool_loads_no_numpy(tmp_path):
-    # a rank-3 generator sum the Gram span leaves open: the pool's exact solve decides it
-    report = tmp_path / "report.json"
-    code, modules = _loaded(["check-positivity", "--form", str(INPUTS / "form_pool_sum.json"),
-                             "--tier", "strong", "--out", str(report)])
-    assert code == 0
-    (task,) = json.loads(report.read_text())["tasks"]
-    assert task["verdict"] == "yes" and task["reverified"]
-    assert all(tag[0] != "gram_span" for _, tag in task["certificate"][1])
-    assert not modules & {"numpy", "scipy"}
 
 
 def test_integrate_loads_no_current_layers(tmp_path):
