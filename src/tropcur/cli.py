@@ -14,7 +14,7 @@ fixed seed and tolerance.  Every subcommand runs as a scene through
 ``scenes.run``: exit code 2 on an input error or a task that ends in an
 error record, else 1 on an expectation mismatch, else 0.  A call imports
 only the modules its subcommand runs: numpy and scipy load on float paths
-alone (quadrature, field evaluation, float forms and the strong tier's LP).
+alone (quadrature, field evaluation and the strong tier's LP).
 """
 
 import argparse

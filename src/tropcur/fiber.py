@@ -40,32 +40,27 @@ def _complement(idx, n):
 
 # --- scalar dispatch ---------------------------------------------------------
 
-def _is_exact(x):
-    return isinstance(x, (int, Fraction, QC))
+def _exact_scalar(c):
+    """c with a Python float read as its exact dyadic Fraction and a complex
+    as the QC of its two parts; NaN and +-inf are a ValidationError."""
+    if isinstance(c, complex):
+        return QC(_exact_scalar(c.real), _exact_scalar(c.imag))
+    if isinstance(c, float):
+        if not math.isfinite(c):
+            raise ValidationError(f"a fiber form coefficient is finite, not {c!r}")
+        return Fraction(c)
+    return c
 
 
 def _conj(x):
-    if isinstance(x, QC):
-        return x.conj()
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
+    return x.conj() if isinstance(x, QC) else x
 
 
-def _to_float(x):
-    if isinstance(x, QC):
-        return complex(x)
-    return x
-
-
-def _negative(val, tol):
-    """A pairing value below zero: exactly for exact scalars, below -tol
-    for floats; a complex value must be real (within tol for floats)."""
+def _negative(val):
+    """A pairing value below zero; a complex value must be real."""
     if isinstance(val, QC):
         return val.im == 0 and val.re < 0
-    if isinstance(val, complex):
-        return abs(val.imag) <= tol and val.real < -tol
-    return val < 0 if _is_exact(val) else val < -tol
+    return val < 0
 
 
 # --- form classes ------------------------------------------------------------
@@ -74,8 +69,10 @@ class _FiberForm:
     """Shared sparse-coefficient container; do not instantiate directly.
 
     A form is immutable: ``coeff`` is a read-only mapping, set once in
-    __init__ or _new, so what is derived from it (exactness, _asymmetry, the
-    cleared integer Gram matrix _gram, _pairing_polynomial) is computed once.
+    __init__ or _new, so what is derived from it (_asymmetry, the cleared
+    integer Gram matrix _gram, _pairing_polynomial) is computed once.  Every
+    coefficient is exact: __init__ and scale read a Python float or complex
+    as its exact value (_exact_scalar).
     """
 
     algebra = None
@@ -87,6 +84,7 @@ class _FiberForm:
             I, J = tuple(I), tuple(J)
             if isinstance(c, self._foreign):
                 raise ValidationError(f"a {self.algebra} coefficient is real, not {c!r}")
+            c = self._of(_exact_scalar(c))
             if len(I) != p or len(J) != q:
                 raise ValidationError(f"index ({I},{J}) does not match bidegree ({p},{q})")
             if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
@@ -106,19 +104,22 @@ class _FiberForm:
             return bool(c)
         return c != 0
 
-    @cached_property
-    def _exact(self):
-        return all(_is_exact(c) for c in self.coeff.values())
+    @staticmethod
+    def _of(c):
+        """A coefficient as the algebra's scalar."""
+        return c
 
-    def is_exact(self):
-        return self._exact
+    @staticmethod
+    def _mul_scalar(c, s):
+        return c * s
 
     @cached_property
     def _gram(self):
-        """(indices, N, den) with gram_form(self).matrix == N / den for an
-        exact (p,p)-form: N holds integers (Lagerberg) or QC with integer
-        parts (complex), read straight off the coefficients over their
-        common denominator den; tuples, cleared once per form."""
+        """(indices, N, den) for a (p,p)-form: N[K][L] = den (-1)^{p(p-1)/2}
+        i^{-p} coeff[K,L] over indices = subsets(n, p), with i = 1 in the
+        Lagerberg case, so N holds integers (Lagerberg) or QC with integer
+        parts (complex) over the coefficients' common denominator den;
+        tuples, cleared once per form."""
         p = self.p
         idx = subsets(self.n, p)
         pos = {K: t for t, K in enumerate(idx)}
@@ -195,6 +196,7 @@ class _FiberForm:
         return self + other.scale(-1)
 
     def scale(self, s):
+        s = _exact_scalar(s)
         return self._new(self.p, self.q, {k: self._mul_scalar(c, s) for k, c in self.coeff.items()})
 
     def __repr__(self):
@@ -223,10 +225,6 @@ class LagerbergFiberForm(_FiberForm):
         return 0
 
     @staticmethod
-    def _mul_scalar(c, s):
-        return c * s
-
-    @staticmethod
     def _i_pow(k):
         return 1
 
@@ -252,10 +250,8 @@ class ComplexFiberForm(_FiberForm):
         return QC(0)
 
     @staticmethod
-    def _mul_scalar(c, s):
-        if isinstance(c, QC) or isinstance(s, QC):
-            return QC.of(c) * QC.of(s) if _is_exact(c) and _is_exact(s) else _to_float(c) * _to_float(s)
-        return c * s
+    def _of(c):
+        return QC.of(c) if isinstance(c, (int, Fraction)) else c
 
     _i_pow = staticmethod(QC.i_pow)
 
@@ -267,14 +263,6 @@ class ComplexFiberForm(_FiberForm):
     def _asymmetry(self):
         """'' if conj a = a, else the reason this (p,p)-form is not positive."""
         return "" if is_real(self) else "not real"
-
-    def __init__(self, n, p, q, coeff=None):
-        norm = {}
-        for k, c in (coeff or {}).items():
-            if _is_exact(c):
-                c = QC.of(c)
-            norm[k] = c
-        super().__init__(n, p, q, norm)
 
 
 _FORM_CLASSES = {"lagerberg": LagerbergFiberForm, "complex": ComplexFiberForm}
@@ -351,10 +339,7 @@ def embed_complex(a):
         raise WrongAlgebra("embed_complex takes a Lagerberg form")
     out = {}
     for (I, J), c in a.coeff.items():
-        if _is_exact(c):
-            out[(I, J)] = QC.i_pow(len(J)) * QC.of(c)
-        else:
-            out[(I, J)] = (1j ** (len(J) % 4)) * c
+        out[(I, J)] = QC.i_pow(len(J)) * QC.of(c)
     return ComplexFiberForm(a.n, a.p, a.q, out)
 
 
@@ -366,9 +351,6 @@ def embed_preimage(w):
         return None
     out = {}
     for (I, K), c in w.coeff.items():
-        if not _is_exact(c):
-            out[(I, K)] = (c * (1j ** (-len(K) % 4))).real
-            continue
         val = QC.i_pow(-len(K)) * QC.of(c)
         if val.im != 0:
             return None
@@ -394,16 +376,10 @@ def gram_form(a):
     """
     if a.p != a.q:
         raise NotSquareBidegree(f"bidegree ({a.p},{a.q}) is not (p,p)")
-    p, n = a.p, a.n
-    idx = subsets(n, p)
-    pos = {K: t for t, K in enumerate(idx)}
-    m = len(idx)
-    factor = a._i_pow(-p) * Fraction((-1) ** (p * (p - 1) // 2))
-    cast = (lambda x: x) if a.is_exact() else _to_float
-    mat = [[cast(a._zero())] * m for _ in range(m)]
-    for (K, L), c in a.coeff.items():
-        mat[pos[K]][pos[L]] = cast(a._mul_scalar(c, factor))
-    return GramForm(tuple(idx), mat, "none" if a._asymmetry else a.gram_kind)
+    idx, N, den = a._gram
+    unit = Fraction(1, den)
+    return GramForm(idx, [[x * unit for x in row] for row in N],
+                    "none" if a._asymmetry else a.gram_kind)
 
 
 def _complementary_terms(a):
@@ -576,8 +552,8 @@ def _draw_pool(n, p, size, seed):
             yield beta, ("random", vecs)
 
 
-def _positive_tier(a, tol):
-    """Exact (or float-tolerance) PSD decision of the Gram form.
+def _positive_tier(a):
+    """Exact PSD decision of the Gram form.
 
     A form fails at once when it is not symmetric (resp. real), that is when
     its Gram matrix is not symmetric (resp. Hermitian); psd_decompose tests
@@ -587,19 +563,6 @@ def _positive_tier(a, tol):
     conj(v)^T; No carries ("evaluation", {K: x_K}, value), the LDL^T witness
     x with value = conj(x)^T gram(a) x < 0.
     """
-    if not a.is_exact():
-        if a._asymmetry:
-            return Verdict("positive", "no", reason=a._asymmetry)
-        import numpy as np
-        g = gram_form(a)
-        m = np.array([[complex(_to_float(x)) for x in row] for row in g.matrix])
-        lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        scale = max(1.0, float(np.abs(m).max()))
-        if lam.min() >= -tol * scale:
-            return Verdict("positive", "yes", reason="float PSD",
-                           certificate=("eigvals", lam.tolist()))
-        return Verdict("positive", "no", reason="float eigenvalue",
-                       witness=("eigval", float(lam.min())))
     idx, mat, den = a._gram
     try:
         res = exact.psd_decompose(mat, den)
@@ -628,28 +591,15 @@ def _pairing_terms(a):
             for sign, c, K, L in _complementary_terms(a)]
 
 
-def _negative_pairing(a, tol):
+def _negative_pairing(a):
     """beta -> whether <a, g_beta> < 0, for integer Plucker vectors beta.
 
-    Exact forms scale their terms' real and imaginary parts by a common
-    denominator, so each test is integer arithmetic: negative iff the real
-    sum is below zero and the imaginary sum vanishes, as in _negative.
-    Float forms add the nonzero terms in dual_pairing's order and go
-    through _negative with tol.
+    The terms' real and imaginary parts are scaled by a common denominator,
+    so each test is integer arithmetic: negative iff the real sum is below
+    zero and the imaginary sum vanishes, as in _negative.
     """
     terms = _pairing_terms(a)
     pairs = [(k, l) for _, k, l in terms]
-    if not a.is_exact():
-        cs = [_to_float(c) for c, _, _ in terms]
-
-        def negative(beta):
-            val = 0
-            for c, (k, l) in zip(cs, pairs):
-                x = beta[k] * beta[l]
-                if x:
-                    val = val + c * x
-            return _negative(val, tol)
-        return negative
     _, (re, *im) = exact.integer_parts([c for c, _, _ in terms], a.algebra == "complex")
 
     def negative(beta):
@@ -672,7 +622,7 @@ def _symbolic_row_step(beta, row, offset):
 
 
 def _gram_span_verdict(a, terms):
-    """Strong Yes, strong No or None for a positive exact form from the Gram
+    """Strong Yes, strong No or None for a positive form from the Gram
     row space W, spanned by the vectors of its LDL^T ``terms``
     [(gamma, {K: v_K})].
 
@@ -762,7 +712,7 @@ def _common_real_roots(quadratics):
 
 def _pool_in_span(a, pool):
     """The pool entries (beta, tag) whose beta lies in the Gram row space W
-    of the positive exact form a: the only generators a conic certificate
+    of the positive form a: the only generators a conic certificate
     of a can use, since each term's Gram matrix beta beta^T is real and PSD
     and their sum is a's.  So there are none when a's Gram matrix is not
     real, and otherwise beta is in W iff it is orthogonal to each integer
@@ -822,17 +772,16 @@ def _strong_lp_certificate(a, pool):
     return [(sol[t], pool[support[t]][1]) for t in range(len(support)) if sol[t] != 0]
 
 
-def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
+def positivity_verdict(a, tier, *, seed=0, pool_size=2000):
     """Three-tier positivity decision with certificates.
 
-    tier='positive' is always decided: for exact data by the fraction-free
-    integer LDL^T of exact.psd_decompose on the Gram matrix, whose integer
+    tier='positive' is always decided, by the fraction-free integer LDL^T of exact.psd_decompose on the Gram matrix, whose integer
     entries are read straight off a's coefficients over one common
     denominator; its certificate is the LDL^T's (gamma, {K: v_K}) terms,
     and its witness ("evaluation", {K: x_K}, value) the LDL^T witness x
     with value = conj(x)^T gram(a) x < 0.
     tier='strong' delegates to 'positive' for p in {0,1,n-1,n}; otherwise
-    a positive No is a strong No, and an exact form is tried first on the
+    a positive No is a strong No, and a form is tried first on the
     Gram row space W (_gram_span_verdict: a Yes when its decomposables
     give a decomposition, a No when it holds none), then by one LP for a
     conic decomposition over the entries of
@@ -841,11 +790,11 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
     rank; else Unknown.  A strong Yes carries ("conic", [(lambda, tag)]),
     each tag naming a decomposable (p,0)-form (_tag_vector); its weights
     are fit on Gram entries, so it builds no form.
-    tier='weak' requires symmetry; an exact positive form is weakly
-    positive, with the positive tier's certificate.  Otherwise it pairs a
-    with strong_generator_pool(n, n - p, pool_size, seed) in pool order and
-    stops at the first negative pairing, whose generator is the witness; an
-    exact Lagerberg form's a._pairing_polynomial, whose Yes means no entry
+    tier='weak' requires symmetry; a positive form is weakly positive, with
+    the positive tier's certificate.  Otherwise it pairs a with
+    strong_generator_pool(n, n - p, pool_size, seed) in pool order and
+    stops at the first negative pairing, whose generator is the witness; a
+    Lagerberg form's a._pairing_polynomial, whose Yes means no entry
     pairs negatively, is tried after the coordinate entries.  The pool is
     memoized per process and extended lazily, so a No draws it only up to
     its witness, and the witness is the only form built.  Else Unknown.
@@ -854,35 +803,33 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
         raise NotSquareBidegree(f"bidegree ({a.p},{a.q}) is not (p,p)")
     n, p = a.n, a.p
     if tier == "positive":
-        return _positive_tier(a, tol)
+        return _positive_tier(a)
     if tier in ("strong", "weak") and p in (0, 1, n - 1, n):
-        v = _positive_tier(a, tol)
+        v = _positive_tier(a)
         return replace(v, tier=tier, reason=v.reason or "tier equivalence p in {0,1,n-1,n}")
 
     if tier == "strong":
-        base = _positive_tier(a, tol)
+        base = _positive_tier(a)
         if base.no:
             return replace(base, tier="strong", reason="not even positive: " + base.reason)
-        if a.is_exact():
-            terms = base.certificate[1]
-            verdict = _gram_span_verdict(a, terms)
-            if verdict is not None:
-                return verdict
-            pool = _pool_in_span(a, strong_generator_pool(n, p, pool_size, seed))
-            cert = _strong_lp_certificate(a, pool) if len(pool) >= len(terms) else None
-            if cert is not None:
-                return Verdict("strong", "yes", certificate=("conic", cert))
+        terms = base.certificate[1]
+        verdict = _gram_span_verdict(a, terms)
+        if verdict is not None:
+            return verdict
+        pool = _pool_in_span(a, strong_generator_pool(n, p, pool_size, seed))
+        cert = _strong_lp_certificate(a, pool) if len(pool) >= len(terms) else None
+        if cert is not None:
+            return Verdict("strong", "yes", certificate=("conic", cert))
         return Verdict("strong", "unknown", reason="no certificate over the generator pool")
 
     if tier == "weak":
         if a._asymmetry:
             return Verdict("weak", "no", reason=a._asymmetry)
-        if a.is_exact():
-            base = _positive_tier(a, tol)
-            if base.yes:
-                return replace(base, tier="weak", reason="positive, so weakly positive")
+        base = _positive_tier(a)
+        if base.yes:
+            return replace(base, tier="weak", reason="positive, so weakly positive")
         q = n - p
-        negative = _negative_pairing(a, tol)
+        negative = _negative_pairing(a)
         pool = strong_generator_pool(n, q, pool_size, seed)
         for entries in (islice(pool, math.comb(n, q)), pool):   # coordinate entries, then random
             for beta, tag in entries:
@@ -890,7 +837,7 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
                     witness = ("generator", tag, _plucker_generator(beta, n, q, type(a)))
                     return Verdict("weak", "no", witness=witness,
                                    reason="negative pairing with a strongly positive form")
-            if entries is not pool and a.is_exact() and a.algebra == "lagerberg":
+            if entries is not pool and a.algebra == "lagerberg":
                 poly = a._pairing_polynomial
                 if poly.is_zero():
                     return Verdict("weak", "yes", certificate=("pairing_polynomial_zero",),
@@ -911,10 +858,10 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000, tol=1e-9):
 # {0, 1, n - 1, n} the three cones coincide.
 _TIERS = ("strong", "positive", "weak")
 _PROVES = {("yes", "conic"): _TIERS, ("yes", "decomposition"): _TIERS[1:],
-           ("yes", "eigvals"): _TIERS[1:], ("yes", "pairing_polynomial_zero"): _TIERS[2:],
+           ("yes", "pairing_polynomial_zero"): _TIERS[2:],
            ("yes", "pairing_polynomial_even_positive"): _TIERS[2:],
            ("no", "kernel_obstruction"): _TIERS[:1], ("no", "evaluation"): _TIERS[:2],
-           ("no", "eigval"): _TIERS[:2], ("no", "generator"): _TIERS, ("no", None): _TIERS}
+           ("no", "generator"): _TIERS, ("no", None): _TIERS}
 
 
 def reverify(a, verdict):
@@ -926,7 +873,7 @@ def reverify(a, verdict):
     object is False.  The kind of certificate or witness must prove the
     verdict's answer at its tier (_PROVES).  A decomposition, a conic
     certificate and an evaluation witness are each one Gram fact about the
-    exact form's Gram matrix a._gram, checked by exact.gram_holds.  That
+    form's Gram matrix a._gram, checked by exact.gram_holds.  That
     matrix is a function of a's coefficients alone, cleared once per form
     (forms are immutable), so every claim is still rebuilt from a: a = sum gamma_k
     positive_generator(alpha_k) iff gram(a) = sum gamma_k alpha_k
@@ -934,8 +881,7 @@ def reverify(a, verdict):
     a conic term's tag names (_tag_vector), and ("evaluation", {K: x_K},
     value) needs conj(x)^T gram(a) x = value < 0.  A weak No's generator
     must be the one its tag names and pair negatively with a; a kernel
-    obstruction, the pairing polynomials and the float path's eigenvalues
-    are re-derived from a.
+    obstruction and the pairing polynomials are re-derived from a.
     """
     if verdict.answer == "unknown":
         return True
@@ -946,8 +892,6 @@ def reverify(a, verdict):
     kind = data[0] if data else None
     tiers = _PROVES.get((verdict.answer, kind), ())
     if verdict.tier not in (_TIERS if tiers and a.p in (0, 1, a.n - 1, a.n) else tiers):
-        return False
-    if kind in ("decomposition", "conic", "evaluation", "kernel_obstruction") and not a.is_exact():
         return False
     if kind in ("decomposition", "conic", "evaluation"):
         idx, mat, den = a._gram
@@ -966,18 +910,16 @@ def reverify(a, verdict):
         return a._pairing_polynomial.is_zero()
     if kind == "pairing_polynomial_even_positive":
         return a._pairing_polynomial.is_even_nonnegative()
-    if kind in ("eigvals", "eigval"):   # the float path's: recomputed, never on exact data
-        return not a.is_exact() and positivity_verdict(a, "positive").answer == verdict.answer
     if kind == "generator":
         # ("generator", tag, form): the form must be the one its tag names
         _, tag, g = data
         q = a.n - a.p
         beta = _tag_vector(tag, a.n, q, type(a))
         return (beta is not None and _plucker_generator(beta, a.n, q, type(a)) == g
-                and _negative(dual_pairing(a, g), 0))
+                and _negative(dual_pairing(a, g)))
     if kind == "kernel_obstruction":
         # re-derived from a's own LDL^T; the basis and quadratics carried are not read
-        base = _positive_tier(a, 0)
+        base = _positive_tier(a)
         span = _gram_span_verdict(a, base.certificate[1]) if base.yes else None
         return span is not None and span.no
     # a structural No: a is not symmetric (resp. real)
@@ -1016,8 +958,6 @@ def decomposable_test(a):
     n, p = a.n, a.p
     if a.is_zero() or p <= 1 or p == n:
         return "yes"
-    if not a.is_exact():
-        return "unknown"
     if p == 2:
         return "yes" if wedge(a, a).is_zero() else "no"
     # support space: spans of contractions against (p-1)-subsets

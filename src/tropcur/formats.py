@@ -152,11 +152,14 @@ def polyhedron_to_json(poly):
 def polyhedron_from_json(data):
     from .polyhedra import Polyhedron, Row
     try:
-        dim = int(data["dim"])
+        dim = _parse_int(data["dim"])
         rows = []
         for r in data.get("ineqs", ()):
             a = tuple(_parse_frac(x) for x in r["a"])
-            rows.append(Row(a, _parse_frac(r["b"]), bool(r.get("strict", False))))
+            strict = r.get("strict", False)
+            if not isinstance(strict, bool):
+                raise ParseError(f"'strict' is a JSON boolean, not {strict!r}")
+            rows.append(Row(a, _parse_frac(r["b"]), strict))
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError("bad polyhedron H-representation") from err
     return Polyhedron(dim, rows)
@@ -170,7 +173,7 @@ def coefficient_fn_from_json(data, nvars):
         expo = poly_from_json(t.get("expo", []), nvars)
         wins = []
         for w in t.get("windows", ()):
-            axis = int(w["axis"]) - 1
+            axis = _parse_int(w["axis"]) - 1
             kind = w.get("kind", "bump")
             fn = UniFn.plateau() if kind == "plateau" else UniFn.bump()
             wins.append(window_on(axis, _parse_frac(w["lo"]), _parse_frac(w["hi"]),
@@ -190,9 +193,10 @@ def field_from_json(data, chart):
         tables = {}
         for key, terms in data.get("tables", {}).items():
             M = frozenset(int(i) - 1 for i in key.split(",") if i)
-            tables[M] = {(tuple(int(i) - 1 for i in t["I"]), tuple(int(j) - 1 for j in t["J"])):
+            tables[M] = {(tuple(_parse_int(i) - 1 for i in _array(t["I"])),
+                          tuple(_parse_int(j) - 1 for j in _array(t["J"]))):
                          coefficient_fn_from_json(t["coeff"], n) for t in terms}
-        p, q = int(data["p"]), int(data["q"])
+        p, q = _parse_int(data["p"]), _parse_int(data["q"])
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ParseError("bad form field literal") from err
     return LagerbergFormField(chart, n, p, q, tables)

@@ -512,6 +512,16 @@ def test_fan_literal_round_trips_or_is_input_error(data):
     assert formats.fan_to_json(again) == text and len(again) == len(fan)
 
 
+def _current_on(poly):
+    """A (1,1)-current in R^1 with one constant density on the polyhedron literal ``poly``."""
+    return {"bidegree": [1, 1], "cocoeffs": {"|": {"densities": [{"poly": poly, "weight": {}}]}}}
+
+
+def _field_with(p, I, windows):
+    """A (p,1)-field literal in R^1 with one coefficient at (I, [1]) cut off by ``windows``."""
+    return {"p": p, "q": 1, "tables": {"": [{"I": I, "J": [1], "coeff": [{"windows": windows}]}]}}
+
+
 @pytest.mark.parametrize("args, files, says", [
     (["check-positivity", "--form", "{form}"],
      {"form": {"n": 2, "p": 1, "q": 1, "terms": [{"I": [1.5], "J": [1], "c": "1"}]}}, "1.5"),
@@ -523,8 +533,21 @@ def test_fan_literal_round_trips_or_is_input_error(data):
      {"fan": {"rank": -1, "cones": []}, "T": {"bidegree": [0, 0], "cocoeffs": {}}},
      "fan rank -1 is negative"),
     (["check-positivity", "--form", "{form}"],
-     {"form": {"n": 2, "p": 1, "q": 1, "terms": [{"I": [1], "J": [1], "c": True}]}}, "True")],
-    ids=["form-index", "form-rank", "fan-generator", "fan-rank", "form-coefficient-bool"])
+     {"form": {"n": 2, "p": 1, "q": 1, "terms": [{"I": [1], "J": [1], "c": True}]}}, "True"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _current_on({"dim": 1.5, "ineqs": [{"a": ["1"], "b": "0"}]})}, "1.5"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _current_on({"dim": 1, "ineqs": [{"a": ["1"], "b": "0", "strict": "false"}]})},
+     "'false'"),
+    (["integrate", "--side", "both", "--rank", "1", "--field", "{field}"],
+     {"field": _field_with(1, [1], [{"axis": 1.5, "lo": "0", "hi": "1"}])}, "1.5"),
+    (["integrate", "--side", "both", "--rank", "1", "--field", "{field}"],
+     {"field": _field_with(1.5, [1], [])}, "1.5"),
+    (["integrate", "--side", "both", "--rank", "1", "--field", "{field}"],
+     {"field": _field_with(1, [1.5], [])}, "1.5")],
+    ids=["form-index", "form-rank", "fan-generator", "fan-rank", "form-coefficient-bool",
+         "current-polyhedron-dim", "current-polyhedron-strict", "field-window-axis",
+         "field-degree", "field-index"])
 def test_non_integral_or_negative_integers_are_input_errors(args, files, says):
     code, err = _cli_in_process(args, files)
     assert code == 2 and err.startswith("input error: ") and says in err, err

@@ -104,6 +104,24 @@ def test_strong_yes_on_generator_sums_loads_no_scipy(tmp_path, vectors):
     assert "scipy" not in modules
 
 
+# every tier on two gallery forms rebuilt with float coefficients
+_FLOAT_TIERS = """
+import sys
+from tropcur.fiber import LagerbergFiberForm, positivity_verdict
+from tropcur.gallery import omega_degenerate, omega_rank_two
+for a in (omega_rank_two(), omega_degenerate()):
+    f = LagerbergFiberForm(a.n, a.p, a.q, {k: float(c) for k, c in a.coeff.items()})
+    print(*(positivity_verdict(f, tier).answer for tier in ("positive", "strong", "weak")))
+print("numpy" in sys.modules)
+"""
+
+
+def test_float_coefficient_forms_load_no_numpy():
+    # float coefficients are read as exact values, so every tier stays exact
+    out = _python("-c", _FLOAT_TIERS)
+    assert out.split() == ["yes", "no", "yes", "no", "no", "yes", "False"]
+
+
 def test_integrate_loads_no_current_layers(tmp_path):
     code, modules = _loaded(["integrate", "--side", "both", "--rank", "1",
                              "--field", str(INPUTS / "field_rank1.json"),
