@@ -191,7 +191,7 @@ def complex_positivity_check(S, samples=25, seed=0):
     return positivity_check(push_forward(S), samples=max(4, samples // 3), seed=seed)
 
 
-def compat_checks(S, samples=10, seed=0):
+def compat_checks(S):
     """Structural compatibilities of the correspondence on a shadow current.
 
     (a) the canonical decomposition commutes with the pushforward,

@@ -29,7 +29,7 @@ from .errors import (CompatibilityViolation, Divergent, FamilyEscape,
                      SupportEscapesU, ToleranceNotMet, ValidationError, Verdict)
 from .exact import frac
 from .fiber import LagerbergFiberForm, positive_generator
-from .indices import merge_indices, subsets
+from .indices import subsets, wedge_key
 from .fields import (boundary_window_field, bump_box_field,
                      check_compatibility, differentiate, _stratum_subsets)
 from .measures import (Atom, DerivativeAtom, OpenBox, Piece,
@@ -775,7 +775,7 @@ def c_finite_witness(chart, measures):
     return None
 
 
-def c_finite_test(T, seed=0):
+def c_finite_test(T):
     """Exact decision of C-finite local mass (callers ensure positivity).
 
     Every co-coefficient must pass ``c_finite_witness``; the first
@@ -789,7 +789,7 @@ def c_finite_test(T, seed=0):
 
 # --- extension by zero ------------------------------------------------------------------
 
-def extend_by_zero(T, E_strata, tol=1e-8, seed=0, check_positive=True):
+def extend_by_zero(T, E_strata, seed=0, check_positive=True):
     """Skoda-El-Mir style extension across a union of stratum closures.
 
     ``E_strata``: the strata (subsets of infinite axes) whose closures
@@ -1012,7 +1012,8 @@ def _measure_times_fn(mu, g, n):
 
 
 def wedge_with_form(beta, T):
-    """(beta ^ T)(omega) = (-1)^{(p'+q')(p+q)} T(beta ^ omega), on pieces.
+    """(beta ^ T)(omega) = T(beta ^ omega), on pieces: T has p = q, so the
+    sign (-1)^{(p'+q')(p+q)} is +1.
 
     beta must stay in the closed coefficient family after multiplying the
     piece densities (FamilyEscape otherwise); the output co-coefficients
@@ -1026,7 +1027,6 @@ def wedge_with_form(beta, T):
     q2 = n - p2
     if q2 < 0 or T.p + qq != p2:
         raise ValueError("wedge leaves the square-bidegree family")
-    sign_front = (-1) ** ((pp + qq) * 2 * T.p)
     s_q2 = (-1) ** (q2 * (q2 - 1) // 2)
     s_q = (-1) ** (T.q * (T.q - 1) // 2)
     out = {}
@@ -1034,17 +1034,14 @@ def wedge_with_form(beta, T):
         for L in subsets(n, q2):
             acc = None
             for (A, B) in itertools.product(subsets(n, pp), subsets(n, qq)):
-                sA, I = merge_indices(A, K)
-                if sA == 0:
+                hit = wedge_key(A, B, K, L)
+                if hit is None:
                     continue
-                sB, J = merge_indices(B, L)
-                if sB == 0:
-                    continue
-                mu = T.cocoeffs.get((I, J))
+                s_wedge, key = hit
+                mu = T.cocoeffs.get(key)
                 if mu is None:
                     continue
-                s_blocks = (-1) ** (len(K) * len(B))
-                sgn = sign_front * s_q2 * s_q * sA * sB * s_blocks
+                sgn = s_q2 * s_q * s_wedge
                 g = {frozenset(M): beta.coefficient(M, A, B) for M in beta.tables}
                 g = {M: fn.scale(sgn) for M, fn in g.items() if not fn.is_zero()}
                 if not g:

@@ -237,22 +237,15 @@ def hnf_columns(mat):
 def lattice_saturated(gens):
     """True if independent integer vectors generate a saturated sublattice.
 
-    Saturated means they extend to a Z-basis: all elementary divisors 1,
-    equivalently the gcd of the maximal minors is 1.
+    Saturated means they extend to a Z-basis: the gcd of the maximal minors
+    is 1.  By Cauchy-Binet that gcd is |det H| for the Hermite form
+    gens u = [H | 0], u unimodular, so every diagonal entry of H must be 1;
+    a dependent row leaves a 0 there.
     """
-    k = len(gens)
-    if k == 0:
+    if not gens:
         return True
-    n = len(gens[0])
-    from itertools import combinations
-    g = 0
-    rows = [list(map(int, v)) for v in gens]
-    for sel in combinations(range(n), k):
-        sub = [[rows[i][j] for j in sel] for i in range(k)]
-        g = gcd(g, abs(int(det(sub))))
-        if g == 1:
-            return True
-    return g == 1
+    h, _ = hnf_columns(gens)
+    return len(gens) <= len(h[0]) and all(h[i][i] == 1 for i in range(len(gens)))
 
 
 def extend_to_basis(gens, n):

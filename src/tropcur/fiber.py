@@ -28,7 +28,7 @@ from . import exact
 from .exact import QC
 from .errors import (DimensionMismatch, WrongAlgebra, NotSquareBidegree,
                      BidegreeMismatch, ValidationError, Verdict)
-from .indices import _shuffle_sign, merge_indices, subsets
+from .indices import _shuffle_sign, merge_indices, subsets, wedge_key
 
 
 # --- multi-index helpers -----------------------------------------------------
@@ -293,16 +293,11 @@ def wedge(a, b):
     out = {}
     for (I1, J1), c1 in a.coeff.items():
         for (I2, J2), c2 in b.coeff.items():
-            s_blocks = -1 if (len(I2) * len(J1)) % 2 else 1
-            sI, I = merge_indices(I1, I2)
-            if sI == 0:
+            hit = wedge_key(I1, J1, I2, J2)
+            if hit is None:
                 continue
-            sJ, J = merge_indices(J1, J2)
-            if sJ == 0:
-                continue
-            sgn = s_blocks * sI * sJ
-            term = a._mul_scalar(a._mul_scalar(c1, c2), sgn)
-            out[(I, J)] = out.get((I, J), 0) + term
+            sgn, key = hit
+            out[key] = out.get(key, 0) + a._mul_scalar(a._mul_scalar(c1, c2), sgn)
     return a._new(a.p + b.p, a.q + b.q, out)
 
 

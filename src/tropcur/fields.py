@@ -27,16 +27,7 @@ from fractions import Fraction
 from .coeffs import CoefficientFn, Poly, UniFn, window_on
 from .errors import NonCompactSupport, ValidationError, Verdict, WrongAlgebra
 from .exact import frac
-from .indices import merge_indices
-
-
-def _insert_sign(idx, j):
-    """Sign for prepending generator j to the block d u_idx and sorting.
-
-    Matches the coordinate formulas where the differential's new index
-    lands at the front of its block: sign = (-1)^#{i in idx : i < j}.
-    """
-    return merge_indices((j,), idx)
+from .indices import wedge_key
 
 
 class LagerbergFormField:
@@ -325,80 +316,52 @@ def _stratum_subsets(chart):
 
 # --- differentials ---------------------------------------------------------------
 
-_LAGERBERG_KINDS = {"d'": "d1", "d1": "d1", "d''": "d2", "d2": "d2"}
-_COMPLEX_KINDS = {"del": "del", "partial": "del", "idbar": "idbar",
-                  "ipartialbar": "idbar"}
+# kind: (algebra it acts on, block of the new generator, coefficient factor)
+_DIFFERENTIALS = {"d'": ("lagerberg", 0, 1), "d''": ("lagerberg", 1, 1),
+                  "del": ("complex", 0, Fraction(-1, 2)),
+                  "idbar": ("complex", 1, Fraction(-1, 2))}
 
 
 def differentiate(kind, a):
-    """Exact symbolic differential.
+    """Exact symbolic differential of one of four kinds.
 
-    Lagerberg fields take d' / d''; invariant complex fields take the
-    pi^{-1/2}-scaled 'del' / 'idbar' operators matching the tropical
-    correspondence.  All four square to zero.
+    Lagerberg fields take "d'" and "d''"; invariant complex fields take
+    "del" and "idbar", the pi^{-1/2}-scaled partial and i partialbar
+    matching the tropical correspondence.  Each puts the generator d'u_j
+    (d''u_j for "d''" and "idbar") in front of every term, times the j-th
+    partial of its coefficient, and times -1/2 for the complex kinds.  All
+    four square to zero.
     """
-    if kind in _LAGERBERG_KINDS:
-        if a.algebra != "lagerberg":
-            raise WrongAlgebra(f"{kind} acts on Lagerberg fields")
-        which = _LAGERBERG_KINDS[kind]
-        out_tables = {}
-        for M, tab in a.tables.items():
-            new = {}
-            for (I, J), fn in tab.items():
-                for j in range(a.n):
-                    if j in M:
-                        continue
-                    d = fn.diff(j)
-                    if d.is_zero():
-                        continue
-                    if which == "d1":
-                        s, I2 = _insert_sign(I, j)
-                        if s == 0:
-                            continue
-                        key = (I2, J)
-                        contrib = d.scale(s)
-                    else:
-                        s, J2 = _insert_sign(J, j)
-                        if s == 0:
-                            continue
-                        key = (I, J2)
-                        contrib = d.scale(s * (-1) ** len(I))
-                    new[key] = new.get(key, CoefficientFn.zero(a.n)) + contrib
-            out_tables[M] = {k: v for k, v in new.items() if not v.is_zero()}
-        p2 = a.p + (1 if which == "d1" else 0)
-        q2 = a.q + (1 if which == "d2" else 0)
-        return LagerbergFormField(a.chart, a.n, p2, q2, out_tables, a.neighborhoods)
-
-    if kind in _COMPLEX_KINDS:
-        if a.algebra != "complex":
-            raise WrongAlgebra(f"{kind} acts on invariant complex fields")
-        if a.monomial_part:
-            raise WrongAlgebra("differentiate the averaged (invariant) part only")
-        which = _COMPLEX_KINDS[kind]
-        out = {}
-        for (I, K), fn in a.coeff.items():
+    if kind not in _DIFFERENTIALS:
+        raise ValueError(f"unknown differential {kind!r}")
+    algebra, block, factor = _DIFFERENTIALS[kind]
+    if a.algebra != algebra:
+        noun = "Lagerberg" if algebra == "lagerberg" else "invariant complex"
+        raise WrongAlgebra(f"{kind} acts on {noun} fields")
+    if algebra == "complex" and a.monomial_part:
+        raise WrongAlgebra("differentiate the averaged (invariant) part only")
+    tables = a.tables if algebra == "lagerberg" else {frozenset(): a.coeff}
+    out = {}
+    for M, tab in tables.items():
+        new = {}
+        for (I, J), fn in tab.items():
             for j in range(a.n):
+                if j in M:
+                    continue
                 d = fn.diff(j)
                 if d.is_zero():
                     continue
-                if which == "del":
-                    s, I2 = _insert_sign(I, j)
-                    if s == 0:
-                        continue
-                    key = (I2, K)
-                    contrib = d.scale(Fraction(-1, 2) * s)
-                else:
-                    s, K2 = _insert_sign(K, j)
-                    if s == 0:
-                        continue
-                    key = (I, K2)
-                    contrib = d.scale(Fraction(-1, 2) * s * (-1) ** len(I))
-                out[key] = out.get(key, CoefficientFn.zero(a.n)) + contrib
-        p2 = a.p + (1 if which == "del" else 0)
-        q2 = a.q + (1 if which == "idbar" else 0)
-        return InvariantComplexFormField(a.chart, a.n, p2, q2, out)
-
-    raise ValueError(f"unknown differential {kind!r}")
+                gen = ((j,), ()) if block == 0 else ((), (j,))
+                hit = wedge_key(*gen, I, J)
+                if hit is None:
+                    continue
+                sgn, key = hit
+                new[key] = new.get(key, CoefficientFn.zero(a.n)) + d.scale(factor * sgn)
+        out[M] = {k: v for k, v in new.items() if not v.is_zero()}
+    p2, q2 = a.p + 1 - block, a.q + block
+    if algebra == "lagerberg":
+        return LagerbergFormField(a.chart, a.n, p2, q2, out, a.neighborhoods)
+    return InvariantComplexFormField(a.chart, a.n, p2, q2, out[frozenset()])
 
 
 def apply_J_field(a):
@@ -428,16 +391,11 @@ def wedge_fields(a, b):
         new = {}
         for (I1, J1), f1 in ta.items():
             for (I2, J2), f2 in tb.items():
-                s_blocks = -1 if (len(I2) * len(J1)) % 2 else 1
-                sI, I = merge_indices(I1, I2)
-                if sI == 0:
+                hit = wedge_key(I1, J1, I2, J2)
+                if hit is None:
                     continue
-                sJ, J = merge_indices(J1, J2)
-                if sJ == 0:
-                    continue
-                contrib = (f1 * f2).scale(s_blocks * sI * sJ)
-                key = (I, J)
-                new[key] = new.get(key, CoefficientFn.zero(a.n)) + contrib
+                sgn, key = hit
+                new[key] = new.get(key, CoefficientFn.zero(a.n)) + (f1 * f2).scale(sgn)
         out[M] = {k: v for k, v in new.items() if not v.is_zero()}
     nbhd = _merge_neighborhoods(a.neighborhoods, b.neighborhoods)
     return LagerbergFormField(a.chart, a.n, a.p + b.p, a.q + b.q, out, nbhd)

@@ -136,7 +136,7 @@ def poly_from_json(data, nvars):
     from .coeffs import Poly
     exps = {}
     for t in data or ():
-        e = tuple(int(x) for x in t["exp"])
+        e = tuple(_parse_int(x) for x in t["exp"])
         if len(e) != nvars:
             raise ParseError(f"exponent {e} has wrong arity (expected {nvars})")
         exps[e] = exps.get(e, Fraction(0)) + _parse_frac(t["c"])
@@ -175,6 +175,8 @@ def coefficient_fn_from_json(data, nvars):
         for w in t.get("windows", ()):
             axis = _parse_int(w["axis"]) - 1
             kind = w.get("kind", "bump")
+            if kind not in ("bump", "plateau"):
+                raise ParseError(f"unknown window kind {kind!r}")
             fn = UniFn.plateau() if kind == "plateau" else UniFn.bump()
             wins.append(window_on(axis, _parse_frac(w["lo"]), _parse_frac(w["hi"]),
                                   nvars, fn))
@@ -232,15 +234,15 @@ def measure_to_json(mu):
 def measure_from_json(data, n=None):
     from .measures import Atom, DerivativeAtom, Piece, PieceMeasure
     try:
-        n = int(data.get("n", n))
+        n = _parse_int(data.get("n", n))
         atoms = []
         for a in data.get("atoms", ()):
-            stratum = frozenset(int(i) - 1 for i in a["pt"].get("stratum", ()))
+            stratum = frozenset(_parse_int(i) - 1 for i in a["pt"].get("stratum", ()))
             coords = tuple(_parse_frac(x) for x in a["pt"].get("coords", ()))
             atoms.append(Atom(stratum, coords, _parse_frac(a["w"])))
         pieces = []
         for d in data.get("densities", ()):
-            stratum = frozenset(int(i) - 1 for i in d.get("stratum", ()))
+            stratum = frozenset(_parse_int(i) - 1 for i in d.get("stratum", ()))
             poly = polyhedron_from_json(d["poly"])
             dim = poly.dim
             wp = poly_from_json(d["weight"].get("pol", [{"exp": [0] * dim, "c": "1"}]), dim)
@@ -249,7 +251,7 @@ def measure_from_json(data, n=None):
             pieces.append(Piece(stratum, poly, wp, we, sign))
         ders = []
         for d in data.get("derivative_atoms", ()):
-            stratum = frozenset(int(i) - 1 for i in d["pt"].get("stratum", ()))
+            stratum = frozenset(_parse_int(i) - 1 for i in d["pt"].get("stratum", ()))
             coords = tuple(_parse_frac(x) for x in d["pt"].get("coords", ()))
             direction = tuple(_parse_frac(x) for x in d["direction"])
             ders.append(DerivativeAtom(stratum, coords, direction, _parse_frac(d["w"])))

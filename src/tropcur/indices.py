@@ -1,7 +1,8 @@
-"""Increasing multi-indices: subsets, concatenation signs, shuffle signs.
+"""Increasing multi-indices: subsets, concatenation signs, shuffle signs,
+and the one sign rule for products in the block basis d'u_I ^ d''u_J.
 
-Shared by the fiber algebra and the form fields, so that modules needing
-only these signs do not load the fiber algebra.
+Shared by the fiber algebra, the form fields and the currents, so that
+modules needing only these signs do not load the fiber algebra.
 """
 
 import itertools
@@ -29,6 +30,21 @@ def merge_indices(a, b):
     merged.extend(a[i:])
     merged.extend(b[j:])
     return sign, tuple(merged)
+
+
+def wedge_key(I1, J1, I2, J2):
+    """(sign, (I, J)) with (d'u_I1 ^ d''u_J1) ^ (d'u_I2 ^ d''u_J2) = sign d'u_I ^ d''u_J.
+
+    None when the product is zero.  Moving d'u_I2 past d''u_J1 gives
+    (-1)^{|I2||J1|}; merging each block gives the rest.
+    """
+    sI, I = merge_indices(I1, I2)
+    if sI == 0:
+        return None
+    sJ, J = merge_indices(J1, J2)
+    if sJ == 0:
+        return None
+    return (-sI * sJ if len(I2) * len(J1) % 2 else sI * sJ), (I, J)
 
 
 def _shuffle_sign(idx):

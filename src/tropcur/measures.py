@@ -355,15 +355,12 @@ class OpenBox:
 class ImageMap:
     """Continuous map under which measures are transported.
 
-    kind 'open_inclusion': inclusion of the measure's domain into the
-    open set ``target`` (an OpenBox); requires the local-finiteness
-    decision on every unbounded piece.  kind 'stratum_inclusion': closed
-    immersion of a stratum closure (re-indexing only).  kind
-    'projection': drop coordinates listed in ``drop_axes``.
+    The one kind, 'open_inclusion', includes the measure's domain into the
+    open set ``target`` (an OpenBox); it requires the local-finiteness
+    decision on every unbounded piece.
     """
     kind: str
     target: object = None
-    drop_axes: tuple = ()
 
 
 # --- core operations -----------------------------------------------------------------
@@ -649,37 +646,19 @@ def escape_failure(piece, target, tilt=()):
 def image_measure(mu, m):
     """Transport a measure along an ImageMap.
 
-    Open inclusions into a chart box run the exact local-finiteness
-    decision on every unbounded piece (the image Radon measure exists iff
-    every escape direction has certified decay); stratum inclusions and
-    coordinate projections transport the data.
+    An open inclusion into a chart box runs the exact local-finiteness
+    decision on every unbounded piece: the image Radon measure exists iff
+    every escape direction has certified decay.
     """
-    if m.kind == "open_inclusion":
-        for piece in mu.pieces:
-            failure = escape_failure(piece, m.target)
-            if failure is not None:
-                raise NotLocallyFinite(
-                    "weighted piece has infinite mass toward a boundary stratum",
-                    payload={"stratum": failure[0], "ray": failure[1], "piece": piece.key()})
-        return mu
-    if m.kind == "stratum_inclusion":
-        return mu
-    if m.kind == "projection":
-        drop = set(m.drop_axes)
-        n2 = mu.n - len(drop)
-        keep = [i for i in range(mu.n) if i not in drop]
-        atoms = []
-        for a in mu.atoms:
-            finite_axes = [i for i in range(mu.n) if i not in a.stratum]
-            coords = tuple(c for i, c in zip(finite_axes, a.coords) if i not in drop)
-            stratum = frozenset(keep.index(i) for i in a.stratum if i not in drop)
-            atoms.append(Atom(stratum, coords, a.weight))
-        if any(p for p in mu.pieces):
-            raise NonMeasurePiece(
-                "projection pushforward of densities is outside the implemented family",
-                payload={"pieces": len(mu.pieces)})
-        return PieceMeasure(n2, atoms, (), (), mu.scale, certify=False)
-    raise ValueError(f"unknown image map kind {m.kind!r}")
+    if m.kind != "open_inclusion":
+        raise ValueError(f"unknown image map kind {m.kind!r}")
+    for piece in mu.pieces:
+        failure = escape_failure(piece, m.target)
+        if failure is not None:
+            raise NotLocallyFinite(
+                "weighted piece has infinite mass toward a boundary stratum",
+                payload={"stratum": failure[0], "ray": failure[1], "piece": piece.key()})
+    return mu
 
 
 def restrict_measure(mu, parts):

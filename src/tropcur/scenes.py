@@ -248,7 +248,7 @@ def run_task(scene, task):
         check = _field(task, "check_positive", default=True)
         if not isinstance(check, bool):
             raise ValidationError(f"task field 'check_positive' is {check!r}, not true or false")
-        ext = extend_by_zero(T, strata, tol=tol, seed=seed, check_positive=check)
+        ext = extend_by_zero(T, strata, seed=seed, check_positive=check)
         cv = closedness_test(ext, tol=tol, seed=seed)
         return {"extended": True, "closed": cv.yes, "residual": cv.residual}
     if op == "integrate":

@@ -517,9 +517,20 @@ def _current_on(poly):
     return {"bidegree": [1, 1], "cocoeffs": {"|": {"densities": [{"poly": poly, "weight": {}}]}}}
 
 
-def _field_with(p, I, windows):
-    """A (p,1)-field literal in R^1 with one coefficient at (I, [1]) cut off by ``windows``."""
-    return {"p": p, "q": 1, "tables": {"": [{"I": I, "J": [1], "coeff": [{"windows": windows}]}]}}
+def _field_with(p, I, windows, **term):
+    """A (p,1)-field literal in R^1 with one coefficient at (I, [1]) cut off by
+    ``windows``; ``term`` adds keys such as "poly" to that coefficient term."""
+    return {"p": p, "q": 1,
+            "tables": {"": [{"I": I, "J": [1], "coeff": [{"windows": windows, **term}]}]}}
+
+
+def _measure_current(measure):
+    """A (1,1)-current in R^1 whose one co-coefficient is the measure literal ``measure``."""
+    return {"bidegree": [1, 1], "cocoeffs": {"|": measure}}
+
+
+_POINT = {"dim": 0, "ineqs": []}
+_WINDOW = {"axis": 1, "lo": "0", "hi": "1"}
 
 
 @pytest.mark.parametrize("args, files, says", [
@@ -544,10 +555,24 @@ def _field_with(p, I, windows):
     (["integrate", "--side", "both", "--rank", "1", "--field", "{field}"],
      {"field": _field_with(1.5, [1], [])}, "1.5"),
     (["integrate", "--side", "both", "--rank", "1", "--field", "{field}"],
-     {"field": _field_with(1, [1.5], [])}, "1.5")],
+     {"field": _field_with(1, [1.5], [])}, "1.5"),
+    (["integrate", "--side", "both", "--rank", "1", "--field", "{field}"],
+     {"field": _field_with(1, [1], [_WINDOW], poly=[{"exp": [1.5], "c": "1"}])}, "1.5"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _measure_current({"n": 1.5, "densities": [{"poly": {"dim": 1}, "weight": {}}]})},
+     "1.5"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _measure_current({"atoms": [{"pt": {"stratum": [1.5]}, "w": "1"}]})}, "1.5"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _measure_current({"densities": [{"stratum": [1.5], "poly": _POINT, "weight": {}}]})},
+     "1.5"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _measure_current({"derivative_atoms": [{"pt": {"stratum": [1.5]}, "direction": [],
+                                                   "w": "1"}]})}, "1.5")],
     ids=["form-index", "form-rank", "fan-generator", "fan-rank", "form-coefficient-bool",
          "current-polyhedron-dim", "current-polyhedron-strict", "field-window-axis",
-         "field-degree", "field-index"])
+         "field-degree", "field-index", "field-exponent", "measure-rank", "atom-stratum",
+         "density-stratum", "derivative-atom-stratum"])
 def test_non_integral_or_negative_integers_are_input_errors(args, files, says):
     code, err = _cli_in_process(args, files)
     assert code == 2 and err.startswith("input error: ") and says in err, err
@@ -559,8 +584,10 @@ def test_non_integral_or_negative_integers_are_input_errors(args, files, says):
     (["check-positivity", "--form", "{form}"],
      {"form": {"n": 2, "p": 1, "q": 1, "algebra": "kahler"}}, "unknown form algebra 'kahler'"),
     (["decompose", "--fan", "{fan}", "--current", "{T}"],
-     {"fan": {"rank": 1, "cones": "11"}, "T": {"bidegree": [1, 1], "cocoeffs": {}}}, "'11'")],
-    ids=["form-index-string", "form-algebra", "fan-cones-string"])
+     {"fan": {"rank": 1, "cones": "11"}, "T": {"bidegree": [1, 1], "cocoeffs": {}}}, "'11'"),
+    (["integrate", "--side", "both", "--rank", "1", "--field", "{field}"],
+     {"field": _field_with(1, [1], [{**_WINDOW, "kind": "plato"}])}, "unknown window kind 'plato'")],
+    ids=["form-index-string", "form-algebra", "fan-cones-string", "field-window-kind"])
 def test_strings_for_arrays_and_unknown_algebras_are_input_errors(args, files, says):
     code, err = _cli_in_process(args, files)
     assert code == 2 and err.startswith("input error: ") and says in err, err

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +158,28 @@ def test_lattice_saturation():
     assert exact.lattice_saturated([(1, 0), (0, 1)])
     assert not exact.lattice_saturated([(2, 0)])
     assert exact.lattice_saturated([(2, 1)])
+
+
+@st.composite
+def _integer_rows(draw):
+    """One to n + 1 integer rows in Z^n, n <= 5; a fifth of them with a dependent last row."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n + 1))
+    rows = [tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(k)]
+    if k > 1 and draw(st.integers(0, 4)) == 0:
+        c0, c1 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = tuple(c0 * a + c1 * b for a, b in zip(rows[0], rows[k - 2]))
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_integer_rows())
+def test_lattice_saturation_matches_gcd_of_maximal_minors(rows):
+    k, n = len(rows), len(rows[0])
+    g = 0
+    for sel in itertools.combinations(range(n), k):
+        g = math.gcd(g, abs(int(exact.det([[row[j] for j in sel] for row in rows]))))
+    assert exact.lattice_saturated(rows) == (g == 1)
 
 
 def test_psd_decompose_yes():

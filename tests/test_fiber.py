@@ -19,6 +19,7 @@ from tropcur.fiber import (ComplexFiberForm, LagerbergFiberForm, apply_involutio
                            reverify, strong_generator, strong_generator_pool,
                            subsets, wedge)
 from tropcur.gallery import omega_degenerate, omega_rank_two
+from tropcur.indices import wedge_key
 
 
 # --- brute-force oracle: forms as generator sequences -------------------------
@@ -333,6 +334,65 @@ def test_wedge_against_bubble_oracle():
         b = _random_form(rng, n, p2, q2)
         w = wedge(a, b)
         assert w.coeff == _oracle_wedge(a, b)
+
+
+def _oracle_key(*blocks):
+    """(sign, (I, J)) for the generator word d'u_I1 d''u_J1 d'u_I2 d''u_J2 ...
+    sorted by bubble sort, or None when it repeats a generator."""
+    seq = [(kind, i) for kind, block in zip(itertools.cycle("pq"), blocks) for i in block]
+    sign, norm = _bubble_normalize(seq)
+    if sign == 0:
+        return None
+    return sign, (tuple(i for k, i in norm if k == "p"), tuple(i for k, i in norm if k == "q"))
+
+
+def test_wedge_key_against_bubble_oracle():
+    for n in range(1, 4):
+        blocks = [S for p in range(n + 1) for S in subsets(n, p)]
+        for I1, J1, I2, J2 in itertools.product(blocks, repeat=4):
+            assert wedge_key(I1, J1, I2, J2) == _oracle_key(I1, J1, I2, J2), (I1, J1, I2, J2)
+
+
+def test_differentials_against_bubble_oracle():
+    # every term of d', d'', del and idbar: the generator d'u_j (or d''u_j) in
+    # front of the word d'u_I d''u_J, times the j-th partial, times -1/2 for the
+    # complex kinds; a stratum table is not differentiated along its dead axes
+    from tropcur.coeffs import CoefficientFn, Poly
+    from tropcur.fans import orthant_fan
+    from tropcur.fields import InvariantComplexFormField, boundary_window_field, differentiate
+    n = 3
+    fan = orthant_fan(n)
+    chart = fan.toric_chart(fan.cone_id([tuple(int(i == j) for j in range(n)) for i in range(n)]))
+    rng = random.Random(5)
+    for _ in range(6):
+        p, q = rng.randint(0, 2), rng.randint(0, 2)
+        terms = []
+        for _ in range(2):
+            poly = Poly.const(rng.randint(1, 3), n)
+            for _ in range(rng.randint(0, 2)):
+                poly = poly * Poly.var(rng.choice([1, 2]), n) + Poly.const(rng.randint(-2, 2), n)
+            terms.append(((tuple(sorted(rng.sample([1, 2], p))),
+                           tuple(sorted(rng.sample([1, 2], q)))), poly))
+        f = boundary_window_field(chart, {0}, terms, {1: (-1, 1), 2: (-2, 1)}, 2)
+        assert f.tables.get(frozenset({0}))
+        g = InvariantComplexFormField(chart, n, p, q, dict(f.tables[frozenset()]))
+        cases = [("d'", f, 0, 1), ("d''", f, 1, 1),
+                 ("del", g, 0, Fraction(-1, 2)), ("idbar", g, 1, Fraction(-1, 2))]
+        for kind, a, block, factor in cases:
+            out = differentiate(kind, a)
+            tables = ({frozenset(): (a.coeff, out.coeff)} if a.algebra == "complex" else
+                      {M: (tab, out.tables.get(M, {})) for M, tab in a.tables.items()})
+            for M, (tab, got) in tables.items():
+                want = {}
+                for (I, J), fn in tab.items():
+                    for j in sorted(set(range(n)) - M):
+                        hit = _oracle_key(*(((j,), (), I, J) if block == 0 else ((), (j,), I, J)))
+                        if hit is not None:
+                            term = fn.diff(j).scale(hit[0] * factor)
+                            want[hit[1]] = want.get(hit[1], CoefficientFn.zero(n)) + term
+                want = {key: c for key, c in want.items() if not c.is_zero()}
+                assert set(got) == set(want), (kind, M)
+                assert all((got[key] - want[key]).is_zero() for key in want), (kind, M)
 
 
 def test_wedge_sign_bookkeeping_example():
