@@ -5,7 +5,7 @@
     tropcur decompose --current T.json --fan fan.json
     tropcur tropicalize --mode lift --current T.json --fan fan.json
     tropcur integrate --field field.json --fan fan.json
-    tropcur el-mir --current T.json --fan fan.json --strata 1
+    tropcur el-mir --current T.json --fan fan.json
     tropcur verify-correspondence --count 20
     tropcur counterexamples
 
@@ -92,10 +92,8 @@ def main(argv=None):
                        default="both")
 
     p_el = sub.add_parser("el-mir", parents=[common, charted],
-                          help="extension by zero across strata closures")
+                          help="extension by zero across the boundary strata")
     p_el.add_argument("--current", required=True)
-    p_el.add_argument("--strata", default="1",
-                      help="semicolon-separated strata, comma-separated axes (1-based)")
 
     p_ver = sub.add_parser("verify-correspondence", parents=[common],
                            help="random round-trip suite")
@@ -165,8 +163,7 @@ def _scene(args, given):
             tasks[0]["expect"] = {"agree_within_2tol": True}
     elif args.command == "el-mir":
         objects["T"] = current(args.current, "--current")
-        strata = [[i for i in grp.split(",") if i] for grp in args.strata.split(";") if grp]
-        tasks = [{"op": "el_mir", "current": "T", "strata": strata}]
+        tasks = [{"op": "el_mir", "current": "T"}]
     elif args.command == "verify-correspondence":
         tasks = [{"op": "round_trip", "count": args.count, "expect": {"ok": True}}]
     else:

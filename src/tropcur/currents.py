@@ -137,12 +137,6 @@ class LagerbergCurrent:
         return f"LagerbergCurrent(({self.p},{self.p}) on n={self.n}, {kind})"
 
 
-def from_cocoefficients(chart, p, cocoeffs, U=None):
-    """Reconstruct a current from co-coefficient measures (the identity
-    partner of reading ``.cocoeffs``)."""
-    return LagerbergCurrent(chart, p, cocoeffs, U)
-
-
 # --- evaluation -------------------------------------------------------------------
 
 def _support_inside(alpha, U):
@@ -237,17 +231,17 @@ def _boundary_test_fields(chart, p, q, strata, box, ramp, rng, count):
     return fields
 
 
-def _pool_box(T, pad=2):
+def _pool_box(T):
     lo, hi = T.mass_box()
     box = []
     for i in range(T.n):
-        a = -3.0 if lo[i] is None else lo[i] - pad
-        b = 3.0 if hi[i] is None else hi[i] + pad
+        a = -3.0 if lo[i] is None else lo[i] - 2
+        b = 3.0 if hi[i] is None else hi[i] + 2
         box.append((Fraction(int(math.floor(a))), Fraction(int(math.ceil(b)) + 1)))
     return box
 
 
-def mass_estimate(T, tol=1e-6):
+def mass_estimate(T):
     """Total variation of the co-coefficients against a covering plateau."""
     total = 0.0
     for (I, J), mu in T.cocoeffs.items():
@@ -261,7 +255,7 @@ def mass_estimate(T, tol=1e-6):
         one = {frozenset(M): CoefficientFn.const(1, T.n)
                for M in _stratum_subsets(T.chart)}
         try:
-            total += integrate_against(one, tv, tol=tol)
+            total += integrate_against(one, tv, tol=1e-6)
         except (Divergent, NotLocallyFinite, ToleranceNotMet):
             total += 1.0
     return total
@@ -336,7 +330,7 @@ def point_value(mu, stratum, pt, atom=False):
     return val
 
 
-def positivity_check(T, samples=25, seed=0, tol=1e-9):
+def positivity_check(T, samples=25, seed=0):
     """Positivity verdict of a co-coefficient current.
 
     (i) symmetry T^{IJ} = T^{JI}; (ii) diagonal co-coefficients are
@@ -358,6 +352,7 @@ def positivity_check(T, samples=25, seed=0, tol=1e-9):
     proof.  Evaluator-backed currents only admit the sampled route: a
     negative value gives No, and otherwise the verdict stays unknown.
     """
+    tol = 1e-9      # the float slack of the sampled steps
     if not T.has_measure_model():
         rng = random.Random(seed)
         box = [(Fraction(1), Fraction(3))] * T.n
@@ -789,22 +784,21 @@ def c_finite_test(T):
 
 # --- extension by zero ------------------------------------------------------------------
 
-def extend_by_zero(T, E_strata, seed=0, check_positive=True):
-    """Skoda-El-Mir style extension across a union of stratum closures.
+def extend_by_zero(T, seed=0):
+    """Skoda-El-Mir style extension by zero across the boundary strata.
 
-    ``E_strata``: the strata (subsets of infinite axes) whose closures
-    form E.  Requires C-finite local mass on U (checked).  That check also
-    gives each co-coefficient its image Radon measure on the chart minus
-    its own exceptional locus E^{I u J}: the pieces avoid E^{I u J}, and
-    along their escape rays the boundary weight of c_finite_test has rate
-    zero.  The result restricts back to T and stays positive, with
-    closedness re-checkable via closedness_test.
+    T must be positive (positivity_check at 10 samples, else NotPositive)
+    and have C-finite local mass on U (c_finite_test, else NotCFinite).
+    The second check also gives each co-coefficient its image Radon
+    measure on the chart minus its own exceptional locus E^{I u J}: the
+    pieces avoid E^{I u J}, and along their escape rays the boundary
+    weight of c_finite_test has rate zero.  The result restricts back to
+    T and stays positive, with closedness re-checkable via closedness_test.
     """
-    if check_positive:
-        v = positivity_check(T, samples=10, seed=seed)
-        if not v.yes:
-            raise NotPositive("extension by zero needs a positive current",
-                              payload=v.witness)
+    v = positivity_check(T, samples=10, seed=seed)
+    if not v.yes:
+        raise NotPositive("extension by zero needs a positive current",
+                          payload=v.witness)
     cf = c_finite_test(T)
     if not cf.yes:
         raise NotCFinite("current does not have C-finite local mass on U",

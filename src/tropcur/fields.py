@@ -49,6 +49,8 @@ class LagerbergFormField:
         self.tables = {}
         for M, tab in tables.items():
             M = frozenset(M)
+            if not M <= chart.infinite_axes:
+                raise ValidationError(f"table on {sorted(M)}, not a boundary stratum of the chart")
             clean = {}
             for (I, J), fn in tab.items():
                 I, J = tuple(I), tuple(J)
@@ -479,14 +481,8 @@ def integrate_top(a, side="tropical", tol=1e-8):
             return 0.0
         sgn = (-1) ** (a.n * (a.n - 1) // 2)
         if side == "tropical":
-            if not fn.has_windows() and fn.max_exp_degree() <= 1:
-                total = 0.0
-                for poly, expo, _ in fn.terms:
-                    total += quadrature.poly_exp_box(poly, expo, box)
-                return sgn * total
             # the embedded error estimate can be optimistic: leave headroom
-            return sgn * quadrature.adaptive_box(
-                fn.eval_np, [(float(lo), float(hi)) for lo, hi in box], tol / 8)
+            return sgn * quadrature.box_integral(fn, box, tol / 8)
         if side == "complex":
             return integrate_top(trop_pullback_field(a), side="complex", tol=tol)
         raise ValueError(f"unknown side {side!r}")

@@ -112,6 +112,8 @@ def fiber_form_from_json(data):
             if isinstance(c, dict):
                 val = QC(_parse_frac(c.get("re", 0)), _parse_frac(c.get("im", 0)))
             elif isinstance(c, (list, tuple)):
+                if len(c) != 2:
+                    raise ParseError(f"complex coefficient {c!r} is not [re, im]")
                 val = QC(_parse_frac(c[0]), _parse_frac(c[1]))
             else:
                 val = _parse_frac(c)
@@ -136,7 +138,7 @@ def poly_from_json(data, nvars):
     from .coeffs import Poly
     exps = {}
     for t in data or ():
-        e = tuple(_parse_int(x) for x in t["exp"])
+        e = tuple(_parse_int(x) for x in _array(t["exp"]))
         if len(e) != nvars:
             raise ParseError(f"exponent {e} has wrong arity (expected {nvars})")
         exps[e] = exps.get(e, Fraction(0)) + _parse_frac(t["c"])
@@ -194,7 +196,7 @@ def field_from_json(data, chart):
     try:
         tables = {}
         for key, terms in data.get("tables", {}).items():
-            M = frozenset(int(i) - 1 for i in key.split(",") if i)
+            M = frozenset(_parse_int(i) - 1 for i in key.split(",") if i)
             tables[M] = {(tuple(_parse_int(i) - 1 for i in _array(t["I"])),
                           tuple(_parse_int(j) - 1 for j in _array(t["J"]))):
                          coefficient_fn_from_json(t["coeff"], n) for t in terms}
@@ -237,12 +239,12 @@ def measure_from_json(data, n=None):
         n = _parse_int(data.get("n", n))
         atoms = []
         for a in data.get("atoms", ()):
-            stratum = frozenset(_parse_int(i) - 1 for i in a["pt"].get("stratum", ()))
-            coords = tuple(_parse_frac(x) for x in a["pt"].get("coords", ()))
+            stratum = frozenset(_parse_int(i) - 1 for i in _array(a["pt"].get("stratum", ())))
+            coords = tuple(_parse_frac(x) for x in _array(a["pt"].get("coords", ())))
             atoms.append(Atom(stratum, coords, _parse_frac(a["w"])))
         pieces = []
         for d in data.get("densities", ()):
-            stratum = frozenset(_parse_int(i) - 1 for i in d.get("stratum", ()))
+            stratum = frozenset(_parse_int(i) - 1 for i in _array(d.get("stratum", ())))
             poly = polyhedron_from_json(d["poly"])
             dim = poly.dim
             wp = poly_from_json(d["weight"].get("pol", [{"exp": [0] * dim, "c": "1"}]), dim)
@@ -251,9 +253,9 @@ def measure_from_json(data, n=None):
             pieces.append(Piece(stratum, poly, wp, we, sign))
         ders = []
         for d in data.get("derivative_atoms", ()):
-            stratum = frozenset(_parse_int(i) - 1 for i in d["pt"].get("stratum", ()))
-            coords = tuple(_parse_frac(x) for x in d["pt"].get("coords", ()))
-            direction = tuple(_parse_frac(x) for x in d["direction"])
+            stratum = frozenset(_parse_int(i) - 1 for i in _array(d["pt"].get("stratum", ())))
+            coords = tuple(_parse_frac(x) for x in _array(d["pt"].get("coords", ())))
+            direction = tuple(_parse_frac(x) for x in _array(d["direction"]))
             ders.append(DerivativeAtom(stratum, coords, direction, _parse_frac(d["w"])))
         scale = (Fraction(1), 0)
         if "scale" in data:

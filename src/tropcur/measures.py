@@ -174,15 +174,7 @@ class PieceMeasure:
         """Fold the rational prefactor into the weights and keep pi^k
         (canonical form)."""
         c, k = self.scale
-        if c == 1:
-            return self
-        atoms = [Atom(a.stratum, a.coords, a.weight * c) for a in self.atoms]
-        pieces = [Piece(p.stratum, p.poly, p.weight_poly.scale(c), p.weight_expo,
-                        p.sign) for p in self.pieces]
-        der = [DerivativeAtom(d.stratum, d.coords, d.direction, d.weight * c)
-               for d in self.derivative_atoms]
-        return PieceMeasure(self.n, atoms, pieces, der, (Fraction(1), k),
-                            certify=False)
+        return self if c == 1 else self._times(c, (Fraction(1), k))
 
     def __eq__(self, other):
         return (isinstance(other, PieceMeasure)
@@ -210,15 +202,17 @@ class PieceMeasure:
     def scale_weights(self, c):
         """Multiply all weights by a rational scalar (sign flags tracked)."""
         c = frac(c)
-        if c == 0:
-            return PieceMeasure.zero(self.n)
-        s = 1 if c > 0 else -1
+        return PieceMeasure.zero(self.n) if c == 0 else self._times(c, self.scale)
+
+    def _times(self, c, scale):
+        """All weights times c, sign flags flipped when c < 0, under ``scale``."""
+        s = -1 if c < 0 else 1
         atoms = [Atom(a.stratum, a.coords, a.weight * c) for a in self.atoms]
         pieces = [Piece(p.stratum, p.poly, p.weight_poly.scale(c), p.weight_expo,
                         p.sign * s) for p in self.pieces]
         der = [DerivativeAtom(d.stratum, d.coords, d.direction, d.weight * c)
                for d in self.derivative_atoms]
-        return PieceMeasure(self.n, atoms, pieces, der, self.scale, certify=False)
+        return PieceMeasure(self.n, atoms, pieces, der, scale, certify=False)
 
     def __repr__(self):
         return (f"PieceMeasure(n={self.n}, atoms={len(self.atoms)}, "
@@ -274,14 +268,14 @@ def _poly_gcd(a, b):
     return a
 
 
-def certify_sign(piece, samples=1000, seed=0):
+def certify_sign(piece):
     """Check the declared sign of a density piece.
 
     Exponentials are positive, so the sign comes from the polynomial:
     constants are trivial; univariate polynomials get exact root
     isolation (no root of the square-free part inside the open projection
     interval proves constant sign); anything else counts as a declared
-    certificate and is re-checked on random rational samples.  Raises
+    certificate and is re-checked on 1000 seeded rational samples.  Raises
     SignNotCertified with a witness on failure.
     """
     poly = piece.weight_poly
@@ -315,8 +309,7 @@ def certify_sign(piece, samples=1000, seed=0):
             return True
         # interior roots of the square-free part: fall through to sampling
     import random as _random
-    rng = _random.Random(seed)
-    pts = piece.poly.sample_points(rng, samples)
+    pts = piece.poly.sample_points(_random.Random(0), 1000)
     for pt in pts:
         val = poly.eval(pt)
         if val != 0 and (val > 0) != (piece.sign > 0):
@@ -343,24 +336,8 @@ class OpenBox:
         return OpenBox(chart, tuple((None, None, i in chart.infinite_axes)
                                     for i in range(n)))
 
-    def n(self):
-        return len(self.axes)
-
     def stratum_allowed(self, M):
         return all(self.axes[i][2] for i in M)
-
-
-
-@dataclass(frozen=True)
-class ImageMap:
-    """Continuous map under which measures are transported.
-
-    The one kind, 'open_inclusion', includes the measure's domain into the
-    open set ``target`` (an OpenBox); it requires the local-finiteness
-    decision on every unbounded piece.
-    """
-    kind: str
-    target: object = None
 
 
 # --- core operations -----------------------------------------------------------------
@@ -484,15 +461,7 @@ def _integrate_bounded(h, domain, tol):
     from . import quadrature
     box = _axis_box(domain)
     if box is not None:
-        if all(lo < hi for lo, hi in box):
-            if not h.has_windows() and h.max_exp_degree() <= 1:
-                total = 0.0
-                for poly, expo, _ in h.terms:
-                    total += quadrature.poly_exp_box(poly, expo, box)
-                return total
-            return quadrature.adaptive_box(
-                h.eval_np, [(float(lo), float(hi)) for lo, hi in box], tol)
-        return 0.0
+        return quadrature.box_integral(h, box, tol) if all(lo < hi for lo, hi in box) else 0.0
     verts = [tuple(float(x) for x in v) for v in domain.vertices()]
     if len(verts) < domain.dim + 1:
         return 0.0
@@ -643,17 +612,15 @@ def escape_failure(piece, target, tilt=()):
     return None
 
 
-def image_measure(mu, m):
-    """Transport a measure along an ImageMap.
+def image_measure(mu, target):
+    """mu as a measure on the open box ``target`` it includes into.
 
-    An open inclusion into a chart box runs the exact local-finiteness
-    decision on every unbounded piece: the image Radon measure exists iff
-    every escape direction has certified decay.
+    Runs the exact local-finiteness decision on every unbounded piece: the
+    image Radon measure exists iff every escape direction has certified
+    decay.
     """
-    if m.kind != "open_inclusion":
-        raise ValueError(f"unknown image map kind {m.kind!r}")
     for piece in mu.pieces:
-        failure = escape_failure(piece, m.target)
+        failure = escape_failure(piece, target)
         if failure is not None:
             raise NotLocallyFinite(
                 "weighted piece has infinite mass toward a boundary stratum",
@@ -661,35 +628,11 @@ def image_measure(mu, m):
     return mu
 
 
-def restrict_measure(mu, parts):
-    """Restriction to a finite union of (stratum, polyhedron-or-None) parts.
-
-    Parts are assumed pairwise disjoint (relatively open pieces within
-    strata); restriction then summing over a partition reproduces the
-    measure exactly.
-    """
-    if isinstance(parts, (frozenset, set)):
-        parts = [(frozenset(parts), None)]
-    atoms, pieces, ders = [], [], []
-    for M, region in parts:
-        M = frozenset(M)
-        for a in mu.atoms:
-            if a.stratum != M:
-                continue
-            if region is None or region.contains(a.coords):
-                atoms.append(a)
-        for p in mu.pieces:
-            if p.stratum != M:
-                continue
-            if region is None:
-                pieces.append(p)
-            else:
-                inter = p.poly.intersect(region)
-                if not inter.is_empty():
-                    pieces.append(Piece(M, inter, p.weight_poly, p.weight_expo, p.sign))
-        for d in mu.derivative_atoms:
-            if d.stratum != M:
-                continue
-            if region is None or region.contains(d.coords):
-                ders.append(d)
-    return PieceMeasure(mu.n, atoms, pieces, ders, mu.scale, certify=False)
+def restrict_measure(mu, M):
+    """The part of mu on the stratum M; restricting to every stratum and
+    summing the parts reproduces mu exactly."""
+    M = frozenset(M)
+    return PieceMeasure(mu.n, [a for a in mu.atoms if a.stratum == M],
+                        [p for p in mu.pieces if p.stratum == M],
+                        [d for d in mu.derivative_atoms if d.stratum == M],
+                        mu.scale, certify=False)

@@ -405,8 +405,9 @@ class Polyhedron:
             out[key] = _inward_normal(self, cell, t.a, row.a)
         return tuple(out.items())
 
-    def sample_points(self, rng, count, spread=3):
-        """Random rational points of the closure."""
+    def sample_points(self, rng, count):
+        """Random rational points of the closure: convex combinations of
+        the vertices plus 0 to 3 times each recession generator."""
         verts = self.vertices()
         rays = self.recession_generators()
         if not verts:
@@ -422,7 +423,7 @@ class Polyhedron:
             tot = sum(ws)
             pt = [sum(w * v[i] for w, v in zip(ws, verts)) / tot for i in range(self.dim)]
             for g in rays:
-                c = Fraction(rng.randint(0, spread))
+                c = Fraction(rng.randint(0, 3))
                 pt = [x + c * gi for x, gi in zip(pt, g)]
             pts.append(tuple(pt))
         return pts

@@ -40,11 +40,11 @@ def _tensor_rule(box, order):
     return pts, wts.ravel()
 
 
-def adaptive_box(fn, box, tol, max_cells=20000):
+def adaptive_box(fn, box, tol):
     """Integrate fn (vectorized over (m,d) points) over a float box.
 
     Absolute tolerance; raises ToleranceNotMet when the refinement budget
-    is exhausted.
+    of 20000 cells is exhausted.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     d = len(box)
@@ -64,7 +64,7 @@ def adaptive_box(fn, box, tol, max_cells=20000):
     count = 1
     serial = 1
     while total_err > tol:
-        if count >= max_cells or not heap:
+        if count >= 20000 or not heap:
             raise ToleranceNotMet(
                 f"quadrature error {total_err:.3e} above tolerance {tol:.3e}",
                 payload={"error": total_err, "cells": count})
@@ -142,6 +142,14 @@ def poly_exp_box(poly, expo, box):
     return total
 
 
+def box_integral(fn, box, tol):
+    """Integral of a CoefficientFn over a bounded box: ``poly_exp_box`` for
+    windowless linear exponents, else ``adaptive_box`` to ``tol``."""
+    if not fn.has_windows() and fn.max_exp_degree() <= 1:
+        return sum((poly_exp_box(poly, expo, box) for poly, expo, _ in fn.terms), 0.0)
+    return adaptive_box(fn.eval_np, [(float(lo), float(hi)) for lo, hi in box], tol)
+
+
 def _unit_simplex_map(verts):
     """Affine map from the unit Duffy box to a simplex + Jacobian factor."""
     verts = np.asarray(verts, dtype=float)
@@ -165,7 +173,7 @@ def _unit_simplex_map(verts):
     return mapper
 
 
-def adaptive_simplex(fn, verts, tol, max_cells=20000):
+def adaptive_simplex(fn, verts, tol):
     """Integrate fn over a k-simplex with exact affine/Duffy mapping."""
     verts = np.asarray(verts, dtype=float)
     k = len(verts) - 1
@@ -177,7 +185,7 @@ def adaptive_simplex(fn, verts, tol, max_cells=20000):
         x, jac = mapper(pts)
         return fn(x) * jac
 
-    return adaptive_box(g, [(0.0, 1.0)] * k, tol, max_cells)
+    return adaptive_box(g, [(0.0, 1.0)] * k, tol)
 
 
 def triangulate_vertices(verts):

@@ -120,7 +120,7 @@ def _gallery_object(name):
     raise ValidationError(f"unknown gallery object {name!r}")
 
 
-def _field(task, key, convert=None, default=None):
+def _field(task, key, convert, default=None):
     """A task field, converted; a malformed one, or a missing one without a
     default, is a ValidationError."""
     if key not in task:
@@ -128,7 +128,7 @@ def _field(task, key, convert=None, default=None):
             raise ValidationError(f"task op {task.get('op')!r} needs a {key!r} field")
         return default
     try:
-        return task[key] if convert is None else convert(task[key])
+        return convert(task[key])
     except (TypeError, ValueError, ParseError) as err:
         raise ValidationError(f"task field {key!r} is malformed: {err}") from err
 
@@ -142,11 +142,6 @@ def _object(scene, task, key):
 
 def _fracs(xs):
     return tuple(map(formats._parse_frac, formats._array(xs)))
-
-
-def _strata(groups):
-    """1-based axis lists -> 0-based strata."""
-    return [frozenset(formats._parse_int(i) - 1 for i in M) for M in groups]
 
 
 def run_task(scene, task):
@@ -244,11 +239,7 @@ def run_task(scene, task):
     if op == "el_mir":
         from .currents import closedness_test, extend_by_zero
         T = _object(scene, task, "current")
-        strata = _field(task, "strata", _strata, [frozenset({0})])
-        check = _field(task, "check_positive", default=True)
-        if not isinstance(check, bool):
-            raise ValidationError(f"task field 'check_positive' is {check!r}, not true or false")
-        ext = extend_by_zero(T, strata, seed=seed, check_positive=check)
+        ext = extend_by_zero(T, seed=seed)
         cv = closedness_test(ext, tol=tol, seed=seed)
         return {"extended": True, "closed": cv.yes, "residual": cv.residual}
     if op == "integrate":
@@ -263,12 +254,10 @@ def run_task(scene, task):
             rec["agree_within_2tol"] = abs(rec["tropical"] - rec["complex"]) <= 2 * tol
         return rec
     if op == "counterexample":
-        name = _field(task, "name")
+        name = _field(task, "name", str)
         if name not in COUNTEREXAMPLES:
             raise ValidationError(f"unknown counterexample {name!r}")
         return COUNTEREXAMPLES[name][0](tol, seed, samples)
-    if op == "counterexamples":
-        return {name: build(tol, seed, samples) for name, (build, _) in COUNTEREXAMPLES.items()}
     raise ValidationError(f"unknown task op {op!r}")
 
 

@@ -142,6 +142,23 @@ def test_counterexamples_subcommand(capsys):
     assert out == golden.read_text()
 
 
+def test_readme_command_lines_parse(monkeypatch, capsys):
+    """Every ``tropcur ...`` line of the README's command-line block gets
+    past argument parsing (argparse exits on an unknown flag)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()
+             if line.startswith("tropcur ")]
+    assert len(lines) == 8
+    monkeypatch.setattr(scenes, "run", lambda scene, timings=False: ({"tasks": []}, 0))
+    for argv in lines:
+        capsys.readouterr()
+        try:
+            main(argv[1:])
+        except SystemExit as exit:
+            pytest.fail(f"{' '.join(argv)}: exit {exit.code}, {capsys.readouterr().err}")
+
+
 def test_verify_correspondence_subcommand(capsys):
     code, out = run_cli(["verify-correspondence", "--count", "4", "--seed", "5"],
                         capsys)
@@ -154,8 +171,8 @@ def test_report_determinism(tmp_path, capsys):
     scene = {
         "fan": formats.fan_to_json(p2_fan()),
         "seed": 7,
-        "tasks": [{"op": "limit_point", "point": [1, 2], "direction": [0, 1]},
-                  {"op": "counterexamples"}],
+        "tasks": [{"op": "limit_point", "point": [1, 2], "direction": [0, 1]}]
+        + [{"op": "counterexample", "name": name} for name in scenes.COUNTEREXAMPLES],
     }
     f = tmp_path / "scene.json"
     f.write_text(json.dumps(scene))
@@ -253,7 +270,6 @@ def test_task_missing_field_is_error_record(tmp_path, capsys, op, missing):
     {"op": "positivity", "form": "w", "tier": "bogus"},
     {"op": "positivity", "form": "w", "pool_size": "many"},
     {"op": "limit_point", "point": ["x"], "direction": [1]},
-    {"op": "el_mir", "current": "T", "strata": [["x"]]},
     {"op": "positivity", "form": ["w"]},
     {"op": "limit_point", "point": [1, 2], "direction": [1]},
     {"op": "locate_relint", "vector": [1, -1]},
@@ -265,19 +281,17 @@ def test_task_missing_field_is_error_record(tmp_path, capsys, op, missing):
     {"op": "limit_point", "point": ["17/0"], "direction": [1]},
     {"op": "positivity", "form": "w", "pool_size": 1.5},
     {"op": "toric_chart", "cone": 0.5},
-    {"op": "el_mir", "current": "T", "strata": [[1.5]]},
     {"op": "closedness", "current": "T", "forms": -4},
     {"op": "closedness", "current": "T", "forms": 0},
     {"op": "closedness", "current": "T", "forms": 1.5},
-    {"op": "el_mir", "current": "T", "check_positive": "false"},
-    {"op": "el_mir", "current": "T", "check_positive": 0},
     {"op": "positivity", "form": "w", "pool_size": True},
     {"op": "limit_point", "point": [True], "direction": [1]},
-], ids=["cone-range", "cone-type", "tier", "pool-size", "point", "strata", "name-type",
+    {"op": "counterexample", "name": ["kernel_point"]},
+], ids=["cone-range", "cone-type", "tier", "pool-size", "point", "name-type",
         "point-length", "vector-length", "direction-length", "task-type", "expect-type",
         "pool-size-negative", "count-negative", "point-zero-denominator", "pool-size-fraction",
-        "cone-fraction", "strata-fraction", "forms-negative", "forms-zero", "forms-fraction",
-        "check-positive-string", "check-positive-number", "pool-size-bool", "point-bool"])
+        "cone-fraction", "forms-negative", "forms-zero", "forms-fraction",
+        "pool-size-bool", "point-bool", "counterexample-name-list"])
 def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
     scene = {"fan": {"rank": 1, "cones": [[[1]]]},
              "objects": {"w": {"type": "gallery", "name": "omega_rank_two"},
@@ -290,6 +304,19 @@ def test_task_malformed_field_is_error_record(tmp_path, capsys, task):
     bad, good = json.loads(out)["tasks"]
     assert bad["status"] == "error" and bad["error"] == "ValidationError"
     assert good["status"] == "ok"
+
+
+def test_el_mir_of_a_current_that_is_not_positive_is_error_record(tmp_path, capsys):
+    scene = {"fan": {"rank": 1, "cones": [[[1]]]},
+             "objects": {"T": {"type": "gallery", "name": "closed_not_positive"}},
+             "tasks": [{"op": "el_mir", "current": "T"}, {"op": "locate_relint", "vector": [1]}]}
+    f = tmp_path / "scene.json"
+    f.write_text(json.dumps(scene))
+    code, out = run_cli(["run", str(f)], capsys)
+    assert code == 2
+    bad, good = json.loads(out)["tasks"]
+    assert bad["status"] == "error" and bad["error"] == "NotPositive"
+    assert good["status"] == "ok" and good["cone"] == 1
 
 
 @pytest.mark.parametrize("command", [["verify-correspondence", "--count", "-1"],
@@ -586,11 +613,42 @@ def test_non_integral_or_negative_integers_are_input_errors(args, files, says):
     (["decompose", "--fan", "{fan}", "--current", "{T}"],
      {"fan": {"rank": 1, "cones": "11"}, "T": {"bidegree": [1, 1], "cocoeffs": {}}}, "'11'"),
     (["integrate", "--side", "both", "--rank", "1", "--field", "{field}"],
-     {"field": _field_with(1, [1], [{**_WINDOW, "kind": "plato"}])}, "unknown window kind 'plato'")],
-    ids=["form-index-string", "form-algebra", "fan-cones-string", "field-window-kind"])
+     {"field": _field_with(1, [1], [{**_WINDOW, "kind": "plato"}])}, "unknown window kind 'plato'"),
+    (["integrate", "--side", "both", "--rank", "1", "--field", "{field}"],
+     {"field": _field_with(1, [1], [_WINDOW], poly=[{"exp": "1", "c": "1"}])}, "'1'"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _measure_current({"atoms": [{"pt": {"stratum": "1"}, "w": "1"}]})}, "'1'"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _measure_current({"atoms": [{"pt": {"coords": "5"}, "w": "1"}]})}, "'5'"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _measure_current({"densities": [{"stratum": "1", "poly": _POINT, "weight": {}}]})},
+     "'1'"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _measure_current({"derivative_atoms": [{"pt": {"coords": "5"}, "direction": ["1"],
+                                                   "w": "1"}]})}, "'5'"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _measure_current({"derivative_atoms": [{"pt": {"coords": ["5"]}, "direction": "1",
+                                                   "w": "1"}]})}, "'1'"),
+    (["check-positivity", "--form", "{form}"],
+     {"form": {"n": 2, "p": 1, "q": 1, "algebra": "complex",
+               "terms": [{"I": [1], "J": [1], "c": ["1", "2", "99"]}]}}, "'99'")],
+    ids=["form-index-string", "form-algebra", "fan-cones-string", "field-window-kind",
+         "field-exponent-string", "atom-stratum-string", "atom-coords-string",
+         "density-stratum-string", "derivative-atom-coords-string",
+         "derivative-atom-direction-string", "form-coefficient-triple"])
 def test_strings_for_arrays_and_unknown_algebras_are_input_errors(args, files, says):
     code, err = _cli_in_process(args, files)
     assert code == 2 and err.startswith("input error: ") and says in err, err
+
+
+@pytest.mark.parametrize("key", ["0", "7", "1.5"])
+def test_field_table_off_the_chart_is_input_error(key):
+    """A table whose key is no boundary stratum of the chart is refused, not ignored."""
+    field = _field_with(1, [1], [_WINDOW])
+    field["tables"][key] = field["tables"][""]
+    code, err = _cli_in_process(["integrate", "--rank", "1", "--field", "{field}"],
+                                {"field": field})
+    assert code == 2 and err.startswith("input error: "), err
 
 
 @pytest.mark.parametrize("tier", ["positive", "strong", "weak"])

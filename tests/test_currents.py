@@ -12,7 +12,7 @@ from tropcur.currents import (LagerbergCurrent, WeightedComplex, _integrated_com
                               balancing_check, c_finite_test, c_finite_witness,
                               canonical_decomposition,
                               closedness_test, evaluate, extend_by_zero,
-                              from_cocoefficients, integration_current,
+                              integration_current,
                               positivity_check, resum, sampled_closedness,
                               wedge_with_form)
 from tropcur.errors import (MixedDimension, NotCFinite, NotPositive,
@@ -344,26 +344,26 @@ def test_extension_by_zero_ray_through_boundary():
     ray = Polyhedron(2, [((0, 1), 0), ((0, -1), 0), ((-1, 0), 0)])
     C = WeightedComplex(((ray, 1),), declared_dim=1)
     T = integration_current(C, chart)
-    ext = extend_by_zero(T, [frozenset({0})], check_positive=False)
+    ext = extend_by_zero(T)
     assert ext.cocoeffs == T.cocoeffs
 
 
 def test_extension_not_c_finite_rejected():
     T = positive_not_positively_liftable()
     with pytest.raises(NotCFinite):
-        extend_by_zero(T, [frozenset({0})], check_positive=False)
+        extend_by_zero(T)
 
 
 def test_extension_of_zero():
     chart = _chart(1, infinite=True)
     T = LagerbergCurrent(chart, 0, {})
-    out = extend_by_zero(T, [frozenset({0})], check_positive=False)
+    out = extend_by_zero(T)
     assert out.is_zero()
 
 
 def test_reconstruction_identity():
     T = tropical_line_current()
-    back = from_cocoefficients(T.chart, T.p, T.cocoeffs, T.U)
+    back = LagerbergCurrent(T.chart, T.p, T.cocoeffs, T.U)
     assert back == T
 
 

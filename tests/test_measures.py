@@ -6,7 +6,7 @@ import pytest
 from tropcur.coeffs import CoefficientFn, Poly, bump
 from tropcur.errors import Divergent, NonMeasurePiece, NotLocallyFinite, SignNotCertified
 from tropcur.fans import orthant_fan
-from tropcur.measures import (Atom, DerivativeAtom, ImageMap, OpenBox, Piece,
+from tropcur.measures import (Atom, DerivativeAtom, OpenBox, Piece,
                               PieceMeasure, abs_measure, boundary_escape_cones,
                               image_measure, integrate_against,
                               lebesgue_piece, restrict_measure,
@@ -125,7 +125,7 @@ def test_image_measure_not_locally_finite():
     mu = PieceMeasure(1, pieces=[lebesgue_piece((), interval(1, None))])
     target = OpenBox.whole_chart(chart)
     with pytest.raises(NotLocallyFinite) as err:
-        image_measure(mu, ImageMap("open_inclusion", target))
+        image_measure(mu, target)
     assert err.value.payload["ray"] == (1,)
 
 
@@ -134,7 +134,7 @@ def test_image_measure_decaying_accepted():
     mu = PieceMeasure(1, pieces=[lebesgue_piece((), interval(0, None),
                                                 expo=Poly.linear([-1]))])
     target = OpenBox.whole_chart(chart)
-    out = image_measure(mu, ImageMap("open_inclusion", target))
+    out = image_measure(mu, target)
     assert out == mu
 
 
@@ -144,13 +144,13 @@ def test_image_measure_quadratic_growth_rejected():
         (), interval(0, None), expo=Poly({(2,): Fraction(1), (1,): Fraction(-2)}, 1))])
     target = OpenBox.whole_chart(chart)
     with pytest.raises(NotLocallyFinite):
-        image_measure(mu, ImageMap("open_inclusion", target))
+        image_measure(mu, target)
 
 
 def test_image_measure_atoms_transported():
     chart = _chart1()
     mu = PieceMeasure(1, atoms=[Atom(frozenset({0}), (), Fraction(5))])
-    out = image_measure(mu, ImageMap("open_inclusion", OpenBox.whole_chart(chart)))
+    out = image_measure(mu, OpenBox.whole_chart(chart))
     assert out == mu
 
 
@@ -183,13 +183,6 @@ def test_restrict_and_resum_over_strata():
     assert (dense + bdry) == mu
     assert len(dense.atoms) == 1 and len(bdry.atoms) == 1
     assert bdry.pieces == ()
-
-
-def test_restrict_to_polyhedron():
-    mu = PieceMeasure(1, pieces=[lebesgue_piece((), interval(0, 2))])
-    half = restrict_measure(mu, [(frozenset(), interval(0, 1))])
-    mass = integrate_against(CoefficientFn.const(1, 1), half)
-    assert mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_scale_pi_power_arithmetic():
