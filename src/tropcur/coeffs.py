@@ -17,10 +17,12 @@ with poles only at 0 and 1.  This algebra contains the canonical bump
 x*y = exp(-1/(s(1-s))) and the plateau x/(x+y) (0 below 0, 1 above 1) and
 is closed under d/ds, so the whole family is closed under d', d'' and the
 scaled complex differentials, with exact rational bookkeeping.  Only
-the float evaluators (``eval_np``) import numpy, so exact callers such as
-the weak tier's pairing polynomial never load it.
+the vectorized evaluators (``eval_np``) import numpy: exact callers such
+as the weak tier's pairing polynomial and the scalar ``UniFn.eval_float``
+of one-dimensional quadrature never load it.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -336,7 +338,21 @@ class UniFn:
         return out
 
     def eval_float(self, s):
-        return float(self.eval_np([float(s)])[0])
+        """``eval_np`` at one point with ``math``, dropping the same terms."""
+        s = float(s)
+        x = math.exp(-1.0 / s) if s > 0 else 0.0
+        y = math.exp(-1.0 / (1.0 - s)) if s < 1 else 0.0
+        out = 0.0
+        for (a, b, m, al, be), p in self.terms.items():
+            if (a and s <= 0) or (b and s >= 1):
+                continue
+            try:
+                term = (sum(float(c) * s ** d for d, c in p.items()) * (x ** a * y ** b)
+                        / ((x + y) ** m * s ** al * (1.0 - s) ** be))
+            except (OverflowError, ZeroDivisionError):
+                continue
+            out += term if math.isfinite(term) else 0.0
+        return out
 
     def __repr__(self):
         return f"UniFn({len(self.terms)} terms)"

@@ -1,6 +1,8 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from tropcur.coeffs import CoefficientFn, Poly, UniFn, bump, plateau
 
@@ -58,6 +60,37 @@ def test_unifn_second_derivative_smooth_at_edges():
     assert d2.eval_float(0.0) == 0.0
     assert d2.eval_float(1.0) == 0.0
     assert abs(d2.eval_float(1e-3)) < 1e-100
+
+
+def _window_family():
+    b, p, d = UniFn.bump(), UniFn.plateau(), UniFn.plateau_down()
+    base = {"bump": b, "plateau": p, "plateau_down": d, "bump*plateau": b * p,
+            "plateau*plateau_down": p * d, "bump*plateau_down": b * d}
+    out = {}
+    for name, fn in base.items():
+        for order in range(3):
+            out[name + "'" * order] = fn
+            fn = fn.diff()
+    return out
+
+
+_WINDOW_FAMILY = _window_family()
+_RNG = random.Random(11)
+# the window ends, points where x or y underflows or a term's power overflows
+# (numpy drops such a term as non-finite), and seeded points on both sides of [0, 1]
+_SCALAR_POINTS = ([0.0, 1.0, 1e-3, 1 - 1e-3, -1e-3, 1 + 1e-3, 0.5, 1e-300, 1 - 1e-16,
+                   -2.5, 3.0, 1e300, -1e300]
+                  + [_RNG.uniform(-2, 3) for _ in range(40)])
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOW_FAMILY))
+def test_unifn_scalar_eval_matches_eval_np(name):
+    fn = _WINDOW_FAMILY[name]
+    for s, ref in zip(_SCALAR_POINTS, fn.eval_np(_SCALAR_POINTS)):
+        # a derivative's terms cancel to roundoff where it vanishes, so the
+        # relative scale is the sum of the terms' absolute values
+        scale = sum(abs(UniFn({k: p}).eval_np([s])[0]) for k, p in fn.terms.items())
+        assert abs(fn.eval_float(s) - ref) <= 1e-12 * scale, s
 
 
 def test_unifn_algebra_closure():

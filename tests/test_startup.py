@@ -122,24 +122,29 @@ def test_float_coefficient_forms_load_no_numpy():
     assert out.split() == ["yes", "no", "yes", "no", "no", "yes", "False"]
 
 
+def _integrate_runs(tmp_path):
+    """Loaded modules of ``integrate --side both`` on the rank-1 and rank-2
+    golden fields, whose terms factor axis by axis: neither loads numpy."""
+    for rank in (1, 2):
+        code, modules = _loaded(["integrate", "--side", "both", "--rank", str(rank),
+                                 "--field", str(INPUTS / f"field_rank{rank}.json"),
+                                 "--out", str(tmp_path / f"report{rank}.json")])
+        assert code == 0
+        assert "tropcur.fields" in modules
+        assert not modules & {"numpy", "scipy"}
+        yield modules
+
+
 def test_integrate_loads_no_current_layers(tmp_path):
-    code, modules = _loaded(["integrate", "--side", "both", "--rank", "1",
-                             "--field", str(INPUTS / "field_rank1.json"),
-                             "--out", str(tmp_path / "report.json")])
-    assert code == 0
-    assert "tropcur.fields" in modules
-    assert not modules & {"tropcur.currents", "tropcur.measures", "tropcur.correspond",
-                          "tropcur.gallery"}
+    for modules in _integrate_runs(tmp_path):
+        assert not modules & {"tropcur.currents", "tropcur.measures", "tropcur.correspond",
+                              "tropcur.gallery"}
 
 
 def test_integrate_loads_no_fiber_algebra(tmp_path):
     # fields takes its index signs from indices and Verdict from errors
-    code, modules = _loaded(["integrate", "--side", "both", "--rank", "1",
-                             "--field", str(INPUTS / "field_rank1.json"),
-                             "--out", str(tmp_path / "report.json")])
-    assert code == 0
-    assert "tropcur.fields" in modules
-    assert "tropcur.fiber" not in modules
+    for modules in _integrate_runs(tmp_path):
+        assert "tropcur.fiber" not in modules
 
 
 def test_exact_current_verdicts_load_no_numpy(tmp_path):
