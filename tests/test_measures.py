@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from tropcur.coeffs import CoefficientFn, Poly, bump
+from tropcur import quadrature
+from tropcur.coeffs import CoefficientFn, Poly, bump, table
 from tropcur.errors import Divergent, NonMeasurePiece, NotLocallyFinite, SignNotCertified
 from tropcur.fans import orthant_fan
 from tropcur.measures import (Atom, DerivativeAtom, OpenBox, Piece,
@@ -59,6 +60,28 @@ def test_integrate_bump_against_growing_density():
     f = bump(1, 0, n0, n0 + 2)
     val = integrate_against(f, mu, tol=1e-6)
     assert val > math.exp(n0 ** 2) * 1e-4   # enormous versus the bump size
+
+
+def test_windowed_box_pairing_is_separable(monkeypatch):
+    # a windowed test form against a polynomial density with a linear exponent
+    # integrates axis by axis and agrees with the tensor rule on the same box
+    calls = []
+    adaptive_box = quadrature.adaptive_box
+    monkeypatch.setattr(quadrature, "adaptive_box",
+                        lambda *args: calls.append(args[1]) or adaptive_box(*args))
+    box = [(Fraction(0), Fraction(2)), (Fraction(-1), Fraction(1))]
+    weight = Poly({(1, 0): 1, (0, 2): Fraction(1, 2), (0, 0): 1}, 2)
+    expo = Poly.linear([Fraction(-1, 2), Fraction(1, 3)])
+    mu = PieceMeasure(2, pieces=[lebesgue_piece((), Polyhedron.box(box), weight=weight,
+                                                expo=expo, sign=1)])
+    f = bump(2, 0, Fraction(1, 2), Fraction(3, 2)) * table(2, 1, Fraction(-1, 2),
+                                                           Fraction(1, 2), ramp=Fraction(1, 3))
+    tol = 1e-9
+    val = integrate_against(f, mu, tol=tol)
+    assert calls == []
+    ref = adaptive_box((f * CoefficientFn.poly_exp(weight, expo)).eval_np,
+                       [(0.0, 2.0), (-1.0, 1.0)], tol / 10)
+    assert abs(val - ref) <= tol
 
 
 def test_integrate_divergent_rejected():
