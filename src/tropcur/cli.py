@@ -13,8 +13,8 @@ Reports are JSON (default) or CSV, byte-identical across runs for a fixed
 seed and tolerance.  Every subcommand runs as a scene through ``scenes.run``:
 exit code 2 on an input error or a task that ends in an error record, else 1
 on an expectation mismatch, else 0.  A call imports only the modules its
-subcommand runs: numpy and scipy load on float paths alone (tensor quadrature,
-``eval_np`` and the strong tier's LP), never for a separable ``integrate``.
+subcommand runs: numpy and scipy load only for the strong tier's LP and for
+scipy's Delaunay triangulation of a polytope piece that is not a box.
 """
 
 import argparse

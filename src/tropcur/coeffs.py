@@ -16,10 +16,9 @@ extended by zero, i.e. finite sums R(s) x^a y^b / (x+y)^m with R rational
 with poles only at 0 and 1.  This algebra contains the canonical bump
 x*y = exp(-1/(s(1-s))) and the plateau x/(x+y) (0 below 0, 1 above 1) and
 is closed under d/ds, so the whole family is closed under d', d'' and the
-scaled complex differentials, with exact rational bookkeeping.  Only
-the vectorized evaluators (``eval_np``) import numpy: exact callers such
-as the weak tier's pairing polynomial and the scalar ``UniFn.eval_float``
-of one-dimensional quadrature never load it.
+scaled complex differentials, with exact rational bookkeeping.  Float
+values, one point at a time, come from ``eval_float`` in pure Python; each
+object converts its coefficients to floats once, on its first call.
 """
 
 import math
@@ -136,18 +135,6 @@ class Poly:
             out = out + term
         return out
 
-    def eval_np(self, pts):
-        """Vectorized evaluation; pts is an (m, nvars) array."""
-        import numpy as np
-        out = np.zeros(len(pts))
-        for e, c in self.exps.items():
-            term = np.full(len(pts), float(c))
-            for i, ei in enumerate(e):
-                if ei:
-                    term = term * pts[:, i] ** ei
-            out += term
-        return out
-
     def substitute_affine(self, A, b, new_nvars):
         """Compose with u = A t + b (A a nvars x new_nvars rational matrix)."""
         images = []
@@ -187,7 +174,7 @@ class UniFn:
     smooth on all of R.  Closed under +, * and d/ds.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_floats")
 
     def __init__(self, terms=None):
         # terms: dict (a, b, m, al, be) -> {deg: Fraction}
@@ -207,6 +194,7 @@ class UniFn:
         self.terms = {k: {d: c for d, c in p.items() if c != 0}
                       for k, p in self.terms.items()}
         self.terms = {k: p for k, p in self.terms.items() if p}
+        self._floats = None         # the terms with float coefficients, for eval_float
 
     @staticmethod
     def bump():
@@ -299,55 +287,21 @@ class UniFn:
                 acc((a, b + 1, m + 1, al, be + 2), {d: m * c for d, c in p.items()})
         return UniFn(out)
 
-    def eval_np(self, s):
-        """Vectorized float evaluation on an array of points."""
-        import numpy as np
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        inner = (s > 0) & (s < 1)
-        left = s <= 0
-        right = s >= 1
-        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            x = np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
-            y = np.where(s < 1, np.exp(-1.0 / np.where(s < 1, 1.0 - s, 1.0)), 0.0)
-            for (a, b, m, al, be), p in self.terms.items():
-                pv = np.zeros_like(s)
-                for d, c in p.items():
-                    pv += float(c) * s ** d
-                # regions where the term is identically zero by the window
-                dead = np.zeros_like(s, dtype=bool)
-                if a >= 1:
-                    dead |= left
-                if b >= 1:
-                    dead |= right
-                live = ~dead
-                num = np.ones_like(s)
-                if a:
-                    num = num * np.where(live, x, 0.0) ** a
-                if b:
-                    num = num * np.where(live, y, 0.0) ** b
-                den = np.ones_like(s)
-                if m:
-                    den = den * np.where(live, x + y, 1.0) ** m
-                if al:
-                    den = den * np.where(live & (s != 0), s, 1.0) ** al
-                if be:
-                    den = den * np.where(live & (s != 1), 1.0 - s, 1.0) ** be
-                term = np.where(live, pv * num / den, 0.0)
-                out += np.where(np.isfinite(term), term, 0.0)
-        return out
-
     def eval_float(self, s):
-        """``eval_np`` at one point with ``math``, dropping the same terms."""
+        """The value at a float s.  A term that overflows, or that is not
+        finite where x or y underflows, counts as 0."""
+        if self._floats is None:
+            self._floats = [(key, [(float(c), d) for d, c in p.items()])
+                            for key, p in self.terms.items()]
         s = float(s)
         x = math.exp(-1.0 / s) if s > 0 else 0.0
         y = math.exp(-1.0 / (1.0 - s)) if s < 1 else 0.0
         out = 0.0
-        for (a, b, m, al, be), p in self.terms.items():
+        for (a, b, m, al, be), p in self._floats:
             if (a and s <= 0) or (b and s >= 1):
                 continue
             try:
-                term = (sum(float(c) * s ** d for d, c in p.items()) * (x ** a * y ** b)
+                term = (sum(c * s ** d for c, d in p) * (x ** a * y ** b)
                         / ((x + y) ** m * s ** al * (1.0 - s) ** be))
             except (OverflowError, ZeroDivisionError):
                 continue
@@ -407,14 +361,6 @@ class Window:
         const = self.const + sum(self.lin[i] * frac(b[i]) for i in range(len(self.lin)))
         return Window(self.fn, lin, const)
 
-    def eval_np(self, pts):
-        import numpy as np
-        s = np.full(len(pts), float(self.const))
-        for i, c in enumerate(self.lin):
-            if c != 0:
-                s = s + float(c) * pts[:, i]
-        return self.fn.eval_np(s)
-
 
 def window_on(axis, lo, hi, nvars, fn=None):
     """Axis-aligned window rescaled from the unit interval to [lo, hi]."""
@@ -428,6 +374,20 @@ def window_on(axis, lo, hi, nvars, fn=None):
 
 # --- coefficient functions ------------------------------------------------------
 
+def _float_monomials(poly):
+    """A polynomial's terms as (float coefficient, [(axis, power) with power > 0])."""
+    return [(float(c), [(i, k) for i, k in enumerate(e) if k]) for e, c in poly.exps.items()]
+
+
+def _float_value(monomials, u):
+    out = 0.0
+    for c, powers in monomials:
+        for i, k in powers:
+            c = c * u[i] ** k
+        out += c
+    return out
+
+
 class CoefficientFn:
     """Finite sum of poly x exp(E) x windows terms on R^nvars.
 
@@ -436,7 +396,7 @@ class CoefficientFn:
     zero- and equality-checks are exact.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_floats")
 
     def __init__(self, nvars, terms=()):
         self.nvars = nvars
@@ -449,6 +409,7 @@ class CoefficientFn:
             else:
                 combined[key] = (poly, expo, wins)
         self.terms = tuple((p, e, w) for p, e, w in combined.values() if not p.is_zero())
+        self._floats = None         # the terms with float coefficients, for eval_float
 
     # --- constructors ----------------------------------------------------
     @staticmethod
@@ -558,24 +519,30 @@ class CoefficientFn:
         return used
 
     # --- evaluation -----------------------------------------------------------
-    def eval_np(self, pts):
-        import numpy as np
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        out = np.zeros(len(pts))
-        for poly, expo, wins in self.terms:
-            vals = poly.eval_np(pts)
-            if not expo.is_zero():
-                with np.errstate(over="ignore"):
-                    vals = vals * np.exp(expo.eval_np(pts))
-            for w in wins:
-                vals = vals * w.eval_np(pts)
-            out += vals
-        return out
-
     def eval_float(self, u):
-        return float(self.eval_np([list(map(float, u))])[0])
+        """The value at one point: per term, its polynomial summed monomial by
+        monomial, times exp of its exponent (inf where that overflows), times
+        its windows; the terms summed in order."""
+        if self._floats is None:
+            self._floats = [(_float_monomials(poly), _float_monomials(expo),
+                             [(w.fn, float(w.const), [(i, float(c)) for i, c in enumerate(w.lin)
+                                                      if c != 0]) for w in wins])
+                            for poly, expo, wins in self.terms]
+        u = [float(x) for x in u]
+        out = 0.0
+        for poly, expo, wins in self._floats:
+            val = _float_value(poly, u)
+            if expo:
+                try:
+                    val *= math.exp(_float_value(expo, u))
+                except OverflowError:
+                    val *= math.inf
+            for fn, s, lin in wins:
+                for i, c in lin:
+                    s = s + c * u[i]
+                val *= fn.eval_float(s)
+            out += val
+        return out
 
     # --- support -----------------------------------------------------------
     def _term_slab(self, wins, axis):

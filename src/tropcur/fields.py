@@ -465,8 +465,9 @@ def integrate_top(a, side="tropical", tol=1e-8):
     tol/8.  side='complex': the invariant-frame integral in radial
     coordinates r_j = e^{-u_j} (the angular factor is exact), to
     tol/(8 4^n) on the r-integral.  ``quadrature.box_integral`` runs both
-    axis by axis on nodes of their own, without numpy when every term
-    factors.  The two agree within twice the quadrature tolerance.
+    axis by axis on nodes of their own when every term factors, else the
+    tensor rule ``adaptive_box``.  The two agree within twice the
+    quadrature tolerance.
     """
     from . import quadrature
     if (a.p, a.q) != (a.n, a.n):

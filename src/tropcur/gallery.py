@@ -108,10 +108,9 @@ def closed_not_positive():
             raise ValueError("test function must be compactly supported in (0, infty)")
         lo, hi = float(sup[0]), float(sup[1])
         dfn = fn.diff(0)
-        import numpy as _np
         from .quadrature import adaptive_box
         return adaptive_box(
-            lambda pts: _np.exp(2.0 * _np.exp(pts[:, 0])) * dfn.eval_np(pts),
+            lambda u: math.exp(2.0 * math.exp(u[0])) * dfn.eval_float(u),
             [(max(lo, 1e-9), hi)], 1e-9 * max(1.0, math.exp(2 * math.exp(hi))))
 
     return LagerbergCurrent(chart, 1, {}, _halfline_U(chart), evaluator=evaluator)

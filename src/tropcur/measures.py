@@ -469,7 +469,7 @@ def _integrate_bounded(h, domain, tol):
     total = 0.0
     per_tol = tol / max(len(simplices), 1)
     for s in simplices:
-        total += quadrature.adaptive_simplex(h.eval_np, [verts[i] for i in s], per_tol)
+        total += quadrature.adaptive_simplex(h.eval_float, [verts[i] for i in s], per_tol)
     return total
 
 

@@ -3,24 +3,20 @@
 Deterministic greedy refinement: every cell carries a low/high order
 Gauss-Legendre pair; the worst cell is bisected along its longest axis
 until the summed error estimate meets the absolute tolerance.  Box
-integrals of separable terms run axis by axis in pure Python; numpy loads
-only for the tensor rule (``adaptive_box``) and simplices.
+integrals of separable terms run axis by axis; everything else runs one
+tensor rule, ``_line`` applied axis by axis, on the box or on the Duffy
+image of a simplex.  All of it is pure Python on scalar evaluators; scipy
+loads only to triangulate a polytope that is not a box.
 """
 
 import heapq
 import math
 
+from . import exact
 from .errors import ToleranceNotMet
 
 
-_GL_CACHE, _NODES = {}, {}      # numpy and pure-Python Gauss-Legendre rules by order
-
-
-def _gl(order):
-    if order not in _GL_CACHE:
-        import numpy as np
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+_NODES = {}      # Gauss-Legendre (node, weight) pairs by order
 
 
 def _legendre(order):
@@ -38,22 +34,6 @@ def _legendre(order):
                 x -= p1 / dp
             _NODES[order].append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
     return _NODES[order]
-
-
-def _tensor_rule(box, order):
-    import numpy as np
-    pts_1d, wts_1d = [], []
-    for lo, hi in box:
-        x, w = _gl(order)
-        mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-        pts_1d.append(mid + half * x)
-        wts_1d.append(half * w)
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = wts_1d[0]
-    for w in wts_1d[1:]:
-        wts = np.multiply.outer(wts, w)
-    return pts, wts.ravel()
 
 
 def _refine(estimate, box, tol):
@@ -87,40 +67,40 @@ def _refine(estimate, box, tol):
     return total_val
 
 
-def adaptive_box(fn, box, tol):
-    """Integrate fn (vectorized over (m,d) points) over a float box.
-
-    Absolute tolerance; raises ToleranceNotMet when the refinement budget
-    of 20000 cells is exhausted.
-    """
-    import numpy as np
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    lo_order = 8 if len(box) <= 2 else 4
-
-    def estimate(cell):
-        p1, w1 = _tensor_rule(cell, lo_order)
-        p2, w2 = _tensor_rule(cell, 2 * lo_order)
-        i1 = float(np.dot(fn(p1), w1))
-        i2 = float(np.dot(fn(p2), w2))
-        return i2, abs(i2 - i1)
-
-    return _refine(estimate, box, tol)
-
-
 def _line(g, lo, hi, order):
     """The ``order``-point Gauss-Legendre sum of a scalar g over [lo, hi]."""
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     return half * sum(w * g(mid + half * x) for x, w in _legendre(order))
 
 
-def adaptive_line(g, lo, hi, tol):
-    """``_refine`` with the 8/16-point pair of ``_line``: no numpy."""
-    def estimate(cell):
-        (a, b), = cell
-        i2 = _line(g, a, b, 16)
-        return i2, abs(i2 - _line(g, a, b, 8))
+def _tensor(fn, box, order, head=()):
+    """The ``order``-point tensor rule for fn of a point tuple over a box:
+    ``_line`` along the first axis of sums over the remaining axes, so in
+    one dimension exactly ``_line``."""
+    (lo, hi), rest = box[0], box[1:]
+    if rest:
+        return _line(lambda t: _tensor(fn, rest, order, head + (t,)), lo, hi, order)
+    return _line(lambda t: fn(head + (t,)), lo, hi, order)
 
-    return _refine(estimate, [(lo, hi)], tol)
+
+def _adaptive(fn, box, tol, order):
+    """``_refine`` on ``_tensor`` at 2 ``order`` points per axis, its error
+    the distance to the ``order``-point sum."""
+    def estimate(cell):
+        i2 = _tensor(fn, cell, 2 * order)
+        return i2, abs(i2 - _tensor(fn, cell, order))
+
+    return _refine(estimate, box, tol)
+
+
+def adaptive_box(fn, box, tol):
+    """Integrate fn, a scalar function of one point tuple, over a box.
+
+    Absolute tolerance; raises ToleranceNotMet when the refinement budget
+    of 20000 cells is exhausted.
+    """
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    return _adaptive(fn, box, tol, 8 if len(box) <= 2 else 4)
 
 
 def poly_exp_axis_integral(k, lam, lo, hi):
@@ -164,24 +144,25 @@ def box_integral(fn, box, tol, radial=False):
     read one axis integrates to C F_1...F_n, F_i the integral of
     g_i(t) = t^k e^(lam_i t) prod_(W on axis i) W(t): the closed form
     ``poly_exp_axis_integral`` on an axis without a window, summed in its
-    order, else ``adaptive_line`` (of g_i(-log r) / r over [e^-hi, e^-lo]
-    with ``radial``, the route of r_i = e^(-u_i)).  Budget: A_i is |F_i|
-    in closed form, else a 16-point estimate of the integral of |g_i|, and
-    S sums |C| d A_1...A_n over monomials with d windowed factors; each of
-    those gets error e_i <= rho A_i, rho = tol / (2 S).  As |prod F~ -
-    prod F| <= sum_i e_i prod_(j != i) (|F~_j| + e_j), the total error is
-    at most rho (1 + rho)^(n-1) S < tol.  A quadratic exponent or a window
-    across axes sends the function whole to ``adaptive_box``.
+    order, else the adaptive 8/16-point rule of ``_line`` (of g_i(-log r)
+    / r over [e^-hi, e^-lo] with ``radial``, the route of r_i = e^(-u_i)).
+    Budget: A_i is |F_i| in closed form, else a 16-point estimate of the
+    integral of |g_i|, and S sums |C| d A_1...A_n over monomials with d
+    windowed factors; each of those gets error e_i <= rho A_i, rho = tol /
+    (2 S).  As |prod F~ - prod F| <= sum_i e_i prod_(j != i) (|F~_j| +
+    e_j), the total error is at most rho (1 + rho)^(n-1) S < tol.  A
+    quadratic exponent or a window across axes sends the function whole to
+    ``adaptive_box``.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     terms = []      # per term and monomial: C and the factor keys (axis, k, lam, windows)
     for poly, expo, wins in fn.terms:
         if expo.degree() > 1 or any(sum(c != 0 for c in w.lin) != 1 for w in wins):
             if radial:
-                import numpy as np
-                return adaptive_box(lambda r: fn.eval_np(-np.log(r)) / r.prod(axis=1),
-                                    [(math.exp(-hi), math.exp(-lo)) for lo, hi in box], tol)
-            return adaptive_box(fn.eval_np, box, tol)
+                return adaptive_box(
+                    lambda r: fn.eval_float([-math.log(x) for x in r]) / math.prod(r),
+                    [(math.exp(-hi), math.exp(-lo)) for lo, hi in box], tol)
+            return adaptive_box(fn.eval_float, box, tol)
         rates = {e.index(1): float(c) for e, c in expo.exps.items() if sum(e)}
         const = math.exp(float(expo.exps.get((0,) * fn.nvars, 0)))
         terms.append([(float(c) * const, [(i, e[i], rates.get(i, 0.0), tuple(
@@ -200,7 +181,7 @@ def box_integral(fn, box, tol, radial=False):
                 for term in terms for c, keys in term)
     rho = tol / (2 * scale) if scale else math.inf
     for key, (g, lo, hi) in rules.items():
-        factor[key] = adaptive_line(g, lo, hi, rho * size[key])
+        factor[key] = _adaptive(lambda u: g(u[0]), [(lo, hi)], rho * size[key], 8)
 
     def term_sum(term):
         sub = 0.0
@@ -210,41 +191,24 @@ def box_integral(fn, box, tol, radial=False):
     return sum(map(term_sum, terms), 0.0)
 
 
-def _unit_simplex_map(verts):
-    """Affine map from the unit Duffy box to a simplex + Jacobian factor."""
-    import numpy as np
-    verts = np.asarray(verts, dtype=float)
-    k = len(verts) - 1
-    edges = verts[1:] - verts[0]
-    det = abs(np.linalg.det(edges)) if k else 1.0
-
-    def mapper(pts):
-        # Duffy transform: t in [0,1]^k -> barycentric-style coordinates
-        t = np.asarray(pts)
-        lam = np.zeros_like(t)
-        remaining = np.ones(len(t))
-        jac = np.ones(len(t))
-        for j in range(k):
-            lam[:, j] = remaining * t[:, j]
-            jac *= remaining
-            remaining = remaining * (1.0 - t[:, j])
-        x = verts[0] + lam @ edges
-        return x, det * jac
-
-    return mapper
-
-
 def adaptive_simplex(fn, verts, tol):
-    """Integrate fn over a k-simplex with exact affine/Duffy mapping."""
-    import numpy as np
-    verts = np.asarray(verts, dtype=float)
+    """Integrate fn, a scalar function of one point, over a full-dimensional
+    k-simplex in R^k: ``adaptive_box`` on the unit box through the Duffy map
+    t -> v_0 + sum_j lam_j (v_(j+1) - v_0), lam_j = t_j prod_(i<j) (1 - t_i)."""
     k = len(verts) - 1
     if k == 0:
         raise ValueError("0-dimensional simplex")
-    mapper = _unit_simplex_map(verts)
+    v0 = verts[0]
+    edges = [[a - b for a, b in zip(v, v0)] for v in verts[1:]]
+    det = abs(float(exact.det(edges)))
 
-    def g(pts):
-        x, jac = mapper(pts)
+    def g(t):
+        x, rest, jac = list(v0), 1.0, det
+        for tj, edge in zip(t, edges):
+            lam = rest * tj
+            x = [xi + lam * e for xi, e in zip(x, edge)]
+            jac *= rest
+            rest *= 1.0 - tj
         return fn(x) * jac
 
     return adaptive_box(g, [(0.0, 1.0)] * k, tol)
@@ -252,14 +216,12 @@ def adaptive_simplex(fn, verts, tol):
 
 def triangulate_vertices(verts):
     """Simplices (as vertex index tuples) covering the hull of verts."""
-    import numpy as np
-    verts = np.asarray(verts, dtype=float)
-    m, k = verts.shape
+    m, k = len(verts), len(verts[0])
     if k == 0 or m <= k:
         return [tuple(range(m))]
     if k == 1:
-        order = np.argsort(verts[:, 0])
-        return [(int(order[t]), int(order[t + 1])) for t in range(m - 1)]
+        order = sorted(range(m), key=lambda i: verts[i][0])
+        return list(zip(order, order[1:]))
     from scipy.spatial import Delaunay, QhullError
     try:
         tri = Delaunay(verts)

@@ -16,8 +16,8 @@ def test_poly_basics():
     q = p * p
     assert q.eval((Fraction(1), Fraction(0))) == 16
     assert p.diff(1).eval((0, 0)) == 2
-    pts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(q.eval_np(pts), [16.0, 25.0])
+    pts = [(1.0, 0.0), (0.0, 1.0)]
+    assert np.allclose([CoefficientFn.from_poly(q).eval_float(u) for u in pts], [16.0, 25.0])
 
 
 def test_poly_substitute_affine():
@@ -77,7 +77,7 @@ def _window_family():
 _WINDOW_FAMILY = _window_family()
 _RNG = random.Random(11)
 # the window ends, points where x or y underflows or a term's power overflows
-# (numpy drops such a term as non-finite), and seeded points on both sides of [0, 1]
+# (eval_float drops such a term as non-finite), and seeded points on both sides of [0, 1]
 _SCALAR_POINTS = ([0.0, 1.0, 1e-3, 1 - 1e-3, -1e-3, 1 + 1e-3, 0.5, 1e-300, 1 - 1e-16,
                    -2.5, 3.0, 1e300, -1e300]
                   + [_RNG.uniform(-2, 3) for _ in range(40)])
@@ -85,12 +85,23 @@ _SCALAR_POINTS = ([0.0, 1.0, 1e-3, 1 - 1e-3, -1e-3, 1 + 1e-3, 0.5, 1e-300, 1 - 1
 
 @pytest.mark.parametrize("name", sorted(_WINDOW_FAMILY))
 def test_unifn_scalar_eval_matches_eval_np(name):
+    # the oracle is each term at 30 digits with mpmath, rounded to a float at
+    # the end, so a value below the float range reads 0 as eval_float's does
+    mpmath = pytest.importorskip("mpmath")
     fn = _WINDOW_FAMILY[name]
-    for s, ref in zip(_SCALAR_POINTS, fn.eval_np(_SCALAR_POINTS)):
-        # a derivative's terms cancel to roundoff where it vanishes, so the
-        # relative scale is the sum of the terms' absolute values
-        scale = sum(abs(UniFn({k: p}).eval_np([s])[0]) for k, p in fn.terms.items())
-        assert abs(fn.eval_float(s) - ref) <= 1e-12 * scale, s
+    with mpmath.workdps(30):
+        for s in _SCALAR_POINTS:
+            t = mpmath.mpf(s)
+            x = mpmath.exp(-1 / t) if t > 0 else 0
+            y = mpmath.exp(-1 / (1 - t)) if t < 1 else 0
+            terms = [sum(mpmath.mpf(c.numerator) / c.denominator * t ** d for d, c in p.items())
+                     * x ** a * y ** b / ((x + y) ** m * t ** al * (1 - t) ** be)
+                     for (a, b, m, al, be), p in fn.terms.items()
+                     if not ((a and t <= 0) or (b and t >= 1))]
+            # a derivative's terms cancel to roundoff where it vanishes, so the
+            # relative scale is the sum of the terms' absolute values
+            ref, scale = float(mpmath.fsum(terms)), float(mpmath.fsum(map(abs, terms)))
+            assert abs(fn.eval_float(s) - ref) <= 1e-12 * scale, s
 
 
 def test_unifn_algebra_closure():
@@ -106,19 +117,18 @@ def test_unifn_algebra_closure():
 def test_coefficientfn_diff_product_rule():
     f = bump(2, 0, 0, 1) * bump(2, 1, -1, 1)
     d0 = f.diff(0)
-    pts = np.array([[0.3, 0.2], [0.7, -0.5]])
+    pts = [(0.3, 0.2), (0.7, -0.5)]
     h = 1e-6
-    up = f.eval_np(pts + np.array([h, 0.0]))
-    dn = f.eval_np(pts - np.array([h, 0.0]))
-    assert np.allclose(d0.eval_np(pts), (up - dn) / (2 * h), atol=1e-5)
+    up = np.array([f.eval_float((x + h, y)) for x, y in pts])
+    dn = np.array([f.eval_float((x - h, y)) for x, y in pts])
+    assert np.allclose([d0.eval_float(u) for u in pts], (up - dn) / (2 * h), atol=1e-5)
 
 
 def test_coefficientfn_exp_diff():
     expo = Poly.linear([-2, 0])            # exp(-2 u0)
     f = CoefficientFn.poly_exp(Poly.var(0, 2), expo)
     d = f.diff(0)
-    pts = np.array([[0.5, 0.0]])
-    val = d.eval_np(pts)[0]
+    val = d.eval_float((0.5, 0.0))
     expected = (1 - 2 * 0.5) * np.exp(-1.0)
     assert val == pytest.approx(expected)
 

@@ -58,7 +58,7 @@ def test_evaluate_lebesgue_unit():
     val = evaluate(T, alpha)
     from tropcur.quadrature import adaptive_box
     fn = alpha.coefficient(frozenset(), (0,), (0,))
-    oracle = adaptive_box(lambda pts: fn.eval_np(pts), [(0.0, 1.0)], 1e-10)
+    oracle = adaptive_box(fn.eval_float, [(0.0, 1.0)], 1e-10)
     assert val == pytest.approx(oracle, abs=1e-8)
 
 
@@ -329,12 +329,9 @@ def test_delta_segment_cocoefficients():
     alpha = bump_box_field(T.chart, 1, 1,
                            [(((0,), (0,)), Poly.const(1, 2))], [(-1, 2), (-1, 1)])
     val = evaluate(T, alpha)
-    import numpy as np
     from tropcur.quadrature import adaptive_box
     fn = alpha.coefficient(frozenset(), (0,), (0,))
-    oracle = adaptive_box(
-        lambda pts: fn.eval_np(np.column_stack([pts[:, 0], np.zeros(len(pts))])),
-        [(0.0, 1.0)], 1e-10)
+    oracle = adaptive_box(lambda u: fn.eval_float((u[0], 0.0)), [(0.0, 1.0)], 1e-10)
     assert val == pytest.approx(oracle, abs=1e-8)
 
 

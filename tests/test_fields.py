@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcur import quadrature
 from tropcur.coeffs import CoefficientFn, Poly, UniFn, Window, bump, plateau
@@ -225,6 +226,36 @@ def test_windowless_box_integral_is_the_closed_form():
     box = [(Fraction(-1), Fraction(2)), (Fraction(0), Fraction(1, 3))]
     assert quadrature.box_integral(fn, box, 1e-8) == 3.6078959485509072
     assert quadrature.box_integral(fn, box, 1e-8, radial=True) == 3.6078959485509072
+
+
+_RATES = st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def _poly_exp_box(draw):
+    """poly (degree <= 2) x exp(linear) on a box of 1 to 3 axes."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+    poly = Poly(draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1,
+                                     max_size=4)), n)
+    rates = [draw(_RATES) for _ in range(n)]
+    box = []
+    for _ in range(n):
+        lo = draw(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 3)]))
+        box.append((lo, lo + draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))))
+    return poly, rates, box
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_poly_exp_box(), tol=st.sampled_from([1e-6, 1e-8]))
+def test_adaptive_box_matches_the_closed_form_product(case, tol):
+    # the tensor rule runs its 8/16-point pair on one and two axes, 4/8 on three
+    poly, rates, box = case
+    fn = CoefficientFn.poly_exp(poly, Poly.linear(rates))
+    exact = sum(float(c) * math.prod(
+        quadrature.poly_exp_axis_integral(k, float(lam), float(lo), float(hi))
+        for k, lam, (lo, hi) in zip(e, rates, box)) for e, c in poly.exps.items())
+    assert abs(quadrature.adaptive_box(fn.eval_float, box, tol) - exact) <= tol
 
 
 def test_compatibility_constant_toward_boundary():

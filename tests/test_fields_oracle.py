@@ -1,7 +1,7 @@
 """Both routes of ``integrate_top`` against a 30-digit ``mpmath.quad`` oracle.
 
-mpmath is not a test dependency of the package; the module skips where it
-is not installed.
+mpmath is in the package's ``test`` extra; the module skips where it is not
+installed.
 """
 from fractions import Fraction
 from pathlib import Path

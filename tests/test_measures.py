@@ -79,7 +79,7 @@ def test_windowed_box_pairing_is_separable(monkeypatch):
     tol = 1e-9
     val = integrate_against(f, mu, tol=tol)
     assert calls == []
-    ref = adaptive_box((f * CoefficientFn.poly_exp(weight, expo)).eval_np,
+    ref = adaptive_box((f * CoefficientFn.poly_exp(weight, expo)).eval_float,
                        [(0.0, 2.0), (-1.0, 1.0)], tol / 10)
     assert abs(val - ref) <= tol
 

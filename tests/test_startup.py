@@ -156,6 +156,14 @@ def test_exact_current_verdicts_load_no_numpy(tmp_path):
     assert not modules & {"numpy", "scipy"}
 
 
+def test_counterexamples_load_no_numpy(tmp_path):
+    # the gallery's e^(x^2) and e^(2e^x) pairings run the pure-Python tensor rule
+    code, modules = _loaded(["counterexamples", "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert "tropcur.quadrature" in modules
+    assert not modules & {"numpy", "scipy"}
+
+
 def test_complex_positivity_loads_no_numpy():
     out = _python("-c", "import sys; from tropcur.correspond import complex_positivity_check, "
                         "lift; from tropcur.gallery import tropical_line_current; "
