@@ -27,7 +27,7 @@ from fractions import Fraction
 from .currents import (LagerbergCurrent, c_finite_test, c_finite_witness,
                        canonical_decomposition, closedness_test, positivity_check,
                        split_by_stratum)
-from .errors import (InvalidShadow, NotCFinite, NotLocallyFinite, NotPositive,
+from .errors import (InvalidShadow, NotCFinite, NotClosed, NotLocallyFinite, NotPositive,
                      TropcurError, ValidationError, Verdict)
 from .measures import OpenBox, PieceMeasure
 
@@ -127,8 +127,8 @@ def lift(T, samples=12, seed=0):
                          payload=cf.witness)
     cv = closedness_test(T, seed=seed)
     if not cv.yes:
-        raise NotCFinite("lift of a non-closed current is not attempted",
-                         payload={"residual": cv.residual})
+        raise NotClosed("lift needs a closed current",
+                        payload={"residual": cv.residual})
     q = T.q
     parts = canonical_decomposition(T, assume_positive=True)
     shadows = {}

@@ -918,7 +918,7 @@ def balancing_check(C):
     """
     p = C.dim()
     if p <= 0:
-        return Verdict("balanced", "yes")
+        return Verdict("balanced", "yes", exact=True)
     sums = {}
     for poly, w in C.cells:
         if w == 0:
@@ -929,8 +929,9 @@ def balancing_check(C):
     for key, total in sums.items():
         span = face_directions(key)
         if any(total) and exact.rank(span + [total]) > exact.rank(span):
-            return Verdict("balanced", "no", witness={"face": key, "residual": total})
-    return Verdict("balanced", "yes")
+            return Verdict("balanced", "no", witness={"face": key, "residual": total},
+                           exact=True)
+    return Verdict("balanced", "yes", exact=True)
 
 
 # --- wedge with a form field ----------------------------------------------------------------

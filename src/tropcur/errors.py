@@ -34,10 +34,6 @@ class OutsideSupport(TropcurError):
     pass
 
 
-class NotAFace(TropcurError):
-    pass
-
-
 # --- fiber algebra ------------------------------------------------------
 class DimensionMismatch(TropcurError):
     pass
@@ -98,6 +94,10 @@ class NotCFinite(TropcurError):
     pass
 
 
+class NotClosed(TropcurError):
+    pass
+
+
 class MixedDimension(TropcurError):
     pass
 
@@ -133,7 +133,7 @@ class Verdict:
     positivity, a strictly negative exact pairing) or a structural reason
     such as a failed symmetry check.  ``exact`` says the verdict was
     decided exactly rather than sampled: closedness decided symbolically,
-    or a current's positivity decided cell by cell (see
+    balancing, or a current's positivity decided cell by cell (see
     ``currents.positivity_check``).  ``residual`` is closedness's worst
     sampled pairing.
     """

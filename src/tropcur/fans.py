@@ -16,7 +16,7 @@ from itertools import combinations
 
 from . import exact
 from .errors import (NotStrictlyConvex, NotSmooth, BadIntersection,
-                     OutsideSupport, NotAFace, ValidationError)
+                     OutsideSupport, ValidationError)
 from .polyhedra import Polyhedron, Row
 
 
@@ -124,12 +124,11 @@ def _membership(cone, v):
 
 
 class Fan:
-    """Face-closed smooth fan with the face partial order."""
+    """Face-closed smooth fan; its cones are ordered by dimension."""
 
-    def __init__(self, rank, cones, faces):
+    def __init__(self, rank, cones):
         self.rank = rank
         self.cones = cones            # list of Cone, id = index; cones[0] = {0}
-        self.faces = faces            # dict id -> frozenset of face ids
         self._key = {c.generators: i for i, c in enumerate(cones)}
         self._charts = {}
         self._quotients = {}
@@ -143,9 +142,6 @@ class Fan:
             if tuple(sorted(c)) == key:
                 return i
         raise KeyError(f"no cone with generators {gens}")
-
-    def is_face(self, tau_id, sigma_id):
-        return tau_id in self.faces[sigma_id]
 
     # --- strata ----------------------------------------------------------
     def quotient_basis(self, sigma_id):
@@ -172,16 +168,6 @@ class Fan:
                        for row in proj)
         return CompactifiedPoint(sigma_id, coords)
 
-    def stratum_lift(self, x):
-        """A representative in N_R of a stratum point (section of pi_sigma)."""
-        cone = self.cones[x.stratum]
-        n, k = self.rank, cone.dim
-        rep = [Fraction(0)] * n
-        for t, coord in enumerate(x.coords):
-            for j in range(n):
-                rep[j] += coord * Fraction(cone.basis[k + t][j])
-        return tuple(rep)
-
     # --- operations --------------------------------------------------------
     def locate_relint(self, v):
         """Unique cone with v in its relative interior."""
@@ -200,18 +186,6 @@ class Fan:
                 return i
         raise OutsideSupport(f"{v} is not in the relative interior of any cone",
                              payload={"vector": v})
-
-    def stratum_projection(self, sigma_id, tau_id, x):
-        """pi_{sigma,tau}: N(tau) -> N(sigma) for tau a face of sigma."""
-        if x.stratum != tau_id:
-            raise NotAFace("point does not lie on the source stratum",
-                           payload={"point": x, "tau": tau_id})
-        if not self.is_face(tau_id, sigma_id):
-            raise NotAFace(f"cone {tau_id} is not a face of {sigma_id}",
-                           payload={"tau": tau_id, "sigma": sigma_id})
-        if sigma_id == tau_id:
-            return x
-        return self.project(sigma_id, self.stratum_lift(x))
 
     def limit_point(self, p, v):
         """lim_{mu -> infty} p + mu v inside N_Sigma."""
@@ -280,19 +254,7 @@ def validate_fan(cone_generators, rank=None):
                 if key not in cones:
                     cones[key] = _make_cone(list(sub), rank)
 
-    ordered = sorted(cones, key=lambda k: (len(k), k))
-    cone_list = [cones[k] for k in ordered]
-    index = {k: i for i, k in enumerate(ordered)}
-
-    faces = {}
-    for k, i in index.items():
-        sub = set()
-        gens = set(k)
-        for k2, i2 in index.items():
-            if set(k2) <= gens:
-                sub.add(i2)
-        faces[i] = frozenset(sub)
-    return Fan(rank, cone_list, faces)
+    return Fan(rank, [cones[k] for k in sorted(cones, key=lambda k: (len(k), k))])
 
 
 def p2_fan():

@@ -268,20 +268,6 @@ class ComplexFiberForm(_FiberForm):
 _FORM_CLASSES = {"lagerberg": LagerbergFiberForm, "complex": ComplexFiberForm}
 
 
-def lagerberg_orientation(n):
-    """tau_n = d'u_1 ^ d''u_1 ^ ... ^ d'u_n ^ d''u_n in the block basis."""
-    full = tuple(range(n))
-    sign = (-1) ** (n * (n - 1) // 2)
-    return LagerbergFiberForm(n, n, n, {(full, full): sign})
-
-
-def complex_orientation(n):
-    """omega_n = du_1 ^ i dubar_1 ^ ... ^ du_n ^ i dubar_n."""
-    full = tuple(range(n))
-    c = QC.i_pow(n) * Fraction((-1) ** (n * (n - 1) // 2))
-    return ComplexFiberForm(n, n, n, {(full, full): c})
-
-
 # --- core operations ---------------------------------------------------------
 
 def wedge(a, b):
@@ -336,21 +322,6 @@ def embed_complex(a):
     for (I, J), c in a.coeff.items():
         out[(I, J)] = QC.i_pow(len(J)) * QC.of(c)
     return ComplexFiberForm(a.n, a.p, a.q, out)
-
-
-def embed_preimage(w):
-    """Inverse of embed_complex on the F-fixed subspace; None if not fixed."""
-    if w.algebra != "complex":
-        raise WrongAlgebra("embed_preimage takes a complex form")
-    if apply_involution("F", w) != w:
-        return None
-    out = {}
-    for (I, K), c in w.coeff.items():
-        val = QC.i_pow(-len(K)) * QC.of(c)
-        if val.im != 0:
-            return None
-        out[(I, K)] = val.re
-    return LagerbergFiberForm(w.n, w.p, w.q, out)
 
 
 @dataclass

@@ -24,7 +24,7 @@ import math
 import random
 from fractions import Fraction
 
-from .coeffs import CoefficientFn, Poly, UniFn, window_on
+from .coeffs import CoefficientFn, Poly, plateau
 from .errors import NonCompactSupport, ValidationError, Verdict, WrongAlgebra
 from .exact import frac
 from .indices import wedge_key
@@ -293,9 +293,7 @@ def boundary_window_field(chart, M, stratum_terms, box, ramp_at):
                 raise ValueError("stratum terms must avoid the axes of M")
             fn = CoefficientFn.bump_box(n, window, poly)
             for i in sorted(M - Mprime):
-                fn = fn * CoefficientFn(n, [(Poly.const(1, n), Poly.zero(n),
-                                             (window_on(i, ramp_at, frac(ramp_at) + 1, n,
-                                                        UniFn.plateau()),))])
+                fn = fn * plateau(n, i, ramp_at, frac(ramp_at) + 1)
             key = (tuple(I), tuple(J))
             if key in tab:
                 tab[key] = tab[key] + fn
@@ -418,20 +416,6 @@ def trop_pullback_field(a):
     scale = Fraction(-1, 2) ** (a.p + a.q)
     coeff = {k: fn.scale(scale) for k, fn in a.dense().items()}
     return InvariantComplexFormField(a.chart, a.n, a.p, a.q, coeff)
-
-
-def trop_pullback_preimage(w):
-    """Inverse of trop_pullback_field on invariant fields (dense part)."""
-    if w.algebra != "complex":
-        raise WrongAlgebra("expected an invariant complex field")
-    if w.monomial_part:
-        raise WrongAlgebra("average first: preimage of a non-invariant field")
-    scale = Fraction(-2, 1) ** (w.p + w.q)
-    tab = {k: fn.scale(scale) for k, fn in w.coeff.items()}
-    chart = w.chart
-    n = w.n
-    nbhd = {}
-    return LagerbergFormField(chart, n, w.p, w.q, {frozenset(): tab}, nbhd)
 
 
 def average_over_S(a):

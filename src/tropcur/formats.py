@@ -60,11 +60,6 @@ def jsonable(obj):
 
 # --- fans ---------------------------------------------------------------------
 
-def fan_to_json(fan):
-    return {"rank": fan.rank,
-            "cones": [[list(g) for g in c.generators] for c in fan.cones if c.dim]}
-
-
 def fan_from_json(data):
     from .fans import validate_fan
     try:

@@ -26,8 +26,8 @@ from functools import cached_property
 
 from . import exact
 from .coeffs import CoefficientFn, Poly
-from .errors import (Divergent, NonMeasurePiece, NotLocallyFinite,
-                     SignNotCertified, ToleranceNotMet, ValidationError)
+from .errors import (Divergent, NonMeasurePiece, SignNotCertified, ToleranceNotMet,
+                     ValidationError)
 from .exact import frac
 from .polyhedra import Polyhedron, coordinate_range, midpoint, parametrize
 
@@ -610,22 +610,6 @@ def escape_failure(piece, target, tilt=()):
             if decay_along(expo, piece.poly, v) != "decays":
                 return tuple(sorted(piece.stratum | M)), v
     return None
-
-
-def image_measure(mu, target):
-    """mu as a measure on the open box ``target`` it includes into.
-
-    Runs the exact local-finiteness decision on every unbounded piece: the
-    image Radon measure exists iff every escape direction has certified
-    decay.
-    """
-    for piece in mu.pieces:
-        failure = escape_failure(piece, target)
-        if failure is not None:
-            raise NotLocallyFinite(
-                "weighted piece has infinite mass toward a boundary stratum",
-                payload={"stratum": failure[0], "ray": failure[1], "piece": piece.key()})
-    return mu
 
 
 def restrict_measure(mu, M):

@@ -33,6 +33,12 @@ def run_cli(args, capsys):
     return code, out
 
 
+def fan_to_json(fan):
+    """The fan file of a fan: its rank and the generators of its nonzero cones."""
+    return {"rank": fan.rank,
+            "cones": [[list(g) for g in c.generators] for c in fan.cones if c.dim]}
+
+
 def test_check_positivity_roundtrip(tmp_path, capsys):
     form_file = tmp_path / "form.json"
     form_file.write_text(json.dumps(formats.fiber_form_to_json(omega_rank_two())))
@@ -57,7 +63,7 @@ def test_form_literal_minus_sign_variants(tmp_path):
 
 def test_scene_p2_limit_point(tmp_path, capsys):
     scene = {
-        "fan": formats.fan_to_json(p2_fan()),
+        "fan": fan_to_json(p2_fan()),
         "tasks": [
             {"op": "limit_point", "point": ["17/5", "-3"], "direction": [0, 1],
              "expect": {"coords": ["17/5"]}},
@@ -169,7 +175,7 @@ def test_verify_correspondence_subcommand(capsys):
 
 def test_report_determinism(tmp_path, capsys):
     scene = {
-        "fan": formats.fan_to_json(p2_fan()),
+        "fan": fan_to_json(p2_fan()),
         "seed": 7,
         "tasks": [{"op": "limit_point", "point": [1, 2], "direction": [0, 1]}]
         + [{"op": "counterexample", "name": name} for name in scenes.COUNTEREXAMPLES],
@@ -544,9 +550,9 @@ def test_fan_literal_round_trips_or_is_input_error(data):
         assert code == 2 and (err.startswith("input error: ") or err.startswith("error: "))
         return
     assert code == 0, err
-    text = formats.fan_to_json(fan)
+    text = fan_to_json(fan)
     again = formats.fan_from_json(json.loads(json.dumps(text)))
-    assert formats.fan_to_json(again) == text and len(again) == len(fan)
+    assert fan_to_json(again) == text and len(again) == len(fan)
 
 
 def _current_on(poly):

@@ -11,8 +11,9 @@ from tropcur.correspond import (InvariantComplexCurrent, compat_checks,
                                 complex_positivity_check, kernel_point_current,
                                 lift, push_forward, round_trip_verify,
                                 validate_shadow)
-from tropcur.currents import LagerbergCurrent, positivity_check
-from tropcur.errors import InvalidShadow, NotCFinite, NotPositive, TropcurError
+from tropcur.currents import (LagerbergCurrent, WeightedComplex, integration_current,
+                              positivity_check)
+from tropcur.errors import InvalidShadow, NotCFinite, NotClosed, NotPositive, TropcurError
 from tropcur.fans import orthant_fan
 from tropcur.fiber import Verdict, reverify, subsets
 from tropcur.fields import trop_pullback_field, bump_box_field
@@ -79,6 +80,15 @@ def test_lift_round_trip_line():
 def test_lift_rejects_exm1():
     T = positive_not_liftable()
     with pytest.raises(NotCFinite, match="C-finite"):
+        lift(T)
+
+
+def test_lift_rejects_non_closed():
+    # the segment {y = 0, 0 <= x <= 1} in R^2, weight 1: positive and
+    # C-finite, but its endpoints are unbalanced
+    seg = Polyhedron(2, [((0, 1), 0), ((0, -1), 0), ((1, 0), 1), ((-1, 0), 0)])
+    T = integration_current(WeightedComplex(((seg, 1),)), orthant_fan(2).toric_chart(0))
+    with pytest.raises(NotClosed, match="closed"):
         lift(T)
 
 

@@ -287,7 +287,7 @@ def test_closedness_depends_on_value_only(T):
 def test_unbalanced_line_detected():
     C = tropical_line(weights=(1, 1, 2))
     bal = balancing_check(C)
-    assert not bal.yes
+    assert bal.no and bal.exact
     assert bal.witness["residual"] is not None
     T = integration_current(C, _chart(2))
     cv = closedness_test(T, test_basis_size=16, tol=1e-8, seed=2)
@@ -298,7 +298,8 @@ def test_unbalanced_line_detected():
 def test_single_segment_weight_zero_balanced():
     seg = Polyhedron(2, [((0, 1), 0), ((0, -1), 0), ((1, 0), 1), ((-1, 0), 0)])
     C = WeightedComplex(((seg, 0),), declared_dim=1)
-    assert balancing_check(C).yes
+    bal = balancing_check(C)
+    assert bal.yes and bal.exact
     assert integration_current(C, _chart(2)).is_zero()
 
 
@@ -832,8 +833,8 @@ def _fresh_escape_cones(piece, chart):
 
 def _old_c_finite_witness(chart, measures):
     """The route c_finite_witness replaced: the boundary-weighted total
-    variation built as a measure (``_boundary_weighted``), then the
-    open-inclusion loop of ``image_measure`` on it, with fresh cones."""
+    variation built as a measure (``_boundary_weighted``), then an
+    escape check of every piece on it, with fresh cones."""
     from tropcur.errors import NonMeasurePiece, SignNotCertified
     n = len(chart.basis)
     for (I, J), mu in measures.items():

@@ -7,7 +7,7 @@ import pytest
 from tropcur.coeffs import CoefficientFn, Poly, bump
 from tropcur.currents import LagerbergCurrent, evaluate, wedge_with_form
 from tropcur.errors import (BidegreeMismatch, CompatibilityViolation,
-                            DimensionMismatch, FamilyEscape, NotAFace,
+                            DimensionMismatch, FamilyEscape,
                             NotSquareBidegree, ParseError, ValidationError)
 from tropcur.fans import orthant_fan
 from tropcur.fiber import LagerbergFiberForm, gram_form, wedge
@@ -29,15 +29,6 @@ def test_gram_not_square_bidegree():
     a = LagerbergFiberForm.basis_form(2, (0,), ())
     with pytest.raises(NotSquareBidegree):
         gram_form(a)
-
-
-def test_stratum_projection_not_a_face():
-    fan = orthant_fan(2)
-    s1 = fan.cone_id([(1, 0)])
-    s2 = fan.cone_id([(0, 1)])
-    pt = fan.project(s1, (1, 1))
-    with pytest.raises(NotAFace):
-        fan.stratum_projection(s2, s1, pt)
 
 
 def test_evaluate_rejects_incompatible_field():

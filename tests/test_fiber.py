@@ -12,9 +12,8 @@ from tropcur import Verdict, exact, fiber, formats
 from tropcur.exact import QC
 from tropcur.errors import BidegreeMismatch, NotSquareBidegree, ValidationError, WrongAlgebra
 from tropcur.fiber import (ComplexFiberForm, LagerbergFiberForm, apply_involution,
-                           complex_orientation, coordinate_strong_generators, decomposable_test, dual_pairing,
-                           embed_complex, embed_preimage, gram_form,
-                           is_symmetric, lagerberg_orientation,
+                           coordinate_strong_generators, decomposable_test, dual_pairing,
+                           embed_complex, gram_form, is_symmetric,
                            positive_generator, positivity_verdict,
                            reverify, strong_generator, strong_generator_pool,
                            subsets, wedge)
@@ -488,6 +487,31 @@ def test_conj_f_sign_rule_all_degrees():
         lhs = apply_involution("conjugation", apply_involution("F", a))
         rhs = apply_involution("F", apply_involution("conjugation", a)).scale((-1) ** (p + q))
         assert lhs == rhs
+
+
+def lagerberg_orientation(n):
+    """tau_n = d'u_1 ^ d''u_1 ^ ... ^ d'u_n ^ d''u_n in the block basis."""
+    full = tuple(range(n))
+    return LagerbergFiberForm(n, n, n, {(full, full): (-1) ** (n * (n - 1) // 2)})
+
+
+def complex_orientation(n):
+    """omega_n = du_1 ^ i dubar_1 ^ ... ^ du_n ^ i dubar_n."""
+    full = tuple(range(n))
+    return ComplexFiberForm(n, n, n, {(full, full): QC.i_pow(n) * (-1) ** (n * (n - 1) // 2)})
+
+
+def embed_preimage(w):
+    """Inverse of embed_complex on the F-fixed subspace; None if not fixed."""
+    if apply_involution("F", w) != w:
+        return None
+    out = {}
+    for (I, K), c in w.coeff.items():
+        val = QC.i_pow(-len(K)) * QC.of(c)
+        if val.im != 0:
+            return None
+        out[(I, K)] = val.re
+    return LagerbergFiberForm(w.n, w.p, w.q, out)
 
 
 def test_embed_orientation():

@@ -13,8 +13,7 @@ from tropcur.fiber import LagerbergFiberForm, embed_complex, positivity_verdict
 from tropcur.fields import (InvariantComplexFormField, LagerbergFormField,
                             average_over_S, boundary_window_field,
                             bump_box_field, check_compatibility, differentiate,
-                            integrate_top, trop_pullback_field,
-                            trop_pullback_preimage, wedge_fields)
+                            integrate_top, trop_pullback_field, wedge_fields)
 
 # independent 1-d oracle for the canonical bump integral (mpmath/scipy agree)
 BUMP_INTEGRAL = 0.007029858406609656
@@ -100,6 +99,13 @@ def test_pullback_intertwines_differentials_exactly():
         lhs = trop_pullback_field(differentiate("d''", f))
         rhs = differentiate("idbar", trop_pullback_field(f))
         assert lhs == rhs
+
+
+def trop_pullback_preimage(w):
+    """Inverse of trop_pullback_field on an invariant field's dense part."""
+    scale = Fraction(-2) ** (w.p + w.q)
+    return LagerbergFormField(w.chart, w.n, w.p, w.q,
+                              {frozenset(): {k: fn.scale(scale) for k, fn in w.coeff.items()}})
 
 
 def test_pullback_is_injective_and_round_trips():
