@@ -21,12 +21,10 @@ def frac(x):
     """Coerce ints, Fractions (returned as they are) and 'p/q' strings (ASCII or U+2212 minus)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, int) or isinstance(x, float) and x == int(x):
+        return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x.replace("−", "-").replace(" ", ""))
-    if isinstance(x, float) and x == int(x):
-        return Fraction(int(x))
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
@@ -34,8 +32,7 @@ def det(m):
     """Determinant by fraction-free-ish Gaussian elimination."""
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    out = Fraction(1)
+    sign, out = 1, Fraction(1)
     for c in range(n):
         piv = next((r for r in range(c, n) if a[r][c] != 0), None)
         if piv is None:
@@ -160,16 +157,10 @@ def inverse(m):
 def primitive(v):
     """Scale a rational vector to a primitive integer vector (same ray)."""
     v = [Fraction(x) for x in v]
-    if all(x == 0 for x in v):
-        return tuple(0 for _ in v)
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 # --- integer lattice routines --------------------------------------------
@@ -310,10 +301,8 @@ class QC:
     def of(x):
         if isinstance(x, QC):
             return x
-        if isinstance(x, (int, Fraction)):
-            return QC(x, 0)
-        if isinstance(x, str):
-            return QC(frac(x), 0)
+        if isinstance(x, (int, Fraction, str)):
+            return QC(x, 0)        # __init__ reads a str with frac
         raise TypeError(f"not an exact complex scalar: {x!r}")
 
     @staticmethod
@@ -390,28 +379,32 @@ class PSDResult:
         return self.psd
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_RATIONAL, _EXACT = frozenset({int, Fraction}), frozenset({int, Fraction, QC})
+
+
 def psd_decompose(m, den=1):
     """Exact PSD decision for the symmetric rational or Hermitian QC matrix m / den.
 
-    The scalars are QC if any entry of m is, else rationals (where conj is
-    the identity); ``den`` is a positive integer.  Repeated rank-one peeling
-    (LDL^T): the residual after k steps is R = M - sum_k d_k v_k conj(v_k)^T
-    with v_k supported off earlier pivots.  A negative residual diagonal, or
-    a vanishing residual diagonal with a nonzero residual row, produces an
-    exact witness x with conj(x)^T M x < 0; otherwise the collected
-    (d_k, v_k), d_k a positive Fraction, certify PSD-ness.
+    The scalars are QC if any entry of m is, else rationals (conj is the
+    identity); ``den`` is a positive integer.  Rank-one peeling (LDL^T): a
+    negative residual diagonal, or a zero residual diagonal with a nonzero
+    residual row, gives an exact witness x with conj(x)^T M x < 0;
+    otherwise the collected (d_k, v_k), d_k > 0 a Fraction, certify
+    M = sum_k d_k v_k conj(v_k)^T, with v_k zero at earlier pivots.
 
-    The peeling is fraction-free.  Denominators are cleared once, none for
-    an integer m (QC with integer parts), which is taken as it is, and the
-    residual is kept as N / q: N an integer matrix (two, the real and the
-    imaginary part, in the Hermitian case) and q a positive integer.  The
-    pivot d, the first with piv = N[d][d] != 0, and c = N[:, d] send N to
-    (piv N - c conj(c)^T) / g and q to q piv / g, g the gcd of q and the new
-    entries; row and column d become zero, so N keeps only the live block,
-    the rows and columns not yet pivoted.  Only zero tests and signs of N
-    steer the peeling, so it is the LDL^T of M itself, with d_k = piv / q and
-    v_k = c / piv, one shared zero off c's support.  The witness x is
-    orthogonal to every v_k, so conj(x)^T M x is the residual's value at x.
+    The peeling runs on integers (E. H. Bareiss, Math. Comp. 22, 1968) and
+    makes a Fraction only for an entry it returns.  An integer m (QC with
+    integer parts) is taken as it is, any other m cleared once.  The
+    residual is N / q, N integer (a real and an imaginary part when
+    Hermitian): the pivot d, the first with piv = N[d][d] != 0, and its
+    column c send N to (piv N - c conj(c)^T) / prev and q to q piv / prev,
+    prev the previous pivot, which divides exactly; a row with c_i = 0 is
+    only scaled, row d drops and column d comes out zero.  So d_k = piv / q
+    and v_k = c / piv.  The witness is X / D on integers, made orthogonal
+    to each v_k, newest first: its recorded column c sets X_d to
+    -sum_{i != d} conj(c_i) X_i and scales the rest of X, and D, by piv.
+    So conj(x)^T M x is the residual's value at x.
     """
     n = len(m)
     types = set(map(type, chain.from_iterable(m)))
@@ -423,70 +416,61 @@ def psd_decompose(m, den=1):
         im = im[0] if hermitian else []
     if list(map(tuple, re)) != list(zip(*re)) or hermitian and im != [[-y for y in c] for c in zip(*im)]:
         raise ValueError("matrix not Hermitian" if hermitian else "matrix not symmetric")
-    q = scale * den
-    zero, one = (QC(0), QC(1)) if hermitian else (Fraction(0), Fraction(1))
-    decomp, pivots = [], []
-    live = list(range(n))       # the index in m of each row of the live block
+    q, prev = scale * den, 1
+    zero = QC(_ZERO, _ZERO) if hermitian else _ZERO
+    decomp, columns = [], []    # columns: (d, piv, [(i, re c_i, im c_i)] over c's support)
+    live = list(range(n))       # the index in m of each row left; columns keep m's indices
 
-    def orthogonalize(x):
-        # adjust entries at pivot positions so that conj(v_k) . x = 0 for all k
-        x = list(x)
-        for pivot_d, (_, v) in reversed(list(zip(pivots, decomp))):
-            x[pivot_d] = x[pivot_d] - sum(((vi.conj() if hermitian else vi) * xi
-                                           for vi, xi in zip(v, x) if xi), zero)
-        return tuple(x)
+    def orthogonal(x, d):
+        # the vector X / d, X = {i: (re, im)} integer, made orthogonal to every v_k
+        xr, xi = ([x.get(i, (0, 0))[part] for i in range(n)] for part in (0, 1))
+        for pivot, piv, support in reversed(columns):
+            sr = sum(a * xr[i] + c * xi[i] for i, a, c in support if i != pivot)
+            si = sum(a * xi[i] - c * xr[i] for i, a, c in support if i != pivot) if hermitian else 0
+            if sr or si:
+                xr, xi = [piv * y for y in xr], [piv * y for y in xi]
+                xr[pivot], xi[pivot], d = -sr, -si, d * piv
+        if hermitian:
+            return tuple([QC(Fraction(a, d), Fraction(b, d)) if a or b else zero for a, b in zip(xr, xi)])
+        return tuple([(_ONE if a == d else Fraction(a, d)) if a else zero for a in xr])
 
     while True:
-        k = next((t for t, row in enumerate(re) if row[t]), None)
+        k = next((t for t, row in enumerate(re) if row[live[t]]), None)
         if k is None:
             break
-        piv = re[k][k]
+        d = live.pop(k)
+        piv, cre = re[k][d], re[k]      # column d is row d, conjugated
         if piv < 0:
-            x = [zero] * n
-            x[live[k]] = one
-            return PSDResult(False, witness=orthogonalize(x), value=Fraction(piv, q))
-        cre = [row[k] for row in re]
-        cim = [row[k] for row in im] if hermitian else cre
-        v = [QC(Fraction(0), Fraction(0)) if hermitian else zero] * n
-        for i, a, c in zip(live, cre, cim):
-            if a or c:
-                v[i] = QC(Fraction(a, piv), Fraction(c, piv)) if hermitian else Fraction(a, piv)
+            return PSDResult(False, witness=orthogonal({d: (1, 0)}, 1), value=Fraction(piv, q))
+        cim = [-y for y in im[k]] if hermitian else [0] * n
+        support = [(i, a, c) for i, (a, c) in enumerate(zip(cre, cim)) if a or c]
+        v = [zero] * n
+        for i, a, c in support:
+            v[i] = QC(Fraction(a, piv), Fraction(c, piv)) if hermitian else Fraction(a, piv)
         decomp.append((Fraction(piv, q), tuple(v)))
-        pivots.append(live.pop(k))
-        q *= piv
-        # the new block less row k; its column k, zero, is deleted below
-        rows, a_s = re[:k] + re[k + 1:], cre[:k] + cre[k + 1:]
+        columns.append((d, piv, support))
+        # the rows left; column d, and every column pivoted before, comes out zero
+        rows, a_s = re[:k] + re[k + 1:], [cre[i] for i in live]
         if hermitian:
-            c_s = cim[:k] + cim[k + 1:]
-            re, im = ([[piv * x - (a * b + c * e) for x, b, e in zip(row, cre, cim)]
-                       for row, a, c in zip(rows, a_s, c_s)],
-                      [[piv * y - (c * b - a * e) for y, b, e in zip(row, cre, cim)]
-                       for row, a, c in zip(im[:k] + im[k + 1:], a_s, c_s)])
+            left = list(zip(rows, im[:k] + im[k + 1:], a_s, [cim[i] for i in live]))
+            re = [[(piv * x - (a * b + c * e)) // prev for x, b, e in zip(r, cre, cim)] if a or c
+                  else [piv * x // prev for x in r] for r, _, a, c in left]
+            im = [[(piv * y - (c * b - a * e)) // prev for y, b, e in zip(t, cre, cim)] if a or c
+                  else [piv * y // prev for y in t] for _, t, a, c in left]
         else:
-            re = [[piv * x - a * b for x, b in zip(row, cre)] for row, a in zip(rows, a_s)]
-        for row in chain(re, im):
-            del row[k]
-        g = gcd(q, *chain.from_iterable(re), *chain.from_iterable(im))
-        if g > 1:
-            q //= g
-            re = [[x // g for x in row] for row in re]
-            im = [[x // g for x in row] for row in im]
-    # the live diagonal is zero, so the first nonzero entry of the block is off it
+            re = [[(piv * x - a * b) // prev for x, b in zip(r, cre)] if a else [piv * x // prev for x in r]
+                  for r, a in zip(rows, a_s)]
+        q, prev = q * piv // prev, piv
+    # the live diagonal is zero, so the first nonzero entry of a row left is off it
     for a, row in enumerate(re):
         if any(row) or hermitian and any(im[a]):
-            b = next(b for b, x in enumerate(row) if x or hermitian and im[a][b])
-            i, j = live[a], live[b]
-            s = QC(Fraction(row[b], q), Fraction(im[a][b], q)) if hermitian else Fraction(row[b], q)
-            x = [zero] * n
-            if hermitian:
-                # x_i = -s, x_j = 1: conj(x)^T M x = -2|s|^2 < 0
-                x[i], x[j] = -s, one
-                value = -2 * (s.re * s.re + s.im * s.im)
-            else:
-                # x_i = 1, x_j = -sign(s): x^T M x = -2|s| < 0
-                x[i], x[j] = one, (-one if s > 0 else one)
-                value = -2 * abs(s)
-            return PSDResult(False, witness=orthogonalize(x), value=Fraction(value))
+            j = next(b for b, x in enumerate(row) if x or hermitian and im[a][b])
+            i, s, t = live[a], row[j], im[a][j] if hermitian else 0
+            # M_ij = (s + i t) / q.  Hermitian: x_i = -M_ij, x_j = 1, so conj(x)^T M x
+            # = -2|M_ij|^2; symmetric: x_i = 1, x_j = -sign(s), so x^T M x = -2|s| / q
+            x, d, value = (({i: (-s, -t), j: (q, 0)}, q, Fraction(-2 * (s * s + t * t), q * q)) if hermitian
+                           else ({i: (1, 0), j: (-1 if s > 0 else 1, 0)}, 1, Fraction(-2 * abs(s), q)))
+            return PSDResult(False, witness=orthogonal(x, d), value=value)
     return PSDResult(True, rank=len(decomp), decomposition=decomp)
 
 
@@ -512,53 +496,63 @@ def gram_holds(m, den=1, terms=None, witness=None):
 
     ``terms`` [(gamma, v)] claim that M is PSD: M == sum gamma v conj(v)^T
     with every gamma > 0.  ``witness`` (x, value) claims that it is not:
-    conj(x)^T M x == value < 0, that is sum_ij M_ij conj(x_i conj(x_j)).
-    Vectors run over M's rows.  The check runs on integers: the scalars are
-    QC if any entry of m or of a vector is, decided once per call; an
-    integer m (QC with integer parts) is taken as it is, and each vector's
-    and any other m's denominator is cleared once.  Products are added over
-    a vector's nonzero entries only, into one flat list per part of N.
+    conj(x)^T M x == value < 0.  Vectors run over M's rows; a claim with a
+    scalar that is not exact (int or Fraction, or QC in a vector) fails.
+    It runs on integers.  The scalar kind is decided once, QC if any entry
+    of m or of a vector is; an integer m (QC with integer parts) is taken as
+    it is, and each vector is cleared once over its support.  Terms add
+    their outer products over their supports into one flat list per part
+    of N; a witness is evaluated as conj(X)^T N X over its support.
     """
     size = len(m)
-    vectors = [v for _, v in terms] if witness is None else [witness[0]]
-    if any(len(v) != size for v in vectors):
-        return False
+    claims = terms if witness is None else [(witness[1], witness[0])]
     flat = list(chain.from_iterable(m))
-    types = set(map(type, flat))
-    hermitian = QC in types.union(map(type, chain(*vectors)))
-    e, parts = integer_parts(flat, hermitian) if hermitian or not types <= {int} else (1, [flat])
-    q = e * den             # M = N / q, N = parts[0] + i parts[1] flat by rows
-
-    def add_outer(c, w):
-        # got += the parts of c w conj(w)^T, flat by rows, for w = w[0] + i w[1]
-        if hermitian:
-            support = [(i * size, i, x, y) for i, (x, y) in enumerate(zip(*w)) if x or y]
-            for r, _, xr, xi in support:
-                for _, j, yr, yi in support:
-                    got[0][r + j] += c * (xr * yr + xi * yi)
-                    got[1][r + j] += c * (xi * yr - xr * yi)
-        else:
-            support = [(i, x) for i, x in enumerate(w[0]) if x]
-            for i, x in support:
-                r, cx = i * size, c * x
-                for j, y in support:
-                    got[0][r + j] += cx * y
-
-    got = [[0] * (size * size) for _ in parts]
-    if witness is not None:
-        x, value = witness
-        f, w = integer_parts(x, hermitian)
-        add_outer(1, w)
-        re = sum(sum(map(operator.mul, n, h)) for n, h in zip(parts, got))
-        im = (sum(map(operator.mul, parts[1], got[0])) - sum(map(operator.mul, parts[0], got[1]))
-              if hermitian else 0)
-        return im == 0 and 0 > Fraction(re, q * f * f) == value
-    if not all(gamma > 0 for gamma, _ in terms):
+    types, kinds = set(map(type, flat)), set(map(type, chain.from_iterable(v for _, v in claims)))
+    if not (kinds <= _EXACT and {type(s) for s, _ in claims} <= _RATIONAL
+            and {len(v) for _, v in claims} <= {size}):
         return False
-    cleared = [(gamma, *integer_parts(v, hermitian)) for gamma, v in terms]
-    L = lcm(q, *(gamma.denominator * f * f for gamma, f, _ in cleared))
-    for gamma, f, w in cleared:
-        add_outer(gamma.numerator * (L // (gamma.denominator * f * f)), w)
+    hermitian = QC in types or QC in kinds
+    e, parts = integer_parts(flat, hermitian) if hermitian or not types <= {int} else (1, [flat])
+    q, cleared = e * den, []    # M = N / q, N = parts[0] + i parts[1] flat by rows
+    for s, v in claims:
+        # s = num / d and v = (a + i b) / f over v's support [(i, a, b)]
+        if hermitian:
+            r = [(x.re.as_integer_ratio(), x.im.as_integer_ratio()) for x in map(QC.of, v)]
+            f = lcm(*[d for (_, d), _ in r], *[d for _, (_, d) in r])
+            support = [(i, a * (f // d), b * (f // g)) for i, ((a, d), (b, g)) in enumerate(r) if a or b]
+        else:
+            r = [x.as_integer_ratio() for x in v]
+            f = lcm(*[d for _, d in r])
+            support = [(i, a * (f // d), 0) for i, (a, d) in enumerate(r) if a]
+        num, d = s.as_integer_ratio()
+        cleared.append((num, d, f, support))
+    if witness is not None:
+        [(num, d, f, support)], (nr, *ni) = cleared, parts
+        ni = ni[0] if hermitian else [0] * len(nr)
+        re = im = 0
+        for i, a, b in support:
+            # (u + i w)_i = (N X)_i over X's support, and conj(X_i) (u + i w) adds to re + i im
+            r = i * size
+            u = sum(nr[r + j] * c - ni[r + j] * g for j, c, g in support)
+            w = sum(nr[r + j] * g + ni[r + j] * c for j, c, g in support)
+            re, im = re + a * u + b * w, im + a * w - b * u
+        return im == 0 and re < 0 and re * d == num * q * f * f
+    if any(num <= 0 for num, *_ in cleared):
+        return False
+    L = lcm(q, *[d * f * f for _, d, f, _ in cleared])
+    got = [[0] * (size * size) for _ in parts]
+    for num, d, f, support in cleared:
+        c = num * (L // (d * f * f))
+        for i, a, b in support:
+            r = i * size
+            if hermitian:
+                for j, x, y in support:
+                    got[0][r + j] += c * (a * x + b * y)
+                    got[1][r + j] += c * (b * x - a * y)
+            else:
+                ca = c * a
+                for j, x, _ in support:
+                    got[0][r + j] += ca * x
     k = L // q
     return got == [[y * k for y in part] for part in parts]
 
@@ -567,10 +561,8 @@ def gram_holds(m, den=1, terms=None, witness=None):
 
 def _poly_div(num, den):
     num = list(num)
-    dn = len(den) - 1
     while den and den[-1] == 0:
         den = den[:-1]
-        dn -= 1
     q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
     while len(num) >= len(den) and any(num):
         while num and num[-1] == 0:
@@ -625,15 +617,8 @@ def sturm_roots_in(coeffs, lo, hi):
         return out
 
     def variations(sgns):
-        v = 0
-        prev = None
-        for s in sgns:
-            if s == 0:
-                continue
-            if prev is not None and s != prev:
-                v += 1
-            prev = s
-        return v
+        nonzero = [s for s in sgns if s]
+        return sum(s != t for s, t in zip(nonzero, nonzero[1:]))
 
     s_lo = signs_at(lo) if lo is not None else signs_at(None, at_inf=-1)
     s_hi = signs_at(hi) if hi is not None else signs_at(None, at_inf=+1)

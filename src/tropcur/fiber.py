@@ -38,6 +38,14 @@ def _complement(idx, n):
     return tuple(i for i in range(n) if i not in idx)
 
 
+@cache
+def _layout(n, p):
+    """(idx, pos, offset) for (p,p)-forms on R^n: idx = subsets(n, p), pos[K] = K's
+    place in idx and offset[(K, L)] = pos[K] len(idx) + pos[L], row-major."""
+    pos = {K: t for t, K in enumerate(subsets(n, p))}
+    return tuple(pos), pos, {(K, L): s * len(pos) + t for K, s in pos.items() for L, t in pos.items()}
+
+
 # --- scalar dispatch ---------------------------------------------------------
 
 def _exact_scalar(c):
@@ -91,18 +99,12 @@ class _FiberForm:
                 raise ValidationError(f"multi-indices must be strictly increasing: ({I},{J})")
             if any(i < 0 or i >= n for i in I + J):
                 raise ValidationError(f"index out of range in ({I},{J}) for n = {n}")
-            if self._nonzero(c):
+            if c:
                 out[(I, J)] = c
         vars(self).update(n=n, p=p, q=q, coeff=MappingProxyType(out))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"fiber forms are immutable: cannot set {name!r}")
-
-    @staticmethod
-    def _nonzero(c):
-        if isinstance(c, QC):
-            return bool(c)
-        return c != 0
 
     @staticmethod
     def _of(c):
@@ -116,20 +118,22 @@ class _FiberForm:
     @cached_property
     def _gram(self):
         """(indices, N, den) for a (p,p)-form: N[K][L] = den (-1)^{p(p-1)/2}
-        i^{-p} coeff[K,L] over indices = subsets(n, p), with i = 1 in the
-        Lagerberg case, so N holds integers (Lagerberg) or QC with integer
-        parts (complex) over the coefficients' common denominator den;
-        tuples, cleared once per form."""
-        p = self.p
-        idx = subsets(self.n, p)
-        pos = {K: t for t, K in enumerate(idx)}
-        den, (re, *im) = exact.integer_parts(self.coeff.values(), self.algebra == "complex")
+        i^{-p} coeff[K,L] over indices = subsets(n, p), i = 1 for Lagerberg,
+        den the lcm of the coefficients' denominators: integers (QC with
+        integer parts if complex).  One pass over coeff, reading
+        as_integer_ratio, fills a flat row-major list at _layout's offsets."""
+        p, coeff, hermitian = self.p, self.coeff, self.algebra == "complex"
+        idx, _, offset = _layout(self.n, p)
+        den, ints = 1, [y for c in coeff.values() for y in (c.re, c.im)] if hermitian else coeff.values()
+        if not set(map(type, ints)) <= {int}:
+            ratios = [x.as_integer_ratio() for x in ints]
+            den = math.lcm(*{d for _, d in ratios if d != 1})
+            ints = [a * (den // d) for a, d in ratios]
         unit = self._i_pow(-p) * (-1) ** (p * (p - 1) // 2)
-        entries = [QC(x, y) * unit for x, y in zip(re, *im)] if im else [unit * x for x in re]
-        mat = [[self._zero()] * len(idx) for _ in idx]
-        for (K, L), x in zip(self.coeff, entries):
-            mat[pos[K]][pos[L]] = x
-        return tuple(idx), tuple(map(tuple, mat)), den
+        flat = [self._zero()] * len(offset)
+        for key, x in zip(coeff, [*map(QC, ints[::2], ints[1::2])] if hermitian else ints):
+            flat[offset[key]] = unit * x
+        return idx, tuple(zip(*[iter(flat)] * len(idx))), den
 
     @cached_property
     def _pairing_polynomial(self):
@@ -182,7 +186,7 @@ class _FiberForm:
         valid by construction, so only zeros drop.  Input is validated."""
         out = object.__new__(type(self))
         vars(out).update(n=self.n, p=p, q=q, coeff=MappingProxyType(
-            {k: c for k, c in coeff.items() if self._nonzero(c)}))
+            {k: c for k, c in coeff.items() if c}))
         return out
 
     def __add__(self, other):
@@ -522,9 +526,8 @@ def _positive_tier(a):
     """Exact PSD decision of the Gram form.
 
     A form fails at once when it is not symmetric (resp. real), that is when
-    its Gram matrix is not symmetric (resp. Hermitian); psd_decompose tests
-    the form's integer Gram matrix a._gram as it is: cleared once per form,
-    it is the one reverify reads too.  Yes carries the LDL^T terms
+    its Gram matrix is not symmetric (resp. Hermitian); psd_decompose takes
+    the integer Gram matrix a._gram as it is.  Yes carries the LDL^T terms
     ("decomposition", [(gamma, {K: v_K})]) with gram(a) = sum gamma v
     conj(v)^T; No carries ("evaluation", {K: x_K}, value), the LDL^T witness
     x with value = conj(x)^T gram(a) x < 0.
@@ -551,7 +554,7 @@ def _pairing_terms(a):
     into the coefficient, and k, l the positions of I^c, J^c.
     """
     n, q = a.n, a.n - a.p
-    pos = {K: t for t, K in enumerate(subsets(n, q))}
+    pos = _layout(n, q)[1]
     unit = a._i_pow(-a.p) * (-1) ** (q * (q - 1) // 2)
     return [(a._mul_scalar(c, unit * sign), pos[K], pos[L])
             for sign, c, K, L in _complementary_terms(a)]
@@ -706,11 +709,10 @@ def _strong_lp_certificate(a, pool):
     import numpy as np
     from scipy.optimize import linprog
     n, p, parts = a.n, a.p, a._parts
-    S = subsets(n, p)
+    S, pos, _ = _layout(n, p)
     B = np.array([beta for beta, _ in pool], dtype=float).reshape(len(pool), len(S))
     nonzero = B != 0
     mask = nonzero.T @ nonzero
-    pos = {K: t for t, K in enumerate(S)}
     for I, J in a.coeff:
         mask[pos[I], pos[J]] = True
     ti, tj = np.nonzero(mask)       # row-major: the keys in sorted order
@@ -741,11 +743,10 @@ def _strong_lp_certificate(a, pool):
 def positivity_verdict(a, tier, *, seed=0, pool_size=2000):
     """Three-tier positivity decision with certificates.
 
-    tier='positive' is always decided, by the fraction-free integer LDL^T of exact.psd_decompose on the Gram matrix, whose integer
-    entries are read straight off a's coefficients over one common
-    denominator; its certificate is the LDL^T's (gamma, {K: v_K}) terms,
-    and its witness ("evaluation", {K: x_K}, value) the LDL^T witness x
-    with value = conj(x)^T gram(a) x < 0.
+    tier='positive' is always decided: exact.psd_decompose runs its integer
+    LDL^T on a._gram.  Its certificate is the LDL^T's (gamma, {K: v_K})
+    terms, its witness ("evaluation", {K: x_K}, value) with
+    value = conj(x)^T gram(a) x < 0.
     tier='strong' delegates to 'positive' for p in {0,1,n-1,n}; otherwise
     a positive No is a strong No, and a form is tried first on the
     Gram row space W (_gram_span_verdict: a Yes when its decomposables
@@ -828,32 +829,35 @@ _PROVES = {("yes", "conic"): _TIERS, ("yes", "decomposition"): _TIERS[1:],
            ("yes", "pairing_polynomial_even_positive"): _TIERS[2:],
            ("no", "kernel_obstruction"): _TIERS[:1], ("no", "evaluation"): _TIERS[:2],
            ("no", "generator"): _TIERS, ("no", None): _TIERS}
+_MALFORMED = (AttributeError, TypeError, ValueError, ValidationError)   # reading a malformed claim
 
 
 def reverify(a, verdict):
-    """Exact re-check of a verdict's certificate or witness; bool.
+    """Exact re-check of a verdict's certificate or witness; always a bool.
 
     ``a`` is the fiber form the verdict is about, or the current of an
     exact ``currents.positivity_check`` verdict, which
     ``reverify_positivity`` re-checks; a verdict about the other kind of
-    object is False.  The kind of certificate or witness must prove the
-    verdict's answer at its tier (_PROVES).  A decomposition, a conic
-    certificate and an evaluation witness are each one Gram fact about the
-    form's Gram matrix a._gram, checked by exact.gram_holds.  That
-    matrix is a function of a's coefficients alone, cleared once per form
-    (forms are immutable), so every claim is still rebuilt from a: a = sum gamma_k
+    object, or about a form that is not (p,p), is False.  The kind of
+    certificate or witness must prove the verdict's answer at its tier
+    (_PROVES).  A decomposition, a conic certificate and an evaluation
+    witness are each one Gram fact about a._gram, a function of a's
+    coefficients alone, checked by exact.gram_holds: a = sum gamma_k
     positive_generator(alpha_k) iff gram(a) = sum gamma_k alpha_k
     conj(alpha_k)^T, with alpha_k a decomposition's {K: v_K} or the vector
     a conic term's tag names (_tag_vector), and ("evaluation", {K: x_K},
-    value) needs conj(x)^T gram(a) x = value < 0.  A weak No's generator
-    must be the one its tag names and pair negatively with a; a kernel
-    obstruction and the pairing polynomials are re-derived from a.
+    value) needs conj(x)^T gram(a) x = value < 0.  A claim of the wrong
+    shape, or with a scalar that is not exact, is False.  A weak No's
+    generator must be the one its tag names and pair negatively with a; a
+    kernel obstruction and the pairing polynomials are re-derived from a.
     """
     if verdict.answer == "unknown":
         return True
     if not isinstance(a, _FiberForm):
         from .currents import reverify_positivity   # a current's exact verdict
         return reverify_positivity(a, verdict)
+    if a.p != a.q:
+        return False
     data = verdict.certificate if verdict.yes else verdict.witness
     kind = data[0] if data else None
     tiers = _PROVES.get((verdict.answer, kind), ())
@@ -861,16 +865,19 @@ def reverify(a, verdict):
         return False
     if kind in ("decomposition", "conic", "evaluation"):
         idx, mat, den = a._gram
-        known = set(idx)
-        if kind == "evaluation":
-            _, x, value = data
-            return x.keys() <= known and exact.gram_holds(
-                mat, den, witness=([x.get(K, 0) for K in idx], value))
-        if kind == "decomposition":
-            terms = [(gamma, [v.get(K, 0) for K in idx] if v.keys() <= known else None)
+        pos = _layout(a.n, a.p)[1]
+
+        def vector(v):      # {K: v_K} over idx, None when some K is not a p-subset
+            return [v.get(K, 0) for K in idx] if v.keys() <= pos.keys() else None
+        try:                # a claim of the wrong shape fails
+            if kind == "evaluation":
+                _, x, value = data
+                x = vector(x)
+                return x is not None and exact.gram_holds(mat, den, witness=(x, value))
+            terms = [(gamma, vector(v) if kind == "decomposition" else _tag_vector(v, a.n, a.p, type(a)))
                      for gamma, v in data[1]]
-        else:
-            terms = [(lam, _tag_vector(tag, a.n, a.p, type(a))) for lam, tag in data[1]]
+        except _MALFORMED:
+            return False
         return all(v is not None for _, v in terms) and exact.gram_holds(mat, den, terms)
     if kind == "pairing_polynomial_zero":
         return a._pairing_polynomial.is_zero()
@@ -878,9 +885,12 @@ def reverify(a, verdict):
         return a._pairing_polynomial.is_even_nonnegative()
     if kind == "generator":
         # ("generator", tag, form): the form must be the one its tag names
-        _, tag, g = data
         q = a.n - a.p
-        beta = _tag_vector(tag, a.n, q, type(a))
+        try:
+            _, tag, g = data
+            beta = _tag_vector(tag, a.n, q, type(a))
+        except _MALFORMED:
+            return False
         return (beta is not None and _plucker_generator(beta, a.n, q, type(a)) == g
                 and _negative(dual_pairing(a, g)))
     if kind == "kernel_obstruction":
@@ -898,12 +908,12 @@ def _tag_vector(tag, n, p, cls):
     ("coordinate", I) or ("random", vectors), or the alpha of a Gram-span
     tag ("gram_span", {K: alpha_K}), which must be decomposable."""
     kind, data = tag
-    S = subsets(n, p)
     if kind == "gram_span":
-        if not data.keys() <= set(S):
+        idx, pos, _ = _layout(n, p)
+        if not data.keys() <= pos.keys():
             return None
         alpha = cls(n, p, 0, {(K, ()): c for K, c in data.items()})
-        return [data.get(K, 0) for K in S] if decomposable_test(alpha) == "yes" else None
+        return [data.get(K, 0) for K in idx] if decomposable_test(alpha) == "yes" else None
     if kind == "coordinate":
         data = [[int(j == i) for j in range(n)] for i in data]
     elif kind != "random":

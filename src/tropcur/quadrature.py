@@ -70,7 +70,10 @@ def _refine(estimate, box, tol):
 def _line(g, lo, hi, order):
     """The ``order``-point Gauss-Legendre sum of a scalar g over [lo, hi]."""
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    return half * sum(w * g(mid + half * x) for x, w in _legendre(order))
+    total = 0.0     # left to right: sum() of floats compensates from Python 3.12 on
+    for x, w in _legendre(order):
+        total += w * g(mid + half * x)
+    return half * total
 
 
 def _tensor(fn, box, order, head=()):

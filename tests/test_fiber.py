@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from dataclasses import replace
@@ -1309,6 +1310,152 @@ def test_reverify_rejects_mutated_verdicts(data):
         assert _ref_proof_holds(a, v)
         for mutant in _mutants(data, v, verdicts[1]):
             assert reverify(a, mutant) == _ref_proof_holds(a, mutant), mutant
+
+
+def _malformed(v):
+    """Claims of the wrong shape or with inexact scalars, from the positive
+    verdict v: each must make reverify answer False, not raise.  The float
+    copies hold the same values as the exact ones, since every entry of the
+    gallery verdicts is dyadic."""
+    def inexact(x, kind):
+        if isinstance(x, QC):
+            return complex(x) if kind is float else str(x)
+        return kind(x)
+    out = []
+    if v.yes:
+        kind, terms = v.certificate
+        out += [replace(v, certificate=(kind, [(inexact(g, float), w) for g, w in terms])),
+                replace(v, certificate=(kind, [terms[0] + (1,)] + terms[1:])),
+                replace(v, certificate=(kind, [terms[0][0]] + terms[1:])),
+                replace(v, certificate=(kind, 5))]
+        for scalar in (float, str):
+            out.append(replace(v, certificate=(kind, [(g, {K: inexact(x, scalar) for K, x in w.items()})
+                                                       for g, w in terms])))
+        return out
+    kind, x, value = v.witness
+    out += [replace(v, witness=(kind, x)), replace(v, witness=(kind, x, float(value))),
+            replace(v, witness=(kind, list(x.values()), value))]
+    for scalar in (float, str):
+        out.append(replace(v, witness=(kind, {K: inexact(y, scalar) for K, y in x.items()}, value)))
+    return out
+
+
+@pytest.mark.parametrize("algebra", ["lagerberg", "complex"])
+def test_reverify_rejects_malformed_claims(algebra):
+    """reverify always answers a bool: a certificate or witness with a float,
+    complex or str scalar, a term that is not a (gamma, vector) pair, an
+    evaluation witness without its value and a generator witness of the
+    wrong shape are each False."""
+    for form in (omega_rank_two(), omega_degenerate()):
+        a = embed_complex(form) if algebra == "complex" else form
+        v = positivity_verdict(a, "positive")
+        assert reverify(a, v)
+        for mutant in _malformed(v):
+            assert reverify(a, mutant) is False, mutant
+        for witness in (("generator", ("random",)), ("generator", 7, None), ("generator", ("gram_span", 3), None)):
+            assert reverify(a, Verdict("weak", "no", witness=witness)) is False, witness
+
+
+def test_reverify_rejects_a_form_that_is_not_pp():
+    """No positivity verdict is about a form of bidegree (p, q), p != q."""
+    a = LagerbergFiberForm(3, 1, 2, {((0,), (0, 1)): 1})
+    with pytest.raises(NotSquareBidegree):
+        positivity_verdict(a, "positive")
+    square = LagerbergFiberForm(3, 1, 1, {((0,), (0,)): 1, ((1,), (2,)): 1})
+    for b in (square, square.scale(-1), square + LagerbergFiberForm(3, 1, 1, {((2,), (1,)): 2})):
+        v = positivity_verdict(b, "positive")
+        assert reverify(b, v) and reverify(a, v) is False
+
+
+def _ref_gram(a):
+    """(indices, N, den) entry by entry over Fraction (QC) scalars:
+    N[K][L] = (-1)^{p(p-1)/2} i^{-p} coeff[K,L] den, den the lcm of the
+    denominators of every part of every coefficient."""
+    p, idx, hermitian = a.p, subsets(a.n, a.p), a.algebra == "complex"
+    parts = [Fraction(x) for c in a.coeff.values() for x in ((c.re, c.im) if hermitian else (c,))]
+    den = math.lcm(*(x.denominator for x in parts))
+    unit = (-1) ** (p * (p - 1) // 2) * (QC.i_pow(-p) if hermitian else 1)
+    N = []
+    for K in idx:
+        row = []
+        for L in idx:
+            x = unit * a.coeff.get((K, L), 0) * den
+            if hermitian:
+                x = QC.of(x)
+                assert x.re.denominator == x.im.denominator == 1
+                x = QC(int(x.re), int(x.im))
+            else:
+                assert Fraction(x).denominator == 1
+                x = int(x)
+            row.append(x)
+        N.append(tuple(row))
+    return tuple(idx), tuple(N), den
+
+
+def _ref_pairing_terms(a):
+    """_pairing_terms as it was: positions from a fresh subsets() list."""
+    n, q = a.n, a.n - a.p
+    pos = {K: t for t, K in enumerate(subsets(n, q))}
+    unit = a._i_pow(-a.p) * (-1) ** (q * (q - 1) // 2)
+    return [(a._mul_scalar(c, unit * sign), pos[K], pos[L])
+            for sign, c, K, L in fiber._complementary_terms(a)]
+
+
+def _ref_tag_vector(tag, n, p, cls):
+    """_tag_vector as it was: subsets() and set(subsets()) built per call."""
+    kind, data = tag
+    S = subsets(n, p)
+    if kind == "gram_span":
+        if not data.keys() <= set(S):
+            return None
+        alpha = cls(n, p, 0, {(K, ()): c for K, c in data.items()})
+        return [data.get(K, 0) for K in S] if decomposable_test(alpha) == "yes" else None
+    if kind == "coordinate":
+        data = [[int(j == i) for j in range(n)] for i in data]
+    elif kind != "random":
+        return None
+    fits = len(data) == p and all(len(v) == n for v in data)
+    return fiber.plucker_vector(data, n) if fits else None
+
+
+_FLOATS = st.floats(min_value=-3, max_value=3, allow_nan=False, width=32)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_gram_matches_fraction_reference(data):
+    """The one-pass integer Gram matrix of a (p,p)-form, n <= 5, equals the
+    entry-by-entry Fraction (QC) reference, for Lagerberg forms with int,
+    Fraction or float coefficients and for complex forms; _pairing_terms
+    and _tag_vector read the shared per-(n, p) layout and return what the
+    subsets()-building versions return."""
+    n = data.draw(st.integers(1, 5))
+    p = data.draw(st.integers(0, n))
+    algebra = data.draw(_ALGEBRAS)
+    if algebra == "lagerberg":
+        scalar = data.draw(st.sampled_from([st.integers(-5, 5), _FRACTIONS, _FLOATS]))
+    else:
+        scalar = _SCALARS["complex"]
+    keys = st.tuples(st.sampled_from(subsets(n, p)), st.sampled_from(subsets(n, p)))
+    a = _CLASSES[algebra](n, p, p, data.draw(st.dictionaries(keys, scalar, max_size=12)))
+    idx, N, den = a._gram
+    assert (idx, N, den) == _ref_gram(a)
+    assert all(type(x) is (QC if algebra == "complex" else int) for row in N for x in row)
+    info = fiber._layout.cache_info
+    fiber._layout(n, n - p), fiber._layout(n, p)
+    hits, misses = info().hits, info().misses
+    assert fiber._pairing_terms(a) == _ref_pairing_terms(a)
+    assert (info().hits, info().misses) == (hits + 1, misses)
+    vectors = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=p, max_size=p)
+    tags = [("coordinate", data.draw(st.sampled_from(subsets(n, p)))), ("random", data.draw(vectors)),
+            ("other", None)]
+    if algebra == "lagerberg":      # only the Lagerberg strong tier names Gram-span generators
+        span = st.dictionaries(st.sampled_from(subsets(n, p) + [(n,) * p]), _FRACTIONS, max_size=4)
+        tags.append(("gram_span", data.draw(span)))
+    for tag in tags:
+        hits = info().hits
+        assert fiber._tag_vector(tag, n, p, type(a)) == _ref_tag_vector(tag, n, p, type(a))
+        assert info().hits == hits + (tag[0] == "gram_span")
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
