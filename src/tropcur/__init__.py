@@ -24,16 +24,14 @@ _EXPORTS = {
     "coeffs": ("Poly", "UniFn", "CoefficientFn", "bump", "plateau"),
     "polyhedra": ("Polyhedron",),
     "fields": ("LagerbergFormField", "InvariantComplexFormField", "differentiate",
-               "trop_pullback_field", "average_over_S", "integrate_top",
-               "check_compatibility", "wedge_fields", "apply_J_field",
+               "trop_pullback_field", "integrate_top", "check_compatibility",
                "bump_box_field", "boundary_window_field"),
     "measures": ("PieceMeasure", "Piece", "Atom", "DerivativeAtom", "OpenBox",
                  "integrate_against", "total_variation_decompose", "abs_measure",
                  "restrict_measure", "lebesgue_piece"),
     "currents": ("LagerbergCurrent", "WeightedComplex", "evaluate", "closedness_test",
                  "positivity_check", "canonical_decomposition", "resum", "c_finite_test",
-                 "extend_by_zero", "integration_current", "balancing_check",
-                 "wedge_with_form"),
+                 "extend_by_zero", "integration_current", "balancing_check"),
     "correspond": ("InvariantComplexCurrent", "push_forward", "lift",
                    "round_trip_verify", "complex_positivity_check", "compat_checks",
                    "kernel_point_current", "validate_shadow"),

@@ -391,9 +391,9 @@ def _float_value(monomials, u):
 class CoefficientFn:
     """Finite sum of poly x exp(E) x windows terms on R^nvars.
 
-    ``max_exp_degree`` is 1 for form coefficients and 2 for measure
-    densities.  Terms are kept in a canonical combined form so symbolic
-    zero- and equality-checks are exact.
+    The exponent E is affine in form coefficients and of degree at most 2
+    in measure densities.  Terms are kept in a canonical combined form so
+    symbolic zero- and equality-checks are exact.
     """
 
     __slots__ = ("nvars", "terms", "_floats")
@@ -436,9 +436,6 @@ class CoefficientFn:
         wins = tuple(window_on(i, lo, hi, nvars) for i, (lo, hi) in sorted(box.items()))
         p = poly if poly is not None else Poly.const(1, nvars)
         return CoefficientFn(nvars, [(p, Poly.zero(nvars), wins)])
-
-    def with_extra_exponent(self, expo):
-        return CoefficientFn(self.nvars, [(p, e + expo, w) for p, e, w in self.terms])
 
     # --- algebra -----------------------------------------------------------
     def is_zero(self):
@@ -489,12 +486,6 @@ class CoefficientFn:
                 rest = wins[:t] + (w2,) + wins[t + 1:]
                 out.append((poly.scale(c), expo, rest))
         return CoefficientFn(self.nvars, out)
-
-    def max_exp_degree(self):
-        return max((e.degree() for _, e, _ in self.terms), default=0)
-
-    def has_windows(self):
-        return any(ws for _, _, ws in self.terms)
 
     def substitute_affine(self, A, b, new_nvars):
         """Compose with u = A t + b; stays in the family."""

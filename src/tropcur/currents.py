@@ -23,17 +23,16 @@ from fractions import Fraction
 
 from . import exact
 from .coeffs import CoefficientFn, Poly
-from .errors import (CompatibilityViolation, Divergent, FamilyEscape,
-                     MixedDimension, NonMeasurePiece, NotCFinite,
-                     NotLocallyFinite, NotPositive, SignNotCertified,
-                     SupportEscapesU, ToleranceNotMet, ValidationError, Verdict)
+from .errors import (CompatibilityViolation, Divergent, MixedDimension,
+                     NonMeasurePiece, NotCFinite, NotLocallyFinite, NotPositive,
+                     SignNotCertified, SupportEscapesU, ToleranceNotMet,
+                     ValidationError, Verdict)
 from .exact import frac
 from .fiber import LagerbergFiberForm, positive_generator
-from .indices import subsets, wedge_key
+from .indices import subsets
 from .fields import (boundary_window_field, bump_box_field,
                      check_compatibility, differentiate, _stratum_subsets)
-from .measures import (Atom, DerivativeAtom, OpenBox, Piece,
-                       PieceMeasure, _stratum_embedding, abs_measure, escape_failure,
+from .measures import (OpenBox, Piece, PieceMeasure, abs_measure, escape_failure,
                        integrate_against, restrict_measure, sign_pure_pieces)
 from .polyhedra import Polyhedron, Row, face_directions
 
@@ -822,6 +821,11 @@ class WeightedComplex:
     declared_dim: int = None
 
     def __post_init__(self):
+        # exact integers only (truncating 1/2 to 0 would empty the complex);
+        # _integrated_complex passes Fractions whose denominator is 1
+        for _, w in self.cells:
+            if not isinstance(w, (int, Fraction)) or w.denominator != 1:
+                raise ValidationError(f"cell weight {w!r} is not an integer")
         self.cells = tuple((poly, int(w)) for poly, w in self.cells)
 
     def dim(self):
@@ -932,117 +936,3 @@ def balancing_check(C):
             return Verdict("balanced", "no", witness={"face": key, "residual": total},
                            exact=True)
     return Verdict("balanced", "yes", exact=True)
-
-
-# --- wedge with a form field ----------------------------------------------------------------
-
-def _measure_times_fn(mu, g, n):
-    """Multiply a measure by a poly x exp coefficient function (per stratum).
-
-    ``g`` maps strata to CoefficientFn; window factors are outside the
-    measure-density family, atoms need polynomial coefficients.
-    """
-    atoms = []
-    pieces = []
-    ders = []
-    for a in mu.atoms:
-        fn = g.get(a.stratum)
-        if fn is None or fn.is_zero():
-            continue
-        if fn.has_windows() or fn.max_exp_degree() > 0:
-            raise FamilyEscape("atom weights need polynomial field coefficients",
-                               payload={"atom": a.key()})
-        u = [Fraction(0)] * n
-        alive = [i for i in range(n) if i not in a.stratum]
-        for i, c in zip(alive, a.coords):
-            u[i] = c
-        val = sum(poly.eval(u) for poly, _, _ in fn.terms)
-        if val != 0:
-            atoms.append(Atom(a.stratum, a.coords, a.weight * val))
-    for piece in mu.pieces:
-        fn = g.get(piece.stratum)
-        if fn is None or fn.is_zero():
-            continue
-        if fn.has_windows():
-            raise FamilyEscape("window coefficients leave the density family",
-                               payload={"piece": piece.key()})
-        local = fn.substitute_affine(*_stratum_embedding(n, piece.stratum), piece.poly.dim)
-        for poly, expo, _ in local.terms:
-            new_expo = piece.weight_expo + expo
-            if new_expo.degree() > 2:
-                raise FamilyEscape("combined exponent degree exceeds two")
-            # constant factors keep the certified sign; otherwise uncertified
-            if len(poly.exps) == 1 and sum(next(iter(poly.exps))) == 0:
-                c0 = next(iter(poly.exps.values()))
-                sign = piece.sign * (1 if c0 > 0 else -1)
-            else:
-                sign = 0
-            pieces.append(Piece(piece.stratum, piece.poly,
-                                piece.weight_poly * poly, new_expo, sign))
-    for d in mu.derivative_atoms:
-        fn = g.get(d.stratum)
-        if fn is None or fn.is_zero():
-            continue
-        if fn.has_windows() or fn.max_exp_degree() > 0:
-            raise FamilyEscape("derivative atoms need polynomial field coefficients")
-        alive = [i for i in range(n) if i not in d.stratum]
-        u = [Fraction(0)] * n
-        for i, c in zip(alive, d.coords):
-            u[i] = c
-        gval = Fraction(0)
-        dval = Fraction(0)
-        for poly, _, _ in fn.terms:
-            gval += poly.eval(u)
-            for t, axis in enumerate(alive):
-                c = frac(d.direction[t])
-                if c:
-                    dval += c * poly.diff(axis).eval(u)
-        if gval != 0:
-            ders.append(DerivativeAtom(d.stratum, d.coords, d.direction,
-                                       d.weight * gval))
-        if dval != 0:
-            # -w D_v(g f) = w g (-D_v f) + (-w D_v g) f
-            atoms.append(Atom(d.stratum, d.coords, -d.weight * dval))
-    return PieceMeasure(mu.n, atoms, pieces, ders, mu.scale, certify=False)
-
-
-def wedge_with_form(beta, T):
-    """(beta ^ T)(omega) = T(beta ^ omega), on pieces: T has p = q, so the
-    sign (-1)^{(p'+q')(p+q)} is +1.
-
-    beta must stay in the closed coefficient family after multiplying the
-    piece densities (FamilyEscape otherwise); the output co-coefficients
-    are density-modulated pieces of T's co-coefficients.
-    """
-    if not T.has_measure_model():
-        raise NonMeasurePiece("wedge_with_form needs co-coefficient data")
-    n = T.n
-    pp, qq = beta.p, beta.q
-    p2 = T.p + pp
-    q2 = n - p2
-    if q2 < 0 or T.p + qq != p2:
-        raise ValueError("wedge leaves the square-bidegree family")
-    s_q2 = (-1) ** (q2 * (q2 - 1) // 2)
-    s_q = (-1) ** (T.q * (T.q - 1) // 2)
-    out = {}
-    for K in subsets(n, q2):
-        for L in subsets(n, q2):
-            acc = None
-            for (A, B) in itertools.product(subsets(n, pp), subsets(n, qq)):
-                hit = wedge_key(A, B, K, L)
-                if hit is None:
-                    continue
-                s_wedge, key = hit
-                mu = T.cocoeffs.get(key)
-                if mu is None:
-                    continue
-                sgn = s_q2 * s_q * s_wedge
-                g = {frozenset(M): beta.coefficient(M, A, B) for M in beta.tables}
-                g = {M: fn.scale(sgn) for M, fn in g.items() if not fn.is_zero()}
-                if not g:
-                    continue
-                piece_mu = _measure_times_fn(mu, g, n)
-                acc = piece_mu if acc is None else acc + piece_mu
-            if acc is not None and not acc.is_zero():
-                out[(K, L)] = acc
-    return LagerbergCurrent(T.chart, p2, out, T.U)

@@ -102,10 +102,6 @@ class MixedDimension(TropcurError):
     pass
 
 
-class FamilyEscape(TropcurError):
-    pass
-
-
 class InvalidShadow(TropcurError):
     pass
 

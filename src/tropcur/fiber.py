@@ -265,8 +265,12 @@ class ComplexFiberForm(_FiberForm):
 
     @cached_property
     def _asymmetry(self):
-        """'' if conj a = a, else the reason this (p,p)-form is not positive."""
-        return "" if is_real(self) else "not real"
+        """'' if conj a = a, else the reason this (p,p)-form is not positive:
+        conj a = a when c[J, I] == (-1)^p conj(c[I, J]) at every key."""
+        coeff, odd = self.coeff, self.p % 2
+        real = self.p == self.q and all(coeff.get((J, I)) == (-_conj(c) if odd else _conj(c))
+                                        for (I, J), c in coeff.items())
+        return "" if real else "not real"
 
 
 _FORM_CLASSES = {"lagerberg": LagerbergFiberForm, "complex": ComplexFiberForm}
@@ -397,16 +401,6 @@ def is_symmetric(a):
         raise WrongAlgebra("J acts on Lagerberg forms")
     coeff = a.coeff
     return a.p == a.q and all(coeff.get((J, I)) == c for (I, J), c in coeff.items())
-
-
-def is_real(a):
-    """conj a = a for a complex (p,p)-form: c[J, I] == (-1)^p conj(c[I, J])
-    at every key."""
-    if a.algebra != "complex":
-        raise WrongAlgebra("conjugation acts on complex forms")
-    coeff, odd = a.coeff, a.p % 2
-    return a.p == a.q and all(coeff.get((J, I)) == (-_conj(c) if odd else _conj(c))
-                              for (I, J), c in coeff.items())
 
 
 def positive_generator(alpha):
@@ -927,7 +921,7 @@ def decomposable_test(a):
 
     p = 2 uses the exact alternating-square criterion (the single Plucker
     relation in dimension 4 and its general-n analogue); other p use the
-    exact support-space rank test.
+    exact support-space rank test, over Q(i) for a complex form.
     """
     if a.q != 0:
         raise NotSquareBidegree("decomposable_test needs a (p,0)-form")
@@ -939,16 +933,21 @@ def decomposable_test(a):
     # support space: spans of contractions against (p-1)-subsets
     rows = []
     for S in subsets(n, p - 1):
-        row = [Fraction(0)] * n
+        row = [a._zero()] * n
         for j in range(n):
             if j in S:
                 continue
             sgn, merged = merge_indices(S, (j,))
             c = a.get(merged, ())
             if c:
-                row[j] = Fraction(c) * sgn
+                row[j] = c * sgn
         rows.append(row)
-    dim = exact.rank(rows)
+    if a.algebra == "complex":
+        # rows A + iB: the rank over Q(i) is half the rank of [[A, -B], [B, A]]
+        dim = exact.rank([[c.re for c in row] + [-c.im for c in row] for row in rows]
+                         + [[c.im for c in row] + [c.re for c in row] for row in rows]) // 2
+    else:
+        dim = exact.rank(rows)
     if dim == p:
         return "yes"
     if dim > p:

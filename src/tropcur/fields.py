@@ -24,7 +24,7 @@ import math
 import random
 from fractions import Fraction
 
-from .coeffs import CoefficientFn, Poly, plateau
+from .coeffs import CoefficientFn, plateau
 from .errors import NonCompactSupport, ValidationError, Verdict, WrongAlgebra
 from .exact import frac
 from .indices import wedge_key
@@ -186,14 +186,12 @@ class InvariantComplexFormField:
     """S-invariant complex (p,q)-field in the rescaled invariant frame.
 
     ``coeff[(I,K)]`` are real CoefficientFn in the tropical coordinates
-    u_j = -log|z_j|; real coefficients make the field F-invariant.  A
-    finite ``monomial_part`` of non-invariant inputs (z^a zbar^b times a
-    frame coefficient) exists only to feed the averaging projector.
+    u_j = -log|z_j|; real coefficients make the field F-invariant.
     """
 
     algebra = "complex"
 
-    def __init__(self, chart, n, p, q, coeff, monomial_part=()):
+    def __init__(self, chart, n, p, q, coeff):
         self.chart = chart
         self.n = n
         self.p = p
@@ -202,26 +200,6 @@ class InvariantComplexFormField:
         for (I, K), fn in coeff.items():
             if not fn.is_zero():
                 self.coeff[(tuple(I), tuple(K))] = fn
-        self.monomial_part = tuple(
-            (tuple(a), tuple(b), (tuple(IK[0]), tuple(IK[1])), fn)
-            for a, b, IK, fn in monomial_part)
-
-    def is_zero(self):
-        return not self.coeff and not self.monomial_part
-
-    def __add__(self, other):
-        assert (self.n, self.p, self.q) == (other.n, other.p, other.q)
-        out = dict(self.coeff)
-        for k, c in other.coeff.items():
-            out[k] = out.get(k, CoefficientFn.zero(self.n)) + c
-        return InvariantComplexFormField(self.chart, self.n, self.p, self.q, out,
-                                         self.monomial_part + other.monomial_part)
-
-    def scale(self, s):
-        return InvariantComplexFormField(
-            self.chart, self.n, self.p, self.q,
-            {k: c.scale(s) for k, c in self.coeff.items()},
-            tuple((a, b, IK, fn.scale(s)) for a, b, IK, fn in self.monomial_part))
 
     def __eq__(self, other):
         if not isinstance(other, InvariantComplexFormField):
@@ -230,20 +208,11 @@ class InvariantComplexFormField:
             return False
         keys = set(self.coeff) | set(other.coeff)
         zero = CoefficientFn.zero(self.n)
-        return (all((self.coeff.get(k, zero) - other.coeff.get(k, zero)).is_zero()
-                    for k in keys)
-                and sorted(self.monomial_part, key=str) == sorted(other.monomial_part, key=str))
-
-    def apply_F(self):
-        """F fixes the frame and conjugates coefficients (real: identity);
-        a monomial z^a zbar^b swaps its exponents."""
-        return InvariantComplexFormField(
-            self.chart, self.n, self.p, self.q, dict(self.coeff),
-            tuple((b, a, IK, fn) for a, b, IK, fn in self.monomial_part))
+        return all((self.coeff.get(k, zero) - other.coeff.get(k, zero)).is_zero()
+                   for k in keys)
 
     def __repr__(self):
-        return (f"InvariantComplexFormField(({self.p},{self.q}), "
-                f"{len(self.coeff)} frame terms, {len(self.monomial_part)} monomials)")
+        return f"InvariantComplexFormField(({self.p},{self.q}), {len(self.coeff)} frame terms)"
 
 
 # --- builders -------------------------------------------------------------------
@@ -338,8 +307,6 @@ def differentiate(kind, a):
     if a.algebra != algebra:
         noun = "Lagerberg" if algebra == "lagerberg" else "invariant complex"
         raise WrongAlgebra(f"{kind} acts on {noun} fields")
-    if algebra == "complex" and a.monomial_part:
-        raise WrongAlgebra("differentiate the averaged (invariant) part only")
     tables = a.tables if algebra == "lagerberg" else {frozenset(): a.coeff}
     out = {}
     for M, tab in tables.items():
@@ -364,43 +331,6 @@ def differentiate(kind, a):
     return InvariantComplexFormField(a.chart, a.n, p2, q2, out[frozenset()])
 
 
-def apply_J_field(a):
-    """The Lagerberg involution on a form field: tables transposed with the
-    algebra-homomorphism sign (-1)^{pq}."""
-    if a.algebra != "lagerberg":
-        raise WrongAlgebra("J acts on Lagerberg fields")
-    tables = {}
-    for M, tab in a.tables.items():
-        new = {}
-        for (I, J), fn in tab.items():
-            sgn = (-1) ** (len(I) * len(J))
-            key = (J, I)
-            contrib = fn.scale(sgn)
-            new[key] = contrib if key not in new else new[key] + contrib
-        tables[M] = new
-    return LagerbergFormField(a.chart, a.n, a.q, a.p, tables, a.neighborhoods)
-
-
-def wedge_fields(a, b):
-    """Wedge of two Lagerberg form fields (stratum tables multiply)."""
-    if a.algebra != "lagerberg" or b.algebra != "lagerberg":
-        raise WrongAlgebra("wedge_fields works on Lagerberg fields")
-    out = {}
-    for M in set(a.tables) | set(b.tables):
-        ta, tb = a.tables.get(M, {}), b.tables.get(M, {})
-        new = {}
-        for (I1, J1), f1 in ta.items():
-            for (I2, J2), f2 in tb.items():
-                hit = wedge_key(I1, J1, I2, J2)
-                if hit is None:
-                    continue
-                sgn, key = hit
-                new[key] = new.get(key, CoefficientFn.zero(a.n)) + (f1 * f2).scale(sgn)
-        out[M] = {k: v for k, v in new.items() if not v.is_zero()}
-    nbhd = _merge_neighborhoods(a.neighborhoods, b.neighborhoods)
-    return LagerbergFormField(a.chart, a.n, a.p + b.p, a.q + b.q, out, nbhd)
-
-
 # --- tropical pullback -------------------------------------------------------------
 
 def trop_pullback_field(a):
@@ -416,28 +346,6 @@ def trop_pullback_field(a):
     scale = Fraction(-1, 2) ** (a.p + a.q)
     coeff = {k: fn.scale(scale) for k, fn in a.dense().items()}
     return InvariantComplexFormField(a.chart, a.n, a.p, a.q, coeff)
-
-
-def average_over_S(a):
-    """Projection onto S-invariant fields: exact angular averaging.
-
-    A monomial z^alpha zbar^beta times a frame coefficient survives iff
-    alpha = beta, contributing exp(-2 <alpha, u>) times the coefficient;
-    the invariant part is untouched, so the projection is idempotent.
-    """
-    if a.algebra != "complex":
-        raise WrongAlgebra("average_over_S takes a complex field")
-    out = dict(a.coeff)
-    n = a.n
-    for alpha, beta, IK, fn in a.monomial_part:
-        if tuple(alpha) != tuple(beta):
-            continue
-        expo = Poly.linear([-2 * x for x in alpha])
-        if expo.nvars != n:
-            expo = Poly.linear([-2 * alpha[i] if i < len(alpha) else 0 for i in range(n)])
-        contrib = fn.with_extra_exponent(expo)
-        out[IK] = out.get(IK, CoefficientFn.zero(n)) + contrib
-    return InvariantComplexFormField(a.chart, a.n, a.p, a.q, out)
 
 
 # --- integration --------------------------------------------------------------------
@@ -459,8 +367,6 @@ def integrate_top(a, side="tropical", tol=1e-8):
     full = tuple(range(a.n))
     if a.algebra == "lagerberg":
         fn = a.coefficient(frozenset(), full, full)
-    elif a.monomial_part:
-        raise WrongAlgebra("average the field before integrating")
     else:
         fn = a.coeff.get((full, full), CoefficientFn.zero(a.n))
     box = fn.support_box()

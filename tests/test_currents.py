@@ -13,15 +13,13 @@ from tropcur.currents import (LagerbergCurrent, WeightedComplex, _integrated_com
                               canonical_decomposition,
                               closedness_test, evaluate, extend_by_zero,
                               integration_current,
-                              positivity_check, resum, sampled_closedness,
-                              wedge_with_form)
+                              positivity_check, resum, sampled_closedness)
 from tropcur.errors import (MixedDimension, NotCFinite, NotPositive,
-                            SupportEscapesU)
+                            SupportEscapesU, ValidationError)
 from tropcur.fans import orthant_fan
 from tropcur.fields import LagerbergFormField, bump_box_field
 from tropcur.gallery import (degenerate_form_current, derivative_atom_current,
-                             omega_degenerate, positive_not_liftable,
-                             closed_not_positive,
+                             positive_not_liftable, closed_not_positive,
                              positive_not_positively_liftable, shifted_tropical_line,
                              tropical_line, tropical_line_current)
 from tropcur.formats import current_from_json, current_to_json
@@ -156,31 +154,6 @@ def test_derivative_atom_current_flagged():
     assert v.answer == "no" and v.witness[0] == "non_measure"
 
 
-def test_wedge_degenerate_form_with_derivative_atom():
-    # beta = constant degenerate form field, T' = derivative atom current:
-    # the output co-coefficient is again a derivative atom (non-measure)
-    Tp = derivative_atom_current()
-    chart = Tp.chart
-    omega = omega_degenerate()
-    tables = {frozenset(): {k: CoefficientFn.const(c, 4)
-                            for k, c in omega.coeff.items()}}
-    beta = LagerbergFormField(chart, 4, 2, 2, tables)
-    out = wedge_with_form(beta, Tp)
-    assert out.p == 2
-    assert not out.is_measure_class()
-    mu = out.cocoeff((2, 3), (0, 1))
-    assert len(mu.derivative_atoms) == 1
-
-
-def test_wedge_with_constant_one():
-    T = tropical_line_current()
-    chart = T.chart
-    one = LagerbergFormField(chart, 2, 0, 0,
-                             {frozenset(): {((), ()): CoefficientFn.const(1, 2)}})
-    out = wedge_with_form(one, T)
-    assert out == T
-
-
 def test_decomposition_atoms_and_density():
     # one atom at u = (inf, 0), one Lebesgue density on N_R inside R_inf^2
     chart = _chart(2, infinite=True)
@@ -241,11 +214,17 @@ def test_sum_of_equal_pieces_is_the_multiple():
 
 
 def test_product_closedness_reads_the_value():
-    # (u0 + 5) T is not closed, however it was built
+    # (u0 + 5) T is not closed, however it was built: each piece's density
+    # times u0 + 5, whose sign is not certified
     T = tropical_line_current()
-    beta = LagerbergFormField(T.chart, 2, 0, 0, {frozenset(): {
-        ((), ()): CoefficientFn.poly_exp(Poly.linear([1, 0], 5), Poly.zero(2))}})
-    W = wedge_with_form(beta, T)
+    factor = Poly.linear([1, 0], 5)
+    cocoeffs = {}
+    for key, mu in T.cocoeffs.items():
+        assert not mu.atoms and not mu.derivative_atoms
+        pieces = [Piece(p.stratum, p.poly, p.weight_poly * factor, p.weight_expo, 0)
+                  for p in mu.pieces]
+        cocoeffs[key] = PieceMeasure(mu.n, pieces=pieces, scale=mu.scale, certify=False)
+    W = LagerbergCurrent(T.chart, T.p, cocoeffs, T.U)
     rebuilt = LagerbergCurrent(W.chart, W.p, W.cocoeffs, W.U)
     assert W == rebuilt
     for cur in (W, rebuilt):
@@ -301,6 +280,17 @@ def test_single_segment_weight_zero_balanced():
     bal = balancing_check(C)
     assert bal.yes and bal.exact
     assert integration_current(C, _chart(2)).is_zero()
+
+
+@pytest.mark.parametrize("weight", [Fraction(1, 2), 2.7, 2.0, "1"],
+                         ids=["half", "float", "integral-float", "string"])
+def test_weight_that_is_not_an_integer_is_rejected(weight):
+    # truncating 1/2 to 0 would leave an empty complex that reads as balanced
+    seg = Polyhedron(2, [((0, 1), 0), ((0, -1), 0), ((1, 0), 1), ((-1, 0), 0)])
+    with pytest.raises(ValidationError):
+        WeightedComplex(((seg, weight),))
+    C = WeightedComplex(((seg, Fraction(4, 2)),))
+    assert C.cells[0][1] == 2 and type(C.cells[0][1]) is int and C.dim() == 1
 
 
 def test_single_ray_unbalanced():

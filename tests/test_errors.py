@@ -4,16 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from tropcur.coeffs import CoefficientFn, Poly, bump
-from tropcur.currents import LagerbergCurrent, evaluate, wedge_with_form
+from tropcur.coeffs import CoefficientFn, Poly
+from tropcur.currents import LagerbergCurrent, evaluate
 from tropcur.errors import (BidegreeMismatch, CompatibilityViolation,
-                            DimensionMismatch, FamilyEscape,
-                            NotSquareBidegree, ParseError, ValidationError)
+                            DimensionMismatch, NotSquareBidegree, ParseError,
+                            ValidationError)
 from tropcur.fans import orthant_fan
 from tropcur.fiber import LagerbergFiberForm, gram_form, wedge
 from tropcur.fields import LagerbergFormField
 from tropcur.formats import fiber_form_from_json
-from tropcur.gallery import tropical_line_current
 from tropcur.measures import PieceMeasure, lebesgue_piece
 from tropcur.polyhedra import Polyhedron
 
@@ -44,14 +43,6 @@ def test_evaluate_rejects_incompatible_field():
                              {frozenset({0}): {0: 2}})
     with pytest.raises(CompatibilityViolation):
         evaluate(T, bad)
-
-
-def test_wedge_with_form_family_escape():
-    T = tropical_line_current()
-    tables = {frozenset(): {((), ()): bump(2, 0, 0, 1)}}
-    beta = LagerbergFormField(T.chart, 2, 0, 0, tables)
-    with pytest.raises(FamilyEscape):
-        wedge_with_form(beta, T)
 
 
 def test_bad_form_literal():

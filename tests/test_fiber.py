@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -783,6 +784,11 @@ def test_decomposable():
     # rank test route for p=3 in n=4: every 3-form is decomposable (p = n-1)
     d = LagerbergFiberForm(4, 3, 0, {((0, 1, 2), ()): 2, ((0, 1, 3), ()): 5})
     assert decomposable_test(d) == "yes"
+    # over Q(i): e0 ^ e1 ^ (i e2 + e3), and i e012 + e034 = e0 ^ (i e12 + e34)
+    e = ComplexFiberForm(5, 3, 0, {((0, 1, 2), ()): QC(0, 1), ((0, 1, 3), ()): 1})
+    assert decomposable_test(e) == "yes"
+    f = ComplexFiberForm(5, 3, 0, {((0, 1, 2), ()): QC(0, 1), ((0, 3, 4), ()): 1})
+    assert decomposable_test(f) == "no"
 
 
 def test_decomposable_rank_route_p3_n6():
@@ -794,6 +800,47 @@ def test_decomposable_rank_route_p3_n6():
     assert decomposable_test(w) == "yes"
     nd = LagerbergFiberForm(n, 3, 0, {((0, 1, 2), ()): 1, ((3, 4, 5), ()): 1})
     assert decomposable_test(nd) == "no"
+
+
+def _wedge_of_vectors(kind, vectors):
+    """v_0 ^ ... ^ v_{p-1} for p >= 1 vectors of length n."""
+    forms = [_CLASSES[kind](len(v), 1, 0, {((i,), ()): c for i, c in enumerate(v) if c})
+             for v in vectors]
+    return functools.reduce(wedge, forms)
+
+
+@st.composite
+def _decomposable_cases(draw):
+    """(form, answer) at 2 <= p <= n - 1, n <= 6, in either algebra: the
+    wedge of p integer or Gaussian-integer vectors, 'yes' when it is
+    nonzero; or, when 2p <= n, e_0 ^ ... ^ e_{p-1} + e_p ^ ... ^ e_{2p-1}
+    under a random unimodular change of basis, 'no'."""
+    kind, decomposable = draw(_ALGEBRAS), draw(st.booleans())
+    n = draw(st.integers(3 if decomposable else 4, 6))
+    p = draw(st.integers(2, n - 1 if decomposable else n // 2))
+    entry = (st.integers(-2, 2) if kind == "lagerberg"
+             else st.builds(QC, st.integers(-2, 2), st.integers(-2, 2)))
+    if decomposable:
+        vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                min_size=p, max_size=p))
+        form = _wedge_of_vectors(kind, vectors)
+        assume(not form.is_zero())
+        return form, "yes"
+    # columns of a product of elementary matrices I + c E_ij (i != j)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])
+    for (i, j), c in draw(st.lists(st.tuples(pairs, entry), max_size=8)):
+        basis[j] = [x + c * y for x, y in zip(basis[j], basis[i])]
+    form = (_wedge_of_vectors(kind, basis[:p])
+            + _wedge_of_vectors(kind, basis[p:2 * p]))
+    return form, "no"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_decomposable_cases())
+def test_decomposable_matches_construction(case):
+    form, answer = case
+    assert decomposable_test(form) == answer
 
 
 def test_symmetric_checks():

@@ -10,10 +10,9 @@ from tropcur.coeffs import CoefficientFn, Poly, UniFn, Window, bump, plateau
 from tropcur.errors import NonCompactSupport
 from tropcur.fans import orthant_fan
 from tropcur.fiber import LagerbergFiberForm, embed_complex, positivity_verdict
-from tropcur.fields import (InvariantComplexFormField, LagerbergFormField,
-                            average_over_S, boundary_window_field,
+from tropcur.fields import (LagerbergFormField, boundary_window_field,
                             bump_box_field, check_compatibility, differentiate,
-                            integrate_top, trop_pullback_field, wedge_fields)
+                            integrate_top, trop_pullback_field)
 
 # independent 1-d oracle for the canonical bump integral (mpmath/scipy agree)
 BUMP_INTEGRAL = 0.007029858406609656
@@ -83,8 +82,8 @@ def test_complex_differentials_square_to_zero():
     chart = _chart(2)
     for _ in range(6):
         f = trop_pullback_field(_random_field(rng, chart, 1, 0))
-        assert differentiate("del", differentiate("del", f)).is_zero()
-        assert differentiate("idbar", differentiate("idbar", f)).is_zero()
+        assert not differentiate("del", differentiate("del", f)).coeff
+        assert not differentiate("idbar", differentiate("idbar", f)).coeff
 
 
 def test_pullback_intertwines_differentials_exactly():
@@ -114,7 +113,6 @@ def test_pullback_is_injective_and_round_trips():
     for _ in range(8):
         f = _random_field(rng, chart, 1, 1)
         w = trop_pullback_field(f)
-        assert w.apply_F() == w           # real coefficients: F-invariant
         back = trop_pullback_preimage(w)
         assert all((back.dense()[k] - f.dense()[k]).is_zero()
                    for k in set(back.dense()) | set(f.dense()))
@@ -139,25 +137,6 @@ def test_pullback_top_factor():
     w = trop_pullback_field(f)
     expected = (bump(n, 0, 0, 1) * bump(n, 1, 0, 1)).scale(Fraction(1, 16))
     assert (w.coeff[(full, full)] - expected).is_zero()
-
-
-def test_averaging():
-    chart = _chart(2)
-    h = bump(2, 0, 0, 1)
-    frame = ((0,), (0,))
-    # z_0 * frame term: non-invariant, killed
-    fld = InvariantComplexFormField(chart, 2, 1, 1, {},
-                                    [((1, 0), (0, 0), frame, h)])
-    assert average_over_S(fld).is_zero()
-    # z_0 zbar_0 h(u) -> e^{-2 u_0} h(u)
-    fld = InvariantComplexFormField(chart, 2, 1, 1, {},
-                                    [((1, 0), (1, 0), frame, h)])
-    avg = average_over_S(fld)
-    expected = h.with_extra_exponent(Poly.linear([-2, 0]))
-    assert (avg.coeff[frame] - expected).is_zero()
-    # idempotent on the invariant part
-    again = average_over_S(avg)
-    assert again == avg
 
 
 def test_integrate_top_bump_oracle():
@@ -339,23 +318,3 @@ def _j_field(f):
         tables[M] = new
     return LagerbergFormField(f.chart, f.n, f.q, f.p, tables, f.neighborhoods)
 
-
-def test_wedge_fields_leibniz():
-    rng = random.Random(6)
-    chart = _chart(2)
-    for _ in range(6):
-        a = _random_field(rng, chart, 1, 0, nterms=1)
-        b = _random_field(rng, chart, 0, 1, nterms=1)
-        dab = differentiate("d'", wedge_fields(a, b))
-        rule = (wedge_fields(differentiate("d'", a), b)
-                + wedge_fields(a, differentiate("d'", b)).scale((-1) ** (a.p + a.q)))
-        assert _tables_equal(dab, rule)
-
-
-def _tables_equal(x, y):
-    for M in set(x.tables) | set(y.tables):
-        keys = set(x.tables.get(M, {})) | set(y.tables.get(M, {}))
-        for k in keys:
-            if not (x.coefficient(M, *k) - y.coefficient(M, *k)).is_zero():
-                return False
-    return True

@@ -34,21 +34,18 @@ SRC = ROOT / "src" / "tropcur"
 # _common_real_roots.vanishes, exact.nonnegative_solution, and the two
 # formats writers), and the complex fiber algebra is the paper's.
 UNREACHED = frozenset({
-    "coeffs.CoefficientFn.from_poly", "coeffs.CoefficientFn.has_windows",
-    "coeffs.CoefficientFn.key", "coeffs.CoefficientFn.max_exp_degree",
-    "coeffs.CoefficientFn.vanishes_on_box",
-    "coeffs.CoefficientFn.with_extra_exponent", "coeffs.Poly.eval",
+    "coeffs.CoefficientFn.from_poly", "coeffs.CoefficientFn.key",
+    "coeffs.CoefficientFn.vanishes_on_box", "coeffs.Poly.eval",
     "coeffs.Poly.is_even_nonnegative", "coeffs.UniFn.is_zero", "coeffs.UniFn.one",
     "coeffs.UniFn.plateau", "coeffs.UniFn.plateau_down", "coeffs.UniFn.scale",
     "coeffs.bump", "coeffs.plateau", "coeffs.table",
     "correspond._support_descriptor", "correspond.compat_checks",
     "correspond.complex_positivity_check",
     "correspond.kernel_point_current.evaluator",
-    "currents.LagerbergCurrent.scale", "currents._measure_times_fn",
-    "currents._minus", "currents._on_relative_boundary",
-    "currents._pair_constant_fiber", "currents._sampled_positivity",
-    "currents._support_inside", "currents.point_value",
-    "currents.reverify_positivity", "currents.wedge_with_form",
+    "currents.LagerbergCurrent.scale", "currents._minus",
+    "currents._on_relative_boundary", "currents._pair_constant_fiber",
+    "currents._sampled_positivity", "currents._support_inside",
+    "currents.point_value", "currents.reverify_positivity",
     "exact.QC.conj", "exact.QC.i_pow", "exact.QC.of", "exact._poly_div",
     "exact._poly_eval", "exact.nonnegative_solution", "exact.sturm_roots_in",
     "exact.sturm_roots_in.signs_at", "exact.sturm_roots_in.variations",
@@ -57,15 +54,11 @@ UNREACHED = frozenset({
     "fiber._FiberForm.basis_form", "fiber._FiberForm.zero",
     "fiber._common_real_roots.vanishes", "fiber._gram_span_yes", "fiber._negative",
     "fiber.apply_involution", "fiber.coordinate_strong_generators",
-    "fiber.embed_complex", "fiber.is_real",
-    "fields.InvariantComplexFormField.apply_F",
-    "fields.InvariantComplexFormField.is_zero",
-    "fields.InvariantComplexFormField.scale",
+    "fiber.embed_complex",
     "fields.LagerbergFormField.has_compact_support",
     "fields.LagerbergFormField.is_zero", "fields.LagerbergFormField.support_box",
-    "fields._merge_neighborhoods", "fields.apply_J_field", "fields.average_over_S",
-    "fields.boundary_window_field", "fields.check_compatibility",
-    "fields.wedge_fields",
+    "fields._merge_neighborhoods", "fields.boundary_window_field",
+    "fields.check_compatibility",
     "formats.fiber_form_to_json", "formats.weighted_complex_to_json",
     "measures.DerivativeAtom.key", "measures.PieceMeasure.scale_weights",
     "measures._embed_point", "measures._integrate_truncated", "measures._poly_gcd",
