@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 
 from tropcur import (LagerbergFiberForm, dual_pairing, gram_form,
-                     positivity_verdict, reverify, wedge)
-from tropcur.fiber import positive_generator, strong_generator, subsets
+                     positivity_verdict, reverify)
+from tropcur.fiber import positive_generator, strong_generator
 from tropcur.gallery import omega_degenerate, omega_rank_two
 
 

@@ -26,9 +26,9 @@ _EXPORTS = {
     "fields": ("LagerbergFormField", "InvariantComplexFormField", "differentiate",
                "trop_pullback_field", "integrate_top", "check_compatibility",
                "bump_box_field", "boundary_window_field"),
-    "measures": ("PieceMeasure", "Piece", "Atom", "DerivativeAtom", "OpenBox",
-                 "integrate_against", "total_variation_decompose", "abs_measure",
-                 "restrict_measure", "lebesgue_piece"),
+    "measures": ("PieceMeasure", "Piece", "Atom", "DerivativeAtom", "integrate_against",
+                 "total_variation_decompose", "abs_measure", "restrict_measure",
+                 "lebesgue_piece"),
     "currents": ("LagerbergCurrent", "WeightedComplex", "evaluate", "closedness_test",
                  "positivity_check", "canonical_decomposition", "resum", "c_finite_test",
                  "extend_by_zero", "integration_current", "balancing_check"),

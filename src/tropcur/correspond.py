@@ -29,7 +29,7 @@ from .currents import (LagerbergCurrent, c_finite_test, c_finite_witness,
                        split_by_stratum)
 from .errors import (InvalidShadow, NotCFinite, NotClosed, NotLocallyFinite, NotPositive,
                      TropcurError, ValidationError, Verdict)
-from .measures import OpenBox, PieceMeasure
+from .measures import PieceMeasure
 
 
 class InvariantComplexCurrent:
@@ -39,12 +39,11 @@ class InvariantComplexCurrent:
     ``kernel`` holds direct-evaluator exemplars annihilated by trop_*.
     """
 
-    def __init__(self, chart, p, shadows=None, kernel=(), U=None):
+    def __init__(self, chart, p, shadows=None, kernel=()):
         self.chart = chart
         self.n = len(chart.basis)
         self.p = p
         self.q = self.n - p
-        self.U = U if U is not None else OpenBox.whole_chart(chart)
         self.kernel = tuple(kernel)
         self.shadows = {}
         for (I, J), mu in (shadows or {}).items():
@@ -107,7 +106,7 @@ def push_forward(S):
     coco = {}
     for (I, J), mu in S.shadows.items():
         coco[(I, J)] = mu.with_scale(factor, -q)
-    return LagerbergCurrent(S.chart, S.p, coco, S.U)
+    return LagerbergCurrent(S.chart, S.p, coco)
 
 
 def lift(T, samples=12, seed=0):
@@ -136,7 +135,7 @@ def lift(T, samples=12, seed=0):
         for key, mu in part.cocoeffs.items():
             lifted = mu.with_scale(Fraction(4 ** q), q)
             shadows[key] = shadows[key] + lifted if key in shadows else lifted
-    return InvariantComplexCurrent(T.chart, T.p, shadows, U=T.U)
+    return InvariantComplexCurrent(T.chart, T.p, shadows)
 
 
 @dataclass
@@ -206,12 +205,12 @@ def compat_checks(S):
     parts_T = canonical_decomposition(T, assume_positive=True)
     total = None
     for M, mus in split_by_stratum(S.chart, S.shadows).items():
-        cur = push_forward(InvariantComplexCurrent(S.chart, S.p, mus, U=S.U))
+        cur = push_forward(InvariantComplexCurrent(S.chart, S.p, mus))
         ref = parts_T.get(M)
         good = (ref is not None and cur == ref) or (ref is None and cur.is_zero())
         records.append(("decomposition", tuple(sorted(M)), good))
         total = cur if total is None else total + cur
-    resum_good = (total or LagerbergCurrent(S.chart, S.p, {}, S.U)) == T
+    resum_good = (total or LagerbergCurrent(S.chart, S.p, {})) == T
     records.append(("decomposition_resum", None, resum_good))
     # (b) support descriptors agree
     records.append(("support", None,

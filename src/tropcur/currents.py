@@ -1,9 +1,9 @@
 """Lagerberg currents through their co-coefficient measures.
 
-A (p,p)-current on an open box U of a toric chart is stored as one
-PieceMeasure per index pair (I, J) with |I| = |J| = q = n - p, the
-co-coefficient T^{IJ} living on U minus the strata where some u_i with
-i in I u J equals infinity.  Evaluation against a compactly supported
+A (p,p)-current on a toric chart U_rho is stored as one PieceMeasure
+per index pair (I, J) with |I| = |J| = q = n - p, the co-coefficient
+T^{IJ} living on the chart minus the strata where some u_i with i in
+I u J equals infinity.  Evaluation against a compactly supported
 (q,q) field is the signed sum of co-coefficient integrals; closedness
 and positivity are verdicts whose No carries a witness; the canonical stratum
 decomposition, the C-finite-mass criterion and extension by zero act on
@@ -27,13 +27,12 @@ from .errors import (CompatibilityViolation, Divergent, MixedDimension,
                      NonMeasurePiece, NotCFinite, NotLocallyFinite, NotPositive,
                      SignNotCertified, SupportEscapesU, ToleranceNotMet,
                      ValidationError, Verdict)
-from .exact import frac
 from .fiber import LagerbergFiberForm, positive_generator
 from .indices import subsets
 from .fields import (boundary_window_field, bump_box_field,
                      check_compatibility, differentiate, _stratum_subsets)
-from .measures import (OpenBox, Piece, PieceMeasure, abs_measure, escape_failure,
-                       integrate_against, restrict_measure, sign_pure_pieces)
+from .measures import (Piece, PieceMeasure, abs_measure, escape_failure, integrate_against,
+                       restrict_measure, sign_pure_pieces)
 from .polyhedra import Polyhedron, Row, face_directions
 
 
@@ -46,12 +45,11 @@ class LagerbergCurrent:
     measure class; such currents expose no co-coefficient operations.
     """
 
-    def __init__(self, chart, p, cocoeffs=None, U=None, evaluator=None):
+    def __init__(self, chart, p, cocoeffs=None, evaluator=None):
         self.chart = chart
         self.n = len(chart.basis)
         self.p = p
         self.q = self.n - p
-        self.U = U if U is not None else OpenBox.whole_chart(chart)
         self.evaluator = evaluator
         self.cocoeffs = {}
         keys = set(subsets(self.n, self.q)) if cocoeffs and self.q >= 0 else ()
@@ -103,11 +101,11 @@ class LagerbergCurrent:
         out = {}
         for k in set(self.cocoeffs) | set(other.cocoeffs):
             out[k] = self.cocoeff(*k) + other.cocoeff(*k)
-        return LagerbergCurrent(self.chart, self.p, out, self.U)
+        return LagerbergCurrent(self.chart, self.p, out)
 
     def scale(self, c):
         out = {k: mu.scale_weights(c) for k, mu in self.cocoeffs.items()}
-        return LagerbergCurrent(self.chart, self.p, out, self.U)
+        return LagerbergCurrent(self.chart, self.p, out)
 
     def mass_box(self):
         """Bounding data of the finite coordinates of all pieces."""
@@ -138,35 +136,20 @@ class LagerbergCurrent:
 
 # --- evaluation -------------------------------------------------------------------
 
-def _support_inside(alpha, U):
-    box = alpha.support_box()
-    for i, b in enumerate(box):
-        lo, hi, inf_ok = U.axes[i]
-        if b is None:
-            if not (i in U.chart.infinite_axes and inf_ok and hi is None):
-                return False
-            continue
-        if lo is not None and not b[0] > frac(lo):
-            return False
-        if hi is not None and not b[1] < frac(hi):
-            return False
-    return True
-
-
 def evaluate(T, alpha, tol=1e-8, check=True):
     """T(alpha) for a compactly supported Lagerberg (q,q) field.
 
     The signed sum over (I, J) of the co-coefficient integrals against
     alpha's stratum tables; (-1)^{q(q-1)/2} undoes the co-coefficient
-    sign convention.
+    sign convention.  ``check`` first requires alpha to have compact
+    support in the chart (else SupportEscapesU) and to pass the boundary
+    compatibility check (else CompatibilityViolation).
     """
     if (alpha.p, alpha.q) != (T.q, T.q):
         raise ValueError(f"test form must have bidegree ({T.q},{T.q})")
     if check:
         if not alpha.has_compact_support():
             raise SupportEscapesU("test form is not compactly supported")
-        if not _support_inside(alpha, T.U):
-            raise SupportEscapesU("test form support leaves the current's domain")
         rep = check_compatibility(alpha, samples=8)
         if not rep.yes:
             raise CompatibilityViolation("test form fails boundary compatibility",
@@ -718,7 +701,7 @@ def canonical_decomposition(T, assume_positive=False, samples=12, seed=0):
         if not verdict.yes:
             raise NotPositive("canonical decomposition needs a positive current",
                               payload=verdict.witness)
-    return {M: LagerbergCurrent(T.chart, T.p, coco, T.U)
+    return {M: LagerbergCurrent(T.chart, T.p, coco)
             for M, coco in split_by_stratum(T.chart, T.cocoeffs).items()}
 
 
@@ -737,7 +720,7 @@ def split_by_stratum(chart, measures):
 
 
 def resum(parts, template):
-    acc = LagerbergCurrent(template.chart, template.p, {}, template.U)
+    acc = LagerbergCurrent(template.chart, template.p, {})
     for cur in parts.values():
         acc = acc + cur
     return acc
@@ -753,13 +736,12 @@ def c_finite_witness(chart, measures):
     Read off the pieces in total-variation order, building no measure: the
     weighted |piece| is keyed only for the witness, and escape generators
     are computed once per polyhedron."""
-    target = OpenBox.whole_chart(chart)
     n = len(chart.basis)
     for (I, J), mu in measures.items():
         weight = [-(i in I) - (i in J) for i in range(n)]
         for piece in sign_pure_pieces(mu):
             tilt = [weight[i] for i in range(n) if i not in piece.stratum]
-            failure = escape_failure(piece, target, tilt)
+            failure = escape_failure(piece, chart, tilt)
             if failure is not None:
                 size = piece.weight_poly if piece.sign > 0 else piece.weight_poly.scale(-1)
                 weighted = Piece(piece.stratum, piece.poly, size,
@@ -787,7 +769,7 @@ def extend_by_zero(T, seed=0):
     """Skoda-El-Mir style extension by zero across the boundary strata.
 
     T must be positive (positivity_check at 10 samples, else NotPositive)
-    and have C-finite local mass on U (c_finite_test, else NotCFinite).
+    and have C-finite local mass on the chart (c_finite_test, else NotCFinite).
     The second check also gives each co-coefficient its image Radon
     measure on the chart minus its own exceptional locus E^{I u J}: the
     pieces avoid E^{I u J}, and along their escape rays the boundary
@@ -800,9 +782,9 @@ def extend_by_zero(T, seed=0):
                           payload=v.witness)
     cf = c_finite_test(T)
     if not cf.yes:
-        raise NotCFinite("current does not have C-finite local mass on U",
+        raise NotCFinite("current does not have C-finite local mass on the chart",
                          payload=cf.witness)
-    return LagerbergCurrent(T.chart, T.p, dict(T.cocoeffs), T.U)
+    return LagerbergCurrent(T.chart, T.p, dict(T.cocoeffs))
 
 
 # --- integration currents of weighted complexes ------------------------------------------
@@ -837,8 +819,8 @@ class WeightedComplex:
         return dims.pop()
 
 
-def integration_current(C, chart, U=None):
-    """delta_C: the integration current of a weighted complex.
+def integration_current(C, chart):
+    """delta_C: the integration current of a weighted complex, on ``chart``.
 
     In an integral affine parametrization u = A t + b of a cell, the
     pullback of d'u_I ^ d''u_J contributes det(A_I) det(A_J), so the
@@ -859,7 +841,7 @@ def integration_current(C, chart, U=None):
             pieces.setdefault((I, J), []).append(Piece(
                 frozenset(), poly, Poly.const(weight, n), Poly.zero(n), 1 if weight > 0 else -1))
     coco = {k: PieceMeasure(n, pieces=v, certify=False) for k, v in pieces.items()}
-    return LagerbergCurrent(chart, n - p, coco, U)
+    return LagerbergCurrent(chart, n - p, coco)
 
 
 def _integrated_complex(T):

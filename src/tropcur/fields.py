@@ -56,6 +56,8 @@ class LagerbergFormField:
                 I, J = tuple(I), tuple(J)
                 if len(I) != p or len(J) != q:
                     raise ValidationError(f"key ({I},{J}) does not match bidegree")
+                if any(list(K) != sorted(set(K) & set(range(n))) for K in (I, J)):
+                    raise ValidationError(f"key ({I},{J}) needs increasing subsets of 0..{n - 1}")
                 if set(I) & M or set(J) & M:
                     raise ValidationError(f"stratum-{set(M)} table uses dead axes in ({I},{J})")
                 if not fn.is_zero():
@@ -110,25 +112,18 @@ class LagerbergFormField:
         return self.map_tables(lambda M, k, c: c.scale(s))
 
     # --- support -----------------------------------------------------------
+    def _axis_slabs(self):
+        """Per axis, the window slab of each term of each table that keeps the
+        axis finite (None for a term with no window on it)."""
+        return [[fn._term_slab(wins, i) for M, tab in self.tables.items() if i not in M
+                 for fn in tab.values() for _, _, wins in fn.terms] for i in range(self.n)]
+
     def support_box(self):
-        """Per-axis (lo, hi) over all tables; hi may be None on plateau axes."""
-        bounds = [None] * self.n
-        for M, tab in self.tables.items():
-            for (I, J), fn in tab.items():
-                sb = fn.support_box()
-                for i in range(self.n):
-                    if i in M:
-                        continue
-                    cur = sb[i]
-                    if bounds[i] == "unbounded":
-                        continue
-                    if cur is None:
-                        bounds[i] = "unbounded"
-                    elif bounds[i] is None:
-                        bounds[i] = cur
-                    else:
-                        bounds[i] = (min(bounds[i][0], cur[0]), max(bounds[i][1], cur[1]))
-        return [None if b == "unbounded" else b for b in bounds]
+        """Per-axis (lo, hi) over all tables; None on an axis where some term
+        is unbounded (and on every axis of the zero field)."""
+        return [(min(s[0] for s in slabs), max(s[1] for s in slabs))
+                if slabs and all(s is not None and None not in s for s in slabs) else None
+                for slabs in self._axis_slabs()]
 
     def has_compact_support(self):
         """Compact support in the chart's partial compactification.
@@ -137,36 +132,9 @@ class LagerbergFormField:
         unbounded-above support (the chart closes them up at +infinity)
         as long as a finite lower bound exists.
         """
-        for i in range(self.n):
-            lo = hi = None
-            ok_axis = True
-            for M, tab in self.tables.items():
-                if i in M:
-                    continue
-                for fn in tab.values():
-                    slabs = [fn._term_slab(wins, i) for _, _, wins in fn.terms]
-                    for slab in slabs:
-                        if slab is None:
-                            ok_axis = False
-                            break
-                        slo, shi = slab
-                        if slo is None:
-                            ok_axis = False
-                            break
-                        lo = slo if lo is None else min(lo, slo)
-                        if shi is None:
-                            hi = "inf"
-                        elif hi != "inf":
-                            hi = shi if hi is None else max(hi, shi)
-                    if not ok_axis:
-                        break
-                if not ok_axis:
-                    break
-            if not ok_axis:
-                return False
-            if hi == "inf" and i not in self.chart.infinite_axes:
-                return False
-        return True
+        return all(all(s is not None and s[0] is not None
+                       and (s[1] is not None or i in self.chart.infinite_axes) for s in slabs)
+                   for i, slabs in enumerate(self._axis_slabs()))
 
     def __repr__(self):
         sizes = {tuple(sorted(M)): len(t) for M, t in self.tables.items() if t}

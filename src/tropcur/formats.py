@@ -136,6 +136,8 @@ def poly_from_json(data, nvars):
         e = tuple(_parse_int(x) for x in _array(t["exp"]))
         if len(e) != nvars:
             raise ParseError(f"exponent {e} has wrong arity (expected {nvars})")
+        if min(e, default=0) < 0:
+            raise ParseError(f"exponent {e} has a negative entry")
         exps[e] = exps.get(e, Fraction(0)) + _parse_frac(t["c"])
     return Poly(exps, nvars)
 
@@ -171,6 +173,8 @@ def coefficient_fn_from_json(data, nvars):
         wins = []
         for w in t.get("windows", ()):
             axis = _parse_int(w["axis"]) - 1
+            if not 0 <= axis < nvars:
+                raise ParseError(f"window axis {axis + 1} is not in 1..{nvars}")
             kind = w.get("kind", "bump")
             if kind not in ("bump", "plateau"):
                 raise ParseError(f"unknown window kind {kind!r}")

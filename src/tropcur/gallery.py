@@ -21,8 +21,7 @@ from .coeffs import Poly
 from .currents import LagerbergCurrent, WeightedComplex, integration_current
 from .fans import orthant_fan
 from .fiber import LagerbergFiberForm, _complementary_terms
-from .measures import (Atom, DerivativeAtom, OpenBox, PieceMeasure,
-                       lebesgue_piece)
+from .measures import Atom, DerivativeAtom, PieceMeasure, lebesgue_piece
 from .polyhedra import Polyhedron
 
 
@@ -74,12 +73,8 @@ def _halfline_chart():
     return fan.toric_chart(fan.cone_id([(1,)]))
 
 
-def _halfline_U(chart):
-    return OpenBox(chart, ((Fraction(0), None, True),))
-
-
 def positive_not_liftable():
-    """(0,0)-current on (0, infty] with co-coefficient e^{x^2} dx.
+    """(0,0)-current on the chart R u {infty}: e^{x^2} dx on the ray (0, infty).
 
     Positive; not closed; fails the C-finite mass criterion (the boundary
     weight e^{x^2 - 2x} still explodes), so it cannot be the pushforward
@@ -89,11 +84,11 @@ def positive_not_liftable():
     ray = Polyhedron(1, [((-1,), 0, True)])
     mu = PieceMeasure(1, pieces=[lebesgue_piece(
         (), ray, expo=Poly({(2,): Fraction(1)}, 1))])
-    return LagerbergCurrent(chart, 0, {((0,), (0,)): mu}, _halfline_U(chart))
+    return LagerbergCurrent(chart, 0, {((0,), (0,)): mu})
 
 
 def closed_not_positive():
-    """(1,1) evaluator current on (0, infty]: f -> int e^{2 e^x} f'(x) dx.
+    """(1,1) evaluator current on R u {infty}: f -> int_0^infty e^{2 e^x} f'(x) dx.
 
     Closed because it has top bidegree; not positive (the integrand is
     the negative derivative of a rapidly growing weight); lives outside
@@ -113,11 +108,11 @@ def closed_not_positive():
             lambda u: math.exp(2.0 * math.exp(u[0])) * dfn.eval_float(u),
             [(max(lo, 1e-9), hi)], 1e-9 * max(1.0, math.exp(2 * math.exp(hi))))
 
-    return LagerbergCurrent(chart, 1, {}, _halfline_U(chart), evaluator=evaluator)
+    return LagerbergCurrent(chart, 1, {}, evaluator=evaluator)
 
 
 def positive_not_positively_liftable():
-    """(0,0)-current on (0, infty] with co-coefficient e^{2x} dx.
+    """(0,0)-current on the chart R u {infty}: e^{2x} dx on the ray (0, infty).
 
     Positive, but the boundary-weighted density e^{2x} e^{-2x} = 1 has
     infinite mass at the boundary: no positive invariant current maps to
@@ -126,7 +121,7 @@ def positive_not_positively_liftable():
     chart = _halfline_chart()
     ray = Polyhedron(1, [((-1,), 0, True)])
     mu = PieceMeasure(1, pieces=[lebesgue_piece((), ray, expo=Poly.linear([2]))])
-    return LagerbergCurrent(chart, 0, {((0,), (0,)): mu}, _halfline_U(chart))
+    return LagerbergCurrent(chart, 0, {((0,), (0,)): mu})
 
 
 def degenerate_form_current():

@@ -275,11 +275,12 @@ def certify_sign(piece):
     constants are trivial; univariate polynomials get exact root
     isolation (no root of the square-free part inside the open projection
     interval proves constant sign); anything else counts as a declared
-    certificate and is re-checked on 1000 seeded rational samples.  Raises
+    certificate and is re-checked on 1000 seeded rational samples; sign 0
+    declares nothing, so there is nothing to check.  Raises
     SignNotCertified with a witness on failure.
     """
     poly = piece.weight_poly
-    if poly.is_zero():
+    if poly.is_zero() or piece.sign == 0:
         return True
     if len(poly.exps) == 1 and sum(next(iter(poly.exps))) == 0:
         c = next(iter(poly.exps.values()))
@@ -316,28 +317,6 @@ def certify_sign(piece):
             raise SignNotCertified("sampled density value contradicts sign flag",
                                    payload={"point": pt, "value": val})
     return True
-
-
-# --- open sets --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OpenBox:
-    """Open box in a chart: per-axis (lo, hi, infinity_included).
-
-    ``lo``/``hi`` may be None for unbounded; ``infinity_included`` only
-    matters on the chart's infinite axes and requires hi = None.
-    """
-    chart: object
-    axes: tuple       # tuple of (lo, hi, inf_included)
-
-    @staticmethod
-    def whole_chart(chart):
-        n = len(chart.basis)
-        return OpenBox(chart, tuple((None, None, i in chart.infinite_axes)
-                                    for i in range(n)))
-
-    def stratum_allowed(self, M):
-        return all(self.axes[i][2] for i in M)
 
 
 # --- core operations -----------------------------------------------------------------
@@ -599,14 +578,14 @@ def boundary_escape_cones(piece, chart):
             for pos, gens in piece.poly.escape_generators(inf_positions)]
 
 
-def escape_failure(piece, target, tilt=()):
+def escape_failure(piece, chart, tilt=()):
     """The first (stratum, ray) along which the piece's density times
-    exp(tilt . u) does not decay toward a stratum of the open box
-    ``target``; None if it decays."""
-    cones = () if piece.poly.is_bounded() else boundary_escape_cones(piece, target.chart)
+    exp(tilt . u) does not decay toward a boundary stratum of ``chart``;
+    None if it decays."""
+    cones = () if piece.poly.is_bounded() else boundary_escape_cones(piece, chart)
     expo = piece.weight_expo + Poly.linear(tilt) if cones and any(tilt) else piece.weight_expo
     for M, gens in cones:
-        for v in gens if target.stratum_allowed(piece.stratum | M) else ():
+        for v in gens if piece.stratum | M <= chart.infinite_axes else ():
             if decay_along(expo, piece.poly, v) != "decays":
                 return tuple(sorted(piece.stratum | M)), v
     return None

@@ -657,6 +657,31 @@ def test_strings_for_arrays_and_unknown_algebras_are_input_errors(args, files, s
     assert code == 2 and err.startswith("input error: ") and says in err, err
 
 
+_UNIT_INTERVAL = {"dim": 1, "ineqs": [{"a": ["1"], "b": "1"}, {"a": ["-1"], "b": "0"}]}
+
+
+@pytest.mark.parametrize("args, files, says", [
+    (["integrate", "--rank", "1", "--field", "{field}"],
+     {"field": _field_with(1, [1], [{**_WINDOW, "axis": 5}])}, "window axis 5"),
+    (["integrate", "--rank", "1", "--field", "{field}"],
+     {"field": _field_with(1, [1], [{**_WINDOW, "axis": 0}])}, "window axis 0"),
+    (["integrate", "--rank", "1", "--field", "{field}"],
+     {"field": _field_with(1, [3], [_WINDOW])}, "increasing subsets"),
+    (["integrate", "--rank", "1", "--field", "{field}"],
+     {"field": _field_with(1, [1], [_WINDOW], poly=[{"exp": [-1], "c": "1"}])}, "negative"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": _measure_current({"densities": [{"poly": _UNIT_INTERVAL,
+                                            "weight": {"pol": [{"exp": [-1], "c": "1"}]}}]})},
+     "negative")],
+    ids=["field-window-axis-above", "field-window-axis-zero", "field-index-off-the-chart",
+         "field-negative-exponent", "density-negative-exponent"])
+def test_literal_off_the_chart_or_with_negative_exponent_is_input_error(args, files, says):
+    """An axis or index outside 1..n and a negative exponent are refused, not
+    read as another axis or as a constant."""
+    code, err = _cli_in_process(args, files)
+    assert code == 2 and err.startswith("input error: ") and says in err, err
+
+
 @pytest.mark.parametrize("key", ["0", "7", "1.5"])
 def test_field_table_off_the_chart_is_input_error(key):
     """A table whose key is no boundary stratum of the chart is refused, not ignored."""

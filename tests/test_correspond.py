@@ -60,7 +60,6 @@ def test_kernel_exemplar_killed():
     fld = InvariantComplexFormField(chart, 1, 1, 1, {((0,), (0,)): h})
     assert S.kernel[0](fld) == pytest.approx(1.0)
     # pullbacks of compactly supported Lagerberg forms evaluate to zero
-    from tropcur.gallery import tropical_line  # noqa: F401  (import sanity)
     alpha = bump_box_field(chart, 1, 1, [(((0,), (0,)), Poly.const(1, 1))], [(0, 2)])
     w = trop_pullback_field(alpha)
     assert S.kernel[0](w) == 0.0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropcur.coeffs import CoefficientFn, Poly, bump
+from tropcur.coeffs import CoefficientFn, Poly, plateau
 from hypothesis import assume, given, settings, strategies as st
 
 from tropcur.currents import (LagerbergCurrent, WeightedComplex, _integrated_complex,
@@ -23,7 +23,7 @@ from tropcur.gallery import (degenerate_form_current, derivative_atom_current,
                              positive_not_positively_liftable, shifted_tropical_line,
                              tropical_line, tropical_line_current)
 from tropcur.formats import current_from_json, current_to_json
-from tropcur.measures import (Atom, OpenBox, Piece, PieceMeasure,
+from tropcur.measures import (Atom, Piece, PieceMeasure,
                               boundary_escape_cones, decay_along, lebesgue_piece)
 from tropcur.polyhedra import Polyhedron
 
@@ -60,12 +60,12 @@ def test_evaluate_lebesgue_unit():
     assert val == pytest.approx(oracle, abs=1e-8)
 
 
-def test_evaluate_support_escape():
+def test_evaluate_rejects_a_test_form_without_compact_support():
+    # a plateau rising toward +infinity on a finite axis is not compactly supported
     chart = _chart(1)
     mu = PieceMeasure(1, pieces=[lebesgue_piece((), interval(0, 1))])
-    U = OpenBox(chart, ((Fraction(-1), Fraction(2), False),))
-    T = LagerbergCurrent(chart, 0, {((0,), (0,)): mu}, U)
-    alpha = bump_box_field(chart, 1, 1, [(((0,), (0,)), Poly.const(1, 1))], [(0, 5)])
+    T = LagerbergCurrent(chart, 0, {((0,), (0,)): mu})
+    alpha = LagerbergFormField(chart, 1, 1, 1, {frozenset(): {((0,), (0,)): plateau(1, 0, 0, 1)}})
     with pytest.raises(SupportEscapesU):
         evaluate(T, alpha)
 
@@ -224,8 +224,8 @@ def test_product_closedness_reads_the_value():
         pieces = [Piece(p.stratum, p.poly, p.weight_poly * factor, p.weight_expo, 0)
                   for p in mu.pieces]
         cocoeffs[key] = PieceMeasure(mu.n, pieces=pieces, scale=mu.scale, certify=False)
-    W = LagerbergCurrent(T.chart, T.p, cocoeffs, T.U)
-    rebuilt = LagerbergCurrent(W.chart, W.p, W.cocoeffs, W.U)
+    W = LagerbergCurrent(T.chart, T.p, cocoeffs)
+    rebuilt = LagerbergCurrent(W.chart, W.p, W.cocoeffs)
     assert W == rebuilt
     for cur in (W, rebuilt):
         cv = closedness_test(cur, test_basis_size=16, tol=1e-8, seed=2)
@@ -351,7 +351,7 @@ def test_extension_of_zero():
 
 def test_reconstruction_identity():
     T = tropical_line_current()
-    back = LagerbergCurrent(T.chart, T.p, T.cocoeffs, T.U)
+    back = LagerbergCurrent(T.chart, T.p, T.cocoeffs)
     assert back == T
 
 

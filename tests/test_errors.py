@@ -1,14 +1,10 @@
 """The named error surfaces carry usable witnesses."""
 
-from fractions import Fraction
-
 import pytest
 
-from tropcur.coeffs import CoefficientFn, Poly
 from tropcur.currents import LagerbergCurrent, evaluate
-from tropcur.errors import (BidegreeMismatch, CompatibilityViolation,
-                            DimensionMismatch, NotSquareBidegree, ParseError,
-                            ValidationError)
+from tropcur.errors import (CompatibilityViolation, DimensionMismatch, NotSquareBidegree,
+                            ParseError, ValidationError)
 from tropcur.fans import orthant_fan
 from tropcur.fiber import LagerbergFiberForm, gram_form, wedge
 from tropcur.fields import LagerbergFormField

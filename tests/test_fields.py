@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropcur import quadrature
-from tropcur.coeffs import CoefficientFn, Poly, UniFn, Window, bump, plateau
-from tropcur.errors import NonCompactSupport
+from tropcur.coeffs import CoefficientFn, Poly, UniFn, Window, bump, plateau, window_on
+from tropcur.errors import NonCompactSupport, ValidationError
 from tropcur.fans import orthant_fan
 from tropcur.fiber import LagerbergFiberForm, embed_complex, positivity_verdict
 from tropcur.fields import (LagerbergFormField, boundary_window_field,
@@ -30,7 +30,6 @@ def _boundary_chart(n):
 
 def _random_field(rng, chart, p, q, nterms=2):
     n = len(chart.basis)
-    from tropcur.fiber import subsets
     terms = []
     for _ in range(nterms):
         I = tuple(sorted(rng.sample(range(n), p)))
@@ -288,6 +287,35 @@ def test_boundary_window_field_compatible():
     assert f.has_compact_support()
 
 
+def _down_step(lo, hi):
+    """1 below lo, 0 above hi on the one axis of R^1: open below."""
+    return CoefficientFn(1, [(Poly.const(1, 1), Poly.zero(1),
+                              (window_on(0, lo, hi, 1, UniFn.plateau_down()),))])
+
+
+@pytest.mark.parametrize("chart, fn, box, compact", [
+    (_chart(1), bump(1, 0, -1, 2), [(-1, 2)], True),
+    (_chart(1), plateau(1, 0, 0, 1), [None], False),
+    (_boundary_chart(1), plateau(1, 0, 0, 1), [None], True),
+    (_boundary_chart(1), _down_step(0, 1), [None], False),
+    (_boundary_chart(2), bump(2, 0, 0, 1), [(0, 1), None], False)],
+    ids=["bump", "plateau-finite-axis", "plateau-infinite-axis", "down-step-infinite-axis",
+         "no-window-on-an-axis"])
+def test_support_box_and_compact_support(chart, fn, box, compact):
+    # a plateau rising toward +infinity closes up on an infinite axis; nothing
+    # closes up an open lower end, or an axis that no window cuts off
+    f = LagerbergFormField(chart, fn.nvars, 0, 0, {frozenset(): {((), ()): fn}})
+    assert f.support_box() == box
+    assert f.has_compact_support() is compact
+
+
+def test_field_keys_are_increasing_subsets_of_the_axes():
+    chart = _chart(2)
+    for p, I in [(2, (1, 0)), (2, (0, 0)), (1, (5,)), (1, (-1,))]:
+        with pytest.raises(ValidationError, match="increasing subsets"):
+            LagerbergFormField(chart, 2, p, 0, {frozenset(): {(I, ()): bump(2, 0, 0, 1)}})
+
+
 def test_positivity_transport_at_fibers():
     # a (p,p) field is pointwise positive iff its pullback is: via embed
     rng = random.Random(5)
@@ -304,8 +332,6 @@ def test_positivity_transport_at_fibers():
 
 
 def _j_field(f):
-    from tropcur.fiber import apply_involution
-
     tables = {}
     for M, tab in f.tables.items():
         new = {}

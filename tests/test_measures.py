@@ -7,10 +7,9 @@ from tropcur import quadrature
 from tropcur.coeffs import CoefficientFn, Poly, bump, table
 from tropcur.errors import Divergent, NonMeasurePiece, SignNotCertified
 from tropcur.fans import orthant_fan
-from tropcur.measures import (Atom, DerivativeAtom, OpenBox, Piece,
-                              PieceMeasure, abs_measure, boundary_escape_cones,
-                              escape_failure, integrate_against,
-                              lebesgue_piece, restrict_measure,
+from tropcur.measures import (Atom, DerivativeAtom, Piece, PieceMeasure, abs_measure,
+                              boundary_escape_cones, escape_failure, integrate_against,
+                              lebesgue_piece, restrict_measure, sign_pure_pieces,
                               total_variation_decompose)
 from tropcur.polyhedra import Polyhedron
 
@@ -142,23 +141,37 @@ def _chart1():
     return fan.toric_chart(fan.cone_id([(1,)]))
 
 
-# a measure has an image measure in an open box iff no piece fails escape_failure
+@pytest.mark.parametrize("weight, box", [(Poly.const(1, 1), (0, 1)), (Poly.const(-1, 1), (0, 1)),
+                                         (Poly.var(0, 1), (1, 2)),
+                                         (Poly.var(0, 1).scale(-1), (1, 2))],
+                         ids=["constant+", "constant-", "univariate+", "univariate-"])
+def test_sign_zero_piece_declares_nothing(weight, box):
+    # sign 0 certifies no sign: the constructor accepts the piece whatever its
+    # density, and the operations that need a sign refuse it
+    piece = Piece(frozenset(), Polyhedron.box([box]), weight, Poly.zero(1), 0)
+    mu = PieceMeasure(1, pieces=[piece])
+    assert mu.pieces == (piece,)
+    with pytest.raises(SignNotCertified):
+        sign_pure_pieces(mu)
+
+
+# a measure has an image measure on its chart iff no piece fails escape_failure
 
 def test_image_measure_not_locally_finite():
     # density 1 on [1, inf) included into R_infty at infinity: infinite mass
     piece = lebesgue_piece((), interval(1, None))
-    assert escape_failure(piece, OpenBox.whole_chart(_chart1())) == ((0,), (1,))
+    assert escape_failure(piece, _chart1()) == ((0,), (1,))
 
 
 def test_image_measure_decaying_accepted():
     piece = lebesgue_piece((), interval(0, None), expo=Poly.linear([-1]))
-    assert escape_failure(piece, OpenBox.whole_chart(_chart1())) is None
+    assert escape_failure(piece, _chart1()) is None
 
 
 def test_image_measure_quadratic_growth_rejected():
     piece = lebesgue_piece((), interval(0, None),
                            expo=Poly({(2,): Fraction(1), (1,): Fraction(-2)}, 1))
-    assert escape_failure(piece, OpenBox.whole_chart(_chart1())) is not None
+    assert escape_failure(piece, _chart1()) is not None
 
 
 def test_escape_cones_respect_finite_axes():

@@ -44,8 +44,7 @@ UNREACHED = frozenset({
     "correspond.kernel_point_current.evaluator",
     "currents.LagerbergCurrent.scale", "currents._minus",
     "currents._on_relative_boundary", "currents._pair_constant_fiber",
-    "currents._sampled_positivity", "currents._support_inside",
-    "currents.point_value", "currents.reverify_positivity",
+    "currents._sampled_positivity", "currents.point_value", "currents.reverify_positivity",
     "exact.QC.conj", "exact.QC.i_pow", "exact.QC.of", "exact._poly_div",
     "exact._poly_eval", "exact.nonnegative_solution", "exact.sturm_roots_in",
     "exact.sturm_roots_in.signs_at", "exact.sturm_roots_in.variations",
@@ -55,6 +54,7 @@ UNREACHED = frozenset({
     "fiber._common_real_roots.vanishes", "fiber._gram_span_yes", "fiber._negative",
     "fiber.apply_involution", "fiber.coordinate_strong_generators",
     "fiber.embed_complex",
+    "fields.LagerbergFormField._axis_slabs",
     "fields.LagerbergFormField.has_compact_support",
     "fields.LagerbergFormField.is_zero", "fields.LagerbergFormField.support_box",
     "fields._merge_neighborhoods", "fields.boundary_window_field",

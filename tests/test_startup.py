@@ -3,7 +3,7 @@
 Each subcommand imports only the modules it runs, and the package root
 resolves its names lazily.  The checks read ``sys.modules`` in a fresh
 interpreter; nothing here is timed.  No source module imports a name it
-never reads.
+never reads, and neither does a test or a demo.
 """
 
 import ast
@@ -35,9 +35,9 @@ ROOT_EXPORTS = {
     "fields": ["LagerbergFormField", "InvariantComplexFormField", "differentiate",
                "trop_pullback_field", "integrate_top", "check_compatibility",
                "bump_box_field", "boundary_window_field"],
-    "measures": ["PieceMeasure", "Piece", "Atom", "DerivativeAtom", "OpenBox",
-                 "integrate_against", "total_variation_decompose", "abs_measure",
-                 "restrict_measure", "lebesgue_piece"],
+    "measures": ["PieceMeasure", "Piece", "Atom", "DerivativeAtom", "integrate_against",
+                 "total_variation_decompose", "abs_measure", "restrict_measure",
+                 "lebesgue_piece"],
     "currents": ["LagerbergCurrent", "WeightedComplex", "evaluate", "closedness_test",
                  "positivity_check", "canonical_decomposition", "resum", "c_finite_test",
                  "extend_by_zero", "integration_current", "balancing_check"],
@@ -228,3 +228,10 @@ def test_unread_import_check_flags_dead_names():
 def test_source_modules_read_every_name_they_import(module):
     # every process compiles what it imports, so a dead import costs each command
     assert _unread_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.relative_to(ROOT).as_posix() for folder in
+                                        ("tests", "demos") for p in (ROOT / folder).glob("*.py")))
+def test_tests_and_demos_read_every_name_they_import(path):
+    # a name left behind by a deleted test or API is a stale import
+    assert _unread_imports((ROOT / path).read_text()) == []
