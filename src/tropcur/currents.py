@@ -53,20 +53,21 @@ class LagerbergCurrent:
         self.evaluator = evaluator
         self.cocoeffs = {}
         keys = set(subsets(self.n, self.q)) if cocoeffs and self.q >= 0 else ()
+        # messages name axes and indices 1-based, as the wire formats do
         for (I, J), mu in (cocoeffs or {}).items():
             I, J = tuple(I), tuple(J)
             if I not in keys or J not in keys:
-                raise ValidationError(f"co-coefficient key ({I},{J}) needs two increasing "
-                                      f"{self.q}-subsets of 0..{self.n - 1}")
+                raise ValidationError(f"co-coefficient key I={[i + 1 for i in I]}, J={[j + 1 for j in J]} "
+                                      f"needs two increasing {self.q}-subsets of 1..{self.n}")
             if mu.n != self.n:
                 raise ValidationError("measure dimension does not match the chart")
             bad = set(I) | set(J)
             for a in mu.atoms + mu.derivative_atoms + mu.pieces:
-                if not a.stratum <= chart.infinite_axes:
-                    raise ValidationError(f"piece of T^{(I, J)} sits on {sorted(a.stratum)}, "
-                                          "not a boundary stratum of the chart")
-                if a.stratum & bad:
-                    raise ValidationError(f"piece of T^{(I, J)} sits on E^{sorted(bad)}")
+                fault = (", not a boundary stratum of the chart" if not a.stratum <= chart.infinite_axes
+                         else f" inside E^{sorted(i + 1 for i in bad)}" if a.stratum & bad else None)
+                if fault:
+                    raise ValidationError(f"piece of T^(I={[i + 1 for i in I]}, J={[j + 1 for j in J]}) "
+                                          f"sits on {sorted(i + 1 for i in a.stratum)}{fault}")
             if not mu.is_zero():
                 self.cocoeffs[(I, J)] = mu
 

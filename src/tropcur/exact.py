@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals and integers.
 
-Small dense routines used everywhere in the package: fraction-valued
-Gaussian elimination, a fraction-free phase-1 simplex for nonnegative
-solutions, Hermite normal form and basis completion over Z, a
+Small dense routines used everywhere in the package: one fraction-free
+Gauss-Jordan elimination behind the reduced row echelon form and the
+determinant, Hermite normal form and basis completion over Z, a
 fraction-free LDL^T positive-semidefiniteness decision with
 certificates, and Sturm root counting for sign certification of
 univariate polynomials.
@@ -11,10 +11,12 @@ Matrices are lists of lists of ``int``/``Fraction``; vectors are tuples.
 Everything here is pure and deterministic.
 """
 
-import operator
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_RATIONAL = frozenset({int, Fraction})
 
 
 def frac(x):
@@ -28,55 +30,55 @@ def frac(x):
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
+def _eliminate(m, cols=None):
+    """Fraction-free Gauss-Jordan elimination (Bareiss; G. C. Nakos, P. R.
+    Turner and R. M. Williams, ACM SIGSAM Bull. 31(3), 1997): (a, pivots, d, q).
+
+    The rows of m are cleared to integers, D m for row scales D > 0, and
+    pivots sought in the first ``cols`` columns (all by default).  A pivot
+    piv sends every other row to (piv row - row[c] top) / prev, prev the
+    previous pivot, which divides exactly.  So every pivot entry of a ends
+    at the last pivot d (1 if none), a / d is the rref of D m, and q is det D
+    negated for each row swap: a square m of full rank has determinant d / q.
+    """
+    a, q = [], 1
+    for row in m:
+        den, (ints,) = integer_parts([x if type(x) in _RATIONAL else Fraction(x) for x in row])
+        a.append(ints)
+        q *= den
+    pivots, prev = [], 1
+    for c in range((len(a[0]) if a else 0) if cols is None else cols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            a[r], a[k], q = a[k], a[r], -q
+        top, piv = a[r], a[r][c]
+        a = [row if i == r else [(piv * x - row[c] * y) // prev for x, y in zip(row, top)] if row[c]
+             else [piv * x // prev for x in row] for i, row in enumerate(a)]
+        prev = piv
+        pivots.append(c)
+    return a, pivots, prev, q
+
+
 def det(m):
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign, out = 1, Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        out *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c] != 0:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return sign * out
+    """Determinant of a square matrix over the rationals (floats read exactly)."""
+    _, pivots, d, q = _eliminate(m)
+    return Fraction(d, q) if len(pivots) == len(m) else _ZERO
 
 
 def rref(m, cols=None):
-    """Reduced row echelon form of m by Gauss-Jordan elimination.
+    """Reduced row echelon form of m by fraction-free Gauss-Jordan elimination.
 
     Pivots are sought in the first ``cols`` columns (all by default); the
     rest ride along, as for an augmented matrix.  Returns (a, pivots): the
     reduced copy of m over the rationals and its pivot columns, so the
-    pivot rows are a[:len(pivots)].
+    pivot rows are a[:len(pivots)].  A row past them is zero in the first
+    ``cols`` columns, and only its other entries' zero-ness is meaningful.
     """
-    a = [[Fraction(x) for x in row] for row in m]
-    if cols is None:
-        cols = len(a[0]) if a else 0
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
+    a, pivots, d, _ = _eliminate(m, cols)
+    return [[Fraction(x, d) for x in row] for row in a], pivots
 
 
 def solve(m, rhs):
@@ -93,39 +95,6 @@ def solve(m, rhs):
     for row, c in zip(a, pivots):
         x[c] = row[cols]
     return tuple(x)
-
-
-def nonnegative_solution(m, rhs):
-    """One x >= 0 with m x = rhs exactly, or None when there is none.
-
-    Phase 1 of the revised simplex method: an artificial basic variable per
-    row (negated where rhs < 0), whose sum pivots drive to zero, else there
-    is no solution.  Bland's rule (lowest entering column; lowest leaving
-    basic variable among the least ratios, artificials last) makes it
-    terminate (R. G. Bland, Math. Oper. Res. 2, 1977).  It runs on integers:
-    m and rhs share one cleared denominator, and T / q = [B^-1 | B^-1 rhs]
-    for the basis B, q = |det B|, so each fraction-free update divides exactly.
-    """
-    size, cols = len(m), len(m[0]) if m else 0
-    _, (flat,) = integer_parts([*chain.from_iterable(m), *rhs])
-    b = flat[size * cols:]
-    sign = [-1 if x < 0 else 1 for x in b]
-    columns = list(zip(*([s * x for x in flat[i * cols:(i + 1) * cols]] for i, s in enumerate(sign))))
-    T = [[int(i == k) for k in range(size)] + [s * x] for i, (s, x) in enumerate(zip(sign, b))]
-    q, basis = 1, [cols + i for i in range(size)]
-    while any(row[-1] for row, k in zip(T, basis) if k >= cols):
-        # y = q c_B B^-1: column j has reduced cost -y.m_j / q for the artificials' sum
-        y = [sum(col) for col in zip(*(row[:-1] for row, k in zip(T, basis) if k >= cols))]
-        enter = next((j for j, col in enumerate(columns) if sum(map(operator.mul, y, col)) > 0), None)
-        if enter is None:
-            return None
-        d = [sum(map(operator.mul, row, columns[enter])) for row in T]
-        r = min((i for i in range(size) if d[i] > 0), key=lambda i: (Fraction(T[i][-1], d[i]), basis[i]))
-        T = [row if i == r else [(d[r] * x - d[i] * z) // q for x, z in zip(row, T[r])]
-             for i, row in enumerate(T)]
-        q, basis[r] = d[r], enter
-    value = {k: Fraction(row[-1], q) for row, k in zip(T, basis)}
-    return tuple(value.get(j, Fraction(0)) for j in range(cols))
 
 
 def rank(m):
@@ -226,12 +195,14 @@ def hnf_columns(mat):
 
 
 def lattice_saturated(gens):
-    """True if independent integer vectors generate a saturated sublattice.
+    """True if integer vectors are independent and generate a saturated
+    sublattice, so that they extend to a Z-basis.
 
-    Saturated means they extend to a Z-basis: the gcd of the maximal minors
-    is 1.  By Cauchy-Binet that gcd is |det H| for the Hermite form
-    gens u = [H | 0], u unimodular, so every diagonal entry of H must be 1;
-    a dependent row leaves a 0 there.
+    That is, the gcd of the maximal minors is 1.  By Cauchy-Binet that gcd
+    is |det H| for the Hermite form gens u = [H | 0], u unimodular, so every
+    diagonal entry of H must be 1.  A dependent row leaves a 0 there (and
+    more vectors than coordinates are dependent), so this also checks
+    independence.
     """
     if not gens:
         return True
@@ -250,14 +221,13 @@ def extend_to_basis(gens, n):
     of a basis.
     """
     cur = [tuple(map(int, v)) for v in gens]
-    if rank(cur) != len(cur) or not lattice_saturated(cur):
+    if not lattice_saturated(cur):
         raise ValueError("generators do not extend to a lattice basis")
     for i in range(n):
         if len(cur) == n:
             break
-        e = tuple(int(j == i) for j in range(n))
-        trial = cur + [e]
-        if rank(trial) == len(trial) and lattice_saturated(trial):
+        trial = cur + [tuple(int(j == i) for j in range(n))]
+        if lattice_saturated(trial):
             cur = trial
     if len(cur) < n:
         _, u = hnf_columns(cur)
@@ -379,8 +349,7 @@ class PSDResult:
         return self.psd
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-_RATIONAL, _EXACT = frozenset({int, Fraction}), frozenset({int, Fraction, QC})
+_EXACT = frozenset({int, Fraction, QC})
 
 
 def psd_decompose(m, den=1):

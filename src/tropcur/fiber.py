@@ -597,8 +597,8 @@ def _gram_span_verdict(a, terms):
     rational roots alpha_1, alpha_2 are a basis of W, so a strong
     decomposition can only be a = l_1 G(alpha_1) + l_2 G(alpha_2), that is
     gram(a) = l_1 alpha_1 alpha_1^T + l_2 alpha_2 alpha_2^T, solved exactly
-    for l >= 0 on the Gram entries between the LDL^T pivots: a Yes when
-    there is such a solution.  Anything else gives None.
+    on the Gram entries between the LDL^T pivots, which fix W, so the
+    solution is unique: a Yes when it has l >= 0.  Anything else gives None.
     """
     if a.algebra != "lagerberg":
         return None
@@ -620,22 +620,22 @@ def _gram_span_verdict(a, terms):
     quadratics = [(Fraction(q11.get(*k)), Fraction(q12.get(*k)), Fraction(q22.get(*k)))
                   for k in set(q11.coeff) | set(q12.coeff) | set(q22.coeff)]
     roots = _common_real_roots(quadratics)
-    if not roots:
+    if roots == []:
         return Verdict("strong", "no", witness=("kernel_obstruction",
                                                 {"basis": basis, "quadratics": quadratics}),
                        reason="no real decomposable in the Gram row space")
-    if len(roots) != 2 or any(D for *_, D in roots):
+    if roots is None or len(roots) != 2:
         return None
-    alphas = [w1.scale(y) + w2.scale(z) for y, _, z, _, _ in roots]
+    alphas = [w1.scale(y) + w2.scale(z) for y, z in roots]
     # both sides are V C V^T, V the LDL^T vectors, each starting at its pivot
     # and zero at the earlier ones: the entries between pivots force C = 0
     idx, N, den = a._gram
     vecs = [[alpha.get(K, ()) for K in idx] for alpha in alphas]
     pivots = [idx.index(next(iter(v))) for _, v in terms]
     keys = [(t, u) for i, t in enumerate(pivots) for u in pivots[i:]]
-    sol = exact.nonnegative_solution([[v[t] * v[u] for v in vecs] for t, u in keys],
-                                     [Fraction(N[t][u], den) for t, u in keys])
-    return None if sol is None else _gram_span_yes(list(zip(sol, alphas)))
+    sol = exact.solve([[v[t] * v[u] for v in vecs] for t, u in keys],
+                      [Fraction(N[t][u], den) for t, u in keys])
+    return None if sol is None or min(sol) < 0 else _gram_span_yes(list(zip(sol, alphas)))
 
 
 def _gram_span_yes(terms):
@@ -649,28 +649,23 @@ def _gram_span_yes(terms):
 
 def _common_real_roots(quadratics):
     """The distinct common real projective roots (y, z) of binary quadratics
-    A y^2 + B yz + C z^2, none identically zero, found among the first one's:
-    each root as (ya, yb, za, zb, D) with y = ya + yb sqrt(D) and
-    z = za + zb sqrt(D), and D = 0 for a rational root."""
+    A y^2 + B yz + C z^2, none identically zero, found among the first
+    one's: a list of rational roots, or None for two irrational roots
+    common to all, that is, every quadratic a multiple of the first (one
+    vanishing at an irrational root vanishes at its conjugate too)."""
     A0, B0, C0 = quadratics[0]
     if A0 == 0:
-        roots = [(1, 0, 0, 0, 0)] + ([(-C0, 0, B0, 0, 0)] if B0 else [])
+        roots = [(1, 0)] + ([(-C0, B0)] if B0 else [])
     else:
         D = B0 * B0 - 4 * A0 * C0
         if D < 0:
             return []
         s = Fraction(math.isqrt(D.numerator), math.isqrt(D.denominator))
-        roots = ([(-B0 + s, 0, 2 * A0, 0, 0), (-B0 - s, 0, 2 * A0, 0, 0)] if s * s == D
-                 else [(-B0, 1, 2 * A0, 0, D), (-B0, -1, 2 * A0, 0, D)])
-
-    def vanishes(quadratic, root):
-        A, B, C = quadratic
-        ya, yb, za, zb, D = root
-        # A y^2 + B yz + C z^2 as r + t sqrt(D)
-        r = A * (ya * ya + yb * yb * D) + B * (ya * za + yb * zb * D) + C * (za * za + zb * zb * D)
-        t = 2 * A * ya * yb + B * (ya * zb + yb * za) + 2 * C * za * zb
-        return r == 0 and t == 0
-    return [root for root in dict.fromkeys(roots) if all(vanishes(qd, root) for qd in quadratics)]
+        if s * s != D:
+            return None if all(A * B0 == A0 * B and A * C0 == A0 * C for A, B, C in quadratics) else []
+        roots = [(-B0 + s, 2 * A0), (-B0 - s, 2 * A0)]
+    return [(y, z) for y, z in dict.fromkeys(roots)
+            if all(A * y * y + B * y * z + C * z * z == 0 for A, B, C in quadratics)]
 
 
 def _pool_in_span(a, pool):

@@ -47,23 +47,27 @@ class LagerbergFormField:
         self.p = p
         self.q = q
         self.tables = {}
+        # messages name axes and indices 1-based, as the wire formats do
         for M, tab in tables.items():
             M = frozenset(M)
             if not M <= chart.infinite_axes:
-                raise ValidationError(f"table on {sorted(M)}, not a boundary stratum of the chart")
+                raise ValidationError(f"table on {sorted(i + 1 for i in M)}, "
+                                      "not a boundary stratum of the chart")
             clean = {}
             for (I, J), fn in tab.items():
                 I, J = tuple(I), tuple(J)
-                if len(I) != p or len(J) != q:
-                    raise ValidationError(f"key ({I},{J}) does not match bidegree")
-                if any(list(K) != sorted(set(K) & set(range(n))) for K in (I, J)):
-                    raise ValidationError(f"key ({I},{J}) needs increasing subsets of 0..{n - 1}")
-                if set(I) & M or set(J) & M:
-                    raise ValidationError(f"stratum-{set(M)} table uses dead axes in ({I},{J})")
+                fault = ("does not match bidegree" if len(I) != p or len(J) != q
+                         else f"needs increasing subsets of 1..{n}"
+                         if any(list(K) != sorted(set(K) & set(range(n))) for K in (I, J))
+                         else f"uses dead axes of stratum {sorted(i + 1 for i in M)}"
+                         if set(I) & M or set(J) & M else None)
+                if fault:
+                    raise ValidationError(f"key I={[i + 1 for i in I]}, J={[j + 1 for j in J]} {fault}")
                 if not fn.is_zero():
                     bad = fn.drop_axis_dependence() & M
                     if bad:
-                        raise ValidationError(f"stratum table depends on dead axes {bad}")
+                        raise ValidationError("stratum table depends on dead axes "
+                                              f"{sorted(i + 1 for i in bad)}")
                     clean[(I, J)] = fn
             if clean or not M:
                 self.tables[M] = clean

@@ -464,12 +464,11 @@ def _extreme_points(rows, eqs, d):
     d - len(eqs) rows with nonzero a taken as equalities beside ``eqs``."""
     out = set()
     for sel in combinations([(a, b) for a, b in rows if any(a)], d - len(eqs)):
-        mat = [list(a) for a, _ in sel] + [list(c) for c, _ in eqs]
-        if exact.rank(mat) != d:
-            continue
-        sol = exact.solve(mat, [b for _, b in sel] + [e for _, e in eqs])
-        if sol is not None and all(b - _dot(a, sol) >= 0 for a, b in rows):
-            out.add(sol)
+        red, pivots = exact.rref([[*a, b] for a, b in (*sel, *eqs)], d)
+        if len(pivots) == d:
+            sol = tuple(row[d] for row in red)
+            if all(b - _dot(a, sol) >= 0 for a, b in rows):
+                out.add(sol)
     return tuple(sorted(out))
 
 

@@ -666,7 +666,10 @@ _UNIT_INTERVAL = {"dim": 1, "ineqs": [{"a": ["1"], "b": "1"}, {"a": ["-1"], "b":
     (["integrate", "--rank", "1", "--field", "{field}"],
      {"field": _field_with(1, [1], [{**_WINDOW, "axis": 0}])}, "window axis 0"),
     (["integrate", "--rank", "1", "--field", "{field}"],
-     {"field": _field_with(1, [3], [_WINDOW])}, "increasing subsets"),
+     {"field": _field_with(1, [3], [_WINDOW])}, "key I=[3], J=[1] needs increasing subsets of 1..1"),
+    (["decompose", "--rank", "1", "--current", "{T}"],
+     {"T": {"bidegree": [0, 0], "cocoeffs": {"2|1": {"atoms": [{"pt": {"coords": ["0"]}, "w": "1"}]}}}},
+     "key I=[2], J=[1] needs two increasing 1-subsets of 1..1"),
     (["integrate", "--rank", "1", "--field", "{field}"],
      {"field": _field_with(1, [1], [_WINDOW], poly=[{"exp": [-1], "c": "1"}])}, "negative"),
     (["decompose", "--rank", "1", "--current", "{T}"],
@@ -674,7 +677,7 @@ _UNIT_INTERVAL = {"dim": 1, "ineqs": [{"a": ["1"], "b": "1"}, {"a": ["-1"], "b":
                                             "weight": {"pol": [{"exp": [-1], "c": "1"}]}}]})},
      "negative")],
     ids=["field-window-axis-above", "field-window-axis-zero", "field-index-off-the-chart",
-         "field-negative-exponent", "density-negative-exponent"])
+         "current-index-off-the-chart", "field-negative-exponent", "density-negative-exponent"])
 def test_literal_off_the_chart_or_with_negative_exponent_is_input_error(args, files, says):
     """An axis or index outside 1..n and a negative exponent are refused, not
     read as another axis or as a constant."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tropcur import exact
 from tropcur.exact import QC
@@ -35,6 +35,13 @@ def test_extend_to_basis_deterministic():
     assert basis == [(-1, -1), (1, 0)]
     with pytest.raises(ValueError):
         exact.extend_to_basis([(1, 0), (1, 2)], 2)  # index-2 sublattice
+
+
+@pytest.mark.parametrize("gens", [[(0, 0)], [(1, 0), (2, 0)], [(1, 2, 3), (0, 1, 1), (1, 3, 4)],
+                                  [(1, 0), (0, 1), (1, 1)]])
+def test_extend_to_basis_refuses_dependent_generators(gens):
+    with pytest.raises(ValueError):
+        exact.extend_to_basis(gens, len(gens[0]))
 
 
 @pytest.mark.parametrize("gens", [[(2, 5, 0)], [(3, 7, 2)], [(1, 1, 1), (0, 1, 3)],
@@ -83,75 +90,6 @@ def test_rref_solve_rank_nullspace_agree():
     inv = exact.inverse([[2, 5, 0], [1, 2, 0], [0, 0, 1]])
     prod = np.array(inv, dtype=object) @ np.array([[2, 5, 0], [1, 2, 0], [0, 0, 1]], dtype=object)
     assert prod.tolist() == np.identity(3, dtype=int).tolist()
-
-
-def _lp_feasible(m, rhs):
-    """Whether m x = rhs has a solution x >= 0, by scipy's float LP."""
-    from scipy.optimize import linprog
-    cols = len(m[0])
-    res = linprog(np.zeros(cols), A_eq=np.array(m, dtype=float), b_eq=np.array(rhs, dtype=float),
-                  bounds=[(0, None)] * cols, method="highs")
-    assert res.status in (0, 2)         # solved or infeasible
-    return res.status == 0
-
-
-def _is_nonnegative_solution(x, m, rhs):
-    return (len(x) == len(m[0]) and all(v >= 0 for v in x)
-            and all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(m, rhs)))
-
-
-@st.composite
-def _integer_systems(draw):
-    """m x = rhs with small integer entries; repeated columns and zero
-    right-hand sides make degenerate pivots."""
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
-                      min_size=rows, max_size=rows))
-    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
-        for row in m:
-            row.append(row[j])
-    return m, draw(st.lists(st.sampled_from([0, 0, -2, -1, 1, 2, 5]), min_size=rows, max_size=rows))
-
-
-def _pool_system(n, generators):
-    """gram(a) = sum_j x_j beta_j beta_j^T on the upper-triangle Gram entries,
-    one column per entry beta_j of strong_generator_pool(n, 2, 2000, 0), for
-    the form a = sum of the (weight, (2,0)-form) generators."""
-    from tropcur.fiber import LagerbergFiberForm, positive_generator, strong_generator_pool
-    a = LagerbergFiberForm.zero(n, 2, 2)
-    for weight, coeffs in generators:
-        a = a + positive_generator(LagerbergFiberForm(n, 2, 0, coeffs)).scale(weight)
-    idx, N, den = a._gram
-    keys = [(t, u) for t in range(len(idx)) for u in range(t, len(idx))]
-    betas = [beta for beta, _ in strong_generator_pool(n, 2, 2000, 0)]
-    return ([[b[t] * b[u] for b in betas] for t, u in keys],
-            [Fraction(N[t][u], den) for t, u in keys])
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_integer_systems())
-# the shape of a strong-tier pool system at n = 4: 21 rows, 2000 columns
-@example(_pool_system(4, [(Fraction(k + 1, 2), {(I, ()): 1}) for k, I in enumerate(
-    [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])] + [(3, {((0, 1), ()): 2, ((1, 3), ()): -1})]))
-# span(e01 + e23, e02 - e13) holds no decomposable, so no pool entry: no solution
-@example(_pool_system(4, [(1, {((0, 1), ()): 1, ((2, 3), ()): 1}),
-                          (2, {((0, 2), ()): 1, ((1, 3), ()): -1})]))
-def test_nonnegative_solution_matches_lp_feasibility(system):
-    m, rhs = system
-    x = exact.nonnegative_solution(m, rhs)
-    assert (x is not None) == _lp_feasible(m, rhs)
-    assert x is None or _is_nonnegative_solution(x, m, rhs)
-
-
-def test_nonnegative_solution_terminates_on_degenerate_systems():
-    # zero right-hand sides, a zero row and repeated columns
-    m = [[1, -1, 1, -1, 1, -1], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1], [2, 0, 2, 0, 2, 0]]
-    x = exact.nonnegative_solution(m, [0, 0, 2, 2])
-    assert _is_nonnegative_solution(x, m, [0, 0, 2, 2])
-    assert exact.nonnegative_solution(m, [0, 0, 0, 0]) == (0,) * 6
-    assert exact.nonnegative_solution(m, [0, 0, -2, 0]) is None
-    assert exact.nonnegative_solution(m, [0, 1, 2, 2]) is None
-    assert exact.nonnegative_solution([[Fraction(1, 2), 1]], [Fraction(1, 3)]) == (Fraction(2, 3), 0)
 
 
 def test_lattice_saturation():
@@ -383,6 +321,92 @@ def _ref_psd_decompose(m):
                 a[i] = [x - f * y for x, y in zip(a[i], cv)]
         active.remove(d)
     return True, len(decomp), decomp, None
+
+
+# --- reference: Gauss-Jordan elimination on Fraction scalars -----------------------
+
+def _ref_det(m):
+    """Determinant by Gaussian elimination over Fraction: the routine det
+    replaced with the fraction-free elimination it shares with rref."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    sign, out = 1, Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        out *= a[c][c]
+        inv = 1 / a[c][c]
+        for r in range(c + 1, n):
+            if a[r][c] != 0:
+                f = a[r][c] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return sign * out
+
+
+def _ref_rref(m, cols=None):
+    """(a, pivots) by Gauss-Jordan elimination over Fraction, pivots sought
+    in the first ``cols`` columns: the routine rref replaced."""
+    a = [[Fraction(x) for x in row] for row in m]
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+@st.composite
+def _elimination_cases(draw):
+    """(m, cols): an r x k matrix, r <= 6 and k <= 7, of small integers,
+    fractions or floats, often with zero entries, a third of them with a row
+    that is a combination of two others; cols is all k columns, or fewer, so
+    that the rest ride along as for an augmented matrix."""
+    r, k = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    scalar = draw(st.sampled_from([st.integers(-4, 4),
+                                   st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                                   st.floats(-3, 3, width=16)]))
+    m = [draw(st.lists(st.one_of(st.just(0), scalar), min_size=k, max_size=k)) for _ in range(r)]
+    if r > 2 and draw(st.integers(0, 2)) == 0:
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        m[draw(st.integers(2, r - 1))] = [s * x + t * y for x, y in zip(m[0], m[1])]
+    return m, draw(st.one_of(st.none(), st.integers(0, k)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_elimination_cases())
+def test_elimination_matches_fraction_reference(case):
+    """rref's pivots and pivot rows and det's value agree with Fraction
+    Gauss-Jordan elimination, and the rows past the pivots are zero in the
+    first ``cols`` columns, with the same zero entries in the others."""
+    m, cols = case
+    got, pivots = exact.rref(m, cols)
+    want, want_pivots = _ref_rref(m, cols)
+    assert pivots == want_pivots and got[:len(pivots)] == want[:len(pivots)]
+    k = len(m[0]) if m else 0
+    width = k if cols is None else cols
+    for row, ref in zip(got[len(pivots):], want[len(pivots):]):
+        assert not any(row[:width])
+        assert [x == 0 for x in row] == [x == 0 for x in ref]
+    if len(m) <= k:
+        square = [row[:len(m)] for row in m]
+        assert exact.det(square) == _ref_det(square)
 
 
 @st.composite

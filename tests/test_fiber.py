@@ -675,6 +675,40 @@ def test_rank_two_example_verdicts():
     assert reverify(w, vstr)
 
 
+def test_common_real_roots_of_irrational_roots():
+    # y^2 - 2 z^2 (times 2) has the irrational roots (+-sqrt 2, 1): common to a
+    # rational multiple of it, to no quadratic that is not one
+    first = (Fraction(2), Fraction(0), Fraction(-4))
+    assert fiber._common_real_roots([first]) is None
+    assert fiber._common_real_roots([first, (Fraction(-1), Fraction(0), Fraction(2))]) is None
+    assert fiber._common_real_roots([first, (Fraction(0), Fraction(0), Fraction(4))]) == []
+    assert fiber._common_real_roots([first, (Fraction(1), Fraction(1), Fraction(-2))]) == []
+    # y^2 - z^2 and y^2 - yz share the rational root (1, 1) only
+    assert fiber._common_real_roots([(1, 0, -1), (1, -1, 0)]) == [(2, 2)]
+
+
+def _two_generators(n, w1, w2):
+    """G(w1) + G(w2) for the (2,0)-forms {K: c} w1 and w2 in dimension n."""
+    return sum((positive_generator(LagerbergFiberForm(n, 2, 0, {(K, ()): Fraction(c)
+                                                                 for K, c in w.items()}))
+                for w in (w1, w2)), LagerbergFiberForm.zero(n, 2, 2))
+
+
+def test_gram_span_with_irrational_decomposables():
+    # W = span(e12 + e34, e13 + 2 e24): alpha ^ alpha = (2 y^2 - 4 z^2) e1234,
+    # so W's decomposables are irrational and the Gram-span step leaves it open
+    a = _two_generators(4, {(0, 1): 1, (2, 3): 1}, {(0, 2): 1, (1, 3): 2})
+    assert fiber._gram_span_verdict(a, positivity_verdict(a, "positive").certificate[1]) is None
+    v = positivity_verdict(a, "strong", pool_size=40)
+    assert v.answer == "unknown" and reverify(a, v)
+    # at n = 5, e15 in w2 adds quadratics that 2 y^2 - 4 z^2 does not divide: no decomposable
+    a = _two_generators(5, {(0, 1): 1, (2, 3): 1}, {(0, 2): 1, (1, 3): 2, (0, 4): 1})
+    v = positivity_verdict(a, "strong", pool_size=40)
+    assert v.no and v.witness[0] == "kernel_obstruction" and reverify(a, v)
+    quads = v.witness[1]["quadratics"]
+    assert (2, 0, -4) in quads and fiber._common_real_roots(quads) == []
+
+
 def test_p1_equivalence_all_tiers():
     a = LagerbergFiberForm.basis_form(2, (0,), (0,))
     for tier in ("strong", "positive", "weak"):
