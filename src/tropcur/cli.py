@@ -20,7 +20,6 @@ scipy's Delaunay triangulation of a polytope piece that is not a box.
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import formats, scenes
 from .errors import ParseError, TropcurError, ValidationError
@@ -127,7 +126,7 @@ def _scene(args, given):
     command line, which override a scene file's own values.
     """
     if args.command == "run":
-        return replace(scenes.parse_scene(load_json(args.scene)), **given)
+        return scenes.parse_scene(load_json(args.scene)).replace(**given)
     fan = chart = None
     if hasattr(args, "rank"):       # a subcommand with the chart flags
         if args.fan:

@@ -22,9 +22,9 @@ object converts its coefficients to floats once, on its first call.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import Value
 from .exact import frac
 
 
@@ -314,12 +314,15 @@ class UniFn:
 
 # --- windows ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Window:
-    """A window factor W(l . u + c) with W in the one-variable algebra."""
-    fn: UniFn
-    lin: tuple          # rational coefficients, length nvars
-    const: Fraction
+class Window(Value):
+    """A window factor W(l . u + c) with W in the one-variable algebra;
+    ``lin`` holds nvars rational coefficients."""
+    __slots__ = _fields = ("fn", "lin", "const")
+
+    def __init__(self, fn, lin, const):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "const", const)
 
     def key(self):
         return (self.fn.key(), self.lin, self.const)

@@ -21,14 +21,13 @@ closedness.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .currents import (LagerbergCurrent, c_finite_test, c_finite_witness,
                        canonical_decomposition, closedness_test, positivity_check,
                        split_by_stratum)
 from .errors import (InvalidShadow, NotCFinite, NotClosed, NotLocallyFinite, NotPositive,
-                     TropcurError, ValidationError, Verdict)
+                     TropcurError, ValidationError, Value, Verdict)
 from .measures import PieceMeasure
 
 
@@ -138,10 +137,12 @@ def lift(T, samples=12, seed=0):
     return InvariantComplexCurrent(T.chart, T.p, shadows)
 
 
-@dataclass
-class RoundTripReport:
-    total: int
-    failures: list = dc_field(default_factory=list)
+class RoundTripReport(Value):
+    __slots__ = _fields = ("total", "failures")
+
+    def __init__(self, total, failures=None):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "failures", [] if failures is None else failures)
 
     @property
     def ok(self):

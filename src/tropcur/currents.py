@@ -18,7 +18,6 @@ balancing check at codimension-one faces; the sampled verdict is its oracle.
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
@@ -26,11 +25,8 @@ from .coeffs import CoefficientFn, Poly
 from .errors import (CompatibilityViolation, Divergent, MixedDimension,
                      NonMeasurePiece, NotCFinite, NotLocallyFinite, NotPositive,
                      SignNotCertified, SupportEscapesU, ToleranceNotMet,
-                     ValidationError, Verdict)
-from .fiber import LagerbergFiberForm, positive_generator
-from .indices import subsets
-from .fields import (boundary_window_field, bump_box_field,
-                     check_compatibility, differentiate, _stratum_subsets)
+                     ValidationError, Value, Verdict)
+from .indices import stratum_subsets, subsets
 from .measures import (Piece, PieceMeasure, abs_measure, escape_failure, integrate_against,
                        restrict_measure, sign_pure_pieces)
 from .polyhedra import Polyhedron, Row, face_directions
@@ -149,6 +145,7 @@ def evaluate(T, alpha, tol=1e-8, check=True):
     if (alpha.p, alpha.q) != (T.q, T.q):
         raise ValueError(f"test form must have bidegree ({T.q},{T.q})")
     if check:
+        from .fields import check_compatibility
         if not alpha.has_compact_support():
             raise SupportEscapesU("test form is not compactly supported")
         rep = check_compatibility(alpha, samples=8)
@@ -171,6 +168,7 @@ def evaluate(T, alpha, tol=1e-8, check=True):
 # --- seeded test fields ----------------------------------------------------------
 
 def _interior_test_fields(chart, p, q, box, rng, count):
+    from .fields import bump_box_field
     n = len(chart.basis)
     fields = []
     idx_p, idx_q = subsets(n, p), subsets(n, q)
@@ -188,6 +186,7 @@ def _interior_test_fields(chart, p, q, box, rng, count):
 
 
 def _boundary_test_fields(chart, p, q, strata, box, ramp, rng, count):
+    from .fields import boundary_window_field
     n = len(chart.basis)
     fields = []
     for M in strata:
@@ -236,7 +235,7 @@ def mass_estimate(T):
             total += 1.0
             continue
         one = {frozenset(M): CoefficientFn.const(1, T.n)
-               for M in _stratum_subsets(T.chart)}
+               for M in stratum_subsets(T.chart)}
         try:
             total += integrate_against(one, tv, tol=1e-6)
         except (Divergent, NotLocallyFinite, ToleranceNotMet):
@@ -262,16 +261,18 @@ def sampled_closedness(T, test_basis_size=25, tol=1e-8, seed=0):
     """Sampled Stokes verdict: T(d'beta), T(d''beta) over a seeded pool.
 
     Closed means every pairing stays below tol * (1 + mass estimate); No
-    reports the worst pairing as its witness.
+    reports the worst pairing as its witness.  For a current that
+    integrates an unbalanced complex the pool opens with ``_face_fields``.
     """
+    from .fields import differentiate
     rng = random.Random(seed)
     box = _pool_box(T)
-    strata = [M for M in _stratum_subsets(T.chart) if M]
-    pool = []
+    strata = [M for M in stratum_subsets(T.chart) if M]
+    pool = _face_fields(T)
     per = max(3, test_basis_size // 2)
-    if T.q >= 1:
+    if T.q >= 1:        # a face field takes the place of a random d' field
         pool += [("d'", b) for b in
-                 _interior_test_fields(T.chart, T.q - 1, T.q, box, rng, per)]
+                 _interior_test_fields(T.chart, T.q - 1, T.q, box, rng, per - len(pool))]
         pool += [("d''", b) for b in
                  _interior_test_fields(T.chart, T.q, T.q - 1, box, rng, per)]
         ramp = max((float(h) for h in [b[1] for b in box]), default=3.0)
@@ -294,6 +295,29 @@ def sampled_closedness(T, test_basis_size=25, tol=1e-8, seed=0):
     if worst <= tol * scale:
         return Verdict("closed", "yes", residual=worst)
     return Verdict("closed", "no", witness=witness, residual=worst)
+
+
+def _face_fields(T):
+    """[("d'", beta)] centred on the face where the complex T integrates
+    fails to balance, or [].  With r the residual of ``balancing_check``'s
+    witness and B a basis of the face's directions, T(d'beta) for
+    beta = f d'u_I ^ d''u_J near the face is a fixed multiple of
+    f det(B_I) det([r | B]_J), so a bump with those coefficients pairs to a
+    multiple of their sum of squares; random fields vanishing there miss it.
+    """
+    from .fields import bump_box_field
+    C = _integrated_complex(T)
+    v = balancing_check(C) if C is not None else None
+    if v is None or v.yes:
+        return []
+    (pts, rays), r = v.witness["face"], v.witness["residual"]
+    B, pivots = exact.rref(face_directions((pts, rays)))
+    B = B[:len(pivots)]
+    centre = [sum(p[i] for p in pts) / len(pts) + sum(g[i] for g in rays) for i in range(T.n)]
+    terms = [((I, J), Poly.const(c, T.n)) for I in subsets(T.n, T.q - 1) for J in subsets(T.n, T.q)
+             if (c := exact.det([[u[k] for u in B] for k in I])
+                 * exact.det([[u[k] for u in (r, *B)] for k in J]))]
+    return [("d'", bump_box_field(T.chart, T.q - 1, T.q, terms, [(c - 1, c + 1) for c in centre]))]
 
 
 # --- positivity --------------------------------------------------------------------
@@ -391,6 +415,7 @@ def _sampled_positivity(T, samples, seed, tol):
     one fixed window test form per (I, J), each window integral computed
     once per call.
     """
+    from .fiber import LagerbergFiberForm, positive_generator
     n, q = T.n, T.q
     # (iii) the 2x2 estimate on matched pieces and atoms
     rng = random.Random(seed + 1)
@@ -448,6 +473,7 @@ def _on_relative_boundary(poly, pt):
 def _nonneg_test_field(chart, q, box, rng):
     """A nonnegative (q,q) bump-box field: bump^2 times a coordinate
     positive generator."""
+    from .fields import bump_box_field
     n = len(chart.basis)
     I = tuple(sorted(rng.sample(range(n), q)))
     sq = (-1) ** (q * (q - 1) // 2)
@@ -475,7 +501,7 @@ def _pair_constant_fiber(T, gen, box, windows):
         if (I, J) not in windows:
             bad = set(I) | set(J)
             tables = {}
-            for M in _stratum_subsets(T.chart):
+            for M in stratum_subsets(T.chart):
                 if set(M) & bad:
                     continue
                 fn = CoefficientFn.const(1, n)
@@ -709,7 +735,7 @@ def canonical_decomposition(T, assume_positive=False, samples=12, seed=0):
 def split_by_stratum(chart, measures):
     """{M: {k: the part of measures[k] on stratum M}} over the strata with mass."""
     out = {}
-    for M in _stratum_subsets(chart):
+    for M in stratum_subsets(chart):
         parts = {}
         for k, mu in measures.items():
             part = restrict_measure(mu, M)
@@ -790,8 +816,7 @@ def extend_by_zero(T, seed=0):
 
 # --- integration currents of weighted complexes ------------------------------------------
 
-@dataclass
-class WeightedComplex:
+class WeightedComplex(Value):
     """Pure-dimensional weighted integral polyhedral complex in N_R.
 
     Nothing checks that the cells meet face to face: they may overlap, or
@@ -800,16 +825,17 @@ class WeightedComplex:
     before they are compared, it can answer No for a balanced current whose
     cells do not meet face to face.
     """
-    cells: tuple      # tuple of (Polyhedron, integer weight)
-    declared_dim: int = None
+    __slots__ = _fields = ("cells", "declared_dim")
 
-    def __post_init__(self):
-        # exact integers only (truncating 1/2 to 0 would empty the complex);
-        # _integrated_complex passes Fractions whose denominator is 1
-        for _, w in self.cells:
+    def __init__(self, cells, declared_dim=None):
+        # cells: (Polyhedron, weight) pairs, exact integer weights only
+        # (truncating 1/2 to 0 would empty the complex); _integrated_complex
+        # passes Fractions whose denominator is 1
+        for _, w in cells:
             if not isinstance(w, (int, Fraction)) or w.denominator != 1:
                 raise ValidationError(f"cell weight {w!r} is not an integer")
-        self.cells = tuple((poly, int(w)) for poly, w in self.cells)
+        object.__setattr__(self, "cells", tuple((poly, int(w)) for poly, w in cells))
+        object.__setattr__(self, "declared_dim", declared_dim)
 
     def dim(self):
         dims = {poly.poly_dim() for poly, w in self.cells if w != 0}

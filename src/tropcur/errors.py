@@ -3,10 +3,11 @@
 Every structured failure carries enough data (the ``payload`` attribute)
 to re-verify the complaint: a witness pair of cones, an offending ray, a
 sample point, etc.  A :class:`Verdict` is the outcome of a decision that
-does not raise.
+does not raise.  :class:`Value` is the base of the package's immutable
+value types.
 """
 
-from dataclasses import dataclass
+import operator
 
 
 class TropcurError(Exception):
@@ -115,10 +116,46 @@ class ValidationError(TropcurError):
     pass
 
 
-# --- verdicts ---------------------------------------------------------------
+# --- values and verdicts ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
+class Value:
+    """Immutable value: a subclass lists its fields in ``_fields``, in
+    constructor order, and sets them in ``__init__`` by ``object.__setattr__``.
+    Equality, hash, repr and ``replace`` read the fields.  (No dataclasses:
+    each call compiles what it imports, and dataclasses loads inspect.)
+    """
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):       # copy and pickle rebuild through __init__
+        return type(self), self._values(self)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+
+
+class Verdict(Value):
     """Outcome of one decision: a positivity tier or a hypothesis check.
 
     ``tier`` names what was decided: 'strong', 'positive' or 'weak'
@@ -133,13 +170,18 @@ class Verdict:
     ``currents.positivity_check``).  ``residual`` is closedness's worst
     sampled pairing.
     """
-    tier: str
-    answer: str
-    reason: str = ""
-    witness: object = None
-    certificate: object = None
-    exact: bool = False
-    residual: float = None
+    __slots__ = _fields = ("tier", "answer", "reason", "witness", "certificate", "exact",
+                           "residual")
+
+    def __init__(self, tier, answer, reason="", witness=None, certificate=None, exact=False,
+                 residual=None):
+        object.__setattr__(self, "tier", tier)
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "residual", residual)
 
     @property
     def yes(self):

@@ -10,25 +10,26 @@ Axes and cone ids are 0-based throughout the library; the JSON layer
 (:mod:`tropcur.formats`) speaks 1-based indices.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from . import exact
 from .errors import (NotStrictlyConvex, NotSmooth, BadIntersection,
-                     OutsideSupport, ValidationError)
+                     OutsideSupport, ValidationError, Value)
 from .polyhedra import Polyhedron, Row
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value):
     """Smooth rational cone given by primitive generators.
 
     ``basis`` is the stored smoothness certificate: a Z-basis of N whose
     first ``dim`` vectors are the generators.
     """
-    generators: tuple
-    basis: tuple
+    __slots__ = _fields = ("generators", "basis")
+
+    def __init__(self, generators, basis):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self):
@@ -38,29 +39,34 @@ class Cone:
         return f"Cone{self.generators}"
 
 
-@dataclass(frozen=True)
-class CompactifiedPoint:
+class CompactifiedPoint(Value):
     """Point of N_Sigma: stratum cone id + coords in the quotient basis."""
-    stratum: int
-    coords: tuple
+    __slots__ = _fields = ("stratum", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(exact.frac(c) for c in self.coords))
+    def __init__(self, stratum, coords):
+        object.__setattr__(self, "stratum", stratum)
+        object.__setattr__(self, "coords", tuple(exact.frac(c) for c in coords))
 
 
-@dataclass(frozen=True)
-class ToricChart:
+class ToricChart(Value):
     """Adapted coordinates on the open star of a cone.
 
     ``basis`` is a Z-basis of N with the cone generated by the prefix;
     chart coordinates are the dual basis, so the cone's stratum directions
     are the ``infinite_axes`` prefix and the chart realizes the open set
-    U_rho inside R_infty^n.
+    U_rho inside R_infty^n.  The repr leaves ``dual`` out.
     """
-    cone_id: int
-    basis: tuple
-    infinite_axes: frozenset
-    dual: tuple = field(repr=False, default=())
+    __slots__ = _fields = ("cone_id", "basis", "infinite_axes", "dual")
+
+    def __init__(self, cone_id, basis, infinite_axes, dual=()):
+        object.__setattr__(self, "cone_id", cone_id)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "infinite_axes", infinite_axes)
+        object.__setattr__(self, "dual", dual)
+
+    def __repr__(self):
+        return (f"ToricChart(cone_id={self.cone_id!r}, basis={self.basis!r}, "
+                f"infinite_axes={self.infinite_axes!r})")
 
 
 def _make_cone(gens, n):

@@ -18,7 +18,6 @@ Yes/No answers where an exact argument exists and Unknown otherwise.
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import islice
@@ -27,7 +26,7 @@ from types import MappingProxyType
 from . import exact
 from .exact import QC
 from .errors import (DimensionMismatch, WrongAlgebra, NotSquareBidegree,
-                     BidegreeMismatch, ValidationError, Verdict)
+                     BidegreeMismatch, ValidationError, Value, Verdict)
 from .indices import _shuffle_sign, merge_indices, subsets, wedge_key
 
 
@@ -332,12 +331,15 @@ def embed_complex(a):
     return ComplexFiberForm(a.n, a.p, a.q, out)
 
 
-@dataclass
-class GramForm:
-    """Square matrix of a (p,p)-form on the p-subset basis."""
-    indices: tuple
-    matrix: list
-    kind: str                 # 'symmetric', 'hermitian' or 'none'
+class GramForm(Value):
+    """Square matrix of a (p,p)-form on the p-subset basis; ``kind`` is
+    'symmetric', 'hermitian' or 'none'."""
+    __slots__ = _fields = ("indices", "matrix", "kind")
+
+    def __init__(self, indices, matrix, kind):
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "kind", kind)
 
 
 def gram_form(a):
@@ -762,12 +764,12 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000):
         return _positive_tier(a)
     if tier in ("strong", "weak") and p in (0, 1, n - 1, n):
         v = _positive_tier(a)
-        return replace(v, tier=tier, reason=v.reason or "tier equivalence p in {0,1,n-1,n}")
+        return v.replace(tier=tier, reason=v.reason or "tier equivalence p in {0,1,n-1,n}")
 
     if tier == "strong":
         base = _positive_tier(a)
         if base.no:
-            return replace(base, tier="strong", reason="not even positive: " + base.reason)
+            return base.replace(tier="strong", reason="not even positive: " + base.reason)
         terms = base.certificate[1]
         verdict = _gram_span_verdict(a, terms)
         if verdict is not None:
@@ -783,7 +785,7 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000):
             return Verdict("weak", "no", reason=a._asymmetry)
         base = _positive_tier(a)
         if base.yes:
-            return replace(base, tier="weak", reason="positive, so weakly positive")
+            return base.replace(tier="weak", reason="positive, so weakly positive")
         q = n - p
         negative = _negative_pairing(a)
         pool = strong_generator_pool(n, q, pool_size, seed)

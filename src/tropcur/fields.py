@@ -27,7 +27,7 @@ from fractions import Fraction
 from .coeffs import CoefficientFn, plateau
 from .errors import NonCompactSupport, ValidationError, Verdict, WrongAlgebra
 from .exact import frac
-from .indices import wedge_key
+from .indices import stratum_subsets, wedge_key
 
 
 class LagerbergFormField:
@@ -204,7 +204,7 @@ def bump_box_field(chart, p, q, terms, box):
         key = (tuple(I), tuple(J))
         tab[key] = tab.get(key, CoefficientFn.zero(n)) + fn
     nbhd = {}
-    for M in _stratum_subsets(chart):
+    for M in stratum_subsets(chart):
         if M:
             nbhd[M] = {i: frac(box[i][1]) + 1 for i in M}
     return LagerbergFormField(chart, n, p, q, {frozenset(): tab}, nbhd)
@@ -225,7 +225,7 @@ def boundary_window_field(chart, M, stratum_terms, box, ramp_at):
         raise ValueError("boundary field needs M inside the chart's infinite axes")
     window = {i: (lo, hi) for i, (lo, hi) in box.items()}
     tables = {}
-    for Mprime in _stratum_subsets(chart):
+    for Mprime in stratum_subsets(chart):
         if not Mprime <= M:
             continue
         tab = {}
@@ -242,17 +242,9 @@ def boundary_window_field(chart, M, stratum_terms, box, ramp_at):
                 tab[key] = fn
         tables[Mprime] = tab
     nbhd = {Mp: {i: frac(ramp_at) + 1 for i in Mp}
-            for Mp in _stratum_subsets(chart) if Mp and Mp <= M}
+            for Mp in stratum_subsets(chart) if Mp and Mp <= M}
     return LagerbergFormField(chart, n, len(stratum_terms[0][0][0]),
                               len(stratum_terms[0][0][1]), tables, nbhd)
-
-
-def _stratum_subsets(chart):
-    axes = sorted(chart.infinite_axes)
-    out = []
-    for mask in range(1 << len(axes)):
-        out.append(frozenset(axes[i] for i in range(len(axes)) if mask >> i & 1))
-    return out
 
 
 # --- differentials ---------------------------------------------------------------
@@ -383,7 +375,7 @@ def check_compatibility(a, samples=40, seed=0, tol=1e-9):
     for nb in a.neighborhoods.values():
         for i, r in nb.items():
             axis_thresholds[i] = max(axis_thresholds.get(i, r), r)
-    for M in _stratum_subsets(a.chart):
+    for M in stratum_subsets(a.chart):
         if not M:
             continue
         region = {}
@@ -401,7 +393,7 @@ def check_compatibility(a, samples=40, seed=0, tol=1e-9):
         if not usable:
             violations.append(("no-neighborhood", tuple(sorted(M)), None))
             continue
-        for Mp in _stratum_subsets(a.chart):
+        for Mp in stratum_subsets(a.chart):
             if not Mp < M:
                 continue
             keys = set(a.tables.get(frozenset(Mp), {})) | set(a.tables.get(frozenset(M), {}))

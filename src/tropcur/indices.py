@@ -1,5 +1,6 @@
 """Increasing multi-indices: subsets, concatenation signs, shuffle signs,
-and the one sign rule for products in the block basis d'u_I ^ d''u_J.
+and the one sign rule for products in the block basis d'u_I ^ d''u_J; and
+the strata of a chart, as subsets of its infinite axes.
 
 Shared by the fiber algebra, the form fields and the currents, so that
 modules needing only these signs do not load the fiber algebra.
@@ -54,3 +55,10 @@ def _shuffle_sign(idx):
 
 def subsets(n, p):
     return [tuple(c) for c in itertools.combinations(range(n), p)]
+
+
+def stratum_subsets(chart):
+    """The strata of a chart, as the subsets of its infinite axes."""
+    axes = sorted(chart.infinite_axes)
+    return [frozenset(a for i, a in enumerate(axes) if mask >> i & 1)
+            for mask in range(1 << len(axes))]

@@ -20,58 +20,63 @@ rate over the piece).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import exact
 from .coeffs import CoefficientFn, Poly
 from .errors import (Divergent, NonMeasurePiece, SignNotCertified, ToleranceNotMet,
-                     ValidationError)
+                     ValidationError, Value)
 from .exact import frac
 from .polyhedra import Polyhedron, coordinate_range, midpoint, parametrize
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     """Weighted point: stratum (axes at infinity) + finite coordinates.
 
     ``coords`` lists the finite-axis coordinates in increasing axis
     order (length = chart dim - len(stratum)).
     """
-    stratum: frozenset
-    coords: tuple
-    weight: Fraction
+    __slots__ = _fields = ("stratum", "coords", "weight")
+
+    def __init__(self, stratum, coords, weight):
+        object.__setattr__(self, "stratum", stratum)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "weight", weight)
 
     def key(self):
         return (tuple(sorted(self.stratum)), self.coords, self.weight)
 
 
-@dataclass(frozen=True)
-class DerivativeAtom:
+class DerivativeAtom(Value):
     """Exemplar non-measure piece: f -> -weight * (directional derivative)."""
-    stratum: frozenset
-    coords: tuple
-    direction: tuple
-    weight: Fraction
+    __slots__ = _fields = ("stratum", "coords", "direction", "weight")
+
+    def __init__(self, stratum, coords, direction, weight):
+        object.__setattr__(self, "stratum", stratum)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "weight", weight)
 
     def key(self):
         return (tuple(sorted(self.stratum)), self.coords, self.direction, self.weight)
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(Value):
     """Density pol * exp(expo) on a polyhedron inside one stratum.
 
     The polyhedron and both polynomials live in the stratum's finite-axis
     coordinates; ``sign`` is the certified constant sign of the density
     on the piece.
     """
-    stratum: frozenset
-    poly: Polyhedron
-    weight_poly: Poly
-    weight_expo: Poly
-    sign: int
+    __slots__ = _fields = ("stratum", "poly", "weight_poly", "weight_expo", "sign")
+
+    def __init__(self, stratum, poly, weight_poly, weight_expo, sign):
+        object.__setattr__(self, "stratum", stratum)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "weight_poly", weight_poly)
+        object.__setattr__(self, "weight_expo", weight_expo)
+        object.__setattr__(self, "sign", sign)
 
     def key(self):
         return (tuple(sorted(self.stratum)), self.poly.canonical_key(),

@@ -16,21 +16,23 @@ Intended for the desk-scale polyhedra of this package (dimension <= ~6,
 few dozen constraints), not as a general polyhedral library.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
 from . import exact
-from .errors import ValidationError
+from .errors import ValidationError, Value
 from .exact import frac
 
 
-@dataclass(frozen=True)
-class Row:
-    a: tuple          # coefficients, Fractions
-    b: Fraction
-    strict: bool = False
+class Row(Value):
+    """The constraint a . u <= b (< b when ``strict``), a a tuple of Fractions."""
+    __slots__ = _fields = ("a", "b", "strict")
+
+    def __init__(self, a, b, strict=False):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "strict", strict)
 
     def eval_slack(self, u):
         return self.b - sum(ai * ui for ai, ui in zip(self.a, u))
@@ -120,8 +122,7 @@ def _as_row(r, dim):
     return Row(tuple(frac(x) for x in a), frac(b), strict)
 
 
-@dataclass(frozen=True, eq=False)
-class Polyhedron:
+class Polyhedron(Value):
     """H-representation polyhedron ``{u : a_i . u <= b_i}`` over Q.
 
     An immutable value: the rows are a tuple checked once on construction,
@@ -130,13 +131,13 @@ class Polyhedron:
     generators) is computed once per instance, on first use, and handed
     out as tuples.
     """
-    dim: int
-    rows: tuple = ()
+    _fields = ("dim", "rows")
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValidationError(f"negative dimension {self.dim}")
-        object.__setattr__(self, "rows", tuple(_as_row(r, self.dim) for r in self.rows))
+    def __init__(self, dim, rows=()):
+        if dim < 0:
+            raise ValidationError(f"negative dimension {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", tuple(_as_row(r, dim) for r in rows))
 
     # --- constructors ---------------------------------------------------
     @staticmethod

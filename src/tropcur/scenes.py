@@ -13,10 +13,10 @@ imports the model modules it runs, so a scene pays only for its own ops.
 import json
 import math
 import time
-from dataclasses import dataclass
+import types
 
 from . import formats
-from .errors import ParseError, TropcurError, ValidationError
+from .errors import ParseError, TropcurError, ValidationError, Value
 from .formats import jsonable, load_json
 
 
@@ -35,29 +35,27 @@ def _tolerance(x):
     return t
 
 
-@dataclass
-class Scene:
+class Scene(Value):
     """Parsed scene: fan, chart, named objects and ordered tasks.
 
     ``fan`` and ``chart`` are None for a scene whose tasks need no chart.
     ``tol``, ``seed`` and ``samples`` are read on construction, from a
     scene file and from command-line flags alike.
     """
-    fan: object
-    chart: object
-    objects: dict
-    tasks: list
-    tol: float = 1e-8
-    seed: int = 0
-    samples: int = 25
+    __slots__ = _fields = ("fan", "chart", "objects", "tasks", "tol", "seed", "samples")
 
-    def __post_init__(self):
+    def __init__(self, fan, chart, objects, tasks, tol=1e-8, seed=0, samples=25):
         try:
-            self.tol = _tolerance(self.tol)
-            self.seed = formats._parse_int(self.seed)
-            self.samples = _count(self.samples)
+            tol, seed, samples = _tolerance(tol), formats._parse_int(seed), _count(samples)
         except (TypeError, ValueError, ParseError) as err:
             raise ValidationError(f"scene 'tol', 'seed' or 'samples' is malformed: {err}") from err
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "samples", samples)
 
 
 def top_chart(fan):
@@ -104,15 +102,15 @@ def parse_scene(data):
 
 def _gallery_object(name):
     """The form, current or complex a zero-argument gallery builder makes."""
-    import inspect
-
     from . import gallery
     from .currents import LagerbergCurrent, WeightedComplex
     from .fiber import ComplexFiberForm, LagerbergFiberForm
     builder = getattr(gallery, name, None) if isinstance(name, str) else None
-    if (inspect.isfunction(builder) and not name.startswith("_")
-            and all(p.default is not p.empty
-                    for p in inspect.signature(builder).parameters.values())):
+    code = builder.__code__ if isinstance(builder, types.FunctionType) else None
+    # every parameter, positional or keyword-only, has a default
+    if (code is not None and not name.startswith("_")
+            and code.co_argcount + code.co_kwonlyargcount
+            == len(builder.__defaults__ or ()) + len(builder.__kwdefaults__ or {})):
         obj = builder()
         if isinstance(obj, (LagerbergFiberForm, ComplexFiberForm, LagerbergCurrent,
                             WeightedComplex)):

@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -204,7 +203,7 @@ def _ref_pool_tier(a, tier, pool_size, seed):
     if tier == "strong":
         base = fiber._positive_tier(a)
         if base.no:
-            return replace(base, tier="strong", reason="not even positive: " + base.reason)
+            return base.replace(tier="strong", reason="not even positive: " + base.reason)
         terms = base.certificate[1]
         verdict = fiber._gram_span_verdict(a, terms)
         if verdict is not None:
@@ -221,7 +220,7 @@ def _ref_pool_tier(a, tier, pool_size, seed):
         return Verdict("weak", "no", reason=reason)
     base = fiber._positive_tier(a)
     if base.yes:
-        return replace(base, tier="weak", reason="positive, so weakly positive")
+        return base.replace(tier="weak", reason="positive, so weakly positive")
     witness = _ref_weak_scan(a, _ref_strong_generator_pool(n, n - p, pool_size, seed, a.algebra))
     if witness is not None:
         return Verdict("weak", "no", witness=witness, reason="negative pairing with a strongly positive form")
@@ -1200,7 +1199,7 @@ def test_reverify_rederives_a_kernel_obstruction_from_the_form():
     v = positivity_verdict(w, "strong")
     assert v.no and reverify(w, v)
     # the re-check reads only the form: an emptied witness of a true No still holds
-    assert reverify(w, replace(v, witness=("kernel_obstruction", {"basis": [], "quadratic": None})))
+    assert reverify(w, v.replace(witness=("kernel_obstruction", {"basis": [], "quadratic": None})))
 
 
 def test_reverify_rejects_a_weak_witness_that_is_not_its_tags_generator():
@@ -1233,12 +1232,12 @@ def test_float_coefficients_are_read_as_their_exact_values():
 def test_reverify_honours_the_verdicts_tier():
     # omega_rank_two is positive but not strongly positive
     w = omega_rank_two()
-    assert not reverify(w, replace(positivity_verdict(w, "positive"), tier="strong"))
-    assert reverify(w, replace(positivity_verdict(w, "positive"), tier="weak"))
+    assert not reverify(w, positivity_verdict(w, "positive").replace(tier="strong"))
+    assert reverify(w, positivity_verdict(w, "positive").replace(tier="weak"))
     # omega_degenerate is weakly positive but not positive
     d = omega_degenerate()
-    assert not reverify(d, replace(positivity_verdict(d, "positive"), tier="weak"))
-    assert reverify(d, replace(positivity_verdict(d, "positive"), tier="strong"))
+    assert not reverify(d, positivity_verdict(d, "positive").replace(tier="weak"))
+    assert reverify(d, positivity_verdict(d, "positive").replace(tier="strong"))
 
 
 def test_reverify_is_false_for_the_other_kind_of_object():
@@ -1328,20 +1327,20 @@ def _mutants(data, v, other):
     or zeroed, a term dropped, or a cancelling pair of the term added, which
     keeps the sum; one entry of x or the value perturbed;
     the certificate or witness of ``other`` (same answer) swapped in."""
-    out = [replace(v, tier=t) for t in ("strong", "positive", "weak") if t != v.tier]
+    out = [v.replace(tier=t) for t in ("strong", "positive", "weak") if t != v.tier]
     if other.answer == v.answer:
-        out.append(replace(v, certificate=other.certificate, witness=other.witness))
+        out.append(v.replace(certificate=other.certificate, witness=other.witness))
     if v.yes and v.certificate[0] in ("decomposition", "conic") and v.certificate[1]:
         kind, terms = v.certificate
         t = data.draw(st.integers(0, len(terms) - 1))
         lam, rest = terms[t]
         for changed in ([(-lam, rest)], [(0 * lam, rest)], [], [(lam, rest)] * 2 + [(-lam, rest)]):
-            out.append(replace(v, certificate=(kind, terms[:t] + changed + terms[t + 1:])))
+            out.append(v.replace(certificate=(kind, terms[:t] + changed + terms[t + 1:])))
     if v.no and v.witness[0] == "evaluation":
         kind, x, value = v.witness
         K = data.draw(st.sampled_from(sorted(x)))
-        out += [replace(v, witness=(kind, {**x, K: x[K] + 1}, value)),
-                replace(v, witness=(kind, x, value - 1))]
+        out += [v.replace(witness=(kind, {**x, K: x[K] + 1}, value)),
+                v.replace(witness=(kind, x, value - 1))]
     return out
 
 
@@ -1405,19 +1404,19 @@ def _malformed(v):
     out = []
     if v.yes:
         kind, terms = v.certificate
-        out += [replace(v, certificate=(kind, [(inexact(g, float), w) for g, w in terms])),
-                replace(v, certificate=(kind, [terms[0] + (1,)] + terms[1:])),
-                replace(v, certificate=(kind, [terms[0][0]] + terms[1:])),
-                replace(v, certificate=(kind, 5))]
+        out += [v.replace(certificate=(kind, [(inexact(g, float), w) for g, w in terms])),
+                v.replace(certificate=(kind, [terms[0] + (1,)] + terms[1:])),
+                v.replace(certificate=(kind, [terms[0][0]] + terms[1:])),
+                v.replace(certificate=(kind, 5))]
         for scalar in (float, str):
-            out.append(replace(v, certificate=(kind, [(g, {K: inexact(x, scalar) for K, x in w.items()})
-                                                       for g, w in terms])))
+            out.append(v.replace(certificate=(kind, [(g, {K: inexact(x, scalar) for K, x in w.items()})
+                                                      for g, w in terms])))
         return out
     kind, x, value = v.witness
-    out += [replace(v, witness=(kind, x)), replace(v, witness=(kind, x, float(value))),
-            replace(v, witness=(kind, list(x.values()), value))]
+    out += [v.replace(witness=(kind, x)), v.replace(witness=(kind, x, float(value))),
+            v.replace(witness=(kind, list(x.values()), value))]
     for scalar in (float, str):
-        out.append(replace(v, witness=(kind, {K: inexact(y, scalar) for K, y in x.items()}, value)))
+        out.append(v.replace(witness=(kind, {K: inexact(y, scalar) for K, y in x.items()}, value)))
     return out
 
 

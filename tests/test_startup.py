@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden import CASES, _argv
 
 import tropcur
 from tropcur import fiber, formats, gallery
@@ -146,12 +147,25 @@ def test_integrate_loads_no_fiber_algebra(tmp_path):
 
 
 def test_exact_current_verdicts_load_no_numpy(tmp_path):
-    # positivity and closedness of a constant-density current are exact
+    # positivity and closedness of a constant-density current are exact, and
+    # currents imports fiber and fields only on its sampled routes
     code, modules = _loaded(["decompose", "--current", str(INPUTS / "current.json"),
                              "--rank", "2", "--out", str(tmp_path / "report.json")])
     assert code == 0
     assert "tropcur.currents" in modules
-    assert not modules & {"numpy", "scipy"}
+    assert not modules & {"numpy", "scipy", "tropcur.fiber", "tropcur.fields"}
+
+
+@pytest.mark.parametrize("name, code, args", CASES + [("counterexamples", 0, ["counterexamples"])],
+                         ids=[c[0] for c in CASES] + ["counterexamples"])
+def test_command_lines_load_no_dataclasses(tmp_path, name, code, args):
+    # dataclasses loads inspect, ast, dis and tokenize, which a call compiles afresh
+    exit_code, modules = _loaded(_argv(args) + ["--out", str(tmp_path / name)])
+    assert exit_code == code
+    if name == "positivity_strong_pool.json":   # its pool LP imports scipy, which loads both
+        assert "scipy" in modules
+    else:
+        assert not modules & {"dataclasses", "inspect"}
 
 
 def test_counterexamples_load_no_numpy(tmp_path):
