@@ -319,11 +319,6 @@ class Window(Value):
     ``lin`` holds nvars rational coefficients."""
     __slots__ = _fields = ("fn", "lin", "const")
 
-    def __init__(self, fn, lin, const):
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "const", const)
-
     def key(self):
         return (self.fn.key(), self.lin, self.const)
 

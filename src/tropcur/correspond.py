@@ -141,8 +141,7 @@ class RoundTripReport(Value):
     __slots__ = _fields = ("total", "failures")
 
     def __init__(self, total, failures=None):
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "failures", [] if failures is None else failures)
+        super().__init__(total, [] if failures is None else failures)
 
     @property
     def ok(self):

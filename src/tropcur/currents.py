@@ -834,8 +834,7 @@ class WeightedComplex(Value):
         for _, w in cells:
             if not isinstance(w, (int, Fraction)) or w.denominator != 1:
                 raise ValidationError(f"cell weight {w!r} is not an integer")
-        object.__setattr__(self, "cells", tuple((poly, int(w)) for poly, w in cells))
-        object.__setattr__(self, "declared_dim", declared_dim)
+        super().__init__(tuple((poly, int(w)) for poly, w in cells), declared_dim)
 
     def dim(self):
         dims = {poly.poly_dim() for poly, w in self.cells if w != 0}

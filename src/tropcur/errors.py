@@ -119,15 +119,24 @@ class ValidationError(TropcurError):
 # --- values and verdicts ------------------------------------------------------
 
 class Value:
-    """Immutable value: a subclass lists its fields in ``_fields``, in
-    constructor order, and sets them in ``__init__`` by ``object.__setattr__``.
-    Equality, hash, repr and ``replace`` read the fields.  (No dataclasses:
-    each call compiles what it imports, and dataclasses loads inspect.)
+    """Immutable value: a subclass declares its fields once, in ``_fields``,
+    and the base constructor takes them positionally in that order.  A
+    subclass with defaults, conversions or checks keeps its own ``__init__``
+    and ends it in ``super().__init__(...)``.  Equality, hash, repr and
+    ``replace`` read the fields.  (No dataclasses: each call compiles what
+    it imports, and dataclasses loads inspect.)
     """
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._values = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} fields, "
+                            f"not {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -152,7 +161,10 @@ class Value:
 
     def replace(self, **changes):
         """A copy with the named fields changed."""
-        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+        unknown = changes.keys() - set(self._fields)
+        if unknown:
+            raise TypeError(f"{type(self).__qualname__} has no field {min(unknown)!r}")
+        return type(self)(*[changes.get(f, v) for f, v in zip(self._fields, self._values(self))])
 
 
 class Verdict(Value):
@@ -175,13 +187,7 @@ class Verdict(Value):
 
     def __init__(self, tier, answer, reason="", witness=None, certificate=None, exact=False,
                  residual=None):
-        object.__setattr__(self, "tier", tier)
-        object.__setattr__(self, "answer", answer)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "residual", residual)
+        super().__init__(tier, answer, reason, witness, certificate, exact, residual)
 
     @property
     def yes(self):

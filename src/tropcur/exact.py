@@ -15,6 +15,8 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
+from .errors import Value
+
 _ZERO, _ONE = Fraction(0), Fraction(1)
 _RATIONAL = frozenset({int, Fraction})
 
@@ -329,7 +331,7 @@ class QC:
 
 # --- PSD over Q and Q(i) ----------------------------------------------------
 
-class PSDResult:
+class PSDResult(Value):
     """Outcome of the exact LDL^T test.
 
     ``psd`` bool, ``rank`` int; on success ``decomposition`` is a list of
@@ -337,13 +339,10 @@ class PSDResult:
     ``witness`` is an exact vector x with ``value`` = conj(x)^T M x < 0, a
     Fraction.  gram_holds checks either fact.
     """
+    __slots__ = _fields = ("psd", "rank", "decomposition", "witness", "value")
 
     def __init__(self, psd, rank=0, decomposition=None, witness=None, value=None):
-        self.psd = psd
-        self.rank = rank
-        self.decomposition = decomposition
-        self.witness = witness
-        self.value = value
+        super().__init__(psd, rank, decomposition, witness, value)
 
     def __bool__(self):
         return self.psd

@@ -27,10 +27,6 @@ class Cone(Value):
     """
     __slots__ = _fields = ("generators", "basis")
 
-    def __init__(self, generators, basis):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "basis", basis)
-
     @property
     def dim(self):
         return len(self.generators)
@@ -44,8 +40,7 @@ class CompactifiedPoint(Value):
     __slots__ = _fields = ("stratum", "coords")
 
     def __init__(self, stratum, coords):
-        object.__setattr__(self, "stratum", stratum)
-        object.__setattr__(self, "coords", tuple(exact.frac(c) for c in coords))
+        super().__init__(stratum, tuple(exact.frac(c) for c in coords))
 
 
 class ToricChart(Value):
@@ -59,10 +54,7 @@ class ToricChart(Value):
     __slots__ = _fields = ("cone_id", "basis", "infinite_axes", "dual")
 
     def __init__(self, cone_id, basis, infinite_axes, dual=()):
-        object.__setattr__(self, "cone_id", cone_id)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "infinite_axes", infinite_axes)
-        object.__setattr__(self, "dual", dual)
+        super().__init__(cone_id, basis, infinite_axes, dual)
 
     def __repr__(self):
         return (f"ToricChart(cone_id={self.cone_id!r}, basis={self.basis!r}, "

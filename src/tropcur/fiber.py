@@ -110,10 +110,6 @@ class _FiberForm:
         """A coefficient as the algebra's scalar."""
         return c
 
-    @staticmethod
-    def _mul_scalar(c, s):
-        return c * s
-
     @cached_property
     def _gram(self):
         """(indices, N, den) for a (p,p)-form: N[K][L] = den (-1)^{p(p-1)/2}
@@ -200,7 +196,7 @@ class _FiberForm:
 
     def scale(self, s):
         s = _exact_scalar(s)
-        return self._new(self.p, self.q, {k: self._mul_scalar(c, s) for k, c in self.coeff.items()})
+        return self._new(self.p, self.q, {k: c * s for k, c in self.coeff.items()})
 
     def __repr__(self):
         terms = ", ".join(f"{k}: {c}" for k, c in sorted(self.coeff.items())[:6])
@@ -220,7 +216,6 @@ class LagerbergFiberForm(_FiberForm):
 
     algebra = "lagerberg"
     bar = "J"
-    gram_kind = "symmetric"
     _foreign = (QC, complex)
 
     @staticmethod
@@ -246,7 +241,6 @@ class ComplexFiberForm(_FiberForm):
 
     algebra = "complex"
     bar = "conjugation"
-    gram_kind = "hermitian"
 
     @staticmethod
     def _zero():
@@ -290,7 +284,7 @@ def wedge(a, b):
             if hit is None:
                 continue
             sgn, key = hit
-            out[key] = out.get(key, 0) + a._mul_scalar(a._mul_scalar(c1, c2), sgn)
+            out[key] = out.get(key, 0) + c1 * c2 * sgn
     return a._new(a.p + b.p, a.q + b.q, out)
 
 
@@ -313,7 +307,7 @@ def apply_involution(kind, a):
     out = {}
     for (I, J), c in a.coeff.items():
         sgn = -1 if (len(I) * len(J) if swap else len(J)) % 2 else 1
-        out[(J, I) if swap else (I, J)] = a._mul_scalar(_conj(c), sgn)
+        out[(J, I) if swap else (I, J)] = _conj(c) * sgn
     return type(a)(a.n, *((a.q, a.p) if swap else (a.p, a.q)), out)
 
 
@@ -336,26 +330,21 @@ class GramForm(Value):
     'symmetric', 'hermitian' or 'none'."""
     __slots__ = _fields = ("indices", "matrix", "kind")
 
-    def __init__(self, indices, matrix, kind):
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "kind", kind)
-
 
 def gram_form(a):
     """Bilinear/sesquilinear form |a| of a (p,p)-form as an explicit matrix.
 
     M[K][L] = (-1)^{p(p-1)/2} i^{-p} coeff[K,L], with i = 1 in the
-    Lagerberg case; ``kind`` is the class's ``gram_kind`` ('symmetric' or
-    'hermitian') iff M = conj(M)^T, which holds iff a is symmetric (resp.
+    Lagerberg case; ``kind`` is 'symmetric' (Lagerberg) or 'hermitian'
+    (complex) iff M = conj(M)^T, which holds iff a is symmetric (resp.
     real), and 'none' otherwise.
     """
     if a.p != a.q:
         raise NotSquareBidegree(f"bidegree ({a.p},{a.q}) is not (p,p)")
     idx, N, den = a._gram
     unit = Fraction(1, den)
-    return GramForm(idx, [[x * unit for x in row] for row in N],
-                    "none" if a._asymmetry else a.gram_kind)
+    kind = "none" if a._asymmetry else "hermitian" if a.algebra == "complex" else "symmetric"
+    return GramForm(idx, [[x * unit for x in row] for row in N], kind)
 
 
 def _complementary_terms(a):
@@ -388,8 +377,8 @@ def dual_pairing(a, b):
     for sign, c, K, L in _complementary_terms(a):
         d = b.coeff.get((K, L))
         if d is not None:
-            top = top + a._mul_scalar(a._mul_scalar(c, d), sign)
-    return a._mul_scalar(top, a._i_pow(-a.n))
+            top = top + c * d * sign
+    return top * a._i_pow(-a.n)
 
 
 # --- positivity ---------------------------------------------------------------
@@ -413,9 +402,9 @@ def positive_generator(alpha):
     coefficient a_I conj(a_J) at (I, J) (conj is the identity on Lagerberg
     scalars), so the product is one outer product of coefficients.
     """
-    p, mul, coeff = alpha.p, alpha._mul_scalar, alpha.coeff
+    p, coeff = alpha.p, alpha.coeff
     s = alpha._i_pow(p) * (-1) ** (p * (p - 1) // 2)
-    return alpha._new(p, p, {(I, J): mul(mul(a, _conj(b)), s)
+    return alpha._new(p, p, {(I, J): a * _conj(b) * s
                              for (I, _), a in coeff.items() for (J, _), b in coeff.items()})
 
 
@@ -552,7 +541,7 @@ def _pairing_terms(a):
     n, q = a.n, a.n - a.p
     pos = _layout(n, q)[1]
     unit = a._i_pow(-a.p) * (-1) ** (q * (q - 1) // 2)
-    return [(a._mul_scalar(c, unit * sign), pos[K], pos[L])
+    return [(c * (unit * sign), pos[K], pos[L])
             for sign, c, K, L in _complementary_terms(a)]
 
 

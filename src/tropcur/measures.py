@@ -39,11 +39,6 @@ class Atom(Value):
     """
     __slots__ = _fields = ("stratum", "coords", "weight")
 
-    def __init__(self, stratum, coords, weight):
-        object.__setattr__(self, "stratum", stratum)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "weight", weight)
-
     def key(self):
         return (tuple(sorted(self.stratum)), self.coords, self.weight)
 
@@ -51,12 +46,6 @@ class Atom(Value):
 class DerivativeAtom(Value):
     """Exemplar non-measure piece: f -> -weight * (directional derivative)."""
     __slots__ = _fields = ("stratum", "coords", "direction", "weight")
-
-    def __init__(self, stratum, coords, direction, weight):
-        object.__setattr__(self, "stratum", stratum)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "weight", weight)
 
     def key(self):
         return (tuple(sorted(self.stratum)), self.coords, self.direction, self.weight)
@@ -70,13 +59,6 @@ class Piece(Value):
     on the piece.
     """
     __slots__ = _fields = ("stratum", "poly", "weight_poly", "weight_expo", "sign")
-
-    def __init__(self, stratum, poly, weight_poly, weight_expo, sign):
-        object.__setattr__(self, "stratum", stratum)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "weight_poly", weight_poly)
-        object.__setattr__(self, "weight_expo", weight_expo)
-        object.__setattr__(self, "sign", sign)
 
     def key(self):
         return (tuple(sorted(self.stratum)), self.poly.canonical_key(),

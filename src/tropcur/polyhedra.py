@@ -30,9 +30,7 @@ class Row(Value):
     __slots__ = _fields = ("a", "b", "strict")
 
     def __init__(self, a, b, strict=False):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "strict", strict)
+        super().__init__(a, b, strict)
 
     def eval_slack(self, u):
         return self.b - sum(ai * ui for ai, ui in zip(self.a, u))
@@ -136,8 +134,7 @@ class Polyhedron(Value):
     def __init__(self, dim, rows=()):
         if dim < 0:
             raise ValidationError(f"negative dimension {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", tuple(_as_row(r, dim) for r in rows))
+        super().__init__(dim, tuple(_as_row(r, dim) for r in rows))
 
     # --- constructors ---------------------------------------------------
     @staticmethod

@@ -49,13 +49,7 @@ class Scene(Value):
             tol, seed, samples = _tolerance(tol), formats._parse_int(seed), _count(samples)
         except (TypeError, ValueError, ParseError) as err:
             raise ValidationError(f"scene 'tol', 'seed' or 'samples' is malformed: {err}") from err
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "tasks", tasks)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "samples", samples)
+        super().__init__(fan, chart, objects, tasks, tol, seed, samples)
 
 
 def top_chart(fan):
@@ -131,11 +125,18 @@ def _field(task, key, convert, default=None):
         raise ValidationError(f"task field {key!r} is malformed: {err}") from err
 
 
-def _object(scene, task, key):
+def _object(scene, task, key, *kinds):
+    """The scene object a task field names; one of another kind than
+    ``kinds`` is a ValidationError."""
     name = _field(task, key, str)
     if name not in scene.objects:
         raise ValidationError(f"task references unknown object {name!r}")
-    return scene.objects[name]
+    obj = scene.objects[name]
+    if not isinstance(obj, kinds):
+        raise ValidationError(f"task field {key!r} needs a "
+                              f"{' or '.join(kind.__name__ for kind in kinds)}, but "
+                              f"object {name!r} is a {type(obj).__name__}")
+    return obj
 
 
 def _fracs(xs):
@@ -169,8 +170,8 @@ def run_task(scene, task):
             raise ValidationError(f"no cone {cone} in a fan of {len(scene.fan)} cones")
         return formats.chart_to_json(scene.fan.toric_chart(cone))
     if op == "positivity":
-        from .fiber import positivity_verdict, reverify
-        form = _object(scene, task, "form")
+        from .fiber import ComplexFiberForm, LagerbergFiberForm, positivity_verdict, reverify
+        form = _object(scene, task, "form", LagerbergFiberForm, ComplexFiberForm)
         tier = task.get("tier", "positive")
         v = positivity_verdict(form, tier, seed=seed,
                                pool_size=_field(task, "pool_size", _count, 400))
@@ -178,18 +179,18 @@ def run_task(scene, task):
                 "witness": jsonable(v.witness), "certificate": jsonable(v.certificate),
                 "reverified": reverify(form, v)}
     if op == "pairing":
-        from .fiber import dual_pairing
-        a = _object(scene, task, "left")
-        b = _object(scene, task, "right")
+        from .fiber import ComplexFiberForm, LagerbergFiberForm, dual_pairing
+        a = _object(scene, task, "left", LagerbergFiberForm, ComplexFiberForm)
+        b = _object(scene, task, "right", LagerbergFiberForm, ComplexFiberForm)
         return {"value": jsonable(dual_pairing(a, b))}
     if op == "current_positivity":
-        from .currents import positivity_check
-        T = _object(scene, task, "current")
+        from .currents import LagerbergCurrent, positivity_check
+        T = _object(scene, task, "current", LagerbergCurrent)
         v = positivity_check(T, samples=samples, seed=seed)
         return {"verdict": v.answer, "reason": v.reason, "witness": jsonable(v.witness)}
     if op == "closedness":
-        from .currents import closedness_test
-        T = _object(scene, task, "current")
+        from .currents import LagerbergCurrent, closedness_test
+        T = _object(scene, task, "current", LagerbergCurrent)
         forms = _field(task, "forms", _count, 25)
         if forms < 1:
             raise ValidationError(f"task field 'forms' is {forms}, not at least 1")
@@ -197,25 +198,26 @@ def run_task(scene, task):
         return {"verdict": "closed" if v.yes else "not_closed",
                 "residual": v.residual, "exact": v.exact}
     if op == "c_finite":
-        from .currents import c_finite_test
-        T = _object(scene, task, "current")
+        from .currents import LagerbergCurrent, c_finite_test
+        T = _object(scene, task, "current", LagerbergCurrent)
         v = c_finite_test(T)
         return {"verdict": v.answer, "witness": jsonable(v.witness)}
     if op == "decompose":
-        from .currents import canonical_decomposition, resum
-        T = _object(scene, task, "current")
+        from .currents import LagerbergCurrent, canonical_decomposition, resum
+        T = _object(scene, task, "current", LagerbergCurrent)
         parts = canonical_decomposition(T, samples=samples, seed=seed)
         exact = resum(parts, T) == T
         return {"strata": sorted(jsonable(sorted(i + 1 for i in M)) for M in parts),
                 "resum_exact": exact}
     if op == "push":
-        from .correspond import push_forward
-        S = _object(scene, task, "shadow")
+        from .correspond import InvariantComplexCurrent, push_forward
+        S = _object(scene, task, "shadow", InvariantComplexCurrent)
         T = push_forward(S)
         return {"result": formats.current_to_json(T)}
     if op == "lift":
         from .correspond import lift, push_forward
-        T = _object(scene, task, "current")
+        from .currents import LagerbergCurrent
+        T = _object(scene, task, "current", LagerbergCurrent)
         S = lift(T, samples=samples, seed=seed)
         back = push_forward(S)
         return {"round_trip_exact": back == T,
@@ -229,20 +231,20 @@ def run_task(scene, task):
         return {"total": rep.total, "failures": jsonable(rep.failures),
                 "ok": rep.ok}
     if op == "balancing":
-        from .currents import balancing_check
-        C = _object(scene, task, "complex")
+        from .currents import WeightedComplex, balancing_check
+        C = _object(scene, task, "complex", WeightedComplex)
         v = balancing_check(C)
         return {"verdict": "balanced" if v.yes else "unbalanced",
                 "witness": jsonable(v.witness)}
     if op == "el_mir":
-        from .currents import closedness_test, extend_by_zero
-        T = _object(scene, task, "current")
+        from .currents import LagerbergCurrent, closedness_test, extend_by_zero
+        T = _object(scene, task, "current", LagerbergCurrent)
         ext = extend_by_zero(T, seed=seed)
         cv = closedness_test(ext, tol=tol, seed=seed)
         return {"extended": True, "closed": cv.yes, "residual": cv.residual}
     if op == "integrate":
-        from .fields import integrate_top
-        fld = _object(scene, task, "field")
+        from .fields import LagerbergFormField, integrate_top
+        fld = _object(scene, task, "field", LagerbergFormField)
         side = task.get("side", "both")
         if side not in ("tropical", "complex", "both"):
             raise ValidationError(f"unknown integration side {side!r}")

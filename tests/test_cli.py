@@ -325,6 +325,48 @@ def test_el_mir_of_a_current_that_is_not_positive_is_error_record(tmp_path, caps
     assert good["status"] == "ok" and good["cone"] == 1
 
 
+@pytest.mark.parametrize("task, needs, got", [
+    ({"op": "current_positivity", "current": "w"}, "LagerbergCurrent", "LagerbergFiberForm"),
+    ({"op": "positivity", "form": "T"}, "LagerbergFiberForm or ComplexFiberForm",
+     "LagerbergCurrent"),
+    ({"op": "balancing", "complex": "T"}, "WeightedComplex", "LagerbergCurrent"),
+    ({"op": "pairing", "left": "T", "right": "T"}, "LagerbergFiberForm or ComplexFiberForm",
+     "LagerbergCurrent"),
+], ids=["current-positivity-of-form", "positivity-of-current", "balancing-of-current",
+        "pairing-of-currents"])
+def test_object_of_the_wrong_kind_is_error_record(tmp_path, capsys, task, needs, got):
+    # T is a (1,1)-current in rank 2, so p = q as for a (p,p)-form
+    scene = {"fan": {"rank": 2, "cones": [[[1, 0], [0, 1]]]},
+             "objects": {"w": {"type": "gallery", "name": "omega_rank_two"},
+                         "T": {"type": "current", "bidegree": [1, 1], "cocoeffs": {}}},
+             "tasks": [task, {"op": "locate_relint", "vector": [1, 1]}]}
+    f = tmp_path / "scene.json"
+    f.write_text(json.dumps(scene))
+    code, out = run_cli(["run", str(f)], capsys)
+    assert code == 2
+    bad, good = json.loads(out)["tasks"]
+    assert bad["status"] == "error" and bad["error"] == "ValidationError"
+    assert f"needs a {needs}," in bad["message"] and bad["message"].endswith(f"is a {got}")
+    assert good["status"] == "ok" and good["generators"] == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("args, needs, got", [
+    (["tropicalize", "--mode", "push", "--shadow", "current.json"], "InvariantComplexCurrent",
+     "LagerbergCurrent"),
+    (["tropicalize", "--mode", "lift", "--current", "shadow.json"], "LagerbergCurrent",
+     "InvariantComplexCurrent"),
+    (["decompose", "--current", "shadow.json"], "LagerbergCurrent", "InvariantComplexCurrent"),
+    (["el-mir", "--current", "shadow.json"], "LagerbergCurrent", "InvariantComplexCurrent"),
+], ids=["push-of-current", "lift-of-shadow", "decompose-of-shadow", "el-mir-of-shadow"])
+def test_subcommand_given_the_other_kind_of_current_is_error_record(args, needs, got):
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    proc = run_cli_process(args[:-1] + [str(inputs / args[-1]), "--rank", "2"])
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    rec, = json.loads(proc.stdout)["tasks"]
+    assert rec["status"] == "error" and rec["error"] == "ValidationError"
+    assert f"needs a {needs}," in rec["message"] and rec["message"].endswith(f"is a {got}")
+
+
 def test_integrate_at_zero_tolerance_is_error_record(capsys):
     # no rule meets tol 0: the one-dimensional rule stops at its cell budget
     field = Path(__file__).resolve().parent / "golden" / "inputs" / "field_rank2.json"

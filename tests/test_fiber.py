@@ -123,7 +123,7 @@ def _ref_phi_inverse(x_coeffs, a):
     n = a.n
     out = {}
     for K, c in x_coeffs.items():
-        out[(fiber._complement(K, n), ())] = a._mul_scalar(c, Fraction(fiber._shuffle_sign(K)))
+        out[(fiber._complement(K, n), ())] = c * Fraction(fiber._shuffle_sign(K))
     return type(a)(n, n - a.p, 0, out)
 
 
@@ -1477,7 +1477,7 @@ def _ref_pairing_terms(a):
     n, q = a.n, a.n - a.p
     pos = {K: t for t, K in enumerate(subsets(n, q))}
     unit = a._i_pow(-a.p) * (-1) ** (q * (q - 1) // 2)
-    return [(a._mul_scalar(c, unit * sign), pos[K], pos[L])
+    return [(c * (unit * sign), pos[K], pos[L])
             for sign, c, K, L in fiber._complementary_terms(a)]
 
 

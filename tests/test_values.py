@@ -3,7 +3,8 @@ behaviour of the dataclasses they replace.
 
 For one instance of each: the exact repr (reports print unknown objects
 by their repr, so it is part of the output), equality and hash by value,
-no assignment, ``replace``, copies and pickles.
+no assignment, ``replace``, copies and pickles, and no constructor that
+takes more positional values than there are fields.
 """
 
 import copy
@@ -16,6 +17,7 @@ from tropcur.coeffs import Poly, UniFn, Window
 from tropcur.correspond import RoundTripReport
 from tropcur.currents import WeightedComplex
 from tropcur.errors import ValidationError, Verdict
+from tropcur.exact import PSDResult
 from tropcur.fans import CompactifiedPoint, Cone, ToricChart
 from tropcur.fiber import GramForm
 from tropcur.measures import Atom, DerivativeAtom, Piece
@@ -23,7 +25,7 @@ from tropcur.polyhedra import Polyhedron, Row
 from tropcur.scenes import Scene
 
 # (builder, repr, a change for replace); the repr strings are those of the
-# former dataclasses
+# former dataclasses, and for PSDResult the one a dataclass would print
 CASES = [
     (lambda: Verdict("closed", "no", "sampled", witness=("d'", 1), residual=0.5),
      "Verdict(tier='closed', answer='no', reason='sampled', witness=(\"d'\", 1), "
@@ -63,6 +65,10 @@ CASES = [
      {"strict": False}),
     (lambda: Polyhedron(2, [((1, 0), 1), ((0, 1), 1)]), "Polyhedron(dim=2, rows=2)",
      {"rows": [((1, 0), 2)]}),
+    (lambda: PSDResult(False, witness=(Fraction(1), Fraction(-1)), value=Fraction(-3)),
+     "PSDResult(psd=False, rank=0, decomposition=None, "
+     "witness=(Fraction(1, 1), Fraction(-1, 1)), value=Fraction(-3, 1))",
+     {"value": Fraction(-4)}),
 ]
 IDS = [type(make()).__name__ for make, _, _ in CASES]
 # a list or dict field makes a value unhashable, as it made the dataclass
@@ -114,6 +120,13 @@ def test_values_copy_and_pickle(make, text, change):
     a = make()
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(b) is type(a) and b == a and repr(b) == repr(a)
+
+
+@pytest.mark.parametrize("make, text, change", CASES, ids=IDS)
+def test_one_positional_field_too_many_is_type_error(make, text, change):
+    a = make()
+    with pytest.raises(TypeError):
+        type(a)(*a._values(a), None)
 
 
 def test_replace_runs_the_constructor_checks():
