@@ -347,13 +347,12 @@ def positivity_check(T, samples=25, seed=0):
     positive factor times a constant rational matrix M on each cell and
     at each atom point (``_cell_matrices``), and T is positive iff every
     M is PSD (Lagerberg, Math. Z. 270, 2012).  Such verdicts have
-    ``exact=True``.  Yes carries the certificate ("cells", entries), one
-    (where, LDL^T of M) per cell and per atom point, which ``reverify``
-    re-checks against T.  No carries estimate_piece (at the cell's
-    feasible point) or estimate_atom when a 2x2 principal minor of M
-    fails, with M's exact entries, else ("evaluation", {K: x_K}, x^T M x)
-    with the LDL^T witness x, the fiber positive tier's witness shape;
-    exact.gram_holds re-checks the certificate and that witness.  Every
+    ``exact=True``.  Each M is decided by exact.gram_verdict, as a fiber
+    form's Gram matrix is.  Yes carries the certificate ("cells", entries),
+    one (where, terms) per cell and per atom point, terms its decomposition,
+    which ``reverify`` re-checks against T.  No carries estimate_piece (at
+    the cell's feasible point) or estimate_atom when a 2x2 principal minor
+    of M fails, with M's exact entries, else its evaluation witness.  Every
     other current takes the sampled steps of ``_sampled_positivity``, whose
     Yes found no violation at the points and forms drawn, and is not a
     proof.  Evaluator-backed currents only admit the sampled route: a
@@ -638,17 +637,16 @@ def _cell_matrices(T):
 
 
 def _exact_positivity(T, cells):
-    """The exact verdict of positivity_check from ``_cell_matrices``."""
+    """The exact verdict of positivity_check from ``_cell_matrices``, by exact.gram_verdict."""
     idx = subsets(T.n, T.q)
-    pos = {K: t for t, K in enumerate(idx)}
     entries = []
     for where, site, M in cells:
-        res = exact.psd_decompose(M)
-        if res.psd:
-            entries.append((where, tuple(res.decomposition)))
+        v = exact.gram_verdict(idx, M)
+        if v.yes:
+            entries.append((where, tuple(v.certificate[1])))
             continue
         for (I, J), mu in T.cocoeffs.items():
-            i, j = pos[I], pos[J]
+            i, j = idx.index(I), idx.index(J)
             if I == J or M[i][j] ** 2 <= M[i][i] * M[j][j]:
                 continue
             if where[0] == "atom":
@@ -658,9 +656,7 @@ def _exact_positivity(T, cells):
             return Verdict("positive", "no", "estimate fails pointwise on a density",
                            witness=("estimate_piece", (I, J), site.feasible_point(),
                                     (M[i][j], M[i][i], M[j][j])), exact=True)
-        return Verdict("positive", "no", "negative value on a positive test field",
-                       witness=("evaluation", dict(zip(idx, res.witness)), res.value),
-                       exact=True)
+        return v.replace(reason="negative value on a positive test field", exact=True)
     return Verdict("positive", "yes", certificate=("cells", tuple(entries)), exact=True)
 
 
@@ -669,12 +665,11 @@ def reverify_positivity(T, verdict):
 
     False unless T is a LagerbergCurrent and the verdict an exact one of
     the positive tier.  Rebuilds T's cell matrices.  A ("cells", entries)
-    certificate must name exactly those cells and atom points, each with
-    a decomposition sum gamma v v^T equal to its matrix, every gamma > 0.
-    An estimate_piece or estimate_atom witness must name a cell (by its
-    feasible point) or atom point whose matrix fails that 2x2 minor, and
-    an evaluation witness (x, value) a cell or atom point where x^T M x
-    is that negative value.  exact.gram_holds checks both Gram facts.
+    certificate must name exactly those cells and atom points, each with a
+    decomposition of its matrix, and an evaluation witness must hold on one
+    of them: exact.gram_claim_holds checks both.  An estimate_piece or
+    estimate_atom witness must name a cell (by its feasible point) or atom
+    point whose matrix fails that 2x2 minor.
     """
     data = verdict.certificate if verdict.yes else verdict.witness
     exact_route = (isinstance(T, LagerbergCurrent) and verdict.exact and data
@@ -689,14 +684,11 @@ def reverify_positivity(T, verdict):
         mats = {where: M for where, _, M in cells}
         return (kind == "cells" and len(entries) == len(mats)
                 and {where for where, _ in entries} == set(mats)
-                and all(exact.gram_holds(mats[where], 1, decomposition)
-                        for where, decomposition in entries))
+                and all(exact.gram_claim_holds(idx, mats[where], 1, ("decomposition", terms))
+                        for where, terms in entries))
     kind = data[0]
     if kind == "evaluation":
-        _, vec, val = data
-        x = [vec.get(K, 0) for K in idx]
-        return vec.keys() <= set(idx) and any(
-            exact.gram_holds(M, 1, witness=(x, val)) for _, _, M in cells)
+        return any(exact.gram_claim_holds(idx, M, 1, data) for _, _, M in cells)
     if kind not in ("estimate_piece", "estimate_atom"):
         return False
     I, J = data[1]

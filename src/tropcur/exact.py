@@ -3,8 +3,9 @@
 Small dense routines used everywhere in the package: one fraction-free
 Gauss-Jordan elimination behind the reduced row echelon form and the
 determinant, Hermite normal form and basis completion over Z, a
-fraction-free LDL^T positive-semidefiniteness decision with
-certificates, and Sturm root counting for sign certification of
+fraction-free LDL^T positive-semidefiniteness decision with certificates,
+the positive-tier verdict of a Gram matrix that fiber forms and the cells
+of currents share, and Sturm root counting for sign certification of
 univariate polynomials.
 
 Matrices are lists of lists of ``int``/``Fraction``; vectors are tuples.
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import Value
+from .errors import Value, Verdict
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 _RATIONAL = frozenset({int, Fraction})
@@ -523,6 +524,39 @@ def gram_holds(m, den=1, terms=None, witness=None):
                     got[0][r + j] += ca * x
     k = L // q
     return got == [[y * k for y in part] for part in parts]
+
+
+def gram_verdict(idx, m, den=1):
+    """The positive-tier Verdict of psd_decompose(m, den), M = m / den over
+    ``idx``: Yes carries ("decomposition", [(gamma, {K: v_K})]), M = sum gamma
+    v conj(v)^T, No ("evaluation", {K: x_K}, value), value = conj(x)^T M x < 0.
+    A matrix that is not symmetric (resp. Hermitian) raises ValueError."""
+    res = psd_decompose(m, den)
+    if res.psd:
+        terms = [(gamma, {K: x for K, x in zip(idx, v) if x}) for gamma, v in res.decomposition]
+        return Verdict("positive", "yes", certificate=("decomposition", terms))
+    return Verdict("positive", "no", witness=("evaluation", dict(zip(idx, res.witness)), res.value),
+                   reason="Gram form not PSD")
+
+
+def gram_claim_holds(idx, m, den, data):
+    """Exact check, by gram_holds, of a claim of gram_verdict about m / den
+    over ``idx``: a decomposition or an evaluation; bool.  A claim of the
+    wrong shape, or with a key outside ``idx``, is False."""
+    keys = set(idx)
+
+    def vector(v):      # {K: v_K} over idx
+        if not v.keys() <= keys:
+            raise ValueError("a key outside the index list")
+        return [v.get(K, 0) for K in idx]
+    try:
+        if data[0] == "evaluation":
+            _, x, value = data
+            return gram_holds(m, den, witness=(vector(x), value))
+        kind, terms = data
+        return kind == "decomposition" and gram_holds(m, den, [(gamma, vector(v)) for gamma, v in terms])
+    except (AttributeError, IndexError, TypeError, ValueError):
+        return False
 
 
 # --- Sturm sequences --------------------------------------------------------

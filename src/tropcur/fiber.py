@@ -63,6 +63,16 @@ def _conj(x):
     return x.conj() if isinstance(x, QC) else x
 
 
+def _parts(x):
+    """The parts of a scalar: (re, im) for a QC, else (x,)."""
+    return (x.re, x.im) if isinstance(x, QC) else (x,)
+
+
+def _over_qi(m):
+    """Whether a Gram matrix is over Q(i), not Q: some entry is a QC."""
+    return any(isinstance(x, QC) for row in m for x in row)
+
+
 def _negative(val):
     """A pairing value below zero; a complex value must be real."""
     if isinstance(val, QC):
@@ -226,10 +236,6 @@ class LagerbergFiberForm(_FiberForm):
     def _i_pow(k):
         return 1
 
-    @staticmethod
-    def _parts(c):
-        return (c,)
-
     @cached_property
     def _asymmetry(self):
         """'' if J a = (-1)^p a, else the reason this (p,p)-form is not positive."""
@@ -251,10 +257,6 @@ class ComplexFiberForm(_FiberForm):
         return QC.of(c) if isinstance(c, (int, Fraction)) else c
 
     _i_pow = staticmethod(QC.i_pow)
-
-    @staticmethod
-    def _parts(c):
-        return (c.re, c.im)
 
     @cached_property
     def _asymmetry(self):
@@ -508,25 +510,12 @@ def _draw_pool(n, p, size, seed):
 
 
 def _positive_tier(a):
-    """Exact PSD decision of the Gram form.
-
-    A form fails at once when it is not symmetric (resp. real), that is when
-    its Gram matrix is not symmetric (resp. Hermitian); psd_decompose takes
-    the integer Gram matrix a._gram as it is.  Yes carries the LDL^T terms
-    ("decomposition", [(gamma, {K: v_K})]) with gram(a) = sum gamma v
-    conj(v)^T; No carries ("evaluation", {K: x_K}, value), the LDL^T witness
-    x with value = conj(x)^T gram(a) x < 0.
-    """
-    idx, mat, den = a._gram
+    """exact.gram_verdict on a._gram; a form that is not symmetric (resp.
+    real), whose Gram matrix is not symmetric (resp. Hermitian), fails at once."""
     try:
-        res = exact.psd_decompose(mat, den)
+        return exact.gram_verdict(*a._gram)
     except ValueError:
         return Verdict("positive", "no", reason=a._asymmetry)
-    if res.psd:
-        terms = [(gamma, {K: x for K, x in zip(idx, v) if x}) for gamma, v in res.decomposition]
-        return Verdict("positive", "yes", certificate=("decomposition", terms))
-    return Verdict("positive", "no", witness=("evaluation", dict(zip(idx, res.witness)), res.value),
-                   reason="Gram form not PSD")
 
 
 def _pairing_terms(a):
@@ -575,10 +564,10 @@ def _symbolic_row_step(beta, row, offset):
     return out
 
 
-def _gram_span_verdict(a, terms):
-    """Strong Yes, strong No or None for a positive form from the Gram
-    row space W, spanned by the vectors of its LDL^T ``terms``
-    [(gamma, {K: v_K})].
+def _gram_span_verdict(n, p, gram, terms):
+    """Strong Yes, strong No or None for a positive (p,p)-form on R^n with
+    Gram triple ``gram`` (a._gram) from the Gram row space W, spanned by the
+    vectors of its LDL^T ``terms`` [(gamma, {K: v_K})].
 
     Any strong decomposition of a uses decomposable (p,0)-parts inside W.
     When every v is decomposable, the LDL^T is itself one.  Otherwise, for
@@ -591,9 +580,9 @@ def _gram_span_verdict(a, terms):
     on the Gram entries between the LDL^T pivots, which fix W, so the
     solution is unique: a Yes when it has l >= 0.  Anything else gives None.
     """
-    if a.algebra != "lagerberg":
+    idx, N, den = gram
+    if _over_qi(N):
         return None
-    n, p = a.n, a.p
     forms = [LagerbergFiberForm(n, p, 0, {(K, ()): c for K, c in coeffs.items()})
              for _, coeffs in terms]
     if all(decomposable_test(w) == "yes" for w in forms):
@@ -620,7 +609,6 @@ def _gram_span_verdict(a, terms):
     alphas = [w1.scale(y) + w2.scale(z) for y, z in roots]
     # both sides are V C V^T, V the LDL^T vectors, each starting at its pivot
     # and zero at the earlier ones: the entries between pivots force C = 0
-    idx, N, den = a._gram
     vecs = [[alpha.get(K, ()) for K in idx] for alpha in alphas]
     pivots = [idx.index(next(iter(v))) for _, v in terms]
     keys = [(t, u) for i, t in enumerate(pivots) for u in pivots[i:]]
@@ -659,14 +647,13 @@ def _common_real_roots(quadratics):
             if all(A * y * y + B * y * z + C * z * z == 0 for A, B, C in quadratics)]
 
 
-def _pool_in_span(a, pool):
-    """The pool entries (beta, tag) whose beta lies in the Gram row space W
-    of the positive form a: the only generators a conic certificate
-    of a can use, since each term's Gram matrix beta beta^T is real and PSD
-    and their sum is a's.  So there are none when a's Gram matrix is not
-    real, and otherwise beta is in W iff it is orthogonal to each integer
-    kernel vector of that matrix."""
-    parts = [[a._parts(x) for x in row] for row in a._gram[1]]
+def _pool_in_span(gram, pool):
+    """The pool entries (beta, tag) whose beta lies in the row space W of the
+    Gram triple ``gram`` of a positive form: the only generators a conic
+    certificate can use, since each term's Gram matrix beta beta^T is real
+    and PSD and they sum to the form's.  So none when that matrix is not
+    real; else beta is in W iff orthogonal to each integer kernel vector."""
+    parts = [[_parts(x) for x in row] for row in gram[1]]
     if any(any(x[1:]) for row in parts for x in row):
         return []
     kernel = [exact.primitive(v) for v in exact.nullspace([[x[0] for x in row] for row in parts])]
@@ -674,43 +661,38 @@ def _pool_in_span(a, pool):
             if not any(sum(map(operator.mul, beta, k)) for k in kernel)]
 
 
-def _strong_lp_certificate(a, pool):
+def _strong_lp_certificate(p, gram, pool):
     """Exact conic-combination certificate [(lambda, tag)] over a pool of
-    Plucker vectors (beta, tag) of a form a with a real Gram matrix, via
-    LP + rational fit.
+    Plucker vectors (beta, tag) of the (p,p)-form with the real Gram triple
+    ``gram`` = (idx, N, den), via LP + rational fit.
 
-    LP column j is generator j at the sorted keys (I, J) where a or some
-    generator has a coefficient, one row per part of a scalar: the parts
-    of s beta_I beta_J, s as in positive_generator.  That is one float
-    outer product per key (exact: the minors are small integers).  The
-    exact refit on the LP's support solves gram(a) = sum lambda_j beta_j
-    beta_j^T on the same keys, so no form is built.
+    LP column j is generator j at the sorted keys (K, L) where N or some
+    generator has an entry, one row per part of a scalar (two over Q(i)):
+    s beta_K beta_L = s N[K][L] / den, the coefficient, s as in
+    positive_generator.  That is one float outer product per key (exact:
+    the minors are small integers).  The exact refit on the LP's support
+    solves N / den = sum lambda_j beta_j beta_j^T, so no form is built.
     """
     import numpy as np
     from scipy.optimize import linprog
-    n, p, parts = a.n, a.p, a._parts
-    S, pos, _ = _layout(n, p)
-    B = np.array([beta for beta, _ in pool], dtype=float).reshape(len(pool), len(S))
+    idx, N, den = gram
+    B = np.array([beta for beta, _ in pool], dtype=float).reshape(len(pool), len(idx))
     nonzero = B != 0
-    mask = nonzero.T @ nonzero
-    for I, J in a.coeff:
-        mask[pos[I], pos[J]] = True
+    mask = nonzero.T @ nonzero | np.array([[bool(x) for x in row] for row in N])
     ti, tj = np.nonzero(mask)       # row-major: the keys in sorted order
     if not len(ti):
-        return []                   # a has no coefficient: the empty sum
-    keys = [(S[t], S[u]) for t, u in zip(ti, tj)]
+        return []                   # the form has no coefficient: the empty sum
+    cells = list(zip(ti.tolist(), tj.tolist()))
     outer = B[:, ti] * B[:, tj]
-    s = a._i_pow(p) * (-1) ** (p * (p - 1) // 2)
-    A_eq = np.stack([outer * float(x) for x in parts(s)], axis=2).reshape(len(pool), -1).T + 0.0
-    b_eq = np.array([float(x) for k in keys for x in parts(a.get(*k))])
+    s = (QC.i_pow(p) if _over_qi(N) else 1) * (-1) ** (p * (p - 1) // 2)
+    A_eq = np.stack([outer * float(x) for x in _parts(s)], axis=2).reshape(len(pool), -1).T + 0.0
+    b_eq = np.array([float(Fraction(x, den)) for t, u in cells for x in _parts(s * N[t][u])])
     res = linprog(c=np.zeros(len(pool)), A_eq=A_eq, b_eq=b_eq,
                   bounds=[(0, None)] * len(pool), method="highs")
     if not res.success:
         return None
     support = [j for j, x in enumerate(res.x) if x > 1e-9]
-    _, N, den = a._gram
-    cells = list(zip(ti.tolist(), tj.tolist()))
-    rhs = [Fraction(parts(N[t][u])[0], den) for t, u in cells]
+    rhs = [Fraction(_parts(N[t][u])[0], den) for t, u in cells]
     if not support:
         return [] if not any(rhs) else None
     betas = [pool[j][0] for j in support]
@@ -723,10 +705,7 @@ def _strong_lp_certificate(a, pool):
 def positivity_verdict(a, tier, *, seed=0, pool_size=2000):
     """Three-tier positivity decision with certificates.
 
-    tier='positive' is always decided: exact.psd_decompose runs its integer
-    LDL^T on a._gram.  Its certificate is the LDL^T's (gamma, {K: v_K})
-    terms, its witness ("evaluation", {K: x_K}, value) with
-    value = conj(x)^T gram(a) x < 0.
+    tier='positive' is always decided, by exact.gram_verdict on a._gram.
     tier='strong' delegates to 'positive' for p in {0,1,n-1,n}; otherwise
     a positive No is a strong No, and a form is tried first on the
     Gram row space W (_gram_span_verdict: a Yes when its decomposables
@@ -759,12 +738,12 @@ def positivity_verdict(a, tier, *, seed=0, pool_size=2000):
         base = _positive_tier(a)
         if base.no:
             return base.replace(tier="strong", reason="not even positive: " + base.reason)
-        terms = base.certificate[1]
-        verdict = _gram_span_verdict(a, terms)
+        terms, gram = base.certificate[1], a._gram
+        verdict = _gram_span_verdict(n, p, gram, terms)
         if verdict is not None:
             return verdict
-        pool = _pool_in_span(a, strong_generator_pool(n, p, pool_size, seed))
-        cert = _strong_lp_certificate(a, pool) if len(pool) >= len(terms) else None
+        pool = _pool_in_span(gram, strong_generator_pool(n, p, pool_size, seed))
+        cert = _strong_lp_certificate(p, gram, pool) if len(pool) >= len(terms) else None
         if cert is not None:
             return Verdict("strong", "yes", certificate=("conic", cert))
         return Verdict("strong", "unknown", reason="no certificate over the generator pool")
@@ -820,16 +799,15 @@ def reverify(a, verdict):
     ``reverify_positivity`` re-checks; a verdict about the other kind of
     object, or about a form that is not (p,p), is False.  The kind of
     certificate or witness must prove the verdict's answer at its tier
-    (_PROVES).  A decomposition, a conic certificate and an evaluation
-    witness are each one Gram fact about a._gram, a function of a's
-    coefficients alone, checked by exact.gram_holds: a = sum gamma_k
+    (_PROVES).  A decomposition or an evaluation witness is checked on
+    a._gram by exact.gram_claim_holds.  A conic certificate is one Gram fact
+    too, checked by exact.gram_holds: a = sum gamma_k
     positive_generator(alpha_k) iff gram(a) = sum gamma_k alpha_k
-    conj(alpha_k)^T, with alpha_k a decomposition's {K: v_K} or the vector
-    a conic term's tag names (_tag_vector), and ("evaluation", {K: x_K},
-    value) needs conj(x)^T gram(a) x = value < 0.  A claim of the wrong
-    shape, or with a scalar that is not exact, is False.  A weak No's
-    generator must be the one its tag names and pair negatively with a; a
-    kernel obstruction and the pairing polynomials are re-derived from a.
+    conj(alpha_k)^T, alpha_k the vector its tag names (_tag_vector).  A
+    claim of the wrong shape, or with a scalar that is not exact, is False.
+    A weak No's generator must be the one its tag names and pair negatively
+    with a; a kernel obstruction and the pairing polynomials are re-derived
+    from a.
     """
     if verdict.answer == "unknown":
         return True
@@ -843,22 +821,14 @@ def reverify(a, verdict):
     tiers = _PROVES.get((verdict.answer, kind), ())
     if verdict.tier not in (_TIERS if tiers and a.p in (0, 1, a.n - 1, a.n) else tiers):
         return False
-    if kind in ("decomposition", "conic", "evaluation"):
-        idx, mat, den = a._gram
-        pos = _layout(a.n, a.p)[1]
-
-        def vector(v):      # {K: v_K} over idx, None when some K is not a p-subset
-            return [v.get(K, 0) for K in idx] if v.keys() <= pos.keys() else None
+    if kind in ("decomposition", "evaluation"):
+        return exact.gram_claim_holds(*a._gram, data)
+    if kind == "conic":
         try:                # a claim of the wrong shape fails
-            if kind == "evaluation":
-                _, x, value = data
-                x = vector(x)
-                return x is not None and exact.gram_holds(mat, den, witness=(x, value))
-            terms = [(gamma, vector(v) if kind == "decomposition" else _tag_vector(v, a.n, a.p, type(a)))
-                     for gamma, v in data[1]]
+            terms = [(gamma, _tag_vector(v, a.n, a.p, type(a))) for gamma, v in data[1]]
         except _MALFORMED:
             return False
-        return all(v is not None for _, v in terms) and exact.gram_holds(mat, den, terms)
+        return all(v is not None for _, v in terms) and exact.gram_holds(*a._gram[1:], terms)
     if kind == "pairing_polynomial_zero":
         return a._pairing_polynomial.is_zero()
     if kind == "pairing_polynomial_even_positive":
@@ -876,7 +846,7 @@ def reverify(a, verdict):
     if kind == "kernel_obstruction":
         # re-derived from a's own LDL^T; the basis and quadratics carried are not read
         base = _positive_tier(a)
-        span = _gram_span_verdict(a, base.certificate[1]) if base.yes else None
+        span = _gram_span_verdict(a.n, a.p, a._gram, base.certificate[1]) if base.yes else None
         return span is not None and span.no
     # a structural No: a is not symmetric (resp. real)
     return bool(a._asymmetry) and verdict.reason.endswith(a._asymmetry)

@@ -9,7 +9,7 @@ of its own object kind, so parsing a form never loads the current layers.
 import json
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .exact import QC, frac
 
 
@@ -94,7 +94,13 @@ def fiber_form_to_json(form):
             "algebra": form.algebra, "terms": terms}
 
 
+# The largest rank n of a fiber form literal: each tier reads a Gram matrix dense over
+# the p-subsets (4,900 entries at n = 8).  Goldens, demos, tests and workloads use n <= 6.
+FORM_RANK_CAP = 8
+
+
 def fiber_form_from_json(data):
+    """The fiber form of a literal; a rank n above FORM_RANK_CAP is a ValidationError."""
     from .fiber import ComplexFiberForm, LagerbergFiberForm
     try:
         n, p, q = (_parse_int(data[key]) for key in "npq")
@@ -117,6 +123,8 @@ def fiber_form_from_json(data):
         raise ParseError("bad form literal") from err
     if not 0 <= p <= n or not 0 <= q <= n:
         raise ParseError(f"form bidegree ({p},{q}) is outside 0..{n}")
+    if n > FORM_RANK_CAP:
+        raise ValidationError(f"form rank {n} is above the cap of {FORM_RANK_CAP}")
     if algebra not in ("lagerberg", "complex"):
         raise ParseError(f"unknown form algebra {algebra!r}")
     cls = ComplexFiberForm if algebra == "complex" else LagerbergFiberForm

@@ -202,22 +202,18 @@ class Polyhedron(Value):
         return any(r.b < 0 or (r.strict and r.b <= 0) for r, _ in self._stages[0])
 
     def linear_bounds(self, a):
-        """Exact (inf, sup) of ``a . u`` over the closure.
+        """Exact (inf, sup) of ``a . u`` over the closure: the range of t on the
+        projection onto t, its ``_stages[1]``, of the closure lifted by t = a . u.
 
         Returns (lo, hi, empty); lo/hi are Fractions or None when the
         functional is unbounded in that direction.
         """
         if self.is_empty():
             return None, None, True
-        d = self.dim
-        lifted = [Row(r.a + (Fraction(0),), r.b) for r in self.rows]
-        lifted.append(Row(tuple([-frac(x) for x in a] + [Fraction(1)]), Fraction(0)))
-        lifted.append(Row(tuple([frac(x) for x in a] + [Fraction(-1)]), Fraction(0)))
-        rows = [(r, 0) for r in lifted]
-        for var in range(d):
-            rows = _fm_step(rows, var)
-        lo, hi = coordinate_range([r for r, _ in rows], d)
-        return lo, hi, False
+        a = tuple(frac(x) for x in a)
+        lifted = Polyhedron(self.dim + 1, [((0,) + r.a, r.b) for r in self.rows]
+                            + [((1,) + tuple(-x for x in a), 0), ((-1,) + a, 0)])
+        return *coordinate_range([r for r, _ in lifted._stages[1]], 0), False
 
     def feasible_point(self):
         """Some rational point of the closure, or None if empty.

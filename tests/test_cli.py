@@ -559,6 +559,18 @@ def test_form_literal_round_trips_or_is_input_error(data):
     assert code == 0 if form.p == form.q else code == 2
 
 
+def test_form_rank_above_the_cap_is_input_error():
+    """Each tier reads a Gram matrix dense over the p-subsets: a one-term
+    form of rank 120 would need C(120, 2)^2 entries, so its literal is
+    refused at once; a form of the cap's rank is still decided."""
+    term = {"I": [1, 2], "J": [1, 2], "c": "1"}
+    code, err = _cli_in_process(["check-positivity", "--form", "{form}"],
+                                {"form": {"n": 120, "p": 2, "q": 2, "terms": [term]}})
+    assert code == 2 and err.startswith("input error: ") and "Traceback" not in err
+    assert f"cap of {formats.FORM_RANK_CAP}" in err, err
+    code, err = _cli_in_process(["check-positivity", "--form", "{form}"],
+                                {"form": {"n": formats.FORM_RANK_CAP, "p": 2, "q": 2, "terms": [term]}})
+    assert code == 0 and err == "", err
 @st.composite
 def _fan_literals(draw):
     rank = draw(st.integers(1, 3))

@@ -482,6 +482,31 @@ def _matrix_current(n, q, parts):
         for key in {**atoms, **pieces}})
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_form_and_one_cell_current_share_the_gram_kernel(data):
+    """A symmetric integer matrix M over the q-subsets of R^n, n <= 4, is
+    the Gram matrix of the fiber (q,q)-form with coefficients
+    (-1)^{q(q-1)/2} M and the matrix of a one-cell constant-density current
+    with co-coefficients M: both get the same positive-tier answer, a Yes
+    carries the form's decomposition as the cell's terms, and an
+    evaluation witness is the form's."""
+    from tropcur.fiber import LagerbergFiberForm, positivity_verdict
+    n = data.draw(st.integers(1, 4))
+    q = data.draw(st.integers(1, n))
+    idx = list(itertools.combinations(range(n), q))
+    M = _symmetric(data.draw, len(idx), data.draw(st.booleans()))
+    sign = (-1) ** (q * (q - 1) // 2)
+    form = LagerbergFiberForm(n, q, q, {(I, J): sign * M[i][j] for (i, I), (j, J)
+                                        in itertools.product(enumerate(idx), repeat=2)})
+    f = positivity_verdict(form, "positive")
+    c = positivity_check(_matrix_current(n, q, [(Polyhedron.box([(0, 1)] * n), M)]))
+    assert c.exact and c.answer == f.answer
+    if c.yes:
+        cells = c.certificate[1]
+        assert [list(terms) for _, terms in cells] == ([f.certificate[1]] if any(map(any, M)) else [])
+    elif c.witness[0] == "evaluation":
+        assert c.witness == f.witness
 @st.composite
 def _constant_density_currents(draw):
     """Constant-density currents on one to three boxes in R^n, 2 <= n <= 3,
@@ -547,7 +572,8 @@ def test_exact_positivity_agrees_with_sampled_route(T):
 def _ref_exact_verdict_holds(T, v):
     """Whether an exact positive-tier verdict on T proves its answer, with
     Fraction matrices: a cells certificate names each cell and atom point
-    of T once, with sum gamma v v^T equal to its matrix and every gamma > 0;
+    of T once, with terms (gamma, {K: v_K}), sum gamma v v^T equal to its
+    matrix and every gamma > 0;
     an evaluation witness (x, value), x over T's q-subsets, has
     x^T M x == value < 0 on one."""
     from tropcur.currents import _cell_matrices
@@ -567,9 +593,10 @@ def _ref_exact_verdict_holds(T, v):
         return False
     for where, decomposition in data[1]:
         total = [[0] * len(idx) for _ in idx]
-        for gamma, vec in decomposition:
-            if not gamma > 0 or len(vec) != len(idx):
+        for gamma, coeffs in decomposition:
+            if not gamma > 0 or not coeffs.keys() <= set(idx):
                 return False
+            vec = [coeffs.get(K, 0) for K in idx]
             for i in range(len(idx)):
                 for j in range(len(idx)):
                     total[i][j] += gamma * vec[i] * vec[j]

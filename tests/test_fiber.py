@@ -156,7 +156,7 @@ def _ref_strong_lp_certificate(a, pool):
     keys = sorted(set().union(*[set(g.coeff) for g, _ in pool]) | set(a.coeff))
     if not keys:
         return None
-    parts = a._parts
+    parts = fiber._parts
 
     def vec(form):
         return [float(x) for k in keys for x in parts(form.get(*k))]
@@ -205,7 +205,7 @@ def _ref_pool_tier(a, tier, pool_size, seed):
         if base.no:
             return base.replace(tier="strong", reason="not even positive: " + base.reason)
         terms = base.certificate[1]
-        verdict = fiber._gram_span_verdict(a, terms)
+        verdict = fiber._gram_span_verdict(n, p, a._gram, terms)
         if verdict is not None:
             return verdict
         pool = _ref_strong_generator_pool(n, p, pool_size, seed, a.algebra)
@@ -697,7 +697,7 @@ def test_gram_span_with_irrational_decomposables():
     # W = span(e12 + e34, e13 + 2 e24): alpha ^ alpha = (2 y^2 - 4 z^2) e1234,
     # so W's decomposables are irrational and the Gram-span step leaves it open
     a = _two_generators(4, {(0, 1): 1, (2, 3): 1}, {(0, 2): 1, (1, 3): 2})
-    assert fiber._gram_span_verdict(a, positivity_verdict(a, "positive").certificate[1]) is None
+    assert fiber._gram_span_verdict(4, 2, a._gram, positivity_verdict(a, "positive").certificate[1]) is None
     v = positivity_verdict(a, "strong", pool_size=40)
     assert v.answer == "unknown" and reverify(a, v)
     # at n = 5, e15 in w2 adds quadratics that 2 y^2 - 4 z^2 does not divide: no decomposable
@@ -1140,9 +1140,9 @@ def test_filtered_lp_matches_full_pool_reference(case):
     n, p = form.n, form.p
     got = None
     if base.yes:
-        inside = fiber._pool_in_span(form, strong_generator_pool(n, p, 30, seed))
+        inside = fiber._pool_in_span(form._gram, strong_generator_pool(n, p, 30, seed))
         if len(inside) >= len(base.certificate[1]):
-            got = fiber._strong_lp_certificate(form, inside)
+            got = fiber._strong_lp_certificate(p, form._gram, inside)
     want = _ref_strong_lp_certificate(form, _ref_strong_generator_pool(n, p, 30, seed, form.algebra))
     assert (got is None) == (want is None)
     if want is not None:

@@ -229,6 +229,25 @@ def test_projection_matches_one_pass_per_query(poly):
     assert par == _ref_parametrize(poly)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_linear_bounds_are_the_extremes_over_the_vertices(data):
+    """On a bounded cell, a box of dimension d <= 3 (some sides of length 0)
+    cut by up to three rows, (lo, hi) of a . u is the min and max of a . v
+    over the vertices; an empty cell has no vertices."""
+    d = data.draw(st.integers(1, 3))
+    corner = [data.draw(st.integers(-2, 2)) for _ in range(d)]
+    box = Polyhedron.box([(lo, lo + data.draw(st.integers(0, 3))) for lo in corner])
+    cuts = [(tuple(data.draw(st.integers(-2, 2)) for _ in range(d)),
+             data.draw(st.fractions(-3, 3, max_denominator=3)))
+            for _ in range(data.draw(st.integers(0, 3)))]
+    poly = box.with_rows(cuts)
+    a = tuple(data.draw(st.integers(-3, 3)) for _ in range(d))
+    lo, hi, empty = poly.linear_bounds(a)
+    values = [sum(x * y for x, y in zip(a, v)) for v in poly.vertices()]
+    assert empty == (not values)
+    if values:
+        assert (lo, hi) == (min(values), max(values))
 _SCALARS = st.one_of(st.integers(-3, 3), st.none(), st.booleans(),
                      st.sampled_from(["1/2", "\u22122/3", " 4 ", "1/0", "x", "", 0.5, 2.0, []]))
 

@@ -48,7 +48,7 @@ UNREACHED = frozenset({
     "exact._poly_eval", "exact.sturm_roots_in",
     "exact.sturm_roots_in.signs_at", "exact.sturm_roots_in.variations",
     "fiber.ComplexFiberForm._asymmetry", "fiber.ComplexFiberForm._of",
-    "fiber.ComplexFiberForm._parts", "fiber.ComplexFiberForm._zero",
+    "fiber.ComplexFiberForm._zero",
     "fiber._FiberForm.basis_form", "fiber._FiberForm.zero",
     "fiber._gram_span_yes", "fiber._negative",
     "fiber.apply_involution", "fiber.coordinate_strong_generators",
