@@ -133,7 +133,7 @@ def _scene(args, given):
             fan = formats.fan_from_json(load_json(args.fan))
         else:
             from .fans import orthant_fan
-            fan = orthant_fan(args.rank)
+            fan = orthant_fan(formats.fan_rank(args.rank))
         chart = scenes.top_chart(fan)
 
     def current(path, flag):

@@ -7,6 +7,7 @@ does not raise.  :class:`Value` is the base of the package's immutable
 value types.
 """
 
+import functools
 import operator
 
 
@@ -59,6 +60,24 @@ class NonCompactSupport(TropcurError):
 
 class ToleranceNotMet(TropcurError):
     pass
+
+
+class FloatOverflow(TropcurError):
+    pass
+
+
+def float_range(integrate):
+    """An integration entry point whose OverflowError (a large degree or
+    window) is raised as FloatOverflow, the overflow in its payload; not as
+    ToleranceNotMet, which currents.mass_estimate reads as an unknown mass."""
+    @functools.wraps(integrate)
+    def checked(*args, **kwargs):
+        try:
+            return integrate(*args, **kwargs)
+        except OverflowError as err:
+            raise FloatOverflow(f"the integral leaves the float range: {err}",
+                                payload={"overflow": str(err)}) from err
+    return checked
 
 
 class CompatibilityViolation(TropcurError):

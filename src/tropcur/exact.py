@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 from .errors import Value, Verdict
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 _RATIONAL = frozenset({int, Fraction})
 
 
@@ -46,7 +46,7 @@ def _eliminate(m, cols=None):
     """
     a, q = [], 1
     for row in m:
-        den, (ints,) = integer_parts([x if type(x) in _RATIONAL else Fraction(x) for x in row])
+        den, ints = integer_parts([x if type(x) in _RATIONAL else Fraction(x) for x in row])
         a.append(ints)
         q *= den
     pivots, prev = [], 1
@@ -128,9 +128,7 @@ def inverse(m):
 
 def primitive(v):
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    v = [Fraction(x) for x in v]
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
+    _, ints = integer_parts([Fraction(x) for x in v])
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g else tuple(ints)
 
@@ -262,13 +260,15 @@ def integer_kernel_basis(mat):
 # --- Gaussian rationals ------------------------------------------------------
 
 class QC:
-    """Exact complex scalar with rational real and imaginary parts."""
+    """Exact complex scalar with rational real and imaginary parts, read as on
+    ``int`` and ``Fraction`` by ``real``, ``imag`` and ``conjugate()``; ``//``
+    by an integer divides each part."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, (int, Fraction)) else frac(re)
-        self.im = im if isinstance(im, (int, Fraction)) else frac(im)
+    def __init__(self, real=0, imag=0):
+        self.real = real if isinstance(real, (int, Fraction)) else frac(real)
+        self.imag = imag if isinstance(imag, (int, Fraction)) else frac(imag)
 
     @staticmethod
     def of(x):
@@ -285,12 +285,12 @@ class QC:
 
     def __add__(self, other):
         other = QC.of(other)
-        return QC(self.re + other.re, self.im + other.im)
+        return QC(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return QC(-self.real, -self.imag)
 
     def __sub__(self, other):
         return self + (-QC.of(other))
@@ -300,34 +300,37 @@ class QC:
 
     def __mul__(self, other):
         other = QC.of(other)
-        return QC(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        return QC(self.real * other.real - self.imag * other.imag,
+                  self.real * other.imag + self.imag * other.real)
 
     __rmul__ = __mul__
 
-    def conj(self):
-        return QC(self.re, -self.im)
+    def __floordiv__(self, k):
+        return QC(self.real // k, self.imag // k)
+
+    def conjugate(self):
+        return QC(self.real, -self.imag)
 
     def __eq__(self, other):
         try:
             other = QC.of(other)
         except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.real == other.real and self.imag == other.imag
 
     def __hash__(self):
-        return hash((Fraction(self.re), Fraction(self.im)))
+        return hash((Fraction(self.real), Fraction(self.imag)))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.real != 0 or self.imag != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(float(self.real), float(self.imag))
 
     def __repr__(self):
-        if self.im == 0:
-            return f"{self.re}"
-        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+        if self.imag == 0:
+            return f"{self.real}"
+        return f"({self.real}{'+' if self.imag >= 0 else '-'}{abs(self.imag)}i)"
 
 
 # --- PSD over Q and Q(i) ----------------------------------------------------
@@ -355,108 +358,96 @@ _EXACT = frozenset({int, Fraction, QC})
 def psd_decompose(m, den=1):
     """Exact PSD decision for the symmetric rational or Hermitian QC matrix m / den.
 
-    The scalars are QC if any entry of m is, else rationals (conj is the
-    identity); ``den`` is a positive integer.  Rank-one peeling (LDL^T): a
-    negative residual diagonal, or a zero residual diagonal with a nonzero
-    residual row, gives an exact witness x with conj(x)^T M x < 0;
-    otherwise the collected (d_k, v_k), d_k > 0 a Fraction, certify
+    The scalars are QC if any entry of m is, else rationals (conjugate is
+    the identity); ``den`` is a positive integer.  Rank-one peeling (LDL^T):
+    a negative residual diagonal, or a zero residual diagonal with a nonzero
+    residual row, gives an exact witness x with conj(x)^T M x < 0; otherwise
+    the collected (d_k, v_k), d_k > 0 a Fraction, certify
     M = sum_k d_k v_k conj(v_k)^T, with v_k zero at earlier pivots.
 
-    The peeling runs on integers (E. H. Bareiss, Math. Comp. 22, 1968) and
-    makes a Fraction only for an entry it returns.  An integer m (QC with
-    integer parts) is taken as it is, any other m cleared once.  The
-    residual is N / q, N integer (a real and an imaginary part when
-    Hermitian): the pivot d, the first with piv = N[d][d] != 0, and its
-    column c send N to (piv N - c conj(c)^T) / prev and q to q piv / prev,
-    prev the previous pivot, which divides exactly; a row with c_i = 0 is
-    only scaled, row d drops and column d comes out zero.  So d_k = piv / q
-    and v_k = c / piv.  The witness is X / D on integers, made orthogonal
-    to each v_k, newest first: its recorded column c sets X_d to
-    -sum_{i != d} conj(c_i) X_i and scales the rest of X, and D, by piv.
-    So conj(x)^T M x is the residual's value at x.
+    The peeling runs on integers, Gaussian integers over Q(i) (E. H. Bareiss,
+    Math. Comp. 22, 1968: exact over any integral domain), and makes a
+    Fraction only for an entry it returns.  An integer m is taken as it is,
+    any other m cleared once by integer_parts.  The residual is N / q: the
+    pivot d, the first with piv = N_dd != 0, sends N to
+    N_ij <- (piv N_ij - conj(N_di) N_dj) // prev and q to q piv / prev, prev
+    the previous pivot, which divides exactly (part by part); a row with
+    N_di = 0 is only scaled, row d drops and column d comes out zero.  So
+    d_k = piv / q and v_k = conj(N_d.) / piv.  The witness is X / D on
+    integers, made orthogonal to each v_k, newest first: its recorded row
+    sets X_d to -sum_{i != d} N_di X_i and scales the rest of X, and D, by
+    piv.  So conj(x)^T M x is the residual's value at x.
     """
     n = len(m)
     types = set(map(type, chain.from_iterable(m)))
     hermitian = QC in types
-    scale, re, im = 1, m, []
+    scale, N = 1, m
     if not types <= {int}:
-        scale, parts = integer_parts(list(chain.from_iterable(m)), hermitian)
-        re, *im = ([part[i:i + n] for i in range(0, n * n, n)] for part in parts)
-        im = im[0] if hermitian else []
-    if list(map(tuple, re)) != list(zip(*re)) or hermitian and im != [[-y for y in c] for c in zip(*im)]:
+        scale, flat = integer_parts(list(chain.from_iterable(m)))
+        N = [flat[i:i + n] for i in range(0, n * n, n)]
+    if list(map(tuple, N)) != ([tuple(x.conjugate() for x in c) for c in zip(*N)] if hermitian else list(zip(*N))):
         raise ValueError("matrix not Hermitian" if hermitian else "matrix not symmetric")
-    q, prev = scale * den, 1
-    zero = QC(_ZERO, _ZERO) if hermitian else _ZERO
-    decomp, columns = [], []    # columns: (d, piv, [(i, re c_i, im c_i)] over c's support)
-    live = list(range(n))       # the index in m of each row left; columns keep m's indices
+    # a returned entry x / d, x an integer (a QC with integer parts over Q(i))
+    entry = (lambda x, d: QC(Fraction(x.real, d), Fraction(x.imag, d))) if hermitian else Fraction
+    q, prev, zero = scale * den, 1, entry(0, 1)
+    decomp, rows = [], []       # rows: (d, piv, [(i, N_di)] over row d's support)
+    live = list(range(n))       # the index in m of each row left; rows keep m's columns
 
     def orthogonal(x, d):
-        # the vector X / d, X = {i: (re, im)} integer, made orthogonal to every v_k
-        xr, xi = ([x.get(i, (0, 0))[part] for i in range(n)] for part in (0, 1))
-        for pivot, piv, support in reversed(columns):
-            sr = sum(a * xr[i] + c * xi[i] for i, a, c in support if i != pivot)
-            si = sum(a * xi[i] - c * xr[i] for i, a, c in support if i != pivot) if hermitian else 0
-            if sr or si:
-                xr, xi = [piv * y for y in xr], [piv * y for y in xi]
-                xr[pivot], xi[pivot], d = -sr, -si, d * piv
-        if hermitian:
-            return tuple([QC(Fraction(a, d), Fraction(b, d)) if a or b else zero for a, b in zip(xr, xi)])
-        return tuple([(_ONE if a == d else Fraction(a, d)) if a else zero for a in xr])
+        # the vector X / d, X = {i: X_i} integer, made orthogonal to every v_k
+        X = [x.get(i, 0) for i in range(n)]
+        for pivot, piv, support in reversed(rows):
+            s = sum(a * X[i] for i, a in support if i != pivot)
+            if s:
+                X = [piv * y for y in X]
+                X[pivot], d = -s, d * piv
+        return tuple([entry(y, d) if y else zero for y in X])
 
     while True:
-        k = next((t for t, row in enumerate(re) if row[live[t]]), None)
+        k = next((t for t, row in enumerate(N) if row[live[t]]), None)
         if k is None:
             break
-        d = live.pop(k)
-        piv, cre = re[k][d], re[k]      # column d is row d, conjugated
+        d, top = live.pop(k), N[k]
+        piv = top[d].real
         if piv < 0:
-            return PSDResult(False, witness=orthogonal({d: (1, 0)}, 1), value=Fraction(piv, q))
-        cim = [-y for y in im[k]] if hermitian else [0] * n
-        support = [(i, a, c) for i, (a, c) in enumerate(zip(cre, cim)) if a or c]
+            return PSDResult(False, witness=orthogonal({d: 1}, 1), value=Fraction(piv, q))
+        support = [(i, a) for i, a in enumerate(top) if a]
         v = [zero] * n
-        for i, a, c in support:
-            v[i] = QC(Fraction(a, piv), Fraction(c, piv)) if hermitian else Fraction(a, piv)
+        for i, a in support:
+            v[i] = entry(a.conjugate(), piv)
         decomp.append((Fraction(piv, q), tuple(v)))
-        columns.append((d, piv, support))
+        rows.append((d, piv, support))
         # the rows left; column d, and every column pivoted before, comes out zero
-        rows, a_s = re[:k] + re[k + 1:], [cre[i] for i in live]
-        if hermitian:
-            left = list(zip(rows, im[:k] + im[k + 1:], a_s, [cim[i] for i in live]))
-            re = [[(piv * x - (a * b + c * e)) // prev for x, b, e in zip(r, cre, cim)] if a or c
-                  else [piv * x // prev for x in r] for r, _, a, c in left]
-            im = [[(piv * y - (c * b - a * e)) // prev for y, b, e in zip(t, cre, cim)] if a or c
-                  else [piv * y // prev for y in t] for _, t, a, c in left]
-        else:
-            re = [[(piv * x - a * b) // prev for x, b in zip(r, cre)] if a else [piv * x // prev for x in r]
-                  for r, a in zip(rows, a_s)]
+        N = [[(piv * x - c * b) // prev for x, b in zip(r, top)] if c else [piv * x // prev for x in r]
+             for r, c in zip(N[:k] + N[k + 1:], [top[i].conjugate() for i in live])]
         q, prev = q * piv // prev, piv
     # the live diagonal is zero, so the first nonzero entry of a row left is off it
-    for a, row in enumerate(re):
-        if any(row) or hermitian and any(im[a]):
-            j = next(b for b, x in enumerate(row) if x or hermitian and im[a][b])
-            i, s, t = live[a], row[j], im[a][j] if hermitian else 0
-            # M_ij = (s + i t) / q.  Hermitian: x_i = -M_ij, x_j = 1, so conj(x)^T M x
+    for i, row in zip(live, N):
+        if any(row):
+            j = next(b for b, s in enumerate(row) if s)
+            s = row[j]
+            # M_ij = s / q.  Hermitian: x_i = -M_ij, x_j = 1, so conj(x)^T M x
             # = -2|M_ij|^2; symmetric: x_i = 1, x_j = -sign(s), so x^T M x = -2|s| / q
-            x, d, value = (({i: (-s, -t), j: (q, 0)}, q, Fraction(-2 * (s * s + t * t), q * q)) if hermitian
-                           else ({i: (1, 0), j: (-1 if s > 0 else 1, 0)}, 1, Fraction(-2 * abs(s), q)))
+            x, d, value = (({i: -s, j: q}, q, Fraction(-2 * (s.real ** 2 + s.imag ** 2), q * q)) if hermitian
+                           else ({i: 1, j: -1 if s > 0 else 1}, 1, Fraction(-2 * abs(s), q)))
             return PSDResult(False, witness=orthogonal(x, d), value=value)
     return PSDResult(True, rank=len(decomp), decomposition=decomp)
 
 
-def integer_parts(values, hermitian=False):
-    """(den, parts) for exact scalars: one integer list per part of a scalar
-    (the real part, then the imaginary one when ``hermitian``), with
-    values[t] == (parts[0][t] + i parts[1][t]) / den.  Integers (QC with
-    integer parts) come back as they are, with den 1: nothing to clear."""
-    if hermitian:
-        values = [QC.of(x) for x in values]
-        cols = ([x.re for x in values], [x.im for x in values])
-    else:
-        cols = (list(values),)
-    if all(type(x) is int for col in cols for x in col):
-        return 1, cols
-    den = lcm(*(x.denominator for col in cols for x in col))
-    return den, [[x.numerator * (den // x.denominator) for x in col] for col in cols]
+def integer_parts(values):
+    """(den, ints) for a list of exact scalars, values[t] == ints[t] / den:
+    integers, or QC with integer parts when some value is a QC.  Integers
+    come back as they are, with den 1: nothing to clear.  One
+    as_integer_ratio pass; den is the lcm of the denominators other than 1."""
+    types = set(map(type, values))
+    if QC in types:
+        den, ints = integer_parts([y for x in values for y in (x.real, x.imag)])
+        return den, list(map(QC, ints[::2], ints[1::2]))
+    if types <= {int}:
+        return 1, values
+    ratios = [x.as_integer_ratio() for x in values]
+    den = lcm(*{d for _, d in ratios if d != 1})
+    return den, [a * (den // d) for a, d in ratios]
 
 
 def gram_holds(m, den=1, terms=None, witness=None):
@@ -467,63 +458,41 @@ def gram_holds(m, den=1, terms=None, witness=None):
     with every gamma > 0.  ``witness`` (x, value) claims that it is not:
     conj(x)^T M x == value < 0.  Vectors run over M's rows; a claim with a
     scalar that is not exact (int or Fraction, or QC in a vector) fails.
-    It runs on integers.  The scalar kind is decided once, QC if any entry
-    of m or of a vector is; an integer m (QC with integer parts) is taken as
-    it is, and each vector is cleared once over its support.  Terms add
-    their outer products over their supports into one flat list per part
-    of N; a witness is evaluated as conj(X)^T N X over its support.
+    It runs on integers, Gaussian integers over Q(i): m and each vector are
+    cleared once by integer_parts (an integer m is taken as it is), and a
+    vector X is read over its support, with conj(X_i) taken once.  Terms add
+    c X_i conj(X_j) into one flat list compared with N; a witness is
+    evaluated as sum_i conj(X_i) (N X)_i.
     """
     size = len(m)
     claims = terms if witness is None else [(witness[1], witness[0])]
-    flat = list(chain.from_iterable(m))
-    types, kinds = set(map(type, flat)), set(map(type, chain.from_iterable(v for _, v in claims)))
+    kinds = set(map(type, chain.from_iterable(v for _, v in claims)))
     if not (kinds <= _EXACT and {type(s) for s, _ in claims} <= _RATIONAL
             and {len(v) for _, v in claims} <= {size}):
         return False
-    hermitian = QC in types or QC in kinds
-    e, parts = integer_parts(flat, hermitian) if hermitian or not types <= {int} else (1, [flat])
-    q, cleared = e * den, []    # M = N / q, N = parts[0] + i parts[1] flat by rows
+    e, flat = integer_parts(list(chain.from_iterable(m)))
+    q, cleared = e * den, []    # M = N / q, N = flat by rows
     for s, v in claims:
-        # s = num / d and v = (a + i b) / f over v's support [(i, a, b)]
-        if hermitian:
-            r = [(x.re.as_integer_ratio(), x.im.as_integer_ratio()) for x in map(QC.of, v)]
-            f = lcm(*[d for (_, d), _ in r], *[d for _, (_, d) in r])
-            support = [(i, a * (f // d), b * (f // g)) for i, ((a, d), (b, g)) in enumerate(r) if a or b]
-        else:
-            r = [x.as_integer_ratio() for x in v]
-            f = lcm(*[d for _, d in r])
-            support = [(i, a * (f // d), 0) for i, (a, d) in enumerate(r) if a]
+        # s = num / d and v = X / f, X over its support [(i, X_i, conj(X_i))]
+        f, ints = integer_parts(v)
         num, d = s.as_integer_ratio()
-        cleared.append((num, d, f, support))
+        cleared.append((num, d, f, [(i, x, x.conjugate()) for i, x in enumerate(ints) if x]))
     if witness is not None:
-        [(num, d, f, support)], (nr, *ni) = cleared, parts
-        ni = ni[0] if hermitian else [0] * len(nr)
-        re = im = 0
-        for i, a, b in support:
-            # (u + i w)_i = (N X)_i over X's support, and conj(X_i) (u + i w) adds to re + i im
-            r = i * size
-            u = sum(nr[r + j] * c - ni[r + j] * g for j, c, g in support)
-            w = sum(nr[r + j] * g + ni[r + j] * c for j, c, g in support)
-            re, im = re + a * u + b * w, im + a * w - b * u
-        return im == 0 and re < 0 and re * d == num * q * f * f
+        [(num, d, f, support)] = cleared
+        value = sum(c * sum(flat[i * size + j] * y for j, y, _ in support) for i, _, c in support)
+        return value.imag == 0 and value.real < 0 and value.real * d == num * q * f * f
     if any(num <= 0 for num, *_ in cleared):
         return False
     L = lcm(q, *[d * f * f for _, d, f, _ in cleared])
-    got = [[0] * (size * size) for _ in parts]
+    got = [0] * (size * size)
     for num, d, f, support in cleared:
         c = num * (L // (d * f * f))
-        for i, a, b in support:
-            r = i * size
-            if hermitian:
-                for j, x, y in support:
-                    got[0][r + j] += c * (a * x + b * y)
-                    got[1][r + j] += c * (b * x - a * y)
-            else:
-                ca = c * a
-                for j, x, _ in support:
-                    got[0][r + j] += ca * x
+        for i, a, _ in support:
+            r, ca = i * size, c * a
+            for j, _, y in support:
+                got[r + j] += ca * y
     k = L // q
-    return got == [[y * k for y in part] for part in parts]
+    return got == [y * k for y in flat]
 
 
 def gram_verdict(idx, m, den=1):

@@ -59,13 +59,9 @@ def _exact_scalar(c):
     return c
 
 
-def _conj(x):
-    return x.conj() if isinstance(x, QC) else x
-
-
 def _parts(x):
-    """The parts of a scalar: (re, im) for a QC, else (x,)."""
-    return (x.re, x.im) if isinstance(x, QC) else (x,)
+    """The parts of a scalar: (real, imag) for a QC, else (x,)."""
+    return (x.real, x.imag) if isinstance(x, QC) else (x,)
 
 
 def _over_qi(m):
@@ -75,9 +71,7 @@ def _over_qi(m):
 
 def _negative(val):
     """A pairing value below zero; a complex value must be real."""
-    if isinstance(val, QC):
-        return val.im == 0 and val.re < 0
-    return val < 0
+    return val.imag == 0 and val.real < 0
 
 
 # --- form classes ------------------------------------------------------------
@@ -125,20 +119,27 @@ class _FiberForm:
         """(indices, N, den) for a (p,p)-form: N[K][L] = den (-1)^{p(p-1)/2}
         i^{-p} coeff[K,L] over indices = subsets(n, p), i = 1 for Lagerberg,
         den the lcm of the coefficients' denominators: integers (QC with
-        integer parts if complex).  One pass over coeff, reading
-        as_integer_ratio, fills a flat row-major list at _layout's offsets."""
-        p, coeff, hermitian = self.p, self.coeff, self.algebra == "complex"
+        integer parts if complex).  The coefficients are cleared once by
+        exact.integer_parts into a flat row-major list at _layout's offsets."""
+        p, coeff = self.p, self.coeff
         idx, _, offset = _layout(self.n, p)
-        den, ints = 1, [y for c in coeff.values() for y in (c.re, c.im)] if hermitian else coeff.values()
-        if not set(map(type, ints)) <= {int}:
-            ratios = [x.as_integer_ratio() for x in ints]
-            den = math.lcm(*{d for _, d in ratios if d != 1})
-            ints = [a * (den // d) for a, d in ratios]
+        den, ints = exact.integer_parts(coeff.values())
         unit = self._i_pow(-p) * (-1) ** (p * (p - 1) // 2)
         flat = [self._zero()] * len(offset)
-        for key, x in zip(coeff, [*map(QC, ints[::2], ints[1::2])] if hermitian else ints):
+        for key, x in zip(coeff, ints):
             flat[offset[key]] = unit * x
         return idx, tuple(zip(*[iter(flat)] * len(idx))), den
+
+    @cached_property
+    def _asymmetry(self):
+        """'' if a is symmetric, J a = (-1)^p a (Lagerberg), resp. real, conj a = a
+        (complex), else the reason this (p,p)-form is not positive.  Either holds
+        iff its integer Gram matrix N is conj(N)^T, as the unit of _gram makes
+        c[J, I] == i^{2p} conj(c[I, J]) at every key (i = 1 for Lagerberg)."""
+        if self.p != self.q:
+            return self._asymmetric
+        N = self._gram[1]
+        return "" if N == tuple(tuple(x.conjugate() for x in c) for c in zip(*N)) else self._asymmetric
 
     @cached_property
     def _pairing_polynomial(self):
@@ -226,6 +227,7 @@ class LagerbergFiberForm(_FiberForm):
 
     algebra = "lagerberg"
     bar = "J"
+    _asymmetric = "not symmetric"
     _foreign = (QC, complex)
 
     @staticmethod
@@ -236,17 +238,13 @@ class LagerbergFiberForm(_FiberForm):
     def _i_pow(k):
         return 1
 
-    @cached_property
-    def _asymmetry(self):
-        """'' if J a = (-1)^p a, else the reason this (p,p)-form is not positive."""
-        return "" if is_symmetric(self) else "not symmetric"
-
 
 class ComplexFiberForm(_FiberForm):
     """Complex (p,q)-form on the basis du_I ^ dubar_K."""
 
     algebra = "complex"
     bar = "conjugation"
+    _asymmetric = "not real"
 
     @staticmethod
     def _zero():
@@ -257,15 +255,6 @@ class ComplexFiberForm(_FiberForm):
         return QC.of(c) if isinstance(c, (int, Fraction)) else c
 
     _i_pow = staticmethod(QC.i_pow)
-
-    @cached_property
-    def _asymmetry(self):
-        """'' if conj a = a, else the reason this (p,p)-form is not positive:
-        conj a = a when c[J, I] == (-1)^p conj(c[I, J]) at every key."""
-        coeff, odd = self.coeff, self.p % 2
-        real = self.p == self.q and all(coeff.get((J, I)) == (-_conj(c) if odd else _conj(c))
-                                        for (I, J), c in coeff.items())
-        return "" if real else "not real"
 
 
 _FORM_CLASSES = {"lagerberg": LagerbergFiberForm, "complex": ComplexFiberForm}
@@ -309,7 +298,7 @@ def apply_involution(kind, a):
     out = {}
     for (I, J), c in a.coeff.items():
         sgn = -1 if (len(I) * len(J) if swap else len(J)) % 2 else 1
-        out[(J, I) if swap else (I, J)] = _conj(c) * sgn
+        out[(J, I) if swap else (I, J)] = c.conjugate() * sgn
     return type(a)(a.n, *((a.q, a.p) if swap else (a.p, a.q)), out)
 
 
@@ -388,14 +377,6 @@ def dual_pairing(a, b):
 PositivityVerdict = Verdict
 
 
-def is_symmetric(a):
-    """J a = (-1)^p a for a Lagerberg (p,p)-form: c[J, I] == c[I, J] at every key."""
-    if a.algebra != "lagerberg":
-        raise WrongAlgebra("J acts on Lagerberg forms")
-    coeff = a.coeff
-    return a.p == a.q and all(coeff.get((J, I)) == c for (I, J), c in coeff.items())
-
-
 def positive_generator(alpha):
     """i^p (-1)^{p(p-1)/2} alpha ^ bar(alpha) from a (p,0)-form of either algebra.
 
@@ -406,7 +387,7 @@ def positive_generator(alpha):
     """
     p, coeff = alpha.p, alpha.coeff
     s = alpha._i_pow(p) * (-1) ** (p * (p - 1) // 2)
-    return alpha._new(p, p, {(I, J): a * _conj(b) * s
+    return alpha._new(p, p, {(I, J): a * b.conjugate() * s
                              for (I, _), a in coeff.items() for (J, _), b in coeff.items()})
 
 
@@ -537,18 +518,15 @@ def _pairing_terms(a):
 def _negative_pairing(a):
     """beta -> whether <a, g_beta> < 0, for integer Plucker vectors beta.
 
-    The terms' real and imaginary parts are scaled by a common denominator,
-    so each test is integer arithmetic: negative iff the real sum is below
-    zero and the imaginary sum vanishes, as in _negative.
+    The terms are scaled by a common denominator (exact.integer_parts), so
+    each test is integer arithmetic, Gaussian over Q(i), read by _negative.
     """
     terms = _pairing_terms(a)
     pairs = [(k, l) for _, k, l in terms]
-    _, (re, *im) = exact.integer_parts([c for c, _, _ in terms], a.algebra == "complex")
+    _, cs = exact.integer_parts([c for c, _, _ in terms])
 
     def negative(beta):
-        xs = [beta[k] * beta[l] for k, l in pairs]
-        return (sum(map(operator.mul, re, xs)) < 0
-                and not any(sum(map(operator.mul, col, xs)) for col in im))
+        return _negative(sum(map(operator.mul, cs, [beta[k] * beta[l] for k, l in pairs])))
     return negative
 
 
@@ -653,10 +631,9 @@ def _pool_in_span(gram, pool):
     certificate can use, since each term's Gram matrix beta beta^T is real
     and PSD and they sum to the form's.  So none when that matrix is not
     real; else beta is in W iff orthogonal to each integer kernel vector."""
-    parts = [[_parts(x) for x in row] for row in gram[1]]
-    if any(any(x[1:]) for row in parts for x in row):
+    if any(x.imag for row in gram[1] for x in row):
         return []
-    kernel = [exact.primitive(v) for v in exact.nullspace([[x[0] for x in row] for row in parts])]
+    kernel = [exact.primitive(v) for v in exact.nullspace([[x.real for x in row] for row in gram[1]])]
     return [(beta, tag) for beta, tag in pool
             if not any(sum(map(operator.mul, beta, k)) for k in kernel)]
 
@@ -900,8 +877,8 @@ def decomposable_test(a):
         rows.append(row)
     if a.algebra == "complex":
         # rows A + iB: the rank over Q(i) is half the rank of [[A, -B], [B, A]]
-        dim = exact.rank([[c.re for c in row] + [-c.im for c in row] for row in rows]
-                         + [[c.im for c in row] + [c.re for c in row] for row in rows]) // 2
+        dim = exact.rank([[c.real for c in row] + [-c.imag for c in row] for row in rows]
+                         + [[c.imag for c in row] + [c.real for c in row] for row in rows]) // 2
     else:
         dim = exact.rank(rows)
     if dim == p:

@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 
 from .coeffs import CoefficientFn, plateau
-from .errors import NonCompactSupport, ValidationError, Verdict, WrongAlgebra
+from .errors import NonCompactSupport, ValidationError, Verdict, WrongAlgebra, float_range
 from .exact import frac
 from .indices import stratum_subsets, wedge_key
 
@@ -314,6 +314,7 @@ def trop_pullback_field(a):
 
 # --- integration --------------------------------------------------------------------
 
+@float_range
 def integrate_top(a, side="tropical", tol=1e-8):
     """Integral of a compactly supported (n,n) field, both routes.
 

@@ -46,7 +46,7 @@ def jsonable(obj):
     if isinstance(obj, Fraction):
         return _frac_str(obj)
     if isinstance(obj, QC):
-        return {"re": _frac_str(obj.re), "im": _frac_str(obj.im)}
+        return {"re": _frac_str(obj.real), "im": _frac_str(obj.imag)}
     if isinstance(obj, frozenset):
         return sorted(obj)
     if isinstance(obj, dict):
@@ -56,6 +56,21 @@ def jsonable(obj):
     if isinstance(obj, (int, float, str, bool)) or obj is None:
         return obj
     return repr(obj)
+
+
+# --- rank caps -------------------------------------------------------------------
+
+# The largest rank n of a fiber form literal, and of a fan (a literal's, or --rank): each
+# tier reads a Gram matrix dense over the p-subsets (4,900 entries at n = 8), and the
+# orthant's fan alone has 2^n cones.  Goldens, demos, tests and workloads use n <= 6.
+FORM_RANK_CAP = FAN_RANK_CAP = 8
+
+
+def fan_rank(rank):
+    """``rank``; one above FAN_RANK_CAP is a ValidationError."""
+    if rank > FAN_RANK_CAP:
+        raise ValidationError(f"fan rank {rank} is above the cap of {FAN_RANK_CAP}")
+    return rank
 
 
 # --- fans ---------------------------------------------------------------------
@@ -70,7 +85,7 @@ def fan_from_json(data):
         raise ParseError("fan file needs {'rank': n, 'cones': [[...]]}") from err
     if rank < 0:
         raise ParseError(f"fan rank {rank} is negative")
-    return validate_fan(cones, rank=rank)
+    return validate_fan(cones, rank=fan_rank(rank))
 
 
 def chart_to_json(chart):
@@ -86,17 +101,12 @@ def fiber_form_to_json(form):
     for (I, J), c in sorted(form.coeff.items()):
         entry = {"I": [i + 1 for i in I], "J": [j + 1 for j in J]}
         if isinstance(c, QC):
-            entry["c"] = {"re": _frac_str(c.re), "im": _frac_str(c.im)}
+            entry["c"] = {"re": _frac_str(c.real), "im": _frac_str(c.imag)}
         else:
             entry["c"] = _frac_str(c)
         terms.append(entry)
     return {"n": form.n, "p": form.p, "q": form.q,
             "algebra": form.algebra, "terms": terms}
-
-
-# The largest rank n of a fiber form literal: each tier reads a Gram matrix dense over
-# the p-subsets (4,900 entries at n = 8).  Goldens, demos, tests and workloads use n <= 6.
-FORM_RANK_CAP = 8
 
 
 def fiber_form_from_json(data):

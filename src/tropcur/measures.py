@@ -26,7 +26,7 @@ from functools import cached_property
 from . import exact
 from .coeffs import CoefficientFn, Poly
 from .errors import (Divergent, NonMeasurePiece, SignNotCertified, ToleranceNotMet,
-                     ValidationError, Value)
+                     ValidationError, Value, float_range)
 from .exact import frac
 from .polyhedra import Polyhedron, coordinate_range, midpoint, parametrize
 
@@ -308,6 +308,7 @@ def certify_sign(piece):
 
 # --- core operations -----------------------------------------------------------------
 
+@float_range
 def integrate_against(f, mu, tol=1e-8, allow_derivative_atoms=False):
     """sum of atom weights * f + sum over pieces of the density integral.
 

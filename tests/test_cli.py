@@ -19,12 +19,12 @@ from tropcur.gallery import omega_rank_two, tropical_line_current
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli_process(args):
+def run_cli_process(args, timeout=None):
     """The command line in a fresh interpreter that imports tropcur from src/."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-m", "tropcur.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def run_cli(args, capsys):
@@ -571,6 +571,52 @@ def test_form_rank_above_the_cap_is_input_error():
     code, err = _cli_in_process(["check-positivity", "--form", "{form}"],
                                 {"form": {"n": formats.FORM_RANK_CAP, "p": 2, "q": 2, "terms": [term]}})
     assert code == 0 and err == "", err
+
+
+def test_fan_rank_above_the_cap_is_input_error():
+    """The orthant's fan of rank n has 2^n cones: --rank 40 is refused at
+    once, and so is a fan literal of rank 9; --rank at the cap still runs."""
+    cap = formats.FAN_RANK_CAP
+    with tempfile.TemporaryDirectory() as tmp:
+        zero = Path(tmp, "zero.json")
+        zero.write_text(json.dumps({"bidegree": [1, 1], "cocoeffs": {}}))
+        proc = run_cli_process(["decompose", "--current", str(zero), "--rank", "40"], timeout=60)
+    assert proc.returncode == 2 and proc.stderr.startswith("input error: "), proc.stderr
+    assert f"cap of {cap}" in proc.stderr and "Traceback" not in proc.stderr
+    orthant = {"rank": 9, "cones": [[[int(i == j) for j in range(9)] for i in range(9)]]}
+    code, err = _cli_in_process(["decompose", "--fan", "{fan}", "--current", "{T}"],
+                                {"fan": orthant, "T": {"bidegree": [9, 9], "cocoeffs": {}}})
+    assert code == 2 and err.startswith("input error: ") and f"cap of {cap}" in err, err
+    code, err = _cli_in_process(["decompose", "--current", "{T}", "--rank", str(cap)],
+                                {"T": {"bidegree": [cap, cap], "cocoeffs": {}}})
+    assert code == 0 and err == "", err
+
+
+@pytest.mark.parametrize("case", ["field", "current"])
+def test_integral_out_of_float_range_is_an_error_record(tmp_path, capsys, case):
+    """A polynomial literal whose integral leaves the float range gets a
+    FloatOverflow error record and exit 2, not an OverflowError: the field
+    u^800 on the window [0, 5], and the density 10^400 u_1^2 + 1 of a current,
+    whose mass estimate overflows (as u_1^1000 + 1 does, after seconds spent
+    expanding the power)."""
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    if case == "field":
+        data = json.loads((inputs / "field_rank1.json").read_text())
+        term = data["tables"][""][0]["coeff"][0]
+        term["poly"] = [{"c": "1", "exp": [800]}]
+        term["windows"] = [{"axis": 1, "lo": "0", "hi": "5"}]
+        args = ["integrate", "--rank", "1", "--field"]
+    else:
+        data = json.loads((inputs / "current.json").read_text())
+        data["cocoeffs"]["|"]["densities"][0]["weight"]["pol"] = [
+            {"c": str(10 ** 400), "exp": [2, 0]}, {"c": "1", "exp": [0, 0]}]
+        args = ["decompose", "--rank", "2", "--current"]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(args + [str(path)], capsys)
+    [record] = json.loads(out)["tasks"]
+    assert code == 2 and record["status"] == "error" and record["error"] == "FloatOverflow"
+    assert "overflow" in record["payload"], record
 @st.composite
 def _fan_literals(draw):
     rank = draw(st.integers(1, 3))

@@ -157,7 +157,7 @@ def test_psd_decompose_no_witness():
 
 
 def _conj(x):
-    return x.conj() if isinstance(x, QC) else x
+    return x.conjugate() if isinstance(x, QC) else x
 
 
 @st.composite
@@ -233,7 +233,7 @@ def test_psd_decompose_certificate_or_witness(m):
     else:
         w = res.witness
         val = QC.of(sum(_conj(w[i]) * m[i][j] * w[j] for i in range(n) for j in range(n)))
-        assert val.im == 0 and val.re < 0
+        assert val.imag == 0 and val.real < 0
         assert res.value == val and exact.gram_holds(m, 1, witness=(w, res.value))
 
 
@@ -269,8 +269,8 @@ def test_gram_holds_matches_fraction_reference(m, data):
     assert exact.gram_holds(scaled, k, terms) == holds
     x = res.witness if res.witness and data.draw(st.booleans()) else data.draw(vector)
     val = QC.of(sum(_conj(x[i]) * m[i][j] * x[j] for i in range(n) for j in range(n)))
-    value = val.re + data.draw(st.sampled_from([0, 0, -1, 1]))
-    holds = val.im == 0 and value == val.re < 0
+    value = val.real + data.draw(st.sampled_from([0, 0, -1, 1]))
+    holds = val.imag == 0 and value == val.real < 0
     assert exact.gram_holds(scaled, k, witness=(x, value)) == holds
 
 
@@ -306,7 +306,7 @@ def _ref_psd_decompose(m):
                             x[i], x[j] = one, (-one if a[i][j] > 0 else one)
                         return False, 0, None, orthogonalize(x)
             break
-        alpha = a[d][d].re if hermitian else a[d][d]
+        alpha = a[d][d].real if hermitian else a[d][d]
         if alpha < 0:
             x = [zero] * n
             x[d] = one
@@ -493,10 +493,10 @@ def test_integer_matrix_is_taken_as_it_is(case, data):
     symmetric (resp. Hermitian)."""
     N, den, broken = case
     hermitian = isinstance(N[0][0], QC)
-    M = [[QC(Fraction(x.re, den), Fraction(x.im, den)) if hermitian else Fraction(x, den)
+    M = [[QC(Fraction(x.real, den), Fraction(x.imag, den)) if hermitian else Fraction(x, den)
           for x in row] for row in N]
     flat = [x for row in N for x in row]
-    assert exact.integer_parts(flat, hermitian)[0] == 1
+    assert exact.integer_parts(flat)[0] == 1
     if broken:
         for mat, d in ((N, den), (M, 1)):
             with pytest.raises(ValueError):
@@ -516,6 +516,36 @@ def test_integer_matrix_is_taken_as_it_is(case, data):
     for claim in claims:
         assert exact.gram_holds(N, den, **claim) == exact.gram_holds(M, 1, **claim)
     assert exact.gram_holds(N, den, **claims[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-9, 9).filter(bool))
+def test_gaussian_integers_follow_the_number_protocol(a, b, k):
+    g = QC(a, b)
+    assert (g.real, g.imag) == (a, b) and g.conjugate() == QC(a, -b)
+    assert g.conjugate().conjugate() == g and (g * k) // k == g
+    for x in (a, Fraction(a, k)):      # int and Fraction read the same names
+        assert (x.real, x.imag, x.conjugate()) == (x, 0, x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_integer_cases())
+def test_real_matrix_decides_alike_over_q_and_q_i(case):
+    """A symmetric integer matrix and the same matrix with QC entries run one
+    integer path: the same PSD answer, rank and decomposition, and each
+    result's own claim holds against both matrices.  The witnesses are not
+    compared: the two zero-diagonal formulas differ by design."""
+    N, den, _ = case
+    # the real parts, made symmetric from the upper triangle
+    N = [[N[min(i, j)][max(i, j)].real for j in range(len(N))] for i in range(len(N))]
+    NQ = [[QC(x) for x in row] for row in N]
+    real, gauss = exact.psd_decompose(N, den), exact.psd_decompose(NQ, den)
+    assert (real.psd, real.rank, real.decomposition) == (gauss.psd, gauss.rank, gauss.decomposition)
+    for res in (real, gauss):
+        claim = ({"terms": res.decomposition} if res.psd
+                 else {"witness": (res.witness, res.value)})
+        assert exact.gram_holds(N, den, **claim) and exact.gram_holds(NQ, den, **claim)
+
 
 def test_sturm():
     # (x-1)(x-2)(x-3)

@@ -14,7 +14,7 @@ from tropcur.exact import QC
 from tropcur.errors import BidegreeMismatch, NotSquareBidegree, ValidationError, WrongAlgebra
 from tropcur.fiber import (ComplexFiberForm, LagerbergFiberForm, apply_involution,
                            coordinate_strong_generators, decomposable_test, dual_pairing,
-                           embed_complex, gram_form, is_symmetric,
+                           embed_complex, gram_form,
                            positive_generator, positivity_verdict,
                            reverify, strong_generator, strong_generator_pool,
                            subsets, wedge)
@@ -509,9 +509,9 @@ def embed_preimage(w):
     out = {}
     for (I, K), c in w.coeff.items():
         val = QC.i_pow(-len(K)) * QC.of(c)
-        if val.im != 0:
+        if val.imag != 0:
             return None
-        out[(I, K)] = val.re
+        out[(I, K)] = val.real
     return LagerbergFiberForm(w.n, w.p, w.q, out)
 
 
@@ -877,10 +877,10 @@ def test_decomposable_matches_construction(case):
 
 
 def test_symmetric_checks():
-    assert is_symmetric(lagerberg_orientation(3))
-    assert is_symmetric(omega_degenerate())
+    assert not lagerberg_orientation(3)._asymmetry
+    assert not omega_degenerate()._asymmetry
     asym = LagerbergFiberForm(2, 1, 1, {((0,), (1,)): 1})
-    assert not is_symmetric(asym)
+    assert asym._asymmetry == "not symmetric"
     v = positivity_verdict(asym, "positive")
     assert v.no and reverify(asym, v)
 
@@ -1452,7 +1452,7 @@ def _ref_gram(a):
     N[K][L] = (-1)^{p(p-1)/2} i^{-p} coeff[K,L] den, den the lcm of the
     denominators of every part of every coefficient."""
     p, idx, hermitian = a.p, subsets(a.n, a.p), a.algebra == "complex"
-    parts = [Fraction(x) for c in a.coeff.values() for x in ((c.re, c.im) if hermitian else (c,))]
+    parts = [Fraction(x) for c in a.coeff.values() for x in ((c.real, c.imag) if hermitian else (c,))]
     den = math.lcm(*(x.denominator for x in parts))
     unit = (-1) ** (p * (p - 1) // 2) * (QC.i_pow(-p) if hermitian else 1)
     N = []
@@ -1462,8 +1462,8 @@ def _ref_gram(a):
             x = unit * a.coeff.get((K, L), 0) * den
             if hermitian:
                 x = QC.of(x)
-                assert x.re.denominator == x.im.denominator == 1
-                x = QC(int(x.re), int(x.im))
+                assert x.real.denominator == x.imag.denominator == 1
+                x = QC(int(x.real), int(x.imag))
             else:
                 assert Fraction(x).denominator == 1
                 x = int(x)

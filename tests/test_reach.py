@@ -29,9 +29,9 @@ from test_golden import CASES, DEMOS, _argv
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tropcur"
 
-# Not all of these are dead: the benchmark's cycles run five of them
-# (fiber._gram_span_yes, _negative and coordinate_strong_generators, and
-# the two formats writers), and the complex fiber algebra is the paper's.
+# Not all of these are dead: the benchmark's cycles run four of them
+# (fiber._gram_span_yes and coordinate_strong_generators, and the two
+# formats writers), and the complex fiber algebra is the paper's.
 UNREACHED = frozenset({
     "coeffs.CoefficientFn.from_poly", "coeffs.CoefficientFn.key",
     "coeffs.CoefficientFn.vanishes_on_box", "coeffs.Poly.eval",
@@ -44,13 +44,13 @@ UNREACHED = frozenset({
     "currents.LagerbergCurrent.scale", "currents._minus",
     "currents._on_relative_boundary", "currents._pair_constant_fiber",
     "currents._sampled_positivity", "currents.point_value", "currents.reverify_positivity",
-    "exact.QC.conj", "exact.QC.i_pow", "exact.QC.of", "exact._poly_div",
+    "exact.QC.conjugate", "exact.QC.i_pow", "exact.QC.of", "exact._poly_div",
     "exact._poly_eval", "exact.sturm_roots_in",
     "exact.sturm_roots_in.signs_at", "exact.sturm_roots_in.variations",
-    "fiber.ComplexFiberForm._asymmetry", "fiber.ComplexFiberForm._of",
+    "fiber.ComplexFiberForm._of",
     "fiber.ComplexFiberForm._zero",
     "fiber._FiberForm.basis_form", "fiber._FiberForm.zero",
-    "fiber._gram_span_yes", "fiber._negative",
+    "fiber._gram_span_yes",
     "fiber.apply_involution", "fiber.coordinate_strong_generators",
     "fiber.embed_complex",
     "fields.LagerbergFormField._axis_slabs",
