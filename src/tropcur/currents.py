@@ -29,7 +29,7 @@ from .errors import (CompatibilityViolation, Divergent, MixedDimension,
 from .indices import stratum_subsets, subsets
 from .measures import (Piece, PieceMeasure, abs_measure, escape_failure, integrate_against,
                        restrict_measure, sign_pure_pieces)
-from .polyhedra import Polyhedron, Row, face_directions
+from .polyhedra import Polyhedron, Row, face_directions, face_key, facet_polyhedron
 
 
 class LagerbergCurrent:
@@ -812,10 +812,7 @@ class WeightedComplex(Value):
     """Pure-dimensional weighted integral polyhedral complex in N_R.
 
     Nothing checks that the cells meet face to face: they may overlap, or
-    meet in part of a face.  ``balancing_check`` assumes that they do,
-    since it merges facet sums by exact facet key; until faces are refined
-    before they are compared, it can answer No for a balanced current whose
-    cells do not meet face to face.
+    meet in part of a face.
     """
     __slots__ = _fields = ("cells", "declared_dim")
 
@@ -914,25 +911,56 @@ def balancing_check(C):
     """Exact rational balancing at every codimension-one face.
 
     Each cell's facets come with their primitive inward normals
-    (``Polyhedron.facets``, computed once per cell).  Per facet key the
-    weighted normals must sum into the face's direction span, which the
-    key's points and rays span; the first failing face is the witness,
-    with its key and the residual sum.  The cells must meet face to face
-    (see WeightedComplex).
+    (``Polyhedron.facets``, computed once per cell).  When per facet key
+    the weighted normals sum into the face's direction span, which the
+    key's points and rays span, the complex balances, and no polyhedron is
+    built.  A key that fails is decided on its affine hull H.  If no facet
+    under another key lies in H, the key is the witness, with its residual
+    sum.  Else every facet in H is taken as a polyhedron
+    (``polyhedra.facet_polyhedron``), split where facets overlap
+    (``_split_overlaps``), and the weighted normals must sum into the
+    span on each piece; the witness is a piece that fails, with its key
+    (``polyhedra.face_key``): the failing key itself when it is such a
+    piece.
     """
     p = C.dim()
     if p <= 0:
         return Verdict("balanced", "yes", exact=True)
-    sums = {}
+    sums, facets = {}, []
     for poly, w in C.cells:
         if w == 0:
             continue
         for key, normal in poly.facets:
             total = sums.get(key, (Fraction(0),) * len(normal))
             sums[key] = tuple(t + w * x for t, x in zip(total, normal))
+            facets.append((poly, w, key, normal))
+    settled = set()         # keys on a hull whose pieces balance
     for key, total in sums.items():
         span = face_directions(key)
-        if any(total) and exact.rank(span + [total]) > exact.rank(span):
-            return Verdict("balanced", "no", witness={"face": key, "residual": total},
-                           exact=True)
+        if key in settled or not _leaves_span(total, span):
+            continue
+        # the facets whose key lies in the affine hull of this one
+        r, base = exact.rank(span), key[0][0]
+        hull = [(poly, w, k, normal) for poly, w, k, normal in facets
+                if exact.rank(span + face_directions(k) + [tuple(a - b for a, b in zip(k[0][0], base))]) == r]
+        if any(k != key for _, _, k, _ in hull):
+            pieces = _split_overlaps([(facet_polyhedron(poly, k), None, dict(enumerate(w * x for x in normal)))
+                                      for poly, w, k, normal in hull])
+            failing = {}
+            for P, _, s in pieces:
+                residual = tuple(Fraction(s.get(i, 0)) for i in range(len(total)))
+                if _leaves_span(residual, span):
+                    failing[face_key(P)] = residual
+            if not failing:
+                settled.update(k for _, _, k, _ in hull)
+                continue
+            if key not in failing:
+                key, total = next(iter(failing.items()))
+        return Verdict("balanced", "no", witness={"face": key, "residual": total}, exact=True)
     return Verdict("balanced", "yes", exact=True)
+
+
+def _leaves_span(v, span):
+    """Whether the vector v is not in the span of the vectors ``span``."""
+    return any(v) and exact.rank(span + [v]) > exact.rank(span)
+

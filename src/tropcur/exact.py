@@ -43,10 +43,12 @@ def _eliminate(m, cols=None):
     previous pivot, which divides exactly.  So every pivot entry of a ends
     at the last pivot d (1 if none), a / d is the rref of D m, and q is det D
     negated for each row swap: a square m of full rank has determinant d / q.
+    A row holding a QC is cleared to Gaussian integers, over which the
+    division is exact too (E. H. Bareiss, Math. Comp. 22, 1968).
     """
     a, q = [], 1
     for row in m:
-        den, ints = integer_parts([x if type(x) in _RATIONAL else Fraction(x) for x in row])
+        den, ints = integer_parts([x if type(x) in _EXACT else Fraction(x) for x in row])
         a.append(ints)
         q *= den
     pivots, prev = [], 1
@@ -101,7 +103,9 @@ def solve(m, rhs):
 
 
 def rank(m):
-    return len(rref(m)[1])
+    """Rank over Q, or over Q(i) when an entry is a QC: _eliminate's pivot
+    count.  Only rank is promised over Q(i); rref, det and the rest are rational."""
+    return len(_eliminate(m)[1])
 
 
 def nullspace(m):
@@ -262,7 +266,8 @@ def integer_kernel_basis(mat):
 class QC:
     """Exact complex scalar with rational real and imaginary parts, read as on
     ``int`` and ``Fraction`` by ``real``, ``imag`` and ``conjugate()``; ``//``
-    by an integer divides each part."""
+    by an integer divides each part, and by a QC k is x conj(k) // |k|^2,
+    the exact quotient of Gaussian integers that divide."""
 
     __slots__ = ("real", "imag")
 
@@ -306,7 +311,12 @@ class QC:
     __rmul__ = __mul__
 
     def __floordiv__(self, k):
+        if isinstance(k, QC):
+            return self * k.conjugate() // (k.real * k.real + k.imag * k.imag)
         return QC(self.real // k, self.imag // k)
+
+    def __rfloordiv__(self, other):
+        return QC.of(other) // self
 
     def conjugate(self):
         return QC(self.real, -self.imag)

@@ -16,7 +16,6 @@ from itertools import combinations
 from . import exact
 from .errors import (NotStrictlyConvex, NotSmooth, BadIntersection,
                      OutsideSupport, ValidationError, Value)
-from .polyhedra import Polyhedron, Row
 
 
 class Cone(Value):
@@ -74,6 +73,7 @@ def _make_cone(gens, n):
     if exact.rank([list(g) for g in seen]) != len(seen):
         # linearly dependent generators: either a line is contained
         # (a nonnegative nontrivial relation exists) or simply not simplicial
+        from .polyhedra import Polyhedron
         m = len(seen)
         rows = [(tuple(-Fraction(int(i == j)) for j in range(m)), 0) for i in range(m)]
         eq_rows = []
@@ -101,6 +101,7 @@ def _cone_hrep(cone, n):
 
     Row i < ``cone.dim`` reads -(coefficient of generator i) <= 0.
     """
+    from .polyhedra import Polyhedron, Row
     binv = exact.inverse(cone.basis)
     rows = []
     k = cone.dim
@@ -228,9 +229,11 @@ def validate_fan(cone_generators, rank=None):
     inputs = [_make_cone(raw, rank) for raw in gens_list]
 
     # sigma meets tau in the cone on their common generators iff no point
-    # of both has sigma-coordinates summing to 1 on the generators tau lacks
-    hreps = [_cone_hrep(c, rank) for c in inputs]
+    # of both has sigma-coordinates summing to 1 on the generators tau lacks;
+    # one input cone has no pair, so no H-representation and no polyhedra
+    hreps = [_cone_hrep(c, rank) for c in inputs] if len(inputs) > 1 else []
     for (sigma, hs), (tau, ht) in combinations(zip(inputs, hreps), 2):
+        from .polyhedra import Row
         lacking = [r.a for g, r in zip(sigma.generators, hs.rows)
                    if g not in tau.generators]
         if not lacking:

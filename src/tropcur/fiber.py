@@ -27,7 +27,7 @@ from . import exact
 from .exact import QC
 from .errors import (DimensionMismatch, WrongAlgebra, NotSquareBidegree,
                      BidegreeMismatch, ValidationError, Value, Verdict)
-from .indices import _shuffle_sign, merge_indices, subsets, wedge_key
+from .indices import _shuffle_sign, subsets, wedge_key
 
 
 # --- multi-index helpers -----------------------------------------------------
@@ -548,11 +548,11 @@ def _gram_span_verdict(n, p, gram, terms):
     vectors of its LDL^T ``terms`` [(gamma, {K: v_K})].
 
     Any strong decomposition of a uses decomposable (p,0)-parts inside W.
-    When every v is decomposable, the LDL^T is itself one.  Otherwise, for
-    a Lagerberg form at p = 2 with dim W <= 2, alpha = y w1 + z w2 in W is
-    decomposable iff alpha ^ alpha = 0, a system of binary quadratics in
-    (y, z).  Without a real root, W holds no decomposable: a No.  Two
-    rational roots alpha_1, alpha_2 are a basis of W, so a strong
+    When every v is decomposable (_decomposable), the LDL^T is itself one.
+    Otherwise, for a Lagerberg form at p = 2 with dim W <= 2, alpha = y w1 +
+    z w2 in W is decomposable iff alpha ^ alpha = 0, a system of binary
+    quadratics in (y, z).  Without a real root, W holds no decomposable: a
+    No.  Two rational roots alpha_1, alpha_2 are a basis of W, so a strong
     decomposition can only be a = l_1 G(alpha_1) + l_2 G(alpha_2), that is
     gram(a) = l_1 alpha_1 alpha_1^T + l_2 alpha_2 alpha_2^T, solved exactly
     on the Gram entries between the LDL^T pivots, which fix W, so the
@@ -561,12 +561,11 @@ def _gram_span_verdict(n, p, gram, terms):
     idx, N, den = gram
     if _over_qi(N):
         return None
-    forms = [LagerbergFiberForm(n, p, 0, {(K, ()): c for K, c in coeffs.items()})
-             for _, coeffs in terms]
-    if all(decomposable_test(w) == "yes" for w in forms):
-        return _gram_span_yes([(gamma, w) for (gamma, _), w in zip(terms, forms)])
-    if p != 2 or len(forms) > 2:
+    if all(_decomposable(v, n, p) for _, v in terms):
+        return _gram_span_yes(terms)
+    if p != 2 or len(terms) > 2:
         return None
+    forms = [LagerbergFiberForm(n, p, 0, {(K, ()): c for K, c in v.items()}) for _, v in terms]
     basis = [dict(f.coeff) for f in forms]
     if len(forms) == 1:
         return Verdict(
@@ -584,10 +583,10 @@ def _gram_span_verdict(n, p, gram, terms):
                        reason="no real decomposable in the Gram row space")
     if roots is None or len(roots) != 2:
         return None
-    alphas = [w1.scale(y) + w2.scale(z) for y, z in roots]
+    alphas = [{K: c for (K, _), c in (w1.scale(y) + w2.scale(z)).coeff.items()} for y, z in roots]
     # both sides are V C V^T, V the LDL^T vectors, each starting at its pivot
     # and zero at the earlier ones: the entries between pivots force C = 0
-    vecs = [[alpha.get(K, ()) for K in idx] for alpha in alphas]
+    vecs = [[alpha.get(K, 0) for K in idx] for alpha in alphas]
     pivots = [idx.index(next(iter(v))) for _, v in terms]
     keys = [(t, u) for i, t in enumerate(pivots) for u in pivots[i:]]
     sol = exact.solve([[v[t] * v[u] for v in vecs] for t, u in keys],
@@ -597,9 +596,8 @@ def _gram_span_verdict(n, p, gram, terms):
 
 def _gram_span_yes(terms):
     """The strong Yes a = sum_k l_k positive_generator(alpha_k) over terms
-    [(l_k, alpha_k)], alpha_k decomposable; terms with l_k = 0 drop."""
-    cert = [(lam, ("gram_span", {K: c for (K, _), c in alpha.coeff.items()}))
-            for lam, alpha in terms if lam]
+    [(l_k, {K: alpha_K})], alpha_k decomposable; terms with l_k = 0 drop."""
+    cert = [(lam, ("gram_span", alpha)) for lam, alpha in terms if lam]
     return Verdict("strong", "yes", certificate=("conic", cert),
                    reason="strong decomposition inside the Gram row space")
 
@@ -850,39 +848,26 @@ def _tag_vector(tag, n, p, cls):
 
 
 def decomposable_test(a):
-    """'yes'/'no'/'unknown' for decomposability of a (p,0)-form.
-
-    p = 2 uses the exact alternating-square criterion (the single Plucker
-    relation in dimension 4 and its general-n analogue); other p use the
-    exact support-space rank test, over Q(i) for a complex form.
-    """
+    """'yes' or 'no': whether the (p,0)-form a is decomposable (_decomposable)."""
     if a.q != 0:
         raise NotSquareBidegree("decomposable_test needs a (p,0)-form")
-    n, p = a.n, a.p
-    if a.is_zero() or p <= 1 or p == n:
-        return "yes"
-    if p == 2:
-        return "yes" if wedge(a, a).is_zero() else "no"
-    # support space: spans of contractions against (p-1)-subsets
-    rows = []
-    for S in subsets(n, p - 1):
-        row = [a._zero()] * n
-        for j in range(n):
-            if j in S:
-                continue
-            sgn, merged = merge_indices(S, (j,))
-            c = a.get(merged, ())
-            if c:
-                row[j] = c * sgn
-        rows.append(row)
-    if a.algebra == "complex":
-        # rows A + iB: the rank over Q(i) is half the rank of [[A, -B], [B, A]]
-        dim = exact.rank([[c.real for c in row] + [-c.imag for c in row] for row in rows]
-                         + [[c.imag for c in row] + [c.real for c in row] for row in rows]) // 2
-    else:
-        dim = exact.rank(rows)
-    if dim == p:
-        return "yes"
-    if dim > p:
-        return "no"
-    return "unknown"
+    return "yes" if _decomposable({K: c for (K, _), c in a.coeff.items()}, a.n, a.p) else "no"
+
+
+def _decomposable(v, n, p):
+    """Whether the p-vector v = {K: v_K} over subsets(n, p), rational or
+    Gaussian, is decomposable: v = 0, p <= 1, p = n, or its contractions
+    against the (p-1)-subsets S span p dimensions (exact.rank, over Q(i)
+    for Gaussian entries).  They span the least space W with v in the p-th
+    exterior power of W, so at least p dimensions when v != 0.  Row S has
+    +-v_K in column k for K = S + {k}, with _expansion's sign; v is cleared
+    to integers once, and rows that v's support misses are left out."""
+    if not any(v.values()) or p <= 1 or p == n:
+        return True
+    cleared = dict(zip(v, exact.integer_parts(list(v.values()))[1]))
+    rows = {}
+    for K, expansion in zip(subsets(n, p), _expansion(n, p)):
+        x = cleared.get(K)
+        for s, t, k in expansion if x else ():
+            rows.setdefault(t, [0] * n)[k] = s * x
+    return exact.rank(list(rows.values())) == p

@@ -429,6 +429,27 @@ def face_directions(key):
     return [tuple(x - y for x, y in zip(v, pts[0])) for v in pts[1:]] + list(rays)
 
 
+def facet_polyhedron(cell, key):
+    """The facet of ``cell`` with this key as a closed polyhedron: the cell's
+    rows made non-strict, and one row that is tight on the key's points and
+    rays and not constant on the cell's affine hull made an equation."""
+    pts, rays = key
+    basis = cell.affine_hull()[1]
+    row = next(r for r in cell.rows if any(_dot(r.a, v) for v in basis)
+               and all(_dot(r.a, u) == r.b for u in pts) and not any(_dot(r.a, g) for g in rays))
+    return Polyhedron(cell.dim, [Row(r.a, r.b) for r in cell.rows] + [Row(tuple(-a for a in row.a), -row.b)])
+
+
+def face_key(poly):
+    """The key ``Polyhedron.facets`` gives a face, read off the face as a
+    closed polyhedron: the vertices of its section by the orthogonal
+    complement of its lineality, whose generators come as +- pairs among the
+    recession generators, and its sorted recession generators."""
+    gens = poly.recession_generators()
+    section = poly.with_rows([(g, 0) for g in gens if tuple(-x for x in g) in gens])
+    return tuple(section.vertices()), tuple(sorted(gens))
+
+
 def _inward_normal(poly, cell, a_t, a):
     """Primitive generator of (cell lattice)/(facet lattice) with a . w < 0,
     for the lattice basis ``cell`` of ``poly``'s hull and the facet's row

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -519,13 +520,48 @@ def test_integer_matrix_is_taken_as_it_is(case, data):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-9, 9).filter(bool))
-def test_gaussian_integers_follow_the_number_protocol(a, b, k):
-    g = QC(a, b)
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-9, 9).filter(bool),
+       st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any))
+def test_gaussian_integers_follow_the_number_protocol(a, b, k, parts):
+    g, h = QC(a, b), QC(*parts)
     assert (g.real, g.imag) == (a, b) and g.conjugate() == QC(a, -b)
     assert g.conjugate().conjugate() == g and (g * k) // k == g
+    for x in (a, g):                    # // by a Gaussian integer, for int // QC too
+        assert (x * h) // h == x
+    assert (a * (h * h.conjugate()).real) // h == a * h.conjugate()
     for x in (a, Fraction(a, k)):      # int and Fraction read the same names
         assert (x.real, x.imag, x.conjugate()) == (x, 0, x)
+
+
+@st.composite
+def _low_rank_products(draw):
+    """(m, gaussian): an m x k matrix, m, k <= 5, of rank at most r <= 3, the
+    product of random m x r and r x k factors with entries that are often
+    zero: Gaussian integers (QC), or else integers and fractions."""
+    rows, k, r = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    gaussian = draw(st.booleans())
+    small = st.one_of(st.just(0), st.integers(-3, 3))
+    entry = (st.builds(QC, small, small) if gaussian
+             else st.one_of(small, st.fractions(min_value=-2, max_value=2, max_denominator=3)))
+    left = [[draw(entry) for _ in range(r)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    return [[sum(map(operator.mul, row, col), QC(0) if gaussian else 0) for col in zip(*right)]
+            for row in left], gaussian
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_low_rank_products())
+def test_rank_over_q_i_is_half_the_realified_rank(case):
+    """exact.rank of a Gaussian-integer matrix A + iB is half the rank of the
+    real [[A, -B], [B, A]]; of a rational matrix, the pivot count of rref."""
+    m, gaussian = case
+    if gaussian:
+        A = [[x.real for x in row] for row in m]
+        B = [[x.imag for x in row] for row in m]
+        realified = ([a + [-x for x in b] for a, b in zip(A, B)] + [b + a for a, b in zip(A, B)])
+        assert 2 * exact.rank(m) == exact.rank(realified)
+    else:
+        assert exact.rank(m) == len(exact.rref(m)[1])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

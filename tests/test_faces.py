@@ -12,12 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 from tropcur import exact
 from tropcur.coeffs import Poly
 from tropcur.currents import (LagerbergCurrent, WeightedComplex, _integrated_complex,
-                              balancing_check, integration_current, sampled_closedness)
-from tropcur.fans import ToricChart
+                              balancing_check, closedness_test, integration_current,
+                              sampled_closedness)
+from tropcur.fans import ToricChart, orthant_fan
 from tropcur.gallery import shifted_tropical_line, tropical_line
 from tropcur.indices import subsets
 from tropcur.measures import Piece, PieceMeasure
-from tropcur.polyhedra import Polyhedron, Row, parametrize
+from tropcur.polyhedra import Polyhedron, Row, face_key, facet_polyhedron, parametrize
 
 
 # --- reference: a new polyhedron per facet row ------------------------------------
@@ -376,6 +377,15 @@ def test_minors_read_from_the_hull_basis(poly):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_polyhedra(), _chart_cells()))
+def test_facet_read_back_as_a_polyhedron_has_its_key(poly):
+    # balancing_check refines a failing face's hull on such polyhedra and
+    # names a piece by face_key
+    for key, _ in poly.facets:
+        assert face_key(facet_polyhedron(poly, key)) == key
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(_complexes())
 def test_balancing_matches_one_polyhedron_per_facet(C):
     v = balancing_check(C)
@@ -441,3 +451,79 @@ def test_second_balancing_check_builds_no_polyhedron(monkeypatch):
     assert not built            # the facets come from the cells' own data
     second = balancing_check(C)
     assert not built and (second.answer, second.witness) == (first.answer, first.witness)
+
+
+# --- balancing of cells that do not meet face to face ------------------------------
+
+_PLANE = [((0, 0, 1), 0), ((0, 0, -1), 0)]
+_LOW = Polyhedron(3, _PLANE + [((0, 1, 0), 0)])
+_HIGH = Polyhedron(3, _PLANE + [((0, -1, 0), 0)])
+_NE = Polyhedron(3, _PLANE + [((0, -1, 0), 0), ((-1, 0, 0), 0)])
+_NW = Polyhedron(3, _PLANE + [((0, -1, 0), 0), ((1, 0, 0), 0)])
+_CHART3 = orthant_fan(3).toric_chart(0)
+
+
+def test_plane_cut_in_three_balances_exactly():
+    # {y <= 0} has the whole line y = 0 as its facet, the two upper
+    # quadrants each a half of it: no facet key balances on its own
+    three = WeightedComplex(((_LOW, 1), (_NE, 1), (_NW, 1)))
+    assert balancing_check(three).yes
+    v = closedness_test(integration_current(three, _CHART3))
+    assert v.yes and v.exact
+    v = balancing_check(WeightedComplex(((_LOW, 1), (_NE, -1), (_NW, 1))))
+    assert v.no and v.exact
+    assert v.witness == {"face": (((0, 0, 0),), ((1, 0, 0),)), "residual": (0, -2, 0)}
+    two = WeightedComplex(((_LOW, 1), (_HIGH, 1)))
+    assert balancing_check(two).yes
+
+
+def test_face_to_face_witness_is_the_failing_key_when_its_hull_is_refined():
+    # two unit squares on y <= 0 side by side, and one far off on the same
+    # line: the segments of y = 0 are three keys of one hull
+    def square(x):
+        return Polyhedron(3, _PLANE + [((0, 1, 0), 0), ((0, -1, 0), 1),
+                                       ((-1, 0, 0), -x), ((1, 0, 0), x + 1)])
+    C = WeightedComplex(((square(0), 1), (square(1), 1), (square(3), 2)))
+    v = balancing_check(C)
+    assert v.no and (v.answer, v.witness) == _ref_balancing_check(C)
+
+
+@st.composite
+def _planes_cut_twice(draw):
+    """A lattice plane in R^3 cut by the line b1 . u = c1, and only its half
+    b1 . u >= c1 cut again by the line b2 . u = c2, which meets the first
+    one in a point: three cells of one weight, [(poly, w)]."""
+    vec = st.tuples(*[st.integers(-2, 2)] * 3)
+    g1, g2, b1, b2 = draw(vec), draw(vec), draw(vec), draw(vec)
+    normal = tuple(g1[i - 2] * g2[i - 1] - g1[i - 1] * g2[i - 2] for i in range(3))
+    assume(any(normal) and exact.rank([normal, b1, b2]) == 3)
+    x0 = draw(vec)
+    c1, c2 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    e = sum(a * b for a, b in zip(normal, x0))
+    plane = [(normal, e), (tuple(-a for a in normal), -e)]
+
+    def cut(b, c):      # b . u <= c, and its other side
+        return (b, c), (tuple(-x for x in b), -c)
+    (below1, above1), (below2, above2) = cut(b1, c1), cut(b2, c2)
+    w = draw(st.sampled_from([1, 2, -1]))
+    return [(Polyhedron(3, plane + [below1]), w), (Polyhedron(3, plane + [above1, below2]), w),
+            (Polyhedron(3, plane + [above1, above2]), w)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_planes_cut_twice(), st.integers(0, 2))
+def test_planes_cut_twice_balance_exactly(cells, flip):
+    assert balancing_check(WeightedComplex(tuple(cells))).yes
+    poly, w = cells[flip]
+    cells[flip] = (poly, -w)
+    v = balancing_check(WeightedComplex(tuple(cells)))
+    assert v.no and v.exact
+
+
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(_planes_cut_twice())
+def test_planes_cut_twice_agree_with_sampled_closedness(cells):
+    flipped = [(cells[0][0], -cells[0][1])] + cells[1:]
+    for C in (WeightedComplex(tuple(cells)), WeightedComplex(tuple(flipped))):
+        sampled = sampled_closedness(integration_current(C, _CHART3), test_basis_size=4)
+        assert sampled.answer == balancing_check(C).answer

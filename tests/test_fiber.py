@@ -19,7 +19,7 @@ from tropcur.fiber import (ComplexFiberForm, LagerbergFiberForm, apply_involutio
                            reverify, strong_generator, strong_generator_pool,
                            subsets, wedge)
 from tropcur.gallery import omega_degenerate, omega_rank_two
-from tropcur.indices import wedge_key
+from tropcur.indices import merge_indices, wedge_key
 
 
 # --- brute-force oracle: forms as generator sequences -------------------------
@@ -253,8 +253,8 @@ def _ref_pairing_polynomial(a):
         for (I1, J1), poly in acc.items():
             for i in range(n):
                 for k in range(n):
-                    sI, I = fiber.merge_indices(I1, (i,))
-                    sJ, J = fiber.merge_indices(J1, (k,))
+                    sI, I = merge_indices(I1, (i,))
+                    sJ, J = merge_indices(J1, (k,))
                     if sI and sJ:
                         term = (poly * var(j, i) * var(j, k)).scale((-1 if len(J1) % 2 else 1) * sI * sJ)
                         new[(I, J)] = new[(I, J)] + term if (I, J) in new else term
@@ -874,6 +874,54 @@ def _decomposable_cases(draw):
 def test_decomposable_matches_construction(case):
     form, answer = case
     assert decomposable_test(form) == answer
+
+
+def _ref_decomposable_test(a):
+    """decomposable_test as it was before one rank rule served every p: the
+    wedge square at p = 2, else the rank of the contractions, over Q(i)
+    half the rank of the real rows [A, -B] and [B, A] of A + iB."""
+    n, p = a.n, a.p
+    if a.is_zero() or p <= 1 or p == n:
+        return "yes"
+    if p == 2:
+        return "yes" if wedge(a, a).is_zero() else "no"
+    rows = []
+    for S in subsets(n, p - 1):
+        # e_S ^ e_j = (-1)^{#{s in S: s > j}} e_{S + j}
+        rows.append([0 if j in S else (-1) ** sum(s > j for s in S) * a.get(tuple(sorted(S + (j,))), ())
+                     for j in range(n)])
+    if a.algebra == "complex":
+        dim = exact.rank([[c.real for c in row] + [-c.imag for c in row] for row in rows]
+                         + [[c.imag for c in row] + [c.real for c in row] for row in rows]) // 2
+    else:
+        dim = exact.rank(rows)
+    return "yes" if dim == p else "no"
+
+
+@st.composite
+def _p0_forms(draw):
+    """A (p,0)-form at 1 <= p <= n <= 6 in either algebra, 2 <= p <= n - 2
+    in three of four: the wedge of p integer or Gaussian-integer vectors,
+    plus in half of them a form with one to three nonzero random
+    coefficients, so that both answers occur."""
+    kind = draw(_ALGEBRAS)
+    edge = draw(st.integers(0, 3)) == 0
+    n = draw(st.integers(1, 6) if edge else st.integers(4, 6))
+    p = draw(st.integers(1, n) if edge else st.integers(2, n - 2))
+    entry = (st.integers(-2, 2) if kind == "lagerberg"
+             else st.builds(QC, st.integers(-2, 2), st.integers(-2, 2)))
+    form = _wedge_of_vectors(kind, draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                                 min_size=p, max_size=p)))
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(subsets(n, p)), min_size=1, max_size=3, unique=True))
+        form = form + _CLASSES[kind](n, p, 0, {(K, ()): draw(entry.filter(bool)) for K in keys})
+    return form
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_p0_forms())
+def test_decomposable_matches_the_wedge_square_and_realified_rank(form):
+    assert decomposable_test(form) == _ref_decomposable_test(form)
 
 
 def test_symmetric_checks():

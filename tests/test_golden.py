@@ -34,6 +34,15 @@ CASES = [
                                         "--tier", "strong"]),
     ("positivity_weak.json", 0, ["check-positivity", "--form", "form.json",
                                  "--tier", "weak", "--pool-size", "50", "--seed", "4"]),
+    # the complex image of a positive form that is not strong: Q(i) at each tier
+    ("positivity_complex_positive.json", 0, ["check-positivity", "--form", "form_complex.json"]),
+    ("positivity_complex_strong.json", 0, ["check-positivity", "--form", "form_complex.json",
+                                           "--tier", "strong"]),
+    ("positivity_complex_weak.json", 0, ["check-positivity", "--form", "form_complex.json",
+                                         "--tier", "weak"]),
+    # two strong generators whose LDL^T vectors are decomposable
+    ("positivity_strong_gram_span.json", 0, ["check-positivity", "--form", "form_gram_span.json",
+                                             "--tier", "strong"]),
     ("decompose.json", 0, ["decompose", "--current", "current.json", "--rank", "2",
                            "--samples", "6"]),
     ("decompose_fan.json", 0, ["decompose", "--current", "current.json",
@@ -52,6 +61,9 @@ CASES = [
                                        "--seed", "3"]),
     ("scene_fiber.json", 0, ["run", "scene_fiber.json"]),
     ("scene_currents.json", 0, ["run", "scene_currents.json"]),
+    # a plane cut in three cells that do not meet face to face, and with one
+    # weight negated
+    ("scene_balancing.json", 0, ["run", "scene_balancing.json"]),
     ("scene_errors.json", 2, ["run", "scene_errors.json"]),
     ("scene_errors.csv", 2, ["--format", "csv", "run", "scene_errors.json"]),
 ]

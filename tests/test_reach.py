@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tropcur"
 
 # Not all of these are dead: the benchmark's cycles run four of them
-# (fiber._gram_span_yes and coordinate_strong_generators, and the two
+# (fiber.coordinate_strong_generators and _FiberForm.is_zero, and the two
 # formats writers), and the complex fiber algebra is the paper's.
 UNREACHED = frozenset({
     "coeffs.CoefficientFn.from_poly", "coeffs.CoefficientFn.key",
@@ -41,16 +41,13 @@ UNREACHED = frozenset({
     "correspond._support_descriptor", "correspond.compat_checks",
     "correspond.complex_positivity_check",
     "correspond.kernel_point_current.evaluator",
-    "currents.LagerbergCurrent.scale", "currents._minus",
+    "currents.LagerbergCurrent.scale",
     "currents._on_relative_boundary", "currents._pair_constant_fiber",
     "currents._sampled_positivity", "currents.point_value", "currents.reverify_positivity",
-    "exact.QC.conjugate", "exact.QC.i_pow", "exact.QC.of", "exact._poly_div",
+    "exact._poly_div",
     "exact._poly_eval", "exact.sturm_roots_in",
     "exact.sturm_roots_in.signs_at", "exact.sturm_roots_in.variations",
-    "fiber.ComplexFiberForm._of",
-    "fiber.ComplexFiberForm._zero",
-    "fiber._FiberForm.basis_form", "fiber._FiberForm.zero",
-    "fiber._gram_span_yes",
+    "fiber._FiberForm.basis_form", "fiber._FiberForm.is_zero", "fiber._FiberForm.zero",
     "fiber.apply_involution", "fiber.coordinate_strong_generators",
     "fiber.embed_complex",
     "fields.LagerbergFormField._axis_slabs",

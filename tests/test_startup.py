@@ -137,7 +137,7 @@ def _integrate_runs(tmp_path):
 def test_integrate_loads_no_current_layers(tmp_path):
     for modules in _integrate_runs(tmp_path):
         assert not modules & {"tropcur.currents", "tropcur.measures", "tropcur.correspond",
-                              "tropcur.gallery"}
+                              "tropcur.gallery", "tropcur.polyhedra"}
 
 
 def test_integrate_loads_no_fiber_algebra(tmp_path):
