@@ -41,8 +41,8 @@ w = omega_rank_two()
 print("positive tier:", positivity_verdict(w, "positive").answer)
 g = gram_form(w)
 from tropcur import exact
-res = exact.psd_decompose([[Fraction(x) for x in row] for row in g.matrix])
-print("Gram rank:", res.rank)
+terms, _, _ = exact.psd_decompose([[Fraction(x) for x in row] for row in g.matrix])
+print("Gram rank:", len(terms))
 vs = positivity_verdict(w, "strong", pool_size=50)
 print("strong tier:", vs.answer, "-", vs.reason)
 print("obstruction quadrics (A y^2 + B yz + C z^2):",

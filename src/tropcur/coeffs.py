@@ -24,7 +24,7 @@ object converts its coefficients to floats once, on its first call.
 import math
 from fractions import Fraction
 
-from .errors import Value
+from .errors import DimensionMismatch, Value
 from .exact import frac
 
 
@@ -451,7 +451,8 @@ class CoefficientFn:
         return hash((self.nvars, self.key()))
 
     def __add__(self, other):
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise DimensionMismatch(f"variable count mismatch: {self.nvars} vs {other.nvars}")
         return CoefficientFn(self.nvars, list(self.terms) + list(other.terms))
 
     def __sub__(self, other):
@@ -463,7 +464,8 @@ class CoefficientFn:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, str)):
             return self.scale(other)
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise DimensionMismatch(f"variable count mismatch: {self.nvars} vs {other.nvars}")
         out = []
         for p1, e1, w1 in self.terms:
             for p2, e2, w2 in other.terms:

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from . import exact
 from .coeffs import CoefficientFn, Poly
-from .errors import (CompatibilityViolation, Divergent, MixedDimension,
-                     NonMeasurePiece, NotCFinite, NotLocallyFinite, NotPositive,
+from .errors import (BidegreeMismatch, CompatibilityViolation, DimensionMismatch, Divergent,
+                     MixedDimension, NonMeasurePiece, NotCFinite, NotLocallyFinite, NotPositive,
                      SignNotCertified, SupportEscapesU, ToleranceNotMet,
                      ValidationError, Value, Verdict)
 from .indices import stratum_subsets, subsets
@@ -92,7 +92,10 @@ class LagerbergCurrent:
             self.canonical_key() == other.canonical_key()
 
     def __add__(self, other):
-        assert (self.n, self.p) == (other.n, other.p)
+        if self.n != other.n:
+            raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
+        if self.p != other.p:
+            raise BidegreeMismatch(f"cannot add currents of degrees {self.p} and {other.p}")
         if self.evaluator or other.evaluator:
             raise NonMeasurePiece("cannot add evaluator-backed currents")
         out = {}

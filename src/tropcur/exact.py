@@ -15,8 +15,9 @@ Everything here is pure and deterministic.
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 
-from .errors import Value, Verdict
+from .errors import Verdict
 
 _ZERO = Fraction(0)
 _RATIONAL = frozenset({int, Fraction})
@@ -322,14 +323,13 @@ class QC:
         return QC(self.real, -self.imag)
 
     def __eq__(self, other):
-        try:
-            other = QC.of(other)
-        except TypeError:
+        if not isinstance(other, (int, Fraction, QC)):
             return NotImplemented
         return self.real == other.real and self.imag == other.imag
 
     def __hash__(self):
-        return hash((Fraction(self.real), Fraction(self.imag)))
+        # a real QC equals its real part, so it hashes as it
+        return hash(self.real) if self.imag == 0 else hash((self.real, self.imag))
 
     def __bool__(self):
         return self.real != 0 or self.imag != 0
@@ -345,53 +345,41 @@ class QC:
 
 # --- PSD over Q and Q(i) ----------------------------------------------------
 
-class PSDResult(Value):
-    """Outcome of the exact LDL^T test.
-
-    ``psd`` bool, ``rank`` int; on success ``decomposition`` is a list of
-    (gamma, vector) with M = sum gamma * v conj(v)^T, gamma > 0; on failure
-    ``witness`` is an exact vector x with ``value`` = conj(x)^T M x < 0, a
-    Fraction.  gram_holds checks either fact.
-    """
-    __slots__ = _fields = ("psd", "rank", "decomposition", "witness", "value")
-
-    def __init__(self, psd, rank=0, decomposition=None, witness=None, value=None):
-        super().__init__(psd, rank, decomposition, witness, value)
-
-    def __bool__(self):
-        return self.psd
-
-
 _EXACT = frozenset({int, Fraction, QC})
 
 
-def psd_decompose(m, den=1):
-    """Exact PSD decision for the symmetric rational or Hermitian QC matrix m / den.
+def psd_decompose(m, den=1, idx=None):
+    """Exact PSD decision for the symmetric rational or Hermitian QC matrix
+    M = m / den, its rows keyed by ``idx`` (their positions by default).
 
-    The scalars are QC if any entry of m is, else rationals (conjugate is
-    the identity); ``den`` is a positive integer.  Rank-one peeling (LDL^T):
-    a negative residual diagonal, or a zero residual diagonal with a nonzero
-    residual row, gives an exact witness x with conj(x)^T M x < 0; otherwise
-    the collected (d_k, v_k), d_k > 0 a Fraction, certify
-    M = sum_k d_k v_k conj(v_k)^T, with v_k zero at earlier pivots.
+    Returns (terms, None, None) when M is PSD: terms [(d_k, {K: v_K})] with
+    M = sum_k d_k v_k conj(v_k)^T, d_k > 0 a Fraction, each v_k read off its
+    pivot row's support, so zero at earlier pivots.  Otherwise returns
+    (None, x, value), x = {K: x_K} over every key of idx in its order, with
+    value = conj(x)^T M x < 0 a Fraction: a negative residual diagonal, or
+    a zero residual diagonal with a nonzero residual row, gives it.  The
+    scalars are QC if any entry of m is, else rationals (conjugate is the
+    identity); ``den`` is a positive integer.
 
-    The peeling runs on integers, Gaussian integers over Q(i) (E. H. Bareiss,
-    Math. Comp. 22, 1968: exact over any integral domain), and makes a
-    Fraction only for an entry it returns.  An integer m is taken as it is,
-    any other m cleared once by integer_parts.  The residual is N / q: the
-    pivot d, the first with piv = N_dd != 0, sends N to
-    N_ij <- (piv N_ij - conj(N_di) N_dj) // prev and q to q piv / prev, prev
-    the previous pivot, which divides exactly (part by part); a row with
-    N_di = 0 is only scaled, row d drops and column d comes out zero.  So
-    d_k = piv / q and v_k = conj(N_d.) / piv.  The witness is X / D on
+    The peeling (LDL^T) runs on integers, Gaussian integers over Q(i)
+    (E. H. Bareiss, Math. Comp. 22, 1968: exact over any integral domain),
+    and makes a Fraction only for what it returns, once the answer is
+    known; it records each pivot row over its support.  An integer m is
+    taken as it is, any other m cleared once by integer_parts.  The
+    residual is N / q: the pivot d, the first with piv = N_dd != 0, sends N
+    to N_ij <- (piv N_ij - conj(N_di) N_dj) // prev and q to q piv / prev,
+    prev the previous pivot, which divides exactly (part by part); a row
+    with N_di = 0 is only scaled, row d drops and column d comes out zero.
+    So d_k = piv / q and v_k = conj(N_d.) / piv.  The witness is X / D on
     integers, made orthogonal to each v_k, newest first: its recorded row
     sets X_d to -sum_{i != d} N_di X_i and scales the rest of X, and D, by
     piv.  So conj(x)^T M x is the residual's value at x.
     """
     n = len(m)
+    keys = range(n) if idx is None else idx
     types = set(map(type, chain.from_iterable(m)))
     hermitian = QC in types
-    scale, N = 1, m
+    scale, N = 1, list(m)
     if not types <= {int}:
         scale, flat = integer_parts(list(chain.from_iterable(m)))
         N = [flat[i:i + n] for i in range(0, n * n, n)]
@@ -399,37 +387,25 @@ def psd_decompose(m, den=1):
         raise ValueError("matrix not Hermitian" if hermitian else "matrix not symmetric")
     # a returned entry x / d, x an integer (a QC with integer parts over Q(i))
     entry = (lambda x, d: QC(Fraction(x.real, d), Fraction(x.imag, d))) if hermitian else Fraction
-    q, prev, zero = scale * den, 1, entry(0, 1)
-    decomp, rows = [], []       # rows: (d, piv, [(i, N_di)] over row d's support)
+    q, prev = scale * den, 1
+    rows = []                   # (d, piv, q, [(i, N_di)] over row d's support), one per pivot
     live = list(range(n))       # the index in m of each row left; rows keep m's columns
 
-    def orthogonal(x, d):
-        # the vector X / d, X = {i: X_i} integer, made orthogonal to every v_k
-        X = [x.get(i, 0) for i in range(n)]
-        for pivot, piv, support in reversed(rows):
-            s = sum(a * X[i] for i, a in support if i != pivot)
-            if s:
-                X = [piv * y for y in X]
-                X[pivot], d = -s, d * piv
-        return tuple([entry(y, d) if y else zero for y in X])
-
     while True:
-        k = next((t for t, row in enumerate(N) if row[live[t]]), None)
-        if k is None:
+        for k, d in enumerate(live):
+            if N[k][d]:
+                break
+        else:
             break
-        d, top = live.pop(k), N[k]
+        del live[k]
+        top = N.pop(k)
         piv = top[d].real
         if piv < 0:
-            return PSDResult(False, witness=orthogonal({d: 1}, 1), value=Fraction(piv, q))
-        support = [(i, a) for i, a in enumerate(top) if a]
-        v = [zero] * n
-        for i, a in support:
-            v[i] = entry(a.conjugate(), piv)
-        decomp.append((Fraction(piv, q), tuple(v)))
-        rows.append((d, piv, support))
-        # the rows left; column d, and every column pivoted before, comes out zero
+            return None, _orthogonal(rows, {d: 1}, 1, keys, entry), Fraction(piv, q)
+        rows.append((d, piv, q, [(i, a) for i, a in enumerate(top) if a]))
+        # the rows left, by N_id = conj(N_di); column d, and every column pivoted before, comes out zero
         N = [[(piv * x - c * b) // prev for x, b in zip(r, top)] if c else [piv * x // prev for x in r]
-             for r, c in zip(N[:k] + N[k + 1:], [top[i].conjugate() for i in live])]
+             for r, c in zip(N, map(itemgetter(d), N))]
         q, prev = q * piv // prev, piv
     # the live diagonal is zero, so the first nonzero entry of a row left is off it
     for i, row in zip(live, N):
@@ -440,15 +416,30 @@ def psd_decompose(m, den=1):
             # = -2|M_ij|^2; symmetric: x_i = 1, x_j = -sign(s), so x^T M x = -2|s| / q
             x, d, value = (({i: -s, j: q}, q, Fraction(-2 * (s.real ** 2 + s.imag ** 2), q * q)) if hermitian
                            else ({i: 1, j: -1 if s > 0 else 1}, 1, Fraction(-2 * abs(s), q)))
-            return PSDResult(False, witness=orthogonal(x, d), value=value)
-    return PSDResult(True, rank=len(decomp), decomposition=decomp)
+            return None, _orthogonal(rows, x, d, keys, entry), value
+    return [(Fraction(piv, q), {keys[i]: entry(a.conjugate(), piv) for i, a in support})
+            for _, piv, q, support in rows], None, None
+
+
+def _orthogonal(rows, x, d, keys, entry):
+    """The witness of psd_decompose, {K: x_K} over keys, for X / d, X = {i: X_i}
+    on integers made orthogonal to the v_k of rows, newest first."""
+    X = [x.get(i, 0) for i in range(len(keys))]
+    for pivot, piv, _, support in reversed(rows):
+        s = sum(a * X[i] for i, a in support if i != pivot)
+        if s:
+            X = [piv * y for y in X]
+            X[pivot], d = -s, d * piv
+    zero = entry(0, 1)
+    return dict(zip(keys, [entry(y, d) if y else zero for y in X]))
 
 
 def integer_parts(values):
     """(den, ints) for a list of exact scalars, values[t] == ints[t] / den:
     integers, or QC with integer parts when some value is a QC.  Integers
     come back as they are, with den 1: nothing to clear.  One
-    as_integer_ratio pass; den is the lcm of the denominators other than 1."""
+    as_integer_ratio pass; den is the lcm of the denominators, and when it
+    is 1 the numerators are the integers."""
     types = set(map(type, values))
     if QC in types:
         den, ints = integer_parts([y for x in values for y in (x.real, x.imag)])
@@ -456,84 +447,79 @@ def integer_parts(values):
     if types <= {int}:
         return 1, values
     ratios = [x.as_integer_ratio() for x in values]
-    den = lcm(*{d for _, d in ratios if d != 1})
-    return den, [a * (den // d) for a, d in ratios]
+    den = lcm(*{d for _, d in ratios})
+    return den, [a for a, _ in ratios] if den == 1 else [a * (den // d) for a, d in ratios]
 
 
-def gram_holds(m, den=1, terms=None, witness=None):
+def gram_holds(m, den=1, terms=None, witness=None, idx=None):
     """Exact check of one Gram fact about the symmetric rational or
     Hermitian QC matrix M = m / den, ``den`` a positive integer; bool.
 
     ``terms`` [(gamma, v)] claim that M is PSD: M == sum gamma v conj(v)^T
     with every gamma > 0.  ``witness`` (x, value) claims that it is not:
-    conj(x)^T M x == value < 0.  Vectors run over M's rows; a claim with a
-    scalar that is not exact (int or Fraction, or QC in a vector) fails.
-    It runs on integers, Gaussian integers over Q(i): m and each vector are
-    cleared once by integer_parts (an integer m is taken as it is), and a
-    vector X is read over its support, with conj(X_i) taken once.  Terms add
-    c X_i conj(X_j) into one flat list compared with N; a witness is
-    evaluated as sum_i conj(X_i) (N X)_i.
+    conj(x)^T M x == value < 0.  A vector is a mapping {K: v_K} over the keys
+    ``idx`` of M's rows (their positions by default), a key it lacks a zero
+    entry; a claim with a key outside idx, or with a scalar that is not
+    exact (int or Fraction, or QC in a vector), fails.  Each vector is
+    cleared once by integer_parts and read over its support, each key's
+    position looked up once and conj(X_i) taken once; m is read as it is.
+    Terms add c X_i conj(X_j) into one flat list compared with m scaled to
+    their common denominator; a witness is evaluated as sum_i conj(X_i) (m X)_i.
     """
     size = len(m)
+    pos = dict(zip(range(size) if idx is None else idx, range(size)))
     claims = terms if witness is None else [(witness[1], witness[0])]
-    kinds = set(map(type, chain.from_iterable(v for _, v in claims)))
-    if not (kinds <= _EXACT and {type(s) for s, _ in claims} <= _RATIONAL
-            and {len(v) for _, v in claims} <= {size}):
+    values = [x for _, v in claims for x in v.values()]
+    if not ({type(s) for s, _ in claims} <= _RATIONAL and set(map(type, values)) <= _EXACT):
         return False
-    e, flat = integer_parts(list(chain.from_iterable(m)))
-    q, cleared = e * den, []    # M = N / q, N = flat by rows
-    for s, v in claims:
-        # s = num / d and v = X / f, X over its support [(i, X_i, conj(X_i))]
-        f, ints = integer_parts(v)
-        num, d = s.as_integer_ratio()
-        cleared.append((num, d, f, [(i, x, x.conjugate()) for i, x in enumerate(ints) if x]))
+    # every v = X / f, each X read over its support [(i, X_i, conj(X_i))]; s = num / d
+    f, ints = integer_parts(values)
+    ints = iter(ints)       # zip stops at v's last key, so each vector takes its own entries
+    try:        # each key's position, looked up once; a key outside idx fails
+        cleared = [(*s.as_integer_ratio(),
+                    [(i, x, x.conjugate()) for i, x in zip(map(pos.__getitem__, v), ints) if x])
+                   for s, v in claims]
+    except KeyError:
+        return False
     if witness is not None:
-        [(num, d, f, support)] = cleared
-        value = sum(c * sum(flat[i * size + j] * y for j, y, _ in support) for i, _, c in support)
-        return value.imag == 0 and value.real < 0 and value.real * d == num * q * f * f
-    if any(num <= 0 for num, *_ in cleared):
+        [(num, d, support)] = cleared
+        value = sum(c * sum(m[i][j] * y for j, y, _ in support) for i, _, c in support)
+        return value.imag == 0 and value.real < 0 and value.real * d == num * den * f * f
+    if any(num <= 0 for num, _, _ in cleared):
         return False
-    L = lcm(q, *[d * f * f for _, d, f, _ in cleared])
+    L = lcm(den, *[d * f * f for _, d, _ in cleared])
     got = [0] * (size * size)
-    for num, d, f, support in cleared:
+    for num, d, support in cleared:
         c = num * (L // (d * f * f))
         for i, a, _ in support:
             r, ca = i * size, c * a
             for j, _, y in support:
                 got[r + j] += ca * y
-    k = L // q
-    return got == [y * k for y in flat]
+    k = L // den
+    return got == [y * k for row in m for y in row]
 
 
 def gram_verdict(idx, m, den=1):
-    """The positive-tier Verdict of psd_decompose(m, den), M = m / den over
-    ``idx``: Yes carries ("decomposition", [(gamma, {K: v_K})]), M = sum gamma
-    v conj(v)^T, No ("evaluation", {K: x_K}, value), value = conj(x)^T M x < 0.
-    A matrix that is not symmetric (resp. Hermitian) raises ValueError."""
-    res = psd_decompose(m, den)
-    if res.psd:
-        terms = [(gamma, {K: x for K, x in zip(idx, v) if x}) for gamma, v in res.decomposition]
+    """The positive-tier Verdict of psd_decompose(m, den, idx), M = m / den
+    over ``idx``: Yes carries ("decomposition", [(gamma, {K: v_K})]), M = sum
+    gamma v conj(v)^T, No ("evaluation", {K: x_K}, value), value = conj(x)^T M
+    x < 0.  A matrix that is not symmetric (resp. Hermitian) raises ValueError."""
+    terms, x, value = psd_decompose(m, den, idx)
+    if x is None:
         return Verdict("positive", "yes", certificate=("decomposition", terms))
-    return Verdict("positive", "no", witness=("evaluation", dict(zip(idx, res.witness)), res.value),
-                   reason="Gram form not PSD")
+    return Verdict("positive", "no", witness=("evaluation", x, value), reason="Gram form not PSD")
 
 
 def gram_claim_holds(idx, m, den, data):
-    """Exact check, by gram_holds, of a claim of gram_verdict about m / den
-    over ``idx``: a decomposition or an evaluation; bool.  A claim of the
+    """Exact check, by gram_holds over ``idx``, of a claim of gram_verdict
+    about m / den: a decomposition or an evaluation; bool.  A claim of the
     wrong shape, or with a key outside ``idx``, is False."""
-    keys = set(idx)
-
-    def vector(v):      # {K: v_K} over idx
-        if not v.keys() <= keys:
-            raise ValueError("a key outside the index list")
-        return [v.get(K, 0) for K in idx]
     try:
         if data[0] == "evaluation":
             _, x, value = data
-            return gram_holds(m, den, witness=(vector(x), value))
+            return gram_holds(m, den, witness=(x, value), idx=idx)
         kind, terms = data
-        return kind == "decomposition" and gram_holds(m, den, [(gamma, vector(v)) for gamma, v in terms])
+        return kind == "decomposition" and gram_holds(m, den, terms, idx=idx)
     except (AttributeError, IndexError, TypeError, ValueError):
         return False
 

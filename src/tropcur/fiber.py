@@ -196,7 +196,12 @@ class _FiberForm:
         return out
 
     def __add__(self, other):
-        assert type(other) is type(self) and (self.p, self.q) == (other.p, other.q)
+        if type(other) is not type(self):
+            raise WrongAlgebra(f"cannot add a {type(other).__name__} to a {type(self).__name__}")
+        if self.n != other.n:
+            raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
+        if (self.p, self.q) != (other.p, other.q):
+            raise BidegreeMismatch(f"cannot add bidegrees ({self.p},{self.q}) and ({other.p},{other.q})")
         out = dict(self.coeff)
         for k, c in other.coeff.items():
             out[k] = out.get(k, 0) + c
@@ -803,7 +808,8 @@ def reverify(a, verdict):
             terms = [(gamma, _tag_vector(v, a.n, a.p, type(a))) for gamma, v in data[1]]
         except _MALFORMED:
             return False
-        return all(v is not None for _, v in terms) and exact.gram_holds(*a._gram[1:], terms)
+        return (all(v is not None for _, v in terms)
+                and exact.gram_holds(*a._gram[1:], [(gamma, dict(enumerate(v))) for gamma, v in terms]))
     if kind == "pairing_polynomial_zero":
         return a._pairing_polynomial.is_zero()
     if kind == "pairing_polynomial_even_positive":

@@ -25,7 +25,8 @@ import random
 from fractions import Fraction
 
 from .coeffs import CoefficientFn, plateau
-from .errors import NonCompactSupport, ValidationError, Verdict, WrongAlgebra, float_range
+from .errors import (BidegreeMismatch, DimensionMismatch, NonCompactSupport, ValidationError,
+                     Verdict, WrongAlgebra, float_range)
 from .exact import frac
 from .indices import stratum_subsets, wedge_key
 
@@ -99,7 +100,10 @@ class LagerbergFormField:
                                   self.neighborhoods)
 
     def __add__(self, other):
-        assert (self.n, self.p, self.q) == (other.n, other.p, other.q)
+        if self.n != other.n:
+            raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
+        if (self.p, self.q) != (other.p, other.q):
+            raise BidegreeMismatch(f"cannot add bidegrees ({self.p},{self.q}) and ({other.p},{other.q})")
         out = {}
         for M in set(self.tables) | set(other.tables):
             tab = {}

@@ -25,8 +25,8 @@ from functools import cached_property
 
 from . import exact
 from .coeffs import CoefficientFn, Poly
-from .errors import (Divergent, NonMeasurePiece, SignNotCertified, ToleranceNotMet,
-                     ValidationError, Value, float_range)
+from .errors import (DimensionMismatch, Divergent, NonMeasurePiece, SignNotCertified,
+                     ToleranceNotMet, ValidationError, Value, float_range)
 from .exact import frac
 from .polyhedra import Polyhedron, coordinate_range, midpoint, parametrize
 
@@ -176,7 +176,8 @@ class PieceMeasure:
                             (c * frac(cfrac), k + pipow), certify=False)
 
     def __add__(self, other):
-        assert self.n == other.n
+        if self.n != other.n:
+            raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
         a, b = self, other
         if a.scale != b.scale:
             if a.scale[1] != b.scale[1]:

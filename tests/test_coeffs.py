@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tropcur.coeffs import CoefficientFn, Poly, UniFn, bump, plateau
+from tropcur.errors import DimensionMismatch
 
 
 def _fd(f, s, h=1e-6):
@@ -181,3 +182,14 @@ def test_drop_axis_dependence():
     assert f.drop_axis_dependence() == {1}
     g = CoefficientFn.poly_exp(Poly.var(0, 3), Poly.linear([0, 0, -1]))
     assert g.drop_axis_dependence() == {0, 2}
+
+
+def test_coefficient_arithmetic_checks_variable_count():
+    """Adding or multiplying functions of another number of variables is a
+    typed error, not an assert."""
+    f, g = CoefficientFn.const(2, 1), CoefficientFn.const(3, 2)
+    for op in (f.__add__, f.__mul__, f.__sub__):
+        with pytest.raises(DimensionMismatch):
+            op(g)
+    assert (f * f).eval_float((0.5,)) == pytest.approx(4.0)
+    assert (f + f).eval_float((0.5,)) == pytest.approx(4.0)

@@ -14,8 +14,8 @@ from tropcur.currents import (LagerbergCurrent, WeightedComplex, _integrated_com
                               closedness_test, evaluate, extend_by_zero,
                               integration_current,
                               positivity_check, resum, sampled_closedness)
-from tropcur.errors import (MixedDimension, NotCFinite, NotPositive,
-                            SupportEscapesU, ValidationError)
+from tropcur.errors import (BidegreeMismatch, DimensionMismatch, MixedDimension, NotCFinite,
+                            NotPositive, SupportEscapesU, ValidationError)
 from tropcur.fans import orthant_fan
 from tropcur.fields import LagerbergFormField, bump_box_field
 from tropcur.gallery import (degenerate_form_current, derivative_atom_current,
@@ -968,3 +968,16 @@ def test_c_finite_witness_matches_the_measure_building_route(case):
             fresh = _fresh_escape_cones(piece, chart)
             assert boundary_escape_cones(piece, chart) == fresh
             assert boundary_escape_cones(piece, chart) == fresh     # from the memo
+
+
+def test_adding_currents_checks_dimension_and_degree():
+    """Currents of another dimension or degree are typed errors, not an assert."""
+    mu = PieceMeasure(1, pieces=[lebesgue_piece((), interval(0, 1))])
+    T = LagerbergCurrent(_chart(1), 0, {((0,), (0,)): mu})
+    point = PieceMeasure(2, atoms=[Atom(frozenset(), (Fraction(1), Fraction(1)), Fraction(1))])
+    S = LagerbergCurrent(_chart(2), 1, {((0,), (0,)): point})
+    with pytest.raises(DimensionMismatch):
+        T + S
+    with pytest.raises(BidegreeMismatch):
+        S + LagerbergCurrent(_chart(2), 0, {((0, 1), (0, 1)): point})
+    assert [a.weight for a in (S + S).cocoeff((0,), (0,)).atoms] == [2]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropcur import exact
+from tropcur.errors import Verdict
 from tropcur.exact import QC
 
 
@@ -121,14 +122,20 @@ def test_lattice_saturation_matches_gcd_of_maximal_minors(rows):
     assert exact.lattice_saturated(rows) == (g == 1)
 
 
+def _dense(v, n):
+    """A vector {i: v_i} of psd_decompose, keyed by position, as a list."""
+    return [v.get(i, 0) for i in range(n)]
+
+
 def test_psd_decompose_yes():
     m = [[2, 1], [1, 1]]
-    res = exact.psd_decompose(m)
-    assert res.psd and res.rank == 2
+    terms, witness, _ = exact.psd_decompose(m)
+    assert witness is None and len(terms) == 2
     # reconstruct the matrix from the certificate
     rec = [[Fraction(0)] * 2 for _ in range(2)]
-    for g, v in res.decomposition:
+    for g, v in terms:
         assert g > 0
+        v = _dense(v, 2)
         for i in range(2):
             for j in range(2):
                 rec[i][j] += g * v[i] * v[j]
@@ -137,22 +144,20 @@ def test_psd_decompose_yes():
 
 def test_psd_decompose_semidefinite_rank():
     m = [[1, 1], [1, 1]]
-    res = exact.psd_decompose(m)
-    assert res.psd and res.rank == 1
+    terms, witness, _ = exact.psd_decompose(m)
+    assert witness is None and len(terms) == 1
 
 
 def test_psd_decompose_no_witness():
     m = [[0, 1], [1, 0]]
-    res = exact.psd_decompose(m)
-    assert not res.psd
-    w = res.witness
+    terms, w, _ = exact.psd_decompose(m)
+    assert terms is None
     val = sum(w[i] * m[i][j] * w[j] for i in range(2) for j in range(2))
     assert val < 0
 
     m2 = [[1, 2], [2, 1]]
-    res2 = exact.psd_decompose(m2)
-    assert not res2.psd
-    w = res2.witness
+    terms, w, _ = exact.psd_decompose(m2)
+    assert terms is None
     val = sum(w[i] * m2[i][j] * w[j] for i in range(2) for j in range(2))
     assert val < 0
 
@@ -221,21 +226,21 @@ def _low_rank_matrices(draw):
 @given(_hermitian_matrices())
 def test_psd_decompose_certificate_or_witness(m):
     n = len(m)
-    res = exact.psd_decompose(m)
-    if res.psd:
+    terms, w, value = exact.psd_decompose(m)
+    if w is None:
         rec = [[0] * n for _ in range(n)]
-        for gamma, v in res.decomposition:
+        for gamma, v in terms:
             assert gamma > 0
+            v = _dense(v, n)
             for i in range(n):
                 for j in range(n):
                     rec[i][j] = rec[i][j] + gamma * v[i] * _conj(v[j])
         assert rec == m
-        assert exact.gram_holds(m, 1, res.decomposition)
+        assert exact.gram_holds(m, 1, terms)
     else:
-        w = res.witness
         val = QC.of(sum(_conj(w[i]) * m[i][j] * w[j] for i in range(n) for j in range(n)))
         assert val.imag == 0 and val.real < 0
-        assert res.value == val and exact.gram_holds(m, 1, witness=(w, res.value))
+        assert value == val and exact.gram_holds(m, 1, witness=(w, value))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -250,9 +255,9 @@ def test_gram_holds_matches_fraction_reference(m, data):
     k = data.draw(st.integers(1, 4))
     rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     scalar = st.builds(QC, rational, rational) if isinstance(m[0][0], QC) else rational
-    vector = st.lists(scalar, min_size=n, max_size=n)
-    res = exact.psd_decompose(m)
-    terms = res.decomposition or []
+    vector = st.lists(scalar, min_size=n, max_size=n).map(lambda v: dict(enumerate(v)))
+    terms, witness, _ = exact.psd_decompose(m)
+    terms = terms or []
     if data.draw(st.booleans()) or not terms:
         terms = data.draw(st.lists(st.tuples(rational, vector), max_size=3))
     elif n > 1 and data.draw(st.booleans()):
@@ -263,12 +268,13 @@ def test_gram_holds_matches_fraction_reference(m, data):
     scaled = [[x * k for x in row] for row in m]
     rec = [[0] * n for _ in range(n)]
     for gamma, v in terms:
+        v = _dense(v, n)
         for i in range(n):
             for j in range(n):
                 rec[i][j] = rec[i][j] + gamma * v[i] * _conj(v[j])
     holds = all(gamma > 0 for gamma, _ in terms) and rec == m
     assert exact.gram_holds(scaled, k, terms) == holds
-    x = res.witness if res.witness and data.draw(st.booleans()) else data.draw(vector)
+    x = witness if witness and data.draw(st.booleans()) else data.draw(vector)
     val = QC.of(sum(_conj(x[i]) * m[i][j] * x[j] for i in range(n) for j in range(n)))
     value = val.real + data.draw(st.sampled_from([0, 0, -1, 1]))
     holds = val.imag == 0 and value == val.real < 0
@@ -322,6 +328,16 @@ def _ref_psd_decompose(m):
                 a[i] = [x - f * y for x, y in zip(a[i], cv)]
         active.remove(d)
     return True, len(decomp), decomp, None
+
+
+def _keyed(ref, idx):
+    """(terms, witness) of _ref_psd_decompose keyed over idx, as psd_decompose
+    returns them: each term's vector over its nonzero entries, the witness
+    over every key, in idx order."""
+    psd, _, decomp, witness = ref
+    if psd:
+        return [(gamma, {K: x for K, x in zip(idx, v) if x}) for gamma, v in decomp], None
+    return None, dict(zip(idx, witness))
 
 
 # --- reference: Gauss-Jordan elimination on Fraction scalars -----------------------
@@ -443,11 +459,11 @@ def _ldl_cases(draw):
 @given(st.one_of(_ldl_cases(), st.tuples(_low_rank_matrices(), st.integers(1, 12))))
 def test_psd_decompose_matches_fraction_reference(case):
     m, k = case
-    want = _ref_psd_decompose(m)
+    want = _keyed(_ref_psd_decompose(m), range(len(m)))
     scaled = [[x * k for x in row] for row in m]
-    for res in (exact.psd_decompose(m), exact.psd_decompose(scaled, k)):
-        assert (res.psd, res.rank, res.decomposition, res.witness) == want
-        assert all(type(gamma) is Fraction for gamma, _ in res.decomposition or ())
+    for terms, witness, _ in (exact.psd_decompose(m), exact.psd_decompose(scaled, k)):
+        assert (terms, witness) == want
+        assert all(type(gamma) is Fraction for gamma, _ in terms or ())
 
 
 
@@ -504,19 +520,99 @@ def test_integer_matrix_is_taken_as_it_is(case, data):
                 exact.psd_decompose(mat, d)
         return
     got, want = exact.psd_decompose(N, den), exact.psd_decompose(M)
-    assert ((got.psd, got.rank, got.decomposition, got.witness, got.value)
-            == (want.psd, want.rank, want.decomposition, want.witness, want.value))
+    assert got == want
     n = len(N)
     rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     vector = st.lists(st.builds(QC, rational, rational) if hermitian else rational,
-                      min_size=n, max_size=n)
-    claims = [{"terms": want.decomposition} if want.psd
-              else {"witness": (want.witness, want.value)},
+                      min_size=n, max_size=n).map(lambda v: dict(enumerate(v)))
+    terms, witness, value = want
+    claims = [{"terms": terms} if witness is None else {"witness": (witness, value)},
               {"terms": data.draw(st.lists(st.tuples(rational, vector), max_size=3))},
               {"witness": (data.draw(vector), data.draw(rational))}]
     for claim in claims:
         assert exact.gram_holds(N, den, **claim) == exact.gram_holds(M, 1, **claim)
     assert exact.gram_holds(N, den, **claims[0])
+
+
+def _quadratic(x, m):
+    """conj(x)^T m x for x = {i: x_i} over m's positions, exactly."""
+    return QC.of(sum((_conj(x.get(i, 0)) * m[i][j] * x.get(j, 0)
+                      for i in range(len(m)) for j in range(len(m))), 0))
+
+
+def _ref_verdict(idx, m):
+    """The positive-tier Verdict about m over idx, from _ref_psd_decompose."""
+    terms, witness = _keyed(_ref_psd_decompose(m), idx)
+    if witness is None:
+        return Verdict("positive", "yes", certificate=("decomposition",
+                                                       [(Fraction(g), v) for g, v in terms]))
+    x = dict(enumerate(witness.values()))
+    return Verdict("positive", "no", witness=("evaluation", witness, Fraction(_quadratic(x, m).real)),
+                   reason="Gram form not PSD")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ldl_cases(), st.data())
+def test_gram_verdict_matches_the_keyed_reference(case, data):
+    """gram_verdict keys its certificate off the pivot rows: on m / den over a
+    drawn idx it is the Verdict of _ref_psd_decompose of m, each term over its
+    nonzero entries and the evaluation witness over every key in idx order,
+    with the same scalar types.  gram_claim_holds accepts that claim, and
+    rejects it with an entry doubled (resp. moved off the witness), a gamma
+    (resp. the value) negated, or a key replaced by one outside idx."""
+    m, den = case
+    n = len(m)
+    idx = data.draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                             min_size=n, max_size=n, unique=True))
+    scaled = [[x * den for x in row] for row in m]
+    v = exact.gram_verdict(idx, scaled, den)
+    want = _ref_verdict(idx, m)
+    assert v == want and repr(v) == repr(want)
+    data_ = v.certificate if v.yes else v.witness
+    assert exact.gram_claim_holds(idx, scaled, den, data_)
+    outside = (10, 10)
+    if v.yes and not data_[1]:      # M = 0: no term; one over a key outside idx fails
+        assert not exact.gram_claim_holds(idx, scaled, den, ("decomposition", [(1, {outside: 1})]))
+    elif v.yes:
+        terms = data_[1]
+        t = data.draw(st.integers(0, len(terms) - 1))
+        gamma, vec = terms[t]
+        K = data.draw(st.sampled_from(sorted(vec)))
+        mutants = [{**vec, K: 2 * vec[K]}, {(outside if L == K else L): x for L, x in vec.items()}]
+        for mutant in mutants:
+            claim = ("decomposition", terms[:t] + [(gamma, mutant)] + terms[t + 1:])
+            assert not exact.gram_claim_holds(idx, scaled, den, claim)
+        claim = ("decomposition", terms[:t] + [(-gamma, vec)] + terms[t + 1:])
+        assert not exact.gram_claim_holds(idx, scaled, den, claim)
+    else:
+        _, x, value = data_
+        K = data.draw(st.sampled_from(idx))
+        moved = {**x, K: x[K] + 1}
+        q = _quadratic({idx.index(L): y for L, y in moved.items()}, m)
+        assert exact.gram_claim_holds(idx, scaled, den, ("evaluation", moved, value)) == (q == value)
+        assert not exact.gram_claim_holds(idx, scaled, den, ("evaluation", x, -value))
+        rekeyed = {(outside if L == K else L): y for L, y in x.items()}
+        assert not exact.gram_claim_holds(idx, scaled, den, ("evaluation", rekeyed, value))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.sampled_from([0, 0, Fraction(1, 2), -1]), st.data())
+def test_qc_hashes_as_the_numbers_it_equals(x, y, data):
+    """Whenever QC(x, y) == z, hash(QC(x, y)) == hash(z), for z an int, a
+    Fraction or a QC, and == is symmetric: a real QC hashes as its real part."""
+    q = QC(x, y)
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    near = [x, Fraction(x), QC(Fraction(x), Fraction(y)), QC(x, y) + 0]
+    if x.denominator == 1:
+        near += [int(x), QC(int(x), y)]
+    drawn = data.draw(st.one_of(st.integers(-3, 3), rational, st.builds(QC, rational, rational)))
+    for z in near + [drawn]:
+        assert (q == z) == (z == q)
+        if q == z:
+            assert hash(q) == hash(z)
+    assert (y == 0) == (len({q, x}) == 1) == (x in {q})
+    assert q != str(x)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -576,10 +672,9 @@ def test_real_matrix_decides_alike_over_q_and_q_i(case):
     N = [[N[min(i, j)][max(i, j)].real for j in range(len(N))] for i in range(len(N))]
     NQ = [[QC(x) for x in row] for row in N]
     real, gauss = exact.psd_decompose(N, den), exact.psd_decompose(NQ, den)
-    assert (real.psd, real.rank, real.decomposition) == (gauss.psd, gauss.rank, gauss.decomposition)
-    for res in (real, gauss):
-        claim = ({"terms": res.decomposition} if res.psd
-                 else {"witness": (res.witness, res.value)})
+    assert real[0] == gauss[0]
+    for terms, witness, value in (real, gauss):
+        claim = {"terms": terms} if witness is None else {"witness": (witness, value)}
         assert exact.gram_holds(N, den, **claim) and exact.gram_holds(NQ, den, **claim)
 
 

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tropcur import Verdict, exact, fiber, formats
 from tropcur.exact import QC
-from tropcur.errors import BidegreeMismatch, NotSquareBidegree, ValidationError, WrongAlgebra
+from tropcur.errors import (BidegreeMismatch, DimensionMismatch, NotSquareBidegree, ValidationError,
+                            WrongAlgebra)
 from tropcur.fiber import (ComplexFiberForm, LagerbergFiberForm, apply_involution,
                            coordinate_strong_generators, decomposable_test, dual_pairing,
                            embed_complex, gram_form,
@@ -578,15 +579,15 @@ def test_gram_outer_product_psd_rank_one():
         coeffs = {(K, ()): rng.randint(-3, 3) for K in subsets(n, p)}
         alpha = LagerbergFiberForm(n, p, 0, coeffs)
         g = positive_generator(alpha)
-        res = exact.psd_decompose([[Fraction(x) for x in row]
-                                   for row in gram_form(g).matrix])
-        assert res.psd and res.rank <= 1
+        terms, witness, _ = exact.psd_decompose([[Fraction(x) for x in row]
+                                                 for row in gram_form(g).matrix])
+        assert witness is None and len(terms) <= 1
 
 
 def test_gram_rank_two_example():
     g = gram_form(omega_rank_two())
-    res = exact.psd_decompose([[Fraction(x) for x in row] for row in g.matrix])
-    assert res.psd and res.rank == 2
+    terms, witness, _ = exact.psd_decompose([[Fraction(x) for x in row] for row in g.matrix])
+    assert witness is None and len(terms) == 2
 
 
 def test_dual_pairing_trivial():
@@ -802,8 +803,8 @@ def test_complex_gram_hermitian_and_sign():
         form = positive_generator(ComplexFiberForm(n, p, 0, coeffs))
         g = gram_form(form)
         assert g.kind == "hermitian"
-        res = exact.psd_decompose(g.matrix)
-        assert res.psd and res.rank <= 1
+        terms, witness, _ = exact.psd_decompose(g.matrix)
+        assert witness is None and len(terms) <= 1
 
 
 def test_decomposable():
@@ -1726,3 +1727,19 @@ def test_verdict_and_reverify_clear_the_gram_once(monkeypatch):
             calls.clear()
             assert reverify(a, positivity_verdict(a, tier))
             assert len(calls) == 1 and calls[0] is a, (make.__name__, tier, len(calls))
+
+
+def test_adding_forms_checks_algebra_dimension_and_bidegree():
+    """Forms of another algebra, dimension or bidegree are typed errors, not
+    an assert: a sum with n = 3 holding index 3 used to reach
+    positivity_verdict and raise KeyError there."""
+    a = LagerbergFiberForm(3, 1, 1, {((0,), (0,)): 1})
+    with pytest.raises(DimensionMismatch):
+        a + LagerbergFiberForm(4, 1, 1, {((3,), (3,)): 1})
+    with pytest.raises(WrongAlgebra):
+        a + ComplexFiberForm(3, 1, 1, {((0,), (0,)): 1})
+    with pytest.raises(BidegreeMismatch):
+        a + LagerbergFiberForm(3, 1, 0, {((0,), ()): 1})
+    with pytest.raises(BidegreeMismatch):
+        a - LagerbergFiberForm(3, 2, 2, {((0, 1), (0, 1)): 1})
+    assert positivity_verdict(a + a, "positive").yes

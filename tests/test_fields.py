@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropcur import quadrature
 from tropcur.coeffs import CoefficientFn, Poly, UniFn, Window, bump, plateau, window_on
-from tropcur.errors import NonCompactSupport, ValidationError
+from tropcur.errors import BidegreeMismatch, DimensionMismatch, NonCompactSupport, ValidationError
 from tropcur.fans import orthant_fan
 from tropcur.fiber import LagerbergFiberForm, embed_complex, positivity_verdict
 from tropcur.fields import (LagerbergFormField, boundary_window_field,
@@ -344,3 +344,14 @@ def _j_field(f):
         tables[M] = new
     return LagerbergFormField(f.chart, f.n, f.q, f.p, tables, f.neighborhoods)
 
+
+def test_adding_fields_checks_dimension_and_bidegree():
+    """Fields of another dimension or bidegree are typed errors, not an assert."""
+    one = [(((0,), (0,)), Poly.const(1, 1))]
+    alpha = bump_box_field(_chart(1), 1, 1, one, [(0, 1)])
+    with pytest.raises(DimensionMismatch):
+        alpha + bump_box_field(_chart(2), 1, 1, [(((0,), (0,)), Poly.const(1, 2))], [(0, 1), (0, 1)])
+    with pytest.raises(BidegreeMismatch):
+        alpha + bump_box_field(_chart(1), 1, 0, [(((0,), ()), Poly.const(1, 1))], [(0, 1)])
+    assert (alpha + alpha).coefficient(frozenset(), (0,), (0,)).eval_float((0.5,)) == \
+        pytest.approx(2 * alpha.coefficient(frozenset(), (0,), (0,)).eval_float((0.5,)))

@@ -5,7 +5,7 @@ import pytest
 
 from tropcur import quadrature
 from tropcur.coeffs import CoefficientFn, Poly, bump, table
-from tropcur.errors import Divergent, NonMeasurePiece, SignNotCertified
+from tropcur.errors import DimensionMismatch, Divergent, NonMeasurePiece, SignNotCertified
 from tropcur.fans import orthant_fan
 from tropcur.measures import (Atom, DerivativeAtom, Piece, PieceMeasure, abs_measure,
                               boundary_escape_cones, escape_failure, integrate_against,
@@ -278,3 +278,11 @@ def test_density_on_polygon_matches_area_and_moments(monkeypatch, verts, coeffs)
     tol = 1e-8
     val = integrate_against(CoefficientFn.const(1, 2), mu, tol=tol)
     assert calls and abs(val - float(c0 * area + c1 * mx + c2 * my)) <= 2 * tol
+
+
+def test_adding_measures_checks_dimension():
+    """Measures on spaces of another dimension are a typed error, not an assert."""
+    mu = PieceMeasure(1, pieces=[lebesgue_piece((), interval(0, 1))])
+    with pytest.raises(DimensionMismatch):
+        mu + PieceMeasure(2, atoms=[Atom(frozenset(), (Fraction(1), Fraction(1)), Fraction(1))])
+    assert integrate_against(CoefficientFn.const(1, 1), mu + mu) == pytest.approx(2.0, abs=1e-9)

@@ -17,7 +17,6 @@ from tropcur.coeffs import Poly, UniFn, Window
 from tropcur.correspond import RoundTripReport
 from tropcur.currents import WeightedComplex
 from tropcur.errors import ValidationError, Verdict
-from tropcur.exact import PSDResult
 from tropcur.fans import CompactifiedPoint, Cone, ToricChart
 from tropcur.fiber import GramForm
 from tropcur.measures import Atom, DerivativeAtom, Piece
@@ -25,7 +24,7 @@ from tropcur.polyhedra import Polyhedron, Row
 from tropcur.scenes import Scene
 
 # (builder, repr, a change for replace); the repr strings are those of the
-# former dataclasses, and for PSDResult the one a dataclass would print
+# former dataclasses
 CASES = [
     (lambda: Verdict("closed", "no", "sampled", witness=("d'", 1), residual=0.5),
      "Verdict(tier='closed', answer='no', reason='sampled', witness=(\"d'\", 1), "
@@ -65,10 +64,6 @@ CASES = [
      {"strict": False}),
     (lambda: Polyhedron(2, [((1, 0), 1), ((0, 1), 1)]), "Polyhedron(dim=2, rows=2)",
      {"rows": [((1, 0), 2)]}),
-    (lambda: PSDResult(False, witness=(Fraction(1), Fraction(-1)), value=Fraction(-3)),
-     "PSDResult(psd=False, rank=0, decomposition=None, "
-     "witness=(Fraction(1, 1), Fraction(-1, 1)), value=Fraction(-3, 1))",
-     {"value": Fraction(-4)}),
 ]
 IDS = [type(make()).__name__ for make, _, _ in CASES]
 # a list or dict field makes a value unhashable, as it made the dataclass
