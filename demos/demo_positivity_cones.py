@@ -9,9 +9,8 @@ symmetric form that pairs to zero with every strongly positive form.
 """
 
 import random
-from fractions import Fraction
 
-from tropcur import (LagerbergFiberForm, dual_pairing, gram_form,
+from tropcur import (LagerbergFiberForm, dual_pairing, exact, gram_form,
                      positivity_verdict, reverify)
 from tropcur.fiber import positive_generator, strong_generator
 from tropcur.gallery import omega_degenerate, omega_rank_two
@@ -39,10 +38,7 @@ print("verdict:", v.answer, "| witness pairing:", v.witness[2])
 banner("rank-two positive form: not strongly positive (dimension 4)")
 w = omega_rank_two()
 print("positive tier:", positivity_verdict(w, "positive").answer)
-g = gram_form(w)
-from tropcur import exact
-terms, _, _ = exact.psd_decompose([[Fraction(x) for x in row] for row in g.matrix])
-print("Gram rank:", len(terms))
+print("Gram rank:", exact.rank(gram_form(w).matrix))
 vs = positivity_verdict(w, "strong", pool_size=50)
 print("strong tier:", vs.answer, "-", vs.reason)
 print("obstruction quadrics (A y^2 + B yz + C z^2):",

@@ -31,21 +31,21 @@ from .exact import frac
 # --- multivariate polynomials over Q -----------------------------------------
 
 class Poly:
-    """Sparse multivariate polynomial; keys are exponent tuples."""
+    """Sparse multivariate polynomial; keys are exponent tuples.  Built in
+    one pass over {exponent: coefficient}, in its order: Fractions taken as
+    they are, other exact scalars converted, zeros dropped."""
 
     __slots__ = ("nvars", "exps")
 
     def __init__(self, exps=None, nvars=None):
-        if exps:
-            some = next(iter(exps))
-            nvars = len(some) if nvars is None else nvars
-        self.nvars = 0 if nvars is None else nvars
-        self.exps = {}
-        for e, c in (exps or {}).items():
-            c = frac(c)
-            if c != 0:
-                self.exps[tuple(e)] = self.exps.get(tuple(e), Fraction(0)) + c
-        self.exps = {e: c for e, c in self.exps.items() if c != 0}
+        exps = exps or {}
+        self.nvars = len(next(iter(exps), ())) if nvars is None else nvars
+        self.exps = out = {}
+        for e, c in exps.items():
+            if type(c) is not Fraction:
+                c = frac(c)
+            if c:
+                out[tuple(e)] = c
 
     @staticmethod
     def zero(nvars):
@@ -67,14 +67,8 @@ class Poly:
     @staticmethod
     def linear(coeffs, const=0):
         n = len(coeffs)
-        exps = {}
-        for i, c in enumerate(coeffs):
-            if frac(c) != 0:
-                e = [0] * n
-                e[i] = 1
-                exps[tuple(e)] = frac(c)
-        if frac(const) != 0:
-            exps[tuple([0] * n)] = frac(const)
+        exps = {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(coeffs)}
+        exps[(0,) * n] = const
         return Poly(exps, n)
 
     def is_zero(self):
@@ -95,7 +89,8 @@ class Poly:
     def __add__(self, other):
         out = dict(self.exps)
         for e, c in other.exps.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            s = out.get(e)
+            out[e] = c if s is None else s + c
         return Poly(out, self.nvars)
 
     def __sub__(self, other):
@@ -108,7 +103,8 @@ class Poly:
         for e1, c1 in self.exps.items():
             for e2, c2 in other.exps.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
         return Poly(out, self.nvars)
 
     def scale(self, s):
@@ -116,14 +112,9 @@ class Poly:
         return Poly({e: c * s for e, c in self.exps.items()}, self.nvars)
 
     def diff(self, axis):
-        out = {}
-        for e, c in self.exps.items():
-            if e[axis] == 0:
-                continue
-            e2 = list(e)
-            e2[axis] -= 1
-            out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c * e[axis]
-        return Poly(out, self.nvars)
+        # e -> e - 1_axis is one to one on the exponents it keeps
+        return Poly({e[:axis] + (e[axis] - 1,) + e[axis + 1:]: c * e[axis]
+                     for e, c in self.exps.items() if e[axis]}, self.nvars)
 
     def eval(self, u):
         out = Fraction(0)

@@ -218,7 +218,7 @@ def compat_checks(S):
     # (c) top degree: measure-level bijection
     if S.p == S.n:
         records.append(("top_degree", None,
-                        S.shadow((), ()).rescaled() == T.cocoeff((), ()).rescaled()))
+                        S.shadow((), ()) == T.cocoeff((), ())))
     if all(good for _, _, good in records):
         return Verdict("compatible", "yes", certificate=records)
     return Verdict("compatible", "no", witness=records)

@@ -574,7 +574,7 @@ def _split_overlaps(group):
 
 
 def _cell_matrices(T):
-    """[(where, site, M)] for the exact positivity route, or None.
+    """[(where, site, N, den)] for the exact positivity route, or None.
 
     Applies when every piece has a constant weight_poly, the pieces on one
     cell share one weight_expo and all co-coefficients one pi power; then
@@ -586,7 +586,8 @@ def _cell_matrices(T):
     ``_split_overlaps``, while cells of other dimensions or affine hulls
     are mutually singular and stay apart.  ``where`` is ("cell", stratum,
     key) or ("atom", stratum, coords), strata as sorted tuples; ``site``
-    is the cell's polyhedron, or the atom point's (stratum, coords).  A
+    is the cell's polyhedron, or the atom point's (stratum, coords).  M is
+    cleared where it is built, M = N / den with N an integer matrix.  A
     point cell at an atom point gives None as well.
     """
     if len({mu.scale[1] for mu in T.cocoeffs.values()}) > 1:
@@ -632,25 +633,31 @@ def _cell_matrices(T):
     pos = {K: t for t, K in enumerate(idx)}
     out = []
     for where, site, w in sorted(refined, key=lambda e: e[0]):
-        M = [[Fraction(0)] * len(idx) for _ in idx]
-        for (I, J), x in w.items():
-            M[pos[I]][pos[J]] += x
-        out.append((where, site, M))
+        den, ints = exact.integer_parts(list(w.values()))
+        N = [[0] * len(idx) for _ in idx]
+        for (I, J), x in zip(w, ints):
+            N[pos[I]][pos[J]] = x
+        out.append((where, site, N, den))
     return out
+
+
+def _minor(N, den, i, j):
+    """(M_ij, M_ii, M_jj) of M = N / den, as Fractions."""
+    return Fraction(N[i][j], den), Fraction(N[i][i], den), Fraction(N[j][j], den)
 
 
 def _exact_positivity(T, cells):
     """The exact verdict of positivity_check from ``_cell_matrices``, by exact.gram_verdict."""
     idx = subsets(T.n, T.q)
     entries = []
-    for where, site, M in cells:
-        v = exact.gram_verdict(idx, M)
+    for where, site, N, den in cells:
+        v = exact.gram_verdict(idx, N, den)
         if v.yes:
             entries.append((where, tuple(v.certificate[1])))
             continue
         for (I, J), mu in T.cocoeffs.items():
             i, j = idx.index(I), idx.index(J)
-            if I == J or M[i][j] ** 2 <= M[i][i] * M[j][j]:
+            if I == J or N[i][j] ** 2 <= N[i][i] * N[j][j]:
                 continue
             if where[0] == "atom":
                 atom = next(a for a in mu.atoms if (a.stratum, a.coords) == site)
@@ -658,7 +665,7 @@ def _exact_positivity(T, cells):
                                witness=("estimate_atom", (I, J), atom), exact=True)
             return Verdict("positive", "no", "estimate fails pointwise on a density",
                            witness=("estimate_piece", (I, J), site.feasible_point(),
-                                    (M[i][j], M[i][i], M[j][j])), exact=True)
+                                    _minor(N, den, i, j)), exact=True)
         return v.replace(reason="negative value on a positive test field", exact=True)
     return Verdict("positive", "yes", certificate=("cells", tuple(entries)), exact=True)
 
@@ -684,26 +691,26 @@ def reverify_positivity(T, verdict):
     idx = subsets(T.n, T.q)
     if verdict.yes:
         kind, entries = data
-        mats = {where: M for where, _, M in cells}
+        mats = {where: (N, den) for where, _, N, den in cells}
         return (kind == "cells" and len(entries) == len(mats)
                 and {where for where, _ in entries} == set(mats)
-                and all(exact.gram_claim_holds(idx, mats[where], 1, ("decomposition", terms))
+                and all(exact.gram_claim_holds(idx, *mats[where], ("decomposition", terms))
                         for where, terms in entries))
     kind = data[0]
     if kind == "evaluation":
-        return any(exact.gram_claim_holds(idx, M, 1, data) for _, _, M in cells)
+        return any(exact.gram_claim_holds(idx, N, den, data) for _, _, N, den in cells)
     if kind not in ("estimate_piece", "estimate_atom"):
         return False
     I, J = data[1]
     i, j = idx.index(I), idx.index(J)
     if kind == "estimate_piece":
         _, _, pt, values = data
-        minors = [(M[i][j], M[i][i], M[j][j]) for where, site, M in cells
+        minors = [_minor(N, den, i, j) for where, site, N, den in cells
                   if where[0] == "cell" and site.feasible_point() == pt]
         minors = [m for m in minors if m == values]
     else:
         atom = data[2]
-        minors = [(M[i][j], M[i][i], M[j][j]) for where, site, M in cells
+        minors = [_minor(N, den, i, j) for where, site, N, den in cells
                   if where[0] == "atom" and site == (atom.stratum, atom.coords)
                   and atom in T.cocoeff(I, J).atoms]
     return any(wIJ ** 2 > wII * wJJ for wIJ, wII, wJJ in minors)

@@ -13,7 +13,6 @@ Everything here is pure and deterministic.
 """
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -133,7 +132,7 @@ def inverse(m):
 
 def primitive(v):
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    _, ints = integer_parts([Fraction(x) for x in v])
+    _, ints = integer_parts(list(v))
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g else tuple(ints)
 
@@ -349,8 +348,9 @@ _EXACT = frozenset({int, Fraction, QC})
 
 
 def psd_decompose(m, den=1, idx=None):
-    """Exact PSD decision for the symmetric rational or Hermitian QC matrix
-    M = m / den, its rows keyed by ``idx`` (their positions by default).
+    """Exact PSD decision for the symmetric or Hermitian matrix M = m / den,
+    m an integer matrix, or a Gaussian-integer one of QC entries, its rows
+    keyed by ``idx`` (their positions by default).
 
     Returns (terms, None, None) when M is PSD: terms [(d_k, {K: v_K})] with
     M = sum_k d_k v_k conj(v_k)^T, d_k > 0 a Fraction, each v_k read off its
@@ -358,36 +358,32 @@ def psd_decompose(m, den=1, idx=None):
     (None, x, value), x = {K: x_K} over every key of idx in its order, with
     value = conj(x)^T M x < 0 a Fraction: a negative residual diagonal, or
     a zero residual diagonal with a nonzero residual row, gives it.  The
-    scalars are QC if any entry of m is, else rationals (conjugate is the
-    identity); ``den`` is a positive integer.
+    scalars are QC when m is, else rationals (conjugate is the identity);
+    ``den`` is a positive integer.  A caller clears a rational matrix once,
+    where it builds it (``integer_parts``).
 
     The peeling (LDL^T) runs on integers, Gaussian integers over Q(i)
     (E. H. Bareiss, Math. Comp. 22, 1968: exact over any integral domain),
     and makes a Fraction only for what it returns, once the answer is
-    known; it records each pivot row over its support.  An integer m is
-    taken as it is, any other m cleared once by integer_parts.  The
-    residual is N / q: the pivot d, the first with piv = N_dd != 0, sends N
-    to N_ij <- (piv N_ij - conj(N_di) N_dj) // prev and q to q piv / prev,
-    prev the previous pivot, which divides exactly (part by part); a row
-    with N_di = 0 is only scaled, row d drops and column d comes out zero.
+    known; it records each pivot row over its support, and reads m as it
+    is.  The residual is N / q, N = m and q = den at first: the pivot d,
+    the first with piv = N_dd != 0, sends N to N_ij <- (piv N_ij -
+    conj(N_di) N_dj) // prev and q to q piv / prev, prev the previous
+    pivot, which divides exactly (part by part); a row with N_di = 0 is
+    only scaled, row d drops and column d comes out zero.
     So d_k = piv / q and v_k = conj(N_d.) / piv.  The witness is X / D on
     integers, made orthogonal to each v_k, newest first: its recorded row
     sets X_d to -sum_{i != d} N_di X_i and scales the rest of X, and D, by
     piv.  So conj(x)^T M x is the residual's value at x.
     """
-    n = len(m)
+    n, N = len(m), list(m)
     keys = range(n) if idx is None else idx
-    types = set(map(type, chain.from_iterable(m)))
-    hermitian = QC in types
-    scale, N = 1, list(m)
-    if not types <= {int}:
-        scale, flat = integer_parts(list(chain.from_iterable(m)))
-        N = [flat[i:i + n] for i in range(0, n * n, n)]
+    hermitian = n > 0 and type(m[0][0]) is QC
     if list(map(tuple, N)) != ([tuple(x.conjugate() for x in c) for c in zip(*N)] if hermitian else list(zip(*N))):
         raise ValueError("matrix not Hermitian" if hermitian else "matrix not symmetric")
     # a returned entry x / d, x an integer (a QC with integer parts over Q(i))
     entry = (lambda x, d: QC(Fraction(x.real, d), Fraction(x.imag, d))) if hermitian else Fraction
-    q, prev = scale * den, 1
+    q, prev = den, 1
     rows = []                   # (d, piv, q, [(i, N_di)] over row d's support), one per pivot
     live = list(range(n))       # the index in m of each row left; rows keep m's columns
 
@@ -452,8 +448,9 @@ def integer_parts(values):
 
 
 def gram_holds(m, den=1, terms=None, witness=None, idx=None):
-    """Exact check of one Gram fact about the symmetric rational or
-    Hermitian QC matrix M = m / den, ``den`` a positive integer; bool.
+    """Exact check of one Gram fact about the symmetric or Hermitian matrix
+    M = m / den, m an integer or Gaussian-integer (QC) matrix and ``den`` a
+    positive integer; bool.
 
     ``terms`` [(gamma, v)] claim that M is PSD: M == sum gamma v conj(v)^T
     with every gamma > 0.  ``witness`` (x, value) claims that it is not:

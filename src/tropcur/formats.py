@@ -65,6 +65,12 @@ def jsonable(obj):
 # orthant's fan alone has 2^n cones.  Goldens, demos, tests and workloads use n <= 6.
 FORM_RANK_CAP = FAN_RANK_CAP = 8
 
+# The largest degree of a monomial in a polynomial literal, a density's or a field's: a
+# density's sign certificate reads its dense coefficient list, and a chart substitution
+# expands each power (u_1^1000 + 1 spent 8 s there).  Goldens, demos and workloads use
+# degree <= 1; the largest in a test is 800, a field whose integral leaves the float range.
+DEGREE_CAP = 900
+
 
 def fan_rank(rank):
     """``rank``; one above FAN_RANK_CAP is a ValidationError."""
@@ -156,6 +162,8 @@ def poly_from_json(data, nvars):
             raise ParseError(f"exponent {e} has wrong arity (expected {nvars})")
         if min(e, default=0) < 0:
             raise ParseError(f"exponent {e} has a negative entry")
+        if sum(e) > DEGREE_CAP:
+            raise ValidationError(f"monomial of degree {sum(e)} is above the cap of {DEGREE_CAP}")
         exps[e] = exps.get(e, Fraction(0)) + _parse_frac(t["c"])
     return Poly(exps, nvars)
 

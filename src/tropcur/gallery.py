@@ -25,14 +25,13 @@ from .measures import Atom, DerivativeAtom, PieceMeasure, lebesgue_piece
 from .polyhedra import Polyhedron
 
 
-def omega_degenerate(n=4):
+def omega_degenerate():
     """Symmetric (2,2)-form with eta ^ omega = 0 for all strongly positive eta.
 
     Coefficients on the block basis d'u_I ^ d''u_J (0-based indices):
     c[{0,1},{2,3}] = c[{2,3},{0,1}] = c[{0,3},{1,2}] = c[{1,2},{0,3}] = -1,
     c[{0,2},{1,3}] = c[{1,3},{0,2}] = +1; all diagonals vanish.
     """
-    assert n == 4
     c = {
         ((0, 1), (2, 3)): -1,
         ((2, 3), (0, 1)): -1,
@@ -44,14 +43,13 @@ def omega_degenerate(n=4):
     return LagerbergFiberForm(4, 2, 2, c)
 
 
-def omega_rank_two(n=4):
+def omega_rank_two():
     """Positive (2,2)-form of Gram rank 2, not strongly positive.
 
     Equal to -(a ^ J a) - (b ^ J b) for a = d'u_0^d'u_2 - d'u_1^d'u_3 and
     b = d'u_0^d'u_3 + d'u_1^d'u_2; the Gram row space contains no nonzero
     real decomposable bivector (the restricted quadric is y^2 + z^2).
     """
-    assert n == 4
     c = {
         ((0, 2), (0, 2)): -1,
         ((0, 3), (0, 3)): -1,

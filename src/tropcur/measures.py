@@ -28,7 +28,7 @@ from .coeffs import CoefficientFn, Poly
 from .errors import (DimensionMismatch, Divergent, NonMeasurePiece, SignNotCertified,
                      ToleranceNotMet, ValidationError, Value, float_range)
 from .exact import frac
-from .polyhedra import Polyhedron, coordinate_range, midpoint, parametrize
+from .polyhedra import Polyhedron, axis_range, midpoint, parametrize
 
 
 class Atom(Value):
@@ -39,16 +39,10 @@ class Atom(Value):
     """
     __slots__ = _fields = ("stratum", "coords", "weight")
 
-    def key(self):
-        return (tuple(sorted(self.stratum)), self.coords, self.weight)
-
 
 class DerivativeAtom(Value):
     """Exemplar non-measure piece: f -> -weight * (directional derivative)."""
     __slots__ = _fields = ("stratum", "coords", "direction", "weight")
-
-    def key(self):
-        return (tuple(sorted(self.stratum)), self.coords, self.direction, self.weight)
 
 
 class Piece(Value):
@@ -88,24 +82,21 @@ def lebesgue_piece(stratum, poly, weight=1, expo=None, sign=None):
 class PieceMeasure:
     """Signed Radon measure: atoms + sign-pure density pieces (+ exemplars).
 
-    The constructor checks dimensions and exponent degrees and certifies
-    signs; ``certify=False`` trusts all three, for results of operations on
-    valid measures, and only merges atoms.  The canonical key is computed once.
+    The constructor merges atoms at one point, drops zero weights, checks
+    the prefactor, dimensions and exponent degrees and certifies signs.
+    ``certify=False`` trusts all of it, for results of operations on valid
+    measures, whose atoms are merged and nonzero already and whose scale is
+    a (Fraction >= 0, int) pair: ``__add__`` merges its atoms itself, and
+    ``with_scale`` checks its factor.  The canonical key is computed once.
     """
 
     def __init__(self, n, atoms=(), pieces=(), derivative_atoms=(),
                  scale=(Fraction(1), 0), certify=True):
         self.n = n
-        merged = {}     # atoms at one point add up; zero weights drop
-        for a in atoms:
-            key = (frozenset(a.stratum), tuple(frac(c) for c in a.coords))
-            merged[key] = merged.get(key, 0) + frac(a.weight)
-        self.atoms = tuple(Atom(s, c, w) for (s, c), w in merged.items() if w != 0)
+        self.atoms = _merged(atoms) if certify else tuple(atoms)
         self.pieces = tuple(pieces)
         self.derivative_atoms = tuple(derivative_atoms)
-        self.scale = (frac(scale[0]), int(scale[1]))
-        if self.scale[0] < 0:
-            raise ValidationError("scale prefactor must be positive; fold signs into weights")
+        self.scale = (_prefactor(scale[0]), int(scale[1])) if certify else scale
         if not certify:
             return
         for a in self.atoms:
@@ -134,34 +125,34 @@ class PieceMeasure:
 
     @cached_property
     def _key(self):
-        m = self.rescaled()
-        return (m.n, *m.scale,
-                tuple(sorted(a.key() for a in m.atoms)),
-                tuple(sorted(m._piece_keys())),
-                tuple(sorted(d.key() for d in m.derivative_atoms)))
+        """The key of the measure with its rational prefactor c folded into
+        the weights, c * pi^k read as pi^k: each weight is read times c."""
+        c, k = self.scale
+        return (self.n, Fraction(1), k,
+                tuple(sorted((tuple(sorted(a.stratum)), a.coords, a.weight * c)
+                             for a in self.atoms if c)),
+                tuple(sorted(self._piece_keys(c))),
+                tuple(sorted((tuple(sorted(d.stratum)), d.coords, d.direction, d.weight * c)
+                             for d in self.derivative_atoms)))
 
-    def _piece_keys(self):
-        """Piece keys, with constant-density pieces on one polyhedron merged
-        into one key of the summed weight: equal measures, equal keys."""
-        constant = {}
+    def _piece_keys(self, c):
+        """Piece keys, weights times c (> 0, or 0 to drop them), with
+        constant-density pieces on one polyhedron merged into one key of the
+        summed weight: equal measures, equal keys."""
+        constant = {}       # by (stratum, polyhedron, exponent): each hash is cached
         for p in self.pieces:
-            if p.weight_poly.is_zero():
+            if p.weight_poly.is_zero() or not c:
                 continue
             if p.weight_poly.degree() or not p.weight_expo.is_zero():
-                yield p.key()
+                key = p.key()
+                yield key[:2] + (tuple((e, w * c) for e, w in key[2]),) + key[3:]
                 continue
             (e, w), = p.weight_poly.exps.items()
-            where = p.key()[:2] + (e,)
-            constant[where] = constant.get(where, 0) + w
+            where = (p.stratum, p.poly, e)
+            constant[where] = constant.get(where, 0) + w * c
         for (stratum, poly, e), w in constant.items():
             if w:
-                yield (stratum, poly, ((e, w),), (), 1 if w > 0 else -1)
-
-    def rescaled(self):
-        """Fold the rational prefactor into the weights and keep pi^k
-        (canonical form)."""
-        c, k = self.scale
-        return self if c == 1 else self._times(c, (Fraction(1), k))
+                yield (tuple(sorted(stratum)), poly.canonical_key(), ((e, w),), (), 1 if w > 0 else -1)
 
     def __eq__(self, other):
         return (isinstance(other, PieceMeasure)
@@ -173,7 +164,7 @@ class PieceMeasure:
     def with_scale(self, cfrac, pipow):
         c, k = self.scale
         return PieceMeasure(self.n, self.atoms, self.pieces, self.derivative_atoms,
-                            (c * frac(cfrac), k + pipow), certify=False)
+                            (c * _prefactor(cfrac), k + int(pipow)), certify=False)
 
     def __add__(self, other):
         if self.n != other.n:
@@ -182,8 +173,10 @@ class PieceMeasure:
         if a.scale != b.scale:
             if a.scale[1] != b.scale[1]:
                 raise ValueError("cannot add measures with different pi powers")
-            a, b = a.rescaled(), b.rescaled()
-        return PieceMeasure(self.n, a.atoms + b.atoms, a.pieces + b.pieces,
+            # each prefactor folded into its weights, pi^k kept
+            one = (Fraction(1), a.scale[1])
+            a, b = a._times(a.scale[0], one), b._times(b.scale[0], one)
+        return PieceMeasure(self.n, _merged(a.atoms + b.atoms), a.pieces + b.pieces,
                             a.derivative_atoms + b.derivative_atoms, a.scale,
                             certify=False)
 
@@ -210,6 +203,24 @@ class PieceMeasure:
     @staticmethod
     def zero(n):
         return PieceMeasure(n)
+
+
+def _prefactor(c):
+    """c as a Fraction; a negative prefactor is a ValidationError."""
+    c = frac(c)
+    if c < 0:
+        raise ValidationError("scale prefactor must be positive; fold signs into weights")
+    return c
+
+
+def _merged(atoms):
+    """The atoms with those at one point added up and zero weights dropped,
+    in order of first appearance."""
+    merged = {}
+    for a in atoms:
+        key = (frozenset(a.stratum), tuple(frac(c) for c in a.coords))
+        merged[key] = merged.get(key, 0) + frac(a.weight)
+    return tuple(Atom(s, c, w) for (s, c), w in merged.items() if w != 0)
 
 
 # --- sign certification ---------------------------------------------------------
@@ -417,11 +428,11 @@ def _axis_box(domain):
     """Per-axis exact bounds of a bounded nonempty box; None otherwise.
 
     A domain is a box exactly when every row is axis-aligned, and then its
-    bounds are read from the rows.
+    bounds are read from the rows, as they stand cleared in its last stage.
     """
     if any(sum(c != 0 for c in r.a) > 1 for r in domain.rows) or domain.is_empty():
         return None
-    box = [coordinate_range(domain.rows, i) for i in range(domain.dim)]
+    box = [axis_range(domain._stages[-1], i) for i in range(domain.dim)]
     return None if any(None in b for b in box) else box
 
 
@@ -454,14 +465,14 @@ def _expo_quadratic_on(expo, v):
 
 
 def _expo_linear_rate(expo, v):
-    """gradient(expo)(u) . v as a Poly in u (affine when deg expo <= 2)."""
-    d = expo.nvars
-    out = Poly.zero(d)
-    for i in range(d):
-        c = frac(v[i])
-        if c != 0:
-            out = out + expo.diff(i).scale(c)
-    return out
+    """gradient(expo)(u) . v as a Poly in u (affine when deg expo <= 2), built once."""
+    out = {}
+    for i, c in enumerate(map(frac, v[:expo.nvars])):
+        for e, x in expo.exps.items() if c else ():
+            if e[i]:
+                key = e[:i] + (e[i] - 1,) + e[i + 1:]
+                out[key] = out.get(key, 0) + x * e[i] * c
+    return Poly(out, expo.nvars)
 
 
 def decay_along(expo, domain, v):

@@ -19,6 +19,8 @@ few dozen constraints), not as a general polyhedral library.
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd
+from operator import mul
 
 from . import exact
 from .errors import ValidationError, Value
@@ -59,17 +61,16 @@ def midpoint(lo, hi):
     return Fraction(0)
 
 
-def coordinate_range(rows, var, fixed=()):
-    """(lo, hi) of u_var on rows in u_0..u_var with u_0.. set to ``fixed``.
-
-    Either end is None when unbounded.
-    """
+def axis_range(rows, var, fixed=()):
+    """(lo, hi) of u_var on integer rows (a_0, .., a_{d-1}, b), a . u <= b, in
+    u_0..u_var with u_0.. set to the Fractions ``fixed``; either end is None
+    when unbounded.  A range end is the Fraction (b - a . fixed) / a_var."""
     lo = hi = None
     for r in rows:
-        c = r.a[var]
-        if c == 0:
+        c = r[var]
+        if not c:
             continue
-        val = (r.b - sum(x * y for x, y in zip(r.a, fixed))) / c
+        val = (r[-1] - sum(map(mul, r, fixed))) / c if fixed else Fraction(r[-1], c)
         if c > 0:
             hi = val if hi is None else min(hi, val)
         else:
@@ -81,31 +82,40 @@ def _dot(a, v):
     return sum(x * y for x, y in zip(a, v))
 
 
-def _fm_step(rows, var):
-    """Eliminate u_var from ``(row, sources)`` pairs by Fourier-Motzkin.
+def _merge(rows, key, strict, src):
+    """Put a row under its primitive tuple in ``rows``: strict if either is, sources unioned."""
+    prev = rows.get(key)
+    rows[key] = (strict, src) if prev is None else (strict or prev[0], src | prev[1])
 
-    ``sources`` is a bit mask of the input rows a row was combined from.
-    Rows equal up to a positive scale merge: the union of their sources is
-    kept, and the strict row when only one of them is strict.
-    """
-    pos, neg, out = [], [], []
-    for row, src in rows:
-        c = row.a[var]
-        (pos if c > 0 else neg if c < 0 else out).append((row, src))
-    for rp, sp in pos:
-        for rn, sn in neg:
-            cp, cn = rp.a[var], -rn.a[var]
-            a = tuple(cn * x + cp * y for x, y in zip(rp.a, rn.a))
-            out.append((Row(a, cn * rp.b + cp * rn.b, rp.strict or rn.strict), sp | sn))
-    merged = {}
-    for row, src in out:
-        key = row.scaled_key()[:2]
-        prev = merged.get(key)
-        if prev is not None:
-            row = row if row.strict and not prev[0].strict else prev[0]
-            src |= prev[1]
-        merged[key] = (row, src)
-    return list(merged.values())
+
+def _fm_step(rows, var):
+    """Eliminate u_var from primitive integer rows {(a, b): (strict, sources)}
+    by Fourier-Motzkin (G. B. Dantzig and B. C. Eaves, J. Combin. Theory A 14,
+    1973): each positive row meets each negative one, and the combination,
+    divided by its gcd, merges with any row already under its tuple.
+    ``sources`` is a bit mask of the input rows a row was combined from."""
+    pos, neg, out = [], [], {}
+    for row, tag in rows.items():
+        if row[var]:
+            (pos if row[var] > 0 else neg).append((row, abs(row[var]), tag))
+        else:
+            out[row] = tag
+    for rp, cp, (strict_p, sp) in pos:
+        for rn, cn, (strict_n, sn) in neg:
+            g = gcd(cp, cn)
+            row = tuple(cn // g * x + cp // g * y for x, y in zip(rp, rn))
+            g = gcd(*row)
+            _merge(out, tuple(x // g for x in row) if g > 1 else row, strict_p or strict_n, sp | sn)
+    return out
+
+
+def _project(rows, dim, stop=0):
+    """[stage_stop, .., stage_dim] of the integer rows in R^dim: stage k the
+    rows in u_0..u_{k-1} that describe the projection onto them."""
+    stages = [rows]
+    for var in reversed(range(stop, dim)):
+        stages.append(_fm_step(stages[-1], var))
+    return stages[::-1]
 
 
 def _as_row(r, dim):
@@ -190,16 +200,18 @@ class Polyhedron(Value):
     # --- the Fourier-Motzkin projection -----------------------------------
     @cached_property
     def _stages(self):
-        """``stages[k]``: the rows in u_0..u_{k-1} that describe the
-        projection of the polyhedron onto those coordinates, each with the
-        mask of the rows it was combined from; ``stages[0]`` is constant."""
-        stages = [[(r, 1 << i) for i, r in enumerate(self.rows)]]
-        for var in reversed(range(self.dim)):
-            stages.append(_fm_step(stages[-1], var))
-        return stages[::-1]
+        """``stages[k]``: the primitive integer rows (a, b) in u_0..u_{k-1}
+        that describe the projection of the polyhedron onto those
+        coordinates, each mapped to (strict, the mask of the input rows it
+        was combined from); ``stages[0]`` is constant.  Each input row is
+        cleared once, and rows equal up to a positive scale merge."""
+        rows = {}
+        for i, r in enumerate(self.rows):
+            _merge(rows, exact.primitive(r.a + (r.b,)), r.strict, 1 << i)
+        return _project(rows, self.dim)
 
     def is_empty(self):
-        return any(r.b < 0 or (r.strict and r.b <= 0) for r, _ in self._stages[0])
+        return any(r[-1] < 0 or (strict and r[-1] == 0) for r, (strict, _) in self._stages[0].items())
 
     def linear_bounds(self, a):
         """Exact (inf, sup) of ``a . u`` over the closure: the range of t on the
@@ -211,9 +223,10 @@ class Polyhedron(Value):
         if self.is_empty():
             return None, None, True
         a = tuple(frac(x) for x in a)
-        lifted = Polyhedron(self.dim + 1, [((0,) + r.a, r.b) for r in self.rows]
-                            + [((1,) + tuple(-x for x in a), 0), ((-1,) + a, 0)])
-        return *coordinate_range([r for r, _ in lifted._stages[1]], 0), False
+        lifted = {(0,) + r: (False, 0) for r in self._stages[self.dim]}
+        for row in ((1, *(-x for x in a), 0), (-1, *a, 0)):
+            lifted[exact.primitive(row)] = (False, 0)
+        return *axis_range(_project(lifted, self.dim + 1, 1)[0], 0), False
 
     def feasible_point(self):
         """Some rational point of the closure, or None if empty.
@@ -225,8 +238,7 @@ class Polyhedron(Value):
             return None
         point = ()
         for k in range(self.dim):
-            rows = [r for r, _ in self._stages[k + 1]]
-            point += (midpoint(*coordinate_range(rows, k, point)),)
+            point += (midpoint(*axis_range(self._stages[k + 1], k, point)),)
         return point
 
     # --- structural queries -------------------------------------------------
@@ -241,8 +253,8 @@ class Polyhedron(Value):
         if self.is_empty():
             return []
         tight = 0
-        for r, src in self._stages[0]:
-            if r.b == 0:
+        for r, (_, src) in self._stages[0].items():
+            if r[-1] == 0:
                 tight |= src
         return [r for i, r in enumerate(self.rows) if tight >> i & 1 and any(r.a)]
 
@@ -313,14 +325,18 @@ class Polyhedron(Value):
     def is_bounded(self):
         """Whether the recession cone of the closure is {0}.
 
-        Read from the projection: stage k+1 bounds u_k above and below
-        given u_0..u_{k-1} iff it has rows with a positive and with a
+        Read from the projection, once: stage k+1 bounds u_k above and
+        below given u_0..u_{k-1} iff it has rows with a positive and with a
         negative coefficient of u_k.  The stages of the recession cone have
         the same rows up to their right-hand sides, so this holds for an
         empty polyhedron too.
         """
-        return all(any(r.a[k] > 0 for r, _ in self._stages[k + 1]) and
-                   any(r.a[k] < 0 for r, _ in self._stages[k + 1]) for k in range(self.dim))
+        return self._bounded
+
+    @cached_property
+    def _bounded(self):
+        return all(any(r[k] > 0 for r in self._stages[k + 1]) and
+                   any(r[k] < 0 for r in self._stages[k + 1]) for k in range(self.dim))
 
     def vertices(self):
         """Vertices of the closure (exact), sorted; none with a lineality space."""

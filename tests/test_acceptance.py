@@ -101,8 +101,7 @@ def test_acceptance_03_rank_two_form():
     w = omega_rank_two()
     vpos = positivity_verdict(w, "positive")
     assert vpos.yes and reverify(w, vpos)
-    terms, _, _ = exact.psd_decompose([[Fraction(x) for x in row]
-                                       for row in gram_form(w).matrix])
+    terms, _, _ = exact.psd_decompose(*w._gram[1:])
     assert len(terms) == 2
     vstr = positivity_verdict(w, "strong", pool_size=40)
     assert vstr.no and vstr.witness[0] == "kernel_obstruction"

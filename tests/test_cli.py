@@ -592,6 +592,34 @@ def test_fan_rank_above_the_cap_is_input_error():
     assert code == 0 and err == "", err
 
 
+@pytest.mark.parametrize("case", ["current", "field"])
+@pytest.mark.parametrize("exponent", [1000, 10 ** 6])
+def test_monomial_above_the_degree_cap_is_input_error(monkeypatch, case, exponent):
+    """A polynomial literal is refused at parse when a monomial's degree is
+    above formats.DEGREE_CAP, before any sign certificate or substitution
+    runs: the density u_1^1000 + 1 once spent 8 s in substitute_affine, and
+    an exponent of 10^6 more than 20 s in _squarefree_part."""
+    from tropcur import coeffs, measures
+
+    def ran(*args):
+        raise AssertionError("work ran past the parse")
+    monkeypatch.setattr(measures, "certify_sign", ran)
+    monkeypatch.setattr(coeffs.Poly, "substitute_affine", ran)
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    if case == "field":
+        data = json.loads((inputs / "field_rank1.json").read_text())
+        data["tables"][""][0]["coeff"][0]["poly"] = [{"c": "1", "exp": [exponent]}]
+        args = ["integrate", "--rank", "1", "--field", "{data}"]
+    else:
+        data = json.loads((inputs / "current.json").read_text())
+        data["cocoeffs"]["|"]["densities"][0]["weight"]["pol"] = [
+            {"c": "1", "exp": [exponent, 0]}, {"c": "1", "exp": [0, 0]}]
+        args = ["decompose", "--rank", "2", "--current", "{data}"]
+    code, err = _cli_in_process(args, {"data": data})
+    assert code == 2 and err.startswith("input error: ") and "Traceback" not in err, err
+    assert f"above the cap of {formats.DEGREE_CAP}" in err, err
+
+
 @pytest.mark.parametrize("case", ["field", "current"])
 def test_integral_out_of_float_range_is_an_error_record(tmp_path, capsys, case):
     """A polynomial literal whose integral leaves the float range gets a

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcur.coeffs import CoefficientFn, Poly, UniFn, bump, plateau
 from tropcur.errors import DimensionMismatch
@@ -193,3 +194,67 @@ def test_coefficient_arithmetic_checks_variable_count():
             op(g)
     assert (f * f).eval_float((0.5,)) == pytest.approx(4.0)
     assert (f + f).eval_float((0.5,)) == pytest.approx(4.0)
+
+
+_COEFFS = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+
+
+@st.composite
+def _polys(draw, nvars):
+    """A Poly on nvars variables from up to four terms of degree <= 2 per
+    variable, coefficients ints, Fractions or zeros, an exponent repeated."""
+    exps = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = tuple(draw(st.integers(0, 2)) for _ in range(nvars))
+        exps[e] = draw(_COEFFS)
+    return Poly(exps, nvars)
+
+
+def _ref_value(exps, u):
+    """sum c u^e over {e: c}, in Fractions."""
+    out = Fraction(0)
+    for e, c in exps.items():
+        term = Fraction(c)
+        for x, k in zip(u, e):
+            term *= Fraction(x) ** k
+        out += term
+    return out
+
+
+def _normalized(p):
+    """p holds only nonzero Fractions, in its own order, and is the Poly built from them."""
+    assert all(type(c) is Fraction and c != 0 for c in p.exps.values())
+    again = Poly(dict(p.exps), p.nvars)
+    assert p == again and list(p.exps) == list(again.exps)
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_poly_results_are_built_once_and_exact(data):
+    """Every result of +, -, *, scale, diff, linear and substitute_affine holds
+    only nonzero Fractions, equals the Poly built from its own coefficients,
+    and has the value of the operation at a drawn rational point."""
+    n = data.draw(st.integers(1, 3))
+    p, q = data.draw(_polys(n)), data.draw(_polys(n))
+    u = [data.draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(n)]
+    _normalized(p)
+    s, axis = data.draw(_COEFFS), data.draw(st.integers(0, n - 1))
+    for r, value in ((p + q, _ref_value(p.exps, u) + _ref_value(q.exps, u)),
+                     (p - q, _ref_value(p.exps, u) - _ref_value(q.exps, u)),
+                     (p * q, _ref_value(p.exps, u) * _ref_value(q.exps, u)),
+                     (p.scale(s), s * _ref_value(p.exps, u))):
+        assert _normalized(r).eval(u) == value and r.nvars == n
+    derivative = {e[:axis] + (e[axis] - 1,) + e[axis + 1:]: c * e[axis]
+                  for e, c in p.exps.items() if e[axis]}
+    assert _normalized(p.diff(axis)).eval(u) == _ref_value(derivative, u)
+    coeffs, const = [data.draw(_COEFFS) for _ in range(n)], data.draw(_COEFFS)
+    line = _normalized(Poly.linear(coeffs, const))
+    assert line.eval(u) == sum(Fraction(c) * x for c, x in zip(coeffs, u)) + const
+    k = data.draw(st.integers(1, 3))
+    A = [[data.draw(_COEFFS) for _ in range(k)] for _ in range(n)]
+    b = [data.draw(_COEFFS) for _ in range(n)]
+    t = [data.draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(k)]
+    image = [sum(Fraction(x) * y for x, y in zip(row, t)) + c for row, c in zip(A, b)]
+    sub = _normalized(p.substitute_affine(A, b, k))
+    assert sub.nvars == k and sub.eval(t) == _ref_value(p.exps, image)

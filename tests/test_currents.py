@@ -578,7 +578,8 @@ def _ref_exact_verdict_holds(T, v):
     x^T M x == value < 0 on one."""
     from tropcur.currents import _cell_matrices
     data = v.certificate if v.yes else v.witness
-    cells = _cell_matrices(T)
+    cells = [(where, site, [[Fraction(x, den) for x in row] for row in N])
+             for where, site, N, den in _cell_matrices(T)]
     idx = list(itertools.combinations(range(T.n), T.q))
     if v.tier != "positive":
         return False

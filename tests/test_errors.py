@@ -1,5 +1,8 @@
 """The named error surfaces carry usable witnesses."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from tropcur.currents import LagerbergCurrent, evaluate
@@ -52,3 +55,12 @@ def test_scene_unknown_object():
     with pytest.raises(ValidationError):
         parse_scene({"fan": {"rank": 1, "cones": [[[1]]]},
                      "objects": {"x": {"type": "widget"}}, "tasks": []})
+
+
+def test_no_assert_statement_in_the_package():
+    """Argument checks are typed errors: ``python -O`` strips an ``assert``,
+    so none may stand in src/tropcur."""
+    src = Path(__file__).resolve().parent.parent / "src" / "tropcur"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -166,6 +166,14 @@ def _conj(x):
     return x.conjugate() if isinstance(x, QC) else x
 
 
+def _cleared(m):
+    """(N, den) with m = N / den and N an integer matrix, of QC entries when
+    some entry of m is a QC: m cleared once, as a caller of psd_decompose does."""
+    n = len(m)
+    den, flat = exact.integer_parts([x for row in m for x in row])
+    return [flat[i:i + n] for i in range(0, n * n, n)], den
+
+
 @st.composite
 def _hermitian_matrices(draw):
     """A symmetric rational or Hermitian QC matrix, up to 5 x 5.
@@ -226,7 +234,7 @@ def _low_rank_matrices(draw):
 @given(_hermitian_matrices())
 def test_psd_decompose_certificate_or_witness(m):
     n = len(m)
-    terms, w, value = exact.psd_decompose(m)
+    terms, w, value = exact.psd_decompose(*_cleared(m))
     if w is None:
         rec = [[0] * n for _ in range(n)]
         for gamma, v in terms:
@@ -236,11 +244,11 @@ def test_psd_decompose_certificate_or_witness(m):
                 for j in range(n):
                     rec[i][j] = rec[i][j] + gamma * v[i] * _conj(v[j])
         assert rec == m
-        assert exact.gram_holds(m, 1, terms)
+        assert exact.gram_holds(*_cleared(m), terms)
     else:
         val = QC.of(sum(_conj(w[i]) * m[i][j] * w[j] for i in range(n) for j in range(n)))
         assert val.imag == 0 and val.real < 0
-        assert value == val and exact.gram_holds(m, 1, witness=(w, value))
+        assert value == val and exact.gram_holds(*_cleared(m), witness=(w, value))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -256,7 +264,7 @@ def test_gram_holds_matches_fraction_reference(m, data):
     rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     scalar = st.builds(QC, rational, rational) if isinstance(m[0][0], QC) else rational
     vector = st.lists(scalar, min_size=n, max_size=n).map(lambda v: dict(enumerate(v)))
-    terms, witness, _ = exact.psd_decompose(m)
+    terms, witness, _ = exact.psd_decompose(*_cleared(m))
     terms = terms or []
     if data.draw(st.booleans()) or not terms:
         terms = data.draw(st.lists(st.tuples(rational, vector), max_size=3))
@@ -264,8 +272,9 @@ def test_gram_holds_matches_fraction_reference(m, data):
         i = data.draw(st.integers(1, n - 1))
         m = [list(row) for row in m]
         m[i][data.draw(st.integers(0, i - 1))] += data.draw(st.sampled_from([1, -1, QC(0, 1)]))
-        assert not exact.gram_holds(m, 1, terms)
-    scaled = [[x * k for x in row] for row in m]
+        assert not exact.gram_holds(*_cleared(m), terms)
+    N, den = _cleared(m)
+    scaled, k = [[x * k for x in row] for row in N], den * k
     rec = [[0] * n for _ in range(n)]
     for gamma, v in terms:
         v = _dense(v, n)
@@ -460,8 +469,9 @@ def _ldl_cases(draw):
 def test_psd_decompose_matches_fraction_reference(case):
     m, k = case
     want = _keyed(_ref_psd_decompose(m), range(len(m)))
-    scaled = [[x * k for x in row] for row in m]
-    for terms, witness, _ in (exact.psd_decompose(m), exact.psd_decompose(scaled, k)):
+    N, den = _cleared(m)
+    scaled = [[x * k for x in row] for row in N]
+    for terms, witness, _ in (exact.psd_decompose(N, den), exact.psd_decompose(scaled, den * k)):
         assert (terms, witness) == want
         assert all(type(gamma) is Fraction for gamma, _ in terms or ())
 
@@ -504,10 +514,10 @@ def _integer_cases(draw):
 @given(_integer_cases(), st.data())
 def test_integer_matrix_is_taken_as_it_is(case, data):
     """psd_decompose(N, den) and gram_holds(N, den, ...) on an integer matrix,
-    which no pass clears again, agree with the Fraction (QC) matrix N / den:
-    the same decomposition, witness and value, the same answer on the
-    LDL^T's own claim and on drawn ones, and ValueError when N is not
-    symmetric (resp. Hermitian)."""
+    which no pass clears again, agree with the Fraction (QC) matrix N / den
+    cleared afresh: the same decomposition, witness and value, the same
+    answer on the LDL^T's own claim and on drawn ones, and ValueError when
+    N is not symmetric (resp. Hermitian)."""
     N, den, broken = case
     hermitian = isinstance(N[0][0], QC)
     M = [[QC(Fraction(x.real, den), Fraction(x.imag, den)) if hermitian else Fraction(x, den)
@@ -515,11 +525,11 @@ def test_integer_matrix_is_taken_as_it_is(case, data):
     flat = [x for row in N for x in row]
     assert exact.integer_parts(flat)[0] == 1
     if broken:
-        for mat, d in ((N, den), (M, 1)):
+        for mat, d in ((N, den), _cleared(M)):
             with pytest.raises(ValueError):
                 exact.psd_decompose(mat, d)
         return
-    got, want = exact.psd_decompose(N, den), exact.psd_decompose(M)
+    got, want = exact.psd_decompose(N, den), exact.psd_decompose(*_cleared(M))
     assert got == want
     n = len(N)
     rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -530,7 +540,7 @@ def test_integer_matrix_is_taken_as_it_is(case, data):
               {"terms": data.draw(st.lists(st.tuples(rational, vector), max_size=3))},
               {"witness": (data.draw(vector), data.draw(rational))}]
     for claim in claims:
-        assert exact.gram_holds(N, den, **claim) == exact.gram_holds(M, 1, **claim)
+        assert exact.gram_holds(N, den, **claim) == exact.gram_holds(*_cleared(M), **claim)
     assert exact.gram_holds(N, den, **claims[0])
 
 
@@ -560,11 +570,12 @@ def test_gram_verdict_matches_the_keyed_reference(case, data):
     with the same scalar types.  gram_claim_holds accepts that claim, and
     rejects it with an entry doubled (resp. moved off the witness), a gamma
     (resp. the value) negated, or a key replaced by one outside idx."""
-    m, den = case
+    m, k = case
     n = len(m)
     idx = data.draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
                              min_size=n, max_size=n, unique=True))
-    scaled = [[x * den for x in row] for row in m]
+    N, den = _cleared(m)
+    scaled, den = [[x * k for x in row] for row in N], den * k
     v = exact.gram_verdict(idx, scaled, den)
     want = _ref_verdict(idx, m)
     assert v == want and repr(v) == repr(want)

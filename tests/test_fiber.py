@@ -579,14 +579,12 @@ def test_gram_outer_product_psd_rank_one():
         coeffs = {(K, ()): rng.randint(-3, 3) for K in subsets(n, p)}
         alpha = LagerbergFiberForm(n, p, 0, coeffs)
         g = positive_generator(alpha)
-        terms, witness, _ = exact.psd_decompose([[Fraction(x) for x in row]
-                                                 for row in gram_form(g).matrix])
+        terms, witness, _ = exact.psd_decompose(*g._gram[1:])
         assert witness is None and len(terms) <= 1
 
 
 def test_gram_rank_two_example():
-    g = gram_form(omega_rank_two())
-    terms, witness, _ = exact.psd_decompose([[Fraction(x) for x in row] for row in g.matrix])
+    terms, witness, _ = exact.psd_decompose(*omega_rank_two()._gram[1:])
     assert witness is None and len(terms) == 2
 
 
@@ -801,9 +799,8 @@ def test_complex_gram_hermitian_and_sign():
         coeffs = {(K, ()): QC(rng.randint(-2, 2), rng.randint(-2, 2))
                   for K in subsets(n, p)}
         form = positive_generator(ComplexFiberForm(n, p, 0, coeffs))
-        g = gram_form(form)
-        assert g.kind == "hermitian"
-        terms, witness, _ = exact.psd_decompose(g.matrix)
+        assert gram_form(form).kind == "hermitian"
+        terms, witness, _ = exact.psd_decompose(*form._gram[1:])
         assert witness is None and len(terms) <= 1
 
 

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcur import quadrature
 from tropcur.coeffs import CoefficientFn, Poly, bump, table
@@ -210,9 +211,8 @@ def test_scale_pi_power_arithmetic():
                       scale=(Fraction(4), 1))
     assert mu.scale_float() == pytest.approx(4 * math.pi)
     back = mu.with_scale(Fraction(1, 4), -1)
-    folded = back.rescaled()
-    assert folded.scale == (Fraction(1), 0)
-    assert folded == PieceMeasure(1, atoms=[Atom(frozenset(), (Fraction(0),), Fraction(1))])
+    assert back.scale == (Fraction(1), 0)
+    assert back == PieceMeasure(1, atoms=[Atom(frozenset(), (Fraction(0),), Fraction(1))])
 
 
 def test_prefactor_folds_at_every_pi_power():
@@ -286,3 +286,62 @@ def test_adding_measures_checks_dimension():
     with pytest.raises(DimensionMismatch):
         mu + PieceMeasure(2, atoms=[Atom(frozenset(), (Fraction(1), Fraction(1)), Fraction(1))])
     assert integrate_against(CoefficientFn.const(1, 1), mu + mu) == pytest.approx(2.0, abs=1e-9)
+
+
+# --- reference: the canonical key of the rescaled copy ------------------------------
+
+def _ref_canonical_key(mu):
+    """The key a measure had from a rescaled copy of itself: every weight
+    times the prefactor c under the scale (1, k), the copy's atoms merged
+    again, then the atoms, pieces (constant ones on one polyhedron summed)
+    and derivative atoms keyed and sorted."""
+    c, k = mu.scale
+    merged = {}
+    for a in mu.atoms:
+        where = (tuple(sorted(a.stratum)), a.coords)
+        merged[where] = merged.get(where, 0) + a.weight * c
+    atoms = [(*where, w) for where, w in merged.items() if w]
+    pieces, constant = [], {}
+    for p in mu.pieces:
+        p = Piece(p.stratum, p.poly, p.weight_poly.scale(c), p.weight_expo, p.sign)
+        if p.weight_poly.is_zero():
+            continue
+        if p.weight_poly.degree() or not p.weight_expo.is_zero():
+            pieces.append(p.key())
+            continue
+        (e, w), = p.weight_poly.exps.items()
+        where = p.key()[:2] + (e,)
+        constant[where] = constant.get(where, 0) + w
+    pieces += [(st, poly, ((e, w),), (), 1 if w > 0 else -1)
+               for (st, poly, e), w in constant.items() if w]
+    ders = [(tuple(sorted(d.stratum)), d.coords, d.direction, d.weight * c)
+            for d in mu.derivative_atoms]
+    return (mu.n, Fraction(1), k, tuple(sorted(atoms)), tuple(sorted(pieces)), tuple(sorted(ders)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_canonical_key_reads_the_weights_through_the_prefactor(data):
+    """PieceMeasure.canonical_key() equals the key of the rescaled copy, for
+    drawn prefactors c * pi^k, atoms at shared points (some cancelling),
+    constant pieces on one polyhedron (built twice, some cancelling), a
+    piece of linear density and a derivative atom; so does the key of a sum
+    and of a with_scale."""
+    box = [(0, 1), (0, 2)]
+    points = [(frozenset(), (Fraction(0), Fraction(1))), (frozenset({1}), (Fraction(1, 2),))]
+    weight = st.sampled_from([-2, -1, 1, Fraction(1, 2), 3])
+    atoms = [Atom(*data.draw(st.sampled_from(points)), data.draw(weight))
+             for _ in range(data.draw(st.integers(0, 4)))]
+    pieces = [lebesgue_piece((), Polyhedron.box(box), data.draw(weight))
+              for _ in range(data.draw(st.integers(0, 3)))]
+    if data.draw(st.booleans()):
+        pieces.append(lebesgue_piece((), Polyhedron.box(box), Poly.linear([1, 0], 1), sign=1))
+    ders = ([DerivativeAtom(frozenset(), (Fraction(1), Fraction(1)), (1, 0), data.draw(weight))]
+            if data.draw(st.booleans()) else [])
+    c = data.draw(st.sampled_from([1, 2, Fraction(1, 3), Fraction(5, 4)]))
+    k = data.draw(st.integers(0, 2))
+    mu = PieceMeasure(2, atoms, pieces, ders, (c, k))
+    assert mu.canonical_key() == _ref_canonical_key(mu)
+    other = PieceMeasure(2, atoms[:1], pieces[:1], (), (data.draw(st.sampled_from([1, 3])), k))
+    for nu in (mu + other, mu.with_scale(Fraction(2, 3), 1)):
+        assert nu.canonical_key() == _ref_canonical_key(nu)

@@ -286,3 +286,140 @@ def test_derived_data_computed_once_as_tuples():
     for query in (tri.vertices, tri.recession_generators, tri.affine_hull):
         assert isinstance(query(), tuple) and query() is query()
     assert isinstance(tri.affine_hull()[1], tuple)
+
+
+# --- reference: the Fourier-Motzkin stages on Fraction rows -------------------------
+# The projection on Fraction rows that the primitive integer stages replaced, kept
+# to compare against: rows merge by Row.scaled_key, the strict row kept and the
+# source masks unioned.
+
+def _ref_fm_step(rows, var):
+    pos, neg, out = [], [], []
+    for row, src in rows:
+        c = row.a[var]
+        (pos if c > 0 else neg if c < 0 else out).append((row, src))
+    for rp, sp in pos:
+        for rn, sn in neg:
+            cp, cn = rp.a[var], -rn.a[var]
+            a = tuple(cn * x + cp * y for x, y in zip(rp.a, rn.a))
+            out.append((Row(a, cn * rp.b + cp * rn.b, rp.strict or rn.strict), sp | sn))
+    merged = {}
+    for row, src in out:
+        key = row.scaled_key()[:2]
+        prev = merged.get(key)
+        if prev is not None:
+            row = row if row.strict and not prev[0].strict else prev[0]
+            src |= prev[1]
+        merged[key] = (row, src)
+    return list(merged.values())
+
+
+def _ref_stages(rows, dim):
+    stages = [[(r, 1 << i) for i, r in enumerate(rows)]]
+    for var in reversed(range(dim)):
+        stages.append(_ref_fm_step(stages[-1], var))
+    return stages[::-1]
+
+
+def _ref_range(rows, var, fixed=()):
+    lo = hi = None
+    for r, _ in rows:
+        c = r.a[var]
+        if c == 0:
+            continue
+        val = (r.b - sum(x * y for x, y in zip(r.a, fixed))) / c
+        if c > 0:
+            hi = val if hi is None else min(hi, val)
+        else:
+            lo = val if lo is None else max(lo, val)
+    return lo, hi
+
+
+def _ref_midpoint(lo, hi):
+    if lo is not None and hi is not None:
+        return (lo + hi) / 2
+    return lo + 1 if lo is not None else hi - 1 if hi is not None else Fraction(0)
+
+
+def _ref_stage_queries(poly, a):
+    """(is_empty, feasible_point, implied_equalities, affine_hull, linear_bounds(a),
+    is_bounded) read from the Fraction stages."""
+    d, stages = poly.dim, _ref_stages(poly.rows, poly.dim)
+    bounded = all(any(r.a[k] > 0 for r, _ in stages[k + 1]) and
+                  any(r.a[k] < 0 for r, _ in stages[k + 1]) for k in range(d))
+    if any(r.b < 0 or (r.strict and r.b <= 0) for r, _ in stages[0]):
+        return True, None, [], None, (None, None, True), bounded
+    point = ()
+    for k in range(d):
+        point += (_ref_midpoint(*_ref_range(stages[k + 1], k, point)),)
+    tight = 0
+    for r, src in stages[0]:
+        if r.b == 0:
+            tight |= src
+    eqs = [r for i, r in enumerate(poly.rows) if tight >> i & 1 and any(r.a)]
+    basis = (exact.integer_kernel_basis([list(r.a) for r in eqs]) if eqs else
+             [tuple(int(i == j) for j in range(d)) for i in range(d)])
+    a = tuple(Fraction(x) for x in a)
+    lifted = ([Row((Fraction(0),) + r.a, r.b) for r in poly.rows]
+              + [Row((Fraction(1),) + tuple(-x for x in a), Fraction(0)),
+                 Row((Fraction(-1),) + a, Fraction(0))])
+    bounds = (*_ref_range(_ref_stages(lifted, d + 1)[1], 0), False)
+    return False, point, eqs, (point, tuple(tuple(v) for v in basis)), bounds, bounded
+
+
+def _merged_stage(items):
+    """{primitive (a, b): (strict, sources)} over (key, strict, sources), constant
+    rows 0 <= b read by the sign of b alone: both stages merge rows by it."""
+    out = {}
+    for key, strict, src in items:
+        if not any(key[:-1]):
+            key = key[:-1] + ((key[-1] > 0) - (key[-1] < 0),)
+        prev = out.get(key)
+        out[key] = (strict, src) if prev is None else (strict or prev[0], src | prev[1])
+    return out
+
+
+@st.composite
+def _fm_polyhedra(draw):
+    """(poly, a): dimension <= 4, up to five drawn rows, some strict, each
+    perhaps followed by a duplicate, a positive multiple of it or a constant
+    row 0 <= b with b of either sign; in half of them every row vanishes on a
+    drawn direction, a lineality space.  a is a linear functional."""
+    d = draw(st.integers(1, 4))
+    line = draw(st.one_of(st.none(), st.lists(st.integers(-1, 1), min_size=d, max_size=d)))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        a = [draw(st.integers(-2, 2)) for _ in range(d)]
+        if line and any(line):      # a made orthogonal to the line, in integers
+            ll, al = sum(x * x for x in line), sum(x * y for x, y in zip(a, line))
+            a = [ll * x - al * y for x, y in zip(a, line)]
+        b = draw(st.fractions(-3, 3, max_denominator=3))
+        rows.append((tuple(a), b, draw(st.sampled_from([False, False, True]))))
+        extra = draw(st.sampled_from(["", "", "duplicate", "multiple", "constant"]))
+        if extra == "duplicate":
+            rows.append((tuple(a), b, draw(st.booleans())))
+        elif extra == "multiple":
+            k = draw(st.sampled_from([2, 3, Fraction(1, 2)]))
+            rows.append((tuple(k * x for x in a), k * b, draw(st.booleans())))
+        elif extra == "constant":
+            rows.append(((0,) * d, draw(st.sampled_from([-1, 0, Fraction(1, 2), 2])),
+                         draw(st.booleans())))
+    a = tuple(draw(st.fractions(-2, 2, max_denominator=2)) for _ in range(d))
+    return Polyhedron(d, rows), a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_fm_polyhedra())
+def test_integer_stages_match_the_fraction_stages(case):
+    """Each stage of primitive integer rows is the Fraction stage cleared: the
+    same rows, strictness and source masks.  is_empty, feasible_point (equal
+    values), implied_equalities, affine_hull, linear_bounds and is_bounded
+    read from them equal the same queries read from the Fraction stages."""
+    poly, a = case
+    for got, want in zip(poly._stages, _ref_stages(poly.rows, poly.dim)):
+        assert all(type(x) is int for key in got for x in key)
+        assert _merged_stage((k, s, src) for k, (s, src) in got.items()) == _merged_stage(
+            (exact.primitive(r.a + (r.b,)), r.strict, src) for r, src in want)
+    got = (poly.is_empty(), poly.feasible_point(), poly.implied_equalities(),
+           poly.affine_hull(), poly.linear_bounds(a), poly.is_bounded())
+    assert got == _ref_stage_queries(poly, a)
