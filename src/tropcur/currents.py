@@ -763,8 +763,9 @@ def c_finite_witness(chart, measures):
     the whole chart, else the first failing (I, J) with its ray.
 
     Read off the pieces in total-variation order, building no measure: the
-    weighted |piece| is keyed only for the witness, and escape generators
-    are computed once per polyhedron."""
+    weighted |piece| is keyed only for the witness.  Each piece is checked
+    by ``escape_failure`` along the rays of its one escape cone, computed
+    once per polyhedron; a ray goes to the stratum of the axes it grows on."""
     n = len(chart.basis)
     for (I, J), mu in measures.items():
         weight = [-(i in I) - (i in J) for i in range(n)]
@@ -789,7 +790,7 @@ def c_finite_test(T):
     if not T.is_measure_class():
         raise NonMeasurePiece("c_finite_test needs measure co-coefficients")
     witness = c_finite_witness(T.chart, T.cocoeffs)
-    return Verdict("c_finite", "yes" if witness is None else "no", witness=witness)
+    return Verdict("c_finite", "yes" if witness is None else "no", witness=witness, exact=True)
 
 
 # --- extension by zero ------------------------------------------------------------------

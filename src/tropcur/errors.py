@@ -197,9 +197,9 @@ class Verdict(Value):
     positivity, a strictly negative exact pairing) or a structural reason
     such as a failed symmetry check.  ``exact`` says the verdict was
     decided exactly rather than sampled: closedness decided symbolically,
-    balancing, or a current's positivity decided cell by cell (see
-    ``currents.positivity_check``).  ``residual`` is closedness's worst
-    sampled pairing.
+    balancing, C-finite mass, or a current's positivity decided cell by
+    cell (see ``currents.positivity_check``).  ``residual`` is closedness's
+    worst sampled pairing.
     """
     __slots__ = _fields = ("tier", "answer", "reason", "witness", "certificate", "exact",
                            "residual")

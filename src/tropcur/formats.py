@@ -325,6 +325,9 @@ def current_from_json(data, chart):
         raise ParseError("current needs a 'bidegree' [p, p]") from err
     if p != p2 or not 0 <= p <= n:
         raise ParseError(f"bidegree ({p},{p2}) is not (p,p) with 0 <= p <= {n}")
+    if "n" in data and _parse_int(data["n"]) != n:
+        raise ValidationError(f"the current declares n = {data['n']}, "
+                              f"but its chart has rank {n}")
     coco = {}
     cocoeffs = data.get("cocoeffs", {})
     if not isinstance(cocoeffs, dict):

@@ -475,33 +475,27 @@ def _expo_linear_rate(expo, v):
     return Poly(out, expo.nvars)
 
 
-def decay_along(expo, domain, v):
-    """'decays' / 'neutral_or_grows' for exp(expo) along recession ray v."""
+def decays(expo, domain, v):
+    """Whether exp(expo) decays along the recession ray v of ``domain``."""
     q = _expo_quadratic_on(expo, v)
-    if q < 0:
-        return "decays"
-    if q > 0:
-        return "neutral_or_grows"
+    if q:
+        return q < 0
     rate = _expo_linear_rate(expo, v)
     # affine rate: sup over the domain must be negative
     const = rate.exps.get(tuple([0] * rate.nvars), Fraction(0))
     lin = [rate.exps.get(tuple(int(j == i) for j in range(rate.nvars)), Fraction(0))
            for i in range(rate.nvars)]
     if all(c == 0 for c in lin):
-        return "decays" if const < 0 else "neutral_or_grows"
+        return const < 0
     lo, hi, empty = domain.linear_bounds(tuple(lin))
-    if empty:
-        return "decays"
-    if hi is None:
-        return "neutral_or_grows"
-    return "decays" if const + hi < 0 else "neutral_or_grows"
+    return empty or (hi is not None and const + hi < 0)
 
 
 def _require_decay(h, domain):
     gens = [g for g in domain.recession_generators() if any(g)]
     for _, expo, _ in h.terms:
         for v in gens:
-            if decay_along(expo, domain, v) != "decays":
+            if not decays(expo, domain, v):
                 raise Divergent("integrand does not decay along a recession ray",
                                 payload={"ray": v, "exponent": repr(expo)})
         if expo.degree() == 2 and len(gens) > 1:
@@ -563,32 +557,26 @@ def abs_measure(mu):
     return p + m
 
 
-def boundary_escape_cones(piece, chart):
-    """Nonzero escape subcones of a piece's recession cone, per limit stratum.
-
-    Returns a list of (M, generators) for subsets M of the chart's
-    remaining infinite axes: directions of the recession cone along which
-    points converge to the stratum (piece.stratum | M).  Only the map to chart
-    axes is redone per call: ``Polyhedron.escape_generators`` are computed once.
-    """
-    n = len(chart.basis)
-    finite_axes = [i for i in range(n) if i not in piece.stratum]
-    inf_positions = tuple(t for t, i in enumerate(finite_axes) if i in chart.infinite_axes)
-    return [(frozenset(finite_axes[t] for t in pos), list(gens))
-            for pos, gens in piece.poly.escape_generators(inf_positions)]
-
-
 def escape_failure(piece, chart, tilt=()):
     """The first (stratum, ray) along which the piece's density times
     exp(tilt . u) does not decay toward a boundary stratum of ``chart``;
-    None if it decays."""
-    cones = () if piece.poly.is_bounded() else boundary_escape_cones(piece, chart)
-    expo = piece.weight_expo + Poly.linear(tilt) if cones and any(tilt) else piece.weight_expo
-    for M, gens in cones:
-        for v in gens if piece.stratum | M <= chart.infinite_axes else ():
-            if decay_along(expo, piece.poly, v) != "decays":
-                return tuple(sorted(piece.stratum | M)), v
-    return None
+    None if it decays.
+
+    The rays are the generators of the piece's one escape cone
+    (``Polyhedron.escape_rays`` over the positions of the chart's infinite
+    axes); a ray goes to the stratum of the axes it grows on.  The failing
+    ray reported is the first, in generator order, of those whose support
+    over the positions has the least bit mask."""
+    finite_axes = [i for i in range(len(chart.basis)) if i not in piece.stratum]
+    positions = tuple(t for t, i in enumerate(finite_axes) if i in chart.infinite_axes)
+    if not positions or not piece.stratum <= chart.infinite_axes or piece.poly.is_bounded():
+        return None
+    expo = piece.weight_expo + Poly.linear(tilt) if any(tilt) else piece.weight_expo
+    failing = [v for v in piece.poly.escape_rays(positions) if not decays(expo, piece.poly, v)]
+    if not failing:
+        return None
+    v = min(failing, key=lambda v: sum(1 << k for k, t in enumerate(positions) if v[t]))
+    return tuple(sorted(piece.stratum | {finite_axes[t] for t in positions if v[t]})), v
 
 
 def restrict_measure(mu, M):

@@ -136,7 +136,7 @@ class Polyhedron(Value):
     An immutable value: the rows are a tuple checked once on construction,
     and derived data (the canonical key, the Fourier-Motzkin projection,
     the affine hull, vertices, recession generators, facets and escape
-    generators) is computed once per instance, on first use, and handed
+    rays) is computed once per instance, on first use, and handed
     out as tuples.
     """
     _fields = ("dim", "rows")
@@ -284,10 +284,6 @@ class Polyhedron(Value):
             return -1
         return len(hull[1])
 
-    def recession(self):
-        rows = [Row(r.a, Fraction(0), False) for r in self.rows if any(r.a)]
-        return Polyhedron(self.dim, rows)
-
     @cached_property
     def _lineality(self):
         mat = [list(r.a) for r in self.rows if any(r.a)]
@@ -306,20 +302,19 @@ class Polyhedron(Value):
         rows = [r.a for r in self.rows if any(r.a)] + lin
         return tuple(lin) + _pointed_rays(rows, self.dim)
 
-    def escape_generators(self, positions):
-        """(pos, gens) per nonempty subset ``pos`` of ``positions`` whose section
-        {u_t >= 0 on pos, u_t = 0 elsewhere} of the recession cone has generators
-        ``gens`` (nonzero, so each grows on pos); once per tuple of positions."""
+    def escape_rays(self, positions):
+        """Generators of the escape cone {v in the recession cone : v_t >= 0 at
+        ``positions``, v_t = 0 elsewhere}, in ``recession_generators`` order;
+        once per tuple of positions.  The cone is pointed, and its section
+        v_t = 0 off a subset S of positions is a face, generated by the rays
+        supported in S."""
         memo = self.__dict__.setdefault("_escapes", {})
         if positions not in memo:
-            rec, out = self.recession(), []
-            for mask in range(1, 1 << len(positions)):
-                pos = [t for i, t in enumerate(positions) if mask >> i & 1]
-                sub = rec.intersect(Polyhedron.box([(0, None) if t in pos else (0, 0)
-                                                    for t in range(self.dim)]))
-                if sub.recession_generators():
-                    out.append((tuple(pos), sub.recession_generators()))
-            memo[positions] = tuple(out)
+            # recession generators read the rows' normals alone, so these are
+            # the escape cone's even where the box misses the polyhedron
+            box = Polyhedron.box([(0, None) if t in positions else (0, 0)
+                                  for t in range(self.dim)])
+            memo[positions] = self.intersect(box).recession_generators()
         return memo[positions]
 
     def is_bounded(self):

@@ -592,6 +592,19 @@ def test_fan_rank_above_the_cap_is_input_error():
     assert code == 0 and err == "", err
 
 
+def test_current_literal_of_another_rank_is_input_error():
+    """A current literal's "n" must be its chart's rank: n = 10^6 on a rank-2
+    chart is an input error that names both values; n = 2, or no "n", runs."""
+    data = json.loads((Path(__file__).resolve().parent / "golden" / "inputs"
+                       / "current.json").read_text())
+    args = ["decompose", "--rank", "2", "--current", "{data}"]
+    code, err = _cli_in_process(args, {"data": {**data, "n": 10 ** 6}})
+    assert code == 2 and err.startswith("input error: "), err
+    assert "1000000" in err and "rank 2" in err, err
+    for literal in ({**data, "n": 2}, {k: v for k, v in data.items() if k != "n"}):
+        assert _cli_in_process(args, {"data": literal}) == (0, "")
+
+
 @pytest.mark.parametrize("case", ["current", "field"])
 @pytest.mark.parametrize("exponent", [1000, 10 ** 6])
 def test_monomial_above_the_degree_cap_is_input_error(monkeypatch, case, exponent):

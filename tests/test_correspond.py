@@ -2,17 +2,19 @@ import functools
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropcur import exact
 from tropcur.correspond import (InvariantComplexCurrent, compat_checks,
                                 complex_positivity_check, kernel_point_current,
                                 lift, push_forward, round_trip_verify,
                                 validate_shadow)
-from tropcur.currents import (LagerbergCurrent, WeightedComplex, integration_current,
-                              positivity_check)
+from tropcur.currents import (LagerbergCurrent, WeightedComplex, balancing_check,
+                              c_finite_test, integration_current, positivity_check)
 from tropcur.errors import InvalidShadow, NotCFinite, NotClosed, NotPositive, TropcurError
 from tropcur.fans import orthant_fan
 from tropcur.fiber import Verdict, reverify, subsets
@@ -207,6 +209,47 @@ def test_lift_validity_matches_c_finite():
     assert validate_shadow(S)
     bad = positive_not_liftable()
     assert not c_finite_test(bad).yes
+
+
+def _bergman_plane(n, negated=()):
+    """The Bergman fan of U_{3,n+1} in R^n: a cone over each pair of
+    e_0, ..., e_n, where e_0 = -(e_1 + ... + e_n), of weight 1, or -1 at the
+    ``negated`` indices.  The cone over x and y is cut out by its span's
+    integer kernel and, on each side, by the functional
+    z -> (x.x)(y.z) - (x.y)(x.z), which vanishes on x and is positive on y."""
+    def dot(a, b):
+        return sum(p * q for p, q in zip(a, b))
+    e = [(-1,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    cells = []
+    for k, (x, y) in enumerate(combinations(e, 2)):
+        rows = [(s, 0) for w in exact.integer_kernel_basis([list(x), list(y)])
+                for s in (tuple(w), tuple(-c for c in w))]
+        rows += [(tuple(dot(a, b) * ac - dot(a, a) * bc for ac, bc in zip(a, b)), 0)
+                 for a, b in ((x, y), (y, x))]
+        cells.append((Polyhedron(n, rows), -1 if k in negated else 1))
+    return WeightedComplex(tuple(cells), declared_dim=2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bergman_plane_round_trips_on_the_orthant_chart(n):
+    """The tropical planes of U_{3,4} and U_{3,5}, on the chart where every
+    axis is infinite: balanced and of C-finite mass, both decided exactly,
+    and lift then push_forward returns the current bit for bit.  With one
+    cell's weight negated the complex is unbalanced and lift refuses it."""
+    fan = orthant_fan(n)
+    chart = fan.toric_chart(fan.cone_id([tuple(int(i == j) for j in range(n))
+                                         for i in range(n)]))
+    C = _bergman_plane(n)
+    T = integration_current(C, chart)
+    balanced, finite = balancing_check(C), c_finite_test(T)
+    assert (balanced.answer, balanced.exact, finite.answer, finite.exact) == ("yes", True,
+                                                                             "yes", True)
+    assert push_forward(lift(T)) == T
+    bad = _bergman_plane(n, negated=(0,))
+    unbalanced = balancing_check(bad)
+    assert (unbalanced.answer, unbalanced.exact) == ("no", True)
+    with pytest.raises(TropcurError):
+        lift(integration_current(bad, chart))
 
 
 def test_complex_positivity_validates_before_symmetry():

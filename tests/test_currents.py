@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tropcur.coeffs import CoefficientFn, Poly, plateau
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tropcur.currents import (LagerbergCurrent, WeightedComplex, _integrated_complex,
                               balancing_check, c_finite_test, c_finite_witness,
@@ -23,8 +23,7 @@ from tropcur.gallery import (degenerate_form_current, derivative_atom_current,
                              positive_not_positively_liftable, shifted_tropical_line,
                              tropical_line, tropical_line_current)
 from tropcur.formats import current_from_json, current_to_json
-from tropcur.measures import (Atom, Piece, PieceMeasure,
-                              boundary_escape_cones, decay_along, lebesgue_piece)
+from tropcur.measures import Atom, Piece, PieceMeasure, decays, escape_failure, lebesgue_piece
 from tropcur.polyhedra import Polyhedron
 
 
@@ -124,6 +123,13 @@ def test_exm3_not_c_finite():
     assert positivity_check(T, samples=6).yes
     cf = c_finite_test(T)
     assert not cf.yes
+
+
+def test_c_finite_test_is_exact_on_yes_and_no():
+    """C-finite mass is decided exactly: the Yes and the No both say so."""
+    yes, no = c_finite_test(tropical_line_current()), c_finite_test(positive_not_liftable())
+    assert (yes.answer, yes.exact) == ("yes", True)
+    assert (no.answer, no.exact) == ("no", True)
 
 
 def test_degenerate_form_current_fails_estimate():
@@ -840,12 +846,14 @@ def test_current_keys_are_increasing_subsets_of_the_axes():
 # --- C-finite witnesses read off the pieces ----------------------------------------------
 
 def _fresh_escape_cones(piece, chart):
-    """boundary_escape_cones as computed before the per-polyhedron memo:
-    from a new recession cone, intersected with one box per mask."""
+    """The escape sections as the mask loop computed them: from a new
+    recession cone, intersected with one box per mask, as (M, generators)
+    per subset M of the chart's infinite axes."""
     n = len(chart.basis)
     finite_axes = [i for i in range(n) if i not in piece.stratum]
     inf_positions = [t for t, i in enumerate(finite_axes) if i in chart.infinite_axes]
-    rec, d, out = Polyhedron(piece.poly.dim, piece.poly.rows).recession(), piece.poly.dim, []
+    d, out = piece.poly.dim, []
+    rec = Polyhedron(d, [(r.a, 0) for r in piece.poly.rows if any(r.a)])
     for mask in range(1, 1 << len(inf_positions)):
         pos = [inf_positions[t] for t in range(len(inf_positions)) if mask >> t & 1]
         sub = rec.intersect(Polyhedron.box([(0, None) if t in pos else (0, 0)
@@ -855,6 +863,19 @@ def _fresh_escape_cones(piece, chart):
         if gens:
             out.append((frozenset(finite_axes[t] for t in pos), gens))
     return out
+
+
+def _mask_loop_failure(piece, chart, tilt=()):
+    """escape_failure as the mask loop decided it: the first failing ray
+    of the first section, in increasing mask order."""
+    if piece.poly.is_bounded() or not piece.stratum <= chart.infinite_axes:
+        return None
+    expo = piece.weight_expo + Poly.linear(tilt) if any(tilt) else piece.weight_expo
+    for M, gens in _fresh_escape_cones(piece, chart):
+        for v in gens:
+            if not decays(expo, piece.poly, v):
+                return tuple(sorted(piece.stratum | M)), v
+    return None
 
 
 def _old_c_finite_witness(chart, measures):
@@ -886,7 +907,7 @@ def _old_c_finite_witness(chart, measures):
                 continue
             for M, gens in _fresh_escape_cones(piece, chart):
                 for v in gens:
-                    if decay_along(piece.weight_expo, piece.poly, v) != "decays":
+                    if not decays(piece.weight_expo, piece.poly, v):
                         return {"I": I, "J": J, "stratum": tuple(sorted(piece.stratum | M)),
                                 "ray": v, "piece": piece.key()}
     return None
@@ -964,11 +985,78 @@ def test_c_finite_witness_matches_the_measure_building_route(case):
     chart, measures = case
     assert (_outcome(c_finite_witness, chart, measures)
             == _outcome(_old_c_finite_witness, chart, measures))
+    n = len(chart.basis)
     for mu in measures.values():
         for piece in mu.pieces:
-            fresh = _fresh_escape_cones(piece, chart)
-            assert boundary_escape_cones(piece, chart) == fresh
-            assert boundary_escape_cones(piece, chart) == fresh     # from the memo
+            finite_axes = [i for i in range(n) if i not in piece.stratum]
+            positions = tuple(t for t, i in enumerate(finite_axes) if i in chart.infinite_axes)
+            rays = piece.poly.escape_rays(positions)
+            assert piece.poly.escape_rays(positions) is rays        # from the memo
+            # each section is the face of the escape cone that its rays span
+            sections = _fresh_escape_cones(piece, chart)
+            for M, gens in sections:
+                assert gens == [v for v in rays
+                                if all(finite_axes[t] in M for t in positions if v[t])]
+            assert set(rays) == {v for _, gens in sections for v in gens}
+            assert escape_failure(piece, chart) == _mask_loop_failure(piece, chart)
+
+
+def _orthant_chart(n, k):
+    """The chart of the orthant's face on its first k axes, which are infinite."""
+    fan = orthant_fan(n)
+    return fan.toric_chart(fan.cone_id([tuple(int(i == j) for j in range(n))
+                                        for i in range(k)]))
+
+
+@st.composite
+def _escape_cases(draw):
+    """A piece in dimension <= 4 on a chart of the orthant with 0 to n
+    infinite axes: a stratum of up to two axes, finite ones included; one
+    to six rows, some held as equalities (lower-dimensional cells), the
+    cell possibly empty; a linear or quadratic exponent; a boundary tilt."""
+    n = draw(st.integers(1, 4))
+    chart = _orthant_chart(n, draw(st.integers(0, n)))
+    stratum = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=2)))
+    d = n - len(stratum)
+    rows = []
+    for _ in range(draw(st.integers(1, 6)) if d else 0):
+        a = tuple(draw(st.integers(-2, 2)) for _ in range(d))
+        b = draw(st.sampled_from([-1, 0, 0, 1, 2]))
+        rows.append((a, b))
+        if draw(st.integers(0, 3)) == 0:
+            rows.append((tuple(-x for x in a), -b))
+    quad = {}
+    if d and draw(st.booleans()):
+        for i in range(d):
+            quad[tuple(2 * (j == i) for j in range(d))] = draw(st.sampled_from([-1, 0, 1]))
+        if d > 1:
+            quad[(1, 1) + (0,) * (d - 2)] = draw(st.sampled_from([-1, 0, 1]))
+    expo = Poly.linear([draw(st.integers(-2, 2)) for _ in range(d)],
+                       draw(st.integers(-1, 1))) + Poly(quad, d)
+    tilt = [draw(st.sampled_from([0, 0, -1, -2])) for _ in range(d)]
+    piece = Piece(stratum, Polyhedron(d, rows), Poly.const(1, d), expo, 1)
+    return piece, chart, tilt
+
+
+# the cone v_0 <= v_1 <= 2 v_0 has two rays, (1, 1) and (1, 2), of one support;
+# reversing its rows reverses their generator order
+_TWO_RAYS_OF_ONE_SUPPORT = [((1, -1), 0), ((-2, 1), 0)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_escape_cases())
+@example((Piece(frozenset(), Polyhedron(2, _TWO_RAYS_OF_ONE_SUPPORT), Poly.const(1, 2),
+                Poly.zero(2), 1), _orthant_chart(2, 2), [0, 0]))
+@example((Piece(frozenset({0}), Polyhedron(3, [(a + (0,), b) for a, b in
+                                                _TWO_RAYS_OF_ONE_SUPPORT[::-1]]),
+                Poly.const(1, 3), Poly.zero(3), 1), _orthant_chart(4, 4), [0, 0, -1]))
+def test_escape_failure_matches_the_mask_loop(case):
+    """The least-mask failing ray of the one escape cone is the (stratum,
+    ray) the loop over the 2^k - 1 orthant sections returned; where two
+    failing rays share the least support, it is the first in generator
+    order."""
+    piece, chart, tilt = case
+    assert escape_failure(piece, chart, tilt) == _mask_loop_failure(piece, chart, tilt)
 
 
 def test_adding_currents_checks_dimension_and_degree():

@@ -9,7 +9,7 @@ from tropcur.coeffs import CoefficientFn, Poly, bump, table
 from tropcur.errors import DimensionMismatch, Divergent, NonMeasurePiece, SignNotCertified
 from tropcur.fans import orthant_fan
 from tropcur.measures import (Atom, DerivativeAtom, Piece, PieceMeasure, abs_measure,
-                              boundary_escape_cones, escape_failure, integrate_against,
+                              escape_failure, integrate_against,
                               lebesgue_piece, restrict_measure, sign_pure_pieces,
                               total_variation_decompose)
 from tropcur.polyhedra import Polyhedron
@@ -177,19 +177,15 @@ def test_image_measure_quadratic_growth_rejected():
 
 def test_escape_cones_respect_finite_axes():
     # chart with one infinite axis (axis 0); a piece escaping along axis 1
-    # (finite) has no boundary escape cone
+    # (finite) has no boundary escape ray, though its density does not decay
     fan = orthant_fan(2)
     chart = fan.toric_chart(fan.cone_id([(1, 0)]))
     strip = Polyhedron(2, [((1, 0), 1), ((-1, 0), 0), ((0, -1), 0)])
-    piece = lebesgue_piece((), strip)
-    cones = boundary_escape_cones(piece, chart)
-    assert cones == []   # the ray (0,1) escapes along a finite axis
+    assert strip.escape_rays((0,)) == ()   # the ray (0,1) escapes along a finite axis
+    assert escape_failure(lebesgue_piece((), strip), chart) is None
     ray = Polyhedron(2, [((0, 1), 0), ((0, -1), 0), ((-1, 0), 0)])
-    piece2 = lebesgue_piece((), ray)
-    cones2 = boundary_escape_cones(piece2, chart)
-    assert len(cones2) == 1
-    M, gens = cones2[0]
-    assert M == frozenset({0}) and gens == [(1, 0)]
+    assert ray.escape_rays((0,)) == ((1, 0),)
+    assert escape_failure(lebesgue_piece((), ray), chart) == ((0,), (1, 0))
 
 
 def test_restrict_and_resum_over_strata():
